@@ -298,7 +298,7 @@ def run_evolve(cfg, seed, out: Path, verbosity: int) -> dict:
         }, sort_keys=True, indent=1) + "\n")
     return {"steps": len(traj.times) - 1,
             "final_I": traj.ledger.rows[-1].I if ev["ledger"] else None,
-            "cstar": traj.cstar}
+            "cstar": traj.cstar, "lambda_fallback": traj.lambda_fallback}
 
 
 def run_energy_report(cfg, seed, out: Path, verbosity: int) -> dict:
@@ -429,7 +429,8 @@ def run_experiment(config_path, out_dir, seed=None, verbosity=1) -> int:
     except (NumericsError, StabilityError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 2
-    except ConfigError as exc:
+    except ValueError as exc:
+        # a ConfigError, or a state that the config makes inadmissible
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     _write_manifest(out, experiment, seed, text,

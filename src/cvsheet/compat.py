@@ -25,10 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .front import FrontField, lift_front
+from .front import FrontField, apply_L, lift_front, straightened_coefficients
 from .grid import Grid
-from .mhd import (IH1, IH2, IP, IS, IU1, IU2, NCOMP, PhysState,
-                  assemble_a0, assemble_a1, assemble_a2)
+from .mhd import IH1, IH2, IP, IS, IU1, IU2, NCOMP
 from .profiles import CutoffChi, make_cutoff, quintic_step, time_bump, time_bump_d
 
 
@@ -131,16 +130,9 @@ def _rhs_eval(data: InitialData, Upoly, phipoly, dphipoly):
     front = FrontField(phi=phipoly, grid=g, dphi_t=dphipoly)
     lifted = lift_front(front, data.chi)
     out = np.empty_like(Upoly)
-    for i in range(2):
-        st = PhysState.from_vector(Upoly[i])
-        a0 = assemble_a0(st, data.eos)
-        a1 = assemble_a1(st, data.eos)
-        a2 = assemble_a2(st, data.eos)
-        a1t = (a1 - a0 * lifted.dt_psi[i] - a2 * lifted.d2_psi[i]) \
-            / lifted.d1_phi_map[i]
-        rhs = (np.einsum("ij...,j...->i...", a1t, g.d1(Upoly[i]))
-               + np.einsum("ij...,j...->i...", a2, g.d2(Upoly[i])))
-        a0m = np.moveaxis(a0, (0, 1), (-2, -1))
+    for i, co in enumerate(straightened_coefficients(Upoly, lifted, data.eos)):
+        rhs = apply_L(co, None, g.d1(Upoly[i]), g.d2(Upoly[i]))
+        a0m = np.moveaxis(co[0], (0, 1), (-2, -1))
         out[i] = -np.moveaxis(
             np.linalg.solve(a0m, np.moveaxis(rhs, 0, -1)[..., None])[..., 0],
             -1, 0)
@@ -328,16 +320,8 @@ def forcing_fa(approx: ApproxSolution):
         front = FrontField(phi=phi, grid=g, dphi_t=phit)
         lifted = lift_front(front, data.chi)
         out = np.empty_like(U)
-        for i in range(2):
-            st = PhysState.from_vector(U[i])
-            a0 = assemble_a0(st, data.eos)
-            a1 = assemble_a1(st, data.eos)
-            a2 = assemble_a2(st, data.eos)
-            a1t = (a1 - a0 * lifted.dt_psi[i] - a2 * lifted.d2_psi[i]) \
-                / lifted.d1_phi_map[i]
-            out[i] = -(np.einsum("ij...,j...->i...", a0, Ut[i])
-                       + np.einsum("ij...,j...->i...", a1t, g.d1(U[i]))
-                       + np.einsum("ij...,j...->i...", a2, g.d2(U[i])))
+        for i, co in enumerate(straightened_coefficients(U, lifted, data.eos)):
+            out[i] = -apply_L(co, Ut[i], g.d1(U[i]), g.d2(U[i]))
         return out
 
     return F

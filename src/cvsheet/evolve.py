@@ -17,7 +17,9 @@ front norms, and the residual of the symmetrized-system energy identity
 
     d/dt \\int (B0c V . V) = boundary flux + source + zero-order terms,
 
-whose discrete violation must vanish under refinement.
+whose discrete violation must vanish under refinement.  A basic state that
+breaks the stability condition has no multiplier; its ledger is built
+with lambda = 0 and ``Trajectory.lambda_fallback`` says why.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .linearized import (IHN, IH2V, IQ, IUN, BasicState,
                          assemble_effective)
 from .mhd import IH1, IH2
 from .profiles import SigmaWeight, quintic_step
-from .stability import LambdaPair, extend_lambda
+from .stability import LambdaPair, StabilityError, extend_lambda
 
 
 class NumericsError(RuntimeError):
@@ -80,6 +82,8 @@ class Trajectory:
     snapshots: np.ndarray | None = None  # (nsnap, 2, 6, n1, n2)
     snapshot_times: np.ndarray | None = None
     apriori: dict = field(default_factory=dict)
+    # why the ledger multiplier fell back to lambda = 0, if it did
+    lambda_fallback: str | None = None
 
     @property
     def cstar(self) -> float:
@@ -186,11 +190,13 @@ def evolve(basic: BasicState, t_final: float, *, forcing=None, bdata=None,
     """
     grid = basic.grid
     lam_field = None
+    lambda_fallback = None
     if ledger:
         if lam_pair is None:
             try:
                 lam_pair = basic.frame(0.0).lambda_boundary(k=stability_k)
-            except Exception:
+            except StabilityError as exc:
+                lambda_fallback = str(exc)
                 lam_pair = LambdaPair(lam_plus=np.zeros(grid.n2),
                                       lam_minus=np.zeros(grid.n2))
         eps = collar_eps if collar_eps is not None else max(
@@ -271,7 +277,7 @@ def evolve(basic: BasicState, t_final: float, *, forcing=None, bdata=None,
         hn_residual=np.asarray(hnres),
         snapshots=np.asarray(snaps) if snaps else None,
         snapshot_times=np.asarray(snap_ts) if snap_ts else None,
-        apriori=apriori)
+        apriori=apriori, lambda_fallback=lambda_fallback)
 
 
 def _mat_apply2(M, v):
@@ -364,19 +370,8 @@ class LinearizedStepper:
         return Vn, pn
 
 
-def constraint_monitor(traj: Trajectory) -> dict:
-    """Per-step residual series of div hdot and the wall magnetic relation."""
-    return {"times": traj.times, "div": traj.div_residual,
-            "hn": traj.hn_residual}
-
-
 def energy_ledger(traj: Trajectory) -> EnergyLedger:
     return traj.ledger
-
-
-def verify_apriori(traj: Trajectory) -> float:
-    """Fitted constant of the solution-to-forcing H1* bound."""
-    return traj.cstar
 
 
 def step_linearized(basic: BasicState, V, phi, t, dt, *, forcing=None,

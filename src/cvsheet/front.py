@@ -5,6 +5,13 @@ variables Phi±(t, x) = ±x1 + Psi±(t, x), Psi±(t, x) = chi(±x1) phi(t, x2),
 which maps both sides onto the fixed half-plane x1 > 0.  Because the cutoff
 chi has slope at most 1/2, any front with sup|phi| < 1/2 keeps the Jacobian
 d1Phi+ >= 1/2 (and d1Phi- <= -1/2), so the transform never degenerates.
+
+This module is the one home of the straightened operator
+
+    L = A0 dt + A1~ d1 + A2 d2,   A1~ = (A1 - A0 dtPsi - A2 d2Psi) / d1Phi,
+
+from which the absorbed forcing, the time jets, the effective linearized
+operator and the Nash-Moser error terms are all built.
 """
 
 from __future__ import annotations
@@ -19,8 +26,11 @@ from .profiles import CutoffChi, make_cutoff
 
 __all__ = [
     "CutoffChi", "make_cutoff", "FrontField", "TangentFrame", "LiftedFront",
-    "lift_front", "assemble_a1_tilde", "transformed_vectors",
+    "lift_front", "straighten", "straightened_coefficients", "apply_L",
+    "transformed_vectors", "induction_advection",
 ]
+
+_JAC_TOL = 1e-3
 
 
 class DegenerateJacobianError(RuntimeError):
@@ -132,35 +142,50 @@ def lift_front(front: FrontField, chi: CutoffChi, dphi_t=None) -> LiftedFront:
                        d2_psi=d2_psi, dt_psi=dt_psi, phi_grad=front.d2())
 
 
-def assemble_a1_tilde(state: PhysState, lifted: LiftedFront, eos,
-                      side: int, jac_tol: float = 1e-3) -> np.ndarray:
-    """Transformed boundary-normal matrix for one side.
+def straighten(m0, m1, m2, lifted: LiftedFront, i: int):
+    """The straightened normal combination (m1 - m0 dtPsi - m2 d2Psi) / d1Phi.
 
-    A1~ = (A1 - A0 dPsi/dt - A2 d2Psi) / d1Phi, a pointwise symmetric
-    combination; reduces to ±A1 for a flat steady front.
+    Applied to (A0, A1, A2) on side ``i`` (0 = '+', 1 = '-') it gives A1~;
+    the same combination straightens the symmetrized B matrices and the
+    state derivatives of the A matrices.  For a flat steady front it
+    reduces to ±m1.
     """
-    i = 0 if side > 0 else 1
-    jac = lifted.d1_phi_map[i]
-    signed = jac if side > 0 else -jac
-    if np.min(signed) < jac_tol:
+    return (m1 - m0 * lifted.dt_psi[i] - m2 * lifted.d2_psi[i]) \
+        / lifted.d1_phi_map[i]
+
+
+def straightened_coefficients(U: np.ndarray, lifted: LiftedFront, eos):
+    """Per-side (A0, A1~, A2) of L = A0 dt + A1~ d1 + A2 d2.
+
+    ``U`` is (2, 6, n1, n2).  Raises when the Jacobian is not sign-definite,
+    d1Phi+ >= tol and d1Phi- <= -tol, i.e. when the front breaks the
+    smallness hypothesis sup|phi| < 1/2.
+    """
+    jac = lifted.d1_phi_map
+    if min(np.min(jac[0]), -np.max(jac[1])) < _JAC_TOL:
         raise DegenerateJacobianError(
             "sign-definite |d1Phi| >= %g failed on the grid; the front "
-            "violates the smallness hypothesis sup|phi| < 1/2" % jac_tol)
-    state = _broadcast_state(state, jac.shape)
-    A0 = assemble_a0(state, eos)
-    A1 = assemble_a1(state, eos)
-    A2 = assemble_a2(state, eos)
-    return (A1 - A0 * lifted.dt_psi[i] - A2 * lifted.d2_psi[i]) / jac
+            "violates the smallness hypothesis sup|phi| < 1/2" % _JAC_TOL)
+    out = []
+    for i in range(2):
+        st = PhysState.from_vector(U[i])
+        a0, a2 = assemble_a0(st, eos), assemble_a2(st, eos)
+        a1t = straighten(a0, assemble_a1(st, eos), a2, lifted, i)
+        out.append((a0, a1t, a2))
+    return out
 
 
-def _broadcast_state(state: PhysState, shape) -> PhysState:
-    def bc(f):
-        f = np.asarray(f, dtype=float)
-        return np.broadcast_to(f, np.broadcast_shapes(f.shape, shape))
+def apply_L(coeffs, dtU, d1U, d2U) -> np.ndarray:
+    """A0 dtU + A1~ d1U + A2 d2U for one side's (A0, A1~, A2).
 
-    return PhysState(p=bc(state.p), u1=bc(state.u1), u2=bc(state.u2),
-                     H1=bc(state.H1), H2=bc(state.H2), S=bc(state.S),
-                     side=state.side)
+    A derivative passed as None drops its term.
+    """
+    out = None
+    for m, d in zip(coeffs, (dtU, d1U, d2U)):
+        if d is not None:
+            term = np.einsum("ij...,j...->i...", m, d)
+            out = term if out is None else out + term
+    return out
 
 
 def transformed_vectors(state: PhysState, lifted: LiftedFront, side: int):
@@ -180,3 +205,18 @@ def transformed_vectors(state: PhysState, lifted: LiftedFront, side: int):
     w[0] = w[0] - lifted.dt_psi[i]
     h = np.stack(np.broadcast_arrays(H_n, state.H2 * d1phi))
     return u_n, H_n, v, w, h
+
+
+def induction_advection(u, H, lifted: LiftedFront, side: int):
+    """(1/d1Phi) [(w . grad) H - (h . grad) u + H div v] for one side.
+
+    ``u`` and ``H`` are the (2, n1, n2) velocity and magnetic field; the
+    straightened induction equation reads dH/dt + this = 0.
+    """
+    g = lifted.grid
+    st = PhysState(p=None, u1=u[0], u2=u[1], H1=H[0], H2=H[1], S=None)
+    _, _, v, w, h = transformed_vectors(st, lifted, side)
+    adv = (w[0] * g.d1(H) + w[1] * g.d2(H)
+           - (h[0] * g.d1(u) + h[1] * g.d2(u))
+           + H * (g.d1(v[0]) + g.d2(v[1])))
+    return adv / lifted.d1_phi_map[0 if side > 0 else 1]

@@ -14,6 +14,10 @@ and rewriting in the characteristic unknown V = (qdot, udot_n, udot_2,
 Hdot_n, Hdot_2, Sdot) via Udot = J V turns the boundary matrix into
 diag(E12, -E12)/d1Phi + a correction vanishing on the wall: a constant-rank-4
 characteristic boundary with exactly two incoming modes per side.
+
+The straightened coefficients (A0, A1~, A2) and their apply come from
+``cvsheet.front``; ``heun_march`` is the one time marcher of the
+boundary, divergence and magnetic transport solves.
 """
 
 from __future__ import annotations
@@ -22,10 +26,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .front import FrontField, LiftedFront, lift_front
+from .front import (FrontField, LiftedFront, apply_L, induction_advection,
+                    lift_front, straighten, straightened_coefficients,
+                    transformed_vectors)
 from .grid import Grid, diff_time
 from .mhd import (IH1, IH2, IP, IS, IU1, IU2, NCOMP, PhysState,
-                  assemble_a0, assemble_a1, assemble_a2,
                   coefficient_jacobians)
 from .profiles import CutoffChi, make_cutoff
 from .stability import LambdaPair, build_lambda, check_stability
@@ -220,29 +225,19 @@ def validate_basic_state(basic: BasicState, tolerances: dict | None = None,
                             float(np.min(rep.margin[..., 0, :]))
                             if rep.margin.ndim > 1 else rep.margin_min)
         tr = fr.boundary_traces()
-        for i, sgn in enumerate((+1.0, -1.0)):
+        for i, side in enumerate(SIDES):
             uN0 = fr.U[i, IU1, 0, :] - fr.U[i, IU2, 0, :] * tr["d2phi"]
             worst["jump"] = max(worst["jump"],
                                 float(np.max(np.abs(fr.phit - uN0))))
             HN0 = fr.U[i, IH1, 0, :] - fr.U[i, IH2, 0, :] * tr["d2phi"]
             worst["hn"] = max(worst["hn"], float(np.max(np.abs(HN0))))
-            # transformed vectors and residuals of the interior constraints
-            d2psi = fr.lifted.d2_psi[i]
-            d1phi = fr.lifted.d1_phi_map[i]
-            Hn = fr.U[i, IH1] - fr.U[i, IH2] * d2psi
-            h = np.stack(np.broadcast_arrays(Hn, fr.U[i, IH2] * d1phi))
+            # residuals of the interior constraints
+            h = transformed_vectors(fr.states[i], fr.lifted, side)[4]
             div = g.d1(h[0]) + g.d2(h[1])
             worst["div"] = max(worst["div"], float(np.max(np.abs(div))))
-            un = fr.U[i, IU1] - fr.U[i, IU2] * d2psi
-            v = np.stack(np.broadcast_arrays(un, fr.U[i, IU2] * d1phi))
-            w = v.copy()
-            w[0] = w[0] - fr.lifted.dt_psi[i]
-            Hvec = fr.U[i, (IH1, IH2), :, :]
-            uvec = fr.U[i, (IU1, IU2), :, :]
-            adv = (w[0] * g.d1(Hvec) + w[1] * g.d2(Hvec)
-                   - (h[0] * g.d1(uvec) + h[1] * g.d2(uvec))
-                   + Hvec * (g.d1(v[0]) + g.d2(v[1])))
-            trans = fr.Ut[i, (IH1, IH2), :, :] + adv / d1phi
+            trans = fr.Ut[i, (IH1, IH2), :, :] + induction_advection(
+                fr.U[i, (IU1, IU2), :, :], fr.U[i, (IH1, IH2), :, :],
+                fr.lifted, side)
             worst["trans"] = max(worst["trans"], float(np.max(np.abs(trans))))
         worst["phi"] = max(worst["phi"], float(np.max(np.abs(fr.phi))))
     return ValidationReport(
@@ -332,25 +327,25 @@ def good_unknown_inverse(Udot: np.ndarray, psi: np.ndarray,
 
 # -- zero-order coefficient -------------------------------------------------
 
-def c_matrix(frame: BasicFrame) -> np.ndarray:
+def c_matrix(U: np.ndarray, Ut: np.ndarray, lifted: LiftedFront,
+             eos) -> np.ndarray:
     """Zero-order matrix of the linearization, per side: (2, 6, 6, n1, n2).
 
     C_{kl} = sum_m [dA0/dy_l]_{km} dtU_m + [dA1~/dy_l]_{km} d1U_m
-             + [dA2/dy_l]_{km} d2U_m, with the A1~ derivative inheriting the
-    straightening combination of the base matrices.
+             + [dA2/dy_l]_{km} d2U_m at the state ``U`` with rate ``Ut``,
+    with the A1~ derivative inheriting the straightening combination of
+    the base matrices.
     """
-    g = frame.grid
-    d1U = g.d1(frame.U)
-    d2U = g.d2(frame.U)
+    g = lifted.grid
+    d1U = g.d1(U)
+    d2U = g.d2(U)
     out = np.empty((2, NCOMP, NCOMP, g.n1, g.n2))
     for i in range(2):
-        dA0, dA1, dA2 = coefficient_jacobians(frame.states[i], frame.eos)
-        dtpsi = frame.lifted.dt_psi[i]
-        d2psi = frame.lifted.d2_psi[i]
-        jac = frame.lifted.d1_phi_map[i]
-        dA1t = (dA1 - dA0 * dtpsi - dA2 * d2psi) / jac
+        dA0, dA1, dA2 = coefficient_jacobians(PhysState.from_vector(U[i]),
+                                              eos)
+        dA1t = straighten(dA0, dA1, dA2, lifted, i)
         # C[k, l] = dA0[l, k, m] Ut[m] + dA1t[l, k, m] d1U[m] + dA2[l, k, m] d2U[m]
-        out[i] = (np.einsum("lkm...,m...->kl...", dA0, frame.Ut[i])
+        out[i] = (np.einsum("lkm...,m...->kl...", dA0, Ut[i])
                   + np.einsum("lkm...,m...->kl...", dA1t, d1U[i])
                   + np.einsum("lkm...,m...->kl...", dA2, d2U[i]))
     return out
@@ -400,6 +395,23 @@ class EffectiveOperators:
     S: np.ndarray | None = None
 
 
+def _conjugate(g: Grid, m0, m1, m2, zc, J, dJdt, out, i: int) -> None:
+    """Side ``i`` of one characteristic family, written into ``out[0..3]``.
+
+    J^T m0 J, J^T m1 J, J^T m2 J and the zero-order
+    J^T (zc J + m1 d1J + m2 d2J + m0 dJ/dt) for side i's straightened
+    triple (m0, m1, m2) and state-derivative term ``zc``.
+    """
+    J = J[i]
+    Jt = _transpose(J)
+    for k, m in enumerate((m0, m1, m2)):
+        out[k][i] = _mat_mul(Jt, _mat_mul(m, J))
+    inner = _mat_mul(zc, J) + _mat_mul(m1, g.d1(J)) + _mat_mul(m2, g.d2(J))
+    if dJdt is not None:
+        inner = inner + _mat_mul(m0, dJdt[i])
+    out[3][i] = _mat_mul(Jt, inner)
+
+
 def assemble_effective(frame: BasicFrame, lam_field: np.ndarray | None = None,
                        *, boundary_tol: float | None = None,
                        dJdt: np.ndarray | None = None) -> EffectiveOperators:
@@ -413,67 +425,33 @@ def assemble_effective(frame: BasicFrame, lam_field: np.ndarray | None = None,
     g = frame.grid
     eos = frame.eos
     J = j_matrix(frame)
-    C = c_matrix(frame)
-    A0 = np.empty((2, NCOMP, NCOMP, g.n1, g.n2))
-    A1 = np.empty_like(A0)
-    A2 = np.empty_like(A0)
-    A3 = np.empty_like(A0)
-    base = {}
-    for i in range(2):
-        st = frame.states[i]
-        a0 = assemble_a0(st, eos)
-        a1 = assemble_a1(st, eos)
-        a2 = assemble_a2(st, eos)
-        a1t = (a1 - a0 * frame.lifted.dt_psi[i]
-               - a2 * frame.lifted.d2_psi[i]) / frame.lifted.d1_phi_map[i]
-        base[i] = (a0, a1t, a2)
-        Jt = _transpose(J[i])
-        A0[i] = _mat_mul(Jt, _mat_mul(a0, J[i]))
-        A1[i] = _mat_mul(Jt, _mat_mul(a1t, J[i]))
-        A2[i] = _mat_mul(Jt, _mat_mul(a2, J[i]))
-        dJ1 = g.d1(J[i])
-        dJ2 = g.d2(J[i])
-        inner = _mat_mul(C[i], J[i]) + _mat_mul(a1t, dJ1) + _mat_mul(a2, dJ2)
-        if dJdt is not None:
-            inner = inner + _mat_mul(a0, dJdt[i])
-        A3[i] = _mat_mul(Jt, inner)
+    C = c_matrix(frame.U, frame.Ut, frame.lifted, eos)
+    A = [np.empty((2, NCOMP, NCOMP, g.n1, g.n2)) for _ in range(4)]
+    for i, (a0, a1t, a2) in enumerate(
+            straightened_coefficients(frame.U, frame.lifted, eos)):
+        _conjugate(g, a0, a1t, a2, C[i], J, dJdt, A, i)
 
     target = np.zeros((2, NCOMP, NCOMP))
     target[0, IQ, IUN] = target[0, IUN, IQ] = 1.0
     target[1, IQ, IUN] = target[1, IUN, IQ] = -1.0
-    res = float(np.max(np.abs(A1[..., 0, :] - target[..., None])))
+    res = float(np.max(np.abs(A[1][..., 0, :] - target[..., None])))
     if boundary_tol is not None and res > boundary_tol:
         raise BoundaryStructureError(
             f"boundary matrix off diag(E12,-E12) by {res:.3e}: the basic "
             "state violates a wall constraint (kinematic jump or H_N = 0)")
 
-    ops = EffectiveOperators(frame=frame, J=J, A0=A0, A1=A1, A2=A2, A3=A3,
-                             A1_boundary_residual=res)
+    ops = EffectiveOperators(frame, J, *A, A1_boundary_residual=res)
     if lam_field is not None:
         from .stability import assemble_symmetrizer
-        B0 = np.empty_like(A0)
-        B1 = np.empty_like(A0)
-        B2 = np.empty_like(A0)
-        B3 = np.empty_like(A0)
-        Sfull = np.empty_like(A0)
+        B = [np.empty_like(J) for _ in range(4)]
+        ops.S = np.empty_like(J)
         for i in range(2):
             bundle = assemble_symmetrizer(frame.states[i], lam_field[i], eos)
-            b1t = (bundle.B1 - bundle.B0 * frame.lifted.dt_psi[i]
-                   - bundle.B2 * frame.lifted.d2_psi[i]) \
-                / frame.lifted.d1_phi_map[i]
-            Jt = _transpose(J[i])
-            B0[i] = _mat_mul(Jt, _mat_mul(bundle.B0, J[i]))
-            B1[i] = _mat_mul(Jt, _mat_mul(b1t, J[i]))
-            B2[i] = _mat_mul(Jt, _mat_mul(bundle.B2, J[i]))
-            dJ1 = g.d1(J[i])
-            dJ2 = g.d2(J[i])
-            inner = (_mat_mul(_mat_mul(bundle.S, C[i]), J[i])
-                     + _mat_mul(b1t, dJ1) + _mat_mul(bundle.B2, dJ2))
-            if dJdt is not None:
-                inner = inner + _mat_mul(bundle.B0, dJdt[i])
-            B3[i] = _mat_mul(Jt, inner)
-            Sfull[i] = bundle.S
-        ops.B0, ops.B1, ops.B2, ops.B3, ops.S = B0, B1, B2, B3, Sfull
+            b1t = straighten(bundle.B0, bundle.B1, bundle.B2, frame.lifted, i)
+            _conjugate(g, bundle.B0, b1t, bundle.B2,
+                       _mat_mul(bundle.S, C[i]), J, dJdt, B, i)
+            ops.S[i] = bundle.S
+        ops.B0, ops.B1, ops.B2, ops.B3 = B
     return ops
 
 
@@ -500,6 +478,25 @@ def reconstruct_front_derivatives(HN_plus, HN_minus, uN_plus, phi,
 
 # -- boundary-data homogenization ------------------------------------------
 
+def heun_march(rhs, y0, dts, nsub: int = 1) -> np.ndarray:
+    """Heun's method over the intervals ``dts``, each cut into ``nsub`` steps.
+
+    ``rhs(y, n, w)`` is the right-hand side at the fraction ``w`` in [0, 1]
+    of interval ``n``.  Returns the solution at the len(dts) + 1 nodes.
+    """
+    out = np.empty((len(dts) + 1,) + np.shape(y0))
+    out[0] = y0
+    for n, dt in enumerate(dts):
+        y = out[n]
+        h = dt / nsub
+        for s in range(nsub):
+            k1 = rhs(y, n, s / nsub)
+            k2 = rhs(y + h * k1, n, (s + 1) / nsub)
+            y = y + 0.5 * h * (k1 + k2)
+        out[n + 1] = y
+    return out
+
+
 def solve_g3_transport(basic: BasicState, G_source, tgrid, side: int,
                        g0=None) -> np.ndarray:
     """March the boundary transport d/dt g3 + u2 d2 g3 + (d2 u2) g3 = G.
@@ -510,23 +507,15 @@ def solve_g3_transport(basic: BasicState, G_source, tgrid, side: int,
     """
     g = basic.grid
     i = 0 if side > 0 else 1
-    out = np.zeros((len(tgrid), g.n2))
-    if g0 is not None:
-        out[0] = g0
 
-    def rhs(y, t):
-        fr = basic.frame(t)
-        u2 = fr.U[i, IU2, 0, :]
+    def rhs(y, n, w):
+        t = (1 - w) * tgrid[n] + w * tgrid[n + 1]      # exact at the nodes
+        u2 = basic.frame(t).U[i, IU2, 0, :]
         du2 = g.d2_boundary(u2)
         return G_source(t) - u2 * g.d2_boundary(y) - du2 * y
 
-    for n in range(len(tgrid) - 1):
-        dt = tgrid[n + 1] - tgrid[n]
-        y = out[n]
-        k1 = rhs(y, tgrid[n])
-        k2 = rhs(y + dt * k1, tgrid[n + 1])
-        out[n + 1] = y + 0.5 * dt * (k1 + k2)
-    return out
+    y0 = np.zeros(g.n2) if g0 is None else g0
+    return heun_march(rhs, y0, np.diff(tgrid))
 
 
 def solve_r_transport(basic: BasicState, F_source, tgrid, side: int) -> np.ndarray:
@@ -536,25 +525,16 @@ def solve_r_transport(basic: BasicState, F_source, tgrid, side: int) -> np.ndarr
     past; returns R snapshots (nt, n1, n2)."""
     g = basic.grid
     i = 0 if side > 0 else 1
-    out = np.zeros((len(tgrid), g.n1, g.n2))
 
-    def rhs(y, t):
+    def rhs(y, n, w):
+        t = (1 - w) * tgrid[n] + w * tgrid[n + 1]
         fr = basic.frame(t)
-        d2psi = fr.lifted.d2_psi[i]
-        d1phi = fr.lifted.d1_phi_map[i]
-        un = fr.U[i, IU1] - fr.U[i, IU2] * d2psi
-        v = np.stack(np.broadcast_arrays(un, fr.U[i, IU2] * d1phi))
-        w0 = v[0] - fr.lifted.dt_psi[i]
+        _, _, v, wv, _ = transformed_vectors(fr.states[i], fr.lifted, side)
         divv = g.d1(v[0]) + g.d2(v[1])
-        return F_source(t) - (w0 * g.d1(y) + v[1] * g.d2(y) + y * divv) / d1phi
+        return F_source(t) - (wv[0] * g.d1(y) + v[1] * g.d2(y)
+                              + y * divv) / fr.lifted.d1_phi_map[i]
 
-    for n in range(len(tgrid) - 1):
-        dt = tgrid[n + 1] - tgrid[n]
-        y = out[n]
-        k1 = rhs(y, tgrid[n])
-        k2 = rhs(y + dt * k1, tgrid[n + 1])
-        out[n + 1] = y + 0.5 * dt * (k1 + k2)
-    return out
+    return heun_march(rhs, np.zeros((g.n1, g.n2)), np.diff(tgrid))
 
 
 def homogenize_boundary(gdata: np.ndarray, f: np.ndarray, basic: BasicState,
@@ -607,16 +587,10 @@ def apply_effective_operator(basic: BasicState, Udot: np.ndarray,
     out = np.empty_like(Udot)
     for n in range(nt):
         fr = basic.frame(tgrid[n])
-        C = c_matrix(fr)
-        for i in range(2):
-            st = fr.states[i]
-            a0 = assemble_a0(st, basic.eos)
-            a1 = assemble_a1(st, basic.eos)
-            a2 = assemble_a2(st, basic.eos)
-            a1t = (a1 - a0 * fr.lifted.dt_psi[i]
-                   - a2 * fr.lifted.d2_psi[i]) / fr.lifted.d1_phi_map[i]
-            out[n, i] = (_mat_apply(a0, dtU[n, i])
-                         + _mat_apply(a1t, g.d1(Udot[n, i]))
-                         + _mat_apply(a2, g.d2(Udot[n, i]))
+        C = c_matrix(fr.U, fr.Ut, fr.lifted, basic.eos)
+        for i, co in enumerate(
+                straightened_coefficients(fr.U, fr.lifted, basic.eos)):
+            out[n, i] = (apply_L(co, dtU[n, i], g.d1(Udot[n, i]),
+                                 g.d2(Udot[n, i]))
                          + _mat_apply(C[i], Udot[n, i]))
     return out

@@ -24,11 +24,12 @@ import numpy as np
 
 from .compat import ApproxSolution, forcing_fa
 from .evolve import NumericsError, cfl_timestep, evolve
-from .front import FrontField, lift_front
+from .front import (FrontField, apply_L, induction_advection, lift_front,
+                    straightened_coefficients)
 from .grid import Grid, diff_time
-from .linearized import BasicState, c_matrix, j_matrix, validate_basic_state
-from .mhd import (IH1, IH2, IP, IS, IU1, IU2, PhysState, assemble_a0,
-                  assemble_a1, assemble_a2)
+from .linearized import (SIDES, BasicState, c_matrix, heun_march, j_matrix,
+                         validate_basic_state)
+from .mhd import IH1, IH2, IP, IS, IU1, IU2
 from .norms import lift
 from .smoothing import Smoother
 
@@ -88,18 +89,10 @@ class SheetOperators:
         out = np.empty_like(U)
         for n in range(U.shape[0]):
             lifted = self._lift(phi[n], dtphi[n])
-            for i in range(2):
-                st = PhysState.from_vector(U[n, i])
-                a0 = assemble_a0(st, self.eos)
-                a1 = assemble_a1(st, self.eos)
-                a2 = assemble_a2(st, self.eos)
-                a1t = (a1 - a0 * lifted.dt_psi[i] - a2 * lifted.d2_psi[i]) \
-                    / lifted.d1_phi_map[i]
-                out[n, i] = (np.einsum("ij...,j...->i...", a0, dtU[n, i])
-                             + np.einsum("ij...,j...->i...", a1t,
-                                         g.d1(U[n, i]))
-                             + np.einsum("ij...,j...->i...", a2,
-                                         g.d2(U[n, i])))
+            for i, co in enumerate(
+                    straightened_coefficients(U[n], lifted, self.eos)):
+                out[n, i] = apply_L(co, dtU[n, i], g.d1(U[n, i]),
+                                    g.d2(U[n, i]))
         return out
 
     def linearized_L(self, Uhat: np.ndarray, phihat: np.ndarray,
@@ -114,25 +107,18 @@ class SheetOperators:
         for n in range(Uhat.shape[0]):
             lifted = self._lift(phihat[n], dtphihat[n])
             dlift = self._lift(dphi[n], dt_dphi[n])
-            shim = _FrameShim(self.grid, self.eos, Uhat[n], dtUhat[n], lifted)
-            C = c_matrix(shim)
+            C = c_matrix(Uhat[n], dtUhat[n], lifted, self.eos)
             d1Uhat = g.d1(Uhat[n])
-            for i in range(2):
-                st = PhysState.from_vector(Uhat[n, i])
-                a0 = assemble_a0(st, self.eos)
-                a1 = assemble_a1(st, self.eos)
-                a2 = assemble_a2(st, self.eos)
-                jph = lifted.d1_phi_map[i]
-                a1t = (a1 - a0 * lifted.dt_psi[i]
-                       - a2 * lifted.d2_psi[i]) / jph
-                lin = (np.einsum("ij...,j...->i...", a0, dt_dU[n, i])
-                       + np.einsum("ij...,j...->i...", a1t, g.d1(dU[n, i]))
-                       + np.einsum("ij...,j...->i...", a2, g.d2(dU[n, i]))
+            for i, (a0, a1t, a2) in enumerate(
+                    straightened_coefficients(Uhat[n], lifted, self.eos)):
+                lin = (apply_L((a0, a1t, a2), dt_dU[n, i], g.d1(dU[n, i]),
+                               g.d2(dU[n, i]))
                        + np.einsum("ij...,j...->i...", C[i], dU[n, i]))
                 # front coupling: -(L dPsi) (d1 Uhat / d1 Phihat)
                 Lpsi = (a0 * dlift.dt_psi[i] + a1t * dlift.d1_psi[i]
                         + a2 * dlift.d2_psi[i])
-                lin -= np.einsum("ij...,j...->i...", Lpsi, d1Uhat[i] / jph)
+                lin -= np.einsum("ij...,j...->i...", Lpsi,
+                                 d1Uhat[i] / lifted.d1_phi_map[i])
                 out[n, i] = lin
         return out
 
@@ -179,19 +165,6 @@ class SheetOperators:
         out[:, 1] += dphi * d1uN[:, 1]
         out[:, 2] += dphi * (d1q[:, 0] + d1q[:, 1])
         return out
-
-
-class _FrameShim:
-    """Minimal BasicFrame stand-in for c_matrix on raw snapshot data."""
-
-    def __init__(self, grid, eos, U, Ut, lifted):
-        self.grid = grid
-        self.eos = eos
-        self.U = U
-        self.Ut = Ut
-        self.lifted = lifted
-        self.states = tuple(PhysState.from_vector(U[i], side=s)
-                            for i, s in enumerate((+1, -1)))
 
 
 # -- iteration ----------------------------------------------------------------
@@ -337,50 +310,23 @@ class NashMoserDriver:
     def _transport_H(self, Vh, psi_half):
         """March the induction transport for H' = H^a + H_{i+1/2}."""
         g = self.grid
-        nt = self.nt
         phi_f = self.phia + psi_half
         dtphi_f = diff_time(phi_f, self.dt, axis=0)
         u_f = self.Ua[:, :, (IU1, IU2)] + Vh[:, :, (IU1, IU2)]
-        H = np.empty((nt, 2, 2, g.n1, g.n2))
-        H[0] = np.stack([self.Ua[0, :, IH1], self.Ua[0, :, IH2]], axis=1)
+        H0 = np.stack([self.Ua[0, :, IH1], self.Ua[0, :, IH2]], axis=1)
 
-        def coeffs(n_lo, w):
-            n_hi = min(n_lo + 1, nt - 1)
-            phi = (1 - w) * phi_f[n_lo] + w * phi_f[n_hi]
-            dtphi = (1 - w) * dtphi_f[n_lo] + w * dtphi_f[n_hi]
-            u = (1 - w) * u_f[n_lo] + w * u_f[n_hi]
+        def rhs(Hn, n, w):
+            # the summed state, linear in time between snapshots n and n+1
+            phi = (1 - w) * phi_f[n] + w * phi_f[n + 1]
+            dtphi = (1 - w) * dtphi_f[n] + w * dtphi_f[n + 1]
+            u = (1 - w) * u_f[n] + w * u_f[n + 1]
             lifted = lift_front(FrontField(phi=phi, grid=g, dphi_t=dtphi),
                                 self.chi)
-            return u, lifted
+            return np.stack([-induction_advection(u[i], Hn[i], lifted, side)
+                             for i, side in enumerate(SIDES)])
 
-        def rhs(Hn, u, lifted):
-            out = np.empty_like(Hn)
-            for i in range(2):
-                d2psi = lifted.d2_psi[i]
-                jph = lifted.d1_phi_map[i]
-                un = u[i, 0] - u[i, 1] * d2psi
-                v = np.stack(np.broadcast_arrays(un, u[i, 1] * jph))
-                w0 = v[0] - lifted.dt_psi[i]
-                hn = Hn[i, 0] - Hn[i, 1] * d2psi
-                hv = np.stack(np.broadcast_arrays(hn, Hn[i, 1] * jph))
-                divv = g.d1(v[0]) + g.d2(v[1])
-                adv = (w0 * g.d1(Hn[i]) + v[1] * g.d2(Hn[i])
-                       - (hv[0] * g.d1(u[i]) + hv[1] * g.d2(u[i]))
-                       + Hn[i] * divv)
-                out[i] = -adv / jph
-            return out
-
-        nsub = max(self.config.transport_substeps, 1)
-        dts = self.dt / nsub
-        for n in range(nt - 1):
-            Hn = H[n].copy()
-            for s in range(nsub):
-                u0, l0 = coeffs(n, s / nsub)
-                k1 = rhs(Hn, u0, l0)
-                u1, l1 = coeffs(n, (s + 1) / nsub)
-                k2 = rhs(Hn + dts * k1, u1, l1)
-                Hn = Hn + 0.5 * dts * (k1 + k2)
-            H[n + 1] = Hn
+        H = heun_march(rhs, H0, [self.dt] * (self.nt - 1),
+                       max(self.config.transport_substeps, 1))
         if not np.all(np.isfinite(H)):
             raise NumericsError("magnetic transport solve diverged")
         return H

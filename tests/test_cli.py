@@ -149,3 +149,52 @@ forcing_amplitude = 0.0
     rows = np.loadtxt(tmp_path / "out" / "energy_ledger.csv", delimiter=",",
                       skiprows=1)
     assert np.all(rows[:, 1:] == 0.0)
+
+
+def test_shipped_configs_parse_and_name_a_runner():
+    from pathlib import Path
+
+    from cvsheet.cli import RUNNERS
+    configs = sorted((Path(__file__).parents[1] / "configs").glob("*"))
+    assert configs
+    for path in configs:
+        exp, _, _ = parse_config(path.read_text())
+        assert exp in RUNNERS, path.name
+
+
+EVOLVE_TINY = """[run]
+experiment = evolve
+
+[grid]
+n1 = 16
+n2 = 16
+
+[state]
+p_plus = {p_plus}
+u2_jump = {u2_jump}
+H2_plus = {H2_plus}
+H2_minus = {H2_minus}
+
+[evolve]
+t_final = 0.02
+forcing_amplitude = 0.0
+"""
+
+
+def test_inadmissible_state_exits_1_with_message(tmp_path, capsys):
+    cfg = tmp_path / "neg.ini"
+    cfg.write_text(EVOLVE_TINY.format(p_plus=0.1, u2_jump=0.0, H2_plus=0.5,
+                                      H2_minus=1.5))
+    assert run_experiment(cfg, tmp_path / "o", verbosity=0) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "p- <= 0" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_evolve_summary_reports_multiplier_fallback(tmp_path, capsys):
+    cfg = tmp_path / "unstable.ini"
+    cfg.write_text(EVOLVE_TINY.format(p_plus=1.0, u2_jump=3.0, H2_plus=0.2,
+                                      H2_minus=0.2))
+    assert run_experiment(cfg, tmp_path / "o", verbosity=1) == 0
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    assert "stability condition violated" in summary["lambda_fallback"]

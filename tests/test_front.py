@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cvsheet.front import (DegenerateJacobianError, FrontField, TangentFrame,
-                           assemble_a1_tilde, lift_front, make_cutoff,
+                           lift_front, make_cutoff, straightened_coefficients,
                            transformed_vectors)
 from cvsheet.grid import Grid
 from cvsheet.mhd import IdealGasEos, PhysState, assemble_a1
@@ -13,6 +13,13 @@ EOS = IdealGasEos()
 @pytest.fixture
 def grid():
     return Grid(n1=48, n2=48, L1=6.0, L2=2 * np.pi)
+
+
+def _both_sides(state, grid):
+    """``state`` on both sides of the grid: U of shape (2, 6, n1, n2)."""
+    fields = np.broadcast_arrays(state.p, state.u1, state.u2, state.H1,
+                                 state.H2, state.S, np.zeros((grid.n1, grid.n2)))
+    return np.stack([np.stack(fields[:6])] * 2)
 
 
 def test_cutoff_plateau_and_support():
@@ -69,8 +76,8 @@ def test_a1_tilde_flat_front_reduces_to_a1(grid):
     lifted = lift_front(FrontField(phi=np.zeros(grid.n2), grid=grid), chi)
     state = PhysState(p=1.2, u1=0.3, u2=-0.4, H1=0.2, H2=1.0, S=0.1)
     A1 = assemble_a1(state, EOS)
-    At_plus = assemble_a1_tilde(state, lifted, EOS, side=+1)
-    At_minus = assemble_a1_tilde(state, lifted, EOS, side=-1)
+    (_, At_plus, _), (_, At_minus, _) = straightened_coefficients(
+        _both_sides(state, grid), lifted, EOS)
     assert np.allclose(At_plus[..., 0, 0], A1)
     assert np.allclose(At_minus[..., 0, 0], -A1)
 
@@ -82,7 +89,7 @@ def test_a1_tilde_symmetric_and_scaling(grid):
     x1g, x2g = grid.mesh()
     state = PhysState(p=1.0 + 0.1 * np.cos(x2g), u1=0.0, u2=0.0,
                       H1=0.0, H2=0.0, S=0.0)
-    At = assemble_a1_tilde(state, lifted, EOS, side=+1)
+    At = straightened_coefficients(_both_sides(state, grid), lifted, EOS)[0][1]
     assert np.allclose(At, np.swapaxes(At, 0, 1))
     # steady front, u = H = 0: entries scale by 1/d1Phi pointwise
     from cvsheet.mhd import assemble_a0, assemble_a2
@@ -101,7 +108,7 @@ def test_a1_tilde_degenerate_jacobian_error(grid):
     lifted = lift_front(front, chi)
     state = PhysState(p=1.0, u1=0, u2=0, H1=0, H2=0, S=0)
     with pytest.raises(DegenerateJacobianError):
-        assemble_a1_tilde(state, lifted, EOS, side=+1)
+        straightened_coefficients(_both_sides(state, grid), lifted, EOS)
 
 
 def test_transformed_vectors_flat(grid):

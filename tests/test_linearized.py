@@ -81,7 +81,7 @@ def test_good_unknown_roundtrip(grid):
 def test_c_matrix_matches_directional_fd(grid):
     b = sheared_sheet_state(grid, EOS, rng=np.random.default_rng(5))
     fr = b.frame(0.0)
-    C = c_matrix(fr)
+    C = c_matrix(fr.U, fr.Ut, fr.lifted, EOS)
     rng = np.random.default_rng(7)
     Y = rng.normal(size=(2, 6, grid.n1, grid.n2))
     eps = 1e-6
@@ -145,6 +145,29 @@ def test_zero_data_zero_solution(grid):
     assert np.all(traj.phi == 0.0)
     assert np.all(traj.boundary_energy == 0.0)
     assert traj.ledger.final().I == 0.0
+
+
+def test_unstable_sheet_records_multiplier_fallback(grid):
+    stable = trivial_sheet_state(grid, EOS, u2_jump=0.3, H2_plus=1.3,
+                                 H2_minus=1.0)
+    assert evolve(stable, t_final=0.05).lambda_fallback is None
+    unstable = trivial_sheet_state(grid, EOS, u2_jump=3.0, H2_plus=0.2,
+                                   H2_minus=0.2)
+    traj = evolve(unstable, t_final=0.05)
+    assert "stability condition violated" in traj.lambda_fallback
+
+
+def test_multiplier_build_failure_propagates(grid, monkeypatch):
+    import cvsheet.linearized as lin
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("multiplier assembly failed")
+
+    monkeypatch.setattr(lin, "build_lambda", broken)
+    b = trivial_sheet_state(grid, EOS, u2_jump=0.3, H2_plus=1.3,
+                            H2_minus=1.0)
+    with pytest.raises(RuntimeError, match="multiplier assembly failed"):
+        evolve(b, t_final=0.05)
 
 
 def test_forced_run_is_finite_and_identity_small(grid):
