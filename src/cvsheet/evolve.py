@@ -156,9 +156,11 @@ class _CoeffCache:
         if not self.basic.steady:
             tg = self.basic.tgrid
             dd = 0.25 * float(tg[1] - tg[0])
+            # frame() clamps to the snapshot span: one-sided at the ends
+            lo, hi = max(t - dd, float(tg[0])), min(t + dd, float(tg[-1]))
             from .linearized import j_matrix
-            dJdt = (j_matrix(self.basic.frame(t + dd))
-                    - j_matrix(self.basic.frame(t - dd))) / (2 * dd)
+            dJdt = (j_matrix(self.basic.frame(hi))
+                    - j_matrix(self.basic.frame(lo))) / (hi - lo)
         ops = assemble_effective(fr, self.lam_field, dJdt=dJdt)
         inv = np.linalg.inv(np.moveaxis(ops.A0, (1, 2), (-2, -1)))
         A0inv = np.moveaxis(inv, (-2, -1), (1, 2))

@@ -75,10 +75,9 @@ class Grid:
         """d/dx2 on axis -1, periodic 4th-order central."""
         f = np.asarray(f, dtype=float)
         h = self.h2
-        fp1 = np.roll(f, -1, axis=-1)
-        fm1 = np.roll(f, 1, axis=-1)
-        fp2 = np.roll(f, -2, axis=-1)
-        fm2 = np.roll(f, 2, axis=-1)
+        fw = np.take(f, np.arange(-2, f.shape[-1] + 2), axis=-1, mode="wrap")
+        fm2, fm1, fp1, fp2 = (fw[..., 0:-4], fw[..., 1:-3], fw[..., 3:-1],
+                              fw[..., 4:])
         return (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
 
     def d2_boundary(self, g: np.ndarray) -> np.ndarray:

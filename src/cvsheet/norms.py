@@ -8,9 +8,13 @@ weighted by <alpha> = a0 + a1 + a2 + 2 a3: the plain normal derivative
 counts twice, the sigma-weighted one once.  H^m_* sums the L^2 norms of all
 D*^alpha u with <alpha> <= m (a0 = 0 for the space-only norm); the triple
 norm freezes time and distributes time derivatives over decreasing spatial
-orders.  Norm constants of the calculus inequalities are never explicit in
-the analysis, so the harnesses here fit them empirically and check
-stability under refinement instead of asserting magic numbers.
+orders.  Both walk the derivative chains depth first, computing each chain
+prefix once; ``conormal_derivative`` computes one index alone and is the
+walk's test reference.  ``NormReport.truncate`` reads the lower orders out
+of one report, bit-identical to fresh norms.  Norm constants of the
+calculus inequalities are never explicit in the analysis, so the harnesses
+here fit them empirically and check stability under refinement instead of
+asserting magic numbers.
 """
 
 from __future__ import annotations
@@ -69,12 +73,7 @@ def conormal_derivative(u: GridFunction, alpha: MultiIndex,
     """
     sigma = sigma or SigmaWeight()
     grid = u.grid
-    if alpha.a0 > 0 and not u.is_spacetime:
-        raise ValueError("time derivative requested on a spatial field")
-    if (alpha.a1 or alpha.a3) and grid.n1 < 5:
-        raise ValueError("grid too coarse for the x1 stencil")
-    if alpha.a2 and grid.n2 < 5:
-        raise ValueError("grid too coarse for the x2 stencil")
+    _check_stencils(u, alpha)
     vals = u.values
     sig = sigma.value(grid.x1)[:, None]
     for _ in range(alpha.a3):
@@ -84,10 +83,20 @@ def conormal_derivative(u: GridFunction, alpha: MultiIndex,
     for _ in range(alpha.a1):
         vals = sig * grid.d1(vals)
     for _ in range(alpha.a0):
-        if vals.shape[0] < 3:
-            raise ValueError("time axis too short for the time stencil")
         vals = diff_time(vals, u.dt, axis=0)
     return GridFunction(values=vals, grid=grid, dt=u.dt, causal=u.causal)
+
+
+def _check_stencils(u: GridFunction, alpha: MultiIndex) -> None:
+    """Raise unless u has the stencil footprint every factor of alpha needs."""
+    if alpha.a0 > 0 and not u.is_spacetime:
+        raise ValueError("time derivative requested on a spatial field")
+    if (alpha.a1 or alpha.a3) and u.grid.n1 < 5:
+        raise ValueError("grid too coarse for the x1 stencil")
+    if alpha.a2 and u.grid.n2 < 5:
+        raise ValueError("grid too coarse for the x2 stencil")
+    if alpha.a0 > 0 and u.values.shape[0] < 3:
+        raise ValueError("time axis too short for the time stencil")
 
 
 @dataclass
@@ -101,6 +110,16 @@ class NormReport:
     @property
     def total(self) -> float:
         return float(np.sqrt(sum(v ** 2 for v in self.contributions.values())))
+
+    def truncate(self, k: int) -> "NormReport":
+        """The order-k report: the contributions with <alpha> <= k, in the
+        same order, so the total is that of a fresh order-k norm bit for bit.
+        """
+        if k > self.order:
+            raise ValueError(f"cannot read order {k} out of order {self.order}")
+        return NormReport(order=k, domain=self.domain, contributions={
+            key: v for key, v in self.contributions.items()
+            if MultiIndex(*key).weight <= k})
 
     def to_json(self) -> str:
         payload = {
@@ -125,12 +144,53 @@ def _l2(u: GridFunction, vals: np.ndarray) -> float:
     return float(np.sqrt(space))
 
 
+def _powers(vals: np.ndarray, n: int, op):
+    """vals, op(vals), ..., op^n(vals), each derived from the one before."""
+    for k in range(n + 1):
+        if k > 0:
+            vals = op(vals)
+            if not np.all(np.isfinite(vals)):
+                raise ValueError("derived field values must be finite")
+        yield vals
+
+
+def _derivative_walk(u: GridFunction, m: int, space_only: bool,
+                     sigma: SigmaWeight | None):
+    """Yield (alpha tuple, D*^alpha u values) for every <alpha> <= m.
+
+    Depth first in application order (d1^a3, d2^a2, (sigma d1)^a1, dt^a0):
+    each chain prefix is computed once, and only the current chain (at most
+    four derived arrays) is held.  ``enumerate_indices`` order is the sorted
+    order of the alpha tuples, not the walk's.
+    """
+    grid = u.grid
+    if m >= 1:  # every unit step is then an index of its own
+        _check_stencils(u, MultiIndex(int(not space_only), 1, 1, 0))
+    sig = (sigma or SigmaWeight()).value(grid.x1)[:, None]
+
+    def sigma_d1(vals):
+        return sig * grid.d1(vals)
+
+    def dt(vals):
+        return diff_time(vals, u.dt, axis=0)
+
+    for a3, v3 in enumerate(_powers(u.values, m // 2, grid.d1)):
+        for a2, v2 in enumerate(_powers(v3, m - 2 * a3, grid.d2)):
+            r1 = m - 2 * a3 - a2
+            for a1, v1 in enumerate(_powers(v2, r1, sigma_d1)):
+                r0 = 0 if space_only else r1 - a1
+                for a0, v0 in enumerate(_powers(v1, r0, dt)):
+                    yield (a0, a1, a2, a3), v0
+
+
 def hm_star_norm(u: GridFunction, m: int, domain: str = "omega",
                  sigma: SigmaWeight | None = None) -> NormReport:
     """H^m_* norm on Omega (space-only, a0 = 0) or Omega_T (space-time).
 
     ``domain`` is "omega", "omega_t", or "gamma_t"; the boundary norm is the
-    plain H^m norm in (t, x2) of the trace values.
+    plain H^m norm in (t, x2) of the trace values.  Contributions are stored
+    in ``enumerate_indices`` order, so ``truncate(k)`` of this report equals
+    the order-k norm bit for bit.
     """
     if domain == "gamma_t":
         return _boundary_norm(u, m)
@@ -139,11 +199,9 @@ def hm_star_norm(u: GridFunction, m: int, domain: str = "omega",
         raise ValueError("space-only norm on a space-time field; take a slice")
     if not space_only and not u.is_spacetime:
         raise ValueError("space-time norm requires a time axis")
-    rep = NormReport(order=m, domain=domain)
-    for alpha in enumerate_indices(m, space_only=space_only):
-        d = conormal_derivative(u, alpha, sigma)
-        rep.contributions[alpha.as_tuple()] = _l2(u, d.values)
-    return rep
+    walk = _derivative_walk(u, m, space_only, sigma)
+    return NormReport(order=m, domain=domain, contributions=dict(
+        sorted((alpha, _l2(u, vals)) for alpha, vals in walk)))
 
 
 def triple_norm(u_slices: GridFunction, m: int,
@@ -152,21 +210,14 @@ def triple_norm(u_slices: GridFunction, m: int,
 
     ``u_slices`` must be a space-time field; time derivatives are taken from
     the stored history and each dt^j slice is measured in H^{m-j}_*(Omega)
-    at the last snapshot.
+    at the last snapshot, so the index set is that of the H^m_* norm on
+    Omega_T, keyed (j, a1, a2, a3).
     """
     if not u_slices.is_spacetime:
         raise ValueError("triple norm needs stored time history")
-    rep = NormReport(order=m, domain="triple")
-    vals = u_slices.values
-    for j in range(m + 1):
-        for alpha in enumerate_indices(m - j, space_only=True):
-            d = conormal_derivative(
-                GridFunction(vals, u_slices.grid, dt=u_slices.dt),
-                MultiIndex(j, alpha.a1, alpha.a2, alpha.a3), sigma)
-            key = (j,) + alpha.as_tuple()[1:]
-            rep.contributions[key] = _l2(
-                GridFunction(d.values[-1], u_slices.grid), d.values[-1])
-    return rep
+    walk = _derivative_walk(u_slices, m, False, sigma)
+    return NormReport(order=m, domain="triple", contributions=dict(
+        sorted((alpha, _l2(u_slices, vals[-1])) for alpha, vals in walk)))
 
 
 def w_star_norm(u: GridFunction, k: int = 1,
@@ -371,12 +422,14 @@ def _harness_ratio(kind, u, v, m, rng):
         rhs = hm_star_norm(u, m, "omega_t").total
         return lhs / max(rhs, 1e-300)
     if kind == "sobolev1":
-        r1 = np.max(np.abs(u.values)) / max(hm_star_norm(u, 3, "omega_t").total, 1e-300)
-        r2 = w_star_norm(u, 1) / max(hm_star_norm(u, 4, "omega_t").total, 1e-300)
+        h4 = hm_star_norm(u, 4, "omega_t")
+        r1 = np.max(np.abs(u.values)) / max(h4.truncate(3).total, 1e-300)
+        r2 = w_star_norm(u, 1) / max(h4.total, 1e-300)
         return max(r1, r2)
     if kind == "sobolev2":
-        r1 = _w1inf(u) / max(hm_star_norm(u, 5, "omega_t").total, 1e-300)
-        r2 = w_star_norm(u, 2) / max(hm_star_norm(u, 6, "omega_t").total, 1e-300)
+        h6 = hm_star_norm(u, 6, "omega_t")
+        r1 = _w1inf(u) / max(h6.truncate(5).total, 1e-300)
+        r2 = w_star_norm(u, 2) / max(h6.total, 1e-300)
         return max(r1, r2)
     raise AssertionError(kind)
 

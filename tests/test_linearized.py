@@ -3,7 +3,7 @@ import pytest
 
 from cvsheet.evolve import (NumericsError, evolve, step_linearized)
 from cvsheet.grid import Grid, diff_time
-from cvsheet.linearized import (BasicState, BoundaryStructureError,
+from cvsheet.linearized import (IH2V, BasicState, BoundaryStructureError,
                                 apply_effective_operator, assemble_effective,
                                 c_matrix, good_unknown, good_unknown_inverse,
                                 homogenize_boundary,
@@ -168,6 +168,31 @@ def test_multiplier_build_failure_propagates(grid, monkeypatch):
                             H2_minus=1.0)
     with pytest.raises(RuntimeError, match="multiplier assembly failed"):
         evolve(b, t_final=0.05)
+
+
+def test_coefficient_rate_exact_at_end_snapshots(monkeypatch):
+    # J[P, H2V] = -H2 on a flat front, so H2 = 1 + t gives dJ/dt = -1 at
+    # every snapshot, the first and the last included
+    import cvsheet.evolve as ev
+    grid = Grid(n1=16, n2=16, L1=2 * np.pi, L2=2 * np.pi)
+    tgrid = np.linspace(0.0, 1.0, 5)
+    U = np.repeat(trivial_sheet_state(grid, EOS).U, len(tgrid), axis=0)
+    U[:, :, IH2] = 1.0 + tgrid[:, None, None, None]
+    basic = BasicState(grid=grid, eos=EOS, U=U,
+                       phi=np.zeros((len(tgrid), grid.n2)), tgrid=tgrid)
+    rates = []
+
+    def recording(frame, lam_field=None, **kwargs):
+        rates.append(kwargs["dJdt"][:, IP, IH2V])
+        return assemble_effective(frame, lam_field, **kwargs)
+
+    monkeypatch.setattr(ev, "assemble_effective", recording)
+    cache = ev._CoeffCache(basic, None)
+    for k in range(len(tgrid)):
+        cache._bundle(k)
+    assert len(rates) == len(tgrid)
+    for rate in rates:
+        assert np.allclose(rate, -1.0, rtol=0.0, atol=1e-12)
 
 
 def test_forced_run_is_finite_and_identity_small(grid):

@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cvsheet.norms as norms_module
 from cvsheet.grid import Grid, GridFunction
-from cvsheet.norms import (HARNESS_KINDS, MultiIndex, conormal_derivative,
-                           enumerate_indices, hm_star_norm,
-                           inequality_harness, lift, random_smooth_field,
-                           trace, triple_norm, w_star_norm)
+from cvsheet.norms import (HARNESS_KINDS, MultiIndex, _l2,
+                           conormal_derivative, enumerate_indices,
+                           hm_star_norm, inequality_harness, lift,
+                           random_smooth_field, trace, triple_norm,
+                           w_star_norm)
 from cvsheet.profiles import SigmaWeight
 
 
@@ -90,6 +92,89 @@ def test_spacetime_norm_equals_time_integral_of_triple(grid):
         space = np.einsum("tij,i->t", d.values ** 2, grid.w1) * grid.h2
         acc += float(np.sum(space * wt))
     assert total == pytest.approx(np.sqrt(acc), rel=1e-12)
+
+
+@given(n1=st.integers(5, 16), n2=st.integers(5, 16), nt=st.integers(3, 6),
+       m=st.integers(0, 4), space_only=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_walk_matches_per_index_oracle(n1, n2, nt, m, space_only, seed):
+    grid = Grid(n1=n1, n2=n2, L1=2.0, L2=2 * np.pi)
+    rng = np.random.default_rng(seed)
+    if space_only:
+        u, domain = GridFunction(rng.normal(size=(n1, n2)), grid), "omega"
+    else:
+        u = GridFunction(rng.normal(size=(nt, n1, n2)), grid, dt=0.1)
+        domain = "omega_t"
+    rep = hm_star_norm(u, m, domain)
+    indices = enumerate_indices(m, space_only=space_only)
+    assert list(rep.contributions) == [a.as_tuple() for a in indices]
+    for alpha in indices:
+        oracle = _l2(u, conormal_derivative(u, alpha).values)
+        assert rep.contributions[alpha.as_tuple()] == oracle
+    for k in range(m + 1):
+        low, fresh = rep.truncate(k), hm_star_norm(u, k, domain)
+        assert list(low.contributions.items()) == list(
+            fresh.contributions.items())
+        assert low.total == fresh.total
+    with pytest.raises(ValueError):
+        rep.truncate(m + 1)
+
+
+def test_walk_applies_one_stencil_per_index(monkeypatch):
+    # 24 indices at m = 3 and 130 at m = 6: every index but the identity
+    # extends a computed prefix by one stencil (per-index chains: 52, 556)
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Grid, "d1", counted(Grid.d1))
+    monkeypatch.setattr(Grid, "d2", counted(Grid.d2))
+    monkeypatch.setattr(norms_module, "diff_time",
+                        counted(norms_module.diff_time))
+    grid = Grid(n1=16, n2=16, L1=2.0, L2=2 * np.pi)
+    u = random_smooth_field(grid, nt=5, T=1.0, rng=np.random.default_rng(0))
+    for m, stencils in ((3, 23), (6, 129)):
+        calls.clear()
+        hm_star_norm(u, m, "omega_t")
+        assert len(calls) == stencils
+
+
+def test_walk_keeps_the_per_index_checks():
+    def field(n1, n2, nt=None):
+        g = Grid(n1=n1, n2=n2, L1=2.0, L2=2 * np.pi)
+        shape = (n1, n2) if nt is None else (nt, n1, n2)
+        return GridFunction(np.ones(shape), g, dt=None if nt is None else 0.1)
+
+    with pytest.raises(ValueError, match="x1 stencil"):
+        hm_star_norm(field(4, 8), 1)
+    with pytest.raises(ValueError, match="x2 stencil"):
+        hm_star_norm(field(8, 4), 1)
+    with pytest.raises(ValueError, match="time axis too short"):
+        hm_star_norm(field(8, 8, nt=2), 1, "omega_t")
+    assert hm_star_norm(field(4, 4, nt=2), 0, "omega_t").total > 0.0
+    # a derivative that overflows is an error, as a non-finite GridFunction
+    u = field(8, 8)
+    u.values[::2] = 1e308
+    u.values[1::2] = -1e308
+    with np.errstate(all="ignore"), pytest.raises(ValueError,
+                                                   match="finite"):
+        hm_star_norm(u, 2)
+
+
+@pytest.mark.parametrize("n2", [1, 2, 3, 5, 64])
+def test_periodic_d2_equals_roll_oracle(n2):
+    grid = Grid(n1=6, n2=n2, L1=2.0, L2=2 * np.pi)
+    f = np.random.default_rng(n2).normal(size=(3, 6, n2))
+    oracle = (-np.roll(f, -2, axis=-1) + 8.0 * np.roll(f, -1, axis=-1)
+              - 8.0 * np.roll(f, 1, axis=-1) + np.roll(f, 2, axis=-1)) \
+        / (12.0 * grid.h2)
+    assert np.array_equal(grid.d2(f), oracle)
+    assert np.array_equal(grid.d2_boundary(f[:, 0]), oracle[:, 0])
 
 
 def test_w_star_norm_orders(grid):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from cvsheet.grid import Grid
+from cvsheet.grid import Grid, GridFunction
+from cvsheet.norms import (evaluate_field_params, hm_star_norm,
+                           sample_field_params)
 from cvsheet.smoothing import Smoother, smoothing_harness
 
 
@@ -88,3 +90,31 @@ def test_symbol_kills_high_band(smoother):
     mode = np.cos(16 * x2)[None, None, :] * np.ones((17, grid.n1, 1))
     su = smoother(mode, 2.0)
     assert np.max(np.abs(su)) < 1e-12
+
+
+def test_harness_as1_equals_fresh_norms():
+    # every as1 ratio from norms computed afresh for its own field
+    grid = Grid(n1=32, n2=32, L1=2 * np.pi, L2=2 * np.pi)
+    nt, thetas, orders = 13, (2.0, 4.0, 8.0, 16.0), (1, 2, 3)
+    sm = Smoother(grid, nt=nt, T=1.0)
+    rep = smoothing_harness(sm, samples=3, thetas=thetas, orders=orders,
+                            rng=np.random.default_rng(7))
+    rng = np.random.default_rng(7)
+    fields = [evaluate_field_params(sample_field_params(rng), grid, nt, 1.0)
+              for _ in range(3)]
+
+    def norm(vals, k):
+        return hm_star_norm(GridFunction(vals, grid, dt=fields[0].dt), k,
+                            "omega_t").total
+
+    expected = {}
+    for theta in thetas:
+        for u in fields:
+            su = sm(u.values, theta)
+            for k in orders:
+                for j in orders:
+                    r = norm(su, k) / (theta ** max(k - j, 0)
+                                       * norm(u.values, j))
+                    key = (k, j, theta)
+                    expected[key] = max(expected.get(key, 0.0), r)
+    assert rep.as1 == expected
