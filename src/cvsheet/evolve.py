@@ -30,7 +30,7 @@ import numpy as np
 
 from .grid import Grid
 from .linearized import (IHN, IH2V, IQ, IUN, BasicState,
-                         assemble_effective)
+                         assemble_effective, bracket, j_matrix)
 from .mhd import IH1, IH2
 from .profiles import SigmaWeight, quintic_step
 from .stability import LambdaPair, StabilityError, extend_lambda
@@ -131,11 +131,7 @@ class _CoeffCache:
             if self._steady is None:
                 self._steady = self._build(0.0)
             return self._steady
-        tg = self.basic.tgrid
-        tc = float(np.clip(t, tg[0], tg[-1]))
-        k = max(min(int(np.searchsorted(tg, tc, side="right")) - 1,
-                    len(tg) - 2), 0)
-        w = (tc - tg[k]) / (tg[k + 1] - tg[k])
+        k, w = bracket(self.basic.tgrid, t)
         b0 = self._bundle(k)
         if w == 0.0:
             return b0
@@ -158,7 +154,6 @@ class _CoeffCache:
             dd = 0.25 * float(tg[1] - tg[0])
             # frame() clamps to the snapshot span: one-sided at the ends
             lo, hi = max(t - dd, float(tg[0])), min(t + dd, float(tg[-1]))
-            from .linearized import j_matrix
             dJdt = (j_matrix(self.basic.frame(hi))
                     - j_matrix(self.basic.frame(lo))) / (hi - lo)
         ops = assemble_effective(fr, self.lam_field, dJdt=dJdt)
@@ -301,10 +296,8 @@ class LinearizedStepper:
         self.basic = basic
         self.grid = basic.grid
         self.cache = _CoeffCache(basic, lam_field)
-        self.cfl = cfl
         grid = basic.grid
-        smax = _speed_bound(basic)
-        self.dt_cfl = cfl / (smax * (2.0 / grid.h1 + 1.0 / grid.h2))
+        self.dt_cfl = cfl_timestep(basic, cfl)
         x1 = grid.x1[:, None]
         sp_start = grid.L1 * (1.0 - sponge_width)
         self.sponge = sponge_strength * quintic_step(
@@ -372,10 +365,6 @@ class LinearizedStepper:
         return Vn, pn
 
 
-def energy_ledger(traj: Trajectory) -> EnergyLedger:
-    return traj.ledger
-
-
 def step_linearized(basic: BasicState, V, phi, t, dt, *, forcing=None,
                     bdata=None, cfl_guard: float = 1.25):
     """Single explicit step of the effective problem; checks the CFL bound."""
@@ -414,6 +403,19 @@ def _constraint_residuals(grid: Grid, frame, V, phi, n1_phys: int):
                                   - frame.U[i, IH2] * d2phi[None, :])[0, :]
         hn_max = max(hn_max, float(np.max(np.abs(tr))))
     return div_max, hn_max
+
+
+def energy_integrals(grid: Grid, sigma, V):
+    """(I, I1n, Isigma, I2) of a characteristic state V (2, 6, n1, n2).
+
+    ``sigma`` is the conormal weight on the x1 nodes, shaped (n1, 1).
+    """
+    I = float(grid.integrate((V ** 2).sum(axis=(0, 1))))
+    Isig = float(grid.integrate(((sigma * grid.d1(V)) ** 2).sum(axis=(0, 1))))
+    I2 = float(grid.integrate((grid.d2(V) ** 2).sum(axis=(0, 1))))
+    d1Vn = grid.d1(V[:, (IQ, IUN, IHN), :, :])
+    I1n = float(grid.integrate((d1Vn ** 2).sum(axis=(0, 1))))
+    return I, I1n, Isig, I2
 
 
 def _accumulate_apriori(acc, grid: Grid, sigma, co, V, V_prev, phi, F_at, t, dt):
@@ -512,11 +514,7 @@ class _LedgerAccumulator:
 
     def row(self, t, V, phi, prev) -> LedgerRow:
         g = self.grid
-        I = float(g.integrate((V ** 2).sum(axis=(0, 1))))
-        Isig = float(g.integrate(((self.sigma * g.d1(V)) ** 2).sum(axis=(0, 1))))
-        I2 = float(g.integrate((g.d2(V) ** 2).sum(axis=(0, 1))))
-        d1Vn = g.d1(V[:, (IQ, IUN, IHN), :, :])
-        I1n = float(g.integrate((d1Vn ** 2).sum(axis=(0, 1))))
+        I, I1n, Isig, I2 = energy_integrals(g, self.sigma, V)
         if prev is None:
             I0 = 0.0
         else:

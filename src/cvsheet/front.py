@@ -39,7 +39,7 @@ class DegenerateJacobianError(RuntimeError):
 
 @dataclass
 class FrontField:
-    """Front phi on the boundary grid, optionally with stored derivatives.
+    """Front phi on the boundary grid, optionally with its time derivative.
 
     ``phi`` is (..., n2) (a leading time axis is allowed).  ``small`` flags
     sup|phi| < 1/2, the hypothesis under which the straightening map stays
@@ -49,7 +49,6 @@ class FrontField:
     phi: np.ndarray
     grid: Grid
     dphi_t: np.ndarray | None = None
-    dphi_2: np.ndarray | None = None
 
     def __post_init__(self):
         self.phi = np.asarray(self.phi, dtype=float)
@@ -59,8 +58,6 @@ class FrontField:
         return bool(np.max(np.abs(self.phi)) < 0.5)
 
     def d2(self) -> np.ndarray:
-        if self.dphi_2 is not None:
-            return self.dphi_2
         return self.grid.d2_boundary(self.phi)
 
 
@@ -94,7 +91,6 @@ class LiftedFront:
     d1_psi: np.ndarray
     d2_psi: np.ndarray
     dt_psi: np.ndarray
-    phi_grad: np.ndarray     # d2 phi on the boundary grid
     grid: Grid = field(init=False)
 
     def __post_init__(self):
@@ -113,11 +109,11 @@ class LiftedFront:
         return float(np.min(j[0])), float(np.max(j[1]))
 
 
-def lift_front(front: FrontField, chi: CutoffChi, dphi_t=None) -> LiftedFront:
+def lift_front(front: FrontField, chi: CutoffChi) -> LiftedFront:
     """Build Psi± = chi(±x1) phi and Phi± = ±x1 + Psi± on the grid.
 
-    ``dphi_t`` supplies the time derivative of phi when the lift of
-    dPsi/dt is needed (steady fronts pass nothing and get zero).
+    ``front.dphi_t`` supplies the time derivative of phi when the lift of
+    dPsi/dt is needed (steady fronts leave it None and get zero).
     """
     grid = front.grid
     x1 = grid.x1[:, None]
@@ -131,15 +127,13 @@ def lift_front(front: FrontField, chi: CutoffChi, dphi_t=None) -> LiftedFront:
     d1_psi = np.stack([cdp * phi, cdm * phi])
     d2p = front.d2()[..., None, :]
     d2_psi = np.stack([cv * d2p, cv * d2p])
-    if dphi_t is None and front.dphi_t is not None:
-        dphi_t = front.dphi_t
-    if dphi_t is None:
+    if front.dphi_t is None:
         dt_psi = np.zeros_like(psi)
     else:
-        dpt = np.asarray(dphi_t, dtype=float)[..., None, :]
+        dpt = np.asarray(front.dphi_t, dtype=float)[..., None, :]
         dt_psi = np.stack([cv * dpt, cv * dpt])
     return LiftedFront(front=front, chi=chi, psi=psi, d1_psi=d1_psi,
-                       d2_psi=d2_psi, dt_psi=dt_psi, phi_grad=front.d2())
+                       d2_psi=d2_psi, dt_psi=dt_psi)
 
 
 def straighten(m0, m1, m2, lifted: LiftedFront, i: int):

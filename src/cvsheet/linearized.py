@@ -102,32 +102,39 @@ class BasicState:
     def frame(self, t: float) -> "BasicFrame":
         if self.steady:
             if self._steady_frame is None:
-                self._steady_frame = BasicFrame(self, 0.0, self.U[0],
+                self._steady_frame = BasicFrame(self, self.U[0],
                                                 np.zeros_like(self.U[0]),
                                                 self.phi[0],
                                                 np.zeros_like(self.phi[0]))
             return self._steady_frame
         Ut, phit = self._rates()
-        tg = self.tgrid
-        t = float(np.clip(t, tg[0], tg[-1]))
-        k = min(int(np.searchsorted(tg, t, side="right")) - 1, len(tg) - 2)
-        k = max(k, 0)
-        w = (t - tg[k]) / (tg[k + 1] - tg[k])
+        k, w = bracket(self.tgrid, t)
         Uf = (1 - w) * self.U[k] + w * self.U[k + 1]
         pf = (1 - w) * self.phi[k] + w * self.phi[k + 1]
         Utf = (1 - w) * Ut[k] + w * Ut[k + 1]
         ptf = (1 - w) * phit[k] + w * phit[k + 1]
-        return BasicFrame(self, t, Uf, Utf, pf, ptf)
+        return BasicFrame(self, Uf, Utf, pf, ptf)
+
+
+def bracket(tgrid: np.ndarray, t: float):
+    """Snapshot interval k and weight w of linear interpolation at t.
+
+    t is clamped to [tgrid[0], tgrid[-1]]; the value at t is
+    (1 - w) f[k] + w f[k + 1].
+    """
+    t = float(np.clip(t, tgrid[0], tgrid[-1]))
+    k = max(min(int(np.searchsorted(tgrid, t, side="right")) - 1,
+                len(tgrid) - 2), 0)
+    return k, (t - tgrid[k]) / (tgrid[k + 1] - tgrid[k])
 
 
 class BasicFrame:
     """All derived geometry of the basic state frozen at one time."""
 
-    def __init__(self, basic: BasicState, t: float, U, Ut, phi, phit):
+    def __init__(self, basic: BasicState, U, Ut, phi, phit):
         self.basic = basic
         self.grid = basic.grid
         self.eos = basic.eos
-        self.t = t
         self.U = U                   # (2, 6, n1, n2)
         self.Ut = Ut
         self.phi = phi               # (n2,)

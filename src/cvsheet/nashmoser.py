@@ -4,8 +4,17 @@ Starting from zero, each step linearizes about a smooth modified state
 (the smoothed iterate with its kinematic wall relation and magnetic
 transport restored), solves the effective linear problem for the
 good-unknown increment and front increment, undoes the Alinhac
-substitution, and accumulates the linearization errors.  The source
-updates keep the telescoping identities
+substitution, and accumulates the linearization errors.  The interior
+error of step i is
+
+    e_i = e'_i + e''_i + e'''_i + D_{i+1/2} dPsi_i,
+    e'_i = calL(V_{i+1}) - calL(V_i) - L'(V_i) dV_i,
+
+with e''_i, e'''_i the base changes V_i -> S_theta V_i -> V_{i+1/2}, and the
+boundary error is built the same way from B.  calL(V_i) and B(V_i) are
+carried in ``IterationState`` from the residual of step i-1, so each
+operator value is computed once per iterate.  The source updates keep the
+telescoping identities
 
     sum_{k<=i} f_k + S_{theta_i} E_i = S_{theta_i} F^a,
     sum_{k<=i} g_k + S_{theta_i} E~_i = 0
@@ -27,8 +36,8 @@ from .evolve import NumericsError, cfl_timestep, evolve
 from .front import (FrontField, apply_L, induction_advection, lift_front,
                     straightened_coefficients)
 from .grid import Grid, diff_time
-from .linearized import (SIDES, BasicState, c_matrix, heun_march, j_matrix,
-                         validate_basic_state)
+from .linearized import (SIDES, BasicState, bracket, c_matrix, heun_march,
+                         j_matrix, validate_basic_state)
 from .mhd import IH1, IH2, IP, IS, IU1, IU2
 from .norms import lift
 from .smoothing import Smoother
@@ -179,6 +188,8 @@ class IterationState:
     Etilde: np.ndarray       # accumulated boundary error (nt, 3, n2)
     f_sum: np.ndarray
     g_sum: np.ndarray
+    calL: np.ndarray         # calL(V, psi), carried from the residual
+    B: np.ndarray            # B(U^a + V, phi^a + psi), likewise
     history: list = field(default_factory=list)
 
 
@@ -230,7 +241,8 @@ class NashMoserDriver:
         zb = np.zeros((self.nt, 3, self.grid.n2))
         return IterationState(i=0, V=z, psi=np.zeros((self.nt, self.grid.n2)),
                               E=z.copy(), Etilde=zb.copy(), f_sum=z.copy(),
-                              g_sum=zb.copy())
+                              g_sum=zb.copy(), calL=z.copy(),
+                              B=self.ops.boundary_B(self.Ua, self.phia))
 
     def lift_psi(self, psi: np.ndarray) -> np.ndarray:
         """Psi± = chi(±x1) psi: (nt, 2, n1, n2)."""
@@ -280,18 +292,19 @@ class NashMoserDriver:
         making the summed state satisfy the kinematic relation exactly on
         the wall; H solves the induction transport of the summed state (no
         wall condition needed: the normal coefficient vanishes there by the
-        kinematic relation just enforced).
+        kinematic relation just enforced).  Returns the validated summed
+        state (U^a + V_{i+1/2}, phi^a + psi_{i+1/2}) and S_theta V.
         """
         g = self.grid
         nt = self.nt
-        psi_half = self.smooth_boundary(state.psi, theta)
+        phi_half = self.phia + self.smooth_boundary(state.psi, theta)
         SV = self.smooth_field(state.V, theta)
         Vh = np.zeros_like(state.V)
         for comp in (IP, IU2, IS):
             Vh[:, :, comp] = SV[:, :, comp]
 
-        dtfull = diff_time(self.phia + psi_half, self.dt, axis=0)
-        d2full = np.stack([g.d2_boundary(p) for p in self.phia + psi_half])
+        dtfull = diff_time(phi_half, self.dt, axis=0)
+        d2full = np.stack([g.d2_boundary(p) for p in phi_half])
         for i in range(2):
             u1s = SV[:, i, IU1]
             u2tot = self.Ua[:, i, IU2, 0, :] + Vh[:, i, IU2, 0, :]
@@ -300,17 +313,18 @@ class NashMoserDriver:
             corr = np.stack([lift([G[n]], g).values for n in range(nt)])
             Vh[:, i, IU1] = u1s + corr
 
-        Hfull = self._transport_H(Vh, psi_half)
+        Hfull = self._transport_H(Vh, phi_half)
         Vh[:, :, IH1] = Hfull[:, :, 0] - self.Ua[:, :, IH1]
         Vh[:, :, IH2] = Hfull[:, :, 1] - self.Ua[:, :, IH2]
 
-        self._check_modified(Vh, psi_half)
-        return Vh, psi_half
+        basic = BasicState(grid=g, eos=self.eos, U=self.Ua + Vh, phi=phi_half,
+                           tgrid=self.tgrid, chi=self.chi)
+        self._check_modified(basic)
+        return basic, SV
 
-    def _transport_H(self, Vh, psi_half):
+    def _transport_H(self, Vh, phi_f):
         """March the induction transport for H' = H^a + H_{i+1/2}."""
         g = self.grid
-        phi_f = self.phia + psi_half
         dtphi_f = diff_time(phi_f, self.dt, axis=0)
         u_f = self.Ua[:, :, (IU1, IU2)] + Vh[:, :, (IU1, IU2)]
         H0 = np.stack([self.Ua[0, :, IH1], self.Ua[0, :, IH2]], axis=1)
@@ -331,11 +345,8 @@ class NashMoserDriver:
             raise NumericsError("magnetic transport solve diverged")
         return H
 
-    def _check_modified(self, Vh, psi_half):
+    def _check_modified(self, basic: BasicState):
         tol = self.config.modified_state_tol
-        basic = BasicState(grid=self.grid, eos=self.eos, U=self.Ua + Vh,
-                           phi=self.phia + psi_half, tgrid=self.tgrid,
-                           chi=self.chi)
         stride = max(self.nt // 6, 1)
         rep = validate_basic_state(basic, times=self.tgrid[1:-1:stride])
         if rep.hyperbolicity_margin <= 0:
@@ -355,20 +366,16 @@ class NashMoserDriver:
         i = state.i
         theta = float(self.schedule.theta(i))
 
-        Vh, psi_half = self.modified_state(state, theta)
-        Uhalf = self.Ua + Vh
-        phihalf = self.phia + psi_half
+        basic, SV = self.modified_state(state, theta)
 
         # sources from the telescoping identities
         f_i = self.smooth_field(self.Fa - state.E, theta) - state.f_sum
         g_i = -self.smooth_boundary(state.Etilde, theta) - state.g_sum
 
-        basic_i = BasicState(grid=g, eos=self.eos, U=Uhalf, phi=phihalf,
-                             tgrid=self.tgrid, chi=self.chi)
-        substeps = max(int(np.ceil(self.dt / cfl_timestep(basic_i))), 1)
+        substeps = max(int(np.ceil(self.dt / cfl_timestep(basic))), 1)
         # no sponge: the iteration's truth is the discrete operator itself,
         # and the absorbing layer is not part of it
-        traj = evolve(basic_i, t_final=float(self.tgrid[-1]),
+        traj = evolve(basic, t_final=float(self.tgrid[-1]),
                       forcing=_SnapshotInterpolant(self.tgrid, f_i),
                       bdata=_SnapshotInterpolant(self.tgrid, g_i),
                       ledger=False, snapshot_times=self.tgrid,
@@ -380,21 +387,24 @@ class NashMoserDriver:
 
         # undo the characteristic change and Alinhac substitution
         dUdot = np.empty_like(dVdot_char)
-        slope = np.empty_like(dVdot_char)
-        for n in range(nt):
-            fr = basic_i.frame(self.tgrid[n])
-            J = j_matrix(fr)
-            dUdot[n] = np.einsum("sij...,sj...->si...", J, dVdot_char[n])
-            slope[n] = g.d1(Uhalf[n]) / fr.lifted.d1_phi_map[:, None]
-        dPsi = self.lift_psi(dpsi)
-        dV = dUdot + slope * dPsi[:, :, None]
+        jac = np.empty((nt, 2, 1, g.n1, g.n2))       # d1Phi± per snapshot
+        for n, t in enumerate(self.tgrid):
+            fr = basic.frame(t)
+            dUdot[n] = np.einsum("sij...,sj...->si...", j_matrix(fr),
+                                 dVdot_char[n])
+            jac[n, :, 0] = fr.lifted.d1_phi_map
+        dPsi = self.lift_psi(dpsi)[:, :, None]
+        dV = dUdot + g.d1(basic.U) / jac * dPsi
+        # D_{i+1/2} dPsi: the zero-order front term the linear solve drops
+        d_term = dPsi / jac * g.d1(self.ops.nonlinear_L(basic.U, basic.phi))
 
         V_next = state.V + dV
         psi_next = state.psi + dpsi
+        calL_next = self.calL(V_next, psi_next)
+        B_next = self.ops.boundary_B(self.Ua + V_next, self.phia + psi_next)
 
-        errs = self._error_terms(state, Vh, psi_half, dV, dpsi, dUdot, theta)
-        E_next = state.E + errs["e"]
-        Et_next = state.Etilde + errs["etilde"]
+        e, e1, etilde = self._error_terms(state, basic, SV, dV, dpsi, dUdot,
+                                          d_term, calL_next, B_next)
         f_sum = state.f_sum + f_i
         g_sum = state.g_sum + g_i
 
@@ -404,69 +414,40 @@ class NashMoserDriver:
         book_b = np.max(np.abs(g_sum
                                + self.smooth_boundary(state.Etilde, theta)))
 
-        resid_int = self._l2_spacetime(self.calL(V_next, psi_next) - self.Fa)
-        resid_bdy = self._l2_boundary(
-            self.ops.boundary_B(self.Ua + V_next, self.phia + psi_next))
-
-        new = IterationState(i=i + 1, V=V_next, psi=psi_next, E=E_next,
-                             Etilde=Et_next, f_sum=f_sum, g_sum=g_sum,
+        new = IterationState(i=i + 1, V=V_next, psi=psi_next, E=state.E + e,
+                             Etilde=state.Etilde + etilde, f_sum=f_sum,
+                             g_sum=g_sum, calL=calL_next, B=B_next,
                              history=state.history)
         new.history.append({
             "i": i,
             "theta": theta,
-            "residual_interior": resid_int,
-            "residual_boundary": resid_bdy,
+            "residual_interior": self._l2_spacetime(calL_next - self.Fa),
+            "residual_boundary": self._l2_boundary(B_next),
             "delta_v_norm": self._l2_spacetime(dV),
             "delta_psi_norm": float(np.sqrt(np.sum(dpsi ** 2) * g.h2
                                             * self.dt)),
             "bookkeeping_residual": float(max(book_i, book_b)),
-            "eprime_norm": self._l2_spacetime(errs["e1"]),
+            "eprime_norm": self._l2_spacetime(e1),
         })
         return new
 
-    def _error_terms(self, state, Vh, psi_half, dV, dpsi, dUdot, theta):
-        """Literal operator-difference errors of one step."""
+    def _error_terms(self, state, basic, SV, dV, dpsi, dUdot, d_term,
+                     calL_next, B_next):
+        """Literal operator-difference errors of one step: (e, e', e~)."""
         ops = self.ops
-        Ua, phia = self.Ua, self.phia
-        SV = self.smooth_field(state.V, theta)
-        spsi = self.smooth_boundary(state.psi, theta)
-
-        U0, phi0 = Ua + state.V, phia + state.psi
-        U1, phi1 = U0 + dV, phi0 + dpsi
-
-        Ldiff = ops.nonlinear_L(U1, phi1) - ops.nonlinear_L(U0, phi0)
+        U0, phi0 = self.Ua + state.V, self.phia + state.psi
+        Us = self.Ua + SV
         lin0 = ops.linearized_L(U0, phi0, dV, dpsi)
-        lin_s = ops.linearized_L(Ua + SV, phia + spsi, dV, dpsi)
-        lin_h = ops.linearized_L(Ua + Vh, phia + psi_half, dV, dpsi)
-        e1 = Ldiff - lin0
-        e2 = lin0 - lin_s
-        e3 = lin_s - lin_h
-        d_term = self._d_term(Vh, psi_half, self.lift_psi(dpsi))
-        e = e1 + e2 + e3 + d_term
+        lin_s = ops.linearized_L(Us, basic.phi, dV, dpsi)
+        lin_h = ops.linearized_L(basic.U, basic.phi, dV, dpsi)
+        e1 = (calL_next - state.calL) - lin0
+        e = e1 + (lin0 - lin_s) + (lin_s - lin_h) + d_term
 
-        B0 = ops.boundary_B(U0, phi0)
-        B1 = ops.boundary_B(U1, phi1)
         bp0 = ops.boundary_B_prime(U0, phi0, dV, dpsi)
-        bps = ops.boundary_B_prime(Ua + SV, phia + spsi, dV, dpsi)
-        bpe = ops.boundary_B_e_prime(Ua + Vh, phia + psi_half, dUdot, dpsi)
-        eb1 = (B1 - B0) - bp0
-        eb2 = bp0 - bps
-        eb3 = bps - bpe
-        return {"e": e, "e1": e1, "e2": e2, "e3": e3, "d": d_term,
-                "etilde": eb1 + eb2 + eb3}
-
-    def _d_term(self, Vh, psi_half, dPsi):
-        """D_{i+1/2} dPsi: the dropped zero-order front term."""
-        g = self.grid
-        LU = self.ops.nonlinear_L(self.Ua + Vh, self.phia + psi_half)
-        d1L = g.d1(LU)
-        dtphi = diff_time(self.phia + psi_half, self.dt, axis=0)
-        out = np.empty_like(LU)
-        for n in range(self.nt):
-            lifted = lift_front(FrontField(phi=(self.phia + psi_half)[n],
-                                           grid=g, dphi_t=dtphi[n]), self.chi)
-            out[n] = dPsi[n][:, None] / lifted.d1_phi_map[:, None] * d1L[n]
-        return out
+        bps = ops.boundary_B_prime(Us, basic.phi, dV, dpsi)
+        bpe = ops.boundary_B_e_prime(basic.U, basic.phi, dUdot, dpsi)
+        etilde = ((B_next - state.B) - bp0) + (bp0 - bps) + (bps - bpe)
+        return e, e1, etilde
 
     # -- full run -----------------------------------------------------------------
 
@@ -506,11 +487,7 @@ class _SnapshotInterpolant:
         self.values = values
 
     def __call__(self, t: float):
-        tg = self.tgrid
-        t = float(np.clip(t, tg[0], tg[-1]))
-        k = max(min(int(np.searchsorted(tg, t, side="right")) - 1,
-                    len(tg) - 2), 0)
-        w = (t - tg[k]) / (tg[k + 1] - tg[k])
+        k, w = bracket(self.tgrid, t)
         return (1 - w) * self.values[k] + w * self.values[k + 1]
 
 

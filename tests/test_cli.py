@@ -33,6 +33,10 @@ def test_parse_rejects_unknowns():
         parse_config("[run]\nexperiment = symmetrize\n[wat]\np_plus = 1\n")
     with pytest.raises(ConfigError):
         parse_config("[grid]\nn1 = 4\n")
+    # compat and nash-moser-demo build isentropic data: S would be ignored
+    for exp in ("compat", "nash-moser-demo"):
+        with pytest.raises(ConfigError):
+            parse_config(f"[run]\nexperiment = {exp}\n[state]\nS_plus = 0.7\n")
 
 
 def test_determinism_byte_identical(tmp_path):
@@ -198,3 +202,37 @@ def test_evolve_summary_reports_multiplier_fallback(tmp_path, capsys):
     assert run_experiment(cfg, tmp_path / "o", verbosity=1) == 0
     summary = json.loads(capsys.readouterr().out)["summary"]
     assert "stability condition violated" in summary["lambda_fallback"]
+
+
+def test_energy_report_equals_ledger_rows(tmp_path):
+    run = tmp_path / "run.ini"
+    run.write_text("""[run]
+experiment = evolve
+
+[grid]
+n1 = 16
+n2 = 16
+
+[evolve]
+t_final = 0.05
+write_checkpoint = true
+checkpoint_count = 3
+""")
+    assert run_experiment(run, tmp_path / "run", verbosity=0) == 0
+    report = tmp_path / "report.ini"
+    report.write_text("[run]\nexperiment = energy-report\n\n"
+                      f"[energy-report]\nrun_dir = {tmp_path / 'run'}\n")
+    assert run_experiment(report, tmp_path / "report", verbosity=0) == 0
+
+    def table(name):
+        lines = (tmp_path / name).read_text().splitlines()
+        cols = lines[0].split(",")
+        return [dict(zip(cols, map(float, ln.split(",")))) for ln in lines[1:]]
+
+    ledger = {row["t"]: row for row in table("run/energy_ledger.csv")}
+    rows = table("report/energy_report.csv")
+    assert len(rows) == 3
+    for row in rows:
+        for key in ("I", "I1n", "Isigma", "I2"):
+            assert row[key] == ledger[row["t"]][key], (row["t"], key)
+    assert rows[-1]["I"] > 0.0

@@ -96,3 +96,36 @@ def test_iterates_causal():
     # data vanish in the past: the t = 0 snapshot stays identically zero
     assert np.max(np.abs(state.V[0])) < 1e-12
     assert np.max(np.abs(state.psi[0])) < 1e-12
+
+
+def test_each_operator_value_computed_once_per_iterate(monkeypatch):
+    from cvsheet.nashmoser import SheetOperators
+    calls = {"nonlinear_L": 0, "boundary_B": 0, "smooth_field": 0}
+
+    def counted(cls, name):
+        orig = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return orig(*args, **kwargs)
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(SheetOperators, "nonlinear_L")
+    counted(SheetOperators, "boundary_B")
+    counted(NashMoserDriver, "smooth_field")
+    iterates = 2
+    _driver(n=16, nt=9, T=1.0).run(iterations=iterates)
+    assert calls == {"nonlinear_L": 1 + 2 * iterates,
+                     "boundary_B": 1 + iterates,
+                     "smooth_field": 4 * iterates}
+
+
+def test_carried_residual_values_equal_fresh_evaluation():
+    drv = _driver(n=16, nt=9, T=1.0)
+    state = drv.fresh_state()
+    for _ in range(3):
+        state = drv.step(state)
+        assert np.array_equal(state.calL, drv.calL(state.V, state.psi))
+        assert np.array_equal(
+            state.B, drv.ops.boundary_B(drv.Ua + state.V,
+                                        drv.phia + state.psi))
