@@ -20,6 +20,10 @@ front norms, and the residual of the symmetrized-system energy identity
 whose discrete violation must vanish under refinement.  A basic state that
 breaks the stability condition has no multiplier; its ledger is built
 with lambda = 0 and ``Trajectory.lambda_fallback`` says why.
+
+Each step fetches the coefficient bundle once per stage time (t, t + dt/2,
+t + dt); the end-of-step monitors and the ledger read the march's own
+end-stage bundle, which the cache hands back without interpolating again.
 """
 
 from __future__ import annotations
@@ -31,13 +35,17 @@ import numpy as np
 from .grid import Grid
 from .linearized import (IHN, IH2V, IQ, IUN, BasicState,
                          assemble_effective, bracket, j_matrix)
-from .mhd import IH1, IH2
 from .profiles import SigmaWeight, quintic_step
 from .stability import LambdaPair, StabilityError, extend_lambda
 
 
 class NumericsError(RuntimeError):
     """CFL violation or non-finite values during a run."""
+
+
+_MAX_STEPS = 200_000    # evolve refuses a march longer than this
+_CFL_GUARD = 1.25       # step_linearized accepts dt up to this x the CFL step
+_SPONGE_WIDTH = 0.2     # absorbing collar: the outer fifth of [0, L1]
 
 
 @dataclass
@@ -118,19 +126,25 @@ class _CoeffCache:
     """Assembled solver coefficients: one bundle for steady states, linear
     interpolation between snapshot-time bundles otherwise."""
 
-    _KEYS = ("M1", "M2", "M3", "A0invJt", "J")
+    _KEYS = ("M1", "M2", "M3", "A0invJt", "J", "d1phi")
 
     def __init__(self, basic: BasicState, lam_field):
         self.basic = basic
         self.lam_field = lam_field
         self._steady = None
         self._snap: dict = {}
+        self._last = (None, None)   # (t, bundle) of the latest lookup
 
     def at(self, t: float):
         if self.basic.steady:
             if self._steady is None:
                 self._steady = self._build(0.0)
             return self._steady
+        if self._last[0] != t:
+            self._last = (t, self._interpolate(t))
+        return self._last[1]
+
+    def _interpolate(self, t: float):
         k, w = bracket(self.basic.tgrid, t)
         b0 = self._bundle(k)
         if w == 0.0:
@@ -164,6 +178,7 @@ class _CoeffCache:
             "frame": fr,
             "ops": ops,
             "J": ops.J,
+            "d1phi": fr.lifted.d1_phi_map,
             "M1": np.einsum(mm, A0inv, ops.A1),
             "M2": np.einsum(mm, A0inv, ops.A2),
             "M3": np.einsum(mm, A0inv, ops.A3),
@@ -173,12 +188,9 @@ class _CoeffCache:
 
 
 def evolve(basic: BasicState, t_final: float, *, forcing=None, bdata=None,
-           lam_pair: LambdaPair | None = None, collar_eps: float | None = None,
-           cfl: float = 0.4, sponge_width: float = 0.2,
-           sponge_strength: float = 2.0, ledger: bool = True,
-           ledger_stride: int = 1, snapshot_times=None,
-           dt_override: float | None = None, stability_k: float = 1e-3,
-           max_steps: int = 200_000) -> Trajectory:
+           cfl: float = 0.4, sponge_strength: float = 2.0,
+           ledger: bool = True, snapshot_times=None,
+           dt_override: float | None = None) -> Trajectory:
     """March the linearized problem from rest with causal data.
 
     ``forcing(t) -> (2, 6, n1, n2)`` in the good-unknown components and
@@ -189,27 +201,24 @@ def evolve(basic: BasicState, t_final: float, *, forcing=None, bdata=None,
     lam_field = None
     lambda_fallback = None
     if ledger:
-        if lam_pair is None:
-            try:
-                lam_pair = basic.frame(0.0).lambda_boundary(k=stability_k)
-            except StabilityError as exc:
-                lambda_fallback = str(exc)
-                lam_pair = LambdaPair(lam_plus=np.zeros(grid.n2),
-                                      lam_minus=np.zeros(grid.n2))
-        eps = collar_eps if collar_eps is not None else max(
-            4 * grid.h1, 0.05 * grid.L1)
-        lam_field = extend_lambda(lam_pair, grid.x1, eps=eps)
+        try:
+            lam_pair = basic.frame(0.0).lambda_boundary()
+        except StabilityError as exc:
+            lambda_fallback = str(exc)
+            lam_pair = LambdaPair(lam_plus=np.zeros(grid.n2),
+                                  lam_minus=np.zeros(grid.n2))
+        lam_field = extend_lambda(lam_pair, grid.x1,
+                                  eps=max(4 * grid.h1, 0.05 * grid.L1))
         lam_field = np.broadcast_to(lam_field, (2, grid.n1, grid.n2)).copy()
 
     stepper = LinearizedStepper(basic, forcing=forcing, bdata=bdata,
                                 lam_field=lam_field, cfl=cfl,
-                                sponge_width=sponge_width,
                                 sponge_strength=sponge_strength)
     cache = stepper.cache
     dt = dt_override or stepper.dt_cfl
     nsteps = int(np.ceil(t_final / dt))
-    if nsteps > max_steps:
-        raise NumericsError(f"CFL step count {nsteps} exceeds max_steps")
+    if nsteps > _MAX_STEPS:
+        raise NumericsError(f"CFL step count {nsteps} exceeds {_MAX_STEPS}")
     dt = t_final / nsteps
     n1_phys = stepper.n1_phys
     F_at = stepper.F_at
@@ -228,7 +237,7 @@ def evolve(basic: BasicState, t_final: float, *, forcing=None, bdata=None,
     apriori = {"u_sq": 0.0, "phi_sq": 0.0, "f_sq": 0.0}
     led = _LedgerAccumulator(grid, cache, dt, stepper.sponge) if ledger else None
     if led is not None:
-        led.start(V, phi, F_at(0.0))
+        led.start(V, F_at(0.0))
         ledger_obj.rows.append(led.row(0.0, V, phi, None))
 
     snap_req = list(snapshot_times) if snapshot_times is not None else []
@@ -248,19 +257,19 @@ def evolve(basic: BasicState, t_final: float, *, forcing=None, bdata=None,
             raise NumericsError(f"non-finite values at t={t:.6g}")
 
         co_now = cache.at(t)
+        f = F_at(t)
+        div = _div_hdot(grid, co_now["d1phi"], V)
         times.append(t)
         phis.append(phi.copy())
         be.append(_boundary_energy(grid, V))
-        dres, hres = _constraint_residuals(grid, basic.frame(t), V, phi,
-                                           n1_phys)
+        dres, hres = _constraint_residuals(grid, co_now, div, V, phi, n1_phys)
         divres.append(dres)
         hnres.append(hres)
         _accumulate_apriori(apriori, grid, sigma, co_now, V, V_prev, phi,
-                            F_at, t, dt)
+                            f, F_at(max(t - dt, 0.0)), dt)
         if led is not None:
-            led.advance_flux(V, F_at(t))
-            if (n + 1) % ledger_stride == 0 or n == nsteps - 1:
-                ledger_obj.rows.append(led.row(t, V, phi, (V_prev, dt)))
+            led.advance_flux(V, f, div)
+            ledger_obj.rows.append(led.row(t, V, phi, (V_prev, dt)))
         V_prev = V.copy()
 
         while snap_req and t >= snap_req[0] - 0.5 * dt:
@@ -291,15 +300,14 @@ class LinearizedStepper:
     """
 
     def __init__(self, basic: BasicState, *, forcing=None, bdata=None,
-                 lam_field=None, cfl: float = 0.4, sponge_width: float = 0.2,
+                 lam_field=None, cfl: float = 0.4,
                  sponge_strength: float = 2.0):
-        self.basic = basic
         self.grid = basic.grid
         self.cache = _CoeffCache(basic, lam_field)
         grid = basic.grid
         self.dt_cfl = cfl_timestep(basic, cfl)
         x1 = grid.x1[:, None]
-        sp_start = grid.L1 * (1.0 - sponge_width)
+        sp_start = grid.L1 * (1.0 - _SPONGE_WIDTH)
         self.sponge = sponge_strength * quintic_step(
             (x1 - sp_start) / (grid.L1 - sp_start))
         # constraint monitors stop short of the sponge by the stencil width
@@ -315,24 +323,23 @@ class LinearizedStepper:
     def g_at(self, t):
         return self._bdata(t) if self._bdata is not None else self._zero_g
 
-    def rhs(self, V, phi, t):
+    def rhs(self, V, phi, t, co, g):
+        """Stage derivative at t, given the bundle and boundary data at t."""
         grid = self.grid
-        co = self.cache.at(t)
         dV = (_mat_apply2(co["A0invJt"], self.F_at(t))
               - _mat_apply2(co["M1"], grid.d1(V))
               - _mat_apply2(co["M2"], grid.d2(V))
               - _mat_apply2(co["M3"], V))
         dV -= self.sponge * V
         tr = co["traces"]
-        g = self.g_at(t)
         dphi = (V[0, IUN, 0, :] + phi * tr["d1uNp"]
                 - tr["u2p"] * grid.d2_boundary(phi) + g[0])
         return dV, dphi
 
-    def apply_bc(self, V, phi, t):
+    def apply_bc(self, V, phi, co, g):
+        """Inject the wall conditions at the stage of ``co`` and ``g``."""
         grid = self.grid
-        tr = self.cache.at(t)["traces"]
-        g = self.g_at(t)
+        tr = co["traces"]
         d2phi = grid.d2_boundary(phi)
         bp = V[0, IQ, 0, :] - V[0, IUN, 0, :]
         bm = V[1, IQ, 0, :] + V[1, IUN, 0, :]
@@ -348,28 +355,35 @@ class LinearizedStepper:
 
     def step(self, V, phi, t, dt):
         """Advance (V, phi) from t to t + dt (three Shu-Osher stages)."""
-        k1V, k1p = self.rhs(V, phi, t)
+        # one lookup per stage time; t + dt last, so the cache still holds
+        # it when the caller's end-of-step monitors ask for the same time
+        s0, sh, s1 = t, t + 0.5 * dt, t + dt
+        co0, g0 = self.cache.at(s0), self.g_at(s0)
+        coh, gh = self.cache.at(sh), self.g_at(sh)
+        co1, g1 = self.cache.at(s1), self.g_at(s1)
+
+        k1V, k1p = self.rhs(V, phi, s0, co0, g0)
         V1 = V + dt * k1V
         p1 = phi + dt * k1p
-        self.apply_bc(V1, p1, t + dt)
+        self.apply_bc(V1, p1, co1, g1)
 
-        k2V, k2p = self.rhs(V1, p1, t + dt)
+        k2V, k2p = self.rhs(V1, p1, s1, co1, g1)
         V2 = 0.75 * V + 0.25 * (V1 + dt * k2V)
         p2 = 0.75 * phi + 0.25 * (p1 + dt * k2p)
-        self.apply_bc(V2, p2, t + 0.5 * dt)
+        self.apply_bc(V2, p2, coh, gh)
 
-        k3V, k3p = self.rhs(V2, p2, t + 0.5 * dt)
+        k3V, k3p = self.rhs(V2, p2, sh, coh, gh)
         Vn = V / 3.0 + 2.0 / 3.0 * (V2 + dt * k3V)
         pn = phi / 3.0 + 2.0 / 3.0 * (p2 + dt * k3p)
-        self.apply_bc(Vn, pn, t + dt)
+        self.apply_bc(Vn, pn, co1, g1)
         return Vn, pn
 
 
 def step_linearized(basic: BasicState, V, phi, t, dt, *, forcing=None,
-                    bdata=None, cfl_guard: float = 1.25):
+                    bdata=None):
     """Single explicit step of the effective problem; checks the CFL bound."""
     stepper = LinearizedStepper(basic, forcing=forcing, bdata=bdata)
-    if dt > cfl_guard * stepper.dt_cfl:
+    if dt > _CFL_GUARD * stepper.dt_cfl:
         raise NumericsError(
             f"dt={dt:.3e} violates the CFL bound {stepper.dt_cfl:.3e}")
     Vn, pn = stepper.step(np.array(V, copy=True), np.array(phi, copy=True),
@@ -383,25 +397,26 @@ def _boundary_energy(grid: Grid, V) -> float:
     return float(np.sum(V[:, :, 0, :] ** 2) * grid.h2)
 
 
-def _constraint_residuals(grid: Grid, frame, V, phi, n1_phys: int):
-    """Max-norm residuals of div hdot and the wall magnetic constraint.
+def _div_hdot(grid: Grid, d1phi, V):
+    """Discrete div hdot = d1 V_HN + d2(V_H2 d1Phi) per side, (2, n1, n2)."""
+    return grid.d1(V[:, IHN]) + grid.d2(V[:, IH2V] * d1phi)
+
+
+def _constraint_residuals(grid: Grid, co, div, V, phi, n1_phys: int):
+    """Max-norm residuals of div hdot and the wall magnetic constraint
+    V_HN = H2 d2 phi -+ phi d1 H_N, with the basic wall traces of ``co``.
 
     Measured on the physical region only: the sponge damping is not
     divergence-compatible, so the absorbing collar is excluded.
     """
-    lifted = frame.lifted
-    div_max = 0.0
+    tr = co["traces"]
+    div_max = float(np.max(np.abs(div[:, :n1_phys])))
     hn_max = 0.0
     d2phi = grid.d2_boundary(phi)
-    for i in range(2):
-        sgn = 1.0 if i == 0 else -1.0
-        d1phi = lifted.d1_phi_map[i]
-        div = grid.d1(V[i, IHN]) + grid.d2(V[i, IH2V] * d1phi)
-        div_max = max(div_max, float(np.max(np.abs(div[:n1_phys]))))
-        tr = frame.U[i, IH2, 0, :] * d2phi - V[i, IHN, 0, :] \
-            - sgn * phi * grid.d1(frame.U[i, IH1]
-                                  - frame.U[i, IH2] * d2phi[None, :])[0, :]
-        hn_max = max(hn_max, float(np.max(np.abs(tr))))
+    for i, (sgn, tag) in enumerate(((1.0, "p"), (-1.0, "m"))):
+        res = (tr[f"H2{tag}"] * d2phi - V[i, IHN, 0, :]
+               - sgn * phi * tr[f"d1HN{tag}"])
+        hn_max = max(hn_max, float(np.max(np.abs(res))))
     return div_max, hn_max
 
 
@@ -410,15 +425,17 @@ def energy_integrals(grid: Grid, sigma, V):
 
     ``sigma`` is the conormal weight on the x1 nodes, shaped (n1, 1).
     """
+    d1V = grid.d1(V)
     I = float(grid.integrate((V ** 2).sum(axis=(0, 1))))
-    Isig = float(grid.integrate(((sigma * grid.d1(V)) ** 2).sum(axis=(0, 1))))
+    Isig = float(grid.integrate(((sigma * d1V) ** 2).sum(axis=(0, 1))))
     I2 = float(grid.integrate((grid.d2(V) ** 2).sum(axis=(0, 1))))
-    d1Vn = grid.d1(V[:, (IQ, IUN, IHN), :, :])
+    d1Vn = d1V[:, (IQ, IUN, IHN), :, :]
     I1n = float(grid.integrate((d1Vn ** 2).sum(axis=(0, 1))))
     return I, I1n, Isig, I2
 
 
-def _accumulate_apriori(acc, grid: Grid, sigma, co, V, V_prev, phi, F_at, t, dt):
+def _accumulate_apriori(acc, grid: Grid, sigma, co, V, V_prev, phi, f, fprev,
+                        dt):
     """Trapezoid-free accumulation (left Riemann) of the H1* integrands."""
     J = co["J"]
     Ud = np.einsum("sij...,sj...->si...", J, V)
@@ -432,8 +449,6 @@ def _accumulate_apriori(acc, grid: Grid, sigma, co, V, V_prev, phi, F_at, t, dt)
     tr = co["traces"]
     dtp = V[0, IUN, 0, :] + phi * tr["d1uNp"] - tr["u2p"] * d2p
     acc["phi_sq"] += float(np.sum(phi ** 2 + dtp ** 2 + d2p ** 2)) * grid.h2 * dt
-    f = F_at(t)
-    fprev = F_at(max(t - dt, 0.0))
     dtf = (f - fprev) / dt
     fterms = (f ** 2 + dtf ** 2 + (sigma * grid.d1(f)) ** 2 + grid.d2(f) ** 2)
     acc["f_sq"] += float(grid.integrate(fterms.sum(axis=(0, 1)))) * dt
@@ -453,38 +468,38 @@ class _LedgerAccumulator:
         if not cache.basic.steady:
             raise ValueError("the energy ledger supports steady basic states")
         self.grid = grid
-        self.cache = cache
         self.dt = dt
         self.sigma = SigmaWeight().value(grid.x1)[:, None]
-        self.sponge = sponge
         self._flux_int = 0.0
         self._prev_integrand = None
-        ops = cache.at(0.0)["ops"]
+        co = cache.at(0.0)
+        ops = co["ops"]
         if ops.B0 is None:
             raise ValueError("ledger requires the symmetrized family")
         self.ops = ops
+        self._d1phi = co["d1phi"]
         g = grid
         self._zo_matrix = (g.d1(ops.B1) + g.d2(ops.B2)
                            - (ops.B3 + np.swapaxes(ops.B3, 1, 2))
                            - 2.0 * sponge * ops.B0)
         # T-vector of the secondary symmetrizer per side, in U-space
         from .stability import symmetrizer_matrices
-        fr = cache.at(0.0)["frame"]
+        fr = co["frame"]
         self._T = np.stack([
             symmetrizer_matrices(fr.states[i],
                                  cache.lam_field[i], fr.basic.eos)[1]
             for i in range(2)])
-        self._frame = fr
 
-    def start(self, V, phi, f0):
+    def start(self, V, f0):
         self._Q0 = self._q(V)
-        self._prev_integrand = self._integrand(V, f0)
+        self._prev_integrand = self._integrand(
+            V, f0, _div_hdot(self.grid, self._d1phi, V))
 
     def _q(self, V):
         vals = np.einsum("sij...,si...,sj...->s...", self.ops.B0, V, V)
         return float(self.grid.integrate(vals.sum(axis=0)))
 
-    def _integrand(self, V, F):
+    def _integrand(self, V, F, div):
         ops = self.ops
         g = self.grid
         b_wall = np.einsum("sij...,si...,sj...->s...",
@@ -495,10 +510,7 @@ class _LedgerAccumulator:
                      - (b_far.sum(axis=0) * g.h2).sum())
         SF = np.einsum("sij...,sj...->si...", ops.S, F)
         # the discrete div hdot source restores the exact A/B equivalence
-        lifted = self._frame.lifted
-        for i in range(2):
-            div = (g.d1(V[i, IHN]) + g.d2(V[i, IH2V] * lifted.d1_phi_map[i]))
-            SF[i] += self._T[i] * (div / lifted.d1_phi_map[i])
+        SF += self._T * (div / self._d1phi)[:, None]
         Fc = np.einsum("sji...,sj...->si...", ops.J, SF)
         src = 2.0 * float(g.integrate(
             np.einsum("si...,si...->s...", Fc, V).sum(axis=0)))
@@ -506,9 +518,9 @@ class _LedgerAccumulator:
             "sij...,si...,sj...->s...", self._zo_matrix, V, V).sum(axis=0)))
         return flux + src + zo
 
-    def advance_flux(self, V, F):
+    def advance_flux(self, V, F, div):
         """Trapezoid accumulation of the identity's right-hand side."""
-        val = self._integrand(V, F)
+        val = self._integrand(V, F, div)
         self._flux_int += 0.5 * self.dt * (self._prev_integrand + val)
         self._prev_integrand = val
 

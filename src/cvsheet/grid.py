@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import io
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -131,15 +131,12 @@ class GridFunction:
     """Real field on the (optionally space-time) grid.
 
     ``values`` is (n1, n2) for a spatial field or (nt, n1, n2) with uniform
-    time spacing ``dt``.  ``causal`` records that the field vanishes in the
-    past (t < 0); the flag is metadata used by smoothing and the iteration.
+    time spacing ``dt``.
     """
 
     values: np.ndarray
     grid: Grid
     dt: float | None = None
-    causal: bool = False
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)

@@ -59,9 +59,6 @@ class IdealGasEos:
         return -self.density_dp(p, S) / self.gamma
 
 
-Eos = IdealGasEos  # default closure; any object with the same methods plugs in
-
-
 @dataclass
 class PhysState:
     """One-sided unknown vector; fields broadcast as numpy arrays.
@@ -91,14 +88,6 @@ class PhysState:
     def from_vector(cls, U: np.ndarray, side: int = +1) -> "PhysState":
         return cls(p=U[IP], u1=U[IU1], u2=U[IU2], H1=U[IH1], H2=U[IH2], S=U[IS],
                    side=side)
-
-    def admissible(self, eos, k: float = 1e-6) -> bool:
-        p = np.asarray(self.p, dtype=float)
-        if np.any(p <= 0.0):
-            return False
-        rho = eos.density(self.p, self.S)
-        rho_p = eos.density_dp(self.p, self.S)
-        return bool(np.all(rho >= k) and np.all(rho_p >= k))
 
 
 def _require_admissible(state: PhysState, eos, k: float = 1e-6) -> None:

@@ -42,6 +42,10 @@ from .mhd import IH1, IH2, IP, IS, IU1, IU2
 from .norms import lift
 from .smoothing import Smoother
 
+_STABILITY_K = 1e-4          # least stability margin of a modified state
+_MODIFIED_STATE_TOL = 1e-6   # largest kinematic wall residual it may have
+_TRANSPORT_SUBSTEPS = 2      # Heun substeps per snapshot of the H transport
+
 
 @dataclass(frozen=True)
 class ThetaSchedule:
@@ -197,9 +201,6 @@ class IterationState:
 class NashMoserConfig:
     theta0: float = 2.0
     iterations: int = 6
-    stability_k: float = 1e-4
-    transport_substeps: int = 2
-    modified_state_tol: float = 1e-6
 
 
 class ModifiedStateError(RuntimeError):
@@ -339,19 +340,18 @@ class NashMoserDriver:
             return np.stack([-induction_advection(u[i], Hn[i], lifted, side)
                              for i, side in enumerate(SIDES)])
 
-        H = heun_march(rhs, H0, [self.dt] * (self.nt - 1),
-                       max(self.config.transport_substeps, 1))
+        H = heun_march(rhs, H0, [self.dt] * (self.nt - 1), _TRANSPORT_SUBSTEPS)
         if not np.all(np.isfinite(H)):
             raise NumericsError("magnetic transport solve diverged")
         return H
 
     def _check_modified(self, basic: BasicState):
-        tol = self.config.modified_state_tol
+        tol = _MODIFIED_STATE_TOL
         stride = max(self.nt // 6, 1)
         rep = validate_basic_state(basic, times=self.tgrid[1:-1:stride])
         if rep.hyperbolicity_margin <= 0:
             raise ModifiedStateError("hyperbolicity lost in modified state")
-        if rep.stability_margin < self.config.stability_k:
+        if rep.stability_margin < _STABILITY_K:
             raise ModifiedStateError("stability margin lost in modified state")
         if rep.jump_residual > tol:
             raise ModifiedStateError(

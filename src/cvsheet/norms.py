@@ -84,7 +84,7 @@ def conormal_derivative(u: GridFunction, alpha: MultiIndex,
         vals = sig * grid.d1(vals)
     for _ in range(alpha.a0):
         vals = diff_time(vals, u.dt, axis=0)
-    return GridFunction(values=vals, grid=grid, dt=u.dt, causal=u.causal)
+    return GridFunction(values=vals, grid=grid, dt=u.dt)
 
 
 def _check_stencils(u: GridFunction, alpha: MultiIndex) -> None:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from cvsheet.evolve import (NumericsError, evolve, step_linearized)
+from cvsheet.evolve import (NumericsError, cfl_timestep, evolve,
+                            step_linearized)
 from cvsheet.grid import Grid, diff_time
-from cvsheet.linearized import (IH2V, BasicState, BoundaryStructureError,
+from cvsheet.linearized import (IH2V, IHN, BasicState,
+                                BoundaryStructureError,
                                 apply_effective_operator, assemble_effective,
                                 c_matrix, good_unknown, good_unknown_inverse,
                                 homogenize_boundary,
@@ -170,16 +172,22 @@ def test_multiplier_build_failure_propagates(grid, monkeypatch):
         evolve(b, t_final=0.05)
 
 
+def _ramped_trivial_stack(rate):
+    """Five snapshots on [0, 1] of the 16^2 trivial sheet, H2 = 1 + rate t."""
+    grid = Grid(n1=16, n2=16, L1=2 * np.pi, L2=2 * np.pi)
+    tgrid = np.linspace(0.0, 1.0, 5)
+    U = np.repeat(trivial_sheet_state(grid, EOS).U, len(tgrid), axis=0)
+    U[:, :, IH2] = 1.0 + rate * tgrid[:, None, None, None]
+    return BasicState(grid=grid, eos=EOS, U=U,
+                      phi=np.zeros((len(tgrid), grid.n2)), tgrid=tgrid)
+
+
 def test_coefficient_rate_exact_at_end_snapshots(monkeypatch):
     # J[P, H2V] = -H2 on a flat front, so H2 = 1 + t gives dJ/dt = -1 at
     # every snapshot, the first and the last included
     import cvsheet.evolve as ev
-    grid = Grid(n1=16, n2=16, L1=2 * np.pi, L2=2 * np.pi)
-    tgrid = np.linspace(0.0, 1.0, 5)
-    U = np.repeat(trivial_sheet_state(grid, EOS).U, len(tgrid), axis=0)
-    U[:, :, IH2] = 1.0 + tgrid[:, None, None, None]
-    basic = BasicState(grid=grid, eos=EOS, U=U,
-                       phi=np.zeros((len(tgrid), grid.n2)), tgrid=tgrid)
+    basic = _ramped_trivial_stack(1.0)
+    tgrid = basic.tgrid
     rates = []
 
     def recording(frame, lam_field=None, **kwargs):
@@ -193,6 +201,51 @@ def test_coefficient_rate_exact_at_end_snapshots(monkeypatch):
     assert len(rates) == len(tgrid)
     for rate in rates:
         assert np.allclose(rate, -1.0, rtol=0.0, atol=1e-12)
+
+
+def test_march_interpolates_each_stage_time_once(monkeypatch):
+    # each RK step needs the bundle at t, t + dt/2 and t + dt; t was the
+    # previous step's t + dt, and the end-of-step monitors read t + dt too
+    import cvsheet.evolve as ev
+    basic = _ramped_trivial_stack(0.1)
+    calls = {"bracket": 0, "frame": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ev, "bracket", counted("bracket", ev.bracket))
+    monkeypatch.setattr(BasicState, "frame",
+                        counted("frame", BasicState.frame))
+    traj = evolve(basic, t_final=1.0, dt_override=1.0 / 32, ledger=False)
+    nsteps = len(traj.times) - 1
+    assert nsteps == 32
+    assert calls["bracket"] <= 2 * nsteps + 1
+    # the CFL bound, then value and dJ/dt ends of each snapshot bundle
+    assert calls["frame"] == 1 + 3 * len(basic.tgrid)
+
+
+def test_hn_monitor_reads_the_basic_wall_traces():
+    # linearized wall constraint: V_HN = H2 d2 phi -+ phi d1 H_N, with H2
+    # and d1 H_N = d1(H1 - H2 d2 phi) traces of the basic state
+    grid = Grid(n1=32, n2=32, L1=2 * np.pi, L2=2 * np.pi)
+    b = sheared_sheet_state(grid, EOS)
+    g = ManufacturedBoundaryData(grid, amplitude=0.05, k2=2, ramp=0.05)
+    t_final = 0.1
+    nsteps = int(np.ceil(t_final / cfl_timestep(b)))
+    traj = evolve(b, t_final=t_final, bdata=g, ledger=False,
+                  snapshot_times=np.linspace(0.0, t_final, nsteps + 1))
+    assert len(traj.snapshots) == len(traj.times) == nsteps + 1
+    tr = b.frame(0.0).boundary_traces()
+    for k, (V, phi) in enumerate(zip(traj.snapshots, traj.phi)):
+        d2phi = grid.d2_boundary(phi)
+        want = max(np.max(np.abs(tr[f"H2{tag}"] * d2phi - V[i, IHN, 0]
+                                  - sgn * phi * tr[f"d1HN{tag}"]))
+                   for i, sgn, tag in ((0, 1.0, "p"), (1, -1.0, "m")))
+        assert traj.hn_residual[k] == pytest.approx(want, rel=1e-12, abs=0)
+    assert traj.hn_residual.max() > 0
 
 
 def test_forced_run_is_finite_and_identity_small(grid):
@@ -225,6 +278,9 @@ def test_step_linearized_cfl_guard(grid):
     phi = np.zeros(grid.n2)
     with pytest.raises(NumericsError):
         step_linearized(b, V, phi, 0.0, 1.0)
+    # the march refuses a step count past its guard before stepping
+    with pytest.raises(NumericsError, match="step count"):
+        evolve(b, t_final=1.0, dt_override=1e-6, ledger=False)
 
 
 def test_g3_transport_vs_characteristics():
