@@ -140,9 +140,8 @@ def straighten(m0, m1, m2, lifted: LiftedFront, i: int):
     """The straightened normal combination (m1 - m0 dtPsi - m2 d2Psi) / d1Phi.
 
     Applied to (A0, A1, A2) on side ``i`` (0 = '+', 1 = '-') it gives A1~;
-    the same combination straightens the symmetrized B matrices and the
-    state derivatives of the A matrices.  For a flat steady front it
-    reduces to ±m1.
+    the same combination straightens the symmetrized B matrices.  For a
+    flat steady front it reduces to ±m1.
     """
     return (m1 - m0 * lifted.dt_psi[i] - m2 * lifted.d2_psi[i]) \
         / lifted.d1_phi_map[i]

@@ -10,10 +10,13 @@ In the Alinhac good unknown the effective interior operator is
 
     L'_e Udot = A0 dt Udot + A1~ d1 Udot + A2 d2 Udot + C Udot,
 
-and rewriting in the characteristic unknown V = (qdot, udot_n, udot_2,
-Hdot_n, Hdot_2, Sdot) via Udot = J V turns the boundary matrix into
-diag(E12, -E12)/d1Phi + a correction vanishing on the wall: a constant-rank-4
-characteristic boundary with exactly two incoming modes per side.
+where C Udot is the derivative of the straightened coefficients along Udot
+applied to the basic state's derivatives; ``c_matrix`` writes its 24
+nonzero entries in closed form.  Rewriting in the characteristic unknown
+V = (qdot, udot_n, udot_2, Hdot_n, Hdot_2, Sdot) via Udot = J V turns the
+boundary matrix into diag(E12, -E12)/d1Phi + a correction vanishing on the
+wall: a constant-rank-4 characteristic boundary with exactly two incoming
+modes per side.
 
 The straightened coefficients (A0, A1~, A2) and their apply come from
 ``cvsheet.front``; ``heun_march`` is the one time marcher of the
@@ -31,7 +34,7 @@ from .front import (FrontField, LiftedFront, apply_L, induction_advection,
                     transformed_vectors)
 from .grid import Grid, diff_time
 from .mhd import (IH1, IH2, IP, IS, IU1, IU2, NCOMP, PhysState,
-                  coefficient_jacobians)
+                  _require_admissible)
 from .profiles import CutoffChi, make_cutoff
 from .stability import LambdaPair, build_lambda, check_stability
 
@@ -339,23 +342,51 @@ def c_matrix(U: np.ndarray, Ut: np.ndarray, lifted: LiftedFront,
     """Zero-order matrix of the linearization, per side: (2, 6, 6, n1, n2).
 
     C_{kl} = sum_m [dA0/dy_l]_{km} dtU_m + [dA1~/dy_l]_{km} d1U_m
-             + [dA2/dy_l]_{km} d2U_m at the state ``U`` with rate ``Ut``,
-    with the A1~ derivative inheriting the straightening combination of
-    the base matrices.
+             + [dA2/dy_l]_{km} d2U_m at the state ``U`` with rate ``Ut``.
+    Straightening is linear, so with
+
+        r1 = d1U / d1Phi,  r0 = Ut - dtPsi r1,  r2 = d2U - d2Psi r1
+
+    C = dA0 . r0 + dA1 . r1 + dA2 . r2, and only 24 entries survive.  With
+    g = rho_p / rho, D = diag(g, rho, rho, 1, 1, 1) and
+    a = r0 + u1 r1 + u2 r2 they read, for l in (P, S) and g_l = dg/dl:
+
+        C[P, l] = g_l a_P,  C[U1, l] = rho_l a_U1,  C[U2, l] = rho_l a_U2,
+        C[k, U1] = D_k r1_k,  C[k, U2] = D_k r2_k,
+        C[U1, H2] = r1_H2 - r2_H1 = -C[U2, H1],
+        C[H2, H2] = r1_U1,  C[H2, H1] = -r1_U2,
+        C[H1, H2] = -r2_U1,  C[H1, H1] = r2_U2.
+
+    Raises ``AdmissibilityError`` outside the hyperbolic region of the EOS.
     """
-    g = lifted.grid
-    d1U = g.d1(U)
-    d2U = g.d2(U)
-    out = np.empty((2, NCOMP, NCOMP, g.n1, g.n2))
-    for i in range(2):
-        dA0, dA1, dA2 = coefficient_jacobians(PhysState.from_vector(U[i]),
-                                              eos)
-        dA1t = straighten(dA0, dA1, dA2, lifted, i)
-        # C[k, l] = dA0[l, k, m] Ut[m] + dA1t[l, k, m] d1U[m] + dA2[l, k, m] d2U[m]
-        out[i] = (np.einsum("lkm...,m...->kl...", dA0, Ut[i])
-                  + np.einsum("lkm...,m...->kl...", dA1t, d1U[i])
-                  + np.einsum("lkm...,m...->kl...", dA2, d2U[i]))
-    return out
+    grid = lifted.grid
+    _require_admissible(PhysState.from_vector(U.swapaxes(0, 1)), eos)
+    p, S = U[:, IP], U[:, IS]
+    rho = eos.density(p, S)
+    rho_p = eos.density_dp(p, S)
+    rho_S = eos.density_dS(p, S)
+    g = rho_p / rho
+    g_p = (eos.density_dpp(p, S) * rho - rho_p ** 2) / rho ** 2
+    g_S = (eos.density_dpS(p, S) * rho - rho_p * rho_S) / rho ** 2
+    r1 = grid.d1(U) / lifted.d1_phi_map[:, None]
+    r0 = Ut - lifted.dt_psi[:, None] * r1
+    r2 = grid.d2(U) - lifted.d2_psi[:, None] * r1
+    a = r0 + U[:, IU1, None] * r1 + U[:, IU2, None] * r2
+    C = np.zeros((2, NCOMP, NCOMP, grid.n1, grid.n2))
+    for l, gl, rl in ((IP, g_p, rho_p), (IS, g_S, rho_S)):
+        C[:, IP, l] = gl * a[:, IP]
+        C[:, IU1, l] = rl * a[:, IU1]
+        C[:, IU2, l] = rl * a[:, IU2]
+    for k, Dk in enumerate((g, rho, rho, 1.0, 1.0, 1.0)):
+        C[:, k, IU1] = Dk * r1[:, k]
+        C[:, k, IU2] = Dk * r2[:, k]
+    C[:, IU1, IH2] = r1[:, IH2] - r2[:, IH1]
+    C[:, IU2, IH1] = -C[:, IU1, IH2]
+    C[:, IH2, IH2] = r1[:, IU1]
+    C[:, IH2, IH1] = -r1[:, IU2]
+    C[:, IH1, IH2] = -r2[:, IU1]
+    C[:, IH1, IH1] = r2[:, IU2]
+    return C
 
 
 def j_matrix(frame: BasicFrame) -> np.ndarray:

@@ -186,9 +186,10 @@ def assemble_a2(state: PhysState, eos, k: float = 1e-6) -> np.ndarray:
 def coefficient_jacobians(state: PhysState, eos, k: float = 1e-6):
     """State derivatives (dA0/dy_l, dA1/dy_l, dA2/dy_l), each (6, 6, 6, *field).
 
-    Leading axis l runs over the six components of U.  These feed the
-    zero-order matrix of the linearization; a finite-difference oracle in
-    the tests checks every entry.
+    Leading axis l runs over the six components of U.  This is the test
+    oracle of the closed-form zero-order matrix ``linearized.c_matrix``
+    and has no runtime caller; a finite-difference oracle in the tests
+    checks every entry.
     """
     _require_admissible(state, eos, k)
     shape = _zeros_like_state(state)

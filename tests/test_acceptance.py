@@ -288,6 +288,7 @@ def test_acceptance_07_instability_contrast():
 
 # -- 6: linearized energy behavior (refinement study) -------------------------------
 
+@pytest.mark.slow
 def test_acceptance_06_linearized_energy_refinement():
     from cvsheet.evolve import evolve
     from cvsheet.linearized import trivial_sheet_state
@@ -325,6 +326,7 @@ def test_acceptance_06_linearized_energy_refinement():
 
 # -- 9: Nash-Moser mechanics ----------------------------------------------------------
 
+@pytest.mark.slow
 def test_acceptance_09_nash_moser_mechanics():
     from cvsheet.compat import (build_approximate, manufactured_initial_data,
                                 time_jet)

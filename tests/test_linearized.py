@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvsheet.evolve import (NumericsError, cfl_timestep, evolve,
                             step_linearized)
+from cvsheet.front import FrontField, lift_front, make_cutoff, straighten
 from cvsheet.grid import Grid, diff_time
 from cvsheet.linearized import (IH2V, IHN, BasicState,
                                 BoundaryStructureError,
@@ -12,8 +15,9 @@ from cvsheet.linearized import (IH2V, IHN, BasicState,
                                 reconstruct_front_derivatives,
                                 sheared_sheet_state, solve_g3_transport,
                                 trivial_sheet_state, validate_basic_state)
-from cvsheet.mhd import IH1, IH2, IP, IU1, IU2, IdealGasEos, PhysState
-from cvsheet.mhd import assemble_a0, assemble_a1, assemble_a2
+from cvsheet.mhd import (IH1, IH2, IP, IU1, IU2, AdmissibilityError,
+                         IdealGasEos, PhysState, assemble_a0, assemble_a1,
+                         assemble_a2, coefficient_jacobians)
 from cvsheet.scenarios import ManufacturedBoundaryData, ManufacturedForcing
 
 EOS = IdealGasEos()
@@ -107,6 +111,96 @@ def test_c_matrix_matches_directional_fd(grid):
     fd = (flux(fr.U + eps * Y) - flux(fr.U - eps * Y)) / (2 * eps)
     CY = np.einsum("skl...,sl...->sk...", C, Y)
     assert np.max(np.abs(CY - fd)) < 1e-6
+
+
+def _moving_curved_front(grid, amp=0.2, rate=0.3, shift=0.0):
+    """Lift of phi = amp sin(x2 + shift) moving at dphi/dt = rate cos(x2)."""
+    front = FrontField(phi=amp * np.sin(grid.x2 + shift), grid=grid,
+                       dphi_t=rate * np.cos(grid.x2))
+    return lift_front(front, make_cutoff())
+
+
+def _smooth_state(grid, rng, base):
+    """Admissible (2, 6, n1, n2) state: ``base`` plus smooth bumps."""
+    x1, x2 = grid.mesh()
+    U = np.empty((2, 6, grid.n1, grid.n2))
+    for i in range(2):
+        for k in range(6):
+            a, b, c = rng.uniform(-0.2, 0.2, 3)
+            U[i, k] = (base[k] + a * np.cos(0.5 * x1) * np.sin(x2)
+                       + b * np.sin(x1) + c * np.cos(2 * x2))
+    return U
+
+
+def test_c_matrix_matches_directional_fd_on_moving_curved_front(grid):
+    rng = np.random.default_rng(11)
+    U = _smooth_state(grid, rng, (1.5, 0.3, 0.2, 0.4, 1.2, 0.2))
+    Ut = 0.1 * rng.normal(size=U.shape)
+    lifted = _moving_curved_front(grid)
+    assert np.max(np.abs(lifted.dt_psi)) > 0 and np.max(np.abs(lifted.d2_psi)) > 0
+    C = c_matrix(U, Ut, lifted, EOS)
+    Y = rng.normal(size=U.shape)
+    eps = 1e-6
+    d1U = grid.d1(U)
+    d2U = grid.d2(U)
+
+    def flux(U):
+        out = np.empty_like(U)
+        for i in range(2):
+            st = PhysState.from_vector(U[i])
+            a0 = assemble_a0(st, EOS)
+            a1 = assemble_a1(st, EOS)
+            a2 = assemble_a2(st, EOS)
+            a1t = (a1 - a0 * lifted.dt_psi[i]
+                   - a2 * lifted.d2_psi[i]) / lifted.d1_phi_map[i]
+            out[i] = (np.einsum("ij...,j...->i...", a0, Ut[i])
+                      + np.einsum("ij...,j...->i...", a1t, d1U[i])
+                      + np.einsum("ij...,j...->i...", a2, d2U[i]))
+        return out
+
+    fd = (flux(U + eps * Y) - flux(U - eps * Y)) / (2 * eps)
+    CY = np.einsum("skl...,sl...->sk...", C, Y)
+    assert np.max(np.abs(CY - fd)) < 1e-6
+
+
+def _dense_c_matrix(U, Ut, lifted):
+    """C by contracting the dense (6, 6, 6) state-derivative tensors."""
+    g = lifted.grid
+    d1U, d2U = g.d1(U), g.d2(U)
+    out = np.empty((2, 6, 6, g.n1, g.n2))
+    for i in range(2):
+        dA0, dA1, dA2 = coefficient_jacobians(PhysState.from_vector(U[i]),
+                                              EOS)
+        dA1t = straighten(dA0, dA1, dA2, lifted, i)
+        out[i] = (np.einsum("lkm...,m...->kl...", dA0, Ut[i])
+                  + np.einsum("lkm...,m...->kl...", dA1t, d1U[i])
+                  + np.einsum("lkm...,m...->kl...", dA2, d2U[i]))
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), p=st.floats(1.0, 3.0),
+       u1=st.floats(0.1, 1.0), H1=st.floats(0.1, 1.0),
+       S=st.floats(0.1, 1.0), amp=st.floats(0.05, 0.3),
+       rate=st.floats(0.1, 1.0))
+def test_closed_form_c_matrix_equals_dense_contraction(seed, p, u1, H1, S,
+                                                        amp, rate):
+    grid = Grid(n1=12, n2=12, L1=2 * np.pi, L2=2 * np.pi)
+    rng = np.random.default_rng(seed)
+    U = _smooth_state(grid, rng, (p, u1, 0.3, H1, 0.8, S))
+    Ut = rng.normal(size=U.shape)
+    lifted = _moving_curved_front(grid, amp, rate, shift=rng.uniform(0, 1))
+    C = c_matrix(U, Ut, lifted, EOS)
+    ref = _dense_c_matrix(U, Ut, lifted)
+    for i in range(2):
+        assert np.max(np.abs(C[i] - ref[i])) <= 1e-14 * np.max(np.abs(ref[i]))
+
+
+def test_c_matrix_rejects_nonpositive_pressure(grid):
+    U = _smooth_state(grid, np.random.default_rng(0), (1.0, 0, 0, 0, 1, 0))
+    U[1, IP, 3, 5] = 0.0
+    with pytest.raises(AdmissibilityError, match="pressure"):
+        c_matrix(U, np.zeros_like(U), _moving_curved_front(grid), EOS)
 
 
 def test_boundary_structure_rank4(grid):

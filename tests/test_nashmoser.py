@@ -71,6 +71,7 @@ def test_bookkeeping_identities_exact():
         assert state.history[-1]["bookkeeping_residual"] <= 1e-12
 
 
+@pytest.mark.slow
 def test_residual_strictly_decreasing():
     drv = _driver(n=32, nt=33, T=2.0, iterations=5)
     report = drv.run()
