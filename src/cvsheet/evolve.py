@@ -124,7 +124,14 @@ def cfl_timestep(basic: BasicState, cfl: float = 0.4) -> float:
 
 class _CoeffCache:
     """Assembled solver coefficients: one bundle for steady states, linear
-    interpolation between snapshot-time bundles otherwise."""
+    interpolation between snapshot-time bundles otherwise.
+
+    A coefficient that is exactly uniform in space (the planar sheet's)
+    is stored as (2, 6, 6, 1, 1) and ``_mat_apply2`` applies it through
+    its nonzero entries; the trailing (1, 1) keeps it broadcasting against
+    full (2, 6, 6, n1, n2) fields, so a uniform bundle interpolates with a
+    non-uniform one.  ``ops`` keeps the full arrays.
+    """
 
     _KEYS = ("M1", "M2", "M3", "A0invJt", "J", "d1phi")
 
@@ -171,20 +178,28 @@ class _CoeffCache:
             dJdt = (j_matrix(self.basic.frame(hi))
                     - j_matrix(self.basic.frame(lo))) / (hi - lo)
         ops = assemble_effective(fr, self.lam_field, dJdt=dJdt)
-        inv = np.linalg.inv(np.moveaxis(ops.A0, (1, 2), (-2, -1)))
+        A0, A1, A2, A3, J = (_compact(a) for a in (ops.A0, ops.A1, ops.A2,
+                                                   ops.A3, ops.J))
+        inv = np.linalg.inv(np.moveaxis(A0, (1, 2), (-2, -1)))
         A0inv = np.moveaxis(inv, (-2, -1), (1, 2))
         mm = "sik...,skj...->sij..."
         return {
             "frame": fr,
             "ops": ops,
-            "J": ops.J,
+            "J": J,
             "d1phi": fr.lifted.d1_phi_map,
-            "M1": np.einsum(mm, A0inv, ops.A1),
-            "M2": np.einsum(mm, A0inv, ops.A2),
-            "M3": np.einsum(mm, A0inv, ops.A3),
-            "A0invJt": np.einsum(mm, A0inv, np.swapaxes(ops.J, 1, 2)),
+            "M1": np.einsum(mm, A0inv, A1),
+            "M2": np.einsum(mm, A0inv, A2),
+            "M3": np.einsum(mm, A0inv, A3),
+            "A0invJt": np.einsum(mm, A0inv, np.swapaxes(J, 1, 2)),
             "traces": fr.boundary_traces(),
         }
+
+
+def _compact(a):
+    """``a[..., :1, :1]`` if the field ``a`` is exactly uniform in space."""
+    head = a[..., :1, :1]
+    return head if np.all(a == head) else a
 
 
 def evolve(basic: BasicState, t_final: float, *, forcing=None, bdata=None,
@@ -248,7 +263,8 @@ def evolve(basic: BasicState, t_final: float, *, forcing=None, bdata=None,
         snap_req.pop(0)
 
     t = 0.0
-    V_prev = V.copy()
+    V_prev = V
+    Ud_prev = np.zeros_like(V)          # J V of the state at rest
     for n in range(nsteps):
         V, phi = stepper.step(V, phi, t, dt)
         t = (n + 1) * dt
@@ -265,12 +281,13 @@ def evolve(basic: BasicState, t_final: float, *, forcing=None, bdata=None,
         dres, hres = _constraint_residuals(grid, co_now, div, V, phi, n1_phys)
         divres.append(dres)
         hnres.append(hres)
-        _accumulate_apriori(apriori, grid, sigma, co_now, V, V_prev, phi,
-                            f, F_at(max(t - dt, 0.0)), dt)
+        Ud_prev = _accumulate_apriori(apriori, grid, sigma, co_now, V,
+                                      Ud_prev, phi, f,
+                                      F_at(max(t - dt, 0.0)), dt)
         if led is not None:
             led.advance_flux(V, f, div)
             ledger_obj.rows.append(led.row(t, V, phi, (V_prev, dt)))
-        V_prev = V.copy()
+        V_prev = V                      # step() returns a fresh array
 
         while snap_req and t >= snap_req[0] - 0.5 * dt:
             snaps.append(V.copy())
@@ -287,7 +304,19 @@ def evolve(basic: BasicState, t_final: float, *, forcing=None, bdata=None,
 
 
 def _mat_apply2(M, v):
-    return np.einsum("sij...,sj...->si...", M, v)
+    """Per-side 6x6 apply M v.
+
+    A uniform M, stored (2, 6, 6, 1, 1), is applied through its nonzero
+    entries, accumulated in column order onto zeros as the einsum
+    accumulates them, so both paths give the same bits.
+    """
+    if M.shape[-2:] != (1, 1):
+        return np.einsum("sij...,sj...->si...", M, v)
+    m = M[..., 0, 0]
+    out = np.zeros(v.shape)
+    for s, i, j in zip(*np.nonzero(m)):
+        out[s, i] += m[s, i, j] * v[s, j]
+    return out
 
 
 class LinearizedStepper:
@@ -434,12 +463,13 @@ def energy_integrals(grid: Grid, sigma, V):
     return I, I1n, Isig, I2
 
 
-def _accumulate_apriori(acc, grid: Grid, sigma, co, V, V_prev, phi, f, fprev,
-                        dt):
-    """Trapezoid-free accumulation (left Riemann) of the H1* integrands."""
-    J = co["J"]
-    Ud = np.einsum("sij...,sj...->si...", J, V)
-    Ud_prev = np.einsum("sij...,sj...->si...", J, V_prev)
+def _accumulate_apriori(acc, grid: Grid, sigma, co, V, Ud_prev, phi, f,
+                        fprev, dt):
+    """Trapezoid-free accumulation (left Riemann) of the H1* integrands.
+
+    ``Ud_prev`` is the previous step's Udot = J V; returns this step's.
+    """
+    Ud = _mat_apply2(co["J"], V)
     dtU = (Ud - Ud_prev) / dt
     terms = (Ud ** 2 + dtU ** 2 + (sigma * grid.d1(Ud)) ** 2
              + grid.d2(Ud) ** 2)
@@ -452,6 +482,7 @@ def _accumulate_apriori(acc, grid: Grid, sigma, co, V, V_prev, phi, f, fprev,
     dtf = (f - fprev) / dt
     fterms = (f ** 2 + dtf ** 2 + (sigma * grid.d1(f)) ** 2 + grid.d2(f) ** 2)
     acc["f_sq"] += float(grid.integrate(fterms.sum(axis=(0, 1)))) * dt
+    return Ud
 
 
 class _LedgerAccumulator:
@@ -477,6 +508,8 @@ class _LedgerAccumulator:
         if ops.B0 is None:
             raise ValueError("ledger requires the symmetrized family")
         self.ops = ops
+        self._S, self._B0 = _compact(ops.S), _compact(ops.B0)
+        self._Jt = np.swapaxes(co["J"], 1, 2)
         self._d1phi = co["d1phi"]
         g = grid
         self._zo_matrix = (g.d1(ops.B1) + g.d2(ops.B2)
@@ -496,7 +529,7 @@ class _LedgerAccumulator:
             V, f0, _div_hdot(self.grid, self._d1phi, V))
 
     def _q(self, V):
-        vals = np.einsum("sij...,si...,sj...->s...", self.ops.B0, V, V)
+        vals = np.einsum("si...,si...->s...", V, _mat_apply2(self._B0, V))
         return float(self.grid.integrate(vals.sum(axis=0)))
 
     def _integrand(self, V, F, div):
@@ -508,10 +541,10 @@ class _LedgerAccumulator:
                           ops.B1[..., -1, :], V[..., -1, :], V[..., -1, :])
         flux = float((b_wall.sum(axis=0) * g.h2).sum()
                      - (b_far.sum(axis=0) * g.h2).sum())
-        SF = np.einsum("sij...,sj...->si...", ops.S, F)
+        SF = _mat_apply2(self._S, F)
         # the discrete div hdot source restores the exact A/B equivalence
         SF += self._T * (div / self._d1phi)[:, None]
-        Fc = np.einsum("sji...,sj...->si...", ops.J, SF)
+        Fc = _mat_apply2(self._Jt, SF)
         src = 2.0 * float(g.integrate(
             np.einsum("si...,si...->s...", Fc, V).sum(axis=0)))
         zo = float(g.integrate(np.einsum(

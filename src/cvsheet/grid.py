@@ -9,6 +9,10 @@ sides) broadcast through every operator here.
 
 Derivatives are 4th-order central in the interior; the non-periodic x1
 direction closes with 3rd-order one-sided stencils at the two edge rows.
+Every stencil is written as weighted differences of neighbouring values,
+8 (f[+1] - f[-1]) - (f[+2] - f[-2]) in the interior and e.g.
+18 (f1 - f0) - 9 (f2 - f0) + 2 (f3 - f0) at an edge, so the derivative of
+a constant vanishes exactly, not just to roundoff.
 """
 
 from __future__ import annotations
@@ -78,7 +82,7 @@ class Grid:
         fw = np.take(f, np.arange(-2, f.shape[-1] + 2), axis=-1, mode="wrap")
         fm2, fm1, fp1, fp2 = (fw[..., 0:-4], fw[..., 1:-3], fw[..., 3:-1],
                               fw[..., 4:])
-        return (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
+        return (8.0 * (fp1 - fm1) - (fp2 - fm2)) / (12.0 * h)
 
     def d2_boundary(self, g: np.ndarray) -> np.ndarray:
         """d/dx2 for boundary fields (..., n2), same periodic stencil."""
@@ -88,21 +92,14 @@ class Grid:
 def _diff_nonperiodic(f: np.ndarray, h: float, axis: int) -> np.ndarray:
     f = np.moveaxis(f, axis, -1)
     out = np.empty_like(f)
-    out[..., 2:-2] = (
-        -f[..., 4:] + 8.0 * f[..., 3:-1] - 8.0 * f[..., 1:-3] + f[..., :-4]
-    ) / (12.0 * h)
-    out[..., 0] = (
-        -11.0 * f[..., 0] + 18.0 * f[..., 1] - 9.0 * f[..., 2] + 2.0 * f[..., 3]
-    ) / (6.0 * h)
-    out[..., 1] = (
-        -2.0 * f[..., 0] - 3.0 * f[..., 1] + 6.0 * f[..., 2] - f[..., 3]
-    ) / (6.0 * h)
-    out[..., -1] = (
-        11.0 * f[..., -1] - 18.0 * f[..., -2] + 9.0 * f[..., -3] - 2.0 * f[..., -4]
-    ) / (6.0 * h)
-    out[..., -2] = (
-        2.0 * f[..., -1] + 3.0 * f[..., -2] - 6.0 * f[..., -3] + f[..., -4]
-    ) / (6.0 * h)
+    out[..., 2:-2] = (8.0 * (f[..., 3:-1] - f[..., 1:-3])
+                      - (f[..., 4:] - f[..., :-4])) / (12.0 * h)
+    for e, s in ((0, 1), (-1, -1)):      # edge row e, pointing inwards
+        f0, f1, f2, f3 = (f[..., e + k * s] for k in range(4))
+        out[..., e] = s * (18.0 * (f1 - f0) - 9.0 * (f2 - f0)
+                           + 2.0 * (f3 - f0)) / (6.0 * h)
+        out[..., e + s] = s * (6.0 * (f2 - f1) - 2.0 * (f0 - f1)
+                               - (f3 - f1)) / (6.0 * h)
     return np.moveaxis(out, -1, axis)
 
 
@@ -121,8 +118,10 @@ def diff_time(f: np.ndarray, dt: float, axis: int = 0,
     f = np.moveaxis(f, axis, -1)
     out = np.empty_like(f)
     out[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2.0 * dt)
-    out[..., 0] = (-3.0 * f[..., 0] + 4.0 * f[..., 1] - f[..., 2]) / (2.0 * dt)
-    out[..., -1] = (3.0 * f[..., -1] - 4.0 * f[..., -2] + f[..., -3]) / (2.0 * dt)
+    out[..., 0] = (4.0 * (f[..., 1] - f[..., 0])
+                   - (f[..., 2] - f[..., 0])) / (2.0 * dt)
+    out[..., -1] = (4.0 * (f[..., -1] - f[..., -2])
+                    - (f[..., -1] - f[..., -3])) / (2.0 * dt)
     return np.moveaxis(out, -1, axis)
 
 

@@ -52,10 +52,6 @@ def _mat_mul(A, B):
     return np.einsum("ik...,kj...->ij...", A, B)
 
 
-def _transpose(A):
-    return np.swapaxes(A, 0, 1)
-
-
 @dataclass
 class BasicState:
     """Background state given as one or more time snapshots.
@@ -389,8 +385,16 @@ def c_matrix(U: np.ndarray, Ut: np.ndarray, lifted: LiftedFront,
     return C
 
 
+#: the off-diagonal entries (row, column) of J = I + N; all others vanish
+_J_OFF = ((IP, IHN), (IP, IH2V), (IU1, IU2V), (IH1, IH2V))
+
+
 def j_matrix(frame: BasicFrame) -> np.ndarray:
-    """Characteristic change of unknown Udot = J V, per side."""
+    """Characteristic change of unknown Udot = J V, per side.
+
+    J is the identity plus the four entries at ``_J_OFF``: -H1, -H_tau,
+    d2Psi and d2Psi.
+    """
     g = frame.grid
     J = np.zeros((2, NCOMP, NCOMP, g.n1, g.n2))
     for i in range(2):
@@ -399,11 +403,37 @@ def j_matrix(frame: BasicFrame) -> np.ndarray:
         Htau = H1 * d2psi + frame.U[i, IH2]
         for k in range(NCOMP):
             J[i, k, k] = 1.0
-        J[i, IP, IHN] = -H1
-        J[i, IP, IH2V] = -Htau
-        J[i, IU1, IU2V] = d2psi
-        J[i, IH1, IH2V] = d2psi
+        for (r, c), v in zip(_J_OFF, (-H1, -Htau, d2psi, d2psi)):
+            J[i, r, c] = v
     return J
+
+
+def _off_columns(rows, off) -> dict:
+    """{c: sum over the ``_J_OFF`` entries (r, c) of rows[r] * off[k]}.
+
+    Rows are summed in ascending order, as a dense contraction sums them.
+    """
+    cols = {}
+    for (r, c), v in zip(_J_OFF, off):
+        term = rows[r] * v
+        cols[c] = term if c not in cols else cols[c] + term
+    return cols
+
+
+def _times_j(m, off):
+    """m J for J = I + N with N's entries ``off`` at ``_J_OFF``: columns."""
+    out = m.copy()
+    for c, col in _off_columns(np.swapaxes(m, 0, 1), off).items():
+        out[:, c] = col + m[:, c]
+    return out
+
+
+def _jt_times(off, m):
+    """J^T m for J = I + N with N's entries ``off`` at ``_J_OFF``: rows,
+    updated in place in ``m``, which is returned."""
+    for c, row in _off_columns(m, off).items():
+        m[c] += row
+    return m
 
 
 class BoundaryStructureError(RuntimeError):
@@ -438,16 +468,22 @@ def _conjugate(g: Grid, m0, m1, m2, zc, J, dJdt, out, i: int) -> None:
 
     J^T m0 J, J^T m1 J, J^T m2 J and the zero-order
     J^T (zc J + m1 d1J + m2 d2J + m0 dJ/dt) for side i's straightened
-    triple (m0, m1, m2) and state-derivative term ``zc``.
+    triple (m0, m1, m2) and state-derivative term ``zc``.  J's diagonal
+    is 1 and stays 1, so only its four entries at ``_J_OFF`` are read and
+    differentiated, and they enter as column and row updates.
     """
-    J = J[i]
-    Jt = _transpose(J)
+    Joff = np.stack([J[i, r, c] for r, c in _J_OFF])
+    d1off, d2off = g.d1(Joff), g.d2(Joff)
+    dtoff = (None if dJdt is None
+             else np.stack([dJdt[i, r, c] for r, c in _J_OFF]))
     for k, m in enumerate((m0, m1, m2)):
-        out[k][i] = _mat_mul(Jt, _mat_mul(m, J))
-    inner = _mat_mul(zc, J) + _mat_mul(m1, g.d1(J)) + _mat_mul(m2, g.d2(J))
-    if dJdt is not None:
-        inner = inner + _mat_mul(m0, dJdt[i])
-    out[3][i] = _mat_mul(Jt, inner)
+        out[k][i] = _jt_times(Joff, _times_j(m, Joff))
+    inner = _times_j(zc, Joff)
+    for m, off in ((m1, d1off), (m2, d2off), (m0, dtoff)):
+        if off is not None:
+            for c, col in _off_columns(np.swapaxes(m, 0, 1), off).items():
+                inner[:, c] += col
+    out[3][i] = _jt_times(Joff, inner)
 
 
 def assemble_effective(frame: BasicFrame, lam_field: np.ndarray | None = None,

@@ -3,15 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cvsheet.evolve as ev
 from cvsheet.evolve import (NumericsError, cfl_timestep, evolve,
                             step_linearized)
-from cvsheet.front import FrontField, lift_front, make_cutoff, straighten
+from cvsheet.front import (FrontField, lift_front, make_cutoff, straighten,
+                           straightened_coefficients)
 from cvsheet.grid import Grid, diff_time
-from cvsheet.linearized import (IH2V, IHN, BasicState,
+from cvsheet.linearized import (IH2V, IHN, BasicFrame, BasicState,
                                 BoundaryStructureError,
                                 apply_effective_operator, assemble_effective,
                                 c_matrix, good_unknown, good_unknown_inverse,
-                                homogenize_boundary,
+                                homogenize_boundary, j_matrix,
                                 reconstruct_front_derivatives,
                                 sheared_sheet_state, solve_g3_transport,
                                 trivial_sheet_state, validate_basic_state)
@@ -19,6 +21,7 @@ from cvsheet.mhd import (IH1, IH2, IP, IU1, IU2, AdmissibilityError,
                          IdealGasEos, PhysState, assemble_a0, assemble_a1,
                          assemble_a2, coefficient_jacobians)
 from cvsheet.scenarios import ManufacturedBoundaryData, ManufacturedForcing
+from cvsheet.stability import assemble_symmetrizer
 
 EOS = IdealGasEos()
 
@@ -519,3 +522,126 @@ def test_apply_effective_operator_constant_state_zero(grid):
     U = np.tile(b.U[0][None], (nt, 1, 1, 1, 1)) * 0.0
     out = apply_effective_operator(b, U, tg)
     assert np.allclose(out, 0.0)
+
+
+def _dense_families(fr, lam, dJdt):
+    """(A, B) families by dense 6x6 contractions with J, d1J, d2J, dJ/dt."""
+    g = fr.grid
+
+    def mm(a, b):
+        return np.einsum("ik...,kj...->ij...", a, b)
+
+    J = j_matrix(fr)
+    d1J, d2J = g.d1(J), g.d2(J)
+    C = c_matrix(fr.U, fr.Ut, fr.lifted, EOS)
+    A = [np.empty_like(J) for _ in range(4)]
+    B = [np.empty_like(J) for _ in range(4)]
+    for i, (a0, a1t, a2) in enumerate(
+            straightened_coefficients(fr.U, fr.lifted, EOS)):
+        sym = assemble_symmetrizer(fr.states[i], lam[i], EOS)
+        b1t = straighten(sym.B0, sym.B1, sym.B2, fr.lifted, i)
+        Jt = np.swapaxes(J[i], 0, 1)
+        for fam, (m0, m1, m2, zc) in ((A, (a0, a1t, a2, C[i])),
+                                      (B, (sym.B0, b1t, sym.B2,
+                                           mm(sym.S, C[i])))):
+            for k, m in enumerate((m0, m1, m2)):
+                fam[k][i] = mm(Jt, mm(m, J[i]))
+            inner = (mm(zc, J[i]) + mm(m1, d1J[i]) + mm(m2, d2J[i])
+                     + mm(m0, dJdt[i]))
+            fam[3][i] = mm(Jt, inner)
+    return A, B
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), amp=st.floats(0.05, 0.3),
+       rate=st.floats(0.1, 1.0))
+def test_sparse_conjugation_equals_dense_contraction(seed, amp, rate):
+    # J = I + four entries: the row and column updates of _conjugate sum
+    # the same nonzero products in the same order as the dense einsums,
+    # so every coefficient agrees bit for bit
+    grid = Grid(n1=12, n2=12, L1=2 * np.pi, L2=2 * np.pi)
+    rng = np.random.default_rng(seed)
+    b = sheared_sheet_state(grid, EOS, rng=rng)
+
+    def frame(a, shift):
+        return BasicFrame(b, b.U[0], 0.1 * rng.normal(size=b.U[0].shape),
+                          a * np.sin(grid.x2 + shift),
+                          rate * np.cos(grid.x2))
+
+    fr = frame(amp, 0.0)
+    dJdt = (j_matrix(frame(1.1 * amp, 0.05))
+            - j_matrix(frame(0.9 * amp, -0.05))) / 0.1
+    assert np.max(np.abs(fr.lifted.d2_psi)) > 0
+    assert np.max(np.abs(fr.lifted.dt_psi)) > 0
+    assert np.max(np.abs(dJdt)) > 0
+    lam = rng.uniform(0.0, 0.1, size=(2, grid.n1, grid.n2))
+    ops = assemble_effective(fr, lam, dJdt=dJdt)
+    A, B = _dense_families(fr, lam, dJdt)
+    got = (ops.A0, ops.A1, ops.A2, ops.A3, ops.B0, ops.B1, ops.B2, ops.B3)
+    for x, want in zip(got, A + B):
+        assert np.array_equal(x, want)
+
+
+_APPLIED = ("M1", "M2", "M3", "A0invJt", "J")
+
+
+def _trivial_stepper(grid):
+    b = trivial_sheet_state(grid, EOS, u2_jump=0.5, H2_plus=1.4,
+                            H2_minus=1.2)
+    return ev.LinearizedStepper(
+        b, forcing=ManufacturedForcing(grid, amplitude=1.0, k2=2))
+
+
+def test_uniform_coefficients_are_stored_compact(grid):
+    co = _trivial_stepper(grid).cache.at(0.0)
+    for key in _APPLIED:
+        assert co[key].shape == (2, 6, 6, 1, 1), key
+    # exact stencils: the zero-order coefficient of the planar sheet is 0
+    assert not np.any(co["M3"])
+    assert co["ops"].A0.shape == (2, 6, 6, grid.n1, grid.n2)
+    sheared = sheared_sheet_state(grid, EOS, rng=np.random.default_rng(4))
+    co = ev._CoeffCache(sheared, None).at(0.0)
+    for key in _APPLIED:
+        assert co[key].shape == (2, 6, 6, grid.n1, grid.n2), key
+
+
+def test_compact_rhs_equals_full_rhs(grid):
+    stepper = _trivial_stepper(grid)
+    co = stepper.cache.at(0.0)
+    full = dict(co)
+    for key in _APPLIED:
+        full[key] = np.ascontiguousarray(
+            np.broadcast_to(co[key], (2, 6, 6, grid.n1, grid.n2)))
+    rng = np.random.default_rng(8)
+    V = rng.normal(size=(2, 6, grid.n1, grid.n2))
+    phi = rng.normal(size=grid.n2)
+    g = rng.normal(size=(3, grid.n2))
+    for got, want in zip(stepper.rhs(V, phi, 0.3, co, g),
+                         stepper.rhs(V, phi, 0.3, full, g)):
+        assert np.array_equal(got, want)
+
+
+def test_interpolation_mixes_compact_and_full_bundles(grid):
+    # the planar sheet at t = 0 grows an x1 bump linearly in time: the
+    # bundle at t = 0 keeps M1 and M2 compact, the one at t = 1/2 holds
+    # full fields, and their interpolation broadcasts
+    flat = trivial_sheet_state(grid, EOS, H2_plus=1.3, H2_minus=1.1)
+    tgrid = np.array([0.0, 0.5, 1.0])
+    U = np.repeat(flat.U, len(tgrid), axis=0)
+    ramp = 0.05 * tgrid[:, None, None, None]
+    U[:, :, IH2] += ramp * np.cos(grid.x1)[:, None]
+    U[:, :, IP] += ramp * np.sin(grid.x1)[:, None]
+    basic = BasicState(grid=grid, eos=EOS, U=U,
+                       phi=np.zeros((len(tgrid), grid.n2)), tgrid=tgrid)
+    cache = ev._CoeffCache(basic, None)
+    b0, b1 = cache._bundle(0), cache._bundle(1)
+    full = (2, 6, 6, grid.n1, grid.n2)
+    assert b0["M1"].shape == b0["M2"].shape == (2, 6, 6, 1, 1)
+    assert b1["M1"].shape == b1["M2"].shape == full
+    w = 0.375
+    mid = cache.at(w * tgrid[1])
+    for key in ev._CoeffCache._KEYS:
+        want = ((1 - w) * np.broadcast_to(b0[key], b1[key].shape)
+                + w * b1[key])
+        assert mid[key].shape == b1[key].shape, key
+        assert np.array_equal(mid[key], want), key

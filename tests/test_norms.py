@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cvsheet.norms as norms_module
-from cvsheet.grid import Grid, GridFunction
+from cvsheet.grid import Grid, GridFunction, diff_time
 from cvsheet.norms import (HARNESS_KINDS, MultiIndex, _l2,
                            conormal_derivative, enumerate_indices,
                            hm_star_norm, inequality_harness, lift,
@@ -170,11 +170,31 @@ def test_walk_keeps_the_per_index_checks():
 def test_periodic_d2_equals_roll_oracle(n2):
     grid = Grid(n1=6, n2=n2, L1=2.0, L2=2 * np.pi)
     f = np.random.default_rng(n2).normal(size=(3, 6, n2))
-    oracle = (-np.roll(f, -2, axis=-1) + 8.0 * np.roll(f, -1, axis=-1)
-              - 8.0 * np.roll(f, 1, axis=-1) + np.roll(f, 2, axis=-1)) \
+    oracle = (8.0 * (np.roll(f, -1, axis=-1) - np.roll(f, 1, axis=-1))
+              - (np.roll(f, -2, axis=-1) - np.roll(f, 2, axis=-1))) \
         / (12.0 * grid.h2)
     assert np.array_equal(grid.d2(f), oracle)
     assert np.array_equal(grid.d2_boundary(f[:, 0]), oracle[:, 0])
+
+
+@pytest.mark.parametrize("n", [5, 256])
+def test_stencils_vanish_exactly_on_constants(n):
+    # weighted differences: f[k] - f[l] is exactly 0 on a constant, so
+    # every stencil returns exact zeros, edges and wrap included
+    grid = Grid(n1=n, n2=n, L1=2.0, L2=2 * np.pi)
+    rng = np.random.default_rng(n)
+    c = np.full((2, n, n), 1.4)
+    x2_only = np.broadcast_to(rng.normal(size=(2, 1, n)), (2, n, n))
+    x1_only = np.broadcast_to(rng.normal(size=(2, n, 1)), (2, n, n))
+    for f in (c, x2_only):
+        assert not np.any(grid.d1(f))
+    for f in (c, x1_only):
+        assert not np.any(grid.d2(f))
+    assert not np.any(grid.d2_boundary(c[:, 0]))
+    steady = np.broadcast_to(rng.normal(size=(1, 3, 4)), (n, 3, 4))
+    for order in (2, 4):
+        assert not np.any(diff_time(steady, 0.1, order=order))
+        assert not np.any(diff_time(np.full((n, 3), 1.4), 0.1, order=order))
 
 
 def test_w_star_norm_orders(grid):
