@@ -44,6 +44,7 @@ class NumericsError(RuntimeError):
 
 
 _MAX_STEPS = 200_000    # evolve refuses a march longer than this
+_STEP_ROUNDOFF = 1e-9   # t_final / dt up to this above n takes n steps
 _CFL_GUARD = 1.25       # step_linearized accepts dt up to this x the CFL step
 _SPONGE_WIDTH = 0.2     # absorbing collar: the outer fifth of [0, L1]
 
@@ -231,7 +232,7 @@ def evolve(basic: BasicState, t_final: float, *, forcing=None, bdata=None,
                                 sponge_strength=sponge_strength)
     cache = stepper.cache
     dt = dt_override or stepper.dt_cfl
-    nsteps = int(np.ceil(t_final / dt))
+    nsteps = int(np.ceil(t_final / dt - _STEP_ROUNDOFF))
     if nsteps > _MAX_STEPS:
         raise NumericsError(f"CFL step count {nsteps} exceeds {_MAX_STEPS}")
     dt = t_final / nsteps

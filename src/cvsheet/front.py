@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import Grid
-from .mhd import PhysState, assemble_a0, assemble_a1, assemble_a2
+from .mhd import PhysState, assemble_coefficients
 from .profiles import CutoffChi, make_cutoff
 
 __all__ = [
@@ -161,10 +161,9 @@ def straightened_coefficients(U: np.ndarray, lifted: LiftedFront, eos):
             "violates the smallness hypothesis sup|phi| < 1/2" % _JAC_TOL)
     out = []
     for i in range(2):
-        st = PhysState.from_vector(U[i])
-        a0, a2 = assemble_a0(st, eos), assemble_a2(st, eos)
-        a1t = straighten(a0, assemble_a1(st, eos), a2, lifted, i)
-        out.append((a0, a1t, a2))
+        a0, a1, a2 = assemble_coefficients(PhysState.from_vector(U[i]), eos)
+        a1 = straighten(a0, a1, a2, lifted, i)   # frees A1 before side i+1
+        out.append((a0, a1, a2))
     return out
 
 

@@ -356,10 +356,9 @@ def c_matrix(U: np.ndarray, Ut: np.ndarray, lifted: LiftedFront,
     Raises ``AdmissibilityError`` outside the hyperbolic region of the EOS.
     """
     grid = lifted.grid
-    _require_admissible(PhysState.from_vector(U.swapaxes(0, 1)), eos)
+    rho, rho_p = _require_admissible(PhysState.from_vector(U.swapaxes(0, 1)),
+                                     eos)
     p, S = U[:, IP], U[:, IS]
-    rho = eos.density(p, S)
-    rho_p = eos.density_dp(p, S)
     rho_S = eos.density_dS(p, S)
     g = rho_p / rho
     g_p = (eos.density_dpp(p, S) * rho - rho_p ** 2) / rho ** 2

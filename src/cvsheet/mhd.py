@@ -90,7 +90,8 @@ class PhysState:
                    side=side)
 
 
-def _require_admissible(state: PhysState, eos, k: float = 1e-6) -> None:
+def _require_admissible(state: PhysState, eos, k: float = 1e-6):
+    """(rho, drho/dp) of an admissible state; raises outside the margin."""
     p = np.asarray(state.p, dtype=float)
     if np.any(p <= 0.0):
         raise AdmissibilityError("pressure must be positive (density undefined)")
@@ -101,18 +102,18 @@ def _require_admissible(state: PhysState, eos, k: float = 1e-6) -> None:
     if np.any(rho_p < k):
         raise AdmissibilityError(
             f"drho/dp below margin k={k}: min rho_p={np.min(rho_p)}")
+    return rho, rho_p
 
 
 def sound_speed(state: PhysState, eos, k: float = 1e-6):
     """c = sqrt(1 / (drho/dp)); raises on non-admissible states."""
-    _require_admissible(state, eos, k)
-    return np.sqrt(1.0 / eos.density_dp(state.p, state.S))
+    _, rho_p = _require_admissible(state, eos, k)
+    return np.sqrt(1.0 / rho_p)
 
 
 def alfven_speed(state: PhysState, eos, k: float = 1e-6):
     """c_A = |H| / sqrt(rho)."""
-    _require_admissible(state, eos, k)
-    rho = eos.density(state.p, state.S)
+    rho, _ = _require_admissible(state, eos, k)
     return np.hypot(np.asarray(state.H1, float), np.asarray(state.H2, float)) / np.sqrt(rho)
 
 
@@ -123,64 +124,49 @@ def _zeros_like_state(state: PhysState):
     return shape
 
 
-def assemble_a0(state: PhysState, eos, k: float = 1e-6) -> np.ndarray:
-    """A0 = diag(1/(rho c^2), rho, rho, 1, 1, 1), shape (6, 6, *field)."""
-    _require_admissible(state, eos, k)
+def assemble_coefficients(state: PhysState, eos, k: float = 1e-6):
+    """(A0, A1, A2), each (6, 6, *field); A1 and A2 are symmetric.
+
+    A0 = diag(1/(rho c^2), rho, rho, 1, 1, 1).  The density and its
+    pressure derivative come once from the admissibility check and serve
+    all three matrices.
+    """
+    rho, rho_p = _require_admissible(state, eos, k)
     shape = _zeros_like_state(state)
-    rho = np.broadcast_to(eos.density(state.p, state.S), shape)
-    g = np.broadcast_to(eos.density_dp(state.p, state.S), shape) / rho  # 1/(rho c^2)
-    A = np.zeros((NCOMP, NCOMP) + shape)
-    A[IP, IP] = g
-    A[IU1, IU1] = rho
-    A[IU2, IU2] = rho
-    A[IH1, IH1] = 1.0
-    A[IH2, IH2] = 1.0
-    A[IS, IS] = 1.0
-    return A
+    rho = np.broadcast_to(rho, shape)
+    g = np.broadcast_to(rho_p, shape) / rho  # 1/(rho c^2)
+    u1, u2, H1, H2 = (np.broadcast_to(np.asarray(f, float), shape)
+                      for f in (state.u1, state.u2, state.H1, state.H2))
+    A0 = np.zeros((NCOMP, NCOMP) + shape)
+    A0[IP, IP] = g
+    A0[IU1, IU1] = rho
+    A0[IU2, IU2] = rho
+    A0[IH1, IH1] = 1.0
+    A0[IH2, IH2] = 1.0
+    A0[IS, IS] = 1.0
 
+    A1 = np.zeros_like(A0)
+    A1[IP, IP] = u1 * g
+    A1[IP, IU1] = A1[IU1, IP] = 1.0
+    A1[IU1, IU1] = rho * u1
+    A1[IU1, IH2] = A1[IH2, IU1] = H2
+    A1[IU2, IU2] = rho * u1
+    A1[IU2, IH2] = A1[IH2, IU2] = -H1
+    A1[IH1, IH1] = u1
+    A1[IH2, IH2] = u1
+    A1[IS, IS] = u1
 
-def assemble_a1(state: PhysState, eos, k: float = 1e-6) -> np.ndarray:
-    """x1-direction coefficient matrix (symmetric)."""
-    _require_admissible(state, eos, k)
-    shape = _zeros_like_state(state)
-    rho = np.broadcast_to(eos.density(state.p, state.S), shape)
-    g = np.broadcast_to(eos.density_dp(state.p, state.S), shape) / rho
-    u1 = np.broadcast_to(np.asarray(state.u1, float), shape)
-    H1 = np.broadcast_to(np.asarray(state.H1, float), shape)
-    H2 = np.broadcast_to(np.asarray(state.H2, float), shape)
-    A = np.zeros((NCOMP, NCOMP) + shape)
-    A[IP, IP] = u1 * g
-    A[IP, IU1] = A[IU1, IP] = 1.0
-    A[IU1, IU1] = rho * u1
-    A[IU1, IH2] = A[IH2, IU1] = H2
-    A[IU2, IU2] = rho * u1
-    A[IU2, IH2] = A[IH2, IU2] = -H1
-    A[IH1, IH1] = u1
-    A[IH2, IH2] = u1
-    A[IS, IS] = u1
-    return A
-
-
-def assemble_a2(state: PhysState, eos, k: float = 1e-6) -> np.ndarray:
-    """x2-direction coefficient matrix (symmetric)."""
-    _require_admissible(state, eos, k)
-    shape = _zeros_like_state(state)
-    rho = np.broadcast_to(eos.density(state.p, state.S), shape)
-    g = np.broadcast_to(eos.density_dp(state.p, state.S), shape) / rho
-    u2 = np.broadcast_to(np.asarray(state.u2, float), shape)
-    H1 = np.broadcast_to(np.asarray(state.H1, float), shape)
-    H2 = np.broadcast_to(np.asarray(state.H2, float), shape)
-    A = np.zeros((NCOMP, NCOMP) + shape)
-    A[IP, IP] = u2 * g
-    A[IP, IU2] = A[IU2, IP] = 1.0
-    A[IU1, IU1] = rho * u2
-    A[IU1, IH1] = A[IH1, IU1] = -H2
-    A[IU2, IU2] = rho * u2
-    A[IU2, IH1] = A[IH1, IU2] = H1
-    A[IH1, IH1] = u2
-    A[IH2, IH2] = u2
-    A[IS, IS] = u2
-    return A
+    A2 = np.zeros_like(A0)
+    A2[IP, IP] = u2 * g
+    A2[IP, IU2] = A2[IU2, IP] = 1.0
+    A2[IU1, IU1] = rho * u2
+    A2[IU1, IH1] = A2[IH1, IU1] = -H2
+    A2[IU2, IU2] = rho * u2
+    A2[IU2, IH1] = A2[IH1, IU2] = H1
+    A2[IH1, IH1] = u2
+    A2[IH2, IH2] = u2
+    A2[IS, IS] = u2
+    return A0, A1, A2
 
 
 def coefficient_jacobians(state: PhysState, eos, k: float = 1e-6):

@@ -4,17 +4,19 @@ Starting from zero, each step linearizes about a smooth modified state
 (the smoothed iterate with its kinematic wall relation and magnetic
 transport restored), solves the effective linear problem for the
 good-unknown increment and front increment, undoes the Alinhac
-substitution, and accumulates the linearization errors.  The interior
-error of step i is
+substitution, and accumulates the linearization errors: literal operator
+differences at the iterate V_i and the modified state V_{i+1/2},
 
-    e_i = e'_i + e''_i + e'''_i + D_{i+1/2} dPsi_i,
-    e'_i = calL(V_{i+1}) - calL(V_i) - L'(V_i) dV_i,
+    e'_i = calL(V_{i+1}) - calL(V_i) - L'(V_i)[dV_i, dpsi_i],
+    e_i  = calL(V_{i+1}) - calL(V_i) - L'(V_{i+1/2})[dV_i, dpsi_i] + D dPsi_i,
+    e~_i = B(V_{i+1}) - B(V_i) - B'_e(V_{i+1/2})[Udot_i, dpsi_i].
 
-with e''_i, e'''_i the base changes V_i -> S_theta V_i -> V_{i+1/2}, and the
-boundary error is built the same way from B.  calL(V_i) and B(V_i) are
-carried in ``IterationState`` from the residual of step i-1, so each
-operator value is computed once per iterate.  The source updates keep the
-telescoping identities
+The paper's base changes e''_i + e'''_i (V_i -> S_theta V_i -> V_{i+1/2})
+are folded into L'(V_i) - L'(V_{i+1/2}), not formed apart: reporting them
+separately would need the linearization at S_theta V_i again.  calL(V_i)
+and B(V_i) are carried in ``IterationState`` from the residual of step
+i-1, so each operator value is computed once per iterate.  The source
+updates keep the telescoping identities
 
     sum_{k<=i} f_k + S_{theta_i} E_i = S_{theta_i} F^a,
     sum_{k<=i} g_k + S_{theta_i} E~_i = 0
@@ -45,6 +47,7 @@ from .smoothing import Smoother
 _STABILITY_K = 1e-4          # least stability margin of a modified state
 _MODIFIED_STATE_TOL = 1e-6   # largest kinematic wall residual it may have
 _TRANSPORT_SUBSTEPS = 2      # Heun substeps per snapshot of the H transport
+_SNAPSHOT_TOL = 1e-9         # largest snapshot time error, in units of dt
 
 
 @dataclass(frozen=True)
@@ -59,9 +62,6 @@ class ThetaSchedule:
 
     def theta(self, i):
         return np.sqrt(self.theta0 ** 2 + np.asarray(i, dtype=float))
-
-    def delta(self, i):
-        return self.theta(np.asarray(i) + 1) - self.theta(i)
 
     def bounds_hold(self, i_max: int) -> bool:
         i = np.arange(i_max + 1, dtype=float)
@@ -90,50 +90,61 @@ class SheetOperators:
         self.tgrid = np.asarray(tgrid, dtype=float)
         self.dt = float(tgrid[1] - tgrid[0])
 
-    def _lift(self, phi_n, phit_n):
-        return lift_front(FrontField(phi=phi_n, grid=self.grid,
-                                     dphi_t=phit_n), self.chi)
+    def _lift(self, phi, phit):
+        return lift_front(FrontField(phi=phi, grid=self.grid, dphi_t=phit),
+                          self.chi)
 
-    def nonlinear_L(self, U: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        """L(U, Psi) = A0(U) dt U + A1~(U, Psi) d1 U + A2(U) d2 U."""
+    def _walk(self, U, phi):
+        """Per snapshot of (U, phi): dtU, d1U, d2U, the front lift and the
+        per-side straightened coefficients (A0, A1~, A2)."""
         g = self.grid
         dtU = diff_time(U, self.dt, axis=0, order=4)
         dtphi = diff_time(phi, self.dt, axis=0, order=4)
-        out = np.empty_like(U)
         for n in range(U.shape[0]):
             lifted = self._lift(phi[n], dtphi[n])
-            for i, co in enumerate(
-                    straightened_coefficients(U[n], lifted, self.eos)):
-                out[n, i] = apply_L(co, dtU[n, i], g.d1(U[n, i]),
-                                    g.d2(U[n, i]))
+            yield (dtU[n], g.d1(U[n]), g.d2(U[n]), lifted,
+                   straightened_coefficients(U[n], lifted, self.eos))
+
+    def nonlinear_L(self, U: np.ndarray, phi: np.ndarray) -> np.ndarray:
+        """L(U, Psi) = A0(U) dt U + A1~(U, Psi) d1 U + A2(U) d2 U."""
+        out = np.empty_like(U)
+        for n, (dtU, d1U, d2U, _, coeffs) in enumerate(self._walk(U, phi)):
+            for i, co in enumerate(coeffs):
+                out[n, i] = apply_L(co, dtU[i], d1U[i], d2U[i])
         return out
 
-    def linearized_L(self, Uhat: np.ndarray, phihat: np.ndarray,
-                     dU: np.ndarray, dphi: np.ndarray) -> np.ndarray:
-        """Full linearization at (Uhat, phihat) applied to (dU, dphi)."""
-        g = self.grid
-        dtUhat = diff_time(Uhat, self.dt, axis=0, order=4)
-        dtphihat = diff_time(phihat, self.dt, axis=0, order=4)
-        dt_dU = diff_time(dU, self.dt, axis=0, order=4)
-        dt_dphi = diff_time(dphi, self.dt, axis=0, order=4)
-        out = np.empty_like(dU)
-        for n in range(Uhat.shape[0]):
-            lifted = self._lift(phihat[n], dtphihat[n])
-            dlift = self._lift(dphi[n], dt_dphi[n])
-            C = c_matrix(Uhat[n], dtUhat[n], lifted, self.eos)
-            d1Uhat = g.d1(Uhat[n])
-            for i, (a0, a1t, a2) in enumerate(
-                    straightened_coefficients(Uhat[n], lifted, self.eos)):
-                lin = (apply_L((a0, a1t, a2), dt_dU[n, i], g.d1(dU[n, i]),
-                               g.d2(dU[n, i]))
-                       + np.einsum("ij...,j...->i...", C[i], dU[n, i]))
-                # front coupling: -(L dPsi) (d1 Uhat / d1 Phihat)
-                Lpsi = (a0 * dlift.dt_psi[i] + a1t * dlift.d1_psi[i]
-                        + a2 * dlift.d2_psi[i])
-                lin -= np.einsum("ij...,j...->i...", Lpsi,
-                                 d1Uhat[i] / lifted.d1_phi_map[i])
-                out[n, i] = lin
-        return out
+    def increment(self, dU: np.ndarray, dphi: np.ndarray) -> tuple:
+        """(dU, dt dU, d1 dU, d2 dU, lift of dphi) over the whole series:
+        what every base point of ``linearized_L`` reads of the increment."""
+        g, dt = self.grid, self.dt
+        return (dU, diff_time(dU, dt, axis=0, order=4), g.d1(dU), g.d2(dU),
+                self._lift(dphi, diff_time(dphi, dt, axis=0, order=4)))
+
+    def linearized_L(self, Uhat: np.ndarray, phihat: np.ndarray, inc):
+        """(L(Uhat), L'(Uhat)[dU, dphi]) at (Uhat, phihat), from one walk.
+
+        ``inc`` is ``increment(dU, dphi)``.  With r1 = d1Uhat / d1Phihat
+        and Psi the lift of dphi, the front increment shifts every
+        derivative of dU:
+
+            L' = A0 (dt dU - dtPsi r1) + A1~ (d1 dU - d1Psi r1)
+                 + A2 (d2 dU - d2Psi r1) + C dU.
+        """
+        dU, dt_dU, d1_dU, d2_dU, dl = inc
+        value = np.empty_like(Uhat)
+        lin = np.empty_like(Uhat)
+        for n, (dtU, d1U, d2U, lifted, coeffs) in enumerate(
+                self._walk(Uhat, phihat)):
+            C = c_matrix(Uhat[n], dtU, lifted, self.eos)
+            r1 = d1U / lifted.d1_phi_map[:, None]
+            for i, co in enumerate(coeffs):
+                value[n, i] = apply_L(co, dtU[i], d1U[i], d2U[i])
+                lin[n, i] = (
+                    apply_L(co, dt_dU[n, i] - dl.dt_psi[i, n] * r1[i],
+                            d1_dU[n, i] - dl.d1_psi[i, n] * r1[i],
+                            d2_dU[n, i] - dl.d2_psi[i, n] * r1[i])
+                    + np.einsum("ij...,j...->i...", C[i], dU[n, i]))
+        return value, lin
 
     def boundary_B(self, U: np.ndarray, phi: np.ndarray) -> np.ndarray:
         """Nonlinear wall operator: (dphi/dt - uN+, dphi/dt - uN-, [q])."""
@@ -146,38 +157,28 @@ class SheetOperators:
         return np.stack([dtphi - uN[:, 0], dtphi - uN[:, 1],
                          q[:, 0] - q[:, 1]], axis=1)
 
-    def boundary_B_prime(self, Uhat, phihat, dU, dphi) -> np.ndarray:
-        """Linearized wall operator at (Uhat, phihat)."""
+    def boundary_B_e_prime(self, Uhat, phihat, dUdot, dphi) -> np.ndarray:
+        """Good-unknown wall operator at (Uhat, phihat): the linearized B
+        applied to (dUdot, dphi) plus the zero-order front terms
+        -dphi d1uN+, +dphi d1uN- and dphi (d1q+ + d1q-)."""
         g = self.grid
         dt_dphi = diff_time(dphi, self.dt, axis=0, order=4)
-        d2_dphi = np.stack([g.d2_boundary(p) for p in dphi])
-        d2phihat = np.stack([g.d2_boundary(p) for p in phihat])
+        d2_dphi = g.d2_boundary(dphi)
+        d2phihat = g.d2_boundary(phihat)
+        uN = Uhat[:, :, IU1] - Uhat[:, :, IU2] * d2phihat[:, None, None, :]
+        q = Uhat[:, :, IP] + 0.5 * (Uhat[:, :, IH1] ** 2
+                                    + Uhat[:, :, IH2] ** 2)
+        d1uN = g.d1(uN)[..., 0, :]
+        d1q = g.d1(q)[..., 0, :]
         trh = Uhat[:, :, :, 0, :]
-        trd = dU[:, :, :, 0, :]
+        trd = dUdot[:, :, :, 0, :]
         duN = trd[:, :, IU1] - trd[:, :, IU2] * d2phihat[:, None, :]
         dq = trd[:, :, IP] + (trh[:, :, IH1] * trd[:, :, IH1]
                               + trh[:, :, IH2] * trd[:, :, IH2])
         return np.stack([
-            dt_dphi + trh[:, 0, IU2] * d2_dphi - duN[:, 0],
-            dt_dphi + trh[:, 1, IU2] * d2_dphi - duN[:, 1],
-            dq[:, 0] - dq[:, 1]], axis=1)
-
-    def boundary_B_e_prime(self, Uhat, phihat, dUdot, dphi) -> np.ndarray:
-        """Good-unknown wall operator (zero-order front terms included)."""
-        g = self.grid
-        base = self.boundary_B_prime(Uhat, phihat, dUdot, dphi)
-        d2phihat = np.stack([g.d2_boundary(p) for p in phihat])
-        uN = (Uhat[:, :, IU1] - Uhat[:, :, IU2]
-              * d2phihat[:, None, None, :])
-        d1uN = np.stack([g.d1(uN[:, i])[:, 0, :] for i in range(2)], axis=1)
-        q = Uhat[:, :, IP] + 0.5 * (Uhat[:, :, IH1] ** 2
-                                    + Uhat[:, :, IH2] ** 2)
-        d1q = np.stack([g.d1(q[:, i])[:, 0, :] for i in range(2)], axis=1)
-        out = base.copy()
-        out[:, 0] -= dphi * d1uN[:, 0]
-        out[:, 1] += dphi * d1uN[:, 1]
-        out[:, 2] += dphi * (d1q[:, 0] + d1q[:, 1])
-        return out
+            dt_dphi + trh[:, 0, IU2] * d2_dphi - duN[:, 0] - dphi * d1uN[:, 0],
+            dt_dphi + trh[:, 1, IU2] * d2_dphi - duN[:, 1] + dphi * d1uN[:, 1],
+            dq[:, 0] - dq[:, 1] + dphi * (d1q[:, 0] + d1q[:, 1])], axis=1)
 
 
 # -- iteration ----------------------------------------------------------------
@@ -294,7 +295,7 @@ class NashMoserDriver:
         the wall; H solves the induction transport of the summed state (no
         wall condition needed: the normal coefficient vanishes there by the
         kinematic relation just enforced).  Returns the validated summed
-        state (U^a + V_{i+1/2}, phi^a + psi_{i+1/2}) and S_theta V.
+        state (U^a + V_{i+1/2}, phi^a + psi_{i+1/2}).
         """
         g = self.grid
         nt = self.nt
@@ -321,7 +322,7 @@ class NashMoserDriver:
         basic = BasicState(grid=g, eos=self.eos, U=self.Ua + Vh, phi=phi_half,
                            tgrid=self.tgrid, chi=self.chi)
         self._check_modified(basic)
-        return basic, SV
+        return basic
 
     def _transport_H(self, Vh, phi_f):
         """March the induction transport for H' = H^a + H_{i+1/2}."""
@@ -366,7 +367,7 @@ class NashMoserDriver:
         i = state.i
         theta = float(self.schedule.theta(i))
 
-        basic, SV = self.modified_state(state, theta)
+        basic = self.modified_state(state, theta)
 
         # sources from the telescoping identities
         f_i = self.smooth_field(self.Fa - state.E, theta) - state.f_sum
@@ -381,9 +382,10 @@ class NashMoserDriver:
                       ledger=False, snapshot_times=self.tgrid,
                       dt_override=self.dt / substeps, sponge_strength=0.0)
         dVdot_char = traj.snapshots
-        if dVdot_char.shape[0] != nt:
-            raise NumericsError("snapshot sampling misaligned with tgrid")
-        dpsi = _resample(traj.times, traj.phi, self.tgrid)
+        if (dVdot_char.shape[0] != nt or np.max(np.abs(
+                traj.snapshot_times - self.tgrid)) > _SNAPSHOT_TOL * self.dt):
+            raise NumericsError("snapshot times of the solve are not tgrid")
+        dpsi = traj.phi[np.searchsorted(traj.times, traj.snapshot_times)]
 
         # undo the characteristic change and Alinhac substitution
         dUdot = np.empty_like(dVdot_char)
@@ -395,16 +397,14 @@ class NashMoserDriver:
             jac[n, :, 0] = fr.lifted.d1_phi_map
         dPsi = self.lift_psi(dpsi)[:, :, None]
         dV = dUdot + g.d1(basic.U) / jac * dPsi
-        # D_{i+1/2} dPsi: the zero-order front term the linear solve drops
-        d_term = dPsi / jac * g.d1(self.ops.nonlinear_L(basic.U, basic.phi))
 
         V_next = state.V + dV
         psi_next = state.psi + dpsi
         calL_next = self.calL(V_next, psi_next)
         B_next = self.ops.boundary_B(self.Ua + V_next, self.phia + psi_next)
 
-        e, e1, etilde = self._error_terms(state, basic, SV, dV, dpsi, dUdot,
-                                          d_term, calL_next, B_next)
+        e, e1, etilde = self._error_terms(state, basic, dV, dpsi, dUdot,
+                                          dPsi / jac, calL_next, B_next)
         f_sum = state.f_sum + f_i
         g_sum = state.g_sum + g_i
 
@@ -431,22 +431,23 @@ class NashMoserDriver:
         })
         return new
 
-    def _error_terms(self, state, basic, SV, dV, dpsi, dUdot, d_term,
+    def _error_terms(self, state, basic, dV, dpsi, dUdot, shift,
                      calL_next, B_next):
-        """Literal operator-difference errors of one step: (e, e', e~)."""
-        ops = self.ops
-        U0, phi0 = self.Ua + state.V, self.phia + state.psi
-        Us = self.Ua + SV
-        lin0 = ops.linearized_L(U0, phi0, dV, dpsi)
-        lin_s = ops.linearized_L(Us, basic.phi, dV, dpsi)
-        lin_h = ops.linearized_L(basic.U, basic.phi, dV, dpsi)
-        e1 = (calL_next - state.calL) - lin0
-        e = e1 + (lin0 - lin_s) + (lin_s - lin_h) + d_term
+        """Literal operator-difference errors of one step: (e, e', e~).
 
-        bp0 = ops.boundary_B_prime(U0, phi0, dV, dpsi)
-        bps = ops.boundary_B_prime(Us, basic.phi, dV, dpsi)
-        bpe = ops.boundary_B_e_prime(basic.U, basic.phi, dUdot, dpsi)
-        etilde = ((B_next - state.B) - bp0) + (bp0 - bps) + (bps - bpe)
+        ``shift`` d1 L(V_{i+1/2}) is the D-term, with shift = dPsi / d1Phi
+        at the modified state: the front term the linear solve drops.
+        """
+        ops = self.ops
+        inc = ops.increment(dV, dpsi)
+        _, lin0 = ops.linearized_L(self.Ua + state.V, self.phia + state.psi,
+                                   inc)
+        L_half, lin_half = ops.linearized_L(basic.U, basic.phi, inc)
+        dcalL = calL_next - state.calL
+        e1 = dcalL - lin0
+        e = dcalL - lin_half + shift * self.grid.d1(L_half)
+        etilde = (B_next - state.B) - ops.boundary_B_e_prime(
+            basic.U, basic.phi, dUdot, dpsi)
         return e, e1, etilde
 
     # -- full run -----------------------------------------------------------------
@@ -489,12 +490,3 @@ class _SnapshotInterpolant:
     def __call__(self, t: float):
         k, w = bracket(self.tgrid, t)
         return (1 - w) * self.values[k] + w * self.values[k + 1]
-
-
-def _resample(times, values, tgrid):
-    """Sample trajectory history onto the iterate time grid."""
-    out = np.empty((len(tgrid),) + values.shape[1:])
-    for n, t in enumerate(tgrid):
-        k = int(np.argmin(np.abs(times - t)))
-        out[n] = values[k]
-    return out

@@ -18,9 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mhd import (IH1, IH2, IP, IU1, IU2, NCOMP, PhysState,
-                  assemble_a0, assemble_a1, assemble_a2, alfven_speed,
-                  sound_speed, _require_admissible)
+from .mhd import (IH1, IH2, IP, IU1, IU2, NCOMP, PhysState, alfven_speed,
+                  assemble_coefficients, sound_speed, _require_admissible)
 from .profiles import EtaProfile
 
 #: magnetic fields below this magnitude are routed through the one-sided
@@ -176,11 +175,11 @@ class SymmetrizerBundle:
 
 def symmetrizer_matrices(state: PhysState, lam, eos):
     """The multiplier pair (S, T): S is 6x6, T the divergence weight vector."""
-    _require_admissible(state, eos)
+    rho, rho_p = _require_admissible(state, eos)
     lam = np.asarray(lam, float)
     shape = np.broadcast_shapes(lam.shape, np.shape(np.asarray(state.p, float)))
-    rho = np.broadcast_to(eos.density(state.p, state.S), shape)
-    c2 = np.broadcast_to(1.0 / eos.density_dp(state.p, state.S), shape)
+    rho = np.broadcast_to(rho, shape)
+    c2 = np.broadcast_to(1.0 / rho_p, shape)
     H1 = np.broadcast_to(np.asarray(state.H1, float), shape)
     H2 = np.broadcast_to(np.asarray(state.H2, float), shape)
     lam = np.broadcast_to(lam, shape)
@@ -208,9 +207,7 @@ def assemble_symmetrizer(state: PhysState, lam, eos) -> SymmetrizerBundle:
     The T columns absorb the div H terms; all three outputs stay symmetric.
     """
     S, T = symmetrizer_matrices(state, lam, eos)
-    A0 = assemble_a0(state, eos)
-    A1 = assemble_a1(state, eos)
-    A2 = assemble_a2(state, eos)
+    A0, A1, A2 = assemble_coefficients(state, eos)
     B0 = np.einsum("ik...,kj...->ij...", S, A0)
     B1 = np.einsum("ik...,kj...->ij...", S, A1)
     B2 = np.einsum("ik...,kj...->ij...", S, A2)

@@ -5,7 +5,7 @@ from cvsheet.front import (DegenerateJacobianError, FrontField, TangentFrame,
                            lift_front, make_cutoff, straightened_coefficients,
                            transformed_vectors)
 from cvsheet.grid import Grid
-from cvsheet.mhd import IdealGasEos, PhysState, assemble_a1
+from cvsheet.mhd import IdealGasEos, PhysState, assemble_coefficients
 
 EOS = IdealGasEos()
 
@@ -75,7 +75,7 @@ def test_a1_tilde_flat_front_reduces_to_a1(grid):
     chi = make_cutoff()
     lifted = lift_front(FrontField(phi=np.zeros(grid.n2), grid=grid), chi)
     state = PhysState(p=1.2, u1=0.3, u2=-0.4, H1=0.2, H2=1.0, S=0.1)
-    A1 = assemble_a1(state, EOS)
+    A1 = assemble_coefficients(state, EOS)[1]
     (_, At_plus, _), (_, At_minus, _) = straightened_coefficients(
         _both_sides(state, grid), lifted, EOS)
     assert np.allclose(At_plus[..., 0, 0], A1)
@@ -92,10 +92,9 @@ def test_a1_tilde_symmetric_and_scaling(grid):
     At = straightened_coefficients(_both_sides(state, grid), lifted, EOS)[0][1]
     assert np.allclose(At, np.swapaxes(At, 0, 1))
     # steady front, u = H = 0: entries scale by 1/d1Phi pointwise
-    from cvsheet.mhd import assemble_a0, assemble_a2
+    _, A1, A2 = assemble_coefficients(state, EOS)
     i, j = 7, 11
-    expected = ((assemble_a1(state, EOS)
-                 - assemble_a2(state, EOS) * lifted.d2_psi[0])
+    expected = ((A1 - A2 * lifted.d2_psi[0])
                 / lifted.d1_phi_map[0])[..., i, j]
     assert np.allclose(At[..., i, j], expected)
 

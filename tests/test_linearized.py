@@ -18,8 +18,8 @@ from cvsheet.linearized import (IH2V, IHN, BasicFrame, BasicState,
                                 sheared_sheet_state, solve_g3_transport,
                                 trivial_sheet_state, validate_basic_state)
 from cvsheet.mhd import (IH1, IH2, IP, IU1, IU2, AdmissibilityError,
-                         IdealGasEos, PhysState, assemble_a0, assemble_a1,
-                         assemble_a2, coefficient_jacobians)
+                         IdealGasEos, PhysState, assemble_coefficients,
+                         coefficient_jacobians)
 from cvsheet.scenarios import ManufacturedBoundaryData, ManufacturedForcing
 from cvsheet.stability import assemble_symmetrizer
 
@@ -101,9 +101,7 @@ def test_c_matrix_matches_directional_fd(grid):
         out = np.empty_like(U)
         for i in range(2):
             st = PhysState.from_vector(U[i])
-            a0 = assemble_a0(st, EOS)
-            a1 = assemble_a1(st, EOS)
-            a2 = assemble_a2(st, EOS)
+            a0, a1, a2 = assemble_coefficients(st, EOS)
             a1t = (a1 - a0 * fr.lifted.dt_psi[i]
                    - a2 * fr.lifted.d2_psi[i]) / fr.lifted.d1_phi_map[i]
             out[i] = (np.einsum("ij...,j...->i...", a0, fr.Ut[i])
@@ -151,9 +149,7 @@ def test_c_matrix_matches_directional_fd_on_moving_curved_front(grid):
         out = np.empty_like(U)
         for i in range(2):
             st = PhysState.from_vector(U[i])
-            a0 = assemble_a0(st, EOS)
-            a1 = assemble_a1(st, EOS)
-            a2 = assemble_a2(st, EOS)
+            a0, a1, a2 = assemble_coefficients(st, EOS)
             a1t = (a1 - a0 * lifted.dt_psi[i]
                    - a2 * lifted.d2_psi[i]) / lifted.d1_phi_map[i]
             out[i] = (np.einsum("ij...,j...->i...", a0, Ut[i])
@@ -322,6 +318,19 @@ def test_march_interpolates_each_stage_time_once(monkeypatch):
     assert calls["bracket"] <= 2 * nsteps + 1
     # the CFL bound, then value and dJ/dt ends of each snapshot bundle
     assert calls["frame"] == 1 + 3 * len(basic.tgrid)
+
+
+def test_whole_number_of_steps_takes_exactly_that_many():
+    # 0.6 / (0.1 / 5) evaluates to 30.000000000000004: still 30 steps, and
+    # every snapshot on its requested time
+    grid = Grid(n1=16, n2=16, L1=2 * np.pi, L2=2 * np.pi)
+    tgrid = np.linspace(0.0, 0.6, 7)
+    dt = (tgrid[1] - tgrid[0]) / 5
+    assert tgrid[-1] / dt > 30
+    traj = evolve(trivial_sheet_state(grid, EOS), t_final=tgrid[-1],
+                  dt_override=dt, ledger=False, snapshot_times=tgrid)
+    assert len(traj.times) == 31
+    assert np.max(np.abs(traj.snapshot_times - tgrid)) <= 1e-12
 
 
 def test_hn_monitor_reads_the_basic_wall_traces():

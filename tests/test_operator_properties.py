@@ -47,9 +47,10 @@ def test_linearized_L_is_linear(seed, a, b):
     rng = np.random.default_rng(seed)
     U, phi = _background(rng)
     (V1, psi1), (V2, psi2) = _direction(rng), _direction(rng)
-    L1 = OPS.linearized_L(U, phi, V1, psi1)
-    L2 = OPS.linearized_L(U, phi, V2, psi2)
-    mixed = OPS.linearized_L(U, phi, a * V1 + b * V2, a * psi1 + b * psi2)
+    L1 = OPS.linearized_L(U, phi, OPS.increment(V1, psi1))[1]
+    L2 = OPS.linearized_L(U, phi, OPS.increment(V2, psi2))[1]
+    mixed = OPS.linearized_L(
+        U, phi, OPS.increment(a * V1 + b * V2, a * psi1 + b * psi2))[1]
     scale = np.max(np.abs(a * L1) + np.abs(b * L2)) + 1e-300
     assert np.max(np.abs(mixed - (a * L1 + b * L2))) <= 1e-12 * scale
 
@@ -61,7 +62,7 @@ def test_taylor_remainder_is_second_order(seed, eps):
     U, phi = _background(rng)
     V, psi = _direction(rng)
     L0 = OPS.nonlinear_L(U, phi)
-    lin = OPS.linearized_L(U, phi, V, psi)
+    lin = OPS.linearized_L(U, phi, OPS.increment(V, psi))[1]
 
     def remainder(e):
         diff = OPS.nonlinear_L(U + e * V, phi + e * psi) - L0 - e * lin

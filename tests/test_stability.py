@@ -125,8 +125,8 @@ def test_build_lambda_vectorized_invariants():
 def test_symmetrizer_shapes_and_lambda_zero():
     state = PhysState(p=1.0, u1=0.2, u2=0.1, H1=0.4, H2=0.8, S=0.0)
     bundle = assemble_symmetrizer(state, 0.0, EOS)
-    from cvsheet.mhd import assemble_a0
-    assert np.allclose(bundle.B0, assemble_a0(state, EOS))
+    from cvsheet.mhd import assemble_coefficients
+    assert np.allclose(bundle.B0, assemble_coefficients(state, EOS)[0])
     S, T = symmetrizer_matrices(state, 0.0, EOS)
     assert np.allclose(S, np.eye(6))
     assert np.allclose(T, 0.0)
