@@ -21,9 +21,12 @@ whose discrete violation must vanish under refinement.  A basic state that
 breaks the stability condition has no multiplier; its ledger is built
 with lambda = 0 and ``Trajectory.lambda_fallback`` says why.
 
-Each step fetches the coefficient bundle once per stage time (t, t + dt/2,
-t + dt); the end-of-step monitors and the ledger read the march's own
-end-stage bundle, which the cache hands back without interpolating again.
+Each step fetches the coefficient bundle and evaluates the forcing once
+per stage time (t, t + dt/2, t + dt); the end-of-step monitors and the
+ledger read the march's own end-stage bundle and forcing, which the cache
+and the stepper's forcing memo hand back without computing them again, and
+the a priori monitor carries the previous step's forcing as it carries
+J V.
 """
 
 from __future__ import annotations
@@ -182,7 +185,8 @@ class _CoeffCache:
         A0, A1, A2, A3, J = (_compact(a) for a in (ops.A0, ops.A1, ops.A2,
                                                    ops.A3, ops.J))
         inv = np.linalg.inv(np.moveaxis(A0, (1, 2), (-2, -1)))
-        A0inv = np.moveaxis(inv, (-2, -1), (1, 2))
+        # C-ordered, so the four products below come out C-ordered too
+        A0inv = np.ascontiguousarray(np.moveaxis(inv, (-2, -1), (1, 2)))
         mm = "sik...,skj...->sij..."
         return {
             "frame": fr,
@@ -252,8 +256,9 @@ def evolve(basic: BasicState, t_final: float, *, forcing=None, bdata=None,
     hnres = [0.0]
     apriori = {"u_sq": 0.0, "phi_sq": 0.0, "f_sq": 0.0}
     led = _LedgerAccumulator(grid, cache, dt, stepper.sponge) if ledger else None
+    f_prev = F_at(0.0)
     if led is not None:
-        led.start(V, F_at(0.0))
+        led.start(V, f_prev)
         ledger_obj.rows.append(led.row(0.0, V, phi, None))
 
     snap_req = list(snapshot_times) if snapshot_times is not None else []
@@ -283,8 +288,8 @@ def evolve(basic: BasicState, t_final: float, *, forcing=None, bdata=None,
         divres.append(dres)
         hnres.append(hres)
         Ud_prev = _accumulate_apriori(apriori, grid, sigma, co_now, V,
-                                      Ud_prev, phi, f,
-                                      F_at(max(t - dt, 0.0)), dt)
+                                      Ud_prev, phi, f, f_prev, dt)
+        f_prev = f
         if led is not None:
             led.advance_flux(V, f, div)
             ledger_obj.rows.append(led.row(t, V, phi, (V_prev, dt)))
@@ -343,12 +348,22 @@ class LinearizedStepper:
         # constraint monitors stop short of the sponge by the stencil width
         self.n1_phys = max(int(np.searchsorted(grid.x1, sp_start)) - 3, 4)
         self._forcing = forcing
+        self._f_memo: dict = {}     # t -> forcing(t), the last three times
         self._bdata = bdata
         self._zero_f = np.zeros((2, 6, grid.n1, grid.n2))
         self._zero_g = np.zeros((3, grid.n2))
 
     def F_at(self, t):
-        return self._forcing(t) if self._forcing is not None else self._zero_f
+        """forcing(t), evaluated once per stage time: a step asks for t,
+        t + dt and t + dt/2, the caller's monitors for t + dt again, and
+        the next step for that same time as its t."""
+        if self._forcing is None:
+            return self._zero_f
+        if t not in self._f_memo:
+            if len(self._f_memo) == 3:
+                del self._f_memo[next(iter(self._f_memo))]
+            self._f_memo[t] = self._forcing(t)
+        return self._f_memo[t]
 
     def g_at(self, t):
         return self._bdata(t) if self._bdata is not None else self._zero_g
@@ -468,7 +483,8 @@ def _accumulate_apriori(acc, grid: Grid, sigma, co, V, Ud_prev, phi, f,
                         fprev, dt):
     """Trapezoid-free accumulation (left Riemann) of the H1* integrands.
 
-    ``Ud_prev`` is the previous step's Udot = J V; returns this step's.
+    ``Ud_prev`` and ``fprev`` are the previous step's Udot = J V and
+    forcing; returns this step's Udot.
     """
     Ud = _mat_apply2(co["J"], V)
     dtU = (Ud - Ud_prev) / dt

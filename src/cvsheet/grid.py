@@ -90,8 +90,10 @@ class Grid:
 
 
 def _diff_nonperiodic(f: np.ndarray, h: float, axis: int) -> np.ndarray:
-    f = np.moveaxis(f, axis, -1)
-    out = np.empty_like(f)
+    # written through a moved view of a C-ordered result, so the result is
+    # C-ordered whatever the layout of f
+    res = np.empty(f.shape)
+    f, out = np.moveaxis(f, axis, -1), np.moveaxis(res, axis, -1)
     out[..., 2:-2] = (8.0 * (f[..., 3:-1] - f[..., 1:-3])
                       - (f[..., 4:] - f[..., :-4])) / (12.0 * h)
     for e, s in ((0, 1), (-1, -1)):      # edge row e, pointing inwards
@@ -100,7 +102,7 @@ def _diff_nonperiodic(f: np.ndarray, h: float, axis: int) -> np.ndarray:
                            + 2.0 * (f3 - f0)) / (6.0 * h)
         out[..., e + s] = s * (6.0 * (f2 - f1) - 2.0 * (f0 - f1)
                                - (f3 - f1)) / (6.0 * h)
-    return np.moveaxis(out, -1, axis)
+    return res
 
 
 def diff_time(f: np.ndarray, dt: float, axis: int = 0,
@@ -115,14 +117,14 @@ def diff_time(f: np.ndarray, dt: float, axis: int = 0,
         if f.shape[axis] < 5:
             raise ValueError("order-4 time differencing needs >= 5 snapshots")
         return _diff_nonperiodic(f, dt, axis=axis)
-    f = np.moveaxis(f, axis, -1)
-    out = np.empty_like(f)
+    res = np.empty(f.shape)
+    f, out = np.moveaxis(f, axis, -1), np.moveaxis(res, axis, -1)
     out[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2.0 * dt)
     out[..., 0] = (4.0 * (f[..., 1] - f[..., 0])
                    - (f[..., 2] - f[..., 0])) / (2.0 * dt)
     out[..., -1] = (4.0 * (f[..., -1] - f[..., -2])
                     - (f[..., -1] - f[..., -3])) / (2.0 * dt)
-    return np.moveaxis(out, -1, axis)
+    return res
 
 
 @dataclass

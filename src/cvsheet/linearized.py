@@ -333,12 +333,14 @@ def good_unknown_inverse(Udot: np.ndarray, psi: np.ndarray,
 
 # -- zero-order coefficient -------------------------------------------------
 
-def c_matrix(U: np.ndarray, Ut: np.ndarray, lifted: LiftedFront,
-             eos) -> np.ndarray:
+def c_matrix(U: np.ndarray, Ut: np.ndarray, d1U: np.ndarray,
+             d2U: np.ndarray, lifted: LiftedFront, eos) -> np.ndarray:
     """Zero-order matrix of the linearization, per side: (2, 6, 6, n1, n2).
 
     C_{kl} = sum_m [dA0/dy_l]_{km} dtU_m + [dA1~/dy_l]_{km} d1U_m
-             + [dA2/dy_l]_{km} d2U_m at the state ``U`` with rate ``Ut``.
+             + [dA2/dy_l]_{km} d2U_m at the state ``U`` with rate ``Ut``
+    and the derivatives ``d1U``, ``d2U`` (``grid.d1(U)``, ``grid.d2(U)``),
+    which every caller already holds.
     Straightening is linear, so with
 
         r1 = d1U / d1Phi,  r0 = Ut - dtPsi r1,  r2 = d2U - d2Psi r1
@@ -363,9 +365,9 @@ def c_matrix(U: np.ndarray, Ut: np.ndarray, lifted: LiftedFront,
     g = rho_p / rho
     g_p = (eos.density_dpp(p, S) * rho - rho_p ** 2) / rho ** 2
     g_S = (eos.density_dpS(p, S) * rho - rho_p * rho_S) / rho ** 2
-    r1 = grid.d1(U) / lifted.d1_phi_map[:, None]
+    r1 = d1U / lifted.d1_phi_map[:, None]
     r0 = Ut - lifted.dt_psi[:, None] * r1
-    r2 = grid.d2(U) - lifted.d2_psi[:, None] * r1
+    r2 = d2U - lifted.d2_psi[:, None] * r1
     a = r0 + U[:, IU1, None] * r1 + U[:, IU2, None] * r2
     C = np.zeros((2, NCOMP, NCOMP, grid.n1, grid.n2))
     for l, gl, rl in ((IP, g_p, rho_p), (IS, g_S, rho_S)):
@@ -498,7 +500,8 @@ def assemble_effective(frame: BasicFrame, lam_field: np.ndarray | None = None,
     g = frame.grid
     eos = frame.eos
     J = j_matrix(frame)
-    C = c_matrix(frame.U, frame.Ut, frame.lifted, eos)
+    C = c_matrix(frame.U, frame.Ut, g.d1(frame.U), g.d2(frame.U),
+                 frame.lifted, eos)
     A = [np.empty((2, NCOMP, NCOMP, g.n1, g.n2)) for _ in range(4)]
     for i, (a0, a1t, a2) in enumerate(
             straightened_coefficients(frame.U, frame.lifted, eos)):
@@ -660,7 +663,8 @@ def apply_effective_operator(basic: BasicState, Udot: np.ndarray,
     out = np.empty_like(Udot)
     for n in range(nt):
         fr = basic.frame(tgrid[n])
-        C = c_matrix(fr.U, fr.Ut, fr.lifted, basic.eos)
+        C = c_matrix(fr.U, fr.Ut, g.d1(fr.U), g.d2(fr.U), fr.lifted,
+                     basic.eos)
         for i, co in enumerate(
                 straightened_coefficients(fr.U, fr.lifted, basic.eos)):
             out[n, i] = (apply_L(co, dtU[n, i], g.d1(Udot[n, i]),

@@ -135,7 +135,7 @@ class SheetOperators:
         lin = np.empty_like(Uhat)
         for n, (dtU, d1U, d2U, lifted, coeffs) in enumerate(
                 self._walk(Uhat, phihat)):
-            C = c_matrix(Uhat[n], dtU, lifted, self.eos)
+            C = c_matrix(Uhat[n], dtU, d1U, d2U, lifted, self.eos)
             r1 = d1U / lifted.d1_phi_map[:, None]
             for i, co in enumerate(coeffs):
                 value[n, i] = apply_L(co, dtU[i], d1U[i], d2U[i])

@@ -73,9 +73,15 @@ class Smoother:
         self.conormal_freq = np.sqrt(lam)
         self.conormal_modes = V            # W-orthonormal columns
         self.conormal_weights = np.diag(Wi)
+        self._to_modes = (V * self.conormal_weights[:, None]).T   # V^T W
 
     def __call__(self, u: np.ndarray, theta: float) -> np.ndarray:
-        """Apply S_theta; u is (..., nt, n1, n2)."""
+        """Apply S_theta; u is (..., nt, n1, n2).
+
+        The x1 part is the conormal transform of the interior rows: two
+        BLAS matrix products per (n1 - 1, n2) slice, coefficients
+        V^T W u, the symbol, then V back.
+        """
         u = np.asarray(u, dtype=float)
         out = u
         if "t" in self.axes:
@@ -87,14 +93,10 @@ class Smoother:
             coef *= lowpass_symbol(self.freq_x2 / theta)
             out = irfft(coef, n=self.grid.n2, axis=-1)
         if "x1" in self.axes:
-            wall = out[..., :1, :]
-            interior = out[..., 1:, :]
-            V = self.conormal_modes
-            w = self.conormal_weights
-            coef = np.einsum("km,k,...kj->...mj", V, w, interior)
+            coef = self._to_modes @ out[..., 1:, :]
             coef *= lowpass_symbol(self.conormal_freq / theta)[:, None]
-            smoothed = np.einsum("km,...mj->...kj", V, coef)
-            out = np.concatenate([wall, smoothed], axis=-2)
+            out = np.concatenate(
+                [out[..., :1, :], self.conormal_modes @ coef], axis=-2)
         return out
 
     def d_theta(self, u: np.ndarray, theta: float,

@@ -205,12 +205,12 @@ def assemble_symmetrizer(state: PhysState, lam, eos) -> SymmetrizerBundle:
     """Symmetrized matrices B0 = S A0, B1 = S A1 + T e4^T, B2 = S A2 + T e5^T.
 
     The T columns absorb the div H terms; all three outputs stay symmetric.
+    Each A_k is released as soon as its B_k is formed.
     """
     S, T = symmetrizer_matrices(state, lam, eos)
-    A0, A1, A2 = assemble_coefficients(state, eos)
-    B0 = np.einsum("ik...,kj...->ij...", S, A0)
-    B1 = np.einsum("ik...,kj...->ij...", S, A1)
-    B2 = np.einsum("ik...,kj...->ij...", S, A2)
+    A = list(assemble_coefficients(state, eos))
+    B0, B1, B2 = (np.einsum("ik...,kj...->ij...", S, A.pop(0))
+                  for _ in range(3))
     B1[:, IH1] += T
     B2[:, IH2] += T
     return SymmetrizerBundle(S=S, T=T, B0=B0, B1=B1, B2=B2)

@@ -90,7 +90,7 @@ def test_good_unknown_roundtrip(grid):
 def test_c_matrix_matches_directional_fd(grid):
     b = sheared_sheet_state(grid, EOS, rng=np.random.default_rng(5))
     fr = b.frame(0.0)
-    C = c_matrix(fr.U, fr.Ut, fr.lifted, EOS)
+    C = c_matrix(fr.U, fr.Ut, grid.d1(fr.U), grid.d2(fr.U), fr.lifted, EOS)
     rng = np.random.default_rng(7)
     Y = rng.normal(size=(2, 6, grid.n1, grid.n2))
     eps = 1e-6
@@ -139,7 +139,7 @@ def test_c_matrix_matches_directional_fd_on_moving_curved_front(grid):
     Ut = 0.1 * rng.normal(size=U.shape)
     lifted = _moving_curved_front(grid)
     assert np.max(np.abs(lifted.dt_psi)) > 0 and np.max(np.abs(lifted.d2_psi)) > 0
-    C = c_matrix(U, Ut, lifted, EOS)
+    C = c_matrix(U, Ut, grid.d1(U), grid.d2(U), lifted, EOS)
     Y = rng.normal(size=U.shape)
     eps = 1e-6
     d1U = grid.d1(U)
@@ -189,7 +189,7 @@ def test_closed_form_c_matrix_equals_dense_contraction(seed, p, u1, H1, S,
     U = _smooth_state(grid, rng, (p, u1, 0.3, H1, 0.8, S))
     Ut = rng.normal(size=U.shape)
     lifted = _moving_curved_front(grid, amp, rate, shift=rng.uniform(0, 1))
-    C = c_matrix(U, Ut, lifted, EOS)
+    C = c_matrix(U, Ut, grid.d1(U), grid.d2(U), lifted, EOS)
     ref = _dense_c_matrix(U, Ut, lifted)
     for i in range(2):
         assert np.max(np.abs(C[i] - ref[i])) <= 1e-14 * np.max(np.abs(ref[i]))
@@ -199,7 +199,8 @@ def test_c_matrix_rejects_nonpositive_pressure(grid):
     U = _smooth_state(grid, np.random.default_rng(0), (1.0, 0, 0, 0, 1, 0))
     U[1, IP, 3, 5] = 0.0
     with pytest.raises(AdmissibilityError, match="pressure"):
-        c_matrix(U, np.zeros_like(U), _moving_curved_front(grid), EOS)
+        c_matrix(U, np.zeros_like(U), grid.d1(U), grid.d2(U),
+                 _moving_curved_front(grid), EOS)
 
 
 def test_boundary_structure_rank4(grid):
@@ -318,6 +319,27 @@ def test_march_interpolates_each_stage_time_once(monkeypatch):
     assert calls["bracket"] <= 2 * nsteps + 1
     # the CFL bound, then value and dJ/dt ends of each snapshot bundle
     assert calls["frame"] == 1 + 3 * len(basic.tgrid)
+
+
+def test_forcing_evaluated_once_per_stage_time():
+    # a step needs the forcing at t, t + dt/2 and t + dt; t is the previous
+    # step's t + dt, and the monitors read t + dt again (dt = 1/32 makes
+    # t + dt equal (n + 1) dt exactly, the time the monitors ask for)
+    grid = Grid(n1=16, n2=16, L1=2 * np.pi, L2=2 * np.pi)
+    basic = trivial_sheet_state(grid, EOS, u2_jump=0.5, H2_plus=1.4,
+                                H2_minus=1.2)
+    forcing = ManufacturedForcing(grid, amplitude=1.0, k2=2)
+    times = []
+
+    def counted(t):
+        times.append(t)
+        return forcing(t)
+
+    traj = evolve(basic, t_final=1.0, dt_override=1.0 / 32, forcing=counted)
+    nsteps = len(traj.times) - 1
+    assert nsteps == 32
+    assert len(times) <= 2 * nsteps + 1
+    assert len(set(times)) == len(times)
 
 
 def test_whole_number_of_steps_takes_exactly_that_many():
@@ -542,7 +564,7 @@ def _dense_families(fr, lam, dJdt):
 
     J = j_matrix(fr)
     d1J, d2J = g.d1(J), g.d2(J)
-    C = c_matrix(fr.U, fr.Ut, fr.lifted, EOS)
+    C = c_matrix(fr.U, fr.Ut, g.d1(fr.U), g.d2(fr.U), fr.lifted, EOS)
     A = [np.empty_like(J) for _ in range(4)]
     B = [np.empty_like(J) for _ in range(4)]
     for i, (a0, a1t, a2) in enumerate(
@@ -654,3 +676,19 @@ def test_interpolation_mixes_compact_and_full_bundles(grid):
                 + w * b1[key])
         assert mid[key].shape == b1[key].shape, key
         assert np.array_equal(mid[key], want), key
+
+
+def test_time_dependent_bundles_are_c_contiguous(grid):
+    # the solve's coefficients are read by every stage apply: snapshot
+    # bundles and their interpolations are all C-ordered
+    sheared = sheared_sheet_state(grid, EOS, rng=np.random.default_rng(4))
+    tgrid = np.array([0.0, 0.5, 1.0])
+    U = np.repeat(sheared.U, len(tgrid), axis=0)
+    U[:, :, IH2] += 0.05 * tgrid[:, None, None, None] * np.cos(grid.x1)[:, None]
+    basic = BasicState(grid=grid, eos=EOS, U=U,
+                       phi=np.zeros((len(tgrid), grid.n2)), tgrid=tgrid)
+    cache = ev._CoeffCache(basic, None)
+    for co in (cache._bundle(0), cache._bundle(1), cache.at(0.3)):
+        for key in _APPLIED:
+            assert co[key].shape == (2, 6, 6, grid.n1, grid.n2), key
+            assert co[key].flags.c_contiguous, key

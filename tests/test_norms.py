@@ -197,6 +197,45 @@ def test_stencils_vanish_exactly_on_constants(n):
         assert not np.any(diff_time(np.full((n, 3), 1.4), 0.1, order=order))
 
 
+def _moveaxis_stencil(f, h, axis):
+    """The non-periodic stencil as written before on a moved axis."""
+    f = np.moveaxis(f, axis, -1)
+    out = np.empty_like(f)
+    out[..., 2:-2] = (8.0 * (f[..., 3:-1] - f[..., 1:-3])
+                      - (f[..., 4:] - f[..., :-4])) / (12.0 * h)
+    for e, s in ((0, 1), (-1, -1)):
+        f0, f1, f2, f3 = (f[..., e + k * s] for k in range(4))
+        out[..., e] = s * (18.0 * (f1 - f0) - 9.0 * (f2 - f0)
+                           + 2.0 * (f3 - f0)) / (6.0 * h)
+        out[..., e + s] = s * (6.0 * (f2 - f1) - 2.0 * (f0 - f1)
+                               - (f3 - f1)) / (6.0 * h)
+    return np.moveaxis(out, -1, axis)
+
+
+@pytest.mark.parametrize("n", [5, 33])
+@pytest.mark.parametrize("layout", ["C", "transposed"])
+def test_nonperiodic_stencils_contiguous_and_exact(n, layout):
+    # the stencils write into a C-ordered result through a moved view: the
+    # same bits as before, and C order whatever the input layout, so the
+    # contractions downstream read their operands contiguously
+    grid = Grid(n1=n, n2=n + 3, L1=2.0, L2=2 * np.pi)
+    rng = np.random.default_rng(n)
+    for shape in ((n, n + 3), (2, 6, n, n + 3), (n, 2, 6, n, n + 3)):
+        f = rng.normal(size=shape)
+        if layout == "transposed":
+            f = np.ascontiguousarray(f.T).T
+        got = grid.d1(f)
+        assert got.flags.c_contiguous, shape
+        assert np.array_equal(got, _moveaxis_stencil(f, grid.h1, -2))
+        for axis in range(f.ndim):
+            if f.shape[axis] < 5:
+                continue
+            got = diff_time(f, 0.1, axis=axis, order=4)
+            assert got.flags.c_contiguous, (shape, axis)
+            assert np.array_equal(got, _moveaxis_stencil(f, 0.1, axis))
+            assert diff_time(f, 0.1, axis=axis).flags.c_contiguous
+
+
 def test_w_star_norm_orders(grid):
     u = random_smooth_field(grid, nt=7, T=1.0, rng=np.random.default_rng(5))
     w1 = w_star_norm(u, 1)

@@ -4,6 +4,7 @@ import pytest
 from cvsheet.grid import Grid, GridFunction
 from cvsheet.norms import (evaluate_field_params, hm_star_norm,
                            sample_field_params)
+from cvsheet.profiles import lowpass_symbol
 from cvsheet.smoothing import Smoother, smoothing_harness
 
 
@@ -118,3 +119,22 @@ def test_harness_as1_equals_fresh_norms():
                     key = (k, j, theta)
                     expected[key] = max(expected.get(key, 0.0), r)
     assert rep.as1 == expected
+
+
+@pytest.mark.parametrize("shape", [(17,), (2, 6, 17)])
+def test_conormal_transform_matches_einsum_oracle(shape):
+    # the x1 part through two BLAS products equals the einsum form to
+    # roundoff, keeps the wall row bit for bit, and repeats bit for bit
+    grid = Grid(n1=40, n2=24, L1=2 * np.pi, L2=2 * np.pi)
+    sm = Smoother(grid, nt=17, T=1.0, axes=("x1",))
+    u = np.random.default_rng(5).normal(size=shape + (40, 24))
+    V, w = sm.conormal_modes, sm.conormal_weights
+    for theta in (2.0, 8.0):
+        coef = np.einsum("km,k,...kj->...mj", V, w, u[..., 1:, :])
+        coef *= lowpass_symbol(sm.conormal_freq / theta)[:, None]
+        want = np.concatenate(
+            [u[..., :1, :], np.einsum("km,...mj->...kj", V, coef)], axis=-2)
+        got = sm(u, theta)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        assert np.array_equal(got[..., 0, :], u[..., 0, :])
+        assert np.array_equal(got, sm(u, theta))
