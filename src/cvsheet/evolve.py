@@ -26,7 +26,12 @@ per stage time (t, t + dt/2, t + dt); the end-of-step monitors and the
 ledger read the march's own end-stage bundle and forcing, which the cache
 and the stepper's forcing memo hand back without computing them again, and
 the a priori monitor carries the previous step's forcing as it carries
-J V.
+J V.  Step n ends at the float (n + 1) dt, which the stepper's end stage,
+the monitors and step n + 1 all use.
+
+A steady basic state that is constant along the front (the planar sheet)
+has its coefficients, and with them the ledger's symmetrized family,
+assembled on one x2 column and broadcast along x2.
 """
 
 from __future__ import annotations
@@ -130,11 +135,19 @@ class _CoeffCache:
     """Assembled solver coefficients: one bundle for steady states, linear
     interpolation between snapshot-time bundles otherwise.
 
-    A coefficient that is exactly uniform in space (the planar sheet's)
-    is stored as (2, 6, 6, 1, 1) and ``_mat_apply2`` applies it through
-    its nonzero entries; the trailing (1, 1) keeps it broadcasting against
-    full (2, 6, 6, n1, n2) fields, so a uniform bundle interpolates with a
-    non-uniform one.  ``ops`` keeps the full arrays.
+    A steady state whose ``U``, ``phi`` and multiplier ``lam_field`` are
+    exactly x2-invariant (the planar sheet's) is assembled on one x2
+    column, a ``BasicState`` on ``Grid(n1, 1, L1, L2)``: every field of
+    the bundle, ``ops``, ``d1phi`` and the wall traces included, is then
+    (..., n1, 1) or (1,) and broadcasts against (2, 6, n1, n2) fields.  A
+    one-column field has d2 exactly 0, as the full x2-invariant field has,
+    so the column holds the bits of the full assembly.
+
+    A coefficient that is exactly uniform in space is stored as
+    (2, 6, 6, 1, 1) and ``_mat_apply2`` applies it through its nonzero
+    entries; the trailing (1, 1) keeps it broadcasting against full
+    (2, 6, 6, n1, n2) fields, so a uniform bundle interpolates with a
+    non-uniform one.
     """
 
     _KEYS = ("M1", "M2", "M3", "A0invJt", "J", "d1phi")
@@ -142,6 +155,15 @@ class _CoeffCache:
     def __init__(self, basic: BasicState, lam_field):
         self.basic = basic
         self.lam_field = lam_field
+        self._source = basic            # the state the bundles are built from
+        if basic.steady and all(a is None or np.all(a == a[..., :1])
+                                for a in (basic.U, basic.phi, lam_field)):
+            g = basic.grid
+            self._source = BasicState(
+                grid=Grid(g.n1, 1, g.L1, g.L2), eos=basic.eos,
+                U=basic.U[..., :1], phi=basic.phi[..., :1], chi=basic.chi)
+            if lam_field is not None:
+                self.lam_field = lam_field[..., :1]
         self._steady = None
         self._snap: dict = {}
         self._last = (None, None)   # (t, bundle) of the latest lookup
@@ -172,15 +194,16 @@ class _CoeffCache:
         return self._snap[k]
 
     def _build(self, t: float):
-        fr = self.basic.frame(t)
+        src = self._source
+        fr = src.frame(t)
         dJdt = None
-        if not self.basic.steady:
-            tg = self.basic.tgrid
+        if not src.steady:
+            tg = src.tgrid
             dd = 0.25 * float(tg[1] - tg[0])
             # frame() clamps to the snapshot span: one-sided at the ends
             lo, hi = max(t - dd, float(tg[0])), min(t + dd, float(tg[-1]))
-            dJdt = (j_matrix(self.basic.frame(hi))
-                    - j_matrix(self.basic.frame(lo))) / (hi - lo)
+            dJdt = (j_matrix(src.frame(hi))
+                    - j_matrix(src.frame(lo))) / (hi - lo)
         ops = assemble_effective(fr, self.lam_field, dJdt=dJdt)
         A0, A1, A2, A3, J = (_compact(a) for a in (ops.A0, ops.A1, ops.A2,
                                                    ops.A3, ops.J))
@@ -207,6 +230,24 @@ def _compact(a):
     return head if np.all(a == head) else a
 
 
+def _ledger_multiplier(basic: BasicState):
+    """(lam_field (2, n1, n2), fallback reason or None) of the ledger: the
+    wall multiplier extended into the interior, or 0 with the reason when
+    the state breaks the stability condition."""
+    grid = basic.grid
+    fallback = None
+    try:
+        lam_pair = basic.frame(0.0).lambda_boundary()
+    except StabilityError as exc:
+        fallback = str(exc)
+        lam_pair = LambdaPair(lam_plus=np.zeros(grid.n2),
+                              lam_minus=np.zeros(grid.n2))
+    lam_field = extend_lambda(lam_pair, grid.x1,
+                              eps=max(4 * grid.h1, 0.05 * grid.L1))
+    return (np.broadcast_to(lam_field, (2, grid.n1, grid.n2)).copy(),
+            fallback)
+
+
 def evolve(basic: BasicState, t_final: float, *, forcing=None, bdata=None,
            cfl: float = 0.4, sponge_strength: float = 2.0,
            ledger: bool = True, snapshot_times=None,
@@ -218,18 +259,8 @@ def evolve(basic: BasicState, t_final: float, *, forcing=None, bdata=None,
     data reproduce the zero solution exactly.
     """
     grid = basic.grid
-    lam_field = None
-    lambda_fallback = None
-    if ledger:
-        try:
-            lam_pair = basic.frame(0.0).lambda_boundary()
-        except StabilityError as exc:
-            lambda_fallback = str(exc)
-            lam_pair = LambdaPair(lam_plus=np.zeros(grid.n2),
-                                  lam_minus=np.zeros(grid.n2))
-        lam_field = extend_lambda(lam_pair, grid.x1,
-                                  eps=max(4 * grid.h1, 0.05 * grid.L1))
-        lam_field = np.broadcast_to(lam_field, (2, grid.n1, grid.n2)).copy()
+    lam_field, lambda_fallback = (_ledger_multiplier(basic) if ledger
+                                  else (None, None))
 
     stepper = LinearizedStepper(basic, forcing=forcing, bdata=bdata,
                                 lam_field=lam_field, cfl=cfl,
@@ -272,8 +303,9 @@ def evolve(basic: BasicState, t_final: float, *, forcing=None, bdata=None,
     V_prev = V
     Ud_prev = np.zeros_like(V)          # J V of the state at rest
     for n in range(nsteps):
-        V, phi = stepper.step(V, phi, t, dt)
-        t = (n + 1) * dt
+        t_next = (n + 1) * dt
+        V, phi = stepper.step(V, phi, t, dt, t_next)
+        t = t_next
 
         if not (np.all(np.isfinite(V)) and np.all(np.isfinite(phi))):
             raise NumericsError(f"non-finite values at t={t:.6g}")
@@ -398,11 +430,18 @@ class LinearizedStepper:
         V[0, IQ, 0, :] = bp + un_p
         V[1, IQ, 0, :] = bm - un_m
 
-    def step(self, V, phi, t, dt):
-        """Advance (V, phi) from t to t + dt (three Shu-Osher stages)."""
-        # one lookup per stage time; t + dt last, so the cache still holds
+    def step(self, V, phi, t, dt, t_end=None):
+        """Advance (V, phi) from t to t_end (three Shu-Osher stages).
+
+        ``t_end`` defaults to t + dt.  A caller that names its step times
+        (n + 1) dt passes that float, which can differ from n dt + dt in
+        the last bit, so that its monitors and the next step ask the
+        forcing memo and the cache for the very time the end stage used.
+        """
+        # one lookup per stage time; the end last, so the cache still holds
         # it when the caller's end-of-step monitors ask for the same time
-        s0, sh, s1 = t, t + 0.5 * dt, t + dt
+        s0, sh = t, t + 0.5 * dt
+        s1 = t + dt if t_end is None else t_end
         co0, g0 = self.cache.at(s0), self.g_at(s0)
         coh, gh = self.cache.at(sh), self.g_at(sh)
         co1, g1 = self.cache.at(s1), self.g_at(s1)
@@ -510,6 +549,11 @@ class _LedgerAccumulator:
     the wall/far boundary fluxes of B1c, the source 2 (J^T (S F + T div
     hdot / d1Phi)) . V, and the zero-order quadratic form including the
     sponge damping through B0c.  Steady basic states only.
+
+    ``B0``, ``S``, ``T`` and the zero-order matrix keep the shape of the
+    cache's bundle: (..., n1, 1) for a state assembled on one x2 column,
+    where they vary in x1 only (through the multiplier and the sponge),
+    and (2, 6, 6, 1, 1) for ``B0`` and ``S`` where they are uniform.
     """
 
     def __init__(self, grid: Grid, cache: _CoeffCache, dt: float, sponge):

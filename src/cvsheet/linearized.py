@@ -358,13 +358,11 @@ def c_matrix(U: np.ndarray, Ut: np.ndarray, d1U: np.ndarray,
     Raises ``AdmissibilityError`` outside the hyperbolic region of the EOS.
     """
     grid = lifted.grid
-    rho, rho_p = _require_admissible(PhysState.from_vector(U.swapaxes(0, 1)),
-                                     eos)
-    p, S = U[:, IP], U[:, IS]
-    rho_S = eos.density_dS(p, S)
+    rho, rho_p, rho_S, rho_pp, rho_pS = _require_admissible(
+        PhysState.from_vector(U.swapaxes(0, 1)), eos, jet=True)
     g = rho_p / rho
-    g_p = (eos.density_dpp(p, S) * rho - rho_p ** 2) / rho ** 2
-    g_S = (eos.density_dpS(p, S) * rho - rho_p * rho_S) / rho ** 2
+    g_p = (rho_pp * rho - rho_p ** 2) / rho ** 2
+    g_S = (rho_pS * rho - rho_p * rho_S) / rho ** 2
     r1 = d1U / lifted.d1_phi_map[:, None]
     r0 = Ut - lifted.dt_psi[:, None] * r1
     r2 = d2U - lifted.d2_psi[:, None] * r1

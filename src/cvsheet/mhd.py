@@ -58,6 +58,16 @@ class IdealGasEos:
     def density_dpS(self, p, S):
         return -self.density_dp(p, S) / self.gamma
 
+    def density_jet(self, p, S):
+        """(rho, rho_p, rho_S, rho_pp, rho_pS) from one density evaluation,
+        each by the formula of its method above."""
+        p = np.asarray(p, dtype=float)
+        rho = self.density(p, S)
+        rho_p = rho / (self.gamma * p)
+        return (rho, rho_p, -rho / self.gamma,
+                rho * (1.0 - self.gamma) / (self.gamma * p) ** 2,
+                -rho_p / self.gamma)
+
 
 @dataclass
 class PhysState:
@@ -90,19 +100,26 @@ class PhysState:
                    side=side)
 
 
-def _require_admissible(state: PhysState, eos, k: float = 1e-6):
-    """(rho, drho/dp) of an admissible state; raises outside the margin."""
+def _require_admissible(state: PhysState, eos, k: float = 1e-6, *,
+                        jet: bool = False):
+    """(rho, drho/dp) of an admissible state; raises outside the margin.
+
+    With ``jet`` it returns the closure's whole ``density_jet`` instead.
+    """
     p = np.asarray(state.p, dtype=float)
     if np.any(p <= 0.0):
         raise AdmissibilityError("pressure must be positive (density undefined)")
-    rho = eos.density(state.p, state.S)
-    rho_p = eos.density_dp(state.p, state.S)
+    if jet:
+        out = eos.density_jet(state.p, state.S)
+    else:
+        out = eos.density(state.p, state.S), eos.density_dp(state.p, state.S)
+    rho, rho_p = out[:2]
     if np.any(rho < k):
         raise AdmissibilityError(f"density below margin k={k}: min rho={np.min(rho)}")
     if np.any(rho_p < k):
         raise AdmissibilityError(
             f"drho/dp below margin k={k}: min rho_p={np.min(rho_p)}")
-    return rho, rho_p
+    return out
 
 
 def sound_speed(state: PhysState, eos, k: float = 1e-6):

@@ -17,7 +17,7 @@ from cvsheet.linearized import (IH2V, IHN, BasicFrame, BasicState,
                                 reconstruct_front_derivatives,
                                 sheared_sheet_state, solve_g3_transport,
                                 trivial_sheet_state, validate_basic_state)
-from cvsheet.mhd import (IH1, IH2, IP, IU1, IU2, AdmissibilityError,
+from cvsheet.mhd import (IH1, IH2, IP, IS, IU1, IU2, AdmissibilityError,
                          IdealGasEos, PhysState, assemble_coefficients,
                          coefficient_jacobians)
 from cvsheet.scenarios import ManufacturedBoundaryData, ManufacturedForcing
@@ -203,6 +203,31 @@ def test_c_matrix_rejects_nonpositive_pressure(grid):
                  _moving_curved_front(grid), EOS)
 
 
+def test_c_matrix_evaluates_the_density_once(grid, monkeypatch):
+    # rho_p, rho_S, rho_pp and rho_pS all follow from the one density value
+    U = _smooth_state(grid, np.random.default_rng(0), (1.0, 0, 0, 0, 1, 0))
+    p, S = U[:, IP], U[:, IS]
+    jet = EOS.density_jet(p, S)
+    for got, method in zip(jet, (EOS.density, EOS.density_dp, EOS.density_dS,
+                                 EOS.density_dpp, EOS.density_dpS)):
+        assert np.array_equal(got, method(p, S))
+    calls = []
+
+    def counted(self, p, S):
+        calls.append(1)
+        return density(self, p, S)
+
+    density = IdealGasEos.density
+    monkeypatch.setattr(IdealGasEos, "density", counted)
+    c_matrix(U, np.zeros_like(U), grid.d1(U), grid.d2(U),
+             _moving_curved_front(grid), EOS)
+    assert len(calls) == 1
+    U[0, IS, 2, 3] = 40.0               # rho = exp(-24): below the margin
+    with pytest.raises(AdmissibilityError, match="density below margin"):
+        c_matrix(U, np.zeros_like(U), grid.d1(U), grid.d2(U),
+                 _moving_curved_front(grid), EOS)
+
+
 def test_boundary_structure_rank4(grid):
     rng = np.random.default_rng(3)
     for trial in range(5):
@@ -339,6 +364,28 @@ def test_forcing_evaluated_once_per_stage_time():
     nsteps = len(traj.times) - 1
     assert nsteps == 32
     assert len(times) <= 2 * nsteps + 1
+    assert len(set(times)) == len(times)
+
+
+def test_end_of_step_time_shared_with_the_monitors():
+    # at this CFL step n dt + dt and (n + 1) dt differ in the last bit on
+    # some steps; the end stage and the monitors must still ask for one time
+    grid = Grid(n1=32, n2=32, L1=2 * np.pi, L2=2 * np.pi)
+    basic = trivial_sheet_state(grid, EOS, u2_jump=0.5, H2_plus=1.4,
+                                H2_minus=1.2)
+    forcing = ManufacturedForcing(grid, amplitude=1.0, k2=2)
+    times = []
+
+    def counted(t):
+        times.append(t)
+        return forcing(t)
+
+    traj = evolve(basic, t_final=0.5, forcing=counted, ledger=False)
+    nsteps = len(traj.times) - 1
+    assert nsteps == 41
+    dt = 0.5 / nsteps
+    assert any(n * dt + dt != (n + 1) * dt for n in range(nsteps))
+    assert len(times) == 2 * nsteps + 1
     assert len(set(times)) == len(times)
 
 
@@ -629,7 +676,7 @@ def test_uniform_coefficients_are_stored_compact(grid):
         assert co[key].shape == (2, 6, 6, 1, 1), key
     # exact stencils: the zero-order coefficient of the planar sheet is 0
     assert not np.any(co["M3"])
-    assert co["ops"].A0.shape == (2, 6, 6, grid.n1, grid.n2)
+    assert co["ops"].A0.shape == (2, 6, 6, grid.n1, 1)
     sheared = sheared_sheet_state(grid, EOS, rng=np.random.default_rng(4))
     co = ev._CoeffCache(sheared, None).at(0.0)
     for key in _APPLIED:
@@ -692,3 +739,76 @@ def test_time_dependent_bundles_are_c_contiguous(grid):
         for key in _APPLIED:
             assert co[key].shape == (2, 6, 6, grid.n1, grid.n2), key
             assert co[key].flags.c_contiguous, key
+
+
+def _column_and_full(basic, lam_field):
+    """The cache's bundle of ``basic`` (on one x2 column where it can be)
+    and the same bundle built on the full grid."""
+    column = ev._CoeffCache(basic, lam_field)
+    full = ev._CoeffCache(basic, lam_field)
+    full._source, full.lam_field = basic, lam_field
+    return column, full
+
+
+def _bits_equal_broadcast(got, want):
+    return np.array_equal(np.broadcast_to(got, np.shape(want)), want)
+
+
+@pytest.mark.parametrize("n", [32, 40])
+def test_column_bundle_equals_full_grid_assembly(n):
+    grid = Grid(n1=n, n2=n, L1=2 * np.pi, L2=2 * np.pi)
+    basic = trivial_sheet_state(grid, EOS, u2_jump=0.5, H2_plus=1.4,
+                                H2_minus=1.2)
+    lam_field, fallback = ev._ledger_multiplier(basic)
+    assert fallback is None and np.ptp(lam_field) > 0
+    column, full = _column_and_full(basic, lam_field)
+    assert column._source.grid == Grid(n, 1, grid.L1, grid.L2)
+    co, ref = column.at(0.0), full.at(0.0)
+    assert co["ops"].A0.shape == (2, 6, 6, n, 1)
+    assert ref["ops"].A0.shape == (2, 6, 6, n, n)
+    for name in ("J", "A0", "A1", "A2", "A3", "B0", "B1", "B2", "B3", "S"):
+        assert _bits_equal_broadcast(getattr(co["ops"], name),
+                                     getattr(ref["ops"], name)), name
+    for key in ev._CoeffCache._KEYS:
+        assert _bits_equal_broadcast(co[key], ref[key]), key
+    for key, want in ref["traces"].items():
+        assert _bits_equal_broadcast(co["traces"][key], want), key
+    sponge = ev.LinearizedStepper(basic).sponge
+    led = ev._LedgerAccumulator(grid, column, 0.01, sponge)
+    led_ref = ev._LedgerAccumulator(grid, full, 0.01, sponge)
+    assert led._zo_matrix.shape == (2, 6, 6, n, 1)
+    for name in ("_zo_matrix", "_S", "_B0", "_T"):
+        assert _bits_equal_broadcast(getattr(led, name),
+                                     getattr(led_ref, name)), name
+
+
+def test_x1_only_steady_state_is_assembled_on_one_column(grid):
+    basic = trivial_sheet_state(grid, EOS, H2_plus=1.3, H2_minus=1.1)
+    bump = 0.05 * np.cos(grid.x1)[:, None]
+    basic.U[:, :, IH2] += bump
+    basic.U[:, :, IP] += bump
+    column, full = _column_and_full(basic, None)
+    co, ref = column.at(0.0), full.at(0.0)
+    assert co["M1"].shape == co["M2"].shape == (2, 6, 6, grid.n1, 1)
+    assert ref["M1"].shape == (2, 6, 6, grid.n1, grid.n2)
+    stepper = ev.LinearizedStepper(
+        basic, forcing=ManufacturedForcing(grid, amplitude=1.0, k2=2))
+    rng = np.random.default_rng(9)
+    V = rng.normal(size=(2, 6, grid.n1, grid.n2))
+    phi = rng.normal(size=grid.n2)
+    g = rng.normal(size=(3, grid.n2))
+    for got, want in zip(stepper.rhs(V, phi, 0.3, co, g),
+                         stepper.rhs(V, phi, 0.3, ref, g)):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def test_x2_varying_or_time_dependent_states_keep_the_full_grid(grid):
+    sheared = sheared_sheet_state(grid, EOS, rng=np.random.default_rng(4))
+    assert ev._CoeffCache(sheared, None)._source is sheared
+    flat = trivial_sheet_state(grid, EOS)
+    lam = np.zeros((2, grid.n1, grid.n2))
+    lam[:, :, 0] = 1e-3                 # a multiplier that varies in x2
+    assert ev._CoeffCache(flat, lam)._source is flat
+    ramped = _ramped_trivial_stack(0.1)
+    assert ev._CoeffCache(ramped, None)._source is ramped
