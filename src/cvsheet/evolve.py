@@ -21,13 +21,22 @@ whose discrete violation must vanish under refinement.  A basic state that
 breaks the stability condition has no multiplier; its ledger is built
 with lambda = 0 and ``Trajectory.lambda_fallback`` says why.
 
-Each step fetches the coefficient bundle and evaluates the forcing once
-per stage time (t, t + dt/2, t + dt); the end-of-step monitors and the
-ledger read the march's own end-stage bundle and forcing, which the cache
+``evolve`` is one march plus a list of observers.  The march
+(``LinearizedStepper.step``) fetches the coefficient bundle and evaluates
+the forcing once per stage time (t, t + dt/2, t + dt); step n ends at the
+float (n + 1) dt, which the end stage, the observers and step n + 1 all use.
+After each step every observer reads what the march already holds: the
+end-of-step V, phi and t, the end-stage bundle and forcing, which the cache
 and the stepper's forcing memo hand back without computing them again, and
-the a priori monitor carries the previous step's forcing as it carries
-J V.  Step n ends at the float (n + 1) dt, which the stepper's end stage,
-the monitors and step n + 1 all use.
+one pair d1 V, d2 V, which step n + 1's first stage reuses.  The observers
+are the snapshot recorder, the constraint monitors (div hdot, the wall
+magnetic constraint, the boundary energy), the a priori monitor behind
+``Trajectory.cstar`` and the ledger.  ``evolve(..., monitors=False)`` runs
+the recorder alone, as the Nash-Moser solve does: it differentiates no
+end-of-step V of its own and interpolates only the bundle entries the march
+applies.  ``Trajectory.timings`` gives the wall seconds of the march and of
+each observer; they are the one part of a trajectory that is not
+reproducible.
 
 A steady basic state that is constant along the front (the planar sheet)
 has its coefficients, and with them the ledger's symmetrized family,
@@ -36,7 +45,9 @@ assembled on one x2 column and broadcast along x2.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +55,7 @@ from .grid import Grid
 from .linearized import (IHN, IH2V, IQ, IUN, BasicState,
                          assemble_effective, bracket, j_matrix)
 from .profiles import SigmaWeight, quintic_step
+from .scenarios import ManufacturedForcing
 from .stability import LambdaPair, StabilityError, extend_lambda
 
 
@@ -90,22 +102,38 @@ class EnergyLedger:
 
 @dataclass
 class Trajectory:
+    """What the observers of one ``evolve`` march recorded.
+
+    ``times`` and ``phi`` hold every step (t = 0 included), ``snapshots``
+    the fields at ``snapshot_times``.  The constraint monitors give
+    ``boundary_energy``, ``div_residual`` and ``hn_residual`` per step, the
+    a priori monitor ``apriori`` (and so ``cstar``), the ledger ``ledger``.
+    A field whose observer did not run (``monitors=False``, or
+    ``ledger=False`` for the ledger) is None.  ``timings`` holds the wall
+    seconds of the march and of each observer that ran; it is the one
+    field that differs between runs of the same inputs.
+    """
+
     times: np.ndarray
     phi: np.ndarray                      # (nt_sampled, n2)
-    ledger: EnergyLedger
-    boundary_energy: np.ndarray
-    div_residual: np.ndarray             # per-step max-norm of div hdot
-    hn_residual: np.ndarray              # wall magnetic constraint residual
+    ledger: EnergyLedger | None = None
+    boundary_energy: np.ndarray | None = None
+    div_residual: np.ndarray | None = None   # per-step max-norm of div hdot
+    hn_residual: np.ndarray | None = None    # wall magnetic constraint
     snapshots: np.ndarray | None = None  # (nsnap, 2, 6, n1, n2)
     snapshot_times: np.ndarray | None = None
-    apriori: dict = field(default_factory=dict)
+    apriori: dict | None = None
     # why the ledger multiplier fell back to lambda = 0, if it did
     lambda_fallback: str | None = None
+    timings: dict = field(default_factory=dict)
 
     @property
-    def cstar(self) -> float:
-        """Fitted a priori constant (|Udot|_{1,*,T} + |phi|_{H1}) / |F|_{1,*,T}."""
+    def cstar(self) -> float | None:
+        """Fitted a priori constant (|Udot|_{1,*,T} + |phi|_{H1}) / |F|_{1,*,T},
+        or None without the a priori monitor."""
         a = self.apriori
+        if a is None:
+            return None
         num = np.sqrt(a["u_sq"]) + np.sqrt(a["phi_sq"])
         den = np.sqrt(a["f_sq"])
         return float(num / den) if den > 0 else float("inf")
@@ -150,11 +178,13 @@ class _CoeffCache:
     non-uniform one.
     """
 
-    _KEYS = ("M1", "M2", "M3", "A0invJt", "J", "d1phi")
+    _MARCH_KEYS = ("M1", "M2", "M3", "A0invJt")     # what the march applies
+    _KEYS = _MARCH_KEYS + ("J", "d1phi")            # and what monitors read
 
-    def __init__(self, basic: BasicState, lam_field):
+    def __init__(self, basic: BasicState, lam_field, keys=_KEYS):
         self.basic = basic
         self.lam_field = lam_field
+        self.keys = keys                # interpolated between snapshots
         self._source = basic            # the state the bundles are built from
         if basic.steady and all(a is None or np.all(a == a[..., :1])
                                 for a in (basic.U, basic.phi, lam_field)):
@@ -183,7 +213,7 @@ class _CoeffCache:
         if w == 0.0:
             return b0
         b1 = self._bundle(k + 1)
-        out = {key: (1 - w) * b0[key] + w * b1[key] for key in self._KEYS}
+        out = {key: (1 - w) * b0[key] + w * b1[key] for key in self.keys}
         out["traces"] = {key: (1 - w) * b0["traces"][key]
                          + w * b1["traces"][key] for key in b0["traces"]}
         return out
@@ -251,110 +281,184 @@ def _ledger_multiplier(basic: BasicState):
 def evolve(basic: BasicState, t_final: float, *, forcing=None, bdata=None,
            cfl: float = 0.4, sponge_strength: float = 2.0,
            ledger: bool = True, snapshot_times=None,
-           dt_override: float | None = None) -> Trajectory:
+           dt_override: float | None = None,
+           monitors: bool = True) -> Trajectory:
     """March the linearized problem from rest with causal data.
 
     ``forcing(t) -> (2, 6, n1, n2)`` in the good-unknown components and
     ``bdata(t) -> (3, n2)`` for (g1+, g1-, g2) both default to zero.  Zero
-    data reproduce the zero solution exactly.
+    data reproduce the zero solution exactly.  ``monitors=False`` runs the
+    snapshot recorder alone (``times``, ``phi``, ``snapshots``); the ledger
+    is a monitor, so ``ledger=True`` needs ``monitors=True``.
     """
+    if ledger and not monitors:
+        raise ValueError("ledger=True needs monitors=True: the ledger is "
+                         "a monitor")
     grid = basic.grid
     lam_field, lambda_fallback = (_ledger_multiplier(basic) if ledger
                                   else (None, None))
 
-    stepper = LinearizedStepper(basic, forcing=forcing, bdata=bdata,
-                                lam_field=lam_field, cfl=cfl,
-                                sponge_strength=sponge_strength)
-    cache = stepper.cache
+    stepper = LinearizedStepper(
+        basic, forcing=forcing, bdata=bdata, lam_field=lam_field, cfl=cfl,
+        sponge_strength=sponge_strength,
+        keys=_CoeffCache._KEYS if monitors else _CoeffCache._MARCH_KEYS)
     dt = dt_override or stepper.dt_cfl
     nsteps = int(np.ceil(t_final / dt - _STEP_ROUNDOFF))
     if nsteps > _MAX_STEPS:
         raise NumericsError(f"CFL step count {nsteps} exceeds {_MAX_STEPS}")
     dt = t_final / nsteps
-    n1_phys = stepper.n1_phys
-    F_at = stepper.F_at
 
-    sigma = SigmaWeight().value(grid.x1)[:, None]
+    observers = {"snapshots": _SnapshotRecorder(snapshot_times, dt)}
+    if monitors:
+        observers["constraints"] = _ConstraintMonitor(grid, stepper.n1_phys)
+        observers["apriori"] = _AprioriMonitor(grid, forcing, dt)
+        if ledger:
+            observers["ledger"] = _LedgerAccumulator(grid, stepper.cache, dt,
+                                                     stepper.sponge)
+    timings = dict.fromkeys(("march", *observers), 0.0)
 
+    def observe(method: str, end: _StepEnd) -> None:
+        for name, obs in observers.items():
+            t0 = time.perf_counter()
+            getattr(obs, method)(end)
+            timings[name] += time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    t = 0.0
     V = np.zeros((2, 6, grid.n1, grid.n2))
     phi = np.zeros(grid.n2)
-
-    ledger_obj = EnergyLedger()
-    times = [0.0]
-    phis = [phi.copy()]
-    be = [0.0]
-    divres = [0.0]
-    hnres = [0.0]
-    apriori = {"u_sq": 0.0, "phi_sq": 0.0, "f_sq": 0.0}
-    led = _LedgerAccumulator(grid, cache, dt, stepper.sponge) if ledger else None
-    f_prev = F_at(0.0)
-    if led is not None:
-        led.start(V, f_prev)
-        ledger_obj.rows.append(led.row(0.0, V, phi, None))
-
-    snap_req = list(snapshot_times) if snapshot_times is not None else []
-    snaps, snap_ts = [], []
-    if snap_req and abs(snap_req[0]) < 1e-12:
-        snaps.append(V.copy())
-        snap_ts.append(0.0)
-        snap_req.pop(0)
-
-    t = 0.0
-    V_prev = V
-    Ud_prev = np.zeros_like(V)          # J V of the state at rest
+    end = _StepEnd(stepper, t, V, phi,
+                   stepper.derivatives(V) if monitors else None)
+    timings["march"] += time.perf_counter() - t0
+    observe("start", end)
     for n in range(nsteps):
+        # the stepper's carry is now the only holder of the pair, and
+        # the first stage drops it
+        end = None
+        t0 = time.perf_counter()
         t_next = (n + 1) * dt
         V, phi = stepper.step(V, phi, t, dt, t_next)
         t = t_next
-
         if not (np.all(np.isfinite(V)) and np.all(np.isfinite(phi))):
             raise NumericsError(f"non-finite values at t={t:.6g}")
+        end = _StepEnd(stepper, t, V, phi,
+                       stepper.derivatives(V) if monitors else None)
+        timings["march"] += time.perf_counter() - t0
+        observe("observe", end)
 
-        co_now = cache.at(t)
-        f = F_at(t)
-        div = _div_hdot(grid, co_now["d1phi"], V)
-        times.append(t)
-        phis.append(phi.copy())
-        be.append(_boundary_energy(grid, V))
-        dres, hres = _constraint_residuals(grid, co_now, div, V, phi, n1_phys)
-        divres.append(dres)
-        hnres.append(hres)
-        Ud_prev = _accumulate_apriori(apriori, grid, sigma, co_now, V,
-                                      Ud_prev, phi, f, f_prev, dt)
-        f_prev = f
-        if led is not None:
-            led.advance_flux(V, f, div)
-            ledger_obj.rows.append(led.row(t, V, phi, (V_prev, dt)))
-        V_prev = V                      # step() returns a fresh array
+    rec = observers["snapshots"]
+    out = dict(times=np.asarray(rec.times), phi=np.asarray(rec.phis),
+               snapshots=np.asarray(rec.snaps) if rec.snaps else None,
+               snapshot_times=(np.asarray(rec.snap_ts) if rec.snap_ts
+                               else None))
+    if monitors:
+        con = observers["constraints"]
+        out.update(boundary_energy=np.asarray(con.be),
+                   div_residual=np.asarray(con.div),
+                   hn_residual=np.asarray(con.hn),
+                   apriori=observers["apriori"].sums)
+    if ledger:
+        out["ledger"] = observers["ledger"].ledger
+    return Trajectory(**out, lambda_fallback=lambda_fallback,
+                      timings=timings)
 
-        while snap_req and t >= snap_req[0] - 0.5 * dt:
-            snaps.append(V.copy())
-            snap_ts.append(t)
-            snap_req.pop(0)
 
-    return Trajectory(
-        times=np.asarray(times), phi=np.asarray(phis), ledger=ledger_obj,
-        boundary_energy=np.asarray(be), div_residual=np.asarray(divres),
-        hn_residual=np.asarray(hnres),
-        snapshots=np.asarray(snaps) if snaps else None,
-        snapshot_times=np.asarray(snap_ts) if snap_ts else None,
-        apriori=apriori, lambda_fallback=lambda_fallback)
+class _StepEnd:
+    """The march's state after a step, as its observers read it: t, V, phi
+    and the pair (d1 V, d2 V) (None when no observer reads it), and, on
+    first read, the end-stage bundle ``co``, the forcing ``f`` and
+    div hdot.  Observers must not write to these arrays."""
+
+    def __init__(self, stepper, t, V, phi, pair):
+        self.stepper, self.t, self.V, self.phi = stepper, t, V, phi
+        self.d1V, self.d2V = pair if pair is not None else (None, None)
+
+    @cached_property
+    def co(self):
+        return self.stepper.cache.at(self.t)
+
+    @cached_property
+    def f(self):
+        return self.stepper.F_at(self.t)
+
+    @cached_property
+    def div(self):
+        return _div_hdot(self.stepper.grid, self.co["d1phi"], self.V,
+                         self.d1V)
+
+
+class _SnapshotRecorder:
+    """``times``, ``phi`` at every step and V at the requested times."""
+
+    def __init__(self, snapshot_times, dt: float):
+        self._req = list(snapshot_times) if snapshot_times is not None else []
+        self.dt = dt
+        self.times, self.phis, self.snaps, self.snap_ts = [], [], [], []
+
+    def start(self, end: _StepEnd) -> None:
+        self.times.append(end.t)
+        self.phis.append(end.phi.copy())
+        if self._req and abs(self._req[0]) < 1e-12:
+            self._take(end)
+
+    def observe(self, end: _StepEnd) -> None:
+        self.times.append(end.t)
+        self.phis.append(end.phi.copy())
+        while self._req and end.t >= self._req[0] - 0.5 * self.dt:
+            self._take(end)
+
+    def _take(self, end: _StepEnd) -> None:
+        self.snaps.append(end.V.copy())
+        self.snap_ts.append(end.t)
+        self._req.pop(0)
+
+
+class _ConstraintMonitor:
+    """Boundary energy and the div hdot and wall magnetic constraint
+    residuals per step; 0 at rest."""
+
+    def __init__(self, grid: Grid, n1_phys: int):
+        self.grid = grid
+        self.n1_phys = n1_phys
+        self.be, self.div, self.hn = [], [], []
+
+    def start(self, end: _StepEnd) -> None:
+        for series in (self.be, self.div, self.hn):
+            series.append(0.0)
+
+    def observe(self, end: _StepEnd) -> None:
+        self.be.append(_boundary_energy(self.grid, end.V))
+        dres, hres = _constraint_residuals(self.grid, end.co, end.div, end.V,
+                                           end.phi, self.n1_phys)
+        self.div.append(dres)
+        self.hn.append(hres)
 
 
 def _mat_apply2(M, v):
     """Per-side 6x6 apply M v.
 
-    A uniform M, stored (2, 6, 6, 1, 1), is applied through its nonzero
-    entries, accumulated in column order onto zeros as the einsum
-    accumulates them, so both paths give the same bits.
+    An M that varies in x1 at most, stored (2, 6, 6, n1, 1), or uniform,
+    stored (2, 6, 6, 1, 1), is applied through its nonzero entries,
+    accumulated in column order onto zeros as the einsum accumulates them;
+    for a uniform M both paths give the same bits.
     """
-    if M.shape[-2:] != (1, 1):
+    if M.shape[-1] != 1:
         return np.einsum("sij...,sj...->si...", M, v)
-    m = M[..., 0, 0]
+    m = M[..., 0]
     out = np.zeros(v.shape)
-    for s, i, j in zip(*np.nonzero(m)):
-        out[s, i] += m[s, i, j] * v[s, j]
+    for s, i, j in zip(*np.nonzero(np.any(m != 0.0, axis=-1))):
+        out[s, i] += m[s, i, j, :, None] * v[s, j]
     return out
+
+
+def _inner(X, Y, w) -> float:
+    """Sum over sides, components and x2 of X Y, then along x1 against the
+    weights ``w`` (n1,): one quadrature of a sum of products, with no
+    full-size temporary."""
+    n1, n2 = X.shape[-2:]
+    rows = np.einsum("kij,kij->i", X.reshape(-1, n1, n2),
+                     Y.reshape(-1, n1, n2))
+    return float(rows @ w)
 
 
 class LinearizedStepper:
@@ -368,9 +472,9 @@ class LinearizedStepper:
 
     def __init__(self, basic: BasicState, *, forcing=None, bdata=None,
                  lam_field=None, cfl: float = 0.4,
-                 sponge_strength: float = 2.0):
+                 sponge_strength: float = 2.0, keys=_CoeffCache._KEYS):
         self.grid = basic.grid
-        self.cache = _CoeffCache(basic, lam_field)
+        self.cache = _CoeffCache(basic, lam_field, keys)
         grid = basic.grid
         self.dt_cfl = cfl_timestep(basic, cfl)
         x1 = grid.x1[:, None]
@@ -384,6 +488,7 @@ class LinearizedStepper:
         self._bdata = bdata
         self._zero_f = np.zeros((2, 6, grid.n1, grid.n2))
         self._zero_g = np.zeros((3, grid.n2))
+        self._carry = None          # (V, (d1 V, d2 V)) from derivatives()
 
     def F_at(self, t):
         """forcing(t), evaluated once per stage time: a step asks for t,
@@ -400,12 +505,21 @@ class LinearizedStepper:
     def g_at(self, t):
         return self._bdata(t) if self._bdata is not None else self._zero_g
 
-    def rhs(self, V, phi, t, co, g):
-        """Stage derivative at t, given the bundle and boundary data at t."""
+    def derivatives(self, V):
+        """(d1 V, d2 V); the first stage of a step from this very V reuses
+        the pair and then lets it go."""
+        pair = (self.grid.d1(V), self.grid.d2(V))
+        self._carry = (V, pair)
+        return pair
+
+    def rhs(self, V, phi, t, co, g, pair=None):
+        """Stage derivative at t, given the bundle and boundary data at t
+        and, if the caller holds it, the pair (d1 V, d2 V)."""
         grid = self.grid
+        d1V, d2V = pair if pair is not None else (None, None)
         dV = (_mat_apply2(co["A0invJt"], self.F_at(t))
-              - _mat_apply2(co["M1"], grid.d1(V))
-              - _mat_apply2(co["M2"], grid.d2(V))
+              - _mat_apply2(co["M1"], grid.d1(V) if d1V is None else d1V)
+              - _mat_apply2(co["M2"], grid.d2(V) if d2V is None else d2V)
               - _mat_apply2(co["M3"], V))
         dV -= self.sponge * V
         tr = co["traces"]
@@ -437,6 +551,8 @@ class LinearizedStepper:
         (n + 1) dt passes that float, which can differ from n dt + dt in
         the last bit, so that its monitors and the next step ask the
         forcing memo and the cache for the very time the end stage used.
+        The first stage reuses the pair of the last ``derivatives(V)``
+        call if it was made for this V.
         """
         # one lookup per stage time; the end last, so the cache still holds
         # it when the caller's end-of-step monitors ask for the same time
@@ -446,7 +562,11 @@ class LinearizedStepper:
         coh, gh = self.cache.at(sh), self.g_at(sh)
         co1, g1 = self.cache.at(s1), self.g_at(s1)
 
-        k1V, k1p = self.rhs(V, phi, s0, co0, g0)
+        carry, self._carry = self._carry, None
+        pair = carry[1] if carry is not None and carry[0] is V else None
+        del carry
+        k1V, k1p = self.rhs(V, phi, s0, co0, g0, pair)
+        del pair
         V1 = V + dt * k1V
         p1 = phi + dt * k1p
         self.apply_bc(V1, p1, co1, g1)
@@ -481,9 +601,11 @@ def _boundary_energy(grid: Grid, V) -> float:
     return float(np.sum(V[:, :, 0, :] ** 2) * grid.h2)
 
 
-def _div_hdot(grid: Grid, d1phi, V):
-    """Discrete div hdot = d1 V_HN + d2(V_H2 d1Phi) per side, (2, n1, n2)."""
-    return grid.d1(V[:, IHN]) + grid.d2(V[:, IH2V] * d1phi)
+def _div_hdot(grid: Grid, d1phi, V, d1V):
+    """Discrete div hdot = d1 V_HN + d2(V_H2 d1Phi) per side, (2, n1, n2),
+    with d1 V_HN read from d1 V (the stencil acts on each component alone,
+    so this is the bits of d1 of V_HN)."""
+    return d1V[:, IHN] + grid.d2(V[:, IH2V] * d1phi)
 
 
 def _constraint_residuals(grid: Grid, co, div, V, phi, n1_phys: int):
@@ -504,41 +626,104 @@ def _constraint_residuals(grid: Grid, co, div, V, phi, n1_phys: int):
     return div_max, hn_max
 
 
-def energy_integrals(grid: Grid, sigma, V):
+def _weights(grid: Grid):
+    """Quadrature weights along x1 for the plain and the sigma^2-weighted
+    integrals: (w1 h2, w1 h2 sigma^2)."""
+    w = grid.w1 * grid.h2
+    return w, w * SigmaWeight().value(grid.x1) ** 2
+
+
+def energy_integrals(grid: Grid, sigma, V, d1V=None, d2V=None):
     """(I, I1n, Isigma, I2) of a characteristic state V (2, 6, n1, n2).
 
     ``sigma`` is the conormal weight on the x1 nodes, shaped (n1, 1).
+    ``d1V`` and ``d2V`` are taken here unless the caller holds them.
     """
-    d1V = grid.d1(V)
-    I = float(grid.integrate((V ** 2).sum(axis=(0, 1))))
-    Isig = float(grid.integrate(((sigma * d1V) ** 2).sum(axis=(0, 1))))
-    I2 = float(grid.integrate((grid.d2(V) ** 2).sum(axis=(0, 1))))
-    d1Vn = d1V[:, (IQ, IUN, IHN), :, :]
-    I1n = float(grid.integrate((d1Vn ** 2).sum(axis=(0, 1))))
+    d1V = grid.d1(V) if d1V is None else d1V
+    d2V = grid.d2(V) if d2V is None else d2V
+    w = grid.w1 * grid.h2
+    I = _inner(V, V, w)
+    Isig = _inner(d1V, d1V, w * sigma[:, 0] ** 2)
+    I2 = _inner(d2V, d2V, w)
+    I1n = sum(_inner(d1V[:, k], d1V[:, k], w) for k in (IQ, IUN, IHN))
     return I, I1n, Isig, I2
 
 
-def _accumulate_apriori(acc, grid: Grid, sigma, co, V, Ud_prev, phi, f,
-                        fprev, dt):
-    """Trapezoid-free accumulation (left Riemann) of the H1* integrands.
+class _AprioriMonitor:
+    """Left-Riemann sums of the H1_* integrands behind ``Trajectory.cstar``:
+    |Udot|^2 with Udot = J V, |phi|^2_{H1} with dphi/dt from the plus-side
+    kinematic wall condition, and |F|^2, each with its time difference and
+    the sigma d1 and d2 terms.
 
-    ``Ud_prev`` and ``fprev`` are the previous step's Udot = J V and
-    forcing; returns this step's Udot.
+    Where J is uniform, d1(J V) and d2(J V) are J d1 V and J d2 V.  A
+    ``ManufacturedForcing`` is a(t) F0, so its |F|^2 terms are a(t)^2 and
+    ((a(t) - a(t - dt)) / dt)^2 times integrals of F0 taken once; any other
+    forcing is differentiated every step.
     """
-    Ud = _mat_apply2(co["J"], V)
-    dtU = (Ud - Ud_prev) / dt
-    terms = (Ud ** 2 + dtU ** 2 + (sigma * grid.d1(Ud)) ** 2
-             + grid.d2(Ud) ** 2)
-    acc["u_sq"] += float(grid.integrate(terms.sum(axis=(0, 1)))) * dt
-    d2p = grid.d2_boundary(phi)
-    # dphi/dt from the kinematic wall condition of the plus side
-    tr = co["traces"]
-    dtp = V[0, IUN, 0, :] + phi * tr["d1uNp"] - tr["u2p"] * d2p
-    acc["phi_sq"] += float(np.sum(phi ** 2 + dtp ** 2 + d2p ** 2)) * grid.h2 * dt
-    dtf = (f - fprev) / dt
-    fterms = (f ** 2 + dtf ** 2 + (sigma * grid.d1(f)) ** 2 + grid.d2(f) ** 2)
-    acc["f_sq"] += float(grid.integrate(fterms.sum(axis=(0, 1)))) * dt
-    return Ud
+
+    def __init__(self, grid: Grid, forcing, dt: float):
+        self.grid = grid
+        self.dt = dt
+        self.sums = {"u_sq": 0.0, "phi_sq": 0.0, "f_sq": 0.0}
+        self._w, self._wsig = _weights(grid)
+        self._forcing = forcing
+        self._profile = None
+        if isinstance(forcing, ManufacturedForcing):
+            self._profile = forcing.profile
+            self._F0_sq, self._F0_d_sq = self._f_terms(forcing.F0)
+        self._Ud_prev = 0.0             # J V of the state at rest
+        self._f_prev = None             # a(t) or F(t) at the last step end
+
+    def _f_terms(self, f):
+        """(|f|^2, |sigma d1 f|^2 + |d2 f|^2) integrated over the domain."""
+        g = self.grid
+        d = g.d1(f)
+        deriv = _inner(d, d, self._wsig)
+        d = g.d2(f)
+        return _inner(f, f, self._w), deriv + _inner(d, d, self._w)
+
+    def start(self, end: _StepEnd) -> None:
+        if self._profile is not None:
+            self._f_prev = self._profile(end.t)
+        elif self._forcing is not None:
+            self._f_prev = end.f
+
+    def observe(self, end: _StepEnd) -> None:
+        g, dt, w = self.grid, self.dt, self._w
+        J = end.co["J"]
+        Ud = _mat_apply2(J, end.V)
+        d = (Ud - self._Ud_prev) / dt
+        u = _inner(Ud, Ud, w) + _inner(d, d, w)
+        uniform = J.shape[-2:] == (1, 1)
+        d = _mat_apply2(J, end.d1V) if uniform else g.d1(Ud)
+        u += _inner(d, d, self._wsig)
+        d = _mat_apply2(J, end.d2V) if uniform else g.d2(Ud)
+        u += _inner(d, d, w)
+        self.sums["u_sq"] += u * dt
+        self._Ud_prev = Ud
+
+        phi = end.phi
+        d2p = g.d2_boundary(phi)
+        tr = end.co["traces"]
+        dtp = end.V[0, IUN, 0, :] + phi * tr["d1uNp"] - tr["u2p"] * d2p
+        self.sums["phi_sq"] += (float(np.sum(phi ** 2 + dtp ** 2 + d2p ** 2))
+                                * g.h2 * dt)
+
+        if self._profile is not None:
+            a = self._profile(end.t)
+            da = (a - self._f_prev) / dt
+            fsq = (a * a * (self._F0_sq + self._F0_d_sq)
+                   + da * da * self._F0_sq)
+            self._f_prev = a
+        elif self._forcing is not None:
+            f = end.f
+            d = (f - self._f_prev) / dt
+            f_sq, f_d_sq = self._f_terms(f)
+            fsq = f_sq + _inner(d, d, w) + f_d_sq
+            self._f_prev = f
+        else:
+            fsq = 0.0
+        self.sums["f_sq"] += fsq * dt
 
 
 class _LedgerAccumulator:
@@ -553,7 +738,8 @@ class _LedgerAccumulator:
     ``B0``, ``S``, ``T`` and the zero-order matrix keep the shape of the
     cache's bundle: (..., n1, 1) for a state assembled on one x2 column,
     where they vary in x1 only (through the multiplier and the sponge),
-    and (2, 6, 6, 1, 1) for ``B0`` and ``S`` where they are uniform.
+    and (2, 6, 6, 1, 1) for ``B0`` and ``S`` where they are uniform;
+    ``_mat_apply2`` applies both shapes through their nonzero entries.
     """
 
     def __init__(self, grid: Grid, cache: _CoeffCache, dt: float, sponge):
@@ -562,8 +748,11 @@ class _LedgerAccumulator:
         self.grid = grid
         self.dt = dt
         self.sigma = SigmaWeight().value(grid.x1)[:, None]
+        self._w = _weights(grid)[0]
+        self.ledger = EnergyLedger()
         self._flux_int = 0.0
         self._prev_integrand = None
+        self._V_prev = None
         co = cache.at(0.0)
         ops = co["ops"]
         if ops.B0 is None:
@@ -584,14 +773,19 @@ class _LedgerAccumulator:
                                  cache.lam_field[i], fr.basic.eos)[1]
             for i in range(2)])
 
-    def start(self, V, f0):
-        self._Q0 = self._q(V)
-        self._prev_integrand = self._integrand(
-            V, f0, _div_hdot(self.grid, self._d1phi, V))
+    def start(self, end: _StepEnd) -> None:
+        self._Q0 = self._q(end.V)
+        self._prev_integrand = self._integrand(end.V, end.f, end.div)
+        self.ledger.rows.append(self.row(end))
+        self._V_prev = end.V
+
+    def observe(self, end: _StepEnd) -> None:
+        self.advance_flux(end.V, end.f, end.div)
+        self.ledger.rows.append(self.row(end))
+        self._V_prev = end.V
 
     def _q(self, V):
-        vals = np.einsum("si...,si...->s...", V, _mat_apply2(self._B0, V))
-        return float(self.grid.integrate(vals.sum(axis=0)))
+        return _inner(V, _mat_apply2(self._B0, V), self._w)
 
     def _integrand(self, V, F, div):
         ops = self.ops
@@ -605,11 +799,9 @@ class _LedgerAccumulator:
         SF = _mat_apply2(self._S, F)
         # the discrete div hdot source restores the exact A/B equivalence
         SF += self._T * (div / self._d1phi)[:, None]
-        Fc = _mat_apply2(self._Jt, SF)
-        src = 2.0 * float(g.integrate(
-            np.einsum("si...,si...->s...", Fc, V).sum(axis=0)))
-        zo = float(g.integrate(np.einsum(
-            "sij...,si...,sj...->s...", self._zo_matrix, V, V).sum(axis=0)))
+        src = 2.0 * _inner(_mat_apply2(self._Jt, SF), V, self._w)
+        del SF
+        zo = _inner(V, _mat_apply2(self._zo_matrix, V), self._w)
         return flux + src + zo
 
     def advance_flux(self, V, F, div):
@@ -618,16 +810,19 @@ class _LedgerAccumulator:
         self._flux_int += 0.5 * self.dt * (self._prev_integrand + val)
         self._prev_integrand = val
 
-    def row(self, t, V, phi, prev) -> LedgerRow:
+    def row(self, end: _StepEnd) -> LedgerRow:
+        """The ledger row of ``end``, with I0 from the previous row's V."""
         g = self.grid
-        I, I1n, Isig, I2 = energy_integrals(g, self.sigma, V)
-        if prev is None:
+        V = end.V
+        I, I1n, Isig, I2 = energy_integrals(g, self.sigma, V, end.d1V,
+                                            end.d2V)
+        if self._V_prev is None:
             I0 = 0.0
         else:
-            V_prev, dt = prev
-            I0 = float(g.integrate((((V - V_prev) / dt) ** 2).sum(axis=(0, 1))))
-        phiL2 = float(np.sqrt(np.sum(phi ** 2) * g.h2))
-        Q = self._q(V)
-        res = Q - self._Q0 - self._flux_int
-        return LedgerRow(t=t, I=I, I0=I0, I1n=I1n, Isigma=Isig, I2=I2,
+            d = V - self._V_prev
+            d /= self.dt
+            I0 = _inner(d, d, self._w)
+        phiL2 = float(np.sqrt(np.sum(end.phi ** 2) * g.h2))
+        res = self._q(V) - self._Q0 - self._flux_int
+        return LedgerRow(t=end.t, I=I, I0=I0, I1n=I1n, Isigma=Isig, I2=I2,
                          phiL2=phiL2, identity_residual=res)

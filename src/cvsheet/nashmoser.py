@@ -379,7 +379,8 @@ class NashMoserDriver:
         traj = evolve(basic, t_final=float(self.tgrid[-1]),
                       forcing=_SnapshotInterpolant(self.tgrid, f_i),
                       bdata=_SnapshotInterpolant(self.tgrid, g_i),
-                      ledger=False, snapshot_times=self.tgrid,
+                      ledger=False, monitors=False,
+                      snapshot_times=self.tgrid,
                       dt_override=self.dt / substeps, sponge_strength=0.0)
         dVdot_char = traj.snapshots
         if (dVdot_char.shape[0] != nt or np.max(np.abs(

@@ -23,7 +23,8 @@ class ManufacturedForcing:
 
     ``k2`` selects the x2 wavenumber (index of the periodic mode), ``ramp``
     the rise time, ``x1_center``/``x1_width`` the wall-normal envelope.
-    Calling with t returns (2, 6, n1, n2) in the good-unknown components.
+    Calling with t returns (2, 6, n1, n2) in the good-unknown components:
+    ``profile(t)`` times the fixed field ``F0``.
     """
 
     grid: Grid
@@ -46,26 +47,31 @@ class ManufacturedForcing:
         k = 2 * np.pi * self.k2 / g.L2
         stream = env * np.sin(k * x2) / max(k, 1.0)
         # per side: div (f_n, f5 d1Phi) = 0 requires d1 f4 = -sgn d2 f5
-        self._f4 = g.d2(stream)
-        self._f5 = -g.d1(stream)
-        self._fp = env * np.cos(k * x2)
-        self._fu = np.stack([env * np.sin(k * x2), env * np.cos(k * x2 + 0.7)])
-        self._fS = 0.5 * env * np.sin(k * x2 + 1.1)
+        f4, f5 = g.d2(stream), -g.d1(stream)
+        fp = env * np.cos(k * x2)
+        fu = (env * np.sin(k * x2), env * np.cos(k * x2 + 0.7))
+        fS = 0.5 * env * np.sin(k * x2 + 1.1)
+        self.F0 = np.empty((2, 6, g.n1, g.n2))
+        for i, sgn in enumerate((1.0, -1.0)):
+            self.F0[i, IP] = fp
+            self.F0[i, IU1] = fu[0]
+            self.F0[i, IU2] = sgn * fu[1]
+            self.F0[i, IH1] = f4
+            self.F0[i, IH2] = sgn * f5
+            self.F0[i, IS] = sgn * fS
+
+    def profile(self, t: float) -> float:
+        """a(t), zero for t <= 0: the forcing at t is a(t) ``F0``."""
+        if t <= 0.0:
+            return 0.0
+        r = float(quintic_step(t / self.ramp)) * np.cos(self.omega * t)
+        return float(self.amplitude * r)
 
     def __call__(self, t: float) -> np.ndarray:
-        g = self.grid
         if t <= 0.0:
+            g = self.grid
             return np.zeros((2, 6, g.n1, g.n2))
-        r = float(quintic_step(t / self.ramp)) * np.cos(self.omega * t)
-        out = np.empty((2, 6, g.n1, g.n2))
-        for i, sgn in enumerate((1.0, -1.0)):
-            out[i, IP] = self._fp
-            out[i, IU1] = self._fu[0]
-            out[i, IU2] = sgn * self._fu[1]
-            out[i, IH1] = self._f4
-            out[i, IH2] = sgn * self._f5
-            out[i, IS] = sgn * self._fS
-        return self.amplitude * r * out
+        return self.profile(t) * self.F0
 
 
 @dataclass

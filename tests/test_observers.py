@@ -1,0 +1,221 @@
+"""``evolve`` as one march plus observers: the shared derivative pair, the
+march without monitors, and the monitors' shortcuts against the stencil
+and einsum forms they replace."""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+import cvsheet.evolve as ev
+from cvsheet.compat import (build_approximate, manufactured_initial_data,
+                            time_jet)
+from cvsheet.evolve import evolve
+from cvsheet.grid import Grid
+from cvsheet.linearized import trivial_sheet_state
+from cvsheet.mhd import IdealGasEos
+from cvsheet.nashmoser import NashMoserDriver, _SnapshotInterpolant
+from cvsheet.scenarios import ManufacturedForcing
+
+EOS = IdealGasEos()
+
+
+def _sheet(n):
+    grid = Grid(n1=n, n2=n, L1=2 * np.pi, L2=2 * np.pi)
+    basic = trivial_sheet_state(grid, EOS, u2_jump=0.5, H2_plus=1.4,
+                                H2_minus=1.2)
+    return grid, basic, ManufacturedForcing(grid, amplitude=1.0, k2=2)
+
+
+def test_each_end_of_step_field_differentiated_once(monkeypatch):
+    # the ledger, the a priori monitor and the next step's first stage all
+    # read one pair d1 V, d2 V of each end-of-step V
+    grid, basic, forcing = _sheet(32)
+    full = (2, 6, grid.n1, grid.n2)
+    seen = {"d1": [], "d2": []}
+
+    def hashed(name, fn):
+        def wrapper(self, f):
+            f = np.asarray(f)
+            # the state at rest is also the first stage's output, since the
+            # forcing vanishes at t = 0: equal content, not repeated work
+            if f.shape == full and np.any(f != 0.0):
+                seen[name].append(hashlib.sha256(f.tobytes()).hexdigest())
+            return fn(self, f)
+        return wrapper
+
+    monkeypatch.setattr(Grid, "d1", hashed("d1", Grid.d1))
+    monkeypatch.setattr(Grid, "d2", hashed("d2", Grid.d2))
+    traj = evolve(basic, t_final=0.05, forcing=forcing, dt_override=0.005)
+    assert len(traj.times) == 11
+    for name, hashes in seen.items():
+        assert len(hashes) > 20, name
+        assert len(set(hashes)) == len(hashes), name
+
+
+def _driver():
+    """The 16^2, 9-snapshot Nash-Moser driver of ``test_nashmoser``."""
+    grid = Grid(n1=16, n2=16, L1=2 * np.pi, L2=2 * np.pi)
+    data = manufactured_initial_data(grid, EOS, amplitude=8e-6, seed=3,
+                                     k2=1, p_plus=0.8, u2_jump=0.1,
+                                     H2_plus=0.7, H2_minus=0.6)
+    approx = build_approximate(time_jet(data, order=2), T=1.0, delta=1e-3)
+    return NashMoserDriver(approx, np.linspace(0.0, 1.0, 9))
+
+
+def _modified_state():
+    """A time-dependent Nash-Moser modified state with the iteration's
+    forcing."""
+    drv = _driver()
+    basic = drv.modified_state(drv.fresh_state(), theta=2.0)
+    return basic, _SnapshotInterpolant(drv.tgrid, drv.Fa), drv.tgrid
+
+
+@pytest.mark.parametrize("case", ["trivial", "modified"])
+def test_march_without_monitors_records_the_same_fields(case):
+    if case == "trivial":
+        _, basic, forcing = _sheet(24)
+        kw = dict(t_final=0.1, forcing=forcing, snapshot_times=[0.0, 0.1])
+    else:
+        basic, forcing, tgrid = _modified_state()
+        kw = dict(t_final=float(tgrid[-1]), forcing=forcing,
+                  snapshot_times=tgrid, dt_override=(tgrid[1] - tgrid[0]) / 2,
+                  sponge_strength=0.0)
+    on = evolve(basic, ledger=False, **kw)
+    off = evolve(basic, ledger=False, monitors=False, **kw)
+    for name in ("times", "phi", "snapshots", "snapshot_times"):
+        assert np.array_equal(getattr(off, name), getattr(on, name)), name
+    for name in ("ledger", "boundary_energy", "div_residual", "hn_residual",
+                 "apriori", "cstar"):
+        assert getattr(off, name) is None, name
+    assert on.apriori is not None and on.div_residual is not None
+    assert set(off.timings) == {"march", "snapshots"}
+    assert set(on.timings) == {"march", "snapshots", "constraints",
+                               "apriori"}
+    assert all(v >= 0.0 for v in on.timings.values())
+
+
+def test_ledger_without_monitors_is_refused():
+    _, basic, _ = _sheet(16)
+    with pytest.raises(ValueError, match="monitors"):
+        evolve(basic, t_final=0.05, monitors=False)
+
+
+def test_solve_interpolates_only_what_the_march_applies(monkeypatch):
+    interpolate = ev._CoeffCache._interpolate
+    blended = []
+
+    def recording(self, t):
+        out = interpolate(self, t)
+        if all(out is not b for b in self._snap.values()):
+            blended.append(set(out))
+        return out
+
+    monkeypatch.setattr(ev._CoeffCache, "_interpolate", recording)
+    drv = _driver()
+    drv.step(drv.fresh_state())
+    assert blended
+    for keys in blended:
+        assert keys == {"M1", "M2", "M3", "A0invJt", "traces"}
+
+
+def test_ledger_timings_cover_every_observer():
+    _, basic, forcing = _sheet(16)
+    traj = evolve(basic, t_final=0.05, forcing=forcing)
+    assert set(traj.timings) == {"march", "snapshots", "constraints",
+                                 "apriori", "ledger"}
+    assert traj.timings["march"] > 0.0
+
+
+def test_separable_forcing_sum_equals_stencil_path():
+    # a plain callable hides the forcing's profile, so the monitor
+    # differentiates the field every step
+    _, basic, forcing = _sheet(32)
+    kw = dict(t_final=0.1, ledger=False)
+    fast = evolve(basic, forcing=forcing, **kw)
+    slow = evolve(basic, forcing=lambda t: forcing(t), **kw)
+    assert fast.apriori["f_sq"] > 0
+    assert fast.apriori["f_sq"] == pytest.approx(slow.apriori["f_sq"],
+                                                 rel=1e-12, abs=0)
+    for key in ("u_sq", "phi_sq"):
+        assert fast.apriori[key] == slow.apriori[key], key
+    assert np.array_equal(fast.phi, slow.phi)
+
+
+def test_profile_times_field_is_the_forcing():
+    grid, _, forcing = _sheet(16)
+    for t in (-0.1, 0.0, 0.05, 0.3, 1.7):
+        want = forcing.profile(t) * forcing.F0
+        assert np.array_equal(forcing(t), want)
+    assert forcing.profile(0.0) == 0.0 and not np.any(forcing(0.0))
+
+
+def _rel(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+def test_uniform_j_commutes_with_the_stencils():
+    grid, basic, _ = _sheet(32)
+    J = ev._CoeffCache(basic, None).at(0.0)["J"]
+    assert J.shape == (2, 6, 6, 1, 1)
+    V = np.random.default_rng(5).normal(size=(2, 6, grid.n1, grid.n2))
+    JV = ev._mat_apply2(J, V)
+    for d in (grid.d1, grid.d2):
+        assert _rel(ev._mat_apply2(J, d(V)), d(JV)) <= 1e-12
+
+
+def _einsum_ledger_terms(led, grid, V, F, div):
+    """The ledger's quadratic form and right-hand side through the
+    broadcast einsums it used before its explicit products."""
+    q = float(grid.integrate(np.einsum(
+        "si...,si...->s...", V,
+        np.einsum("sij...,sj...->si...", led._B0, V)).sum(axis=0)))
+    ops = led.ops
+    b_wall = np.einsum("sij...,si...,sj...->s...",
+                       ops.B1[..., 0, :], V[..., 0, :], V[..., 0, :])
+    b_far = np.einsum("sij...,si...,sj...->s...",
+                      ops.B1[..., -1, :], V[..., -1, :], V[..., -1, :])
+    flux = float((b_wall.sum(axis=0) * grid.h2).sum()
+                 - (b_far.sum(axis=0) * grid.h2).sum())
+    SF = np.einsum("sij...,sj...->si...", led._S, F)
+    SF += led._T * (div / led._d1phi)[:, None]
+    Fc = np.einsum("sij...,sj...->si...", led._Jt, SF)
+    src = 2.0 * float(grid.integrate(
+        np.einsum("si...,si...->s...", Fc, V).sum(axis=0)))
+    zo = float(grid.integrate(np.einsum(
+        "sij...,si...,sj...->s...", led._zo_matrix, V, V).sum(axis=0)))
+    return q, flux + src + zo
+
+
+def test_ledger_products_equal_broadcast_einsums():
+    grid, basic, _ = _sheet(32)
+    lam_field, _ = ev._ledger_multiplier(basic)
+    stepper = ev.LinearizedStepper(basic, lam_field=lam_field)
+    led = ev._LedgerAccumulator(grid, stepper.cache, 0.01, stepper.sponge)
+    for name in ("_S", "_B0", "_zo_matrix"):
+        assert getattr(led, name).shape == (2, 6, 6, grid.n1, 1), name
+    rng = np.random.default_rng(7)
+    V, F = (rng.normal(size=(2, 6, grid.n1, grid.n2)) for _ in range(2))
+    div = rng.normal(size=(2, grid.n1, grid.n2))
+    for M in (led._S, led._B0, led._zo_matrix):
+        want = np.einsum("sij...,sj...->si...", M, V)
+        assert _rel(ev._mat_apply2(M, V), want) <= 1e-13
+    q, integrand = _einsum_ledger_terms(led, grid, V, F, div)
+    assert led._q(V) == pytest.approx(q, rel=1e-13, abs=0)
+    assert led._integrand(V, F, div) == pytest.approx(integrand, rel=1e-13,
+                                                      abs=0)
+
+
+def test_energy_integrals_equal_the_summed_squares():
+    grid, _, _ = _sheet(32)
+    from cvsheet.linearized import IHN, IQ, IUN
+    from cvsheet.profiles import SigmaWeight
+    sigma = SigmaWeight().value(grid.x1)[:, None]
+    V = np.random.default_rng(3).normal(size=(2, 6, grid.n1, grid.n2))
+    d1V, d2V = grid.d1(V), grid.d2(V)
+    want = [grid.integrate((a ** 2).sum(axis=(0, 1))) for a in
+            (V, d1V[:, (IQ, IUN, IHN)], sigma * d1V, d2V)]
+    got = ev.energy_integrals(grid, sigma, V)
+    assert got == ev.energy_integrals(grid, sigma, V, d1V, d2V)
+    for g, w in zip(got, want):
+        assert g == pytest.approx(float(w), rel=1e-13, abs=0)
