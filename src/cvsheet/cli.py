@@ -419,7 +419,6 @@ def run_experiment(config_path, out_dir, seed=None, verbosity=1) -> int:
         return 1
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    np.random.seed(seed)  # legacy consumers; module code uses default_rng
     try:
         summary = RUNNERS[experiment](cfg, seed, out, verbosity)
     except (NumericsError, StabilityError) as exc:

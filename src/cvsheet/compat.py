@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .front import FrontField, apply_L, lift_front, straightened_coefficients
+from .front import apply_L, lift_front, straightened_coefficients
 from .grid import Grid
 from .mhd import IH1, IH2, IP, IS, IU1, IU2, NCOMP
 from .profiles import CutoffChi, make_cutoff, quintic_step, time_bump, time_bump_d
@@ -127,16 +127,16 @@ class TimeJet:
 def _rhs_eval(data: InitialData, Upoly, phipoly, dphipoly):
     """-A0^{-1}(A1~ d1 U + A2 d2 U) on the grid for polynomial samples."""
     g = data.grid
-    front = FrontField(phi=phipoly, grid=g, dphi_t=dphipoly)
-    lifted = lift_front(front, data.chi)
-    out = np.empty_like(Upoly)
-    for i, co in enumerate(straightened_coefficients(Upoly, lifted, data.eos)):
-        rhs = apply_L(co, None, g.d1(Upoly[i]), g.d2(Upoly[i]))
-        a0m = np.moveaxis(co[0], (0, 1), (-2, -1))
-        out[i] = -np.moveaxis(
-            np.linalg.solve(a0m, np.moveaxis(rhs, 0, -1)[..., None])[..., 0],
+    lifted = lift_front(phipoly, g, data.chi, dphipoly)
+    coeffs = straightened_coefficients(Upoly, lifted, data.eos)
+    rhs = apply_L(coeffs, None, g.d1(Upoly), g.d2(Upoly),
+                  np.empty_like(Upoly))
+    for i, (a0, _, _) in enumerate(coeffs):
+        a0m = np.moveaxis(a0, (0, 1), (-2, -1))
+        rhs[i] = -np.moveaxis(
+            np.linalg.solve(a0m, np.moveaxis(rhs[i], 0, -1)[..., None])[..., 0],
             -1, 0)
-    return out
+    return rhs
 
 
 def time_jet(data: InitialData, order: int, *, fd_step: float = 0.02,
@@ -317,12 +317,10 @@ def forcing_fa(approx: ApproxSolution):
         Ut = approx.u_t(t)
         phi = approx.phi(t)
         phit = approx.phi_t(t)
-        front = FrontField(phi=phi, grid=g, dphi_t=phit)
-        lifted = lift_front(front, data.chi)
-        out = np.empty_like(U)
-        for i, co in enumerate(straightened_coefficients(U, lifted, data.eos)):
-            out[i] = -apply_L(co, Ut[i], g.d1(U[i]), g.d2(U[i]))
-        return out
+        lifted = lift_front(phi, g, data.chi, phit)
+        out = apply_L(straightened_coefficients(U, lifted, data.eos), Ut,
+                      g.d1(U), g.d2(U), np.empty_like(U))
+        return np.negative(out, out=out)
 
     return F
 

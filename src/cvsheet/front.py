@@ -16,7 +16,7 @@ operator and the Nash-Moser error terms are all built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,9 +25,9 @@ from .mhd import PhysState, assemble_coefficients
 from .profiles import CutoffChi, make_cutoff
 
 __all__ = [
-    "CutoffChi", "make_cutoff", "FrontField", "TangentFrame", "LiftedFront",
-    "lift_front", "straighten", "straightened_coefficients", "apply_L",
-    "transformed_vectors", "induction_advection",
+    "CutoffChi", "make_cutoff", "LiftedFront", "lift_front", "straighten",
+    "straightened_coefficients", "apply_L", "transformed_vectors",
+    "induction_advection",
 ]
 
 _JAC_TOL = 1e-3
@@ -38,46 +38,6 @@ class DegenerateJacobianError(RuntimeError):
 
 
 @dataclass
-class FrontField:
-    """Front phi on the boundary grid, optionally with its time derivative.
-
-    ``phi`` is (..., n2) (a leading time axis is allowed).  ``small`` flags
-    sup|phi| < 1/2, the hypothesis under which the straightening map stays
-    uniformly non-degenerate.
-    """
-
-    phi: np.ndarray
-    grid: Grid
-    dphi_t: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.phi = np.asarray(self.phi, dtype=float)
-
-    @property
-    def small(self) -> bool:
-        return bool(np.max(np.abs(self.phi)) < 0.5)
-
-    def d2(self) -> np.ndarray:
-        return self.grid.d2_boundary(self.phi)
-
-
-@dataclass(frozen=True)
-class TangentFrame:
-    """Boundary frame N = (1, -d2 phi), tau = (d2 phi, 1)."""
-
-    N1: np.ndarray
-    N2: np.ndarray
-    tau1: np.ndarray
-    tau2: np.ndarray
-
-    @classmethod
-    def from_slope(cls, dphi_2) -> "TangentFrame":
-        s = np.asarray(dphi_2, dtype=float)
-        one = np.ones_like(s)
-        return cls(N1=one, N2=-s, tau1=s, tau2=one)
-
-
-@dataclass
 class LiftedFront:
     """Psi±, Phi± and their derivatives on the spatial grid.
 
@@ -85,16 +45,11 @@ class LiftedFront:
     broadcast any leading time axes of phi.
     """
 
-    front: FrontField
-    chi: CutoffChi
+    grid: Grid
     psi: np.ndarray          # (2, ..., n1, n2)
     d1_psi: np.ndarray
     d2_psi: np.ndarray
     dt_psi: np.ndarray
-    grid: Grid = field(init=False)
-
-    def __post_init__(self):
-        self.grid = self.front.grid
 
     @property
     def d1_phi_map(self) -> np.ndarray:
@@ -109,31 +64,32 @@ class LiftedFront:
         return float(np.min(j[0])), float(np.max(j[1]))
 
 
-def lift_front(front: FrontField, chi: CutoffChi) -> LiftedFront:
+def lift_front(phi, grid: Grid, chi: CutoffChi, dphi_t=None) -> LiftedFront:
     """Build Psi± = chi(±x1) phi and Phi± = ±x1 + Psi± on the grid.
 
-    ``front.dphi_t`` supplies the time derivative of phi when the lift of
-    dPsi/dt is needed (steady fronts leave it None and get zero).
+    ``phi`` is (..., n2) (a leading time axis is allowed).  ``dphi_t``
+    supplies its time derivative when the lift of dPsi/dt is needed
+    (steady fronts leave it None and get zero).
     """
-    grid = front.grid
     x1 = grid.x1[:, None]
-    phi = front.phi[..., None, :]       # (..., 1, n2)
+    phi = np.asarray(phi, dtype=float)
     # chi is even, so chi(+x1) = chi(-x1) on the grid and the lifts agree;
     # the derivative d/dx1[chi(±x1)] = ±chi'(±x1) also coincides sidewise.
     cv = chi.value(x1)
     cdp = chi.derivative(x1)            # d/dx1 chi(x1)
     cdm = -chi.derivative(-x1)          # d/dx1 chi(-x1)
+    d2p = grid.d2_boundary(phi)[..., None, :]
+    phi = phi[..., None, :]             # (..., 1, n2)
     psi = np.stack([cv * phi, cv * phi])
     d1_psi = np.stack([cdp * phi, cdm * phi])
-    d2p = front.d2()[..., None, :]
     d2_psi = np.stack([cv * d2p, cv * d2p])
-    if front.dphi_t is None:
+    if dphi_t is None:
         dt_psi = np.zeros_like(psi)
     else:
-        dpt = np.asarray(front.dphi_t, dtype=float)[..., None, :]
+        dpt = np.asarray(dphi_t, dtype=float)[..., None, :]
         dt_psi = np.stack([cv * dpt, cv * dpt])
-    return LiftedFront(front=front, chi=chi, psi=psi, d1_psi=d1_psi,
-                       d2_psi=d2_psi, dt_psi=dt_psi)
+    return LiftedFront(grid=grid, psi=psi, d1_psi=d1_psi, d2_psi=d2_psi,
+                       dt_psi=dt_psi)
 
 
 def straighten(m0, m1, m2, lifted: LiftedFront, i: int):
@@ -167,16 +123,20 @@ def straightened_coefficients(U: np.ndarray, lifted: LiftedFront, eos):
     return out
 
 
-def apply_L(coeffs, dtU, d1U, d2U) -> np.ndarray:
-    """A0 dtU + A1~ d1U + A2 d2U for one side's (A0, A1~, A2).
+def apply_L(coeffs, dtU, d1U, d2U, out: np.ndarray) -> np.ndarray:
+    """A0 dtU + A1~ d1U + A2 d2U on both sides, written into ``out``.
 
-    A derivative passed as None drops its term.
+    ``coeffs`` is the per-side list of ``straightened_coefficients`` and
+    the fields are (2, 6, n1, n2); a derivative passed as None drops its
+    term.  Returns ``out``.
     """
-    out = None
-    for m, d in zip(coeffs, (dtU, d1U, d2U)):
-        if d is not None:
-            term = np.einsum("ij...,j...->i...", m, d)
-            out = term if out is None else out + term
+    for i, co in enumerate(coeffs):
+        acc = None
+        for m, d in zip(co, (dtU, d1U, d2U)):
+            if d is not None:
+                term = np.einsum("ij...,j...->i...", m, d[i])
+                acc = term if acc is None else acc + term
+        out[i] = acc
     return out
 
 

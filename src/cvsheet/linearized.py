@@ -18,9 +18,12 @@ boundary matrix into diag(E12, -E12)/d1Phi + a correction vanishing on the
 wall: a constant-rank-4 characteristic boundary with exactly two incoming
 modes per side.
 
-The straightened coefficients (A0, A1~, A2) and their apply come from
-``cvsheet.front``; ``heun_march`` is the one time marcher of the
-boundary, divergence and magnetic transport solves.
+``SheetOperators`` is the one discretization of L and L'_e on snapshot
+series, with 4th-order time stencils: the Nash-Moser scheme and the
+boundary homogenization both apply it.  The straightened coefficients
+(A0, A1~, A2) and their apply come from ``cvsheet.front``; ``heun_march``
+is the one time marcher of the boundary, divergence and magnetic
+transport solves.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .front import (FrontField, LiftedFront, apply_L, induction_advection,
-                    lift_front, straighten, straightened_coefficients,
+from .front import (LiftedFront, apply_L, induction_advection, lift_front,
+                    straighten, straightened_coefficients,
                     transformed_vectors)
 from .grid import Grid, diff_time
 from .mhd import (IH1, IH2, IP, IS, IU1, IU2, NCOMP, PhysState,
@@ -42,10 +45,6 @@ from .stability import LambdaPair, build_lambda, check_stability
 IQ, IUN, IU2V, IHN, IH2V, ISV = range(6)
 
 SIDES = (+1, -1)
-
-
-def _mat_apply(M, v):
-    return np.einsum("ij...,j...->i...", M, v)
 
 
 def _mat_mul(A, B):
@@ -138,8 +137,8 @@ class BasicFrame:
         self.Ut = Ut
         self.phi = phi               # (n2,)
         self.phit = phit
-        front = FrontField(phi=phi, grid=basic.grid, dphi_t=phit)
-        self.lifted: LiftedFront = lift_front(front, basic.chi)
+        self.lifted: LiftedFront = lift_front(phi, basic.grid, basic.chi,
+                                              phit)
         self.states = tuple(
             PhysState.from_vector(U[i], side=s) for i, s in enumerate(SIDES))
 
@@ -384,6 +383,109 @@ def c_matrix(U: np.ndarray, Ut: np.ndarray, d1U: np.ndarray,
     return C
 
 
+# -- operators on snapshot series -------------------------------------------
+
+
+class SheetOperators:
+    """Straightened-domain operators evaluated on snapshot series.
+
+    Fields: U is (nt, 2, 6, n1, n2), phi is (nt, n2); time derivatives come
+    from the stored history, so every operator application here uses the
+    same discrete stencils and the Nash-Moser error decompositions are
+    literal operator differences, exact up to floating point.
+    """
+
+    def __init__(self, grid: Grid, eos, chi, tgrid: np.ndarray):
+        self.grid = grid
+        self.eos = eos
+        self.chi = chi
+        self.dt = float(tgrid[1] - tgrid[0])
+
+    def _walk(self, U, phi):
+        """Per snapshot of (U, phi): dtU, d1U, d2U, the front lift and the
+        per-side straightened coefficients (A0, A1~, A2)."""
+        g = self.grid
+        dtU = diff_time(U, self.dt, axis=0, order=4)
+        dtphi = diff_time(phi, self.dt, axis=0, order=4)
+        for n in range(U.shape[0]):
+            lifted = lift_front(phi[n], g, self.chi, dtphi[n])
+            yield (dtU[n], g.d1(U[n]), g.d2(U[n]), lifted,
+                   straightened_coefficients(U[n], lifted, self.eos))
+
+    def nonlinear_L(self, U: np.ndarray, phi: np.ndarray) -> np.ndarray:
+        """L(U, Psi) = A0(U) dt U + A1~(U, Psi) d1 U + A2(U) d2 U."""
+        out = np.empty_like(U)
+        for n, (dtU, d1U, d2U, _, coeffs) in enumerate(self._walk(U, phi)):
+            apply_L(coeffs, dtU, d1U, d2U, out[n])
+        return out
+
+    def increment(self, dU: np.ndarray, dphi: np.ndarray) -> tuple:
+        """(dU, dt dU, d1 dU, d2 dU, lift of dphi) over the whole series:
+        what every base point of ``linearized_L`` reads of the increment."""
+        g, dt = self.grid, self.dt
+        return (dU, diff_time(dU, dt, axis=0, order=4), g.d1(dU), g.d2(dU),
+                lift_front(dphi, g, self.chi,
+                           diff_time(dphi, dt, axis=0, order=4)))
+
+    def linearized_L(self, Uhat: np.ndarray, phihat: np.ndarray, inc):
+        """(L(Uhat), L'(Uhat)[dU, dphi]) at (Uhat, phihat), from one walk.
+
+        ``inc`` is ``increment(dU, dphi)``.  With r1 = d1Uhat / d1Phihat
+        and Psi the lift of dphi, the front increment shifts every
+        derivative of dU:
+
+            L' = A0 (dt dU - dtPsi r1) + A1~ (d1 dU - d1Psi r1)
+                 + A2 (d2 dU - d2Psi r1) + C dU.
+        """
+        dU, dt_dU, d1_dU, d2_dU, dl = inc
+        value = np.empty_like(Uhat)
+        lin = np.empty_like(Uhat)
+        for n, (dtU, d1U, d2U, lifted, coeffs) in enumerate(
+                self._walk(Uhat, phihat)):
+            C = c_matrix(Uhat[n], dtU, d1U, d2U, lifted, self.eos)
+            r1 = d1U / lifted.d1_phi_map[:, None]
+            apply_L(coeffs, dtU, d1U, d2U, value[n])
+            apply_L(coeffs, dt_dU[n] - dl.dt_psi[:, n, None] * r1,
+                    d1_dU[n] - dl.d1_psi[:, n, None] * r1,
+                    d2_dU[n] - dl.d2_psi[:, n, None] * r1, lin[n])
+            lin[n] += np.einsum("sij...,sj...->si...", C, dU[n])
+        return value, lin
+
+    def boundary_B(self, U: np.ndarray, phi: np.ndarray) -> np.ndarray:
+        """Nonlinear wall operator: (dphi/dt - uN+, dphi/dt - uN-, [q])."""
+        g = self.grid
+        dtphi = diff_time(phi, self.dt, axis=0, order=4)
+        d2phi = np.stack([g.d2_boundary(p) for p in phi])
+        tr = U[:, :, :, 0, :]
+        uN = tr[:, :, IU1] - tr[:, :, IU2] * d2phi[:, None, :]
+        q = tr[:, :, IP] + 0.5 * (tr[:, :, IH1] ** 2 + tr[:, :, IH2] ** 2)
+        return np.stack([dtphi - uN[:, 0], dtphi - uN[:, 1],
+                         q[:, 0] - q[:, 1]], axis=1)
+
+    def boundary_B_e_prime(self, Uhat, phihat, dUdot, dphi) -> np.ndarray:
+        """Good-unknown wall operator at (Uhat, phihat): the linearized B
+        applied to (dUdot, dphi) plus the zero-order front terms
+        -dphi d1uN+, +dphi d1uN- and dphi (d1q+ + d1q-)."""
+        g = self.grid
+        dt_dphi = diff_time(dphi, self.dt, axis=0, order=4)
+        d2_dphi = g.d2_boundary(dphi)
+        d2phihat = g.d2_boundary(phihat)
+        uN = Uhat[:, :, IU1] - Uhat[:, :, IU2] * d2phihat[:, None, None, :]
+        q = Uhat[:, :, IP] + 0.5 * (Uhat[:, :, IH1] ** 2
+                                    + Uhat[:, :, IH2] ** 2)
+        d1uN = g.d1(uN)[..., 0, :]
+        d1q = g.d1(q)[..., 0, :]
+        trh = Uhat[:, :, :, 0, :]
+        trd = dUdot[:, :, :, 0, :]
+        duN = trd[:, :, IU1] - trd[:, :, IU2] * d2phihat[:, None, :]
+        dq = trd[:, :, IP] + (trh[:, :, IH1] * trd[:, :, IH1]
+                              + trh[:, :, IH2] * trd[:, :, IH2])
+        return np.stack([
+            dt_dphi + trh[:, 0, IU2] * d2_dphi - duN[:, 0] - dphi * d1uN[:, 0],
+            dt_dphi + trh[:, 1, IU2] * d2_dphi - duN[:, 1] + dphi * d1uN[:, 1],
+            dq[:, 0] - dq[:, 1] + dphi * (d1q[:, 0] + d1q[:, 1])], axis=1)
+
+
 #: the off-diagonal entries (row, column) of J = I + N; all others vanish
 _J_OFF = ((IP, IHN), (IP, IH2V), (IU1, IU2V), (IH1, IH2V))
 
@@ -616,10 +718,13 @@ def homogenize_boundary(gdata: np.ndarray, f: np.ndarray, basic: BasicState,
     """Absorb inhomogeneous boundary data into the interior forcing.
 
     ``gdata`` is (nt, 3, n2) = (g1+, g1-, g2) and ``f`` (nt, 2, 6, n1, n2),
-    both vanishing in the past.  Builds the magnetic boundary datum g3± by
-    transport, lifts the prescribed traces into the interior (u_N = -g1±,
-    [q] = g2, H_N = -g3±, the free components set to zero), and returns
-    (U-tilde snapshots, modified forcing F = f - L'_e U-tilde, g3).
+    both vanishing in the past, on the uniform time grid ``tgrid``.  Builds
+    the magnetic boundary datum g3± by transport, lifts the prescribed
+    traces into the interior (u_N = -g1±, [q] = g2, H_N = -g3±, the free
+    components set to zero), and returns (U-tilde snapshots, modified
+    forcing F = f - L'_e U-tilde, g3).  L'_e is ``SheetOperators``'s, at the
+    basic state's frames on ``tgrid``; its 4th-order time stencil needs
+    nt >= 5.
     """
     from .norms import lift
     g = basic.grid
@@ -632,40 +737,24 @@ def homogenize_boundary(gdata: np.ndarray, f: np.ndarray, basic: BasicState,
             fr = basic.frame(t)
             H2 = fr.U[i, IH2, 0, :]
             fn = (f[k, i, IH1, 0, :]
-                  - f[k, i, IH2, 0, :] * basic.frame(t).lifted.d2_psi[i][0, :])
+                  - f[k, i, IH2, 0, :] * fr.lifted.d2_psi[i][0, :])
             return g.d2_boundary(H2 * gdata[k, i]) - fn
         g3[:, i] = solve_g3_transport(basic, G_source, tgrid, side)
 
     Ut = np.zeros((nt,) + f.shape[1:])
+    Uhat = np.empty_like(Ut)
+    phihat = np.empty((nt, g.n2))
     for n in range(nt):
         fr = basic.frame(tgrid[n])
+        Uhat[n], phihat[n] = fr.U, fr.phi
         for i in range(2):
             un = lift([-gdata[n, i]], g).values
             hn = lift([-g3[n, i]], g).values
             qv = lift([gdata[n, 2] if i == 0 else np.zeros(g.n2)], g).values
-            d2psi = fr.lifted.d2_psi[i]
             Ut[n, i, IU1] = un           # u2-tilde = 0, so u1 = u_n
             Ut[n, i, IH1] = hn           # H2-tilde = 0, so H1 = H_n
             Ut[n, i, IP] = qv - fr.U[i, IH1] * hn # p = q - H-hat . H-tilde
-    F = f - apply_effective_operator(basic, Ut, tgrid)
+    ops = SheetOperators(g, basic.eos, basic.chi, tgrid)
+    F = f - ops.linearized_L(Uhat, phihat,
+                             ops.increment(Ut, np.zeros_like(phihat)))[1]
     return Ut, F, g3
-
-
-def apply_effective_operator(basic: BasicState, Udot: np.ndarray,
-                             tgrid: np.ndarray) -> np.ndarray:
-    """L'_e applied to snapshot fields: A0 dt + A1~ d1 + A2 d2 + C."""
-    g = basic.grid
-    nt = len(tgrid)
-    dt = float(tgrid[1] - tgrid[0]) if nt > 1 else 1.0
-    dtU = diff_time(Udot, dt, axis=0) if nt > 1 else np.zeros_like(Udot)
-    out = np.empty_like(Udot)
-    for n in range(nt):
-        fr = basic.frame(tgrid[n])
-        C = c_matrix(fr.U, fr.Ut, g.d1(fr.U), g.d2(fr.U), fr.lifted,
-                     basic.eos)
-        for i, co in enumerate(
-                straightened_coefficients(fr.U, fr.lifted, basic.eos)):
-            out[n, i] = (apply_L(co, dtU[n, i], g.d1(Udot[n, i]),
-                                 g.d2(Udot[n, i]))
-                         + _mat_apply(C[i], Udot[n, i]))
-    return out

@@ -30,11 +30,6 @@ H2_TINY = 1e-10
 class StabilityError(RuntimeError):
     """Raised when an operation requires the stability condition."""
 
-    def __init__(self, report):
-        self.report = report
-        super().__init__(
-            f"stability condition violated: min margin {report.margin_min}")
-
 
 @dataclass(frozen=True)
 class AlfvenData:
@@ -104,7 +99,8 @@ def build_lambda(plus: PhysState, minus: PhysState, eos,
     """
     report = check_stability(plus, minus, eos, k)
     if not report.satisfied:
-        raise StabilityError(report)
+        raise StabilityError(
+            f"stability condition violated: min margin {report.margin_min}")
     ap, am = report.a_plus, report.a_minus
     H2p = np.asarray(plus.H2, float)
     H2m = np.asarray(minus.H2, float)
@@ -148,18 +144,10 @@ def extend_lambda(pair: LambdaPair, x1: np.ndarray, *, eps: float | None = None,
         for i, st in enumerate(states):
             cert = check_b0_positive(st, lam[i], eos)
             if not cert.positive:
-                raise StabilityError(_FakeReport(cert.min_eig, eta.eps))
+                raise StabilityError(
+                    f"B0 lost positivity in the collar (min eig "
+                    f"{cert.min_eig}); retry with eps < {eta.eps}")
     return lam
-
-
-@dataclass
-class _FakeReport:
-    margin_min: float
-    eps: float
-
-    def __str__(self):
-        return (f"B0 lost positivity in the collar (min eig {self.margin_min}); "
-                f"retry with eps < {self.eps}")
 
 
 @dataclass

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from cvsheet.front import (DegenerateJacobianError, FrontField, TangentFrame,
-                           lift_front, make_cutoff, straightened_coefficients,
-                           transformed_vectors)
+from cvsheet.front import (DegenerateJacobianError, lift_front, make_cutoff,
+                           straightened_coefficients, transformed_vectors)
 from cvsheet.grid import Grid
 from cvsheet.mhd import IdealGasEos, PhysState, assemble_coefficients
 
@@ -44,8 +43,7 @@ def test_cutoff_slope_budget():
 
 def test_lift_flat_front(grid):
     chi = make_cutoff()
-    front = FrontField(phi=np.zeros(grid.n2), grid=grid)
-    lifted = lift_front(front, chi)
+    lifted = lift_front(np.zeros(grid.n2), grid, chi)
     assert np.allclose(lifted.psi, 0.0)
     jac = lifted.d1_phi_map
     assert np.allclose(jac[0], 1.0)
@@ -55,7 +53,7 @@ def test_lift_flat_front(grid):
 def test_lift_small_front_jacobian_bound(grid):
     chi = make_cutoff()
     phi = 0.3 * np.cos(grid.x2)
-    lifted = lift_front(FrontField(phi=phi, grid=grid), chi)
+    lifted = lift_front(phi, grid, chi)
     jmin_plus, jmax_minus = lifted.jacobian_min
     assert jmin_plus >= 0.5
     assert jmax_minus <= -0.5
@@ -67,13 +65,13 @@ def test_lift_small_front_jacobian_bound(grid):
 def test_lift_pointwise_value(grid):
     chi = make_cutoff()
     phi = 0.1 * np.sin(grid.x2)
-    lifted = lift_front(FrontField(phi=phi, grid=grid), chi)
+    lifted = lift_front(phi, grid, chi)
     assert np.allclose(lifted.psi[0][0, :], 0.1 * np.sin(grid.x2))
 
 
 def test_a1_tilde_flat_front_reduces_to_a1(grid):
     chi = make_cutoff()
-    lifted = lift_front(FrontField(phi=np.zeros(grid.n2), grid=grid), chi)
+    lifted = lift_front(np.zeros(grid.n2), grid, chi)
     state = PhysState(p=1.2, u1=0.3, u2=-0.4, H1=0.2, H2=1.0, S=0.1)
     A1 = assemble_coefficients(state, EOS)[1]
     (_, At_plus, _), (_, At_minus, _) = straightened_coefficients(
@@ -85,7 +83,7 @@ def test_a1_tilde_flat_front_reduces_to_a1(grid):
 def test_a1_tilde_symmetric_and_scaling(grid):
     chi = make_cutoff()
     phi = 0.25 * np.sin(grid.x2)
-    lifted = lift_front(FrontField(phi=phi, grid=grid), chi)
+    lifted = lift_front(phi, grid, chi)
     x1g, x2g = grid.mesh()
     state = PhysState(p=1.0 + 0.1 * np.cos(x2g), u1=0.0, u2=0.0,
                       H1=0.0, H2=0.0, S=0.0)
@@ -102,9 +100,7 @@ def test_a1_tilde_symmetric_and_scaling(grid):
 def test_a1_tilde_degenerate_jacobian_error(grid):
     chi = make_cutoff()
     phi = 2.5 * np.ones(grid.n2)  # far beyond the smallness hypothesis
-    front = FrontField(phi=phi, grid=grid)
-    assert not front.small
-    lifted = lift_front(front, chi)
+    lifted = lift_front(phi, grid, chi)
     state = PhysState(p=1.0, u1=0, u2=0, H1=0, H2=0, S=0)
     with pytest.raises(DegenerateJacobianError):
         straightened_coefficients(_both_sides(state, grid), lifted, EOS)
@@ -112,7 +108,7 @@ def test_a1_tilde_degenerate_jacobian_error(grid):
 
 def test_transformed_vectors_flat(grid):
     chi = make_cutoff()
-    lifted = lift_front(FrontField(phi=np.zeros(grid.n2), grid=grid), chi)
+    lifted = lift_front(np.zeros(grid.n2), grid, chi)
     state = PhysState(p=1.0, u1=0.2, u2=0.5, H1=0.3, H2=0.9, S=0.0)
     u_n, H_n, v, w, h = transformed_vectors(state, lifted, side=+1)
     assert np.allclose(u_n, 0.2)
@@ -125,13 +121,12 @@ def test_transformed_vectors_flat(grid):
 def test_boundary_trace_is_N_component(grid):
     chi = make_cutoff()
     phi = 0.2 * np.sin(grid.x2)
-    front = FrontField(phi=phi, grid=grid)
-    lifted = lift_front(front, chi)
+    lifted = lift_front(phi, grid, chi)
     x1g, x2g = grid.mesh()
     state = PhysState(p=1.0, u1=0.1 * x2g, u2=0.3, H1=np.cos(x2g), H2=0.7,
                       S=0.0)
     u_n, H_n, *_ = transformed_vectors(state, lifted, side=+1)
-    d2phi = front.d2()
+    d2phi = grid.d2_boundary(phi)
     H_N = np.cos(grid.x2) - 0.7 * d2phi
     u_N = 0.1 * grid.x2 - 0.3 * d2phi
     assert np.allclose(H_n[0, :], H_N)
@@ -141,7 +136,7 @@ def test_boundary_trace_is_N_component(grid):
 def test_divergence_free_sample_from_stream_function(grid):
     # h = (d2 psi_s, -d1 psi_s) gives exactly commuting discrete div
     chi = make_cutoff()
-    lifted = lift_front(FrontField(phi=np.zeros(grid.n2), grid=grid), chi)
+    lifted = lift_front(np.zeros(grid.n2), grid, chi)
     x1g, x2g = grid.mesh()
     psi_s = np.exp(-((x1g - 3.0) ** 2)) * np.sin(x2g)
     H1 = grid.d2(psi_s)
@@ -151,8 +146,3 @@ def test_divergence_free_sample_from_stream_function(grid):
     div = grid.d1(h[0]) + grid.d2(h[1])
     assert np.max(np.abs(div)) < 1e-12
 
-
-def test_tangent_frame_identity():
-    s = np.linspace(-1, 1, 11)
-    fr = TangentFrame.from_slope(s)
-    assert np.allclose(fr.N1 * fr.tau1 + fr.N2 * fr.tau2, 0.0)

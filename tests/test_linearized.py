@@ -6,14 +6,14 @@ from hypothesis import strategies as st
 import cvsheet.evolve as ev
 from cvsheet.evolve import (NumericsError, cfl_timestep, evolve,
                             step_linearized)
-from cvsheet.front import (FrontField, lift_front, make_cutoff, straighten,
+from cvsheet.front import (lift_front, make_cutoff, straighten,
                            straightened_coefficients)
 from cvsheet.grid import Grid, diff_time
 from cvsheet.linearized import (IH2V, IHN, BasicFrame, BasicState,
-                                BoundaryStructureError,
-                                apply_effective_operator, assemble_effective,
-                                c_matrix, good_unknown, good_unknown_inverse,
-                                homogenize_boundary, j_matrix,
+                                BoundaryStructureError, SheetOperators,
+                                assemble_effective, c_matrix, good_unknown,
+                                good_unknown_inverse, homogenize_boundary,
+                                j_matrix,
                                 reconstruct_front_derivatives,
                                 sheared_sheet_state, solve_g3_transport,
                                 trivial_sheet_state, validate_basic_state)
@@ -116,9 +116,8 @@ def test_c_matrix_matches_directional_fd(grid):
 
 def _moving_curved_front(grid, amp=0.2, rate=0.3, shift=0.0):
     """Lift of phi = amp sin(x2 + shift) moving at dphi/dt = rate cos(x2)."""
-    front = FrontField(phi=amp * np.sin(grid.x2 + shift), grid=grid,
-                       dphi_t=rate * np.cos(grid.x2))
-    return lift_front(front, make_cutoff())
+    return lift_front(amp * np.sin(grid.x2 + shift), grid, make_cutoff(),
+                      rate * np.cos(grid.x2))
 
 
 def _smooth_state(grid, rng, base):
@@ -534,6 +533,39 @@ def test_homogenize_boundary(grid):
         assert np.allclose(HN[1], -g3[n, 1], atol=1e-12)
 
 
+def test_homogenize_boundary_on_interpolated_frames(grid):
+    # a time-dependent basic state whose snapshots are not the data's time
+    # grid: the pressure lift reads H-hat from the interpolated frames
+    b0 = trivial_sheet_state(grid, EOS, u2_jump=0.4, H2_plus=1.4,
+                             H2_minus=1.2)
+    x1, x2 = grid.mesh()
+    tb = np.linspace(0.0, 0.6, 7)
+    U = np.repeat(b0.U, len(tb), axis=0)
+    U[:, :, IH1] += (0.1 * np.cos(x2) * np.exp(-x1)
+                     * (1.0 + 2.0 * tb)[:, None, None, None])
+    phi = 0.02 * tb[:, None] * np.sin(grid.x2)[None, :]
+    b = BasicState(grid=grid, eos=EOS, U=U, phi=phi, tgrid=tb)
+    nt = 17
+    tg = np.linspace(0.0, 0.5, nt)
+    f = np.zeros((nt, 2, 6, grid.n1, grid.n2))
+    gfun = ManufacturedBoundaryData(grid, amplitude=0.5, k2=2)
+    gdata = np.stack([gfun(t) for t in tg])
+
+    Ut, F, g3 = homogenize_boundary(gdata, f, b, tg)
+    assert np.all(np.isfinite(F)) and np.any(F != 0.0)
+    for n in range(nt):
+        Hhat = b.frame(tg[n]).U[:, (IH1, IH2), 0, :]
+        assert np.allclose(Ut[n, :, IU1, 0, :], -gdata[n, :2], atol=1e-12)
+        assert np.all(Ut[n, :, IU2] == 0.0) and np.all(Ut[n, :, IH2] == 0.0)
+        q = Ut[n, :, IP, 0, :] + (Hhat[:, 0] * Ut[n, :, IH1, 0, :]
+                                  + Hhat[:, 1] * Ut[n, :, IH2, 0, :])
+        assert np.allclose(q[0] - q[1], gdata[n, 2], atol=1e-12)
+        assert np.allclose(Ut[n, :, IH1, 0, :], -g3[n], atol=1e-12)
+    # zero data: zero lift, and L' of the zero increment leaves f as it is
+    Ut0, F0, g30 = homogenize_boundary(np.zeros_like(gdata), f, b, tg)
+    assert np.all(Ut0 == 0.0) and np.all(F0 == f) and np.all(g30 == 0.0)
+
+
 def test_homogenize_norm_bound_refinement_stable():
     consts = []
     for n in (24, 48):
@@ -591,15 +623,21 @@ def test_reconstruction_consistent_on_trajectory(grid):
     assert np.max(np.abs(dtphi - dphi_fd[n])) < 5e-3
 
 
-def test_apply_effective_operator_constant_state_zero(grid):
+def test_linearized_L_constant_state_zero(grid):
     b = trivial_sheet_state(grid, EOS, u2_jump=0.3, H2_plus=1.3,
                             H2_minus=1.1)
     nt = 5
     tg = np.linspace(0, 0.2, nt)
-    # a constant-in-space-and-time field is annihilated except by C = 0
-    U = np.tile(b.U[0][None], (nt, 1, 1, 1, 1)) * 0.0
-    out = apply_effective_operator(b, U, tg)
-    assert np.allclose(out, 0.0)
+    ops = SheetOperators(grid, EOS, b.chi, tg)
+    Uhat = np.repeat(b.U, nt, axis=0)
+    phihat = np.zeros((nt, grid.n2))
+    # the exact stencils annihilate constants, so L(Uhat) and C vanish, and
+    # L' annihilates the zero increment and any constant one
+    for dU in (np.zeros_like(Uhat), np.ones_like(Uhat)):
+        value, lin = ops.linearized_L(Uhat, phihat,
+                                      ops.increment(dU, phihat))
+        assert np.all(value == 0.0)
+        assert np.all(lin == 0.0)
 
 
 def _dense_families(fr, lam, dJdt):

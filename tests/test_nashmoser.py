@@ -101,7 +101,7 @@ def test_iterates_causal():
 
 
 def test_each_operator_value_computed_once_per_iterate(monkeypatch):
-    from cvsheet.nashmoser import SheetOperators
+    from cvsheet.linearized import SheetOperators
     calls = {"nonlinear_L": 0, "linearized_L": 0, "boundary_B": 0,
              "smooth_field": 0}
 

@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 
 from cvsheet.front import make_cutoff
 from cvsheet.grid import Grid
-from cvsheet.linearized import BasicState, apply_effective_operator
+from cvsheet.linearized import BasicState, SheetOperators
 from cvsheet.mhd import IH2, IP, IU2, IdealGasEos
-from cvsheet.nashmoser import SheetOperators
 
 EOS = IdealGasEos()
 GRID = Grid(n1=16, n2=16, L1=2 * np.pi, L2=2 * np.pi)
@@ -73,11 +72,14 @@ def test_taylor_remainder_is_second_order(seed, eps):
 
 @PROPS
 @given(seed=seeds, steady=st.booleans())
-def test_apply_effective_operator_zero_data_exactly_zero(seed, steady):
+def test_linearized_L_zero_increment_exactly_zero(seed, steady):
     U, phi = _background(np.random.default_rng(seed))
     if steady:
         basic = BasicState(grid=GRID, eos=EOS, U=U[0], phi=phi[0])
     else:
         basic = BasicState(grid=GRID, eos=EOS, U=U, phi=phi, tgrid=TGRID)
-    out = apply_effective_operator(basic, np.zeros_like(U), TGRID)
-    assert np.all(out == 0.0)
+    frames = [basic.frame(t) for t in TGRID]
+    Uhat = np.stack([fr.U for fr in frames])
+    phihat = np.stack([fr.phi for fr in frames])
+    inc = OPS.increment(np.zeros_like(U), np.zeros_like(phi))
+    assert np.all(OPS.linearized_L(Uhat, phihat, inc)[1] == 0.0)

@@ -92,6 +92,21 @@ def test_build_lambda_requires_stability():
         build_lambda(plus, minus, EOS)
 
 
+def test_collar_positivity_error_names_the_collar_and_eps():
+    # the wall is stable, but a low-entropy interior (S = -3 beyond x1 =
+    # 0.1) is too dense for the multiplier that the collar carries there
+    plus, minus = _pair(u2p=0.45, u2m=-0.45, H2p=1.0, H2m=1.0)
+    lam = build_lambda(plus, minus, EOS)
+    x1 = np.linspace(0.0, 1.0, 33)
+    S = np.where(x1 > 0.1, -3.0, 0.0)[:, None]
+    states = [PhysState(p=np.ones_like(S), u1=0.0, u2=u2, H1=0.0, H2=1.0,
+                        S=S) for u2 in (0.45, -0.45)]
+    with pytest.raises(StabilityError,
+                       match=r"B0 lost positivity in the collar .*"
+                             r"retry with eps < 0\.5"):
+        extend_lambda(lam, x1, eps=0.5, states=states, eos=EOS)
+
+
 def test_build_lambda_vectorized_invariants():
     rng = np.random.default_rng(11)
     n = 4000
