@@ -25,20 +25,9 @@ from .grid import Grid, GridFunction
 from .mhd import IdealGasEos, PhysState
 from .stability import StabilityError, check_stability, wang_yu_compare
 
-EXPERIMENTS = ("stability-map", "symmetrize", "evolve", "energy-report",
-               "compat", "nash-moser-demo")
-
 
 class ConfigError(ValueError):
     pass
-
-
-def _f(x):
-    return float(x)
-
-
-def _i(x):
-    return int(x)
 
 
 def _b(x):
@@ -49,63 +38,67 @@ def _b(x):
     raise ConfigError(f"not a boolean: {x!r}")
 
 
-_GRID = {"n1": _i, "n2": _i, "L1": _f, "L2": _f}
-_EOS = {"gamma": _f}
+_GRID = {"n1": 48, "n2": 48, "L1": 2 * np.pi, "L2": 2 * np.pi}
+_EOS = {"gamma": 5.0 / 3.0}
 # the manufactured data of compat and nash-moser-demo carry no entropy
-_PAIR_ISENTROPIC = {"p_plus": _f, "u2_jump": _f, "H2_plus": _f,
-                    "H2_minus": _f}
-_PAIR = {**_PAIR_ISENTROPIC, "S_plus": _f, "S_minus": _f}
+_PAIR_ISENTROPIC = {"p_plus": 0.8, "u2_jump": 0.1, "H2_plus": 0.7,
+                    "H2_minus": 0.6}
+_PAIR = {**_PAIR_ISENTROPIC, "S_plus": 0.0, "S_minus": 0.0}
 
+#: experiment -> section -> key -> default: the one list of config keys.  A
+#: given value is parsed to the type of its default (bool takes yes/no).
 SCHEMAS = {
     "stability-map": {
-        "map": {"p_plus": _f, "S": _f, "u2_jump_max": _f, "u2_jump_n": _i,
-                "H2_max": _f, "H2_n": _i, "k_margin": _f},
+        "map": {"p_plus": 1.0, "S": 0.0, "u2_jump_max": 3.0, "u2_jump_n": 61,
+                "H2_max": 2.0, "H2_n": 61, "k_margin": 1e-3},
         "eos": _EOS,
     },
     "symmetrize": {
         "state": _PAIR,
         "eos": _EOS,
-        "symmetrize": {"k_margin": _f, "collar_eps": _f, "n_collar": _i},
+        "symmetrize": {"k_margin": 1e-3, "collar_eps": 0.25, "n_collar": 33},
     },
     "evolve": {
         "grid": _GRID,
         "eos": _EOS,
         "state": _PAIR,
-        "evolve": {"t_final": _f, "cfl": _f, "forcing_amplitude": _f,
-                   "forcing_k2": _i, "forcing_ramp": _f,
-                   "boundary_amplitude": _f, "boundary_k2": _i,
-                   "write_checkpoint": _b, "checkpoint_count": _i,
-                   "ledger": _b},
+        "evolve": {"t_final": 0.4, "cfl": 0.4, "forcing_amplitude": 1.0,
+                   "forcing_k2": 2, "forcing_ramp": 0.2,
+                   "boundary_amplitude": 0.0, "boundary_k2": 2,
+                   "write_checkpoint": False, "checkpoint_count": 3,
+                   "ledger": True},
     },
     "energy-report": {
-        "energy-report": {"run_dir": str},
+        "energy-report": {"run_dir": "."},
     },
     "compat": {
         "grid": _GRID,
         "eos": _EOS,
         "state": _PAIR_ISENTROPIC,
-        "compat": {"amplitude": _f, "k2": _i, "order": _i, "T": _f,
-                   "delta": _f, "fit_t_min": _f, "fit_t_max": _f,
-                   "fit_points": _i},
+        "compat": {"amplitude": 0.05, "k2": 1, "order": 2, "T": 1.0,
+                   "delta": 10.0, "fit_t_min": 1e-3, "fit_t_max": 1e-1,
+                   "fit_points": 11},
     },
     "nash-moser-demo": {
         "grid": _GRID,
         "eos": _EOS,
         "state": _PAIR_ISENTROPIC,
-        "nash-moser": {"amplitude": _f, "k2": _i, "T": _f, "nt": _i,
-                       "theta0": _f, "iterations": _i, "delta": _f},
+        "nash-moser": {"amplitude": 8e-6, "k2": 1, "T": 2.0, "nt": 65,
+                       "theta0": 2.0, "iterations": 5, "delta": 1e-3},
     },
 }
 
-DEFAULTS = {
-    "grid": {"n1": 48, "n2": 48, "L1": 2 * np.pi, "L2": 2 * np.pi},
-    "eos": {"gamma": 5.0 / 3.0},
-    "state": {"p_plus": 0.8, "u2_jump": 0.1, "H2_plus": 0.7,
-              "H2_minus": 0.6, "S_plus": 0.0, "S_minus": 0.0},
-}
+EXPERIMENTS = tuple(SCHEMAS)
+
+
+def _parse(default, raw: str):
+    """``raw`` as the type of ``default``."""
+    return _b(raw) if isinstance(default, bool) else type(default)(raw)
 
 
 def parse_config(text: str):
+    """(experiment, seed, cfg): cfg holds every section of the experiment's
+    schema with every key, the given values laid over the defaults."""
     cp = configparser.ConfigParser()
     cp.optionxform = str  # keys are case-sensitive
     cp.read_string(text)
@@ -120,24 +113,17 @@ def parse_config(text: str):
         raise ConfigError(f"unknown experiment {exp!r}; "
                           f"choose from {EXPERIMENTS}")
     schema = SCHEMAS[exp]
-    cfg = {}
+    cfg = {section: dict(keys) for section, keys in schema.items()}
     for section in cp.sections():
         if section == "run":
             continue
         if section not in schema:
             raise ConfigError(f"unknown section [{section}] for {exp}")
-        cfg[section] = {}
         for key, raw in cp[section].items():
             if key not in schema[section]:
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
-            cfg[section][key] = schema[section][key](raw)
+            cfg[section][key] = _parse(schema[section][key], raw)
     return exp, seed, cfg
-
-
-def _section(cfg, name):
-    out = dict(DEFAULTS.get(name, {}))
-    out.update(cfg.get(name, {}))
-    return out
 
 
 def _write_manifest(out: Path, experiment: str, seed: int, text: str,
@@ -181,10 +167,8 @@ def _pair_states(state_cfg, eos):
 
 
 def run_stability_map(cfg, seed, out: Path, verbosity: int) -> dict:
-    eos = IdealGasEos(**_section(cfg, "eos"))
-    m = {"p_plus": 1.0, "S": 0.0, "u2_jump_max": 3.0, "u2_jump_n": 61,
-         "H2_max": 2.0, "H2_n": 61, "k_margin": 1e-3}
-    m.update(cfg.get("map", {}))
+    eos = IdealGasEos(**cfg["eos"])
+    m = cfg["map"]
     jumps = np.linspace(0.0, m["u2_jump_max"], m["u2_jump_n"])
     fields = np.linspace(0.0, m["H2_max"], m["H2_n"])
     rows = []
@@ -211,10 +195,9 @@ def run_stability_map(cfg, seed, out: Path, verbosity: int) -> dict:
 def run_symmetrize(cfg, seed, out: Path, verbosity: int) -> dict:
     from .stability import (build_lambda, check_b0_positive,
                             extend_lambda)
-    eos = IdealGasEos(**_section(cfg, "eos"))
-    sc = {"k_margin": 1e-3, "collar_eps": 0.25, "n_collar": 33}
-    sc.update(cfg.get("symmetrize", {}))
-    plus, minus = _pair_states(_section(cfg, "state"), eos)
+    eos = IdealGasEos(**cfg["eos"])
+    sc = cfg["symmetrize"]
+    plus, minus = _pair_states(cfg["state"], eos)
     lam = build_lambda(plus, minus, eos, k=sc["k_margin"])
     rep = check_stability(plus, minus, eos, k=sc["k_margin"])
     certs = [check_b0_positive(st, lv, eos)
@@ -240,27 +223,13 @@ def run_symmetrize(cfg, seed, out: Path, verbosity: int) -> dict:
     return payload
 
 
-def _scenario(cfg, eos):
-    from .linearized import trivial_sheet_state
-    st = _section(cfg, "state")
-    g = _section(cfg, "grid")
-    grid = Grid(n1=g["n1"], n2=g["n2"], L1=g["L1"], L2=g["L2"])
-    basic = trivial_sheet_state(
-        grid, eos, p_plus=st["p_plus"], u2_jump=st["u2_jump"],
-        H2_plus=st["H2_plus"], H2_minus=st["H2_minus"],
-        S_plus=st["S_plus"], S_minus=st["S_minus"])
-    return grid, basic
-
-
 def run_evolve(cfg, seed, out: Path, verbosity: int) -> dict:
+    from .linearized import trivial_sheet_state
     from .scenarios import ManufacturedBoundaryData, ManufacturedForcing
-    eos = IdealGasEos(**_section(cfg, "eos"))
-    grid, basic = _scenario(cfg, eos)
-    ev = {"t_final": 0.4, "cfl": 0.4, "forcing_amplitude": 1.0,
-          "forcing_k2": 2, "forcing_ramp": 0.2, "boundary_amplitude": 0.0,
-          "boundary_k2": 2, "write_checkpoint": False,
-          "checkpoint_count": 3, "ledger": True}
-    ev.update(cfg.get("evolve", {}))
+    eos = IdealGasEos(**cfg["eos"])
+    grid = Grid(**cfg["grid"])
+    basic = trivial_sheet_state(grid, eos, **cfg["state"])
+    ev = cfg["evolve"]
     forcing = None
     if ev["forcing_amplitude"] != 0.0:
         forcing = ManufacturedForcing(grid, amplitude=ev["forcing_amplitude"],
@@ -294,9 +263,9 @@ def run_evolve(cfg, seed, out: Path, verbosity: int) -> dict:
         (out / "checkpoints.json").write_text(json.dumps({
             "times": [float(t) for t in traj.snapshot_times],
             "count": len(traj.snapshot_times),
-            "state": _section(cfg, "state"),
-            "grid": _section(cfg, "grid"),
-            "eos": _section(cfg, "eos"),
+            "state": cfg["state"],
+            "grid": cfg["grid"],
+            "eos": cfg["eos"],
         }, sort_keys=True, indent=1) + "\n")
     return {"steps": len(traj.times) - 1,
             "final_I": traj.ledger.rows[-1].I if ev["ledger"] else None,
@@ -305,12 +274,10 @@ def run_evolve(cfg, seed, out: Path, verbosity: int) -> dict:
 
 def run_energy_report(cfg, seed, out: Path, verbosity: int) -> dict:
     """Recompute the norm ledger of checkpointed trajectory snapshots."""
-    er = cfg.get("energy-report", {})
-    run_dir = Path(er.get("run_dir", "."))
+    run_dir = Path(cfg["energy-report"]["run_dir"])
     meta = json.loads((run_dir / "checkpoints.json").read_text())
     eos = IdealGasEos(**meta["eos"])
-    g = meta["grid"]
-    grid = Grid(n1=g["n1"], n2=g["n2"], L1=g["L1"], L2=g["L2"])
+    grid = Grid(**meta["grid"])
     from .profiles import SigmaWeight
     sigma = SigmaWeight().value(grid.x1)[:, None]
     rows = []
@@ -328,17 +295,11 @@ def run_energy_report(cfg, seed, out: Path, verbosity: int) -> dict:
 def run_compat(cfg, seed, out: Path, verbosity: int) -> dict:
     from .compat import (build_approximate, check_compatibility, forcing_fa,
                          manufactured_initial_data, time_jet)
-    eos = IdealGasEos(**_section(cfg, "eos"))
-    g = _section(cfg, "grid")
-    grid = Grid(n1=g["n1"], n2=g["n2"], L1=g["L1"], L2=g["L2"])
-    st = _section(cfg, "state")
-    cc = {"amplitude": 0.05, "k2": 1, "order": 2, "T": 1.0, "delta": 10.0,
-          "fit_t_min": 1e-3, "fit_t_max": 1e-1, "fit_points": 11}
-    cc.update(cfg.get("compat", {}))
-    data = manufactured_initial_data(
-        grid, eos, amplitude=cc["amplitude"], k2=cc["k2"], seed=seed,
-        p_plus=st["p_plus"], u2_jump=st["u2_jump"], H2_plus=st["H2_plus"],
-        H2_minus=st["H2_minus"])
+    eos = IdealGasEos(**cfg["eos"])
+    grid = Grid(**cfg["grid"])
+    cc = cfg["compat"]
+    data = manufactured_initial_data(grid, eos, amplitude=cc["amplitude"],
+                                     k2=cc["k2"], seed=seed, **cfg["state"])
     jet = time_jet(data, order=cc["order"])
     rep = check_compatibility(jet, order=cc["order"])
     approx = build_approximate(jet, T=cc["T"], delta=cc["delta"])
@@ -366,17 +327,11 @@ def run_nash_moser_demo(cfg, seed, out: Path, verbosity: int) -> dict:
     from .compat import (build_approximate, manufactured_initial_data,
                          time_jet)
     from .nashmoser import NashMoserConfig, NashMoserDriver
-    eos = IdealGasEos(**_section(cfg, "eos"))
-    g = _section(cfg, "grid")
-    grid = Grid(n1=g["n1"], n2=g["n2"], L1=g["L1"], L2=g["L2"])
-    st = _section(cfg, "state")
-    nm = {"amplitude": 8e-6, "k2": 1, "T": 2.0, "nt": 65, "theta0": 2.0,
-          "iterations": 5, "delta": 1e-3}
-    nm.update(cfg.get("nash-moser", {}))
-    data = manufactured_initial_data(
-        grid, eos, amplitude=nm["amplitude"], k2=nm["k2"], seed=seed,
-        p_plus=st["p_plus"], u2_jump=st["u2_jump"], H2_plus=st["H2_plus"],
-        H2_minus=st["H2_minus"])
+    eos = IdealGasEos(**cfg["eos"])
+    grid = Grid(**cfg["grid"])
+    nm = cfg["nash-moser"]
+    data = manufactured_initial_data(grid, eos, amplitude=nm["amplitude"],
+                                     k2=nm["k2"], seed=seed, **cfg["state"])
     jet = time_jet(data, order=2)
     approx = build_approximate(jet, T=nm["T"], delta=nm["delta"])
     tgrid = np.linspace(0.0, nm["T"], nm["nt"])

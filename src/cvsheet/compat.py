@@ -28,7 +28,13 @@ import numpy as np
 from .front import apply_L, lift_front, straightened_coefficients
 from .grid import Grid
 from .mhd import IH1, IH2, IP, IS, IU1, IU2, NCOMP
-from .profiles import CutoffChi, make_cutoff, quintic_step, time_bump, time_bump_d
+from .profiles import CutoffChi, quintic_step, time_bump, time_bump_d
+
+_SLOPE_TOL = 1e-12    # least (H2+)^2 + (H2-)^2 the front slope is read from
+_FD_STEP = 0.02       # node spacing of the jets' time-difference stencils
+_FD_ORDER = 4         # least accuracy order of those stencils
+_COMPAT_TOL = 1e-10   # largest wall jump coefficient of a compatible order
+_N_CHECK = 9          # sample times of the smallness norm on [0, T]
 
 
 class SmallnessError(RuntimeError):
@@ -43,25 +49,25 @@ class InitialData:
     eos: object
     U0: np.ndarray               # (2, 6, n1, n2)
     phi0: np.ndarray             # (n2,)
-    chi: CutoffChi = field(default_factory=make_cutoff)
+    chi: CutoffChi = field(default_factory=CutoffChi)
 
     def __post_init__(self):
         self.U0 = np.asarray(self.U0, dtype=float)
         self.phi0 = np.asarray(self.phi0, dtype=float)
 
 
-def front_slope(U_boundary: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def front_slope(U_boundary: np.ndarray) -> np.ndarray:
     """Front slope mu from the one-sided wall traces (2, 6, n2)."""
     H2p, H2m = U_boundary[0, IH2], U_boundary[1, IH2]
     denom = H2p ** 2 + H2m ** 2
-    if np.min(denom) < tol:
+    if np.min(denom) < _SLOPE_TOL:
         raise ValueError("both H2 wall traces vanish: slope undefined")
     return (U_boundary[0, IH1] * H2p + U_boundary[1, IH1] * H2m) / denom
 
 
-def front_speed(U_boundary: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def front_speed(U_boundary: np.ndarray) -> np.ndarray:
     """Front speed eta = u1+ - u2+ mu from the wall traces."""
-    mu = front_slope(U_boundary, tol)
+    mu = front_slope(U_boundary)
     return U_boundary[0, IU1] - U_boundary[0, IU2] * mu
 
 
@@ -108,20 +114,21 @@ class TimeJet:
         (out / "jet_manifest.json").write_text(
             json.dumps(manifest, sort_keys=True, indent=1) + "\n")
 
-    def u_poly(self, t: float) -> np.ndarray:
-        out = np.zeros_like(self.Uj[0])
-        for j, Uj in enumerate(self.Uj):
-            out += Uj * t ** j / math.factorial(j)
-        return out
+    def u_poly(self, t: float, shift: int = 0) -> np.ndarray:
+        """Interior polynomial (or its shift-th time derivative)."""
+        return _taylor(self.Uj, t, shift)
 
     def phi_poly(self, t: float, shift: int = 0) -> np.ndarray:
         """Front polynomial (or its shift-th time derivative)."""
-        out = np.zeros_like(self.phij[0])
-        for j, pj in enumerate(self.phij):
-            if j < shift:
-                continue
-            out += pj * t ** (j - shift) / math.factorial(j - shift)
-        return out
+        return _taylor(self.phij, t, shift)
+
+
+def _taylor(coeffs, t: float, shift: int) -> np.ndarray:
+    """shift-th time derivative of sum_j coeffs[j] t^j / j!."""
+    out = np.zeros_like(coeffs[0])
+    for j, cj in enumerate(coeffs[shift:], start=shift):
+        out += cj * t ** (j - shift) / math.factorial(j - shift)
+    return out
 
 
 def _rhs_eval(data: InitialData, Upoly, phipoly, dphipoly):
@@ -139,8 +146,7 @@ def _rhs_eval(data: InitialData, Upoly, phipoly, dphipoly):
     return rhs
 
 
-def time_jet(data: InitialData, order: int, *, fd_step: float = 0.02,
-             fd_order: int = 4) -> TimeJet:
+def time_jet(data: InitialData, order: int) -> TimeJet:
     """Jets by nested time differencing of the assembled right-hand side.
 
     Each level extends the front polynomial first (its recursion needs one
@@ -151,9 +157,9 @@ def time_jet(data: InitialData, order: int, *, fd_step: float = 0.02,
     jet = TimeJet(data=data, Uj=[data.U0.copy()], phij=[data.phi0.copy()],
                   order=order)
     for j in range(order):
-        npts = j + fd_order + (j + fd_order) % 2 + 1
+        npts = j + _FD_ORDER + (j + _FD_ORDER) % 2 + 1
         M = npts // 2
-        nodes = fd_step * np.arange(-M, M + 1)
+        nodes = _FD_STEP * np.arange(-M, M + 1)
         w = _fd_weights(nodes, j)
 
         eta_acc = np.zeros_like(data.phi0)
@@ -196,8 +202,7 @@ class CompatibilityReport:
         return k
 
 
-def check_compatibility(jet: TimeJet, order: int,
-                        tolerance: float = 1e-10) -> CompatibilityReport:
+def check_compatibility(jet: TimeJet, order: int) -> CompatibilityReport:
     """Taylor coefficients of the wall jump conditions, order by order.
 
     Differentiates [u1] - [u2] d2 phi and [p + |H|^2/2] in time through the
@@ -229,7 +234,7 @@ def check_compatibility(jet: TimeJet, order: int,
     return CompatibilityReport(orders=list(range(order + 1)),
                                velocity_residuals=vres,
                                pressure_residuals=pres,
-                               tolerance=tolerance)
+                               tolerance=_COMPAT_TOL)
 
 
 @dataclass
@@ -250,11 +255,8 @@ class ApproxSolution:
         bump = float(time_bump(t, self.T))
         dbump = float(time_bump_d(t, self.T))
         Ubar = self.jet.Uj[0]
-        poly = self.jet.u_poly(t) - Ubar
-        dpoly = np.zeros_like(poly)
-        for j in range(1, len(self.jet.Uj)):
-            dpoly += self.jet.Uj[j] * t ** (j - 1) / math.factorial(j - 1)
-        return dbump * poly + bump * dpoly
+        return (dbump * (self.jet.u_poly(t) - Ubar)
+                + bump * self.jet.u_poly(t, shift=1))
 
     def phi(self, t: float) -> np.ndarray:
         bump = float(time_bump(t, self.T))
@@ -269,8 +271,7 @@ class ApproxSolution:
                 + bump * self.jet.phi_poly(t, shift=1))
 
 
-def build_approximate(jet: TimeJet, T: float, delta: float,
-                      n_check: int = 9) -> ApproxSolution:
+def build_approximate(jet: TimeJet, T: float, delta: float) -> ApproxSolution:
     """Cutoff Taylor extension; enforces the smallness budget.
 
     The measured size is the space-time L^2 norm of the deviation from the
@@ -282,14 +283,14 @@ def build_approximate(jet: TimeJet, T: float, delta: float,
     # reference constants: the far-field values of the data (wall row of
     # each side extended, matching the trivial-sheet background)
     approx = ApproxSolution(jet=jet, T=T, delta=delta, smallness=np.nan)
-    ts = np.linspace(0.0, T, n_check)
+    ts = np.linspace(0.0, T, _N_CHECK)
     acc = 0.0
     Ubar = _reference_constants(jet)
     for t in ts:
         du = approx.u(t) - Ubar
         acc += (float(g.integrate((du ** 2).sum(axis=(0, 1))))
                 + float(np.sum(approx.phi(t) ** 2) * g.h2))
-    smallness = float(np.sqrt(acc * (T / max(n_check - 1, 1))))
+    smallness = float(np.sqrt(acc * (T / (_N_CHECK - 1))))
     approx.smallness = smallness
     if smallness >= delta:
         raise SmallnessError(
@@ -328,8 +329,8 @@ def forcing_fa(approx: ApproxSolution):
 def manufactured_initial_data(grid: Grid, eos, *, amplitude: float = 0.05,
                               k2: int = 1, p_plus: float = 1.5,
                               u2_jump: float = 0.3, H2_plus: float = 1.5,
-                              H2_minus: float = 1.2, seed: int = 0,
-                              chi: CutoffChi | None = None) -> InitialData:
+                              H2_minus: float = 1.2,
+                              seed: int = 0) -> InitialData:
     """Perturbed contact data, compatible to all orders by construction.
 
     The perturbation vanishes identically near the wall (so every wall jet
@@ -362,5 +363,4 @@ def manufactured_initial_data(grid: Grid, eos, *, amplitude: float = 0.05,
             U[i, IU1] += amplitude * mask * np.sin(k * x2 + ph[2])
             U[i, IU2] += amplitude * mask * np.cos(k * x2 + ph[3])
             U[i, IS] += amplitude * mask * np.sin(k * x2 + ph[4])
-    return InitialData(grid=grid, eos=eos, U0=U, phi0=np.zeros(grid.n2),
-                       chi=chi or make_cutoff())
+    return InitialData(grid=grid, eos=eos, U0=U, phi0=np.zeros(grid.n2))

@@ -522,10 +522,14 @@ class LinearizedStepper:
               - _mat_apply2(co["M2"], grid.d2(V) if d2V is None else d2V)
               - _mat_apply2(co["M3"], V))
         dV -= self.sponge * V
-        tr = co["traces"]
-        dphi = (V[0, IUN, 0, :] + phi * tr["d1uNp"]
-                - tr["u2p"] * grid.d2_boundary(phi) + g[0])
-        return dV, dphi
+        return dV, self.phi_rate(V, phi, grid.d2_boundary(phi),
+                                 co["traces"], g)
+
+    @staticmethod
+    def phi_rate(V, phi, d2phi, tr, g):
+        """dphi/dt of the plus-side kinematic wall condition, from the
+        basic wall traces ``tr`` and the boundary data ``g`` of one time."""
+        return V[0, IUN, 0, :] + phi * tr["d1uNp"] - tr["u2p"] * d2phi + g[0]
 
     def apply_bc(self, V, phi, co, g):
         """Inject the wall conditions at the stage of ``co`` and ``g``."""
@@ -583,10 +587,10 @@ class LinearizedStepper:
         return Vn, pn
 
 
-def step_linearized(basic: BasicState, V, phi, t, dt, *, forcing=None,
-                    bdata=None):
-    """Single explicit step of the effective problem; checks the CFL bound."""
-    stepper = LinearizedStepper(basic, forcing=forcing, bdata=bdata)
+def step_linearized(basic: BasicState, V, phi, t, dt):
+    """Single explicit step of the unforced effective problem with
+    homogeneous wall data; checks the CFL bound."""
+    stepper = LinearizedStepper(basic)
     if dt > _CFL_GUARD * stepper.dt_cfl:
         raise NumericsError(
             f"dt={dt:.3e} violates the CFL bound {stepper.dt_cfl:.3e}")
@@ -651,9 +655,9 @@ def energy_integrals(grid: Grid, sigma, V, d1V=None, d2V=None):
 
 class _AprioriMonitor:
     """Left-Riemann sums of the H1_* integrands behind ``Trajectory.cstar``:
-    |Udot|^2 with Udot = J V, |phi|^2_{H1} with dphi/dt from the plus-side
-    kinematic wall condition, and |F|^2, each with its time difference and
-    the sigma d1 and d2 terms.
+    |Udot|^2 with Udot = J V, |phi|^2_{H1} with dphi/dt the march's own
+    front rate (``LinearizedStepper.phi_rate``, boundary datum included),
+    and |F|^2, each with its time difference and the sigma d1 and d2 terms.
 
     Where J is uniform, d1(J V) and d2(J V) are J d1 V and J d2 V.  A
     ``ManufacturedForcing`` is a(t) F0, so its |F|^2 terms are a(t)^2 and
@@ -704,8 +708,8 @@ class _AprioriMonitor:
 
         phi = end.phi
         d2p = g.d2_boundary(phi)
-        tr = end.co["traces"]
-        dtp = end.V[0, IUN, 0, :] + phi * tr["d1uNp"] - tr["u2p"] * d2p
+        dtp = end.stepper.phi_rate(end.V, phi, d2p, end.co["traces"],
+                                   end.stepper.g_at(end.t))
         self.sums["phi_sq"] += (float(np.sum(phi ** 2 + dtp ** 2 + d2p ** 2))
                                 * g.h2 * dt)
 

@@ -22,10 +22,10 @@ import numpy as np
 
 from .grid import Grid
 from .mhd import PhysState, assemble_coefficients
-from .profiles import CutoffChi, make_cutoff
+from .profiles import CutoffChi
 
 __all__ = [
-    "CutoffChi", "make_cutoff", "LiftedFront", "lift_front", "straighten",
+    "CutoffChi", "LiftedFront", "lift_front", "straighten",
     "straightened_coefficients", "apply_L", "transformed_vectors",
     "induction_advection",
 ]

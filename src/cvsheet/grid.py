@@ -57,10 +57,7 @@ class Grid:
     @property
     def w1(self) -> np.ndarray:
         """Trapezoid weights along x1 (sums to L1 on constants)."""
-        w = np.full(self.n1, self.h1)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return w
+        return trapezoid(self.n1, self.h1)
 
     def integrate(self, f: np.ndarray) -> np.ndarray:
         """Integral over the spatial domain; f is (..., n1, n2)."""
@@ -87,6 +84,14 @@ class Grid:
     def d2_boundary(self, g: np.ndarray) -> np.ndarray:
         """d/dx2 for boundary fields (..., n2), same periodic stencil."""
         return self.d2(np.asarray(g, dtype=float)[..., None, :])[..., 0, :]
+
+
+def trapezoid(n: int, h: float) -> np.ndarray:
+    """Trapezoid weights of n nodes spaced h apart."""
+    w = np.full(n, h)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
 
 
 def _diff_nonperiodic(f: np.ndarray, h: float, axis: int) -> np.ndarray:

@@ -32,13 +32,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .front import (LiftedFront, apply_L, induction_advection, lift_front,
-                    straighten, straightened_coefficients,
+from .compat import _SLOPE_TOL
+from .front import (_JAC_TOL, LiftedFront, apply_L, induction_advection,
+                    lift_front, straighten, straightened_coefficients,
                     transformed_vectors)
 from .grid import Grid, diff_time
 from .mhd import (IH1, IH2, IP, IS, IU1, IU2, NCOMP, PhysState,
                   _require_admissible)
-from .profiles import CutoffChi, make_cutoff
+from .profiles import CutoffChi
 from .stability import LambdaPair, build_lambda, check_stability
 
 #: characteristic components of V
@@ -65,7 +66,7 @@ class BasicState:
     U: np.ndarray
     phi: np.ndarray
     tgrid: np.ndarray | None = None
-    chi: CutoffChi = field(default_factory=make_cutoff)
+    chi: CutoffChi = field(default_factory=CutoffChi)
 
     def __post_init__(self):
         self.U = np.asarray(self.U, dtype=float)
@@ -162,10 +163,10 @@ class BasicFrame:
         out["d1q_jump"] = d1q[0, 0, :] + d1q[1, 0, :]
         return out
 
-    def lambda_boundary(self, k: float = 1e-3) -> LambdaPair:
+    def lambda_boundary(self) -> LambdaPair:
         plus = PhysState.from_vector(self.U[0, :, 0, :], side=+1)
         minus = PhysState.from_vector(self.U[1, :, 0, :], side=-1)
-        return build_lambda(plus, minus, self.eos, k=k)
+        return build_lambda(plus, minus, self.eos)
 
 
 @dataclass
@@ -202,17 +203,15 @@ DEFAULT_TOLERANCES = {
 }
 
 
-def validate_basic_state(basic: BasicState, tolerances: dict | None = None,
-                         times=None) -> ValidationReport:
+def validate_basic_state(basic: BasicState, times=None) -> ValidationReport:
     """Residuals of every constraint the linearization assumes.
 
     Checks the hyperbolicity and stability margins, the kinematic wall
     condition, the magnetic transport identity, div h = 0, H_N = 0 at the
     wall, and the front smallness; the report carries worst-case values
-    over the sampled times.
+    over the sampled times, judged against ``DEFAULT_TOLERANCES``.
     """
     tol = dict(DEFAULT_TOLERANCES)
-    tol.update(tolerances or {})
     if times is None:
         times = [0.0] if basic.steady else list(basic.tgrid)
     worst = dict(hyper=np.inf, stab=np.inf, jump=0.0, trans=0.0, div=0.0,
@@ -255,8 +254,8 @@ def validate_basic_state(basic: BasicState, tolerances: dict | None = None,
 # -- manufactured families -------------------------------------------------
 
 def trivial_sheet_state(grid: Grid, eos, *, p_plus=1.0, u2_jump=0.0,
-                        H2_plus=1.0, H2_minus=1.0, S_plus=0.0, S_minus=0.0,
-                        chi: CutoffChi | None = None) -> BasicState:
+                        H2_plus=1.0, H2_minus=1.0, S_plus=0.0,
+                        S_minus=0.0) -> BasicState:
     """Piecewise-constant contact configuration with [q] = 0.
 
     u1 = H1 = 0 on both sides, flat front; the total-pressure balance fixes
@@ -275,13 +274,12 @@ def trivial_sheet_state(grid: Grid, eos, *, p_plus=1.0, u2_jump=0.0,
         U[i, IU2] = u2
         U[i, IH2] = H2
         U[i, IS] = S
-    return BasicState(grid=grid, eos=eos, U=U, phi=np.zeros(grid.n2),
-                      chi=chi or make_cutoff())
+    return BasicState(grid=grid, eos=eos, U=U, phi=np.zeros(grid.n2))
 
 
 def sheared_sheet_state(grid: Grid, eos, rng=None, *, amplitude=0.15,
-                        p_plus=1.5, u2_jump=0.3, H2_plus=1.5, H2_minus=1.2,
-                        chi: CutoffChi | None = None) -> BasicState:
+                        p_plus=1.5, u2_jump=0.3, H2_plus=1.5,
+                        H2_minus=1.2) -> BasicState:
     """Non-constant manufactured basic state satisfying all constraints.
 
     Wall-normal shear profiles u2±(x1), H2±(x1) (u1 = H1 = 0, flat front)
@@ -307,18 +305,17 @@ def sheared_sheet_state(grid: Grid, eos, rng=None, *, amplitude=0.15,
         U[i, IU2] = u20 + amplitude * prof() + 0.0 * x2
         U[i, IH2] = H20 * (1.0 + amplitude * prof()) + 0.0 * x2
         U[i, IS] = amplitude * prof() * np.sin(2 * np.pi * x2 / grid.L2)
-    return BasicState(grid=grid, eos=eos, U=U, phi=np.zeros(grid.n2),
-                      chi=chi or make_cutoff())
+    return BasicState(grid=grid, eos=eos, U=U, phi=np.zeros(grid.n2))
 
 
 # -- good unknown -----------------------------------------------------------
 
-def good_unknown(deltaU: np.ndarray, psi: np.ndarray, frame: BasicFrame,
-                 jac_tol: float = 1e-3) -> np.ndarray:
+def good_unknown(deltaU: np.ndarray, psi: np.ndarray,
+                 frame: BasicFrame) -> np.ndarray:
     """Udot = deltaU - (d1 U-hat / d1 Phi-hat) Psi, per side."""
     d1U = frame.grid.d1(frame.U)
     jac = frame.lifted.d1_phi_map
-    if np.min(np.abs(jac)) < jac_tol:
+    if np.min(np.abs(jac)) < _JAC_TOL:
         raise ValueError("degenerate straightening Jacobian")
     return deltaU - d1U / jac[:, None] * psi[:, None]
 
@@ -634,7 +631,7 @@ def assemble_effective(frame: BasicFrame, lam_field: np.ndarray | None = None,
 # -- front derivative reconstruction ---------------------------------------
 
 def reconstruct_front_derivatives(HN_plus, HN_minus, uN_plus, phi,
-                                  traces: dict, tol: float = 1e-12):
+                                  traces: dict):
     """Recover (dphi/dt, d2 phi) from wall traces of the solution.
 
     d2 phi combines the two magnetic wall constraints weighted by H2±;
@@ -643,7 +640,7 @@ def reconstruct_front_derivatives(HN_plus, HN_minus, uN_plus, phi,
     """
     H2p, H2m = traces["H2p"], traces["H2m"]
     denom = H2p ** 2 + H2m ** 2
-    if np.min(denom) < tol:
+    if np.min(denom) < _SLOPE_TOL:
         raise ValueError("both H2 traces vanish: front slope unrecoverable")
     num = (H2p * HN_plus + H2m * HN_minus
            + (H2p * traces["d1HNp"] - H2m * traces["d1HNm"]) * phi)
@@ -673,13 +670,13 @@ def heun_march(rhs, y0, dts, nsub: int = 1) -> np.ndarray:
     return out
 
 
-def solve_g3_transport(basic: BasicState, G_source, tgrid, side: int,
-                       g0=None) -> np.ndarray:
+def solve_g3_transport(basic: BasicState, G_source, tgrid,
+                       side: int) -> np.ndarray:
     """March the boundary transport d/dt g3 + u2 d2 g3 + (d2 u2) g3 = G.
 
     ``G_source`` maps t to the source on the boundary grid; the solution
-    vanishes in the past (g0 defaults to zero).  Heun steps on the supplied
-    time grid.
+    vanishes in the past, so the march starts from zero.  Heun steps on the
+    supplied time grid.
     """
     g = basic.grid
     i = 0 if side > 0 else 1
@@ -690,8 +687,7 @@ def solve_g3_transport(basic: BasicState, G_source, tgrid, side: int,
         du2 = g.d2_boundary(u2)
         return G_source(t) - u2 * g.d2_boundary(y) - du2 * y
 
-    y0 = np.zeros(g.n2) if g0 is None else g0
-    return heun_march(rhs, y0, np.diff(tgrid))
+    return heun_march(rhs, np.zeros(g.n2), np.diff(tgrid))
 
 
 def solve_r_transport(basic: BasicState, F_source, tgrid, side: int) -> np.ndarray:

@@ -141,14 +141,14 @@ def _zeros_like_state(state: PhysState):
     return shape
 
 
-def assemble_coefficients(state: PhysState, eos, k: float = 1e-6):
+def assemble_coefficients(state: PhysState, eos):
     """(A0, A1, A2), each (6, 6, *field); A1 and A2 are symmetric.
 
     A0 = diag(1/(rho c^2), rho, rho, 1, 1, 1).  The density and its
     pressure derivative come once from the admissibility check and serve
     all three matrices.
     """
-    rho, rho_p = _require_admissible(state, eos, k)
+    rho, rho_p = _require_admissible(state, eos)
     shape = _zeros_like_state(state)
     rho = np.broadcast_to(rho, shape)
     g = np.broadcast_to(rho_p, shape) / rho  # 1/(rho c^2)
@@ -186,7 +186,7 @@ def assemble_coefficients(state: PhysState, eos, k: float = 1e-6):
     return A0, A1, A2
 
 
-def coefficient_jacobians(state: PhysState, eos, k: float = 1e-6):
+def coefficient_jacobians(state: PhysState, eos):
     """State derivatives (dA0/dy_l, dA1/dy_l, dA2/dy_l), each (6, 6, 6, *field).
 
     Leading axis l runs over the six components of U.  This is the test
@@ -194,7 +194,7 @@ def coefficient_jacobians(state: PhysState, eos, k: float = 1e-6):
     and has no runtime caller; a finite-difference oracle in the tests
     checks every entry.
     """
-    _require_admissible(state, eos, k)
+    _require_admissible(state, eos)
     shape = _zeros_like_state(state)
     p, S = state.p, state.S
     rho = np.broadcast_to(eos.density(p, S), shape)
@@ -268,8 +268,7 @@ def check_hyperbolicity(state: PhysState, eos, k: float) -> HyperbolicityCertifi
     return HyperbolicityCertificate(rmin >= k and rpmin >= k, rmin, rpmin, k)
 
 
-def rh_residual(plus: PhysState, minus: PhysState, dphi_t, dphi_2, eos,
-                k: float = 1e-6):
+def rh_residual(plus: PhysState, minus: PhysState, dphi_t, dphi_2, eos):
     """Rankine-Hugoniot residual of a contact configuration.
 
     Components: (dphi/dt - u+_N, dphi/dt - u-_N, H+_N, H-_N, [q]) with
@@ -277,8 +276,8 @@ def rh_residual(plus: PhysState, minus: PhysState, dphi_t, dphi_2, eos,
     dphi/dt) as diagnostics; for exact current-vortex sheets every entry
     vanishes.
     """
-    _require_admissible(plus, eos, k)
-    _require_admissible(minus, eos, k)
+    _require_admissible(plus, eos)
+    _require_admissible(minus, eos)
     dphi_t = np.asarray(dphi_t, dtype=float)
     dphi_2 = np.asarray(dphi_2, dtype=float)
     uNp = plus.u1 - plus.u2 * dphi_2

@@ -124,8 +124,6 @@ class NashMoserDriver:
         T = float(self.tgrid[-1])
         self.smoother = Smoother(self.grid, self.nt, T)
         self.smoother_tan = Smoother(self.grid, self.nt, T, axes=("t", "x2"))
-        self._chi_profile = np.stack([self.chi.value(self.grid.x1),
-                                      self.chi.value(-self.grid.x1)])
         self._La_cache = None
 
     # -- small utilities ------------------------------------------------------
@@ -138,26 +136,14 @@ class NashMoserDriver:
                               g_sum=zb.copy(), calL=z.copy(),
                               B=self.ops.boundary_B(self.Ua, self.phia))
 
-    def lift_psi(self, psi: np.ndarray) -> np.ndarray:
-        """Psi± = chi(±x1) psi: (nt, 2, n1, n2)."""
-        return psi[:, None, None, :] * self._chi_profile[None, :, :, None]
-
     def smooth_field(self, u: np.ndarray, theta: float) -> np.ndarray:
-        """Full S_theta applied component-wise over leading axes."""
-        nt = u.shape[0]
-        flat = np.moveaxis(u.reshape(nt, -1, self.grid.n1, self.grid.n2),
-                           1, 0)
-        sm = np.stack([self.smoother(c, theta) for c in flat])
-        return np.moveaxis(sm, 0, 1).reshape(u.shape)
+        """Full S_theta of every component of a (nt, ..., n1, n2) series."""
+        return np.moveaxis(self.smoother(np.moveaxis(u, 0, -3), theta), -3, 0)
 
     def smooth_boundary(self, gb: np.ndarray, theta: float) -> np.ndarray:
         """Tangential S_theta on boundary fields (nt, n2) or (nt, c, n2)."""
-        if gb.ndim == 2:
-            return self.smoother_tan(gb[:, None, :], theta)[:, 0, :]
-        out = np.empty_like(gb)
-        for c in range(gb.shape[1]):
-            out[:, c] = self.smoother_tan(gb[:, c][:, None, :], theta)[:, 0, :]
-        return out
+        u = np.moveaxis(gb, 0, -2)[..., None, :]      # (..., nt, 1, n2)
+        return np.moveaxis(self.smoother_tan(u, theta)[..., 0, :], -2, 0)
 
     def _l2_spacetime(self, u) -> float:
         g = self.grid
@@ -190,22 +176,19 @@ class NashMoserDriver:
         state (U^a + V_{i+1/2}, phi^a + psi_{i+1/2}).
         """
         g = self.grid
-        nt = self.nt
         phi_half = self.phia + self.smooth_boundary(state.psi, theta)
         SV = self.smooth_field(state.V, theta)
         Vh = np.zeros_like(state.V)
         for comp in (IP, IU2, IS):
             Vh[:, :, comp] = SV[:, :, comp]
 
-        dtfull = diff_time(phi_half, self.dt, axis=0)
-        d2full = np.stack([g.d2_boundary(p) for p in phi_half])
-        for i in range(2):
-            u1s = SV[:, i, IU1]
-            u2tot = self.Ua[:, i, IU2, 0, :] + Vh[:, i, IU2, 0, :]
-            G = (dtfull - (self.Ua[:, i, IU1, 0, :] + u1s[:, 0, :])
-                 + u2tot * d2full)
-            corr = np.stack([lift([G[n]], g).values for n in range(nt)])
-            Vh[:, i, IU1] = u1s + corr
+        # the wall residual G of each side, (nt, 2, n2), lifted in one call
+        dtfull = diff_time(phi_half, self.dt, axis=0)[:, None]
+        d2full = g.d2_boundary(phi_half)[:, None]
+        u2tot = self.Ua[:, :, IU2, 0, :] + Vh[:, :, IU2, 0, :]
+        G = (dtfull - (self.Ua[:, :, IU1, 0, :] + SV[:, :, IU1, 0, :])
+             + u2tot * d2full)
+        Vh[:, :, IU1] = SV[:, :, IU1] + lift([G], g).values
 
         Hfull = self._transport_H(Vh, phi_half)
         Vh[:, :, IH1] = Hfull[:, :, 0] - self.Ua[:, :, IH1]
@@ -280,7 +263,7 @@ class NashMoserDriver:
         dpsi = traj.phi[np.searchsorted(traj.times, traj.snapshot_times)]
 
         # undo the characteristic change and the Alinhac substitution
-        dPsi = self.lift_psi(dpsi)
+        dPsi = lift_front(dpsi, g, self.chi).psi     # (2, nt, n1, n2)
         dUdot = np.empty_like(dVdot_char)
         dV = np.empty_like(dVdot_char)
         shift = np.empty((nt, 2, 1, g.n1, g.n2))    # dPsi / d1Phi
@@ -288,8 +271,8 @@ class NashMoserDriver:
             fr = basic.frame(t)
             dUdot[n] = np.einsum("sij...,sj...->si...", j_matrix(fr),
                                  dVdot_char[n])
-            dV[n] = good_unknown_inverse(dUdot[n], dPsi[n], fr)
-            shift[n, :, 0] = dPsi[n] / fr.lifted.d1_phi_map
+            dV[n] = good_unknown_inverse(dUdot[n], dPsi[:, n], fr)
+            shift[n, :, 0] = dPsi[:, n] / fr.lifted.d1_phi_map
 
         V_next = state.V + dV
         psi_next = state.psi + dpsi

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, GridFunction, diff_time
+from .grid import Grid, GridFunction, diff_time, trapezoid
 from .profiles import SigmaWeight, quintic_step
 
 
@@ -63,19 +63,17 @@ def enumerate_indices(m: int, space_only: bool = False):
     return out
 
 
-def conormal_derivative(u: GridFunction, alpha: MultiIndex,
-                        sigma: SigmaWeight | None = None) -> GridFunction:
+def conormal_derivative(u: GridFunction, alpha: MultiIndex) -> GridFunction:
     """Apply D*^alpha in display order; sigma is evaluated pointwise before
     each weighted d1.
 
     Requires at least 5 grid points per differentiated axis (the stencil
     footprint), and a time axis whenever a0 > 0.
     """
-    sigma = sigma or SigmaWeight()
     grid = u.grid
     _check_stencils(u, alpha)
     vals = u.values
-    sig = sigma.value(grid.x1)[:, None]
+    sig = SigmaWeight().value(grid.x1)[:, None]
     for _ in range(alpha.a3):
         vals = grid.d1(vals)
     for _ in range(alpha.a2):
@@ -137,10 +135,7 @@ def _l2(u: GridFunction, vals: np.ndarray) -> float:
     sq = vals ** 2
     space = np.einsum("...ij,i->...", sq, grid.w1) * grid.h2
     if vals.ndim == 3:
-        wt = np.full(vals.shape[0], u.dt)
-        wt[0] *= 0.5
-        wt[-1] *= 0.5
-        return float(np.sqrt(np.sum(space * wt)))
+        return float(np.sqrt(np.sum(space * trapezoid(vals.shape[0], u.dt))))
     return float(np.sqrt(space))
 
 
@@ -154,8 +149,7 @@ def _powers(vals: np.ndarray, n: int, op):
         yield vals
 
 
-def _derivative_walk(u: GridFunction, m: int, space_only: bool,
-                     sigma: SigmaWeight | None):
+def _derivative_walk(u: GridFunction, m: int, space_only: bool):
     """Yield (alpha tuple, D*^alpha u values) for every <alpha> <= m.
 
     Depth first in application order (d1^a3, d2^a2, (sigma d1)^a1, dt^a0):
@@ -166,7 +160,7 @@ def _derivative_walk(u: GridFunction, m: int, space_only: bool,
     grid = u.grid
     if m >= 1:  # every unit step is then an index of its own
         _check_stencils(u, MultiIndex(int(not space_only), 1, 1, 0))
-    sig = (sigma or SigmaWeight()).value(grid.x1)[:, None]
+    sig = SigmaWeight().value(grid.x1)[:, None]
 
     def sigma_d1(vals):
         return sig * grid.d1(vals)
@@ -183,8 +177,7 @@ def _derivative_walk(u: GridFunction, m: int, space_only: bool,
                     yield (a0, a1, a2, a3), v0
 
 
-def hm_star_norm(u: GridFunction, m: int, domain: str = "omega",
-                 sigma: SigmaWeight | None = None) -> NormReport:
+def hm_star_norm(u: GridFunction, m: int, domain: str = "omega") -> NormReport:
     """H^m_* norm on Omega (space-only, a0 = 0) or Omega_T (space-time).
 
     ``domain`` is "omega", "omega_t", or "gamma_t"; the boundary norm is the
@@ -199,13 +192,12 @@ def hm_star_norm(u: GridFunction, m: int, domain: str = "omega",
         raise ValueError("space-only norm on a space-time field; take a slice")
     if not space_only and not u.is_spacetime:
         raise ValueError("space-time norm requires a time axis")
-    walk = _derivative_walk(u, m, space_only, sigma)
+    walk = _derivative_walk(u, m, space_only)
     return NormReport(order=m, domain=domain, contributions=dict(
         sorted((alpha, _l2(u, vals)) for alpha, vals in walk)))
 
 
-def triple_norm(u_slices: GridFunction, m: int,
-                sigma: SigmaWeight | None = None) -> NormReport:
+def triple_norm(u_slices: GridFunction, m: int) -> NormReport:
     """|||u(t)|||_{m,*}: time derivatives traded against spatial order.
 
     ``u_slices`` must be a space-time field; time derivatives are taken from
@@ -215,13 +207,12 @@ def triple_norm(u_slices: GridFunction, m: int,
     """
     if not u_slices.is_spacetime:
         raise ValueError("triple norm needs stored time history")
-    walk = _derivative_walk(u_slices, m, False, sigma)
+    walk = _derivative_walk(u_slices, m, False)
     return NormReport(order=m, domain="triple", contributions=dict(
         sorted((alpha, _l2(u_slices, vals[-1])) for alpha, vals in walk)))
 
 
-def w_star_norm(u: GridFunction, k: int = 1,
-                sigma: SigmaWeight | None = None) -> float:
+def w_star_norm(u: GridFunction, k: int = 1) -> float:
     """W^{k,infty}_* norm, k in {1, 2}.
 
     k = 1 sums sup norms over <alpha> <= 1; k = 2 sums the plain W^{1,infty}
@@ -231,7 +222,7 @@ def w_star_norm(u: GridFunction, k: int = 1,
         raise ValueError("k must be 1 or 2")
     total = 0.0
     for alpha in enumerate_indices(1):
-        d = conormal_derivative(u, alpha, sigma)
+        d = conormal_derivative(u, alpha)
         if k == 1:
             total += float(np.max(np.abs(d.values)))
         else:
@@ -256,6 +247,7 @@ def _boundary_norm(g: GridFunction, m: int) -> NormReport:
         vals = vals[:, 0, :]
     rep = NormReport(order=m, domain="gamma_t")
     grid = g.grid
+    wt = trapezoid(vals.shape[0], g.dt)
     for j, l in itertools.product(range(m + 1), range(m + 1)):
         if j + l > m:
             continue
@@ -264,9 +256,6 @@ def _boundary_norm(g: GridFunction, m: int) -> NormReport:
             d = grid.d2_boundary(d)
         for _ in range(j):
             d = diff_time(d, g.dt, axis=0)
-        wt = np.full(d.shape[0], g.dt)
-        wt[0] *= 0.5
-        wt[-1] *= 0.5
         rep.contributions[(j, l)] = float(
             np.sqrt(np.sum(np.sum(d ** 2, axis=-1) * grid.h2 * wt)))
     return rep
@@ -279,10 +268,11 @@ def trace(u: GridFunction) -> np.ndarray:
     return u.values[..., 0, :]
 
 
-def lift(v_list, grid: Grid, dt: float | None = None) -> GridFunction:
+def lift(v_list, grid: Grid) -> GridFunction:
     """Right inverse of the trace with prescribed normal derivatives.
 
-    ``v_list`` holds boundary fields v_j (j = 0 .. J-1); the lift is
+    ``v_list`` holds boundary fields v_j (j = 0 .. J-1), each (n2,) or
+    stacked (nt, k, n2) over snapshots and components; the lift is
     sum_j v_j x1^j / j! times a plateau cutoff that is identically 1 on
     [0, L1/8], so d1^j lift = v_j at x1 = 0 exactly for polynomials within
     the stencil order.
@@ -298,7 +288,7 @@ def lift(v_list, grid: Grid, dt: float | None = None) -> GridFunction:
         shaped = np.asarray(vj, dtype=float)[..., None, :]
         vals = vals + shaped * (x1 ** j / fact)[:, None]
     vals = vals * cut[:, None]
-    return GridFunction(values=vals, grid=grid, dt=dt)
+    return GridFunction(values=vals, grid=grid)
 
 
 # -- empirical inequality harnesses ---------------------------------------
@@ -329,28 +319,33 @@ def harness_to_csv(reports, path) -> None:
             fh.write(rep.to_csv_row() + "\n")
 
 
-def sample_field_params(rng, kmax: int = 3, nmodes: int = 4):
+#: a random harness field sums this many modes, of frequencies 0 .. _KMAX
+_NMODES = 4
+_KMAX = 3
+
+
+def sample_field_params(rng):
     """Draw the analytic parameters of one random band-limited field.
 
     Kept separate from evaluation so refinement studies can re-sample the
     *same* function on finer grids.
     """
     return [
-        dict(kt=int(rng.integers(0, kmax + 1)),
-             k2=int(rng.integers(0, kmax + 1)),
+        dict(kt=int(rng.integers(0, _KMAX + 1)),
+             k2=int(rng.integers(0, _KMAX + 1)),
              amp=float(rng.normal()),
              ph_t=float(rng.uniform(0, 2 * np.pi)),
              ph_2=float(rng.uniform(0, 2 * np.pi)),
              center=float(rng.uniform(0.0, 0.5)),
              width=float(0.5 + rng.uniform()))
-        for _ in range(nmodes)
+        for _ in range(_NMODES)
     ]
 
 
-def evaluate_field_params(params, grid: Grid, nt: int, T: float,
-                          decay_edge: bool = True) -> GridFunction:
+def evaluate_field_params(params, grid: Grid, nt: int,
+                          T: float) -> GridFunction:
     """Evaluate sampled parameters on a grid: cosine modes in (t, x2) with
-    Gaussian x1 envelopes, optionally killed at the far truncation."""
+    Gaussian x1 envelopes, killed at the far truncation."""
     x1, x2 = grid.mesh()
     tt = np.linspace(0.0, T, nt)[:, None, None]
     vals = np.zeros((nt, grid.n1, grid.n2))
@@ -360,21 +355,19 @@ def evaluate_field_params(params, grid: Grid, nt: int, T: float,
                  * np.cos(2 * np.pi * m["kt"] * tt / max(T, 1e-12) + m["ph_t"])
                  * np.cos(2 * np.pi * m["k2"] * x2 / grid.L2 + m["ph_2"])
                  * envelope)
-    if decay_edge:
-        vals *= (1.0 - quintic_step((x1 - 0.6 * grid.L1) / (0.35 * grid.L1)))
+    vals *= (1.0 - quintic_step((x1 - 0.6 * grid.L1) / (0.35 * grid.L1)))
     return GridFunction(values=vals, grid=grid, dt=T / (nt - 1))
 
 
-def random_smooth_field(grid: Grid, nt: int, T: float, rng,
-                        kmax: int = 3, decay_edge: bool = True) -> GridFunction:
+def random_smooth_field(grid: Grid, nt: int, T: float, rng) -> GridFunction:
     """Random band-limited space-time field for the harnesses."""
-    return evaluate_field_params(sample_field_params(rng, kmax), grid, nt, T,
-                                 decay_edge)
+    return evaluate_field_params(sample_field_params(rng), grid, nt, T)
 
 
 def inequality_harness(kind: str, samples: int, grid: Grid, *, nt: int = 9,
-                       T: float = 1.0, m: int = 3, rng=None) -> HarnessReport:
-    """LHS/RHS ratios of one calculus inequality on random smooth fields.
+                       m: int = 3, rng=None) -> HarnessReport:
+    """LHS/RHS ratios of one calculus inequality on random smooth fields
+    over the time span [0, 1].
 
     The max ratio is the fitted empirical constant; unboundedness under
     refinement is the failure signal, not any fixed threshold.
@@ -384,8 +377,8 @@ def inequality_harness(kind: str, samples: int, grid: Grid, *, nt: int = 9,
     rng = rng or np.random.default_rng(0)
     ratios = []
     for _ in range(samples):
-        u = random_smooth_field(grid, nt, T, rng)
-        v = random_smooth_field(grid, nt, T, rng)
+        u = random_smooth_field(grid, nt, 1.0, rng)
+        v = random_smooth_field(grid, nt, 1.0, rng)
         r = _harness_ratio(kind, u, v, m, rng)
         ratios.append(r)
     return HarnessReport(kind=kind, ratios=np.asarray(ratios),
@@ -436,7 +429,5 @@ def _harness_ratio(kind, u, v, m, rng):
 
 def _trace_sq(u: GridFunction) -> float:
     vals = u.values[..., 0, :] ** 2
-    wt = np.full(vals.shape[0], u.dt)
-    wt[0] *= 0.5
-    wt[-1] *= 0.5
-    return float(np.sum(np.sum(vals, axis=-1) * u.grid.h2 * wt))
+    return float(np.sum(np.sum(vals, axis=-1) * u.grid.h2
+                        * trapezoid(vals.shape[0], u.dt)))

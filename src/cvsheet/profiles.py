@@ -58,14 +58,6 @@ class CutoffChi:
         r = (np.abs(x) - self.plateau) / self.width
         return -np.sign(x) * quintic_step_d(r) / self.width
 
-    def __call__(self, x):
-        return self.value(x)
-
-
-def make_cutoff(plateau: float = 1.0, width: float = 3.0) -> CutoffChi:
-    """Front-lifting cutoff: identically 1 on [-1, 1], max slope <= 1/2."""
-    return CutoffChi(plateau=plateau, width=width)
-
 
 @dataclass(frozen=True)
 class EtaProfile:
@@ -75,9 +67,6 @@ class EtaProfile:
 
     def value(self, x):
         return 1.0 - quintic_step(np.asarray(x, dtype=float) / self.eps)
-
-    def __call__(self, x):
-        return self.value(x)
 
 
 @dataclass(frozen=True)
@@ -96,9 +85,6 @@ class SigmaWeight:
         blend = 0.5 + t * (0.5 + t * t * (2.0 + t * (-3.5 + 1.5 * t)))
         out = np.where(x <= 0.5, x, blend)
         return np.where(x >= 1.0, 1.0, out)
-
-    def __call__(self, x):
-        return self.value(x)
 
 
 def lowpass_symbol(r):

@@ -16,30 +16,28 @@ from .grid import Grid
 from .mhd import IH1, IH2, IP, IS, IU1, IU2
 from .profiles import quintic_step
 
+_OMEGA = 1.3    # angular frequency of the forcing's time profile
+
 
 @dataclass
 class ManufacturedForcing:
     """Causal interior forcing with divergence-free magnetic rows.
 
     ``k2`` selects the x2 wavenumber (index of the periodic mode), ``ramp``
-    the rise time, ``x1_center``/``x1_width`` the wall-normal envelope.
-    Calling with t returns (2, 6, n1, n2) in the good-unknown components:
-    ``profile(t)`` times the fixed field ``F0``.
+    the rise time.  The wall-normal envelope is a Gaussian centred at
+    L1/4 of width 0.15 L1.  Calling with t returns (2, 6, n1, n2) in the
+    good-unknown components: ``profile(t)`` times the fixed field ``F0``.
     """
 
     grid: Grid
     amplitude: float = 1.0
     k2: int = 1
     ramp: float = 0.2
-    x1_center: float | None = None
-    x1_width: float | None = None
-    omega: float = 1.3
 
     def __post_init__(self):
         g = self.grid
         x1, x2 = g.mesh()
-        c = self.x1_center if self.x1_center is not None else 0.25 * g.L1
-        w = self.x1_width if self.x1_width is not None else 0.15 * g.L1
+        c, w = 0.25 * g.L1, 0.15 * g.L1
         # wall mask zeroes the stream function identically on x1 = 0 so the
         # magnetic wall source f_n|_0 vanishes exactly
         env = (np.exp(-((x1 - c) / w) ** 2)
@@ -64,7 +62,7 @@ class ManufacturedForcing:
         """a(t), zero for t <= 0: the forcing at t is a(t) ``F0``."""
         if t <= 0.0:
             return 0.0
-        r = float(quintic_step(t / self.ramp)) * np.cos(self.omega * t)
+        r = float(quintic_step(t / self.ramp)) * np.cos(_OMEGA * t)
         return float(self.amplitude * r)
 
     def __call__(self, t: float) -> np.ndarray:

@@ -18,7 +18,7 @@ the trace alone there).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import dct, idct, irfft, rfft
@@ -27,6 +27,8 @@ from .grid import Grid
 from .norms import evaluate_field_params, hm_star_norm, sample_field_params
 from .grid import GridFunction
 from .profiles import SigmaWeight, lowpass_symbol
+
+_DTHETA = 1e-3    # theta step of the centered difference d/dtheta S_theta
 
 
 @dataclass
@@ -41,7 +43,6 @@ class Smoother:
     nt: int
     T: float
     axes: tuple = ("t", "x1", "x2")
-    sigma: SigmaWeight = field(default_factory=SigmaWeight)
 
     def __post_init__(self):
         g = self.grid
@@ -52,16 +53,7 @@ class Smoother:
 
     def _build_conormal_basis(self):
         g = self.grid
-        n = g.n1
-        D = np.zeros((n, n))
-        h = g.h1
-        for i in range(2, n - 2):
-            D[i, i - 2:i + 3] = np.array([1, -8, 0, 8, -1]) / (12 * h)
-        D[0, :4] = np.array([-11, 18, -9, 2]) / (6 * h)
-        D[1, :4] = np.array([-2, -3, 6, -1]) / (6 * h)
-        D[-1, -4:] = np.array([-2, 9, -18, 11]) / (6 * h)
-        D[-2, -4:] = np.array([1, -6, 3, 2]) / (6 * h)
-        Ds = self.sigma.value(g.x1)[:, None] * D
+        Ds = SigmaWeight().value(g.x1)[:, None] * g.d1(np.eye(g.n1))
         W = np.diag(g.w1)
         K = Ds.T @ W @ Ds
         # interior block: modes vanish on the wall row by construction
@@ -99,10 +91,10 @@ class Smoother:
                 [out[..., :1, :], self.conormal_modes @ coef], axis=-2)
         return out
 
-    def d_theta(self, u: np.ndarray, theta: float,
-                dtheta: float = 1e-3) -> np.ndarray:
-        """Centered difference of theta -> S_theta u."""
-        return (self(u, theta + dtheta) - self(u, theta - dtheta)) / (2 * dtheta)
+    def d_theta(self, u: np.ndarray, theta: float) -> np.ndarray:
+        """Centered difference of theta -> S_theta u, with step _DTHETA."""
+        return ((self(u, theta + _DTHETA) - self(u, theta - _DTHETA))
+                / (2 * _DTHETA))
 
     def band_limited_sample(self, theta: float, rng) -> np.ndarray:
         """A random field that is an exact fixed point of S_theta.

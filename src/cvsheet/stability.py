@@ -14,7 +14,7 @@ analysis for symmetric piecewise-constant backgrounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +25,9 @@ from .profiles import EtaProfile
 #: magnetic fields below this magnitude are routed through the one-sided
 #: branch of the lambda construction to avoid sign noise
 H2_TINY = 1e-10
+#: boundary traces off the linearized wall constraints by more than this
+#: make the boundary form's decomposition formal
+_CONSTRAINT_TOL = 1e-8
 
 
 class StabilityError(RuntimeError):
@@ -78,7 +81,7 @@ def check_stability(plus: PhysState, minus: PhysState, eos,
 
 @dataclass
 class LambdaPair:
-    """Boundary multiplier fields lambda± with their interior collar profile.
+    """Boundary multiplier fields lambda±.
 
     Wherever the stability margin is positive the fields satisfy
     |lambda±| < a± and lambda+ H2+ - lambda- H2- = [u2].
@@ -86,7 +89,6 @@ class LambdaPair:
 
     lam_plus: np.ndarray
     lam_minus: np.ndarray
-    eta: EtaProfile = field(default_factory=lambda: EtaProfile(eps=0.25))
 
 
 def build_lambda(plus: PhysState, minus: PhysState, eos,
@@ -126,17 +128,17 @@ def build_lambda(plus: PhysState, minus: PhysState, eos,
                       lam_minus=np.asarray(lam_m, float))
 
 
-def extend_lambda(pair: LambdaPair, x1: np.ndarray, *, eps: float | None = None,
+def extend_lambda(pair: LambdaPair, x1: np.ndarray, *, eps: float,
                   states=None, eos=None) -> np.ndarray:
-    """Interior extension lambda^(x1, x2) = eta(x1) lambda(x2), per side.
+    """Interior extension lambda^(x1, x2) = eta(x1) lambda(x2), per side,
+    with the collar profile eta of width ``eps``.
 
     Returns a (2, n1, n2)-shaped field (broadcasting any leading axes of
     the boundary values).  When interior ``states`` are supplied, B0
     positivity is verified on every grid point instead of assumed; losing
     it means the collar eps must shrink.
     """
-    eta = pair.eta if eps is None else EtaProfile(eps=eps)
-    prof = eta.value(np.asarray(x1, float))[:, None]
+    prof = EtaProfile(eps=eps).value(np.asarray(x1, float))[:, None]
     lam_p = np.atleast_1d(np.asarray(pair.lam_plus, float))
     lam_m = np.atleast_1d(np.asarray(pair.lam_minus, float))
     lam = np.stack([lam_p[..., None, :] * prof, lam_m[..., None, :] * prof])
@@ -146,7 +148,7 @@ def extend_lambda(pair: LambdaPair, x1: np.ndarray, *, eps: float | None = None,
             if not cert.positive:
                 raise StabilityError(
                     f"B0 lost positivity in the collar (min eig "
-                    f"{cert.min_eig}); retry with eps < {eta.eps}")
+                    f"{cert.min_eig}); retry with eps < {eps}")
     return lam
 
 
@@ -241,8 +243,8 @@ class BoundaryFormDecomposition:
 
 
 def boundary_quadratic_form(vplus, vminus, lam_pair: LambdaPair,
-                            phi, dphi_t, dphi_2, basic_traces,
-                            constraint_tol: float = 1e-8) -> BoundaryFormDecomposition:
+                            phi, dphi_t, dphi_2,
+                            basic_traces) -> BoundaryFormDecomposition:
     """Boundary quadratic form 2 [qdot (udot_N - lambda Hdot_N)] and its split.
 
     ``vplus``/``vminus`` are dicts with boundary traces ``q``, ``uN``, ``HN``;
@@ -274,7 +276,7 @@ def boundary_quadratic_form(vplus, vminus, lam_pair: LambdaPair,
     res_q = vplus["q"] - vminus["q"] + phi * bt["d1q_jump"]
     worst = max(float(np.max(np.abs(r)))
                 for r in (res_bc_p, res_bc_m, res_hn_p, res_hn_m, res_q))
-    if worst > constraint_tol:
+    if worst > _CONSTRAINT_TOL:
         warning = (f"boundary traces violate the linearized constraints by "
                    f"{worst:.3e}; decomposition is formal")
     return BoundaryFormDecomposition(total=total, leading=leading, lot=lot,

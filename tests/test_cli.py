@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from cvsheet.cli import ConfigError, main, parse_config, run_experiment
+from cvsheet.cli import (SCHEMAS, ConfigError, main, parse_config,
+                         run_experiment)
 
 STABILITY_CFG = """[run]
 experiment = stability-map
@@ -22,6 +23,26 @@ def test_parse_config_roundtrip():
     assert exp == "stability-map"
     assert seed == 1
     assert cfg["map"]["u2_jump_n"] == 25
+
+
+@pytest.mark.parametrize("exp", sorted(SCHEMAS))
+def test_every_default_parses_back_to_itself(exp):
+    for section, keys in SCHEMAS[exp].items():
+        for key, default in keys.items():
+            _, _, cfg = parse_config(f"[run]\nexperiment = {exp}\n"
+                                     f"[{section}]\n{key} = {default}\n")
+            got = cfg[section][key]
+            assert type(got) is type(default) and got == default, (section,
+                                                                   key)
+
+
+@pytest.mark.parametrize("exp", sorted(SCHEMAS))
+def test_bare_run_config_gives_every_key_at_its_default(exp):
+    _, seed, cfg = parse_config(f"[run]\nexperiment = {exp}\n")
+    assert seed == 0
+    assert cfg == SCHEMAS[exp]
+    for section, keys in cfg.items():
+        assert keys is not SCHEMAS[exp][section]   # runners get copies
 
 
 def test_parse_rejects_unknowns():

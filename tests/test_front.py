@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cvsheet.front import (DegenerateJacobianError, lift_front, make_cutoff,
+from cvsheet.front import (CutoffChi, DegenerateJacobianError, lift_front,
                            straightened_coefficients, transformed_vectors)
 from cvsheet.grid import Grid
 from cvsheet.mhd import IdealGasEos, PhysState, assemble_coefficients
@@ -22,7 +22,7 @@ def _both_sides(state, grid):
 
 
 def test_cutoff_plateau_and_support():
-    chi = make_cutoff()
+    chi = CutoffChi()
     assert chi.value(0.0) == pytest.approx(1.0)
     assert chi.value(0.9) == pytest.approx(1.0)
     assert chi.value(-1.0) == pytest.approx(1.0)
@@ -31,7 +31,7 @@ def test_cutoff_plateau_and_support():
 
 
 def test_cutoff_slope_budget():
-    chi = make_cutoff()
+    chi = CutoffChi()
     x = np.linspace(-6.0, 6.0, 100_000)
     slopes = np.abs(chi.derivative(x))
     assert np.max(slopes) <= 0.5
@@ -42,7 +42,7 @@ def test_cutoff_slope_budget():
 
 
 def test_lift_flat_front(grid):
-    chi = make_cutoff()
+    chi = CutoffChi()
     lifted = lift_front(np.zeros(grid.n2), grid, chi)
     assert np.allclose(lifted.psi, 0.0)
     jac = lifted.d1_phi_map
@@ -51,7 +51,7 @@ def test_lift_flat_front(grid):
 
 
 def test_lift_small_front_jacobian_bound(grid):
-    chi = make_cutoff()
+    chi = CutoffChi()
     phi = 0.3 * np.cos(grid.x2)
     lifted = lift_front(phi, grid, chi)
     jmin_plus, jmax_minus = lifted.jacobian_min
@@ -63,14 +63,14 @@ def test_lift_small_front_jacobian_bound(grid):
 
 
 def test_lift_pointwise_value(grid):
-    chi = make_cutoff()
+    chi = CutoffChi()
     phi = 0.1 * np.sin(grid.x2)
     lifted = lift_front(phi, grid, chi)
     assert np.allclose(lifted.psi[0][0, :], 0.1 * np.sin(grid.x2))
 
 
 def test_a1_tilde_flat_front_reduces_to_a1(grid):
-    chi = make_cutoff()
+    chi = CutoffChi()
     lifted = lift_front(np.zeros(grid.n2), grid, chi)
     state = PhysState(p=1.2, u1=0.3, u2=-0.4, H1=0.2, H2=1.0, S=0.1)
     A1 = assemble_coefficients(state, EOS)[1]
@@ -81,7 +81,7 @@ def test_a1_tilde_flat_front_reduces_to_a1(grid):
 
 
 def test_a1_tilde_symmetric_and_scaling(grid):
-    chi = make_cutoff()
+    chi = CutoffChi()
     phi = 0.25 * np.sin(grid.x2)
     lifted = lift_front(phi, grid, chi)
     x1g, x2g = grid.mesh()
@@ -98,7 +98,7 @@ def test_a1_tilde_symmetric_and_scaling(grid):
 
 
 def test_a1_tilde_degenerate_jacobian_error(grid):
-    chi = make_cutoff()
+    chi = CutoffChi()
     phi = 2.5 * np.ones(grid.n2)  # far beyond the smallness hypothesis
     lifted = lift_front(phi, grid, chi)
     state = PhysState(p=1.0, u1=0, u2=0, H1=0, H2=0, S=0)
@@ -107,7 +107,7 @@ def test_a1_tilde_degenerate_jacobian_error(grid):
 
 
 def test_transformed_vectors_flat(grid):
-    chi = make_cutoff()
+    chi = CutoffChi()
     lifted = lift_front(np.zeros(grid.n2), grid, chi)
     state = PhysState(p=1.0, u1=0.2, u2=0.5, H1=0.3, H2=0.9, S=0.0)
     u_n, H_n, v, w, h = transformed_vectors(state, lifted, side=+1)
@@ -119,7 +119,7 @@ def test_transformed_vectors_flat(grid):
 
 
 def test_boundary_trace_is_N_component(grid):
-    chi = make_cutoff()
+    chi = CutoffChi()
     phi = 0.2 * np.sin(grid.x2)
     lifted = lift_front(phi, grid, chi)
     x1g, x2g = grid.mesh()
@@ -135,7 +135,7 @@ def test_boundary_trace_is_N_component(grid):
 
 def test_divergence_free_sample_from_stream_function(grid):
     # h = (d2 psi_s, -d1 psi_s) gives exactly commuting discrete div
-    chi = make_cutoff()
+    chi = CutoffChi()
     lifted = lift_front(np.zeros(grid.n2), grid, chi)
     x1g, x2g = grid.mesh()
     psi_s = np.exp(-((x1g - 3.0) ** 2)) * np.sin(x2g)

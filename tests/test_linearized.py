@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import cvsheet.evolve as ev
 from cvsheet.evolve import (NumericsError, cfl_timestep, evolve,
                             step_linearized)
-from cvsheet.front import (lift_front, make_cutoff, straighten,
+from cvsheet.front import (CutoffChi, lift_front, straighten,
                            straightened_coefficients)
 from cvsheet.grid import Grid, diff_time
 from cvsheet.linearized import (IH2V, IHN, BasicFrame, BasicState,
@@ -116,7 +116,7 @@ def test_c_matrix_matches_directional_fd(grid):
 
 def _moving_curved_front(grid, amp=0.2, rate=0.3, shift=0.0):
     """Lift of phi = amp sin(x2 + shift) moving at dphi/dt = rate cos(x2)."""
-    return lift_front(amp * np.sin(grid.x2 + shift), grid, make_cutoff(),
+    return lift_front(amp * np.sin(grid.x2 + shift), grid, CutoffChi(),
                       rate * np.cos(grid.x2))
 
 

@@ -12,10 +12,10 @@ from cvsheet.compat import (build_approximate, manufactured_initial_data,
                             time_jet)
 from cvsheet.evolve import evolve
 from cvsheet.grid import Grid
-from cvsheet.linearized import trivial_sheet_state
+from cvsheet.linearized import sheared_sheet_state, trivial_sheet_state
 from cvsheet.mhd import IdealGasEos
 from cvsheet.nashmoser import NashMoserDriver, _SnapshotInterpolant
-from cvsheet.scenarios import ManufacturedForcing
+from cvsheet.scenarios import ManufacturedBoundaryData, ManufacturedForcing
 
 EOS = IdealGasEos()
 
@@ -219,3 +219,22 @@ def test_energy_integrals_equal_the_summed_squares():
     assert got == ev.energy_integrals(grid, sigma, V, d1V, d2V)
     for g, w in zip(got, want):
         assert g == pytest.approx(float(w), rel=1e-13, abs=0)
+
+
+def test_apriori_front_rate_is_the_marchs_with_boundary_data():
+    # |phi|^2_{H1} of the a priori monitor differentiates phi in time with
+    # the rate the march advances it by, the boundary datum g1+ included
+    grid = Grid(n1=16, n2=16, L1=2 * np.pi, L2=2 * np.pi)
+    basic = sheared_sheet_state(grid, EOS)
+    bdata = ManufacturedBoundaryData(grid, amplitude=0.05, k2=2, ramp=0.05)
+    traj = evolve(basic, t_final=0.1, bdata=bdata, ledger=False,
+                  dt_override=0.01, snapshot_times=0.01 * np.arange(11))
+    assert np.array_equal(traj.snapshot_times, traj.times)
+    dt = traj.times[1]
+    stepper = ev.LinearizedStepper(basic, bdata=bdata)
+    phi_sq = 0.0
+    for t, V, phi in zip(traj.times[1:], traj.snapshots[1:], traj.phi[1:]):
+        dtp = stepper.rhs(V, phi, t, stepper.cache.at(t), stepper.g_at(t))[1]
+        d2p = grid.d2_boundary(phi)
+        phi_sq += float(np.sum(phi ** 2 + dtp ** 2 + d2p ** 2)) * grid.h2 * dt
+    assert traj.apriori["phi_sq"] == pytest.approx(phi_sq, rel=1e-12, abs=0)

@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvsheet.front import make_cutoff
+from cvsheet.front import CutoffChi
 from cvsheet.grid import Grid
 from cvsheet.linearized import BasicState, SheetOperators
 from cvsheet.mhd import IH2, IP, IU2, IdealGasEos
@@ -18,7 +18,7 @@ EOS = IdealGasEos()
 GRID = Grid(n1=16, n2=16, L1=2 * np.pi, L2=2 * np.pi)
 NT = 7
 TGRID = np.linspace(0.0, 0.6, NT)
-OPS = SheetOperators(GRID, EOS, make_cutoff(), TGRID)
+OPS = SheetOperators(GRID, EOS, CutoffChi(), TGRID)
 
 seeds = st.integers(0, 2 ** 32 - 1)
 PROPS = settings(max_examples=25, deadline=None)
