@@ -138,12 +138,8 @@ def _rhs_eval(data: InitialData, Upoly, phipoly, dphipoly):
     coeffs = straightened_coefficients(Upoly, lifted, data.eos)
     rhs = apply_L(coeffs, None, g.d1(Upoly), g.d2(Upoly),
                   np.empty_like(Upoly))
-    for i, (a0, _, _) in enumerate(coeffs):
-        a0m = np.moveaxis(a0, (0, 1), (-2, -1))
-        rhs[i] = -np.moveaxis(
-            np.linalg.solve(a0m, np.moveaxis(rhs[i], 0, -1)[..., None])[..., 0],
-            -1, 0)
-    return rhs
+    a0 = np.stack([np.einsum("kk...->k...", a) for a, _, _ in coeffs])
+    return rhs / -a0                    # A0 is diagonal
 
 
 def time_jet(data: InitialData, order: int) -> TimeJet:

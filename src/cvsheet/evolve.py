@@ -4,8 +4,9 @@ The characteristic system
 
     A0c dV/dt + A1c d1 V + A2c d2 V + A3c V = J^T F
 
-marches with a 3-stage strong-stability-preserving Runge-Kutta scheme.  The
-wall at x1 = 0 is characteristic of constant rank 4: per side exactly one
+marches, solved as dV/dt = A0c^{-1} J^T F - M1 d1 V - M2 d2 V - M3 V, with
+a 3-stage strong-stability-preserving Runge-Kutta scheme.  The wall at
+x1 = 0 is characteristic of constant rank 4: per side exactly one
 combination (q ± u_n) enters the domain.  Boundary data are imposed by
 injection: outgoing combinations are read off the updated interior, the
 incoming ones and the front time derivative are solved from the three
@@ -53,7 +54,7 @@ import numpy as np
 
 from .grid import Grid
 from .linearized import (IHN, IH2V, IQ, IUN, BasicState,
-                         assemble_effective, bracket, j_matrix)
+                         assemble_effective, bracket)
 from .profiles import SigmaWeight, quintic_step
 from .scenarios import ManufacturedForcing
 from .stability import LambdaPair, StabilityError, extend_lambda
@@ -163,6 +164,10 @@ class _CoeffCache:
     """Assembled solver coefficients: one bundle for steady states, linear
     interpolation between snapshot-time bundles otherwise.
 
+    A bundle holds one frame's ``assemble_effective`` operators ``ops``,
+    their ``M1``, ``M2``, ``M3``, ``A0invJt`` and ``J`` compacted, ``d1phi``
+    and the wall traces.
+
     A steady state whose ``U``, ``phi`` and multiplier ``lam_field`` are
     exactly x2-invariant (the planar sheet's) is assembled on one x2
     column, a ``BasicState`` on ``Grid(n1, 1, L1, L2)``: every field of
@@ -224,34 +229,13 @@ class _CoeffCache:
         return self._snap[k]
 
     def _build(self, t: float):
-        src = self._source
-        fr = src.frame(t)
-        dJdt = None
-        if not src.steady:
-            tg = src.tgrid
-            dd = 0.25 * float(tg[1] - tg[0])
-            # frame() clamps to the snapshot span: one-sided at the ends
-            lo, hi = max(t - dd, float(tg[0])), min(t + dd, float(tg[-1]))
-            dJdt = (j_matrix(src.frame(hi))
-                    - j_matrix(src.frame(lo))) / (hi - lo)
-        ops = assemble_effective(fr, self.lam_field, dJdt=dJdt)
-        A0, A1, A2, A3, J = (_compact(a) for a in (ops.A0, ops.A1, ops.A2,
-                                                   ops.A3, ops.J))
-        inv = np.linalg.inv(np.moveaxis(A0, (1, 2), (-2, -1)))
-        # C-ordered, so the four products below come out C-ordered too
-        A0inv = np.ascontiguousarray(np.moveaxis(inv, (-2, -1), (1, 2)))
-        mm = "sik...,skj...->sij..."
-        return {
-            "frame": fr,
-            "ops": ops,
-            "J": J,
-            "d1phi": fr.lifted.d1_phi_map,
-            "M1": np.einsum(mm, A0inv, A1),
-            "M2": np.einsum(mm, A0inv, A2),
-            "M3": np.einsum(mm, A0inv, A3),
-            "A0invJt": np.einsum(mm, A0inv, np.swapaxes(J, 1, 2)),
-            "traces": fr.boundary_traces(),
-        }
+        fr = self._source.frame(t)
+        ops = assemble_effective(fr, self.lam_field)
+        bundle = {key: _compact(getattr(ops, key))
+                  for key in ("J",) + self._MARCH_KEYS}
+        bundle.update(ops=ops, d1phi=fr.lifted.d1_phi_map,
+                      traces=fr.boundary_traces())
+        return bundle
 
 
 def _compact(a):
@@ -769,13 +753,7 @@ class _LedgerAccumulator:
         self._zo_matrix = (g.d1(ops.B1) + g.d2(ops.B2)
                            - (ops.B3 + np.swapaxes(ops.B3, 1, 2))
                            - 2.0 * sponge * ops.B0)
-        # T-vector of the secondary symmetrizer per side, in U-space
-        from .stability import symmetrizer_matrices
-        fr = co["frame"]
-        self._T = np.stack([
-            symmetrizer_matrices(fr.states[i],
-                                 cache.lam_field[i], fr.basic.eos)[1]
-            for i in range(2)])
+        self._T = ops.T     # the secondary symmetrizer's T, in U-space
 
     def start(self, end: _StepEnd) -> None:
         self._Q0 = self._q(end.V)

@@ -148,6 +148,9 @@ class GridFunction:
         self.values = np.asarray(self.values, dtype=float)
         if not np.all(np.isfinite(self.values)):
             raise ValueError("GridFunction values must be finite")
+        if self.values.ndim not in (2, 3):
+            raise ValueError(f"values shape {self.values.shape}: a "
+                             "GridFunction is (n1, n2) or (nt, n1, n2)")
         if self.values.shape[-2:] != (self.grid.n1, self.grid.n2):
             raise ValueError(
                 f"values shape {self.values.shape} does not match grid "

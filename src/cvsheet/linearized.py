@@ -18,6 +18,10 @@ boundary matrix into diag(E12, -E12)/d1Phi + a correction vanishing on the
 wall: a constant-rank-4 characteristic boundary with exactly two incoming
 modes per side.
 
+J is the identity plus four entries above the diagonal and the straightened
+A0 is diagonal, so ``assemble_effective``, the one place the march's solved
+coefficients are built, forms them in closed form.
+
 ``SheetOperators`` is the one discretization of L and L'_e on snapshot
 series, with 4th-order time stencils: the Nash-Moser scheme and the
 boundary homogenization both apply it.  The straightened coefficients
@@ -39,17 +43,15 @@ from .front import (_JAC_TOL, LiftedFront, apply_L, induction_advection,
 from .grid import Grid, diff_time
 from .mhd import (IH1, IH2, IP, IS, IU1, IU2, NCOMP, PhysState,
                   _require_admissible)
+from .norms import lift
 from .profiles import CutoffChi
-from .stability import LambdaPair, build_lambda, check_stability
+from .stability import (LambdaPair, assemble_symmetrizer, build_lambda,
+                        check_stability)
 
 #: characteristic components of V
 IQ, IUN, IU2V, IHN, IH2V, ISV = range(6)
 
 SIDES = (+1, -1)
-
-
-def _mat_mul(A, B):
-    return np.einsum("ik...,kj...->ij...", A, B)
 
 
 @dataclass
@@ -483,26 +485,35 @@ class SheetOperators:
             dq[:, 0] - dq[:, 1] + dphi * (d1q[:, 0] + d1q[:, 1])], axis=1)
 
 
-#: the off-diagonal entries (row, column) of J = I + N; all others vanish
+#: the entries (row, column) of N in J = I + N, all above the diagonal
 _J_OFF = ((IP, IHN), (IP, IH2V), (IU1, IU2V), (IH1, IH2V))
+_EYE = np.eye(NCOMP)[..., None, None]
+
+
+def _j_off(frame: BasicFrame, rates: bool = False):
+    """(N's entries -H1, -(H1 d2Psi + H2), d2Psi, d2Psi at ``_J_OFF`` per
+    side, (2, 4, n1, n2); with ``rates`` their time rates by the product
+    rule from the frame's own ``Ut``, as ``c_matrix`` reads it, and the lift
+    of its ``phit``, else None)."""
+    H1, H2 = frame.U[:, IH1], frame.U[:, IH2]
+    d2psi = frame.lifted.d2_psi
+    off = np.stack([-H1, -(H1 * d2psi + H2), d2psi, d2psi], axis=1)
+    if not rates:
+        return off, None
+    H1t, H2t = frame.Ut[:, IH1], frame.Ut[:, IH2]
+    d2psit = lift_front(frame.phit, frame.grid, frame.basic.chi).d2_psi
+    return off, np.stack([-H1t, -(H1t * d2psi + H1 * d2psit + H2t), d2psit,
+                          d2psit], axis=1)
 
 
 def j_matrix(frame: BasicFrame) -> np.ndarray:
-    """Characteristic change of unknown Udot = J V, per side.
-
-    J is the identity plus the four entries at ``_J_OFF``: -H1, -H_tau,
-    d2Psi and d2Psi.
-    """
-    g = frame.grid
-    J = np.zeros((2, NCOMP, NCOMP, g.n1, g.n2))
-    for i in range(2):
-        d2psi = np.broadcast_to(frame.lifted.d2_psi[i], (g.n1, g.n2))
-        H1 = frame.U[i, IH1]
-        Htau = H1 * d2psi + frame.U[i, IH2]
-        for k in range(NCOMP):
-            J[i, k, k] = 1.0
-        for (r, c), v in zip(_J_OFF, (-H1, -Htau, d2psi, d2psi)):
-            J[i, r, c] = v
+    """Characteristic change of unknown Udot = J V, per side: the identity
+    plus the four entries of ``_j_off`` at ``_J_OFF``."""
+    off, _ = _j_off(frame)
+    J = np.zeros((2, NCOMP, NCOMP) + off.shape[-2:])
+    J[:] = _EYE
+    for e, (r, c) in enumerate(_J_OFF):
+        J[:, r, c] = off[:, e]
     return J
 
 
@@ -518,11 +529,10 @@ def _off_columns(rows, off) -> dict:
     return cols
 
 
-def _times_j(m, off):
-    """m J for J = I + N with N's entries ``off`` at ``_J_OFF``: columns."""
-    out = m.copy()
+def _add_columns(out, m, off):
+    """out += m N for N's entries ``off`` at ``_J_OFF``; returns ``out``."""
     for c, col in _off_columns(np.swapaxes(m, 0, 1), off).items():
-        out[:, c] = col + m[:, c]
+        out[:, c] += col
     return out
 
 
@@ -534,6 +544,23 @@ def _jt_times(off, m):
     return m
 
 
+def _j_inv_times(off, m):
+    """J^{-1} m by back substitution in descending row order, in place in
+    ``m``, which is returned."""
+    for (r, c), v in reversed(tuple(zip(_J_OFF, off))):
+        m[r] -= v * m[c]
+    return m
+
+
+def _right_products(m0, m1, m2, zc, off, d1off, d2off, dtoff):
+    """[m0 J, m1 J, m2 J, zc J + m1 d1J + m2 d2J + m0 dJ/dt] for one side,
+    from N's entries ``off`` and their derivatives."""
+    R = [_add_columns(m.copy(), m, off) for m in (m0, m1, m2, zc)]
+    for m, doff in ((m1, d1off), (m2, d2off), (m0, dtoff)):
+        _add_columns(R[3], m, doff)
+    return R
+
+
 class BoundaryStructureError(RuntimeError):
     """The boundary matrix failed to reduce to diag(E12, -E12)."""
 
@@ -542,67 +569,61 @@ class BoundaryStructureError(RuntimeError):
 class EffectiveOperators:
     """Calligraphic coefficient families of the characteristic system.
 
-    ``A`` matrices drive the evolution; the ``B`` family (present when a
-    multiplier field was supplied) is the symmetrized version entering the
-    energy ledger.  Shapes are (2, 6, 6, n1, n2).
+    A_k = J^T R_k for the right products R_k of ``_right_products``; the
+    march applies M_k = A0c^{-1} A_kc = J^{-1} A0^{-1} R_k (k = 1, 2, 3)
+    and ``A0invJt`` = A0c^{-1} J^T.  The ``B`` family, ``S`` and ``T``
+    (given a multiplier field) enter the energy ledger.  Shapes are
+    (2, 6, 6, n1, n2), and (2, 6, n1, n2) for ``T``.
     """
 
-    frame: BasicFrame
     J: np.ndarray
     A0: np.ndarray
     A1: np.ndarray
     A2: np.ndarray
     A3: np.ndarray
+    M1: np.ndarray
+    M2: np.ndarray
+    M3: np.ndarray
+    A0invJt: np.ndarray
     A1_boundary_residual: float
     B0: np.ndarray | None = None
     B1: np.ndarray | None = None
     B2: np.ndarray | None = None
     B3: np.ndarray | None = None
     S: np.ndarray | None = None
-
-
-def _conjugate(g: Grid, m0, m1, m2, zc, J, dJdt, out, i: int) -> None:
-    """Side ``i`` of one characteristic family, written into ``out[0..3]``.
-
-    J^T m0 J, J^T m1 J, J^T m2 J and the zero-order
-    J^T (zc J + m1 d1J + m2 d2J + m0 dJ/dt) for side i's straightened
-    triple (m0, m1, m2) and state-derivative term ``zc``.  J's diagonal
-    is 1 and stays 1, so only its four entries at ``_J_OFF`` are read and
-    differentiated, and they enter as column and row updates.
-    """
-    Joff = np.stack([J[i, r, c] for r, c in _J_OFF])
-    d1off, d2off = g.d1(Joff), g.d2(Joff)
-    dtoff = (None if dJdt is None
-             else np.stack([dJdt[i, r, c] for r, c in _J_OFF]))
-    for k, m in enumerate((m0, m1, m2)):
-        out[k][i] = _jt_times(Joff, _times_j(m, Joff))
-    inner = _times_j(zc, Joff)
-    for m, off in ((m1, d1off), (m2, d2off), (m0, dtoff)):
-        if off is not None:
-            for c, col in _off_columns(np.swapaxes(m, 0, 1), off).items():
-                inner[:, c] += col
-    out[3][i] = _jt_times(Joff, inner)
+    T: np.ndarray | None = None
 
 
 def assemble_effective(frame: BasicFrame, lam_field: np.ndarray | None = None,
-                       *, boundary_tol: float | None = None,
-                       dJdt: np.ndarray | None = None) -> EffectiveOperators:
+                       *, boundary_tol: float | None = None
+                       ) -> EffectiveOperators:
     """Assemble the characteristic-system coefficients at one time frame.
 
-    With ``lam_field`` (2, n1, n2) the symmetrized family is assembled as
-    well.  ``boundary_tol`` turns on the wall-structure check: the boundary
-    matrix must match diag(E12, -E12) entrywise, which only happens when
-    the basic state honors the kinematic and magnetic wall constraints.
+    A0^{-1} is the reciprocal of A0's diagonal, J^{-1} a back substitution
+    and dJ/dt the frame's own rate (``_j_off``).  With ``lam_field``
+    (2, n1, n2) the symmetrized family is assembled as well.
+    ``boundary_tol`` turns on the wall-structure check: the boundary matrix
+    must match diag(E12, -E12) entrywise, which only happens when the basic
+    state honors the kinematic and magnetic wall constraints.
     """
     g = frame.grid
     eos = frame.eos
-    J = j_matrix(frame)
+    off, dtoff = _j_off(frame, rates=True)
+    d1off, d2off = g.d1(off), g.d2(off)
     C = c_matrix(frame.U, frame.Ut, g.d1(frame.U), g.d2(frame.U),
                  frame.lifted, eos)
-    A = [np.empty((2, NCOMP, NCOMP, g.n1, g.n2)) for _ in range(4)]
+    shape = (2, NCOMP, NCOMP, g.n1, g.n2)
+    A = [np.empty(shape) for _ in range(4)]
+    M = [np.empty(shape) for _ in range(4)]     # M1, M2, M3, A0invJt
     for i, (a0, a1t, a2) in enumerate(
             straightened_coefficients(frame.U, frame.lifted, eos)):
-        _conjugate(g, a0, a1t, a2, C[i], J, dJdt, A, i)
+        R = _right_products(a0, a1t, a2, C[i], off[i], d1off[i], d2off[i],
+                            dtoff[i])
+        a0inv = 1.0 / np.einsum("kk...->k...", a0)[:, None]  # A0 is diagonal
+        for k, r in enumerate(R[1:] + [_EYE]):
+            M[k][i] = _j_inv_times(off[i], a0inv * r)
+        for k in range(4):                      # R is spent here
+            A[k][i] = _jt_times(off[i], R[k])
 
     target = np.zeros((2, NCOMP, NCOMP))
     target[0, IQ, IUN] = target[0, IUN, IQ] = 1.0
@@ -613,17 +634,21 @@ def assemble_effective(frame: BasicFrame, lam_field: np.ndarray | None = None,
             f"boundary matrix off diag(E12,-E12) by {res:.3e}: the basic "
             "state violates a wall constraint (kinematic jump or H_N = 0)")
 
-    ops = EffectiveOperators(frame, J, *A, A1_boundary_residual=res)
+    ops = EffectiveOperators(j_matrix(frame), *A, *M,
+                             A1_boundary_residual=res)
     if lam_field is not None:
-        from .stability import assemble_symmetrizer
-        B = [np.empty_like(J) for _ in range(4)]
-        ops.S = np.empty_like(J)
+        B = [np.empty(shape) for _ in range(4)]
+        ops.S = np.empty(shape)
+        ops.T = np.empty((2, NCOMP, g.n1, g.n2))
         for i in range(2):
             bundle = assemble_symmetrizer(frame.states[i], lam_field[i], eos)
             b1t = straighten(bundle.B0, bundle.B1, bundle.B2, frame.lifted, i)
-            _conjugate(g, bundle.B0, b1t, bundle.B2,
-                       _mat_mul(bundle.S, C[i]), J, dJdt, B, i)
-            ops.S[i] = bundle.S
+            SC = np.einsum("ik...,kj...->ij...", bundle.S, C[i])
+            R = _right_products(bundle.B0, b1t, bundle.B2, SC, off[i],
+                                d1off[i], d2off[i], dtoff[i])
+            for k in range(4):
+                B[k][i] = _jt_times(off[i], R[k])
+            ops.S[i], ops.T[i] = bundle.S, bundle.T
         ops.B0, ops.B1, ops.B2, ops.B3 = B
     return ops
 
@@ -722,7 +747,6 @@ def homogenize_boundary(gdata: np.ndarray, f: np.ndarray, basic: BasicState,
     basic state's frames on ``tgrid``; its 4th-order time stencil needs
     nt >= 5.
     """
-    from .norms import lift
     g = basic.grid
     nt = len(tgrid)
 
@@ -737,19 +761,17 @@ def homogenize_boundary(gdata: np.ndarray, f: np.ndarray, basic: BasicState,
             return g.d2_boundary(H2 * gdata[k, i]) - fn
         g3[:, i] = solve_g3_transport(basic, G_source, tgrid, side)
 
-    Ut = np.zeros((nt,) + f.shape[1:])
-    Uhat = np.empty_like(Ut)
+    Uhat = np.empty((nt,) + f.shape[1:])
     phihat = np.empty((nt, g.n2))
     for n in range(nt):
         fr = basic.frame(tgrid[n])
         Uhat[n], phihat[n] = fr.U, fr.phi
-        for i in range(2):
-            un = lift([-gdata[n, i]], g).values
-            hn = lift([-g3[n, i]], g).values
-            qv = lift([gdata[n, 2] if i == 0 else np.zeros(g.n2)], g).values
-            Ut[n, i, IU1] = un           # u2-tilde = 0, so u1 = u_n
-            Ut[n, i, IH1] = hn           # H2-tilde = 0, so H1 = H_n
-            Ut[n, i, IP] = qv - fr.U[i, IH1] * hn # p = q - H-hat . H-tilde
+    Ut = np.zeros_like(Uhat)
+    Ut[:, :, IU1] = lift([-gdata[:, :2]], g)    # u2-tilde = 0, so u1 = u_n
+    Ut[:, :, IH1] = lift([-g3], g)              # H2-tilde = 0, so H1 = H_n
+    # p = q - H-hat . H-tilde, with the jump [q] = g2 put on the plus side
+    Ut[:, :, IP] = -Uhat[:, :, IH1] * Ut[:, :, IH1]
+    Ut[:, 0, IP] += lift([gdata[:, 2]], g)
     ops = SheetOperators(g, basic.eos, basic.chi, tgrid)
     F = f - ops.linearized_L(Uhat, phihat,
                              ops.increment(Ut, np.zeros_like(phihat)))[1]

@@ -188,7 +188,7 @@ class NashMoserDriver:
         u2tot = self.Ua[:, :, IU2, 0, :] + Vh[:, :, IU2, 0, :]
         G = (dtfull - (self.Ua[:, :, IU1, 0, :] + SV[:, :, IU1, 0, :])
              + u2tot * d2full)
-        Vh[:, :, IU1] = SV[:, :, IU1] + lift([G], g).values
+        Vh[:, :, IU1] = SV[:, :, IU1] + lift([G], g)
 
         Hfull = self._transport_H(Vh, phi_half)
         Vh[:, :, IH1] = Hfull[:, :, 0] - self.Ua[:, :, IH1]

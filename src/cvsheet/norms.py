@@ -268,14 +268,14 @@ def trace(u: GridFunction) -> np.ndarray:
     return u.values[..., 0, :]
 
 
-def lift(v_list, grid: Grid) -> GridFunction:
+def lift(v_list, grid: Grid) -> np.ndarray:
     """Right inverse of the trace with prescribed normal derivatives.
 
-    ``v_list`` holds boundary fields v_j (j = 0 .. J-1), each (n2,) or
-    stacked (nt, k, n2) over snapshots and components; the lift is
-    sum_j v_j x1^j / j! times a plateau cutoff that is identically 1 on
-    [0, L1/8], so d1^j lift = v_j at x1 = 0 exactly for polynomials within
-    the stencil order.
+    ``v_list`` holds boundary fields v_j (j = 0 .. J-1), each (..., n2):
+    one field, or a stack over snapshots, sides or components.  The lift,
+    (..., n1, n2), is sum_j v_j x1^j / j! times a plateau cutoff that is
+    identically 1 on [0, L1/8], so d1^j lift = v_j at x1 = 0 exactly for
+    polynomials within the stencil order.
     """
     a, b = grid.L1 / 8.0, grid.L1 / 2.0
     cut = 1.0 - quintic_step((grid.x1 - a) / (b - a))
@@ -287,8 +287,7 @@ def lift(v_list, grid: Grid) -> GridFunction:
             fact *= j
         shaped = np.asarray(vj, dtype=float)[..., None, :]
         vals = vals + shaped * (x1 ** j / fact)[:, None]
-    vals = vals * cut[:, None]
-    return GridFunction(values=vals, grid=grid)
+    return vals * cut[:, None]
 
 
 # -- empirical inequality harnesses ---------------------------------------

@@ -153,3 +153,33 @@ def test_initial_data_satisfies_divergence(grid):
     div = grid.d1(data.U0[:, IH1]) + grid.d2(data.U0[:, IH2])
     assert np.max(np.abs(div)) < 1e-13
     assert np.max(np.abs(data.U0[:, IH1, 0, :])) == 0.0  # wall H_N = 0
+
+
+def _rhs_by_solve(data, Upoly, phipoly, dphipoly):
+    """The interior right-hand side by a 6x6 solve at every grid point."""
+    from cvsheet.front import apply_L, lift_front, straightened_coefficients
+    g = data.grid
+    lifted = lift_front(phipoly, g, data.chi, dphipoly)
+    coeffs = straightened_coefficients(Upoly, lifted, data.eos)
+    rhs = apply_L(coeffs, None, g.d1(Upoly), g.d2(Upoly),
+                  np.empty_like(Upoly))
+    for i, (a0, _, _) in enumerate(coeffs):
+        a0m = np.moveaxis(a0, (0, 1), (-2, -1))
+        rhs[i] = -np.moveaxis(
+            np.linalg.solve(a0m, np.moveaxis(rhs[i], 0, -1)[..., None])[..., 0],
+            -1, 0)
+    return rhs
+
+
+def test_rhs_division_equals_pointwise_solve(grid):
+    # the straightened A0 is diagonal: dividing by its diagonal gives the
+    # bits of the dense solve, on a perturbed state under a moving front
+    from cvsheet.compat import _rhs_eval
+    data = manufactured_initial_data(grid, EOS, amplitude=0.05, seed=2)
+    jet = time_jet(data, order=1)
+    for t in (0.0, 0.1):
+        args = (jet.u_poly(t), jet.phi_poly(t) + 0.1 * np.sin(grid.x2),
+                jet.phi_poly(t, shift=1) + 0.2 * np.cos(grid.x2))
+        got = _rhs_eval(data, *args)
+        assert np.max(np.abs(got)) > 0
+        assert np.array_equal(got, _rhs_by_solve(data, *args))

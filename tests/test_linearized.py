@@ -9,11 +9,11 @@ from cvsheet.evolve import (NumericsError, cfl_timestep, evolve,
 from cvsheet.front import (CutoffChi, lift_front, straighten,
                            straightened_coefficients)
 from cvsheet.grid import Grid, diff_time
-from cvsheet.linearized import (IH2V, IHN, BasicFrame, BasicState,
+from cvsheet.linearized import (_J_OFF, IH2V, IHN, BasicFrame, BasicState,
                                 BoundaryStructureError, SheetOperators,
                                 assemble_effective, c_matrix, good_unknown,
                                 good_unknown_inverse, homogenize_boundary,
-                                j_matrix,
+                                _j_off, j_matrix,
                                 reconstruct_front_derivatives,
                                 sheared_sheet_state, solve_g3_transport,
                                 trivial_sheet_state, validate_basic_state)
@@ -300,25 +300,14 @@ def _ramped_trivial_stack(rate):
                       phi=np.zeros((len(tgrid), grid.n2)), tgrid=tgrid)
 
 
-def test_coefficient_rate_exact_at_end_snapshots(monkeypatch):
+def test_coefficient_rate_exact_at_end_snapshots():
     # J[P, H2V] = -H2 on a flat front, so H2 = 1 + t gives dJ/dt = -1 at
     # every snapshot, the first and the last included
-    import cvsheet.evolve as ev
     basic = _ramped_trivial_stack(1.0)
-    tgrid = basic.tgrid
-    rates = []
-
-    def recording(frame, lam_field=None, **kwargs):
-        rates.append(kwargs["dJdt"][:, IP, IH2V])
-        return assemble_effective(frame, lam_field, **kwargs)
-
-    monkeypatch.setattr(ev, "assemble_effective", recording)
-    cache = ev._CoeffCache(basic, None)
-    for k in range(len(tgrid)):
-        cache._bundle(k)
-    assert len(rates) == len(tgrid)
-    for rate in rates:
-        assert np.allclose(rate, -1.0, rtol=0.0, atol=1e-12)
+    for t in basic.tgrid:
+        _, rates = _j_off(basic.frame(t), rates=True)
+        assert np.allclose(rates[:, _J_OFF.index((IP, IH2V))], -1.0,
+                           rtol=0.0, atol=1e-12)
 
 
 def test_march_interpolates_each_stage_time_once(monkeypatch):
@@ -341,8 +330,8 @@ def test_march_interpolates_each_stage_time_once(monkeypatch):
     nsteps = len(traj.times) - 1
     assert nsteps == 32
     assert calls["bracket"] <= 2 * nsteps + 1
-    # the CFL bound, then value and dJ/dt ends of each snapshot bundle
-    assert calls["frame"] == 1 + 3 * len(basic.tgrid)
+    # the CFL bound, then one frame per snapshot bundle
+    assert calls["frame"] == 1 + len(basic.tgrid)
 
 
 def test_forcing_evaluated_once_per_stage_time():
@@ -668,34 +657,77 @@ def _dense_families(fr, lam, dJdt):
     return A, B
 
 
+def _dense_rate(fr):
+    """dJ/dt of ``_j_off`` as a dense (2, 6, 6, n1, n2) matrix field."""
+    _, rates = _j_off(fr, rates=True)
+    dJdt = np.zeros((2, 6, 6) + rates.shape[-2:])
+    for e, (r, c) in enumerate(_J_OFF):
+        dJdt[:, r, c] = rates[:, e]
+    return dJdt
+
+
+def _moving_frame(seed, amp, rate, steady):
+    """A frame of a sheared sheet with a curved front: of the steady state,
+    or at a time between snapshots of a state whose fields and front move."""
+    grid = Grid(n1=12, n2=12, L1=2 * np.pi, L2=2 * np.pi)
+    rng = np.random.default_rng(seed)
+    b = sheared_sheet_state(grid, EOS, rng=rng)
+    if steady:
+        b.phi = amp * np.sin(grid.x2)[None]
+        return b.frame(0.0), rng
+    tgrid = np.linspace(0.0, 1.0, 5)
+    t = tgrid[:, None, None, None, None]
+    U = b.U * (1.0 + 0.05 * np.sin(rate * t + grid.x1[:, None]))
+    phi = amp * np.sin(grid.x2[None] + rate * tgrid[:, None])
+    moving = BasicState(grid=grid, eos=EOS, U=U, phi=phi, tgrid=tgrid)
+    return moving.frame(rng.uniform(0.0, 1.0)), rng
+
+
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), amp=st.floats(0.05, 0.3),
        rate=st.floats(0.1, 1.0))
 def test_sparse_conjugation_equals_dense_contraction(seed, amp, rate):
-    # J = I + four entries: the row and column updates of _conjugate sum
-    # the same nonzero products in the same order as the dense einsums,
-    # so every coefficient agrees bit for bit
+    # J = I + four entries: the row and column updates of
+    # assemble_effective sum the same nonzero products in the same order
+    # as the dense einsums, so every coefficient agrees bit for bit
     grid = Grid(n1=12, n2=12, L1=2 * np.pi, L2=2 * np.pi)
     rng = np.random.default_rng(seed)
     b = sheared_sheet_state(grid, EOS, rng=rng)
-
-    def frame(a, shift):
-        return BasicFrame(b, b.U[0], 0.1 * rng.normal(size=b.U[0].shape),
-                          a * np.sin(grid.x2 + shift),
-                          rate * np.cos(grid.x2))
-
-    fr = frame(amp, 0.0)
-    dJdt = (j_matrix(frame(1.1 * amp, 0.05))
-            - j_matrix(frame(0.9 * amp, -0.05))) / 0.1
+    fr = BasicFrame(b, b.U[0], 0.1 * rng.normal(size=b.U[0].shape),
+                    amp * np.sin(grid.x2), rate * np.cos(grid.x2))
+    dJdt = _dense_rate(fr)
     assert np.max(np.abs(fr.lifted.d2_psi)) > 0
     assert np.max(np.abs(fr.lifted.dt_psi)) > 0
     assert np.max(np.abs(dJdt)) > 0
     lam = rng.uniform(0.0, 0.1, size=(2, grid.n1, grid.n2))
-    ops = assemble_effective(fr, lam, dJdt=dJdt)
+    ops = assemble_effective(fr, lam)
     A, B = _dense_families(fr, lam, dJdt)
     got = (ops.A0, ops.A1, ops.A2, ops.A3, ops.B0, ops.B1, ops.B2, ops.B3)
     for x, want in zip(got, A + B):
         assert np.array_equal(x, want)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), amp=st.floats(0.05, 0.3),
+       rate=st.floats(0.1, 1.0), steady=st.booleans())
+def test_solved_family_equals_dense_inverse(seed, amp, rate, steady):
+    # the closed form J^{-1} A0^{-1} R_k against inv(J^T A0 J) J^T R_k
+    fr, rng = _moving_frame(seed, amp, rate, steady)
+    assert np.max(np.abs(fr.lifted.d2_psi)) > 0
+    assert steady or np.max(np.abs(fr.lifted.dt_psi)) > 0
+    ops = assemble_effective(fr)
+    A, _ = _dense_families(fr, np.zeros((2,) + fr.U.shape[-2:]),
+                           _dense_rate(fr))
+
+    def mv(a):
+        return np.moveaxis(a, (1, 2), (-2, -1))
+
+    inv = np.linalg.inv(mv(A[0]))
+    for name, X in (("M1", A[1]), ("M2", A[2]), ("M3", A[3]),
+                    ("A0invJt", np.swapaxes(j_matrix(fr), 1, 2))):
+        want = np.moveaxis(inv @ mv(X), (-2, -1), (1, 2))
+        err = np.max(np.abs(getattr(ops, name) - want))
+        assert err <= 1e-13 * np.max(np.abs(want)), name
 
 
 _APPLIED = ("M1", "M2", "M3", "A0invJt", "J")

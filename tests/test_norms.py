@@ -277,12 +277,32 @@ def test_trace_lift_roundtrip(grid):
     v0 = rng.normal(size=grid.n2)
     v1 = rng.normal(size=grid.n2)
     R = lift([v0, v1], grid)
-    assert np.allclose(trace(R), v0)
-    d1R = grid.d1(R.values)
+    assert np.allclose(trace(GridFunction(R, grid)), v0)
+    d1R = grid.d1(R)
     assert np.allclose(d1R[0, :], v1, atol=1e-10)
     # lift of (v0, 0) has vanishing normal derivative at the wall
     R0 = lift([v0, np.zeros_like(v0)], grid)
-    assert np.allclose(grid.d1(R0.values)[0, :], 0.0, atol=1e-10)
+    assert np.allclose(grid.d1(R0)[0, :], 0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("lead", [(5,), (5, 2), (3, 2, 6)])
+def test_lift_of_a_boundary_stack_is_the_stack_of_lifts(grid, lead):
+    # an (nt, n2) stack once needed a dt it had no use for
+    v = np.random.default_rng(2).normal(size=lead + (grid.n2,))
+    R = lift([v], grid)
+    assert R.shape == lead + (grid.n1, grid.n2)
+    for idx in np.ndindex(*lead):
+        assert np.array_equal(R[idx], lift([v[idx]], grid))
+    assert np.array_equal(R[..., 0, :], v)
+
+
+@pytest.mark.parametrize("shape", [(4, 3, 8, 8), (2, 2, 2, 8, 8)])
+def test_grid_function_rejects_more_than_three_axes(shape):
+    grid = Grid(n1=8, n2=8, L1=1.0, L2=1.0)
+    with pytest.raises(ValueError, match="GridFunction is"):
+        GridFunction(np.zeros(shape), grid, dt=0.1)
+    with pytest.raises(ValueError, match="GridFunction is"):
+        GridFunction(np.zeros(shape), grid)
 
 
 def test_trace_norm_constant_refinement_stable():
