@@ -39,6 +39,12 @@ applies.  ``Trajectory.timings`` gives the wall seconds of the march and of
 each observer; they are the one part of a trajectory that is not
 reproducible.
 
+A time-dependent basic state's coefficients are interpolated between
+snapshot bundles.  The march reads the snapshot brackets in time order, so
+the cache holds the two bundles of the current bracket and drops the ones
+behind it; a lookup behind the window rebuilds its bundles from their
+frames, bit for bit.  The snapshots must cover [0, t_final].
+
 A steady basic state that is constant along the front (the planar sheet)
 has its coefficients, and with them the ledger's symmetrized family,
 assembled on one x2 column and broadcast along x2.
@@ -164,6 +170,11 @@ class _CoeffCache:
     """Assembled solver coefficients: one bundle for steady states, linear
     interpolation between snapshot-time bundles otherwise.
 
+    The march reads its snapshot brackets [k, k + 1] in time order, so a
+    time-dependent cache holds the two bundles of the current bracket
+    only and builds each snapshot's bundle once.  A lookup behind the
+    window rebuilds the bundles it needs from their frames, bit for bit.
+
     A bundle holds one frame's ``assemble_effective`` operators ``ops``,
     their ``M1``, ``M2``, ``M3``, ``A0invJt`` and ``J`` compacted, ``d1phi``
     and the wall traces.
@@ -214,6 +225,8 @@ class _CoeffCache:
 
     def _interpolate(self, t: float):
         k, w = bracket(self.basic.tgrid, t)
+        # the march reads its brackets in time order: keep bracket k's pair
+        self._snap = {j: b for j, b in self._snap.items() if j in (k, k + 1)}
         b0 = self._bundle(k)
         if w == 0.0:
             return b0
@@ -273,11 +286,19 @@ def evolve(basic: BasicState, t_final: float, *, forcing=None, bdata=None,
     ``bdata(t) -> (3, n2)`` for (g1+, g1-, g2) both default to zero.  Zero
     data reproduce the zero solution exactly.  ``monitors=False`` runs the
     snapshot recorder alone (``times``, ``phi``, ``snapshots``); the ledger
-    is a monitor, so ``ledger=True`` needs ``monitors=True``.
+    is a monitor, so ``ledger=True`` needs ``monitors=True``.  A
+    time-dependent ``basic`` must have snapshots covering [0, t_final].
     """
     if ledger and not monitors:
         raise ValueError("ledger=True needs monitors=True: the ledger is "
                          "a monitor")
+    if not basic.steady:
+        tg = basic.tgrid
+        slack = _STEP_ROUNDOFF * (tg[-1] - tg[0])
+        if tg[0] > slack or t_final > tg[-1] + slack:
+            raise ValueError(f"the snapshots cover [{tg[0]:.6g}, "
+                             f"{tg[-1]:.6g}], not the march's [0, "
+                             f"{t_final:.6g}]")
     grid = basic.grid
     lam_field, lambda_fallback = (_ledger_multiplier(basic) if ledger
                                   else (None, None))

@@ -53,6 +53,8 @@ IQ, IUN, IU2V, IHN, IH2V, ISV = range(6)
 
 SIDES = (+1, -1)
 
+_TGRID_TOL = 1e-9   # largest spread of a uniform tgrid's steps, in units of dt
+
 
 @dataclass
 class BasicState:
@@ -81,6 +83,11 @@ class BasicState:
             raise ValueError("time-dependent basic state needs tgrid")
         if self.tgrid is not None:
             self.tgrid = np.asarray(self.tgrid, dtype=float)
+            if len(self.tgrid) != self.U.shape[0]:
+                raise ValueError(f"tgrid has {len(self.tgrid)} times for "
+                                 f"{self.U.shape[0]} snapshots")
+            if not self.steady:
+                time_step(self.tgrid)
         self._Ut = None
         self._phit = None
         self._steady_frame = None
@@ -95,7 +102,7 @@ class BasicState:
                 self._Ut = np.zeros_like(self.U)
                 self._phit = np.zeros_like(self.phi)
             else:
-                dt = float(self.tgrid[1] - self.tgrid[0])
+                dt = time_step(self.tgrid)
                 self._Ut = diff_time(self.U, dt, axis=0)
                 self._phit = diff_time(self.phi, dt, axis=0)
         return self._Ut, self._phit
@@ -115,6 +122,21 @@ class BasicState:
         Utf = (1 - w) * Ut[k] + w * Ut[k + 1]
         ptf = (1 - w) * phit[k] + w * phit[k + 1]
         return BasicFrame(self, Uf, Utf, pf, ptf)
+
+
+def time_step(tgrid: np.ndarray) -> float:
+    """The step tgrid[1] - tgrid[0] of a strictly increasing, uniform time
+    grid; ``ValueError`` for any other grid, whose snapshot rates a single
+    step would get wrong."""
+    steps = np.diff(tgrid)
+    if len(tgrid) < 2 or not np.all(steps > 0):
+        raise ValueError("tgrid must hold two or more strictly increasing "
+                         "times")
+    dt = float(tgrid[1] - tgrid[0])
+    if np.max(np.abs(steps - dt)) > _TGRID_TOL * dt:
+        raise ValueError(f"tgrid is not uniform: steps from "
+                         f"{steps.min():.6g} to {steps.max():.6g}")
+    return dt
 
 
 def bracket(tgrid: np.ndarray, t: float):
@@ -398,7 +420,7 @@ class SheetOperators:
         self.grid = grid
         self.eos = eos
         self.chi = chi
-        self.dt = float(tgrid[1] - tgrid[0])
+        self.dt = time_step(tgrid)
 
     def _walk(self, U, phi):
         """Per snapshot of (U, phi): dtU, d1U, d2U, the front lift and the

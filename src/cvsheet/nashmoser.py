@@ -41,7 +41,7 @@ from .grid import Grid, diff_time
 # re-imported binding shares one wrapper
 from .linearized import (SIDES, BasicState, SheetOperators, bracket,
                          c_matrix, good_unknown_inverse, heun_march,
-                         j_matrix, validate_basic_state)
+                         j_matrix, time_step, validate_basic_state)
 from .mhd import IH1, IH2, IP, IS, IU1, IU2
 from .norms import lift
 from .smoothing import Smoother
@@ -114,7 +114,7 @@ class NashMoserDriver:
         self.chi = data.chi
         self.tgrid = np.asarray(tgrid, dtype=float)
         self.nt = len(self.tgrid)
-        self.dt = float(self.tgrid[1] - self.tgrid[0])
+        self.dt = time_step(self.tgrid)
         self.ops = SheetOperators(self.grid, self.eos, self.chi, self.tgrid)
         self.Ua = np.stack([approx.u(t) for t in self.tgrid])
         self.phia = np.stack([approx.phi(t) for t in self.tgrid])

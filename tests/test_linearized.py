@@ -16,7 +16,8 @@ from cvsheet.linearized import (_J_OFF, IH2V, IHN, BasicFrame, BasicState,
                                 _j_off, j_matrix,
                                 reconstruct_front_derivatives,
                                 sheared_sheet_state, solve_g3_transport,
-                                trivial_sheet_state, validate_basic_state)
+                                time_step, trivial_sheet_state,
+                                validate_basic_state)
 from cvsheet.mhd import (IH1, IH2, IP, IS, IU1, IU2, AdmissibilityError,
                          IdealGasEos, PhysState, assemble_coefficients,
                          coefficient_jacobians)
@@ -290,10 +291,12 @@ def test_multiplier_build_failure_propagates(grid, monkeypatch):
         evolve(b, t_final=0.05)
 
 
-def _ramped_trivial_stack(rate):
-    """Five snapshots on [0, 1] of the 16^2 trivial sheet, H2 = 1 + rate t."""
+def _ramped_trivial_stack(rate, tgrid=None):
+    """Snapshots at ``tgrid`` (five on [0, 1] by default) of the 16^2
+    trivial sheet, H2 = 1 + rate t."""
     grid = Grid(n1=16, n2=16, L1=2 * np.pi, L2=2 * np.pi)
-    tgrid = np.linspace(0.0, 1.0, 5)
+    if tgrid is None:
+        tgrid = np.linspace(0.0, 1.0, 5)
     U = np.repeat(trivial_sheet_state(grid, EOS).U, len(tgrid), axis=0)
     U[:, :, IH2] = 1.0 + rate * tgrid[:, None, None, None]
     return BasicState(grid=grid, eos=EOS, U=U,
@@ -332,6 +335,67 @@ def test_march_interpolates_each_stage_time_once(monkeypatch):
     assert calls["bracket"] <= 2 * nsteps + 1
     # the CFL bound, then one frame per snapshot bundle
     assert calls["frame"] == 1 + len(basic.tgrid)
+
+
+def test_forward_march_builds_each_snapshot_bundle_once(monkeypatch):
+    # the cache keeps only the current bracket's two bundles, and a
+    # forward march never comes back for a dropped one
+    basic = _ramped_trivial_stack(0.1)
+    build = ev._CoeffCache._build
+    built = []
+
+    def recording(self, t):
+        built.append(t)
+        assert len(self._snap) <= 1     # the new bundle makes two at most
+        return build(self, t)
+
+    monkeypatch.setattr(ev._CoeffCache, "_build", recording)
+    evolve(basic, t_final=1.0, dt_override=1.0 / 32, ledger=False)
+    assert built == list(basic.tgrid)
+
+
+def test_lookup_behind_the_window_equals_a_fresh_cache():
+    basic = _ramped_trivial_stack(0.1)
+    cache = ev._CoeffCache(basic, None)
+    for t in (0.1, 0.55, 0.9):
+        cache.at(t)
+    assert set(cache._snap) == {3, 4}
+    late, fresh = cache.at(0.1), ev._CoeffCache(basic, None).at(0.1)
+    assert set(cache._snap) == {0, 1}
+    for key in ev._CoeffCache._KEYS:
+        assert np.array_equal(late[key], fresh[key]), key
+    for key, trace in fresh["traces"].items():
+        assert np.array_equal(late["traces"][key], trace), key
+
+
+def test_non_uniform_or_mismatched_tgrid_refused():
+    # with the step read off tgrid[1] - tgrid[0], this ramp (H2 = 1 + t)
+    # had the rates 0.5, 2.5 and 4.0 at t = 0, 0.3 and 0.8 in place of 1
+    uneven = np.array([0.0, 0.1, 0.3, 0.6, 1.0])
+    with pytest.raises(ValueError, match="not uniform"):
+        _ramped_trivial_stack(1.0, uneven)
+    with pytest.raises(ValueError, match="increasing"):
+        _ramped_trivial_stack(1.0, np.linspace(1.0, 0.0, 5))
+    b = _ramped_trivial_stack(1.0)
+    with pytest.raises(ValueError, match="4 times for 5 snapshots"):
+        BasicState(grid=b.grid, eos=EOS, U=b.U, phi=b.phi,
+                   tgrid=b.tgrid[:4])
+    with pytest.raises(ValueError, match="not uniform"):
+        SheetOperators(b.grid, EOS, b.chi, uneven)
+    # linspace's roundoff is uniform, and the step is tgrid[1] - tgrid[0]
+    tg = np.linspace(0.0, 2.0, 33)
+    assert time_step(tg) == tg[1] - tg[0]
+    assert SheetOperators(b.grid, EOS, b.chi, tg).dt == tg[1] - tg[0]
+
+
+def test_evolve_refuses_to_run_past_the_snapshots():
+    # bracket clamps t, so past tgrid[-1] the coefficients would freeze
+    basic = _ramped_trivial_stack(0.1)
+    with pytest.raises(ValueError, match="snapshots cover"):
+        evolve(basic, t_final=3.0, ledger=False)
+    late = _ramped_trivial_stack(0.1, np.linspace(0.5, 1.0, 5))
+    with pytest.raises(ValueError, match="snapshots cover"):
+        evolve(late, t_final=1.0, ledger=False)
 
 
 def test_forcing_evaluated_once_per_stage_time():

@@ -119,6 +119,23 @@ def test_solve_interpolates_only_what_the_march_applies(monkeypatch):
         assert keys == {"M1", "M2", "M3", "A0invJt", "traces"}
 
 
+def test_solve_holds_two_snapshot_bundles_at_most(monkeypatch):
+    # the march reads its brackets in time order, so the solve's cache
+    # drops each snapshot bundle the march has left behind
+    build = ev._CoeffCache._build
+    held = []
+
+    def recording(self, t):
+        held.append(len(self._snap) + 1)
+        return build(self, t)
+
+    monkeypatch.setattr(ev._CoeffCache, "_build", recording)
+    drv = _driver()
+    drv.step(drv.fresh_state())
+    assert len(held) >= len(drv.tgrid)
+    assert max(held) == 2
+
+
 def test_ledger_timings_cover_every_observer():
     _, basic, forcing = _sheet(16)
     traj = evolve(basic, t_final=0.05, forcing=forcing)
