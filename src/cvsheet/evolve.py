@@ -47,7 +47,13 @@ frames, bit for bit.  The snapshots must cover [0, t_final].
 
 A steady basic state that is constant along the front (the planar sheet)
 has its coefficients, and with them the ledger's symmetrized family,
-assembled on one x2 column and broadcast along x2.
+assembled on one x2 column and broadcast along x2.  Every matrix the
+ledger and the a priori monitor apply then varies in x1 at most, so each
+of their quadratic forms contracts the matrix against a per-x1 Gram
+G_ij(x1) = sum over x2 of X_i Y_j (``_form``): one batched matrix product
+per field pair, and the step end computes the Grams of V, d1 V, d2 V and
+the time difference once for both observers.  A state whose matrices vary
+along x2 (the sheared sheet) applies them to the full fields.
 """
 
 from __future__ import annotations
@@ -61,6 +67,7 @@ import numpy as np
 from .grid import Grid
 from .linearized import (IHN, IH2V, IQ, IUN, BasicState,
                          assemble_effective, bracket)
+from .mhd import PhysState
 from .profiles import SigmaWeight, quintic_step
 from .scenarios import ManufacturedForcing
 from .stability import LambdaPair, StabilityError, extend_lambda
@@ -147,21 +154,20 @@ class Trajectory:
 
 
 def _speed_bound(basic: BasicState) -> float:
+    """Largest |u_k| + c_f over both sides of every snapshot of ``basic``."""
     eos = basic.eos
-    fr = basic.frame(0.0)
-    smax = 0.0
-    for st in fr.states:
-        rho = eos.density(st.p, st.S)
-        c2 = 1.0 / eos.density_dp(st.p, st.S)
-        ca2 = (np.asarray(st.H1) ** 2 + np.asarray(st.H2) ** 2) / rho
-        cf = np.sqrt(c2 + ca2)
-        smax = max(smax, float(np.max(np.abs(st.u1) + cf)),
-                   float(np.max(np.abs(st.u2) + cf)))
-    return smax
+    st = PhysState.from_vector(np.moveaxis(basic.U, 2, 0))
+    rho = eos.density(st.p, st.S)
+    c2 = 1.0 / eos.density_dp(st.p, st.S)
+    ca2 = (st.H1 ** 2 + st.H2 ** 2) / rho
+    cf = np.sqrt(c2 + ca2)
+    return max(float(np.max(np.abs(st.u1) + cf)),
+               float(np.max(np.abs(st.u2) + cf)))
 
 
 def cfl_timestep(basic: BasicState, cfl: float = 0.4) -> float:
-    """Stable explicit step for the fast magnetosonic bound of the state."""
+    """Stable explicit step for the fast magnetosonic bound of the state,
+    taken over all of its snapshots."""
     g = basic.grid
     return cfl / (_speed_bound(basic) * (2.0 / g.h1 + 1.0 / g.h2))
 
@@ -316,7 +322,8 @@ def evolve(basic: BasicState, t_final: float, *, forcing=None, bdata=None,
     observers = {"snapshots": _SnapshotRecorder(snapshot_times, dt)}
     if monitors:
         observers["constraints"] = _ConstraintMonitor(grid, stepper.n1_phys)
-        observers["apriori"] = _AprioriMonitor(grid, forcing, dt)
+        observers["apriori"] = _AprioriMonitor(grid, stepper.cache, forcing,
+                                               dt)
         if ledger:
             observers["ledger"] = _LedgerAccumulator(grid, stepper.cache, dt,
                                                      stepper.sponge)
@@ -342,12 +349,14 @@ def evolve(basic: BasicState, t_final: float, *, forcing=None, bdata=None,
         end = None
         t0 = time.perf_counter()
         t_next = (n + 1) * dt
+        V_prev = V
         V, phi = stepper.step(V, phi, t, dt, t_next)
         t = t_next
         if not (np.all(np.isfinite(V)) and np.all(np.isfinite(phi))):
             raise NumericsError(f"non-finite values at t={t:.6g}")
         end = _StepEnd(stepper, t, V, phi,
-                       stepper.derivatives(V) if monitors else None)
+                       stepper.derivatives(V) if monitors else None,
+                       V_prev, dt)
         timings["march"] += time.perf_counter() - t0
         observe("observe", end)
 
@@ -371,12 +380,16 @@ def evolve(basic: BasicState, t_final: float, *, forcing=None, bdata=None,
 class _StepEnd:
     """The march's state after a step, as its observers read it: t, V, phi
     and the pair (d1 V, d2 V) (None when no observer reads it), and, on
-    first read, the end-stage bundle ``co``, the forcing ``f`` and
-    div hdot.  Observers must not write to these arrays."""
+    first read, the end-stage bundle ``co``, the forcing ``f``, div hdot,
+    the time difference ``Vt`` = (V - V_prev) / dt of the step and the
+    per-x1 Grams of these fields.  The state at rest that starts the march
+    has no ``V_prev``.  Observers must not write to these arrays."""
 
-    def __init__(self, stepper, t, V, phi, pair):
+    def __init__(self, stepper, t, V, phi, pair, V_prev=None, dt=None):
         self.stepper, self.t, self.V, self.phi = stepper, t, V, phi
         self.d1V, self.d2V = pair if pair is not None else (None, None)
+        self.V_prev, self.dt = V_prev, dt
+        self._grams: dict = {}
 
     @cached_property
     def co(self):
@@ -390,6 +403,20 @@ class _StepEnd:
     def div(self):
         return _div_hdot(self.stepper.grid, self.co["d1phi"], self.V,
                          self.d1V)
+
+    @cached_property
+    def Vt(self):
+        d = self.V - self.V_prev
+        d /= self.dt
+        return d
+
+    def gram(self, name: str):
+        """``_gram`` of the field ``name`` ("V", "d1V", "d2V" or "Vt") with
+        itself, taken once for every observer."""
+        if name not in self._grams:
+            X = getattr(self, name)
+            self._grams[name] = _gram(X, X)
+        return self._grams[name]
 
 
 class _SnapshotRecorder:
@@ -464,6 +491,34 @@ def _inner(X, Y, w) -> float:
     rows = np.einsum("kij,kij->i", X.reshape(-1, n1, n2),
                      Y.reshape(-1, n1, n2))
     return float(rows @ w)
+
+
+def _gram(X, Y):
+    """Per-side, per-x1 Gram G[s, x1, i, j] = sum over x2 of X_si Y_sj, of
+    (2, m, n1, n2) fields: one batched matrix product on transposed
+    views, (2, n1, m, m')."""
+    return X.transpose(0, 2, 1, 3) @ Y.transpose(0, 2, 3, 1)
+
+
+def _form(M, X, Y, w, G=None) -> float:
+    """The quadrature of X . (M Y) along x1 against ``w``, for a per-side
+    matrix field M (2, m, m', n1, n2).
+
+    An M that varies in x1 at most, stored (..., n1, 1) or (..., 1, 1),
+    contracts against the Gram of X and Y (``G`` if the caller holds it):
+    sum_x1 w sum_sij M_sij G_sij.  A full-field M is applied to Y.
+    """
+    if M.shape[-1] != 1:
+        return _inner(X, _mat_apply2(M, Y), w)
+    G = _gram(X, Y) if G is None else G
+    return float(np.einsum("sijx,sxij->x", M[..., 0], G) @ w)
+
+
+def _trace(G, w, comps=slice(None)) -> float:
+    """The quadrature of sum_s sum_{k in comps} G[s, :, k, k] against
+    ``w``: a sum of squares read off the Gram of a field with itself."""
+    diag = np.diagonal(G, axis1=2, axis2=3)[..., comps]
+    return float(diag.sum(axis=(0, 2)) @ w)
 
 
 class LinearizedStepper:
@@ -651,11 +706,16 @@ def energy_integrals(grid: Grid, sigma, V, d1V=None, d2V=None):
     d1V = grid.d1(V) if d1V is None else d1V
     d2V = grid.d2(V) if d2V is None else d2V
     w = grid.w1 * grid.h2
-    I = _inner(V, V, w)
-    Isig = _inner(d1V, d1V, w * sigma[:, 0] ** 2)
-    I2 = _inner(d2V, d2V, w)
-    I1n = sum(_inner(d1V[:, k], d1V[:, k], w) for k in (IQ, IUN, IHN))
-    return I, I1n, Isig, I2
+    return _gram_energies(w, w * sigma[:, 0] ** 2, _gram(V, V),
+                          _gram(d1V, d1V), _gram(d2V, d2V))
+
+
+def _gram_energies(w, wsig, GV, G1, G2):
+    """(I, I1n, Isigma, I2) as traces of the Grams of V, d1 V and d2 V, so
+    that the ledger, which holds these Grams, and ``energy_integrals`` give
+    the same bits."""
+    return (_trace(GV, w), _trace(G1, w, [IQ, IUN, IHN]), _trace(G1, wsig),
+            _trace(G2, w))
 
 
 class _AprioriMonitor:
@@ -664,17 +724,27 @@ class _AprioriMonitor:
     front rate (``LinearizedStepper.phi_rate``, boundary datum included),
     and |F|^2, each with its time difference and the sigma d1 and d2 terms.
 
-    Where J is uniform, d1(J V) and d2(J V) are J d1 V and J d2 V.  A
+    Where J is uniform and steady (the planar sheet), d1(J V), d2(J V) and
+    the time difference of J V are J d1 V, J d2 V and J Vt, so each |.|^2
+    term is the form of J^T J against the step end's Gram of V, d1 V, d2 V
+    or Vt (``_form``).  Any other J (the sheared sheet, a time-dependent
+    state) takes the full-field path: J V is applied, differenced in time
+    against the previous step's and differentiated.  A
     ``ManufacturedForcing`` is a(t) F0, so its |F|^2 terms are a(t)^2 and
     ((a(t) - a(t - dt)) / dt)^2 times integrals of F0 taken once; any other
     forcing is differentiated every step.
     """
 
-    def __init__(self, grid: Grid, forcing, dt: float):
+    def __init__(self, grid: Grid, cache: _CoeffCache, forcing, dt: float):
         self.grid = grid
         self.dt = dt
         self.sums = {"u_sq": 0.0, "phi_sq": 0.0, "f_sq": 0.0}
         self._w, self._wsig = _weights(grid)
+        self._JtJ = None                # J^T J where the Gram path applies
+        if cache.basic.steady:
+            J = cache.at(0.0)["J"]
+            if J.shape[-2:] == (1, 1):
+                self._JtJ = np.einsum("sji...,sjk...->sik...", J, J)
         self._forcing = forcing
         self._profile = None
         if isinstance(forcing, ManufacturedForcing):
@@ -699,17 +769,22 @@ class _AprioriMonitor:
 
     def observe(self, end: _StepEnd) -> None:
         g, dt, w = self.grid, self.dt, self._w
-        J = end.co["J"]
-        Ud = _mat_apply2(J, end.V)
-        d = (Ud - self._Ud_prev) / dt
-        u = _inner(Ud, Ud, w) + _inner(d, d, w)
-        uniform = J.shape[-2:] == (1, 1)
-        d = _mat_apply2(J, end.d1V) if uniform else g.d1(Ud)
-        u += _inner(d, d, self._wsig)
-        d = _mat_apply2(J, end.d2V) if uniform else g.d2(Ud)
-        u += _inner(d, d, w)
+        M = self._JtJ
+        if M is not None:
+            u = (_form(M, end.V, end.V, w, end.gram("V"))
+                 + _form(M, end.Vt, end.Vt, w, end.gram("Vt"))
+                 + _form(M, end.d1V, end.d1V, self._wsig, end.gram("d1V"))
+                 + _form(M, end.d2V, end.d2V, w, end.gram("d2V")))
+        else:
+            Ud = _mat_apply2(end.co["J"], end.V)
+            d = (Ud - self._Ud_prev) / dt
+            u = _inner(Ud, Ud, w) + _inner(d, d, w)
+            d = g.d1(Ud)
+            u += _inner(d, d, self._wsig)
+            d = g.d2(Ud)
+            u += _inner(d, d, w)
+            self._Ud_prev = Ud
         self.sums["u_sq"] += u * dt
-        self._Ud_prev = Ud
 
         phi = end.phi
         d2p = g.d2_boundary(phi)
@@ -744,11 +819,16 @@ class _LedgerAccumulator:
     hdot / d1Phi)) . V, and the zero-order quadratic form including the
     sponge damping through B0c.  Steady basic states only.
 
-    ``B0``, ``S``, ``T`` and the zero-order matrix keep the shape of the
-    cache's bundle: (..., n1, 1) for a state assembled on one x2 column,
-    where they vary in x1 only (through the multiplier and the sponge),
-    and (2, 6, 6, 1, 1) for ``B0`` and ``S`` where they are uniform;
-    ``_mat_apply2`` applies both shapes through their nonzero entries.
+    Every term is a form ``_form(M, X, Y)``.  ``B0``, J^T S, J^T T and the
+    zero-order matrix keep the shape of the cache's bundle: (..., n1, 1)
+    for a state assembled on one x2 column, where they vary in x1 only
+    (through the multiplier and the sponge), or (..., 1, 1) where they are
+    uniform.  Those contract against per-x1 Grams: the step end's Gram of
+    V serves B0 and the zero-order form, the cross Grams of V with F and
+    with div hdot / d1Phi the source, and the energies I, I0, I1n, Isigma
+    and I2 are traces of the step end's Grams of V, Vt, d1 V and d2 V.  On
+    a full-field state (the sheared sheet) the matrices are applied to the
+    full fields.
     """
 
     def __init__(self, grid: Grid, cache: _CoeffCache, dt: float, sponge):
@@ -756,12 +836,10 @@ class _LedgerAccumulator:
             raise ValueError("the energy ledger supports steady basic states")
         self.grid = grid
         self.dt = dt
-        self.sigma = SigmaWeight().value(grid.x1)[:, None]
-        self._w = _weights(grid)[0]
+        self._w, self._wsig = _weights(grid)
         self.ledger = EnergyLedger()
         self._flux_int = 0.0
         self._prev_integrand = None
-        self._V_prev = None
         co = cache.at(0.0)
         ops = co["ops"]
         if ops.B0 is None:
@@ -775,22 +853,25 @@ class _LedgerAccumulator:
                            - (ops.B3 + np.swapaxes(ops.B3, 1, 2))
                            - 2.0 * sponge * ops.B0)
         self._T = ops.T     # the secondary symmetrizer's T, in U-space
+        # the source's matrices: J^T S, and J^T T as a one-column matrix
+        self._JtS = _compact(np.einsum("sij...,sjk...->sik...", self._Jt,
+                                       self._S))
+        self._JtT = _mat_apply2(self._Jt, self._T)[:, :, None]
 
     def start(self, end: _StepEnd) -> None:
-        self._Q0 = self._q(end.V)
-        self._prev_integrand = self._integrand(end.V, end.f, end.div)
+        GV = end.gram("V")
+        self._Q0 = self._q(end.V, GV)
+        self._prev_integrand = self._integrand(end.V, end.f, end.div, GV)
         self.ledger.rows.append(self.row(end))
-        self._V_prev = end.V
 
     def observe(self, end: _StepEnd) -> None:
-        self.advance_flux(end.V, end.f, end.div)
+        self.advance_flux(end.V, end.f, end.div, end.gram("V"))
         self.ledger.rows.append(self.row(end))
-        self._V_prev = end.V
 
-    def _q(self, V):
-        return _inner(V, _mat_apply2(self._B0, V), self._w)
+    def _q(self, V, GV=None):
+        return _form(self._B0, V, V, self._w, GV)
 
-    def _integrand(self, V, F, div):
+    def _integrand(self, V, F, div, GV=None):
         ops = self.ops
         g = self.grid
         b_wall = np.einsum("sij...,si...,sj...->s...",
@@ -799,33 +880,27 @@ class _LedgerAccumulator:
                           ops.B1[..., -1, :], V[..., -1, :], V[..., -1, :])
         flux = float((b_wall.sum(axis=0) * g.h2).sum()
                      - (b_far.sum(axis=0) * g.h2).sum())
-        SF = _mat_apply2(self._S, F)
         # the discrete div hdot source restores the exact A/B equivalence
-        SF += self._T * (div / self._d1phi)[:, None]
-        src = 2.0 * _inner(_mat_apply2(self._Jt, SF), V, self._w)
-        del SF
-        zo = _inner(V, _mat_apply2(self._zo_matrix, V), self._w)
+        q = (div / self._d1phi)[:, None]
+        src = 2.0 * (_form(self._JtS, V, F, self._w)
+                     + _form(self._JtT, V, q, self._w))
+        zo = _form(self._zo_matrix, V, V, self._w, GV)
         return flux + src + zo
 
-    def advance_flux(self, V, F, div):
+    def advance_flux(self, V, F, div, GV=None):
         """Trapezoid accumulation of the identity's right-hand side."""
-        val = self._integrand(V, F, div)
+        val = self._integrand(V, F, div, GV)
         self._flux_int += 0.5 * self.dt * (self._prev_integrand + val)
         self._prev_integrand = val
 
     def row(self, end: _StepEnd) -> LedgerRow:
-        """The ledger row of ``end``, with I0 from the previous row's V."""
+        """The ledger row of ``end``, with I0 from the time difference of
+        its step (0 at rest)."""
         g = self.grid
-        V = end.V
-        I, I1n, Isig, I2 = energy_integrals(g, self.sigma, V, end.d1V,
-                                            end.d2V)
-        if self._V_prev is None:
-            I0 = 0.0
-        else:
-            d = V - self._V_prev
-            d /= self.dt
-            I0 = _inner(d, d, self._w)
+        I, I1n, Isig, I2 = _gram_energies(self._w, self._wsig, end.gram("V"),
+                                          end.gram("d1V"), end.gram("d2V"))
+        I0 = 0.0 if end.V_prev is None else _trace(end.gram("Vt"), self._w)
         phiL2 = float(np.sqrt(np.sum(end.phi ** 2) * g.h2))
-        res = self._q(V) - self._Q0 - self._flux_int
+        res = self._q(end.V, end.gram("V")) - self._Q0 - self._flux_int
         return LedgerRow(t=end.t, I=I, I0=I0, I1n=I1n, Isigma=Isig, I2=I2,
                          phiL2=phiL2, identity_residual=res)

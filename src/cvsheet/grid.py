@@ -13,11 +13,20 @@ Every stencil is written as weighted differences of neighbouring values,
 8 (f[+1] - f[-1]) - (f[+2] - f[-2]) in the interior and e.g.
 18 (f1 - f0) - 9 (f2 - f0) + 2 (f3 - f0) at an edge, so the derivative of
 a constant vanishes exactly, not just to roundoff.
+
+Each derivative evaluates the interior stencil once over the whole
+C-ordered array, flattened, with neighbours at +-stride and +-2 stride
+(``_central``).  Where a shift crosses the edge of a block of the
+differentiated axis the value is wrong, but those are exactly the points
+written afterwards: the two closure rows at each end of a non-periodic
+axis, the wrap columns {0, 1, n - 2, n - 1} (mod n) of the periodic one.
+The result is C-ordered whatever the layout of the input.
 """
 
 from __future__ import annotations
 
 import io
+import math
 import struct
 from dataclasses import dataclass
 
@@ -63,9 +72,6 @@ class Grid:
         """Integral over the spatial domain; f is (..., n1, n2)."""
         return np.einsum("...ij,i->...", f, self.w1) * self.h2
 
-    def l2_norm(self, f: np.ndarray) -> np.ndarray:
-        return np.sqrt(self.integrate(np.asarray(f) ** 2))
-
     # -- derivatives ------------------------------------------------------
 
     def d1(self, f: np.ndarray) -> np.ndarray:
@@ -74,12 +80,14 @@ class Grid:
 
     def d2(self, f: np.ndarray) -> np.ndarray:
         """d/dx2 on axis -1, periodic 4th-order central."""
-        f = np.asarray(f, dtype=float)
-        h = self.h2
-        fw = np.take(f, np.arange(-2, f.shape[-1] + 2), axis=-1, mode="wrap")
-        fm2, fm1, fp1, fp2 = (fw[..., 0:-4], fw[..., 1:-3], fw[..., 3:-1],
-                              fw[..., 4:])
-        return (8.0 * (fp1 - fm1) - (fp2 - fm2)) / (12.0 * h)
+        f = np.ascontiguousarray(f, dtype=float)
+        n, h = f.shape[-1], self.h2
+        res = np.empty(f.shape)
+        _central(f.reshape(-1), 1, h, res.reshape(-1))
+        for j in {k % n for k in (0, 1, -2, -1)}:   # the wrap columns
+            fm2, fm1, fp1, fp2 = (f[..., (j + k) % n] for k in (-2, -1, 1, 2))
+            res[..., j] = (8.0 * (fp1 - fm1) - (fp2 - fm2)) / (12.0 * h)
+        return res
 
     def d2_boundary(self, g: np.ndarray) -> np.ndarray:
         """d/dx2 for boundary fields (..., n2), same periodic stencil."""
@@ -94,13 +102,28 @@ def trapezoid(n: int, h: float) -> np.ndarray:
     return w
 
 
+def _central(flat: np.ndarray, stride: int, h: float,
+             out: np.ndarray) -> None:
+    """The interior stencil (8 (f[+1] - f[-1]) - (f[+2] - f[-2])) / 12 h
+    with neighbours ``stride`` apart along the flat C-ordered ``flat``,
+    written into ``out[2 stride:-2 stride]``; the in-place steps are the
+    ufuncs of the expression, so every value has its bits."""
+    n, s = flat.size, stride
+    if n <= 4 * s:
+        return
+    o = out[2 * s:n - 2 * s]
+    np.subtract(flat[3 * s:n - s], flat[s:n - 3 * s], out=o)
+    o *= 8.0
+    o -= flat[4 * s:] - flat[:n - 4 * s]
+    o /= 12.0 * h
+
+
 def _diff_nonperiodic(f: np.ndarray, h: float, axis: int) -> np.ndarray:
-    # written through a moved view of a C-ordered result, so the result is
-    # C-ordered whatever the layout of f
+    f = np.ascontiguousarray(f)
     res = np.empty(f.shape)
+    _central(f.reshape(-1), math.prod(f.shape[axis:][1:]), h,
+             res.reshape(-1))
     f, out = np.moveaxis(f, axis, -1), np.moveaxis(res, axis, -1)
-    out[..., 2:-2] = (8.0 * (f[..., 3:-1] - f[..., 1:-3])
-                      - (f[..., 4:] - f[..., :-4])) / (12.0 * h)
     for e, s in ((0, 1), (-1, -1)):      # edge row e, pointing inwards
         f0, f1, f2, f3 = (f[..., e + k * s] for k in range(4))
         out[..., e] = s * (18.0 * (f1 - f0) - 9.0 * (f2 - f0)

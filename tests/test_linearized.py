@@ -333,8 +333,20 @@ def test_march_interpolates_each_stage_time_once(monkeypatch):
     nsteps = len(traj.times) - 1
     assert nsteps == 32
     assert calls["bracket"] <= 2 * nsteps + 1
-    # the CFL bound, then one frame per snapshot bundle
-    assert calls["frame"] == 1 + len(basic.tgrid)
+    # one frame per snapshot bundle; the CFL bound reads the snapshots
+    assert calls["frame"] == len(basic.tgrid)
+
+
+def test_cfl_step_bounds_every_snapshot():
+    # H2 = 1 + 3 t speeds the fast wave up over the march: the step must
+    # fit the fastest snapshot, not the one at t = 0
+    basic = _ramped_trivial_stack(3.0)
+    fastest = min(cfl_timestep(BasicState(grid=basic.grid, eos=EOS, U=U,
+                                          phi=phi))
+                  for U, phi in zip(basic.U, basic.phi))
+    assert fastest < 0.5 * cfl_timestep(BasicState(
+        grid=basic.grid, eos=EOS, U=basic.U[0], phi=basic.phi[0]))
+    assert cfl_timestep(basic) == fastest
 
 
 def test_forward_march_builds_each_snapshot_bundle_once(monkeypatch):

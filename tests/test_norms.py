@@ -18,6 +18,11 @@ def grid():
     return Grid(n1=40, n2=32, L1=2.0, L2=2 * np.pi)
 
 
+def _l2_norm(grid, f):
+    """The L2 norm over the spatial domain by the grid's quadrature."""
+    return np.sqrt(grid.integrate(np.asarray(f) ** 2))
+
+
 mi = st.integers(0, 3)
 
 
@@ -62,7 +67,7 @@ def test_norm_m0_is_l2_and_constant(grid):
     vals = rng.normal(size=(grid.n1, grid.n2))
     u = GridFunction(values=vals, grid=grid)
     rep = hm_star_norm(u, 0, "omega")
-    assert rep.total == pytest.approx(grid.l2_norm(vals))
+    assert rep.total == pytest.approx(_l2_norm(grid, vals))
     c = GridFunction(values=np.full((grid.n1, grid.n2), 3.0), grid=grid)
     rep1 = hm_star_norm(c, 1, "omega")
     assert rep1.total == pytest.approx(3.0 * np.sqrt(grid.L1 * grid.L2))
@@ -166,15 +171,33 @@ def test_walk_keeps_the_per_index_checks():
         hm_star_norm(u, 2)
 
 
-@pytest.mark.parametrize("n2", [1, 2, 3, 5, 64])
+def _roll_d2(f, h):
+    """The periodic stencil through np.roll."""
+    return (8.0 * (np.roll(f, -1, axis=-1) - np.roll(f, 1, axis=-1))
+            - (np.roll(f, -2, axis=-1) - np.roll(f, 2, axis=-1))) / (12.0 * h)
+
+
+def _layouts(f):
+    """``f`` in C order, transposed, and as a strided view."""
+    wide = np.repeat(f, 2, axis=-1)
+    return {"C": f, "transposed": np.ascontiguousarray(f.T).T,
+            "strided": wide[..., ::2]}
+
+
+@pytest.mark.parametrize("n2", [1, 2, 3, 4, 5, 64])
 def test_periodic_d2_equals_roll_oracle(n2):
+    # n2 <= 4: every column is a wrap column, the set {0, 1, n - 2, n - 1}
+    # taken mod n2
     grid = Grid(n1=6, n2=n2, L1=2.0, L2=2 * np.pi)
-    f = np.random.default_rng(n2).normal(size=(3, 6, n2))
-    oracle = (8.0 * (np.roll(f, -1, axis=-1) - np.roll(f, 1, axis=-1))
-              - (np.roll(f, -2, axis=-1) - np.roll(f, 2, axis=-1))) \
-        / (12.0 * grid.h2)
-    assert np.array_equal(grid.d2(f), oracle)
-    assert np.array_equal(grid.d2_boundary(f[:, 0]), oracle[:, 0])
+    rng = np.random.default_rng(n2)
+    for shape in ((3, 6, n2), (2, 6, 6, n2)):
+        for layout, f in _layouts(rng.normal(size=shape)).items():
+            oracle = _roll_d2(f, grid.h2)
+            got = grid.d2(f)
+            assert got.flags.c_contiguous, (shape, layout)
+            assert np.array_equal(got, oracle), (shape, layout)
+            assert np.array_equal(grid.d2_boundary(f[..., 0, :]),
+                                  oracle[..., 0, :]), (shape, layout)
 
 
 @pytest.mark.parametrize("n", [5, 256])
@@ -212,18 +235,16 @@ def _moveaxis_stencil(f, h, axis):
     return np.moveaxis(out, -1, axis)
 
 
-@pytest.mark.parametrize("n", [5, 33])
+@pytest.mark.parametrize("n", [4, 5, 33])
 @pytest.mark.parametrize("layout", ["C", "transposed"])
 def test_nonperiodic_stencils_contiguous_and_exact(n, layout):
-    # the stencils write into a C-ordered result through a moved view: the
-    # same bits as before, and C order whatever the input layout, so the
-    # contractions downstream read their operands contiguously
+    # the stencils write into a C-ordered result: the same bits as before,
+    # and C order whatever the input layout, so the contractions downstream
+    # read their operands contiguously; at n = 4 every row is a closure row
     grid = Grid(n1=n, n2=n + 3, L1=2.0, L2=2 * np.pi)
     rng = np.random.default_rng(n)
     for shape in ((n, n + 3), (2, 6, n, n + 3), (n, 2, 6, n, n + 3)):
-        f = rng.normal(size=shape)
-        if layout == "transposed":
-            f = np.ascontiguousarray(f.T).T
+        f = _layouts(rng.normal(size=shape))[layout]
         got = grid.d1(f)
         assert got.flags.c_contiguous, shape
         assert np.array_equal(got, _moveaxis_stencil(f, grid.h1, -2))
@@ -234,6 +255,24 @@ def test_nonperiodic_stencils_contiguous_and_exact(n, layout):
             assert got.flags.c_contiguous, (shape, axis)
             assert np.array_equal(got, _moveaxis_stencil(f, 0.1, axis))
             assert diff_time(f, 0.1, axis=axis).flags.c_contiguous
+
+
+@settings(max_examples=40, deadline=None)
+@given(lead=st.lists(st.integers(1, 3), max_size=3), n1=st.integers(4, 9),
+       n2=st.integers(1, 9), seed=st.integers(0, 2 ** 32 - 1),
+       layout=st.sampled_from(["C", "transposed", "strided"]))
+def test_flat_stencils_equal_the_oracles(lead, n1, n2, seed, layout):
+    # one flat pass plus the edges written afterwards gives the bits of the
+    # stencils evaluated on moved axes and through np.roll
+    grid = Grid(n1=n1, n2=n2, L1=2.0, L2=2 * np.pi)
+    f = _layouts(np.random.default_rng(seed).normal(
+        size=(*lead, n1, n2)))[layout]
+    assert np.array_equal(grid.d1(f), _moveaxis_stencil(f, grid.h1, -2))
+    assert np.array_equal(grid.d2(f), _roll_d2(f, grid.h2))
+    for axis in range(f.ndim):
+        if f.shape[axis] >= 5:
+            assert np.array_equal(diff_time(f, 0.1, axis=axis, order=4),
+                                  _moveaxis_stencil(f, 0.1, axis)), axis
 
 
 def test_w_star_norm_orders(grid):
@@ -248,7 +287,7 @@ def test_w_star_norm_orders(grid):
 def test_triple_norm_order_zero_is_slice_l2(grid):
     u = random_smooth_field(grid, nt=7, T=1.0, rng=np.random.default_rng(12))
     rep = triple_norm(u, 0)
-    assert rep.total == pytest.approx(grid.l2_norm(u.values[-1]))
+    assert rep.total == pytest.approx(_l2_norm(grid, u.values[-1]))
 
 
 def test_norm_report_json_roundtrip(grid):

@@ -6,6 +6,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cvsheet.evolve as ev
 from cvsheet.compat import (build_approximate, manufactured_initial_data,
@@ -218,6 +220,59 @@ def test_ledger_products_equal_broadcast_einsums():
         want = np.einsum("sij...,sj...->si...", M, V)
         assert _rel(ev._mat_apply2(M, V), want) <= 1e-13
     q, integrand = _einsum_ledger_terms(led, grid, V, F, div)
+    assert led._q(V) == pytest.approx(q, rel=1e-13, abs=0)
+    assert led._integrand(V, F, div) == pytest.approx(integrand, rel=1e-13,
+                                                      abs=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["x1", "uniform", "full"]),
+       cols=st.sampled_from([6, 1]), n1=st.integers(4, 12),
+       n2=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1))
+def test_gram_form_equals_the_applied_form(kind, cols, n1, n2, seed):
+    # the Gram contraction of an x1-only or uniform M is the quadrature of
+    # X . (M Y) with M applied; a full-field M is applied; one-column M and
+    # Y are the ledger's J^T T and div hdot / d1Phi
+    rng = np.random.default_rng(seed)
+    stored = {"x1": (n1, 1), "uniform": (1, 1), "full": (n1, n2)}[kind]
+    M = rng.normal(size=(2, 6, cols, *stored))
+    M[rng.random(M.shape[:3]) < 0.5] = 0.0      # sparse, as the ledger's
+    X = rng.normal(size=(2, 6, n1, n2))
+    Y = rng.normal(size=(2, cols, n1, n2))
+    w = rng.random(n1)
+    full = np.ascontiguousarray(np.broadcast_to(M, (2, 6, cols, n1, n2)))
+    want = ev._inner(X, np.einsum("sij...,sj...->si...", full, Y), w)
+    scale = ev._inner(np.abs(X), np.einsum("sij...,sj...->si...",
+                                           np.abs(full), np.abs(Y)), w)
+    got = ev._form(M, X, Y, w)
+    assert abs(got - want) <= 1e-13 * scale
+    if M.shape[-1] != 1:
+        assert got == ev._inner(X, ev._mat_apply2(M, Y), w)
+    else:
+        assert got == ev._form(M, X, Y, w, ev._gram(X, Y))
+
+
+def test_sheared_ledger_takes_the_full_field_path(monkeypatch):
+    # the sheared sheet's matrices vary along x2: the ledger applies them
+    # to the fields, forming no Gram for its matrix forms, and the a priori
+    # monitor differentiates J V
+    grid = Grid(n1=16, n2=16, L1=2 * np.pi, L2=2 * np.pi)
+    basic = sheared_sheet_state(grid, EOS, rng=np.random.default_rng(4))
+    lam_field, _ = ev._ledger_multiplier(basic)
+    stepper = ev.LinearizedStepper(basic, lam_field=lam_field)
+    led = ev._LedgerAccumulator(grid, stepper.cache, 0.01, stepper.sponge)
+    for name in ("_B0", "_zo_matrix", "_JtS", "_JtT"):
+        assert getattr(led, name).shape[-2:] == (grid.n1, grid.n2), name
+    assert ev._AprioriMonitor(grid, stepper.cache, None, 0.01)._JtJ is None
+    rng = np.random.default_rng(9)
+    V, F = (rng.normal(size=(2, 6, grid.n1, grid.n2)) for _ in range(2))
+    div = rng.normal(size=(2, grid.n1, grid.n2))
+    q, integrand = _einsum_ledger_terms(led, grid, V, F, div)
+
+    def no_gram(X, Y):
+        raise AssertionError("a full-field form took the Gram path")
+
+    monkeypatch.setattr(ev, "_gram", no_gram)
     assert led._q(V) == pytest.approx(q, rel=1e-13, abs=0)
     assert led._integrand(V, F, div) == pytest.approx(integrand, rel=1e-13,
                                                       abs=0)
