@@ -79,7 +79,6 @@ class NumericsError(RuntimeError):
 
 _MAX_STEPS = 200_000    # evolve refuses a march longer than this
 _STEP_ROUNDOFF = 1e-9   # t_final / dt up to this above n takes n steps
-_CFL_GUARD = 1.25       # step_linearized accepts dt up to this x the CFL step
 _SPONGE_WIDTH = 0.2     # absorbing collar: the outer fifth of [0, L1]
 
 
@@ -93,10 +92,6 @@ class LedgerRow:
     I2: float
     phiL2: float
     identity_residual: float
-
-    @property
-    def I1star(self) -> float:
-        return self.I + self.I0 + self.Isigma + self.I2
 
 
 @dataclass
@@ -310,10 +305,10 @@ def evolve(basic: BasicState, t_final: float, *, forcing=None, bdata=None,
                                   else (None, None))
 
     stepper = LinearizedStepper(
-        basic, forcing=forcing, bdata=bdata, lam_field=lam_field, cfl=cfl,
+        basic, forcing=forcing, bdata=bdata, lam_field=lam_field,
         sponge_strength=sponge_strength,
         keys=_CoeffCache._KEYS if monitors else _CoeffCache._MARCH_KEYS)
-    dt = dt_override or stepper.dt_cfl
+    dt = dt_override or cfl_timestep(basic, cfl)
     nsteps = int(np.ceil(t_final / dt - _STEP_ROUNDOFF))
     if nsteps > _MAX_STEPS:
         raise NumericsError(f"CFL step count {nsteps} exceeds {_MAX_STEPS}")
@@ -531,12 +526,11 @@ class LinearizedStepper:
     """
 
     def __init__(self, basic: BasicState, *, forcing=None, bdata=None,
-                 lam_field=None, cfl: float = 0.4,
-                 sponge_strength: float = 2.0, keys=_CoeffCache._KEYS):
+                 lam_field=None, sponge_strength: float = 2.0,
+                 keys=_CoeffCache._KEYS):
         self.grid = basic.grid
         self.cache = _CoeffCache(basic, lam_field, keys)
         grid = basic.grid
-        self.dt_cfl = cfl_timestep(basic, cfl)
         x1 = grid.x1[:, None]
         sp_start = grid.L1 * (1.0 - _SPONGE_WIDTH)
         self.sponge = sponge_strength * quintic_step(
@@ -645,20 +639,6 @@ class LinearizedStepper:
         pn = phi / 3.0 + 2.0 / 3.0 * (p2 + dt * k3p)
         self.apply_bc(Vn, pn, co1, g1)
         return Vn, pn
-
-
-def step_linearized(basic: BasicState, V, phi, t, dt):
-    """Single explicit step of the unforced effective problem with
-    homogeneous wall data; checks the CFL bound."""
-    stepper = LinearizedStepper(basic)
-    if dt > _CFL_GUARD * stepper.dt_cfl:
-        raise NumericsError(
-            f"dt={dt:.3e} violates the CFL bound {stepper.dt_cfl:.3e}")
-    Vn, pn = stepper.step(np.array(V, copy=True), np.array(phi, copy=True),
-                          t, dt)
-    if not (np.all(np.isfinite(Vn)) and np.all(np.isfinite(pn))):
-        raise NumericsError("non-finite values after step")
-    return Vn, pn
 
 
 def _boundary_energy(grid: Grid, V) -> float:

@@ -57,12 +57,6 @@ class LiftedFront:
         sgn = np.array([1.0, -1.0]).reshape((2,) + (1,) * (self.psi.ndim - 1))
         return sgn + self.d1_psi
 
-    @property
-    def jacobian_min(self) -> tuple[float, float]:
-        """(min over grid of d1Phi+, max of d1Phi-)."""
-        j = self.d1_phi_map
-        return float(np.min(j[0])), float(np.max(j[1]))
-
 
 def lift_front(phi, grid: Grid, chi: CutoffChi, dphi_t=None) -> LiftedFront:
     """Build Psi± = chi(±x1) phi and Phi± = ±x1 + Psi± on the grid.

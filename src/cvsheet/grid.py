@@ -231,13 +231,3 @@ class GridFunction:
     def load(cls, path) -> "GridFunction":
         with open(path, "rb") as fh:
             return cls.from_bytes(fh.read())
-
-    def to_csv(self, path) -> None:
-        """Plain CSV for small spatial grids: x1, x2, value."""
-        if self.is_spacetime:
-            raise ValueError("CSV export is for spatial fields only")
-        x1, x2 = self.grid.mesh()
-        with open(path, "w", newline="\n") as fh:
-            fh.write("x1,x2,value\n")
-            for a, b, v in zip(x1.ravel(), x2.ravel(), self.values.ravel()):
-                fh.write(f"{a!r},{b!r},{v!r}\n")

@@ -26,8 +26,7 @@ coefficients are built, forms them in closed form.
 series, with 4th-order time stencils: the Nash-Moser scheme and the
 boundary homogenization both apply it.  The straightened coefficients
 (A0, A1~, A2) and their apply come from ``cvsheet.front``; ``heun_march``
-is the one time marcher of the boundary, divergence and magnetic
-transport solves.
+is the one time marcher of the boundary and magnetic transport solves.
 """
 
 from __future__ import annotations
@@ -36,10 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compat import _SLOPE_TOL
-from .front import (_JAC_TOL, LiftedFront, apply_L, induction_advection,
-                    lift_front, straighten, straightened_coefficients,
-                    transformed_vectors)
+from .front import (LiftedFront, apply_L, induction_advection, lift_front,
+                    straighten, straightened_coefficients, transformed_vectors)
 from .grid import Grid, diff_time
 from .mhd import (IH1, IH2, IP, IS, IU1, IU2, NCOMP, PhysState,
                   _require_admissible)
@@ -334,18 +331,10 @@ def sheared_sheet_state(grid: Grid, eos, rng=None, *, amplitude=0.15,
 
 # -- good unknown -----------------------------------------------------------
 
-def good_unknown(deltaU: np.ndarray, psi: np.ndarray,
-                 frame: BasicFrame) -> np.ndarray:
-    """Udot = deltaU - (d1 U-hat / d1 Phi-hat) Psi, per side."""
-    d1U = frame.grid.d1(frame.U)
-    jac = frame.lifted.d1_phi_map
-    if np.min(np.abs(jac)) < _JAC_TOL:
-        raise ValueError("degenerate straightening Jacobian")
-    return deltaU - d1U / jac[:, None] * psi[:, None]
-
-
 def good_unknown_inverse(Udot: np.ndarray, psi: np.ndarray,
                          frame: BasicFrame) -> np.ndarray:
+    """deltaU = Udot + (d1 U-hat / d1 Phi-hat) Psi, per side: the Alinhac
+    good unknown Udot taken back to the perturbation deltaU."""
     d1U = frame.grid.d1(frame.U)
     jac = frame.lifted.d1_phi_map
     return Udot + d1U / jac[:, None] * psi[:, None]
@@ -675,27 +664,6 @@ def assemble_effective(frame: BasicFrame, lam_field: np.ndarray | None = None,
     return ops
 
 
-# -- front derivative reconstruction ---------------------------------------
-
-def reconstruct_front_derivatives(HN_plus, HN_minus, uN_plus, phi,
-                                  traces: dict):
-    """Recover (dphi/dt, d2 phi) from wall traces of the solution.
-
-    d2 phi combines the two magnetic wall constraints weighted by H2±;
-    dphi/dt then follows from the kinematic condition on the plus side.
-    Fails when both H2± vanish somewhere (the stability precondition).
-    """
-    H2p, H2m = traces["H2p"], traces["H2m"]
-    denom = H2p ** 2 + H2m ** 2
-    if np.min(denom) < _SLOPE_TOL:
-        raise ValueError("both H2 traces vanish: front slope unrecoverable")
-    num = (H2p * HN_plus + H2m * HN_minus
-           + (H2p * traces["d1HNp"] - H2m * traces["d1HNm"]) * phi)
-    d2phi = num / denom
-    dtphi = (uN_plus + phi * traces["d1uNp"] - traces["u2p"] * d2phi)
-    return dtphi, d2phi
-
-
 # -- boundary-data homogenization ------------------------------------------
 
 def heun_march(rhs, y0, dts, nsub: int = 1) -> np.ndarray:
@@ -735,25 +703,6 @@ def solve_g3_transport(basic: BasicState, G_source, tgrid,
         return G_source(t) - u2 * g.d2_boundary(y) - du2 * y
 
     return heun_march(rhs, np.zeros(g.n2), np.diff(tgrid))
-
-
-def solve_r_transport(basic: BasicState, F_source, tgrid, side: int) -> np.ndarray:
-    """March the interior transport for the divergence variable R.
-
-    d/dt R + (1/d1Phi) [ (w . grad) R + R div v ] = F, vanishing in the
-    past; returns R snapshots (nt, n1, n2)."""
-    g = basic.grid
-    i = 0 if side > 0 else 1
-
-    def rhs(y, n, w):
-        t = (1 - w) * tgrid[n] + w * tgrid[n + 1]
-        fr = basic.frame(t)
-        _, _, v, wv, _ = transformed_vectors(fr.states[i], fr.lifted, side)
-        divv = g.d1(v[0]) + g.d2(v[1])
-        return F_source(t) - (wv[0] * g.d1(y) + v[1] * g.d2(y)
-                              + y * divv) / fr.lifted.d1_phi_map[i]
-
-    return heun_march(rhs, np.zeros((g.n1, g.n2)), np.diff(tgrid))
 
 
 def homogenize_boundary(gdata: np.ndarray, f: np.ndarray, basic: BasicState,

@@ -74,7 +74,7 @@ class PhysState:
     """One-sided unknown vector; fields broadcast as numpy arrays.
 
     ``side`` is +1 or -1 and tags which half of the split problem the state
-    lives on.  ``q`` is the total pressure p + |H|^2 / 2.
+    lives on.
     """
 
     p: np.ndarray | float
@@ -84,15 +84,6 @@ class PhysState:
     H2: np.ndarray | float
     S: np.ndarray | float
     side: int = +1
-
-    @property
-    def q(self):
-        return self.p + 0.5 * (np.asarray(self.H1) ** 2 + np.asarray(self.H2) ** 2)
-
-    def as_vector(self) -> np.ndarray:
-        """Stack components on a leading axis: shape (6, *field_shape)."""
-        return np.stack(np.broadcast_arrays(
-            self.p, self.u1, self.u2, self.H1, self.H2, self.S))
 
     @classmethod
     def from_vector(cls, U: np.ndarray, side: int = +1) -> "PhysState":
@@ -243,49 +234,3 @@ def coefficient_jacobians(state: PhysState, eos):
     dA2[IH2, IU1, IH1] = dA2[IH2, IH1, IU1] = -1.0
     dA2[IH1, IU2, IH1] = dA2[IH1, IH1, IU2] = 1.0
     return dA0, dA1, dA2
-
-
-@dataclass(frozen=True)
-class HyperbolicityCertificate:
-    ok: bool
-    rho_min: float
-    rho_p_min: float
-    margin: float
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def check_hyperbolicity(state: PhysState, eos, k: float) -> HyperbolicityCertificate:
-    """True iff rho >= k and drho/dp >= k everywhere on the state's fields."""
-    p = np.asarray(state.p, dtype=float)
-    if np.any(p <= 0.0):
-        return HyperbolicityCertificate(False, float("-inf"), float("-inf"), k)
-    rho = np.asarray(eos.density(state.p, state.S), dtype=float)
-    rho_p = np.asarray(eos.density_dp(state.p, state.S), dtype=float)
-    rmin = float(np.min(rho))
-    rpmin = float(np.min(rho_p))
-    return HyperbolicityCertificate(rmin >= k and rpmin >= k, rmin, rpmin, k)
-
-
-def rh_residual(plus: PhysState, minus: PhysState, dphi_t, dphi_2, eos):
-    """Rankine-Hugoniot residual of a contact configuration.
-
-    Components: (dphi/dt - u+_N, dphi/dt - u-_N, H+_N, H-_N, [q]) with
-    N = (1, -dphi/dx2).  Also returns the mass fluxes j± = rho (u_N -
-    dphi/dt) as diagnostics; for exact current-vortex sheets every entry
-    vanishes.
-    """
-    _require_admissible(plus, eos)
-    _require_admissible(minus, eos)
-    dphi_t = np.asarray(dphi_t, dtype=float)
-    dphi_2 = np.asarray(dphi_2, dtype=float)
-    uNp = plus.u1 - plus.u2 * dphi_2
-    uNm = minus.u1 - minus.u2 * dphi_2
-    HNp = plus.H1 - plus.H2 * dphi_2
-    HNm = minus.H1 - minus.H2 * dphi_2
-    res = np.stack(np.broadcast_arrays(
-        dphi_t - uNp, dphi_t - uNm, HNp, HNm, plus.q - minus.q))
-    jp = eos.density(plus.p, plus.S) * (uNp - dphi_t)
-    jm = eos.density(minus.p, minus.S) * (uNm - dphi_t)
-    return res, (jp, jm)

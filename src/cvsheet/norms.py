@@ -6,13 +6,12 @@ The conormal derivative family is
 
 weighted by <alpha> = a0 + a1 + a2 + 2 a3: the plain normal derivative
 counts twice, the sigma-weighted one once.  H^m_* sums the L^2 norms of all
-D*^alpha u with <alpha> <= m (a0 = 0 for the space-only norm); the triple
-norm freezes time and distributes time derivatives over decreasing spatial
-orders.  Both walk the derivative chains depth first, computing each chain
-prefix once; ``conormal_derivative`` computes one index alone and is the
-walk's test reference.  ``NormReport.truncate`` reads the lower orders out
-of one report, bit-identical to fresh norms.  Norm constants of the
-calculus inequalities are never explicit in the analysis, so the harnesses
+D*^alpha u with <alpha> <= m (a0 = 0 for the space-only norm).  The norm
+walks the derivative chains depth first, computing each chain prefix once;
+``conormal_derivative`` computes one index alone and is the walk's test
+reference.  ``NormReport.truncate`` reads the lower orders out of one
+report, bit-identical to fresh norms.  Norm constants of the calculus
+inequalities are never explicit in the analysis, so the harnesses
 here fit them empirically and check stability under refinement instead of
 asserting magic numbers.
 """
@@ -20,7 +19,6 @@ asserting magic numbers.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,13 +38,6 @@ class MultiIndex:
     def weight(self) -> int:
         """<alpha> = |alpha| + a3."""
         return self.a0 + self.a1 + self.a2 + 2 * self.a3
-
-    def __add__(self, other: "MultiIndex") -> "MultiIndex":
-        return MultiIndex(self.a0 + other.a0, self.a1 + other.a1,
-                          self.a2 + other.a2, self.a3 + other.a3)
-
-    def as_tuple(self):
-        return (self.a0, self.a1, self.a2, self.a3)
 
 
 def enumerate_indices(m: int, space_only: bool = False):
@@ -119,15 +110,6 @@ class NormReport:
             key: v for key, v in self.contributions.items()
             if MultiIndex(*key).weight <= k})
 
-    def to_json(self) -> str:
-        payload = {
-            "order": self.order,
-            "domain": self.domain,
-            "total": self.total,
-            "contributions": {str(k): v for k, v in self.contributions.items()},
-        }
-        return json.dumps(payload, sort_keys=True)
-
 
 def _l2(u: GridFunction, vals: np.ndarray) -> float:
     """Discrete L^2 norm: trapezoid in x1 and t, uniform in periodic x2."""
@@ -195,21 +177,6 @@ def hm_star_norm(u: GridFunction, m: int, domain: str = "omega") -> NormReport:
     walk = _derivative_walk(u, m, space_only)
     return NormReport(order=m, domain=domain, contributions=dict(
         sorted((alpha, _l2(u, vals)) for alpha, vals in walk)))
-
-
-def triple_norm(u_slices: GridFunction, m: int) -> NormReport:
-    """|||u(t)|||_{m,*}: time derivatives traded against spatial order.
-
-    ``u_slices`` must be a space-time field; time derivatives are taken from
-    the stored history and each dt^j slice is measured in H^{m-j}_*(Omega)
-    at the last snapshot, so the index set is that of the H^m_* norm on
-    Omega_T, keyed (j, a1, a2, a3).
-    """
-    if not u_slices.is_spacetime:
-        raise ValueError("triple norm needs stored time history")
-    walk = _derivative_walk(u_slices, m, False)
-    return NormReport(order=m, domain="triple", contributions=dict(
-        sorted((alpha, _l2(u_slices, vals[-1])) for alpha, vals in walk)))
 
 
 def w_star_norm(u: GridFunction, k: int = 1) -> float:
@@ -299,23 +266,10 @@ HARNESS_KINDS = ("moser3", "moser4", "moser6", "sobolev1", "sobolev2", "trace_in
 class HarnessReport:
     kind: str
     ratios: np.ndarray
-    grid_shape: tuple
 
     @property
     def max_ratio(self) -> float:
         return float(np.max(self.ratios))
-
-    def to_csv_row(self) -> str:
-        return (f"{self.kind},{self.grid_shape[0]},{self.grid_shape[1]},"
-                f"{self.grid_shape[2]},{self.max_ratio!r}")
-
-
-def harness_to_csv(reports, path) -> None:
-    """Write fitted-constant reports: kind, nt, n1, n2, max_ratio."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("kind,nt,n1,n2,max_ratio\n")
-        for rep in reports:
-            fh.write(rep.to_csv_row() + "\n")
 
 
 #: a random harness field sums this many modes, of frequencies 0 .. _KMAX
@@ -380,8 +334,7 @@ def inequality_harness(kind: str, samples: int, grid: Grid, *, nt: int = 9,
         v = random_smooth_field(grid, nt, 1.0, rng)
         r = _harness_ratio(kind, u, v, m, rng)
         ratios.append(r)
-    return HarnessReport(kind=kind, ratios=np.asarray(ratios),
-                         grid_shape=(nt, grid.n1, grid.n2))
+    return HarnessReport(kind=kind, ratios=np.asarray(ratios))
 
 
 def _harness_ratio(kind, u, v, m, rng):

@@ -45,10 +45,6 @@ class CutoffChi:
     plateau: float = 1.0
     width: float = 3.0
 
-    @property
-    def support(self) -> float:
-        return self.plateau + self.width
-
     def value(self, x):
         r = (np.abs(np.asarray(x, dtype=float)) - self.plateau) / self.width
         return 1.0 - quintic_step(r)

@@ -54,9 +54,9 @@ def test_lift_small_front_jacobian_bound(grid):
     chi = CutoffChi()
     phi = 0.3 * np.cos(grid.x2)
     lifted = lift_front(phi, grid, chi)
-    jmin_plus, jmax_minus = lifted.jacobian_min
-    assert jmin_plus >= 0.5
-    assert jmax_minus <= -0.5
+    jac = lifted.d1_phi_map
+    assert np.min(jac[0]) >= 0.5
+    assert np.max(jac[1]) <= -0.5
     # boundary trace of the lift is phi itself (chi(0) = 1)
     assert np.allclose(lifted.psi[0][0, :], phi)
     assert np.allclose(lifted.psi[1][0, :], phi)
