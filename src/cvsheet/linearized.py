@@ -23,10 +23,11 @@ A0 is diagonal, so ``assemble_effective``, the one place the march's solved
 coefficients are built, forms them in closed form.
 
 ``SheetOperators`` is the one discretization of L and L'_e on snapshot
-series, with 4th-order time stencils: the Nash-Moser scheme and the
-boundary homogenization both apply it.  The straightened coefficients
-(A0, A1~, A2) and their apply come from ``cvsheet.front``; ``heun_march``
-is the one time marcher of the boundary and magnetic transport solves.
+series, with 4th-order time stencils, walked one snapshot at a time: the
+Nash-Moser scheme and the boundary homogenization both apply it.  The
+straightened coefficients (A0, A1~, A2) and their apply come from
+``cvsheet.front``; ``heun_march`` is the one time marcher of the boundary
+and magnetic transport solves.
 """
 
 from __future__ import annotations
@@ -411,54 +412,67 @@ class SheetOperators:
         self.chi = chi
         self.dt = time_step(tgrid)
 
-    def _walk(self, U, phi):
-        """Per snapshot of (U, phi): dtU, d1U, d2U, the front lift and the
-        per-side straightened coefficients (A0, A1~, A2)."""
-        g = self.grid
-        dtU = diff_time(U, self.dt, axis=0, order=4)
-        dtphi = diff_time(phi, self.dt, axis=0, order=4)
-        for n in range(U.shape[0]):
-            lifted = lift_front(phi[n], g, self.chi, dtphi[n])
-            yield (dtU[n], g.d1(U[n]), g.d2(U[n]), lifted,
-                   straightened_coefficients(U[n], lifted, self.eos))
+    def _dt_row(self, X: np.ndarray, n: int) -> np.ndarray:
+        """Row n of ``diff_time(X, dt, order=4)`` from the five snapshots
+        around it: the same stencil on the same values, so the same bits."""
+        lo = min(max(n - 2, 0), len(X) - 5)
+        return diff_time(X[lo:lo + 5], self.dt, axis=0, order=4)[n - lo]
 
-    def nonlinear_L(self, U: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        """L(U, Psi) = A0(U) dt U + A1~(U, Psi) d1 U + A2(U) d2 U."""
-        out = np.empty_like(U)
-        for n, (dtU, d1U, d2U, _, coeffs) in enumerate(self._walk(U, phi)):
-            apply_L(coeffs, dtU, d1U, d2U, out[n])
-        return out
+    def walk(self, bases, dU=None, dphi=None):
+        """L and L' at several base points, one snapshot at a time.
 
-    def increment(self, dU: np.ndarray, dphi: np.ndarray) -> tuple:
-        """(dU, dt dU, d1 dU, d2 dU, lift of dphi) over the whole series:
-        what every base point of ``linearized_L`` reads of the increment."""
-        g, dt = self.grid, self.dt
-        return (dU, diff_time(dU, dt, axis=0, order=4), g.d1(dU), g.d2(dU),
-                lift_front(dphi, g, self.chi,
-                           diff_time(dphi, dt, axis=0, order=4)))
-
-    def linearized_L(self, Uhat: np.ndarray, phihat: np.ndarray, inc):
-        """(L(Uhat), L'(Uhat)[dU, dphi]) at (Uhat, phihat), from one walk.
-
-        ``inc`` is ``increment(dU, dphi)``.  With r1 = d1Uhat / d1Phihat
-        and Psi the lift of dphi, the front increment shifts every
-        derivative of dU:
+        ``bases`` lists base points (U, phi, value), U (nt, 2, 6, n1, n2)
+        and phi (nt, n2).  Snapshot n yields a list with one pair per base
+        point: (L(U)[n] if ``value`` else None, L'(U)[dU, dphi][n] if an
+        increment is given else None), each (2, 6, n1, n2).  Time
+        derivatives come from five-snapshot windows and the increment's
+        derivatives are taken once per snapshot for all base points, so no
+        full-series temporary is held.  With r1 = d1U / d1Phi and Psi the
+        lift of dphi, the front increment shifts every derivative of dU:
 
             L' = A0 (dt dU - dtPsi r1) + A1~ (d1 dU - d1Psi r1)
                  + A2 (d2 dU - d2Psi r1) + C dU.
         """
-        dU, dt_dU, d1_dU, d2_dU, dl = inc
+        g = self.grid
+        for n in range(len(bases[0][0])):
+            if dU is not None:
+                dl = lift_front(dphi[n], g, self.chi, self._dt_row(dphi, n))
+                dU_derivs = ((self._dt_row(dU, n), dl.dt_psi),
+                             (g.d1(dU[n]), dl.d1_psi),
+                             (g.d2(dU[n]), dl.d2_psi))
+            pairs = []
+            for U, phi, value in bases:
+                dtU, d1U, d2U = self._dt_row(U, n), g.d1(U[n]), g.d2(U[n])
+                lifted = lift_front(phi[n], g, self.chi, self._dt_row(phi, n))
+                coeffs = straightened_coefficients(U[n], lifted, self.eos)
+                val = lin = None
+                if value:
+                    val = apply_L(coeffs, dtU, d1U, d2U, np.empty_like(dtU))
+                if dU is not None:
+                    r1 = d1U / lifted.d1_phi_map[:, None]
+                    lin = apply_L(coeffs, *(d - dpsi[:, None] * r1
+                                            for d, dpsi in dU_derivs),
+                                  np.empty_like(dtU))
+                    C = c_matrix(U[n], dtU, d1U, d2U, lifted, self.eos)
+                    lin += np.einsum("sij...,sj...->si...", C, dU[n])
+                pairs.append((val, lin))
+            yield pairs
+
+    def nonlinear_L(self, U: np.ndarray, phi: np.ndarray) -> np.ndarray:
+        """L(U, Psi) = A0(U) dt U + A1~(U, Psi) d1 U + A2(U) d2 U."""
+        out = np.empty_like(U)
+        for n, [(value, _)] in enumerate(self.walk([(U, phi, True)])):
+            out[n] = value
+        return out
+
+    def linearized_L(self, Uhat: np.ndarray, phihat: np.ndarray,
+                     dU: np.ndarray, dphi: np.ndarray):
+        """(L(Uhat), L'(Uhat)[dU, dphi]) at (Uhat, phihat), from one walk."""
         value = np.empty_like(Uhat)
         lin = np.empty_like(Uhat)
-        for n, (dtU, d1U, d2U, lifted, coeffs) in enumerate(
-                self._walk(Uhat, phihat)):
-            C = c_matrix(Uhat[n], dtU, d1U, d2U, lifted, self.eos)
-            r1 = d1U / lifted.d1_phi_map[:, None]
-            apply_L(coeffs, dtU, d1U, d2U, value[n])
-            apply_L(coeffs, dt_dU[n] - dl.dt_psi[:, n, None] * r1,
-                    d1_dU[n] - dl.d1_psi[:, n, None] * r1,
-                    d2_dU[n] - dl.d2_psi[:, n, None] * r1, lin[n])
-            lin[n] += np.einsum("sij...,sj...->si...", C, dU[n])
+        for n, [(value_n, lin_n)] in enumerate(
+                self.walk([(Uhat, phihat, True)], dU, dphi)):
+            value[n], lin[n] = value_n, lin_n
         return value, lin
 
     def boundary_B(self, U: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -475,7 +489,8 @@ class SheetOperators:
     def boundary_B_e_prime(self, Uhat, phihat, dUdot, dphi) -> np.ndarray:
         """Good-unknown wall operator at (Uhat, phihat): the linearized B
         applied to (dUdot, dphi) plus the zero-order front terms
-        -dphi d1uN+, +dphi d1uN- and dphi (d1q+ + d1q-)."""
+        -dphi d1uN+, +dphi d1uN- and dphi (d1q+ + d1q-).  Of ``dUdot`` only
+        the wall row x1 = 0 is read, so its trace (nt, 2, 6, 1, n2) will do."""
         g = self.grid
         dt_dphi = diff_time(dphi, self.dt, axis=0, order=4)
         d2_dphi = g.d2_boundary(dphi)
@@ -744,6 +759,5 @@ def homogenize_boundary(gdata: np.ndarray, f: np.ndarray, basic: BasicState,
     Ut[:, :, IP] = -Uhat[:, :, IH1] * Ut[:, :, IH1]
     Ut[:, 0, IP] += lift([gdata[:, 2]], g)
     ops = SheetOperators(g, basic.eos, basic.chi, tgrid)
-    F = f - ops.linearized_L(Uhat, phihat,
-                             ops.increment(Ut, np.zeros_like(phihat)))[1]
+    F = f - ops.linearized_L(Uhat, phihat, Ut, np.zeros_like(phihat))[1]
     return Ut, F, g3

@@ -13,10 +13,12 @@ differences at the iterate V_i and the modified state V_{i+1/2},
 
 The paper's base changes e''_i + e'''_i (V_i -> S_theta V_i -> V_{i+1/2})
 are folded into L'(V_i) - L'(V_{i+1/2}), not formed apart: reporting them
-separately would need the linearization at S_theta V_i again.  calL(V_i)
-and B(V_i) are carried in ``IterationState`` from the residual of step
-i-1, so each operator value is computed once per iterate.  The source
-updates keep the telescoping identities
+separately would need the linearization at S_theta V_i again.  e and e'
+come from one snapshot walk over both base points (``SheetOperators.walk``)
+that writes them snapshot by snapshot, so no full-series operator value is
+held.  calL(V_i) and B(V_i) are carried in ``IterationState`` from the
+residual of step i-1, so each operator value is computed once per iterate.
+The source updates keep the telescoping identities
 
     sum_{k<=i} f_k + S_{theta_i} E_i = S_{theta_i} F^a,
     sum_{k<=i} g_k + S_{theta_i} E~_i = 0
@@ -94,6 +96,11 @@ class IterationState:
 class NashMoserConfig:
     theta0: float = 2.0
     iterations: int = 6
+
+    def __post_init__(self):
+        if self.iterations < 1:
+            raise ValueError(
+                f"iterations must be >= 1, got {self.iterations}")
 
 
 class ModifiedStateError(RuntimeError):
@@ -261,26 +268,31 @@ class NashMoserDriver:
                 traj.snapshot_times - self.tgrid)) > _SNAPSHOT_TOL * self.dt):
             raise NumericsError("snapshot times of the solve are not tgrid")
         dpsi = traj.phi[np.searchsorted(traj.times, traj.snapshot_times)]
+        del traj
 
-        # undo the characteristic change and the Alinhac substitution
+        # undo the characteristic change and the Alinhac substitution; of
+        # dUdot only the wall row is kept, all that B'_e reads of it
         dPsi = lift_front(dpsi, g, self.chi).psi     # (2, nt, n1, n2)
-        dUdot = np.empty_like(dVdot_char)
+        dUdot_wall = np.empty((nt, 2, 6, 1, g.n2))
         dV = np.empty_like(dVdot_char)
         shift = np.empty((nt, 2, 1, g.n1, g.n2))    # dPsi / d1Phi
         for n, t in enumerate(self.tgrid):
             fr = basic.frame(t)
-            dUdot[n] = np.einsum("sij...,sj...->si...", j_matrix(fr),
-                                 dVdot_char[n])
-            dV[n] = good_unknown_inverse(dUdot[n], dPsi[:, n], fr)
+            dUdot = np.einsum("sij...,sj...->si...", j_matrix(fr),
+                              dVdot_char[n])
+            dUdot_wall[n] = dUdot[:, :, :1]
+            dV[n] = good_unknown_inverse(dUdot, dPsi[:, n], fr)
             shift[n, :, 0] = dPsi[:, n] / fr.lifted.d1_phi_map
+        del dVdot_char, dPsi
 
         V_next = state.V + dV
         psi_next = state.psi + dpsi
         calL_next = self.calL(V_next, psi_next)
         B_next = self.ops.boundary_B(self.Ua + V_next, self.phia + psi_next)
 
-        e, e1, etilde = self._error_terms(state, basic, dV, dpsi, dUdot,
-                                          shift, calL_next, B_next)
+        e, e1, etilde = self._error_terms(state, basic, dV, dpsi,
+                                          dUdot_wall, shift, calL_next,
+                                          B_next)
         f_sum = state.f_sum + f_i
         g_sum = state.g_sum + g_i
 
@@ -307,30 +319,36 @@ class NashMoserDriver:
         })
         return new
 
-    def _error_terms(self, state, basic, dV, dpsi, dUdot, shift,
+    def _error_terms(self, state, basic, dV, dpsi, dUdot_wall, shift,
                      calL_next, B_next):
         """Literal operator-difference errors of one step: (e, e', e~).
 
+        One walk evaluates L' at U^a + V_i and L and L' at the modified
+        state in lockstep, writing e[n] and e'[n] as it goes.
         ``shift`` d1 L(V_{i+1/2}) is the D-term, with shift = dPsi / d1Phi
         at the modified state: the front term the linear solve drops.
         """
-        ops = self.ops
-        inc = ops.increment(dV, dpsi)
-        _, lin0 = ops.linearized_L(self.Ua + state.V, self.phia + state.psi,
-                                   inc)
-        L_half, lin_half = ops.linearized_L(basic.U, basic.phi, inc)
-        dcalL = calL_next - state.calL
-        e1 = dcalL - lin0
-        e = dcalL - lin_half + shift * self.grid.d1(L_half)
-        etilde = (B_next - state.B) - ops.boundary_B_e_prime(
-            basic.U, basic.phi, dUdot, dpsi)
+        e = np.empty_like(dV)
+        e1 = np.empty_like(dV)
+        bases = [(self.Ua + state.V, self.phia + state.psi, False),
+                 (basic.U, basic.phi, True)]
+        for n, [(_, lin0), (L_half, lin_half)] in enumerate(
+                self.ops.walk(bases, dV, dpsi)):
+            dcalL = calL_next[n] - state.calL[n]
+            e1[n] = dcalL - lin0
+            e[n] = dcalL - lin_half + shift[n] * self.grid.d1(L_half)
+        etilde = (B_next - state.B) - self.ops.boundary_B_e_prime(
+            basic.U, basic.phi, dUdot_wall, dpsi)
         return e, e1, etilde
 
     # -- full run -----------------------------------------------------------------
 
     def run(self, iterations: int | None = None) -> dict:
-        """Iterate until the residual stalls or the budget runs out."""
-        n_iter = iterations or self.config.iterations
+        """Iterate until the residual stalls or the budget runs out;
+        ``iterations`` None means the config's budget."""
+        n_iter = self.config.iterations if iterations is None else iterations
+        if n_iter < 1:
+            raise ValueError(f"iterations must be >= 1, got {n_iter}")
         state = self.fresh_state()
         r0 = self._l2_spacetime(self.Fa)
         increases = 0

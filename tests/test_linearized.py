@@ -678,8 +678,7 @@ def test_linearized_L_constant_state_zero(grid):
     # the exact stencils annihilate constants, so L(Uhat) and C vanish, and
     # L' annihilates the zero increment and any constant one
     for dU in (np.zeros_like(Uhat), np.ones_like(Uhat)):
-        value, lin = ops.linearized_L(Uhat, phihat,
-                                      ops.increment(dU, phihat))
+        value, lin = ops.linearized_L(Uhat, phihat, dU, phihat)
         assert np.all(value == 0.0)
         assert np.all(lin == 0.0)
 

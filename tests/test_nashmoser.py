@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cvsheet.compat import build_approximate, manufactured_initial_data, time_jet
 from cvsheet.evolve import NumericsError
+from cvsheet.front import apply_L, lift_front, straightened_coefficients
 from cvsheet.grid import Grid, diff_time
+from cvsheet.linearized import c_matrix
 from cvsheet.mhd import IH1, IH2, IP, IU1, IU2, IdealGasEos
 from cvsheet.nashmoser import (NashMoserConfig, NashMoserDriver,
                                ThetaSchedule)
@@ -117,14 +121,24 @@ def test_each_operator_value_computed_once_per_iterate(monkeypatch):
     counted(SheetOperators, "linearized_L")
     counted(SheetOperators, "boundary_B")
     counted(NashMoserDriver, "smooth_field")
+    walked = []     # the number of base points of each snapshot walk
+    walk = SheetOperators.walk
+
+    def counted_walk(self, bases, *args):
+        walked.append(len(bases))
+        return walk(self, bases, *args)
+    monkeypatch.setattr(SheetOperators, "walk", counted_walk)
     iterates = 2
     _driver(n=16, nt=9, T=1.0).run(iterations=iterates)
-    # L(U^a) once, then calL(V_{i+1}) per iterate; L at the modified state
-    # comes from its linearization walk, one of two per iterate
+    # calL(V_{i+1}) per iterate, and L(U^a) once inside the first, each a
+    # walk of one base point; the error terms walk U^a + V_i and the
+    # modified state together, L at the modified state coming from its
+    # linearization, once per iterate
     assert calls == {"nonlinear_L": 1 + iterates,
-                     "linearized_L": 2 * iterates,
+                     "linearized_L": 0,
                      "boundary_B": 1 + iterates,
                      "smooth_field": 4 * iterates}
+    assert walked == [1] + [1, 2] * iterates
 
 
 def test_carried_residual_values_equal_fresh_evaluation():
@@ -190,14 +204,13 @@ def test_two_base_point_errors_equal_three_leg_oracle():
     for _ in range(3):
         theta = float(drv.schedule.theta(state.i))
         state = drv.step(state)
-        (prev, basic, dV, dpsi, dUdot, shift, calL_next, B_next), \
+        (prev, basic, dV, dpsi, dUdot_wall, shift, calL_next, B_next), \
             (e, e1, etilde) = seen[-1]
         U0, phi0 = drv.Ua + prev.V, drv.phia + prev.psi
         Us = drv.Ua + drv.smooth_field(prev.V, theta)
-        inc = ops.increment(dV, dpsi)
-        lin0 = ops.linearized_L(U0, phi0, inc)[1]
-        lin_s = ops.linearized_L(Us, basic.phi, inc)[1]
-        L_half, lin_h = ops.linearized_L(basic.U, basic.phi, inc)
+        lin0 = ops.linearized_L(U0, phi0, dV, dpsi)[1]
+        lin_s = ops.linearized_L(Us, basic.phi, dV, dpsi)[1]
+        L_half, lin_h = ops.linearized_L(basic.U, basic.phi, dV, dpsi)
         L_direct = ops.nonlinear_L(basic.U, basic.phi)
         assert np.array_equal(L_half, L_direct)
         e1_old = (calL_next - prev.calL) - lin0
@@ -205,11 +218,103 @@ def test_two_base_point_errors_equal_three_leg_oracle():
                  + shift * g.d1(L_direct))
         bp0 = _old_boundary_B_prime(ops, U0, phi0, dV, dpsi)
         bps = _old_boundary_B_prime(ops, Us, basic.phi, dV, dpsi)
-        bpe = _old_boundary_B_e_prime(ops, basic.U, basic.phi, dUdot, dpsi)
+        bpe = _old_boundary_B_e_prime(ops, basic.U, basic.phi, dUdot_wall,
+                                      dpsi)
         etilde_old = ((B_next - prev.B) - bp0) + (bp0 - bps) + (bps - bpe)
         assert np.array_equal(e1, e1_old)
         assert rel(e, e_old) <= 1e-12
         assert rel(etilde, etilde_old) <= 1e-12
+
+
+def _full_series_linearized_L(ops, Uhat, phihat, dU, dphi):
+    """(L(Uhat), L'(Uhat)[dU, dphi]) with the time derivatives and the
+    increment's derivatives taken over the whole series first, as the
+    operators did before they walked one snapshot at a time."""
+    g, dt = ops.grid, ops.dt
+    dtU = diff_time(Uhat, dt, axis=0, order=4)
+    dtphi = diff_time(phihat, dt, axis=0, order=4)
+    dt_dU = diff_time(dU, dt, axis=0, order=4)
+    d1_dU, d2_dU = g.d1(dU), g.d2(dU)
+    dl = lift_front(dphi, g, ops.chi, diff_time(dphi, dt, axis=0, order=4))
+    value, lin = np.empty_like(Uhat), np.empty_like(Uhat)
+    for n in range(len(Uhat)):
+        d1U, d2U = g.d1(Uhat[n]), g.d2(Uhat[n])
+        lifted = lift_front(phihat[n], g, ops.chi, dtphi[n])
+        coeffs = straightened_coefficients(Uhat[n], lifted, ops.eos)
+        C = c_matrix(Uhat[n], dtU[n], d1U, d2U, lifted, ops.eos)
+        r1 = d1U / lifted.d1_phi_map[:, None]
+        apply_L(coeffs, dtU[n], d1U, d2U, value[n])
+        apply_L(coeffs, dt_dU[n] - dl.dt_psi[:, n, None] * r1,
+                d1_dU[n] - dl.d1_psi[:, n, None] * r1,
+                d2_dU[n] - dl.d2_psi[:, n, None] * r1, lin[n])
+        lin[n] += np.einsum("sij...,sj...->si...", C, dU[n])
+    return value, lin
+
+
+def _full_series_error_terms(drv, state, basic, dV, dpsi, dUdot_wall, shift,
+                             calL_next, B_next):
+    """(e, e', e~) from two full-series linearizations, the value at
+    U^a + V_i formed and dropped."""
+    ops = drv.ops
+    _, lin0 = _full_series_linearized_L(ops, drv.Ua + state.V,
+                                        drv.phia + state.psi, dV, dpsi)
+    L_half, lin_half = _full_series_linearized_L(ops, basic.U, basic.phi,
+                                                 dV, dpsi)
+    dcalL = calL_next - state.calL
+    e1 = dcalL - lin0
+    e = dcalL - lin_half + shift * drv.grid.d1(L_half)
+    etilde = (B_next - state.B) - ops.boundary_B_e_prime(
+        basic.U, basic.phi, dUdot_wall, dpsi)
+    return e, e1, etilde
+
+
+def test_streamed_error_terms_equal_full_series_oracle():
+    drv = _driver(n=16, nt=9, T=1.0)
+    seen = []
+    error_terms = drv._error_terms
+
+    def spy(*args):
+        out = error_terms(*args)
+        seen.append((args, out))
+        return out
+    drv._error_terms = spy
+    state = drv.fresh_state()
+    for _ in range(3):
+        state = drv.step(state)
+        args, streamed = seen[-1]
+        for got, want in zip(streamed, _full_series_error_terms(drv, *args)):
+            assert np.array_equal(got, want)
+
+
+def test_error_terms_hold_few_full_series_arrays():
+    # streamed, the error terms hold e, e' and U^a + V_i at full length and
+    # one snapshot of everything else; from full-series walks they held
+    # 12.8 (nt, 2, 6, n1, n2) arrays at their peak
+    drv = _driver(n=16, nt=33, T=2.0)
+    peaks = []
+    error_terms = drv._error_terms
+
+    def traced(*args):
+        tracemalloc.start()
+        try:
+            return error_terms(*args)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+    drv._error_terms = traced
+    drv.step(drv.fresh_state())
+    arrays = max(peaks) / drv.Ua.nbytes
+    assert arrays <= 6.0, arrays
+
+
+def test_iterations_below_one_raise_and_none_means_the_config():
+    with pytest.raises(ValueError, match="iterations"):
+        NashMoserConfig(iterations=0)
+    drv = _driver(n=16, nt=9, T=1.0, iterations=1)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="iterations"):
+            drv.run(iterations=bad)
+    assert len(drv.run()["history"]) == 1
 
 
 def test_misaligned_snapshot_series_raises(monkeypatch):

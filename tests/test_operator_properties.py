@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvsheet.front import CutoffChi
-from cvsheet.grid import Grid
+from cvsheet.grid import Grid, diff_time
 from cvsheet.linearized import BasicState, SheetOperators
 from cvsheet.mhd import IH2, IP, IU2, IdealGasEos
 
@@ -46,10 +46,9 @@ def test_linearized_L_is_linear(seed, a, b):
     rng = np.random.default_rng(seed)
     U, phi = _background(rng)
     (V1, psi1), (V2, psi2) = _direction(rng), _direction(rng)
-    L1 = OPS.linearized_L(U, phi, OPS.increment(V1, psi1))[1]
-    L2 = OPS.linearized_L(U, phi, OPS.increment(V2, psi2))[1]
-    mixed = OPS.linearized_L(
-        U, phi, OPS.increment(a * V1 + b * V2, a * psi1 + b * psi2))[1]
+    L1 = OPS.linearized_L(U, phi, V1, psi1)[1]
+    L2 = OPS.linearized_L(U, phi, V2, psi2)[1]
+    mixed = OPS.linearized_L(U, phi, a * V1 + b * V2, a * psi1 + b * psi2)[1]
     scale = np.max(np.abs(a * L1) + np.abs(b * L2)) + 1e-300
     assert np.max(np.abs(mixed - (a * L1 + b * L2))) <= 1e-12 * scale
 
@@ -61,7 +60,7 @@ def test_taylor_remainder_is_second_order(seed, eps):
     U, phi = _background(rng)
     V, psi = _direction(rng)
     L0 = OPS.nonlinear_L(U, phi)
-    lin = OPS.linearized_L(U, phi, OPS.increment(V, psi))[1]
+    lin = OPS.linearized_L(U, phi, V, psi)[1]
 
     def remainder(e):
         diff = OPS.nonlinear_L(U + e * V, phi + e * psi) - L0 - e * lin
@@ -81,5 +80,19 @@ def test_linearized_L_zero_increment_exactly_zero(seed, steady):
     frames = [basic.frame(t) for t in TGRID]
     Uhat = np.stack([fr.U for fr in frames])
     phihat = np.stack([fr.phi for fr in frames])
-    inc = OPS.increment(np.zeros_like(U), np.zeros_like(phi))
-    assert np.all(OPS.linearized_L(Uhat, phihat, inc)[1] == 0.0)
+    zero = OPS.linearized_L(Uhat, phihat, np.zeros_like(U),
+                            np.zeros_like(phi))[1]
+    assert np.all(zero == 0.0)
+
+
+@PROPS
+@given(nt=st.integers(5, 12), trailing=st.lists(st.integers(1, 4), max_size=3),
+       dt=st.floats(1e-3, 1.0), seed=seeds)
+def test_windowed_time_row_equals_full_series_row(nt, trailing, dt, seed):
+    # the five snapshots around n give row n of the order-4 stencil bit for
+    # bit, the closure rows at both ends included
+    ops = SheetOperators(GRID, EOS, CutoffChi(), dt * np.arange(nt))
+    X = np.random.default_rng(seed).normal(size=(nt, *trailing))
+    full = diff_time(X, ops.dt, axis=0, order=4)
+    for n in range(nt):
+        assert np.array_equal(ops._dt_row(X, n), full[n]), n
