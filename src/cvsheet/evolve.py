@@ -29,10 +29,19 @@ float (n + 1) dt, which the end stage, the observers and step n + 1 all use.
 After each step every observer reads what the march already holds: the
 end-of-step V, phi and t, the end-stage bundle and forcing, which the cache
 and the stepper's forcing memo hand back without computing them again, and
-one pair d1 V, d2 V, which step n + 1's first stage reuses.  The observers
-are the snapshot recorder, the constraint monitors (div hdot, the wall
-magnetic constraint, the boundary energy), the a priori monitor behind
-``Trajectory.cstar`` and the ledger.  ``evolve(..., monitors=False)`` runs
+one pair d1 V, d2 V, which step n + 1's first stage reuses.
+
+The stepper forms its stages in place, in buffers it holds (the stage
+derivative and the pair d1 V, d2 V) and in the one new field a step hands
+out, which holds V1, then V2, then V_{n+1}.  The end-of-step pair is taken
+into the held pair buffers, which the next step overwrites, so observers
+must neither write to the end-of-step arrays nor keep the pair past
+``observe``.
+
+The observers are the snapshot recorder, the constraint monitors (div
+hdot, the wall magnetic constraint, the boundary energy), the a priori
+monitor behind ``Trajectory.cstar`` and the ledger.
+``evolve(..., monitors=False)`` runs
 the recorder alone, as the Nash-Moser solve does: it differentiates no
 end-of-step V of its own and interpolates only the bundle entries the march
 applies.  ``Trajectory.timings`` gives the wall seconds of the march and of
@@ -64,7 +73,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import Grid
+from .grid import Grid, blocks
 from .linearized import (IHN, IH2V, IQ, IUN, BasicState,
                          assemble_effective, bracket)
 from .mhd import PhysState
@@ -260,12 +269,12 @@ def _compact(a):
 
 def _ledger_multiplier(basic: BasicState):
     """(lam_field (2, n1, n2), fallback reason or None) of the ledger: the
-    wall multiplier extended into the interior, or 0 with the reason when
-    the state breaks the stability condition."""
+    wall multiplier of the t = 0 wall rows extended into the interior, or 0
+    with the reason when the state breaks the stability condition."""
     grid = basic.grid
     fallback = None
     try:
-        lam_pair = basic.frame(0.0).lambda_boundary()
+        lam_pair = basic.lambda_boundary()
     except StabilityError as exc:
         fallback = str(exc)
         lam_pair = LambdaPair(lam_plus=np.zeros(grid.n2),
@@ -339,8 +348,7 @@ def evolve(basic: BasicState, t_final: float, *, forcing=None, bdata=None,
     timings["march"] += time.perf_counter() - t0
     observe("start", end)
     for n in range(nsteps):
-        # the stepper's carry is now the only holder of the pair, and
-        # the first stage drops it
+        # drop the step end's own fields; the step overwrites its pair
         end = None
         t0 = time.perf_counter()
         t_next = (n + 1) * dt
@@ -354,6 +362,9 @@ def evolve(basic: BasicState, t_final: float, *, forcing=None, bdata=None,
                        V_prev, dt)
         timings["march"] += time.perf_counter() - t0
         observe("observe", end)
+    # the march's fields and the stepper's buffers go before the snapshots
+    # are stacked
+    end = stepper = V = V_prev = None
 
     rec = observers["snapshots"]
     out = dict(times=np.asarray(rec.times), phi=np.asarray(rec.phis),
@@ -378,7 +389,9 @@ class _StepEnd:
     first read, the end-stage bundle ``co``, the forcing ``f``, div hdot,
     the time difference ``Vt`` = (V - V_prev) / dt of the step and the
     per-x1 Grams of these fields.  The state at rest that starts the march
-    has no ``V_prev``.  Observers must not write to these arrays."""
+    has no ``V_prev``.  Observers must not write to these arrays, nor keep
+    the pair past ``observe``: it sits in the stepper's buffers, which the
+    next step overwrites."""
 
     def __init__(self, stepper, t, V, phi, pair, V_prev=None, dt=None):
         self.stepper, self.t, self.V, self.phi = stepper, t, V, phi
@@ -461,21 +474,41 @@ class _ConstraintMonitor:
         self.hn.append(hres)
 
 
-def _mat_apply2(M, v):
-    """Per-side 6x6 apply M v.
+def _mat_apply2(M, v, out=None):
+    """Per-side 6x6 apply M v, written into ``out`` if given (a float
+    array of v's shape that is not v) and returned.
 
     An M that varies in x1 at most, stored (2, 6, 6, n1, 1), or uniform,
     stored (2, 6, 6, 1, 1), is applied through its nonzero entries,
     accumulated in column order onto zeros as the einsum accumulates them;
-    for a uniform M both paths give the same bits.
+    for a uniform M both paths give the same bits.  A row's first term is
+    added to 0.0 as it is formed, and a row without entries is filled
+    with zeros, so no row is zero-filled and then read back.
     """
     if M.shape[-1] != 1:
-        return np.einsum("sij...,sj...->si...", M, v)
-    m = M[..., 0]
-    out = np.zeros(v.shape)
-    for s, i, j in zip(*np.nonzero(np.any(m != 0.0, axis=-1))):
-        out[s, i] += m[s, i, j, :, None] * v[s, j]
+        return np.einsum("sij...,sj...->si...", M, v, out=out)
+    out = np.empty(v.shape) if out is None else out
+    prod = np.empty(v.shape[2:])
+    for s, i in np.ndindex(*M.shape[:2]):
+        if not _row_apply(M, v, s, i, out[s, i], prod):
+            out[s, i].fill(0.0)
     return out
+
+
+def _row_apply(M, v, s, i, row, prod) -> bool:
+    """Row (s, i) of M v for a compact M (``_mat_apply2``), written into
+    ``row``: the products of its nonzero entries, formed in ``prod`` and
+    accumulated in column order onto 0.0.  False, with ``row`` untouched,
+    if the row has no nonzero entry."""
+    m = M[s, i, ..., 0]
+    js = np.flatnonzero(np.any(m != 0.0, axis=-1))
+    for n, j in enumerate(js):
+        np.multiply(m[j, :, None], v[s, j], out=prod)
+        if n == 0:
+            np.add(0.0, prod, out=row)
+        else:
+            row += prod
+    return js.size > 0
 
 
 def _inner(X, Y, w) -> float:
@@ -538,20 +571,27 @@ class LinearizedStepper:
         # constraint monitors stop short of the sponge by the stencil width
         self.n1_phys = max(int(np.searchsorted(grid.x1, sp_start)) - 3, 4)
         self._forcing = forcing
-        self._f_memo: dict = {}     # t -> forcing(t), the last three times
+        self._f_memo: dict = {}     # t -> forcing(t), the last two times
         self._bdata = bdata
-        self._zero_f = np.zeros((2, 6, grid.n1, grid.n2))
+        full = (2, 6, grid.n1, grid.n2)
+        self._zero_f = np.zeros(full)
         self._zero_g = np.zeros((3, grid.n2))
-        self._carry = None          # (V, (d1 V, d2 V)) from derivatives()
+        # held by the step: the stage derivative and the pair d1 V, d2 V of
+        # a stage or a step end; the full-size product scratch of a bundle
+        # that is not compact is made on first use
+        self._k, self._d1, self._d2 = (np.empty(full) for _ in range(3))
+        self._tmp = None
+        self._pair_of = None        # the V whose pair _d1, _d2 hold
 
     def F_at(self, t):
-        """forcing(t), evaluated once per stage time: a step asks for t,
+        """forcing(t), evaluated once per stage time.  A step asks for t,
         t + dt and t + dt/2, the caller's monitors for t + dt again, and
-        the next step for that same time as its t."""
+        the next step for that same time as its t, so a memo of the last
+        two times evaluated serves every repeat."""
         if self._forcing is None:
             return self._zero_f
         if t not in self._f_memo:
-            if len(self._f_memo) == 3:
+            if len(self._f_memo) == 2:
                 del self._f_memo[next(iter(self._f_memo))]
             self._f_memo[t] = self._forcing(t)
         return self._f_memo[t]
@@ -560,22 +600,49 @@ class LinearizedStepper:
         return self._bdata(t) if self._bdata is not None else self._zero_g
 
     def derivatives(self, V):
-        """(d1 V, d2 V); the first stage of a step from this very V reuses
-        the pair and then lets it go."""
-        pair = (self.grid.d1(V), self.grid.d2(V))
-        self._carry = (V, pair)
-        return pair
+        """(d1 V, d2 V), in the stepper's pair buffers: the first stage of
+        a step from this very V reuses the pair, and the next stage
+        overwrites it."""
+        self._pair_of = V
+        return (self.grid.d1(V, out=self._d1), self.grid.d2(V, out=self._d2))
 
-    def rhs(self, V, phi, t, co, g, pair=None):
+    def rhs(self, V, phi, t, co, g, pair=None, out=None):
         """Stage derivative at t, given the bundle and boundary data at t
-        and, if the caller holds it, the pair (d1 V, d2 V)."""
+        and, if the caller holds it, the pair (d1 V, d2 V).
+
+        dV/dt is written into ``out`` (a new array if None), accumulated
+        left to right as A0invJt F - M1 d1 V - M2 d2 V - M3 V - sponge V;
+        a pair the caller does not hold is taken into the stepper's pair
+        buffers.  With a compact bundle (every matrix (..., n1, 1) or
+        (..., 1, 1)) dV is formed one (side, component) row at a time, each
+        product in a row-sized scratch, and a product row without nonzero
+        entries is not subtracted (x - 0.0 is x, bit for bit).  Otherwise
+        each product is formed in a full-size scratch.
+        """
         grid = self.grid
-        d1V, d2V = pair if pair is not None else (None, None)
-        dV = (_mat_apply2(co["A0invJt"], self.F_at(t))
-              - _mat_apply2(co["M1"], grid.d1(V) if d1V is None else d1V)
-              - _mat_apply2(co["M2"], grid.d2(V) if d2V is None else d2V)
-              - _mat_apply2(co["M3"], V))
-        dV -= self.sponge * V
+        if pair is None:
+            self._pair_of = None
+            pair = (grid.d1(V, out=self._d1), grid.d2(V, out=self._d2))
+        A, F = co["A0invJt"], self.F_at(t)
+        terms = ((co["M1"], pair[0]), (co["M2"], pair[1]), (co["M3"], V))
+        dV = np.empty(V.shape) if out is None else out
+        if A.shape[-1] == 1 and all(M.shape[-1] == 1 for M, _ in terms):
+            prod, part = np.empty((2, *V.shape[2:]))
+            for s, i in np.ndindex(*V.shape[:2]):
+                row = dV[s, i]
+                if not _row_apply(A, F, s, i, row, prod):
+                    row.fill(0.0)
+                for M, X in terms:
+                    if _row_apply(M, X, s, i, part, prod):
+                        row -= part
+                row -= np.multiply(self.sponge, V[s, i], out=prod)
+        else:
+            if self._tmp is None:
+                self._tmp = np.empty(V.shape)
+            _mat_apply2(A, F, dV)
+            for M, X in terms:
+                dV -= _mat_apply2(M, X, self._tmp)
+            dV -= np.multiply(self.sponge, V, out=self._tmp)
         return dV, self.phi_rate(V, phi, grid.d2_boundary(phi),
                                  co["traces"], g)
 
@@ -611,6 +678,13 @@ class LinearizedStepper:
         forcing memo and the cache for the very time the end stage used.
         The first stage reuses the pair of the last ``derivatives(V)``
         call if it was made for this V.
+
+        The stages are formed in place: each stage derivative k in the
+        stepper's stage buffer, and V1, V2 and V_{n+1} in turn in the one
+        new array of the step, each written once its predecessor is folded
+        into k.  The in-place ufunc chains keep the operands and the order
+        of V1 = V + dt k, V2 = 0.75 V + 0.25 (V1 + dt k) and
+        V_{n+1} = V / 3 + 2/3 (V2 + dt k), so every value has its bits.
         """
         # one lookup per stage time; the end last, so the cache still holds
         # it when the caller's end-of-step monitors ask for the same time
@@ -620,22 +694,36 @@ class LinearizedStepper:
         coh, gh = self.cache.at(sh), self.g_at(sh)
         co1, g1 = self.cache.at(s1), self.g_at(s1)
 
-        carry, self._carry = self._carry, None
-        pair = carry[1] if carry is not None and carry[0] is V else None
-        del carry
-        k1V, k1p = self.rhs(V, phi, s0, co0, g0, pair)
-        del pair
-        V1 = V + dt * k1V
+        pair = (self._d1, self._d2) if self._pair_of is V else None
+        self._pair_of = None
+        k = self._k
+        _, k1p = self.rhs(V, phi, s0, co0, g0, pair, out=k)
+        V1 = np.empty(V.shape)
+        for v, kb, v1 in blocks(V, k, V1):
+            kb *= dt
+            np.add(v, kb, out=v1)
         p1 = phi + dt * k1p
         self.apply_bc(V1, p1, co1, g1)
 
-        k2V, k2p = self.rhs(V1, p1, s1, co1, g1)
-        V2 = 0.75 * V + 0.25 * (V1 + dt * k2V)
+        _, k2p = self.rhs(V1, p1, s1, co1, g1, out=k)
+        for v, kb, v1 in blocks(V, k, V1):      # V2 over V1, block by block
+            kb *= dt
+            kb += v1
+            kb *= 0.25
+            np.multiply(v, 0.75, out=v1)
+            v1 += kb
+        V2 = V1
         p2 = 0.75 * phi + 0.25 * (p1 + dt * k2p)
         self.apply_bc(V2, p2, coh, gh)
 
-        k3V, k3p = self.rhs(V2, p2, sh, coh, gh)
-        Vn = V / 3.0 + 2.0 / 3.0 * (V2 + dt * k3V)
+        _, k3p = self.rhs(V2, p2, sh, coh, gh, out=k)
+        for v, kb, v2 in blocks(V, k, V2):      # V_{n+1} over V2
+            kb *= dt
+            kb += v2
+            kb *= 2.0 / 3.0
+            np.divide(v, 3.0, out=v2)
+            v2 += kb
+        Vn = V2
         pn = phi / 3.0 + 2.0 / 3.0 * (p2 + dt * k3p)
         self.apply_bc(Vn, pn, co1, g1)
         return Vn, pn

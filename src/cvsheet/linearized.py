@@ -38,7 +38,7 @@ import numpy as np
 
 from .front import (LiftedFront, apply_L, induction_advection, lift_front,
                     straighten, straightened_coefficients, transformed_vectors)
-from .grid import Grid, diff_time
+from .grid import Grid, diff_time, time_row
 from .mhd import (IH1, IH2, IP, IS, IU1, IU2, NCOMP, PhysState,
                   _require_admissible)
 from .norms import lift
@@ -104,6 +104,13 @@ class BasicState:
                 self._Ut = diff_time(self.U, dt, axis=0)
                 self._phit = diff_time(self.phi, dt, axis=0)
         return self._Ut, self._phit
+
+    def lambda_boundary(self) -> LambdaPair:
+        """The wall multiplier of the first snapshot, built from its wall
+        rows alone (no frame)."""
+        plus, minus = (PhysState.from_vector(self.U[0, i, :, 0, :], side=s)
+                       for i, s in enumerate(SIDES))
+        return build_lambda(plus, minus, self.eos)
 
     def frame(self, t: float) -> "BasicFrame":
         if self.steady:
@@ -184,11 +191,6 @@ class BasicFrame:
             out[f"d1HN{tag}"] = d1HN[i, 0, :]
         out["d1q_jump"] = d1q[0, 0, :] + d1q[1, 0, :]
         return out
-
-    def lambda_boundary(self) -> LambdaPair:
-        plus = PhysState.from_vector(self.U[0, :, 0, :], side=+1)
-        minus = PhysState.from_vector(self.U[1, :, 0, :], side=-1)
-        return build_lambda(plus, minus, self.eos)
 
 
 @dataclass
@@ -412,12 +414,6 @@ class SheetOperators:
         self.chi = chi
         self.dt = time_step(tgrid)
 
-    def _dt_row(self, X: np.ndarray, n: int) -> np.ndarray:
-        """Row n of ``diff_time(X, dt, order=4)`` from the five snapshots
-        around it: the same stencil on the same values, so the same bits."""
-        lo = min(max(n - 2, 0), len(X) - 5)
-        return diff_time(X[lo:lo + 5], self.dt, axis=0, order=4)[n - lo]
-
     def walk(self, bases, dU=None, dphi=None):
         """L and L' at several base points, one snapshot at a time.
 
@@ -433,17 +429,17 @@ class SheetOperators:
             L' = A0 (dt dU - dtPsi r1) + A1~ (d1 dU - d1Psi r1)
                  + A2 (d2 dU - d2Psi r1) + C dU.
         """
-        g = self.grid
+        g, dt = self.grid, self.dt
         for n in range(len(bases[0][0])):
             if dU is not None:
-                dl = lift_front(dphi[n], g, self.chi, self._dt_row(dphi, n))
-                dU_derivs = ((self._dt_row(dU, n), dl.dt_psi),
+                dl = lift_front(dphi[n], g, self.chi, time_row(dphi, dt, n))
+                dU_derivs = ((time_row(dU, dt, n), dl.dt_psi),
                              (g.d1(dU[n]), dl.d1_psi),
                              (g.d2(dU[n]), dl.d2_psi))
             pairs = []
             for U, phi, value in bases:
-                dtU, d1U, d2U = self._dt_row(U, n), g.d1(U[n]), g.d2(U[n])
-                lifted = lift_front(phi[n], g, self.chi, self._dt_row(phi, n))
+                dtU, d1U, d2U = time_row(U, dt, n), g.d1(U[n]), g.d2(U[n])
+                lifted = lift_front(phi[n], g, self.chi, time_row(phi, dt, n))
                 coeffs = straightened_coefficients(U[n], lifted, self.eos)
                 val = lin = None
                 if value:

@@ -76,6 +76,27 @@ def test_bookkeeping_identities_exact():
         assert state.history[-1]["bookkeeping_residual"] <= 1e-12
 
 
+def test_bookkeeping_residual_equals_the_full_series_check():
+    # one (side, component) series at a time gives the bits of S_theta
+    # applied to the whole series at once
+    drv = _driver(n=16, nt=9, T=1.0)
+    state = drv.step(drv.fresh_state())
+    new = drv.step(state)
+    theta = float(drv.schedule.theta(state.i))
+    book_i = np.max(np.abs(new.f_sum + drv.smooth_field(state.E, theta)
+                           - drv.smooth_field(drv.Fa, theta)))
+    book_b = np.max(np.abs(new.g_sum
+                           + drv.smooth_boundary(state.Etilde, theta)))
+    assert np.any(state.E != 0.0)
+    got = drv.bookkeeping_residual(state, new.f_sum, new.g_sum, theta)
+    assert got == float(max(book_i, book_b))
+    assert got == new.history[-1]["bookkeeping_residual"]
+    # the interior part alone, with a boundary sum that cancels exactly
+    g_cancel = -drv.smooth_boundary(state.Etilde, theta)
+    assert drv.bookkeeping_residual(state, new.f_sum, g_cancel,
+                                    theta) == book_i > 0.0
+
+
 @pytest.mark.slow
 def test_residual_strictly_decreasing():
     drv = _driver(n=32, nt=33, T=2.0, iterations=5)
@@ -133,11 +154,13 @@ def test_each_operator_value_computed_once_per_iterate(monkeypatch):
     # calL(V_{i+1}) per iterate, and L(U^a) once inside the first, each a
     # walk of one base point; the error terms walk U^a + V_i and the
     # modified state together, L at the modified state coming from its
-    # linearization, once per iterate
+    # linearization, once per iterate; the modified state and the source
+    # f_i each smooth one full series, and the bookkeeping check smooths
+    # one (side, component) series at a time through the smoother itself
     assert calls == {"nonlinear_L": 1 + iterates,
                      "linearized_L": 0,
                      "boundary_B": 1 + iterates,
-                     "smooth_field": 4 * iterates}
+                     "smooth_field": 2 * iterates}
     assert walked == [1] + [1, 2] * iterates
 
 

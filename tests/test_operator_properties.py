@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvsheet.front import CutoffChi
-from cvsheet.grid import Grid, diff_time
+from cvsheet.grid import Grid, diff_time, time_row
 from cvsheet.linearized import BasicState, SheetOperators
 from cvsheet.mhd import IH2, IP, IU2, IdealGasEos
 
@@ -95,4 +95,4 @@ def test_windowed_time_row_equals_full_series_row(nt, trailing, dt, seed):
     X = np.random.default_rng(seed).normal(size=(nt, *trailing))
     full = diff_time(X, ops.dt, axis=0, order=4)
     for n in range(nt):
-        assert np.array_equal(ops._dt_row(X, n), full[n]), n
+        assert np.array_equal(time_row(X, ops.dt, n), full[n]), n
