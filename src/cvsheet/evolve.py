@@ -73,7 +73,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import Grid, blocks
+from .grid import Grid
 from .linearized import (IHN, IH2V, IQ, IUN, BasicState,
                          assemble_effective, bracket)
 from .mhd import PhysState
@@ -481,34 +481,33 @@ def _mat_apply2(M, v, out=None):
     An M that varies in x1 at most, stored (2, 6, 6, n1, 1), or uniform,
     stored (2, 6, 6, 1, 1), is applied through its nonzero entries,
     accumulated in column order onto zeros as the einsum accumulates them;
-    for a uniform M both paths give the same bits.  A row's first term is
-    added to 0.0 as it is formed, and a row without entries is filled
-    with zeros, so no row is zero-filled and then read back.
+    for a uniform M both paths give the same bits.
     """
     if M.shape[-1] != 1:
         return np.einsum("sij...,sj...->si...", M, v, out=out)
     out = np.empty(v.shape) if out is None else out
     prod = np.empty(v.shape[2:])
     for s, i in np.ndindex(*M.shape[:2]):
-        if not _row_apply(M, v, s, i, out[s, i], prod):
+        if _row_apply(M, v, s, i, out[s, i], prod) is None:
             out[s, i].fill(0.0)
     return out
 
 
-def _row_apply(M, v, s, i, row, prod) -> bool:
-    """Row (s, i) of M v for a compact M (``_mat_apply2``), written into
-    ``row``: the products of its nonzero entries, formed in ``prod`` and
-    accumulated in column order onto 0.0.  False, with ``row`` untouched,
-    if the row has no nonzero entry."""
+def _row_apply(M, v, s, i, out, prod):
+    """Row (s, i) of ``_mat_apply2(M, v)`` for a compact M, written into
+    ``out`` and returned, with the same bits: the products of the row's
+    nonzero entries, formed in ``prod`` and accumulated in column order
+    onto 0.0.  None, with ``out`` untouched, for a row without entries
+    (the row of zeros)."""
     m = M[s, i, ..., 0]
     js = np.flatnonzero(np.any(m != 0.0, axis=-1))
-    for n, j in enumerate(js):
-        np.multiply(m[j, :, None], v[s, j], out=prod)
-        if n == 0:
-            np.add(0.0, prod, out=row)
-        else:
-            row += prod
-    return js.size > 0
+    if js.size == 0:
+        return None
+    np.add(0.0, np.multiply(m[js[0], :, None], v[s, js[0]], out=prod),
+           out=out)
+    for j in js[1:]:
+        out += np.multiply(m[j, :, None], v[s, j], out=prod)
+    return out
 
 
 def _inner(X, Y, w) -> float:
@@ -577,10 +576,12 @@ class LinearizedStepper:
         self._zero_f = np.zeros(full)
         self._zero_g = np.zeros((3, grid.n2))
         # held by the step: the stage derivative and the pair d1 V, d2 V of
-        # a stage or a step end; the full-size product scratch of a bundle
-        # that is not compact is made on first use
-        self._k, self._d1, self._d2 = (np.empty(full) for _ in range(3))
-        self._tmp = None
+        # a stage or a step end, and rhs's product scratch, row-sized for a
+        # compact bundle and full-size otherwise (left untouched, its pages
+        # are never made resident)
+        self._k, self._d1, self._d2, self._tmp = (np.empty(full)
+                                                  for _ in range(4))
+        self._part, self._prod = np.empty((2, grid.n1, grid.n2))
         self._pair_of = None        # the V whose pair _d1, _d2 hold
 
     def F_at(self, t):
@@ -613,32 +614,34 @@ class LinearizedStepper:
         dV/dt is written into ``out`` (a new array if None), accumulated
         left to right as A0invJt F - M1 d1 V - M2 d2 V - M3 V - sponge V;
         a pair the caller does not hold is taken into the stepper's pair
-        buffers.  With a compact bundle (every matrix (..., n1, 1) or
-        (..., 1, 1)) dV is formed one (side, component) row at a time, each
-        product in a row-sized scratch, and a product row without nonzero
-        entries is not subtracted (x - 0.0 is x, bit for bit).  Otherwise
-        each product is formed in a full-size scratch.
+        buffers.
+
+        With a compact bundle (every matrix (..., n1, 1) or (..., 1, 1),
+        as on the planar sheet) dV is formed one (side, component) row at
+        a time, each product row (``_row_apply``) in row scratch, so a
+        row's operands stay in cache, and a product row without entries is
+        not formed (x - 0.0 is x).  Otherwise each product is one einsum
+        into a full-size scratch: per-row einsums cost more call overhead
+        than the cache saves on the small grids of the Nash-Moser solve.
         """
         grid = self.grid
         if pair is None:
             self._pair_of = None
             pair = (grid.d1(V, out=self._d1), grid.d2(V, out=self._d2))
+        dV = np.empty(V.shape) if out is None else out
         A, F = co["A0invJt"], self.F_at(t)
         terms = ((co["M1"], pair[0]), (co["M2"], pair[1]), (co["M3"], V))
-        dV = np.empty(V.shape) if out is None else out
         if A.shape[-1] == 1 and all(M.shape[-1] == 1 for M, _ in terms):
-            prod, part = np.empty((2, *V.shape[2:]))
+            part, prod = self._part, self._prod
             for s, i in np.ndindex(*V.shape[:2]):
                 row = dV[s, i]
-                if not _row_apply(A, F, s, i, row, prod):
+                if _row_apply(A, F, s, i, row, prod) is None:
                     row.fill(0.0)
                 for M, X in terms:
-                    if _row_apply(M, X, s, i, part, prod):
+                    if _row_apply(M, X, s, i, part, prod) is not None:
                         row -= part
-                row -= np.multiply(self.sponge, V[s, i], out=prod)
+                row -= np.multiply(self.sponge, V[s, i], out=part)
         else:
-            if self._tmp is None:
-                self._tmp = np.empty(V.shape)
             _mat_apply2(A, F, dV)
             for M, X in terms:
                 dV -= _mat_apply2(M, X, self._tmp)
@@ -698,32 +701,26 @@ class LinearizedStepper:
         self._pair_of = None
         k = self._k
         _, k1p = self.rhs(V, phi, s0, co0, g0, pair, out=k)
-        V1 = np.empty(V.shape)
-        for v, kb, v1 in blocks(V, k, V1):
-            kb *= dt
-            np.add(v, kb, out=v1)
+        k *= dt
+        V1 = np.add(V, k)
         p1 = phi + dt * k1p
         self.apply_bc(V1, p1, co1, g1)
 
         _, k2p = self.rhs(V1, p1, s1, co1, g1, out=k)
-        for v, kb, v1 in blocks(V, k, V1):      # V2 over V1, block by block
-            kb *= dt
-            kb += v1
-            kb *= 0.25
-            np.multiply(v, 0.75, out=v1)
-            v1 += kb
-        V2 = V1
+        k *= dt
+        k += V1
+        k *= 0.25
+        V2 = np.multiply(V, 0.75, out=V1)
+        V2 += k
         p2 = 0.75 * phi + 0.25 * (p1 + dt * k2p)
         self.apply_bc(V2, p2, coh, gh)
 
         _, k3p = self.rhs(V2, p2, sh, coh, gh, out=k)
-        for v, kb, v2 in blocks(V, k, V2):      # V_{n+1} over V2
-            kb *= dt
-            kb += v2
-            kb *= 2.0 / 3.0
-            np.divide(v, 3.0, out=v2)
-            v2 += kb
-        Vn = V2
+        k *= dt
+        k += V2
+        k *= 2.0 / 3.0
+        Vn = np.divide(V, 3.0, out=V2)
+        Vn += k
         pn = phi / 3.0 + 2.0 / 3.0 * (p2 + dt * k3p)
         self.apply_bc(Vn, pn, co1, g1)
         return Vn, pn

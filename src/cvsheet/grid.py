@@ -30,9 +30,8 @@ order, with one block-sized temporary reused for the +-2 stride
 difference.  A block's operands (the output block, the temporary and the
 four shifted input blocks, 1.5 MB) stay in a 2 MB L2 cache, and no
 temporary of the array's size is made.  Every value keeps its bits.
-``blocks`` gives other chains of in-place ufuncs the same walk.
 ``time_row`` is one row of the order-4 time derivative, from the five
-snapshots around it.
+snapshots around it, with the interior row taken by the same kernel.
 """
 
 from __future__ import annotations
@@ -97,7 +96,7 @@ class Grid:
         f = np.ascontiguousarray(f, dtype=float)
         n, h = f.shape[-1], self.h2
         res = _out_like(f, out)
-        _central(f.reshape(-1), 1, h, res.reshape(-1))
+        _central(f.reshape(-1), 1, h, res.reshape(-1)[2:res.size - 2])
         for j in {k % n for k in (0, 1, -2, -1)}:   # the wrap columns
             fm2, fm1, fp1, fp2 = (f[..., (j + k) % n] for k in (-2, -1, 1, 2))
             res[..., j] = (8.0 * (fp1 - fm1) - (fp2 - fm2)) / (12.0 * h)
@@ -128,29 +127,13 @@ def _out_like(f: np.ndarray, out: np.ndarray | None) -> np.ndarray:
     return out
 
 
-def blocks(*arrays: np.ndarray):
-    """Matching ``_BLOCK``-element blocks of C-ordered arrays of one size,
-    flattened: a chain of in-place ufuncs run block by block keeps its
-    operands in cache and gives every value the bits of the whole-array
-    chain."""
-    flats = [a.reshape(-1) for a in arrays]
-    for a in range(0, flats[0].size, _BLOCK):
-        yield [f[a:a + _BLOCK] for f in flats]
-
-
-def _central(flat: np.ndarray, stride: int, h: float,
-             out: np.ndarray) -> None:
+def _central(flat: np.ndarray, s: int, h: float, o: np.ndarray) -> None:
     """The interior stencil (8 (f[+1] - f[-1]) - (f[+2] - f[-2])) / 12 h
-    with neighbours ``stride`` apart along the flat C-ordered ``flat``,
-    written into ``out[2 stride:-2 stride]`` block by block (``_BLOCK``
-    elements); the in-place steps are the ufuncs of the expression, so
-    every value has its bits."""
-    n, s = flat.size, stride
-    _interior(flat, s, h, out[2 * s:n - 2 * s])
-
-
-def _interior(flat: np.ndarray, s: int, h: float, o: np.ndarray) -> None:
-    """``_central``'s blocked pass: o[k] is the stencil at flat[k + 2 s]."""
+    with neighbours ``s`` apart along the flat C-ordered ``flat``, written
+    into ``o``, the interior points flat[2 s:-2 s] of the output (o[k] is
+    the stencil at flat[k + 2 s]), block by block (``_BLOCK`` elements);
+    the in-place steps are the ufuncs of the expression, so every value
+    has its bits."""
     m = flat.size - 4 * s           # interior points
     if m <= 0:
         return
@@ -181,8 +164,8 @@ def _diff_nonperiodic(f: np.ndarray, h: float, axis: int,
                       out: np.ndarray | None = None) -> np.ndarray:
     f = np.ascontiguousarray(f)
     res = _out_like(f, out)
-    _central(f.reshape(-1), math.prod(f.shape[axis:][1:]), h,
-             res.reshape(-1))
+    st = math.prod(f.shape[axis:][1:])
+    _central(f.reshape(-1), st, h, res.reshape(-1)[2 * st:res.size - 2 * st])
     f, r = np.moveaxis(f, axis, -1), np.moveaxis(res, axis, -1)
     for e, s in ((0, 1), (-1, -1)):      # edge row e, pointing inwards
         rows = [f[..., e + k * s] for k in range(4)]
@@ -202,7 +185,7 @@ def time_row(f: np.ndarray, dt: float, n: int) -> np.ndarray:
     r = n - lo
     if r == 2:                          # the interior row
         res = np.empty(w.shape[1:])
-        _interior(w.reshape(-1), res.size, dt, res.reshape(-1))
+        _central(w.reshape(-1), res.size, dt, res.reshape(-1))
         return res
     e, s = (0, 1) if r < 2 else (4, -1)
     rows = [w[e + k * s] for k in range(4)]

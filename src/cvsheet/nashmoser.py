@@ -318,15 +318,16 @@ class NashMoserDriver:
         """Max-norm defect of the telescoping identities of step i, with
         S_theta recomputed from scratch: f_sum + S E_i - S F^a and
         g_sum + S E~_i.  The interior identity is taken one (side,
-        component) series at a time, so no smoothed full series is held."""
-        book_i = max(
+        component) series at a time, so no smoothed full series is held.
+        The maxima are reduced by numpy, so a NaN anywhere gives NaN."""
+        book_i = np.max([
             np.max(np.abs(f_sum[:, s, c]
                           + self.smoother(state.E[:, s, c], theta)
                           - self.smoother(self.Fa[:, s, c], theta)))
-            for s in range(2) for c in range(self.Fa.shape[2]))
+            for s in range(2) for c in range(self.Fa.shape[2])])
         book_b = np.max(np.abs(g_sum
                                + self.smooth_boundary(state.Etilde, theta)))
-        return float(max(book_i, book_b))
+        return float(np.max([book_i, book_b]))
 
     def _error_terms(self, state, basic, dV, dpsi, dUdot_wall, shift,
                      calL_next, B_next):

@@ -28,12 +28,12 @@ EOS = IdealGasEos()
 # -- oracles: the allocating kernel, rhs and step ----------------------------
 
 
-def _one_pass_central(flat, stride, h, out):
-    """The interior stencil in one pass over the whole flat array."""
-    n, s = flat.size, stride
+def _one_pass_central(flat, s, h, o):
+    """The interior stencil in one pass over the whole flat array, written
+    into its interior points ``o``."""
+    n = flat.size
     if n <= 4 * s:
         return
-    o = out[2 * s:n - 2 * s]
     np.subtract(flat[3 * s:n - s], flat[s:n - 3 * s], out=o)
     o *= 8.0
     o -= flat[4 * s:] - flat[:n - 4 * s]
@@ -177,7 +177,7 @@ def test_inplace_steps_and_rhs_equal_the_allocating_oracle(case,
             out.append((V, phi))
         return out
 
-    # the oracle runs the one-pass kernel inside every stencil
+    # the oracle runs the one-pass kernel inside every stencil and time row
     stepper = ev.LinearizedStepper(basic, **kw)
     with monkeypatch.context() as m:
         m.setattr(grid_mod, "_central", _one_pass_central)
@@ -186,8 +186,25 @@ def test_inplace_steps_and_rhs_equal_the_allocating_oracle(case,
                      lambda *a: _alloc_rhs(stepper, *a),
                      lambda V: (grid.d1(V), grid.d2(V)))
     stepper = ev.LinearizedStepper(basic, **kw)
-    got = march(lambda V, phi, t, dt, pair: stepper.step(V, phi, t, dt),
-                stepper.rhs, stepper.derivatives)
+    calls = {"_row_apply": 0, "_mat_apply2": 0}
+
+    def counted(name):
+        f = getattr(ev, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+    with monkeypatch.context() as m:
+        for name in calls:
+            m.setattr(ev, name, counted(name))
+        got = march(lambda V, phi, t, dt, pair: stepper.step(V, phi, t, dt),
+                    stepper.rhs, stepper.derivatives)
+    # rhs forms a compact bundle row by row, and applies any other bundle
+    # one matrix at a time
+    compact = case in ("planar", "x1")
+    assert (calls["_row_apply"] > 0) == compact
+    assert (calls["_mat_apply2"] > 0) != compact
     assert len(got) == len(want) == 2 * steps
     for k, ((gV, gp), (wV, wp)) in enumerate(zip(got, want)):
         assert _same_bits(gV, wV), k
@@ -195,9 +212,9 @@ def test_inplace_steps_and_rhs_equal_the_allocating_oracle(case,
 
 
 @pytest.mark.parametrize("stored", [(1, 1), (7, 1), (7, 5)])
-def test_mat_apply2_into_out_equals_the_allocating_apply(stored):
-    # signed zeros in v: a compact row starts from 0.0 + the first product,
-    # as on a zero-filled row, and a row without entries is +0.0
+def test_mat_apply2_and_row_apply_equal_the_allocating_apply(stored):
+    # signed zeros in v and in out: a compact row accumulates onto 0.0,
+    # and a row without entries (M[0, 2]) is not formed, as the +0.0 row
     rng = np.random.default_rng(6)
     M = rng.normal(size=(2, 6, 6, *stored))
     M[rng.random(M.shape[:3]) < 0.6] = 0.0
@@ -209,6 +226,17 @@ def test_mat_apply2_into_out_equals_the_allocating_apply(stored):
     out = np.full(v.shape, -0.0)
     assert ev._mat_apply2(M, v, out) is out
     assert _same_bits(out, want)
+    if stored[-1] != 1:
+        return
+    prod = np.empty((7, 5))
+    for s, i in np.ndindex(2, 6):
+        row = np.full((7, 5), -0.0)
+        got = ev._row_apply(M, v, s, i, row, prod)
+        if np.any(M[s, i]):
+            assert got is row and _same_bits(row, want[s, i]), (s, i)
+        else:
+            assert got is None and _same_bits(row, np.full((7, 5), -0.0))
+            assert _same_bits(want[s, i], np.zeros((7, 5)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -225,8 +253,9 @@ def test_blocked_central_equals_the_one_pass_kernel(k, n1, n2, axis, seed):
     stride = {-1: 1, -2: n2, -3: n1 * n2}[axis]
     got = np.full(f.size, np.nan)
     want = np.full(f.size, np.nan)
-    grid_mod._central(f.reshape(-1), stride, 0.3, got)
-    _one_pass_central(f.reshape(-1), stride, 0.3, want)
+    interior = slice(2 * stride, f.size - 2 * stride)
+    grid_mod._central(f.reshape(-1), stride, 0.3, got[interior])
+    _one_pass_central(f.reshape(-1), stride, 0.3, want[interior])
     assert _same_bits(got, want)
 
 

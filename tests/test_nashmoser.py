@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -95,6 +96,25 @@ def test_bookkeeping_residual_equals_the_full_series_check():
     g_cancel = -drv.smooth_boundary(state.Etilde, theta)
     assert drv.bookkeeping_residual(state, new.f_sum, g_cancel,
                                     theta) == book_i > 0.0
+
+
+def test_bookkeeping_residual_is_nan_on_a_nan_defect():
+    # a NaN in a later (side, component) series, or in the boundary sum
+    # only, is not dropped by the max over the series
+    drv = _driver(n=16, nt=9, T=1.0)
+    state = drv.fresh_state()
+    theta = float(drv.schedule.theta(0))
+    assert np.isfinite(drv.bookkeeping_residual(state, state.f_sum,
+                                                state.g_sum, theta))
+    E = state.E.copy()
+    E[:, 1, 3] = np.nan
+    nan_E = dataclasses.replace(state, E=E)
+    assert np.isnan(drv.bookkeeping_residual(nan_E, state.f_sum,
+                                             state.g_sum, theta))
+    g_sum = state.g_sum.copy()
+    g_sum[-1, 2, 0] = np.nan
+    assert np.isnan(drv.bookkeeping_residual(state, state.f_sum, g_sum,
+                                             theta))
 
 
 @pytest.mark.slow
