@@ -1,9 +1,15 @@
 """Batch front-end: config-driven experiments with machine-readable output.
 
 Configs are flat INI-style key-value text with sections; unknown sections
-or keys are rejected.  Every run writes a manifest (config text and hash,
-effective seed, package and dependency versions, tolerances) sufficient to
-reproduce it; identical config and seed produce byte-identical artifacts.
+or keys are rejected.  Every run writes ``manifest.json``: the experiment,
+the effective seed, the config text and its SHA-256, the package and numpy
+versions and the keys of the run's summary.  Identical config and seed
+produce byte-identical artifacts.
+
+Every artifact is written and read here: CSV tables (a header line, then
+``repr`` floats), JSON reports with sorted keys, and ``evolve``'s
+checkpoints, one (2, 6, n1, n2) ``checkpoint_kkk.npy`` per snapshot time,
+listed with their grid, state and EOS in ``checkpoints.json``.
 
 Exit codes: 0 success, 1 config/validation failure, 2 numerical abort.
 """
@@ -15,13 +21,14 @@ import configparser
 import hashlib
 import json
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .evolve import NumericsError, energy_integrals, evolve
-from .grid import Grid, GridFunction
+from .grid import Grid
 from .mhd import IdealGasEos, PhysState
 from .stability import StabilityError, check_stability, wang_yu_compare
 
@@ -230,6 +237,9 @@ def run_evolve(cfg, seed, out: Path, verbosity: int) -> dict:
     grid = Grid(**cfg["grid"])
     basic = trivial_sheet_state(grid, eos, **cfg["state"])
     ev = cfg["evolve"]
+    if ev["write_checkpoint"] and ev["checkpoint_count"] < 1:
+        raise ConfigError("write_checkpoint needs checkpoint_count >= 1, got "
+                          f"{ev['checkpoint_count']}")
     forcing = None
     if ev["forcing_amplitude"] != 0.0:
         forcing = ManufacturedForcing(grid, amplitude=ev["forcing_amplitude"],
@@ -248,18 +258,16 @@ def run_evolve(cfg, seed, out: Path, verbosity: int) -> dict:
                   cfl=ev["cfl"], ledger=ev["ledger"],
                   snapshot_times=snap_times)
     if ev["ledger"]:
-        traj.ledger.to_csv(out / "energy_ledger.csv")
+        _csv(out / "energy_ledger.csv",
+             "t,I,I0,I1n,Isigma,I2,phiL2,identity_residual",
+             map(astuple, traj.ledger.rows))
     _csv(out / "boundary_energy.csv", "t,boundary_energy,div_residual,"
          "hn_residual",
          zip(traj.times, traj.boundary_energy, traj.div_residual,
              traj.hn_residual))
-    if ev["write_checkpoint"] and traj.snapshots is not None:
-        for k, (ts, snap) in enumerate(zip(traj.snapshot_times,
-                                           traj.snapshots)):
-            for s, tag in ((0, "plus"), (1, "minus")):
-                for comp in range(6):
-                    gf = GridFunction(snap[s, comp], grid)
-                    gf.save(out / f"checkpoint_{k:03d}_{tag}_c{comp}.cvsg")
+    if ev["write_checkpoint"]:
+        for k, snap in enumerate(traj.snapshots):
+            np.save(out / f"checkpoint_{k:03d}.npy", snap)
         (out / "checkpoints.json").write_text(json.dumps({
             "times": [float(t) for t in traj.snapshot_times],
             "count": len(traj.snapshot_times),
@@ -281,12 +289,16 @@ def run_energy_report(cfg, seed, out: Path, verbosity: int) -> dict:
     from .profiles import SigmaWeight
     sigma = SigmaWeight().value(grid.x1)[:, None]
     rows = []
+    shape = (2, 6, grid.n1, grid.n2)
     for k, t in enumerate(meta["times"]):
-        V = np.empty((2, 6, grid.n1, grid.n2))
-        for s, tag in ((0, "plus"), (1, "minus")):
-            for comp in range(6):
-                V[s, comp] = GridFunction.load(
-                    run_dir / f"checkpoint_{k:03d}_{tag}_c{comp}.cvsg").values
+        path = run_dir / f"checkpoint_{k:03d}.npy"
+        V = np.load(path)
+        if V.shape != shape or V.dtype != np.float64:
+            raise ConfigError(f"{path}: a {V.dtype} array of shape "
+                              f"{V.shape}; the grid of checkpoints.json "
+                              f"gives float64 {shape}")
+        if not np.all(np.isfinite(V)):
+            raise ConfigError(f"{path}: values must be finite")
         rows.append((t, *energy_integrals(grid, sigma, V)))
     _csv(out / "energy_report.csv", "t,I,I1n,Isigma,I2", rows)
     return {"snapshots": len(rows)}
@@ -379,8 +391,9 @@ def run_experiment(config_path, out_dir, seed=None, verbosity=1) -> int:
     except (NumericsError, StabilityError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        # a ConfigError, or a state that the config makes inadmissible
+    except (ValueError, OSError) as exc:
+        # a ConfigError, a state that the config makes inadmissible, or an
+        # input file that cannot be read
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     _write_manifest(out, experiment, seed, text,

@@ -87,32 +87,6 @@ class TimeJet:
     data: InitialData
     Uj: list                    # order+1 arrays (2, 6, n1, n2)
     phij: list                  # order+1 arrays (n2,)
-    order: int
-
-    def save(self, directory) -> None:
-        """Binary grid files per coefficient plus a manifest JSON."""
-        import json
-        from pathlib import Path
-
-        from .grid import GridFunction
-        out = Path(directory)
-        out.mkdir(parents=True, exist_ok=True)
-        g = self.data.grid
-        for j, (U, p) in enumerate(zip(self.Uj, self.phij)):
-            for s, tag in ((0, "plus"), (1, "minus")):
-                for c in range(6):
-                    GridFunction(U[s, c], g).save(out / f"jet{j}_{tag}_c{c}.cvsg")
-            GridFunction(np.broadcast_to(p, (g.n1, g.n2)).copy(), g).save(
-                out / f"jet{j}_phi.cvsg")
-        manifest = {
-            "order": self.order,
-            "grid": {"n1": g.n1, "n2": g.n2, "L1": g.L1, "L2": g.L2},
-            "eos": {"gamma": getattr(self.data.eos, "gamma", None)},
-            "chi": {"plateau": self.data.chi.plateau,
-                    "width": self.data.chi.width},
-        }
-        (out / "jet_manifest.json").write_text(
-            json.dumps(manifest, sort_keys=True, indent=1) + "\n")
 
     def u_poly(self, t: float, shift: int = 0) -> np.ndarray:
         """Interior polynomial (or its shift-th time derivative)."""
@@ -150,8 +124,7 @@ def time_jet(data: InitialData, order: int) -> TimeJet:
     evaluated on the running Taylor polynomial.  Derivative blow-up of the
     sampled data surfaces as non-finite values here.
     """
-    jet = TimeJet(data=data, Uj=[data.U0.copy()], phij=[data.phi0.copy()],
-                  order=order)
+    jet = TimeJet(data=data, Uj=[data.U0.copy()], phij=[data.phi0.copy()])
     for j in range(order):
         npts = j + _FD_ORDER + (j + _FD_ORDER) % 2 + 1
         M = npts // 2

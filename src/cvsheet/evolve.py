@@ -107,13 +107,6 @@ class LedgerRow:
 class EnergyLedger:
     rows: list = field(default_factory=list)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write("t,I,I0,I1n,Isigma,I2,phiL2,identity_residual\n")
-            for r in self.rows:
-                fh.write(f"{r.t!r},{r.I!r},{r.I0!r},{r.I1n!r},{r.Isigma!r},"
-                         f"{r.I2!r},{r.phiL2!r},{r.identity_residual!r}\n")
-
     def final(self) -> LedgerRow:
         return self.rows[-1]
 
@@ -298,7 +291,13 @@ def evolve(basic: BasicState, t_final: float, *, forcing=None, bdata=None,
     snapshot recorder alone (``times``, ``phi``, ``snapshots``); the ledger
     is a monitor, so ``ledger=True`` needs ``monitors=True``.  A
     time-dependent ``basic`` must have snapshots covering [0, t_final].
+    ``t_final``, ``cfl`` and a given ``dt_override`` must be positive; the
+    march takes at least one step.
     """
+    for name, value in (("t_final", t_final), ("cfl", cfl),
+                        ("dt_override", dt_override)):
+        if value is not None and not value > 0.0:
+            raise ValueError(f"{name} must be positive, got {value!r}")
     if ledger and not monitors:
         raise ValueError("ledger=True needs monitors=True: the ledger is "
                          "a monitor")
@@ -317,8 +316,8 @@ def evolve(basic: BasicState, t_final: float, *, forcing=None, bdata=None,
         basic, forcing=forcing, bdata=bdata, lam_field=lam_field,
         sponge_strength=sponge_strength,
         keys=_CoeffCache._KEYS if monitors else _CoeffCache._MARCH_KEYS)
-    dt = dt_override or cfl_timestep(basic, cfl)
-    nsteps = int(np.ceil(t_final / dt - _STEP_ROUNDOFF))
+    dt = cfl_timestep(basic, cfl) if dt_override is None else dt_override
+    nsteps = max(1, int(np.ceil(t_final / dt - _STEP_ROUNDOFF)))
     if nsteps > _MAX_STEPS:
         raise NumericsError(f"CFL step count {nsteps} exceeds {_MAX_STEPS}")
     dt = t_final / nsteps

@@ -1,4 +1,4 @@
-"""Truncated half-plane grid, finite-difference stencils, and field I/O.
+"""Truncated half-plane grid, finite-difference stencils, field container.
 
 The computational domain is [0, L1] x [-L2/2, L2/2): x1 >= 0 is the
 wall-normal direction (node 0 sits on the boundary x1 = 0, the last node on
@@ -36,14 +36,11 @@ snapshots around it, with the interior row taken by the same kernel.
 
 from __future__ import annotations
 
-import io
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-_MAGIC = b"CVSG"
 _BLOCK = 1 << 15        # elements per block of the interior stencil pass
 
 
@@ -245,49 +242,3 @@ class GridFunction:
     @property
     def is_spacetime(self) -> bool:
         return self.values.ndim == 3
-
-    # -- serialization ----------------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        """Binary layout: magic, ndim, dims (i64), spacings (f64), row-major f64."""
-        buf = io.BytesIO()
-        dims = self.values.shape
-        spacings = ([self.dt] if self.dt is not None else []) + [
-            self.grid.h1,
-            self.grid.h2,
-            self.grid.L1,
-            self.grid.L2,
-        ]
-        buf.write(_MAGIC)
-        buf.write(struct.pack("<q", len(dims)))
-        buf.write(struct.pack(f"<{len(dims)}q", *dims))
-        buf.write(struct.pack("<q", len(spacings)))
-        buf.write(struct.pack(f"<{len(spacings)}d", *spacings))
-        buf.write(np.ascontiguousarray(self.values, dtype="<f8").tobytes())
-        return buf.getvalue()
-
-    def save(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "GridFunction":
-        buf = io.BytesIO(raw)
-        if buf.read(4) != _MAGIC:
-            raise ValueError("not a cvsheet grid file")
-        (nd,) = struct.unpack("<q", buf.read(8))
-        dims = struct.unpack(f"<{nd}q", buf.read(8 * nd))
-        (ns,) = struct.unpack("<q", buf.read(8))
-        spac = struct.unpack(f"<{ns}d", buf.read(8 * ns))
-        data = np.frombuffer(buf.read(), dtype="<f8").reshape(dims)
-        if nd == 3:
-            dt, h1, h2, L1, L2 = spac
-        else:
-            (h1, h2, L1, L2), dt = spac, None
-        grid = Grid(n1=dims[-2], n2=dims[-1], L1=L1, L2=L2)
-        return cls(values=data.copy(), grid=grid, dt=dt)
-
-    @classmethod
-    def load(cls, path) -> "GridFunction":
-        with open(path, "rb") as fh:
-            return cls.from_bytes(fh.read())

@@ -60,14 +60,45 @@ def test_parse_rejects_unknowns():
             parse_config(f"[run]\nexperiment = {exp}\n[state]\nS_plus = 0.7\n")
 
 
+EVOLVE_CHECKPOINTS = """[run]
+experiment = evolve
+
+[grid]
+n1 = 16
+n2 = 16
+
+[evolve]
+t_final = 0.05
+boundary_amplitude = 0.01
+write_checkpoint = true
+checkpoint_count = {count}
+"""
+
+
+def _report_config(tmp_path, run_dir):
+    report = tmp_path / "report.ini"
+    report.write_text("[run]\nexperiment = energy-report\n\n"
+                      f"[energy-report]\nrun_dir = {run_dir}\n")
+    return report
+
+
 def test_determinism_byte_identical(tmp_path):
-    cfg = tmp_path / "cfg.ini"
-    cfg.write_text(STABILITY_CFG)
-    assert run_experiment(cfg, tmp_path / "a", verbosity=0) == 0
-    assert run_experiment(cfg, tmp_path / "b", verbosity=0) == 0
-    for name in ("stability_map.csv", "manifest.json"):
-        assert ((tmp_path / "a" / name).read_bytes()
-                == (tmp_path / "b" / name).read_bytes())
+    stability = tmp_path / "stability.ini"
+    stability.write_text(STABILITY_CFG)
+    run = tmp_path / "run.ini"
+    run.write_text(EVOLVE_CHECKPOINTS.format(count=3))
+    report = _report_config(tmp_path, tmp_path / "run_a")
+    for cfg, name in ((stability, "map"), (run, "run"), (report, "report")):
+        a, b = tmp_path / f"{name}_a", tmp_path / f"{name}_b"
+        assert run_experiment(cfg, a, verbosity=0) == 0
+        assert run_experiment(cfg, b, verbosity=0) == 0
+        files = sorted(p.name for p in a.iterdir())
+        assert files == sorted(p.name for p in b.iterdir())
+        for f in files:
+            assert (a / f).read_bytes() == (b / f).read_bytes(), (name, f)
+    assert {p.suffix for p in (tmp_path / "run_a").iterdir()} == {
+        ".csv", ".json", ".npy"}
+    assert len(list((tmp_path / "run_a").glob("checkpoint_*.npy"))) == 3
 
 
 def test_stability_map_sign_change_on_boundary_curve(tmp_path):
@@ -110,6 +141,10 @@ def test_exit_codes(tmp_path):
     assert run_experiment(bad, tmp_path / "o", verbosity=0) == 1
     missing = tmp_path / "missing.ini"
     assert run_experiment(missing, tmp_path / "o", verbosity=0) == 1
+    negative = tmp_path / "negative.ini"
+    negative.write_text("[run]\nexperiment = evolve\n\n[evolve]\n"
+                        "t_final = -0.5\n")
+    assert run_experiment(negative, tmp_path / "o", verbosity=0) == 1
     # numerical abort: an unstable symmetrize request (stability violated)
     cfg = tmp_path / "viol.ini"
     cfg.write_text("[run]\nexperiment = symmetrize\n\n[state]\n"
@@ -257,3 +292,39 @@ checkpoint_count = 3
         for key in ("I", "I1n", "Isigma", "I2"):
             assert row[key] == ledger[row["t"]][key], (row["t"], key)
     assert rows[-1]["I"] > 0.0
+
+
+def test_write_checkpoint_without_a_count_exits_1(tmp_path, capsys):
+    run = tmp_path / "run.ini"
+    run.write_text(EVOLVE_CHECKPOINTS.format(count=0))
+    assert run_experiment(run, tmp_path / "run", verbosity=0) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "checkpoint_count" in err
+
+
+def test_energy_report_without_checkpoints_exits_1(tmp_path, capsys):
+    report = _report_config(tmp_path, tmp_path / "empty")
+    (tmp_path / "empty").mkdir()
+    assert run_experiment(report, tmp_path / "report", verbosity=0) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "checkpoints.json" in err
+
+
+@pytest.mark.parametrize("bad", ["shape", "nan"])
+def test_energy_report_refuses_a_bad_checkpoint(tmp_path, capsys, bad):
+    run = tmp_path / "run.ini"
+    run.write_text(EVOLVE_CHECKPOINTS.format(count=1))
+    assert run_experiment(run, tmp_path / "run", verbosity=0) == 0
+    path = tmp_path / "run" / "checkpoint_000.npy"
+    V = np.load(path)
+    assert V.shape == (2, 6, 16, 16)
+    if bad == "shape":
+        V = V[:, :, :15]
+    else:
+        V[1, 3, 4, 5] = np.nan
+    np.save(path, V)
+    report = _report_config(tmp_path, tmp_path / "run")
+    assert run_experiment(report, tmp_path / "report", verbosity=0) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "checkpoint_000.npy" in err
+    assert ("shape" if bad == "shape" else "finite") in err

@@ -134,20 +134,6 @@ def test_smallness_budget_enforced(grid):
     assert half < full
 
 
-def test_jet_serialization(tmp_path, grid):
-    import json
-
-    from cvsheet.grid import GridFunction
-    data = manufactured_initial_data(grid, EOS, amplitude=0.03, seed=2)
-    jet = time_jet(data, order=1)
-    jet.save(tmp_path)
-    manifest = json.loads((tmp_path / "jet_manifest.json").read_text())
-    assert manifest["order"] == 1
-    assert manifest["eos"]["gamma"] == EOS.gamma
-    back = GridFunction.load(tmp_path / "jet1_plus_c0.cvsg")
-    assert np.array_equal(back.values, jet.Uj[1][0, 0])
-
-
 def test_initial_data_satisfies_divergence(grid):
     data = manufactured_initial_data(grid, EOS, amplitude=0.05, seed=7)
     div = grid.d1(data.U0[:, IH1]) + grid.d2(data.U0[:, IH2])

@@ -523,6 +523,26 @@ def test_march_refuses_step_count_past_max_steps(grid):
         evolve(b, t_final=1.0, dt_override=1e-6, ledger=False)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"t_final": 0.0}, {"t_final": -0.1}, {"t_final": 0.05, "cfl": -0.4},
+    {"t_final": 0.05, "dt_override": -0.01},
+    {"t_final": 0.05, "dt_override": 0.0}],
+    ids=["t_final=0", "t_final<0", "cfl<0", "dt_override<0",
+         "dt_override=0"])
+def test_evolve_refuses_non_positive_time_inputs(grid, kwargs):
+    b = trivial_sheet_state(grid, EOS, H2_plus=1.2, H2_minus=1.0)
+    bad = next(k for k, v in kwargs.items() if v <= 0.0)
+    with pytest.raises(ValueError, match=f"{bad} must be positive"):
+        evolve(b, ledger=False, monitors=False, **kwargs)
+
+
+def test_evolve_takes_at_least_one_step(grid):
+    # a horizon far below the CFL step rounds to one step of t_final
+    b = trivial_sheet_state(grid, EOS, H2_plus=1.2, H2_minus=1.0)
+    traj = evolve(b, t_final=1e-13, ledger=False, monitors=False)
+    assert list(traj.times) == [0.0, 1e-13]
+
+
 def test_evolve_takes_the_cfl_bound_only_without_dt_override(grid,
                                                              monkeypatch):
     # the Nash-Moser step passes dt_override, having bounded dt itself

@@ -365,16 +365,6 @@ def test_zero_field_all_ratios_zero(grid):
     assert _harness_ratio("moser4", z, z, 2, np.random.default_rng(0)) == 0.0
 
 
-def test_gridfunction_binary_roundtrip(tmp_path, grid):
-    u = random_smooth_field(grid, nt=5, T=0.5, rng=np.random.default_rng(2))
-    p = tmp_path / "field.cvsg"
-    u.save(p)
-    v = GridFunction.load(p)
-    assert np.array_equal(u.values, v.values)
-    assert v.dt == pytest.approx(u.dt)
-    assert (v.grid.n1, v.grid.n2) == (grid.n1, grid.n2)
-
-
 def _moveaxis_diff_time2(f, dt, axis):
     """The order-2 time stencil as written before, on the axis moved last."""
     res = np.empty(f.shape)
