@@ -4,7 +4,7 @@ The package covers the constructive side of the sheet problem on the
 straightened half-plane: coefficient matrices and jump conditions, the
 front-lifting geometry, the secondary Friedrichs symmetrizer with its
 explicit multiplier fields and stability condition, anisotropic weighted
-norms with trace/lifting machinery, a characteristic linearized solver
+norms with a lifting operator, a characteristic linearized solver
 with an energy ledger, compatibility jets with approximate solutions, and
 a toy-scale Nash-Moser iteration.  The ``cvsheet`` CLI drives batch
 experiments with machine-readable artifacts.

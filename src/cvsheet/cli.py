@@ -155,6 +155,14 @@ def _csv(path: Path, header: str, rows) -> None:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
+def _grid(g) -> Grid:
+    """The grid of a [grid] section, at least the stencils' five nodes
+    across and of positive extent, else ``ConfigError``."""
+    if not (min(g["n1"], g["n2"]) >= 5 and g["L1"] > 0.0 and g["L2"] > 0.0):
+        raise ConfigError(f"[grid] needs n1, n2 >= 5 and L1, L2 > 0, got {g}")
+    return Grid(**g)
+
+
 def _pair_states(state_cfg, eos):
     p_plus = state_cfg["p_plus"]
     p_minus = p_plus + 0.5 * (state_cfg["H2_plus"] ** 2
@@ -163,10 +171,10 @@ def _pair_states(state_cfg, eos):
         raise ConfigError("total-pressure balance forces p_minus <= 0")
     plus = PhysState(p=p_plus, u1=0.0, u2=+0.5 * state_cfg["u2_jump"],
                      H1=0.0, H2=state_cfg["H2_plus"],
-                     S=state_cfg["S_plus"], side=+1)
+                     S=state_cfg["S_plus"])
     minus = PhysState(p=p_minus, u1=0.0, u2=-0.5 * state_cfg["u2_jump"],
                       H1=0.0, H2=state_cfg["H2_minus"],
-                      S=state_cfg["S_minus"], side=-1)
+                      S=state_cfg["S_minus"])
     return plus, minus
 
 
@@ -234,7 +242,7 @@ def run_evolve(cfg, seed, out: Path, verbosity: int) -> dict:
     from .linearized import trivial_sheet_state
     from .scenarios import ManufacturedBoundaryData, ManufacturedForcing
     eos = IdealGasEos(**cfg["eos"])
-    grid = Grid(**cfg["grid"])
+    grid = _grid(cfg["grid"])
     basic = trivial_sheet_state(grid, eos, **cfg["state"])
     ev = cfg["evolve"]
     if ev["write_checkpoint"] and ev["checkpoint_count"] < 1:
@@ -285,7 +293,7 @@ def run_energy_report(cfg, seed, out: Path, verbosity: int) -> dict:
     run_dir = Path(cfg["energy-report"]["run_dir"])
     meta = json.loads((run_dir / "checkpoints.json").read_text())
     eos = IdealGasEos(**meta["eos"])
-    grid = Grid(**meta["grid"])
+    grid = _grid(meta["grid"])
     from .profiles import SigmaWeight
     sigma = SigmaWeight().value(grid.x1)[:, None]
     rows = []
@@ -308,8 +316,11 @@ def run_compat(cfg, seed, out: Path, verbosity: int) -> dict:
     from .compat import (build_approximate, check_compatibility, forcing_fa,
                          manufactured_initial_data, time_jet)
     eos = IdealGasEos(**cfg["eos"])
-    grid = Grid(**cfg["grid"])
+    grid = _grid(cfg["grid"])
     cc = cfg["compat"]
+    if cc["order"] < 0 or cc["fit_points"] < 2:
+        raise ConfigError(f"[compat] needs order >= 0 and fit_points >= 2, "
+                          f"got {cc['order']} and {cc['fit_points']}")
     data = manufactured_initial_data(grid, eos, amplitude=cc["amplitude"],
                                      k2=cc["k2"], seed=seed, **cfg["state"])
     jet = time_jet(data, order=cc["order"])
@@ -340,7 +351,7 @@ def run_nash_moser_demo(cfg, seed, out: Path, verbosity: int) -> dict:
                          time_jet)
     from .nashmoser import NashMoserConfig, NashMoserDriver
     eos = IdealGasEos(**cfg["eos"])
-    grid = Grid(**cfg["grid"])
+    grid = _grid(cfg["grid"])
     nm = cfg["nash-moser"]
     data = manufactured_initial_data(grid, eos, amplitude=nm["amplitude"],
                                      k2=nm["k2"], seed=seed, **cfg["state"])

@@ -292,12 +292,20 @@ def evolve(basic: BasicState, t_final: float, *, forcing=None, bdata=None,
     is a monitor, so ``ledger=True`` needs ``monitors=True``.  A
     time-dependent ``basic`` must have snapshots covering [0, t_final].
     ``t_final``, ``cfl`` and a given ``dt_override`` must be positive; the
-    march takes at least one step.
+    march takes at least one step.  ``snapshot_times`` must be finite,
+    non-decreasing and inside [0, t_final]; each takes V at the step
+    nearest to it (the earlier of two equally near).
     """
     for name, value in (("t_final", t_final), ("cfl", cfl),
                         ("dt_override", dt_override)):
         if value is not None and not value > 0.0:
             raise ValueError(f"{name} must be positive, got {value!r}")
+    req = [] if snapshot_times is None else [float(t) for t in snapshot_times]
+    slack = _STEP_ROUNDOFF * t_final
+    for prev, t in zip([-slack] + req, req):
+        if not prev <= t <= t_final + slack:
+            raise ValueError(f"snapshot time {t!r} is not finite, in order "
+                             f"and inside [0, {t_final!r}]")
     if ledger and not monitors:
         raise ValueError("ledger=True needs monitors=True: the ledger is "
                          "a monitor")
@@ -322,7 +330,7 @@ def evolve(basic: BasicState, t_final: float, *, forcing=None, bdata=None,
         raise NumericsError(f"CFL step count {nsteps} exceeds {_MAX_STEPS}")
     dt = t_final / nsteps
 
-    observers = {"snapshots": _SnapshotRecorder(snapshot_times, dt)}
+    observers = {"snapshots": _SnapshotRecorder(req, dt)}
     if monitors:
         observers["constraints"] = _ConstraintMonitor(grid, stepper.n1_phys)
         observers["apriori"] = _AprioriMonitor(grid, stepper.cache, forcing,
@@ -427,29 +435,23 @@ class _StepEnd:
 
 
 class _SnapshotRecorder:
-    """``times``, ``phi`` at every step and V at the requested times."""
+    """``times``, ``phi`` at every step and V at the step nearest to each
+    of the sorted requested times ``req``."""
 
-    def __init__(self, snapshot_times, dt: float):
-        self._req = list(snapshot_times) if snapshot_times is not None else []
+    def __init__(self, req: list, dt: float):
+        self._req = list(req)
         self.dt = dt
         self.times, self.phis, self.snaps, self.snap_ts = [], [], [], []
-
-    def start(self, end: _StepEnd) -> None:
-        self.times.append(end.t)
-        self.phis.append(end.phi.copy())
-        if self._req and abs(self._req[0]) < 1e-12:
-            self._take(end)
 
     def observe(self, end: _StepEnd) -> None:
         self.times.append(end.t)
         self.phis.append(end.phi.copy())
         while self._req and end.t >= self._req[0] - 0.5 * self.dt:
-            self._take(end)
+            self.snaps.append(end.V.copy())
+            self.snap_ts.append(end.t)
+            self._req.pop(0)
 
-    def _take(self, end: _StepEnd) -> None:
-        self.snaps.append(end.V.copy())
-        self.snap_ts.append(end.t)
-        self._req.pop(0)
+    start = observe
 
 
 class _ConstraintMonitor:
@@ -761,14 +763,12 @@ def _weights(grid: Grid):
     return w, w * SigmaWeight().value(grid.x1) ** 2
 
 
-def energy_integrals(grid: Grid, sigma, V, d1V=None, d2V=None):
+def energy_integrals(grid: Grid, sigma, V):
     """(I, I1n, Isigma, I2) of a characteristic state V (2, 6, n1, n2).
 
     ``sigma`` is the conormal weight on the x1 nodes, shaped (n1, 1).
-    ``d1V`` and ``d2V`` are taken here unless the caller holds them.
     """
-    d1V = grid.d1(V) if d1V is None else d1V
-    d2V = grid.d2(V) if d2V is None else d2V
+    d1V, d2V = grid.d1(V), grid.d2(V)
     w = grid.w1 * grid.h2
     return _gram_energies(w, w * sigma[:, 0] ** 2, _gram(V, V),
                           _gram(d1V, d1V), _gram(d2V, d2V))

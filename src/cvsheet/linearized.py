@@ -24,10 +24,9 @@ coefficients are built, forms them in closed form.
 
 ``SheetOperators`` is the one discretization of L and L'_e on snapshot
 series, with 4th-order time stencils, walked one snapshot at a time: the
-Nash-Moser scheme and the boundary homogenization both apply it.  The
-straightened coefficients (A0, A1~, A2) and their apply come from
-``cvsheet.front``; ``heun_march`` is the one time marcher of the boundary
-and magnetic transport solves.
+Nash-Moser scheme applies it.  The straightened coefficients (A0, A1~, A2)
+and their apply come from ``cvsheet.front``; ``heun_march`` is the one time
+marcher of the Nash-Moser magnetic transport solve.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from .front import (LiftedFront, apply_L, induction_advection, lift_front,
 from .grid import Grid, diff_time, time_row
 from .mhd import (IH1, IH2, IP, IS, IU1, IU2, NCOMP, PhysState,
                   _require_admissible)
-from .norms import lift
 from .profiles import CutoffChi
 from .stability import (LambdaPair, assemble_symmetrizer, build_lambda,
                         check_stability)
@@ -108,8 +106,7 @@ class BasicState:
     def lambda_boundary(self) -> LambdaPair:
         """The wall multiplier of the first snapshot, built from its wall
         rows alone (no frame)."""
-        plus, minus = (PhysState.from_vector(self.U[0, i, :, 0, :], side=s)
-                       for i, s in enumerate(SIDES))
+        plus, minus = (PhysState.from_vector(u) for u in self.U[0, :, :, 0])
         return build_lambda(plus, minus, self.eos)
 
     def frame(self, t: float) -> "BasicFrame":
@@ -169,8 +166,7 @@ class BasicFrame:
         self.phit = phit
         self.lifted: LiftedFront = lift_front(phi, basic.grid, basic.chi,
                                               phit)
-        self.states = tuple(
-            PhysState.from_vector(U[i], side=s) for i, s in enumerate(SIDES))
+        self.states = tuple(PhysState.from_vector(u) for u in U)
 
     # -- boundary traces used by the boundary conditions -------------------
 
@@ -202,11 +198,10 @@ class ValidationReport:
     div_residual: float
     hn_residual: float
     phi_sup: float
-    tolerances: dict
 
     @property
     def ok(self) -> bool:
-        tol = self.tolerances
+        tol = DEFAULT_TOLERANCES
         return (self.hyperbolicity_margin >= tol["hyperbolicity"]
                 and self.stability_margin >= tol["stability"]
                 and self.jump_residual <= tol["jump"]
@@ -235,7 +230,6 @@ def validate_basic_state(basic: BasicState, times=None) -> ValidationReport:
     wall, and the front smallness; the report carries worst-case values
     over the sampled times, judged against ``DEFAULT_TOLERANCES``.
     """
-    tol = dict(DEFAULT_TOLERANCES)
     if times is None:
         times = [0.0] if basic.steady else list(basic.tgrid)
     worst = dict(hyper=np.inf, stab=np.inf, jump=0.0, trans=0.0, div=0.0,
@@ -248,7 +242,8 @@ def validate_basic_state(basic: BasicState, times=None) -> ValidationReport:
         rho_p = np.stack([eos.density_dp(st.p, st.S) for st in fr.states])
         worst["hyper"] = min(worst["hyper"], float(np.min(rho)),
                              float(np.min(rho_p)))
-        rep = check_stability(fr.states[0], fr.states[1], eos, k=tol["stability"])
+        rep = check_stability(fr.states[0], fr.states[1], eos,
+                              k=DEFAULT_TOLERANCES["stability"])
         worst["stab"] = min(worst["stab"],
                             float(np.min(rep.margin[..., 0, :]))
                             if rep.margin.ndim > 1 else rep.margin_min)
@@ -272,7 +267,7 @@ def validate_basic_state(basic: BasicState, times=None) -> ValidationReport:
         hyperbolicity_margin=worst["hyper"], stability_margin=worst["stab"],
         jump_residual=worst["jump"], transport_residual=worst["trans"],
         div_residual=worst["div"], hn_residual=worst["hn"],
-        phi_sup=worst["phi"], tolerances=tol)
+        phi_sup=worst["phi"])
 
 
 # -- manufactured families -------------------------------------------------
@@ -583,10 +578,6 @@ def _right_products(m0, m1, m2, zc, off, d1off, d2off, dtoff):
     return R
 
 
-class BoundaryStructureError(RuntimeError):
-    """The boundary matrix failed to reduce to diag(E12, -E12)."""
-
-
 @dataclass
 class EffectiveOperators:
     """Calligraphic coefficient families of the characteristic system.
@@ -616,17 +607,16 @@ class EffectiveOperators:
     T: np.ndarray | None = None
 
 
-def assemble_effective(frame: BasicFrame, lam_field: np.ndarray | None = None,
-                       *, boundary_tol: float | None = None
+def assemble_effective(frame: BasicFrame, lam_field: np.ndarray | None = None
                        ) -> EffectiveOperators:
     """Assemble the characteristic-system coefficients at one time frame.
 
     A0^{-1} is the reciprocal of A0's diagonal, J^{-1} a back substitution
     and dJ/dt the frame's own rate (``_j_off``).  With ``lam_field``
     (2, n1, n2) the symmetrized family is assembled as well.
-    ``boundary_tol`` turns on the wall-structure check: the boundary matrix
-    must match diag(E12, -E12) entrywise, which only happens when the basic
-    state honors the kinematic and magnetic wall constraints.
+    ``A1_boundary_residual`` is the largest entry of the boundary matrix off
+    diag(E12, -E12); it is at roundoff only when the basic state honors the
+    kinematic and magnetic wall constraints.
     """
     g = frame.grid
     eos = frame.eos
@@ -651,10 +641,6 @@ def assemble_effective(frame: BasicFrame, lam_field: np.ndarray | None = None,
     target[0, IQ, IUN] = target[0, IUN, IQ] = 1.0
     target[1, IQ, IUN] = target[1, IUN, IQ] = -1.0
     res = float(np.max(np.abs(A[1][..., 0, :] - target[..., None])))
-    if boundary_tol is not None and res > boundary_tol:
-        raise BoundaryStructureError(
-            f"boundary matrix off diag(E12,-E12) by {res:.3e}: the basic "
-            "state violates a wall constraint (kinematic jump or H_N = 0)")
 
     ops = EffectiveOperators(j_matrix(frame), *A, *M,
                              A1_boundary_residual=res)
@@ -675,7 +661,7 @@ def assemble_effective(frame: BasicFrame, lam_field: np.ndarray | None = None,
     return ops
 
 
-# -- boundary-data homogenization ------------------------------------------
+# -- transport march ---------------------------------------------------------
 
 def heun_march(rhs, y0, dts, nsub: int = 1) -> np.ndarray:
     """Heun's method over the intervals ``dts``, each cut into ``nsub`` steps.
@@ -694,66 +680,3 @@ def heun_march(rhs, y0, dts, nsub: int = 1) -> np.ndarray:
             y = y + 0.5 * h * (k1 + k2)
         out[n + 1] = y
     return out
-
-
-def solve_g3_transport(basic: BasicState, G_source, tgrid,
-                       side: int) -> np.ndarray:
-    """March the boundary transport d/dt g3 + u2 d2 g3 + (d2 u2) g3 = G.
-
-    ``G_source`` maps t to the source on the boundary grid; the solution
-    vanishes in the past, so the march starts from zero.  Heun steps on the
-    supplied time grid.
-    """
-    g = basic.grid
-    i = 0 if side > 0 else 1
-
-    def rhs(y, n, w):
-        t = (1 - w) * tgrid[n] + w * tgrid[n + 1]      # exact at the nodes
-        u2 = basic.frame(t).U[i, IU2, 0, :]
-        du2 = g.d2_boundary(u2)
-        return G_source(t) - u2 * g.d2_boundary(y) - du2 * y
-
-    return heun_march(rhs, np.zeros(g.n2), np.diff(tgrid))
-
-
-def homogenize_boundary(gdata: np.ndarray, f: np.ndarray, basic: BasicState,
-                        tgrid: np.ndarray):
-    """Absorb inhomogeneous boundary data into the interior forcing.
-
-    ``gdata`` is (nt, 3, n2) = (g1+, g1-, g2) and ``f`` (nt, 2, 6, n1, n2),
-    both vanishing in the past, on the uniform time grid ``tgrid``.  Builds
-    the magnetic boundary datum g3± by transport, lifts the prescribed
-    traces into the interior (u_N = -g1±, [q] = g2, H_N = -g3±, the free
-    components set to zero), and returns (U-tilde snapshots, modified
-    forcing F = f - L'_e U-tilde, g3).  L'_e is ``SheetOperators``'s, at the
-    basic state's frames on ``tgrid``; its 4th-order time stencil needs
-    nt >= 5.
-    """
-    g = basic.grid
-    nt = len(tgrid)
-
-    g3 = np.zeros((nt, 2, g.n2))
-    for i, side in enumerate(SIDES):
-        def G_source(t, i=i):
-            k = int(np.clip(np.searchsorted(tgrid, t), 0, nt - 1))
-            fr = basic.frame(t)
-            H2 = fr.U[i, IH2, 0, :]
-            fn = (f[k, i, IH1, 0, :]
-                  - f[k, i, IH2, 0, :] * fr.lifted.d2_psi[i][0, :])
-            return g.d2_boundary(H2 * gdata[k, i]) - fn
-        g3[:, i] = solve_g3_transport(basic, G_source, tgrid, side)
-
-    Uhat = np.empty((nt,) + f.shape[1:])
-    phihat = np.empty((nt, g.n2))
-    for n in range(nt):
-        fr = basic.frame(tgrid[n])
-        Uhat[n], phihat[n] = fr.U, fr.phi
-    Ut = np.zeros_like(Uhat)
-    Ut[:, :, IU1] = lift([-gdata[:, :2]], g)    # u2-tilde = 0, so u1 = u_n
-    Ut[:, :, IH1] = lift([-g3], g)              # H2-tilde = 0, so H1 = H_n
-    # p = q - H-hat . H-tilde, with the jump [q] = g2 put on the plus side
-    Ut[:, :, IP] = -Uhat[:, :, IH1] * Ut[:, :, IH1]
-    Ut[:, 0, IP] += lift([gdata[:, 2]], g)
-    ops = SheetOperators(g, basic.eos, basic.chi, tgrid)
-    F = f - ops.linearized_L(Uhat, phihat, Ut, np.zeros_like(phihat))[1]
-    return Ut, F, g3

@@ -71,11 +71,7 @@ class IdealGasEos:
 
 @dataclass
 class PhysState:
-    """One-sided unknown vector; fields broadcast as numpy arrays.
-
-    ``side`` is +1 or -1 and tags which half of the split problem the state
-    lives on.
-    """
+    """One-sided unknown vector; fields broadcast as numpy arrays."""
 
     p: np.ndarray | float
     u1: np.ndarray | float
@@ -83,12 +79,10 @@ class PhysState:
     H1: np.ndarray | float
     H2: np.ndarray | float
     S: np.ndarray | float
-    side: int = +1
 
     @classmethod
-    def from_vector(cls, U: np.ndarray, side: int = +1) -> "PhysState":
-        return cls(p=U[IP], u1=U[IU1], u2=U[IU2], H1=U[IH1], H2=U[IH2], S=U[IS],
-                   side=side)
+    def from_vector(cls, U: np.ndarray) -> "PhysState":
+        return cls(p=U[IP], u1=U[IU1], u2=U[IU2], H1=U[IH1], H2=U[IH2], S=U[IS])
 
 
 def _require_admissible(state: PhysState, eos, k: float = 1e-6, *,

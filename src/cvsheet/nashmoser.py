@@ -111,8 +111,7 @@ class NashMoserDriver:
     """Orchestrates the iteration around one approximate solution."""
 
     def __init__(self, approx: ApproxSolution, tgrid,
-                 config: NashMoserConfig | None = None,
-                 fa_scale: float = 1.0):
+                 config: NashMoserConfig | None = None):
         self.approx = approx
         self.config = config or NashMoserConfig()
         data = approx.jet.data
@@ -126,7 +125,7 @@ class NashMoserDriver:
         self.Ua = np.stack([approx.u(t) for t in self.tgrid])
         self.phia = np.stack([approx.phi(t) for t in self.tgrid])
         Ffun = forcing_fa(approx)
-        self.Fa = fa_scale * np.stack([Ffun(t) for t in self.tgrid])
+        self.Fa = np.stack([Ffun(t) for t in self.tgrid])
         self.schedule = ThetaSchedule(theta0=self.config.theta0)
         T = float(self.tgrid[-1])
         self.smoother = Smoother(self.grid, self.nt, T)

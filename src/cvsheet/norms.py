@@ -228,12 +228,7 @@ def _boundary_norm(g: GridFunction, m: int) -> NormReport:
     return rep
 
 
-# -- trace and lifting ----------------------------------------------------
-
-def trace(u: GridFunction) -> np.ndarray:
-    """Restriction to the boundary x1 = 0."""
-    return u.values[..., 0, :]
-
+# -- lifting ----------------------------------------------------------------
 
 def lift(v_list, grid: Grid) -> np.ndarray:
     """Right inverse of the trace with prescribed normal derivatives.

@@ -212,9 +212,6 @@ class PositivityCertificate:
     min_eig: float
     criterion_lhs: float  # max over points of rho lambda^2 (1 + cA^2/c^2)
 
-    def __bool__(self):
-        return self.positive
-
 
 def check_b0_positive(state: PhysState, lam, eos) -> PositivityCertificate:
     """B0 > 0 iff rho lambda^2 < 1 / (1 + cA^2/c^2); certificate carries min eig."""

@@ -42,7 +42,7 @@ def test_acceptance_01_lambda_suite():
         plus = PhysState(draw["pp"], 0.0, draw["u2p"], 0.0, draw["H2p"],
                          draw["Sp"])
         minus = PhysState(draw["pm"], 0.0, draw["u2m"], 0.0, draw["H2m"],
-                          draw["Sm"], side=-1)
+                          draw["Sm"])
         rep = check_stability(plus, minus, EOS, k=1e-3)
         keep = rep.margin >= 1e-3
         for k in fields:
@@ -52,7 +52,7 @@ def test_acceptance_01_lambda_suite():
     plus = PhysState(sample["pp"], 0.0, sample["u2p"], 0.0, sample["H2p"],
                      sample["Sp"])
     minus = PhysState(sample["pm"], 0.0, sample["u2m"], 0.0, sample["H2m"],
-                      sample["Sm"], side=-1)
+                      sample["Sm"])
 
     t0 = time.monotonic()
     rep = check_stability(plus, minus, EOS, k=1e-3)
@@ -120,7 +120,7 @@ def test_acceptance_03_boundary_matrix_rank4():
     for b in states:
         rep = validate_basic_state(b)
         assert rep.ok, rep.as_dict()
-        ops = assemble_effective(b.frame(0.0), boundary_tol=1e-8)
+        ops = assemble_effective(b.frame(0.0))
         worst_entry = max(worst_entry, ops.A1_boundary_residual)
         bm = ops.A1[..., 0, :]
         M = np.zeros((grid.n2, 12, 12))
@@ -155,7 +155,7 @@ def test_acceptance_04_boundary_form_dissipativity():
                           u2=-0.2 * np.cos(np.linspace(0, 2 * np.pi, n2)),
                           H1=0.0,
                           H2=-(base_p[1] + 0.3 * rng.normal(size=n2) * 0.1),
-                          S=0.1, side=-1)
+                          S=0.1)
         rep = check_stability(plus, minus, EOS, k=1e-3)
         assert rep.satisfied
         lam = build_lambda(plus, minus, EOS, k=1e-3)
@@ -335,7 +335,7 @@ def test_acceptance_09_nash_moser_mechanics():
     sch = ThetaSchedule(2.0)
     assert sch.bounds_hold(10 ** 6)
 
-    def driver(n, nt, fa_scale=1.0):
+    def driver(n, nt):
         grid = Grid(n1=n, n2=n, L1=2 * np.pi, L2=2 * np.pi)
         data = manufactured_initial_data(grid, EOS, amplitude=8e-6, seed=3,
                                          k2=1, p_plus=0.8, u2_jump=0.1,
@@ -343,8 +343,7 @@ def test_acceptance_09_nash_moser_mechanics():
         jet = time_jet(data, order=2)
         approx = build_approximate(jet, T=2.0, delta=1e-3)
         return NashMoserDriver(approx, np.linspace(0.0, 2.0, nt),
-                               NashMoserConfig(theta0=2.0, iterations=5),
-                               fa_scale=fa_scale)
+                               NashMoserConfig(theta0=2.0, iterations=5))
 
     drv = driver(64, 65)
     report = drv.run(iterations=5)
@@ -356,7 +355,8 @@ def test_acceptance_09_nash_moser_mechanics():
 
     e1 = []
     for scale in (1.0, 0.5):
-        d = driver(32, 33, fa_scale=scale)
+        d = driver(32, 33)
+        d.Fa *= scale
         st = d.step(d.fresh_state())
         e1.append(st.history[-1]["eprime_norm"])
     ratio = e1[0] / e1[1]

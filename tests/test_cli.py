@@ -135,7 +135,7 @@ def test_manifest_records_reproduction_data(tmp_path):
     assert "package_version" in manifest
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text("[run]\nexperiment = bogus\n")
     assert run_experiment(bad, tmp_path / "o", verbosity=0) == 1
@@ -145,6 +145,21 @@ def test_exit_codes(tmp_path):
     negative.write_text("[run]\nexperiment = evolve\n\n[evolve]\n"
                         "t_final = -0.5\n")
     assert run_experiment(negative, tmp_path / "o", verbosity=0) == 1
+    # a grid below the five-node stencil footprint (at n2 = 3 the periodic
+    # stencil wraps j +- 2 onto j -+ 1) or of no extent, a compat slope
+    # fitted to one point and a jet of negative order
+    for k, (exp, section, body) in enumerate((
+            ("evolve", "grid", "n2 = 3"), ("evolve", "grid", "n1 = 3"),
+            ("evolve", "grid", "n1 = 1"), ("evolve", "grid", "n2 = 0"),
+            ("evolve", "grid", "L1 = 0"), ("compat", "grid", "L2 = -1.0"),
+            ("nash-moser-demo", "grid", "n1 = 4"),
+            ("compat", "compat", "fit_points = 1"),
+            ("compat", "compat", "order = -1"))):
+        cfg = tmp_path / f"small_{k}.ini"
+        cfg.write_text(f"[run]\nexperiment = {exp}\n\n[{section}]\n{body}\n")
+        capsys.readouterr()
+        assert run_experiment(cfg, tmp_path / f"s{k}", verbosity=0) == 1, body
+        assert "config error:" in capsys.readouterr().err, body
     # numerical abort: an unstable symmetrize request (stability violated)
     cfg = tmp_path / "viol.ini"
     cfg.write_text("[run]\nexperiment = symmetrize\n\n[state]\n"

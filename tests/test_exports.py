@@ -1,6 +1,10 @@
-"""Every name a package module exports through ``__all__`` resolves."""
+"""Every name a package module exports through ``__all__`` resolves, and
+every public definition of the package is read somewhere in it or in its
+benchmark."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -10,3 +14,46 @@ def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing, f"{module}.__all__ names missing attributes: {missing}"
+
+
+#: public definitions nothing in the package or its benchmark reads, and why
+#: they stay
+_UNREAD_ALLOWED = {
+    "sheared_sheet_state": "the non-constant basic-state family of the tests",
+    "boundary_quadratic_form": "the paper's boundary form, checked by "
+                               "acceptance 4",
+    "coefficient_jacobians": "the oracle that c_matrix's closed form is "
+                             "checked against",
+}
+
+
+def _read_names(paths):
+    """Every name an AST Name, Attribute or import alias reads in ``paths``."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+    return names
+
+
+def test_every_public_definition_is_read():
+    # code that nothing in the package runs is deleted, not kept for tests
+    root = Path(__file__).resolve().parents[1]
+    package = root / "src" / "cvsheet"
+    read = _read_names([*package.rglob("*.py"),
+                        *(root / "perfbench").glob("*.py")])
+    unread = sorted(
+        f"{path.stem}.{node.name}"
+        for path in package.glob("*.py")
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in read and node.name not in _UNREAD_ALLOWED)
+    assert not unread, f"public definitions nothing reads: {unread}"
+    stale = sorted(name for name in _UNREAD_ALLOWED if name in read)
+    assert not stale, f"allowed as unread, but read: {stale}"

@@ -313,8 +313,8 @@ def _frame_multiplier(basic):
     """The ledger multiplier from the steady frame's wall rows."""
     grid = basic.grid
     fr = basic.frame(0.0)
-    plus = PhysState.from_vector(fr.U[0, :, 0, :], side=+1)
-    minus = PhysState.from_vector(fr.U[1, :, 0, :], side=-1)
+    plus = PhysState.from_vector(fr.U[0, :, 0, :])
+    minus = PhysState.from_vector(fr.U[1, :, 0, :])
     fallback = None
     try:
         pair = build_lambda(plus, minus, basic.eos)

@@ -10,8 +10,8 @@ from cvsheet.mhd import (AdmissibilityError, IdealGasEos, PhysState,
 EOS = IdealGasEos()
 
 
-def _state(p=1.0, u1=0.0, u2=0.0, H1=0.0, H2=0.0, S=0.0, side=+1):
-    return PhysState(p=p, u1=u1, u2=u2, H1=H1, H2=H2, S=S, side=side)
+def _state(p=1.0, u1=0.0, u2=0.0, H1=0.0, H2=0.0, S=0.0):
+    return PhysState(p=p, u1=u1, u2=u2, H1=H1, H2=H2, S=S)
 
 
 def test_sound_speed_unit_density():

@@ -16,7 +16,7 @@ from cvsheet.nashmoser import (NashMoserConfig, NashMoserDriver,
 EOS = IdealGasEos()
 
 
-def _driver(n=32, nt=33, T=2.0, amplitude=8e-6, fa_scale=1.0, **cfg):
+def _driver(n=32, nt=33, T=2.0, amplitude=8e-6, **cfg):
     grid = Grid(n1=n, n2=n, L1=2 * np.pi, L2=2 * np.pi)
     data = manufactured_initial_data(grid, EOS, amplitude=amplitude, seed=3,
                                      k2=1, p_plus=0.8, u2_jump=0.1,
@@ -24,8 +24,7 @@ def _driver(n=32, nt=33, T=2.0, amplitude=8e-6, fa_scale=1.0, **cfg):
     jet = time_jet(data, order=2)
     approx = build_approximate(jet, T=T, delta=1e-3)
     tgrid = np.linspace(0.0, T, nt)
-    return NashMoserDriver(approx, tgrid, NashMoserConfig(**cfg),
-                           fa_scale=fa_scale)
+    return NashMoserDriver(approx, tgrid, NashMoserConfig(**cfg))
 
 
 def test_theta_schedule_bounds():
@@ -130,7 +129,8 @@ def test_residual_strictly_decreasing():
 def test_quadratic_error_scaling_under_forcing_halving():
     e1 = []
     for scale in (1.0, 0.5):
-        drv = _driver(n=24, nt=17, T=1.0, fa_scale=scale)
+        drv = _driver(n=24, nt=17, T=1.0)
+        drv.Fa *= scale
         state = drv.step(drv.fresh_state())
         e1.append(state.history[-1]["eprime_norm"])
     ratio = e1[0] / e1[1]

@@ -8,7 +8,7 @@ from cvsheet.grid import Grid, GridFunction, diff_time
 from cvsheet.norms import (HARNESS_KINDS, MultiIndex, _l2,
                            conormal_derivative, enumerate_indices,
                            hm_star_norm, inequality_harness, lift,
-                           random_smooth_field, trace, w_star_norm)
+                           random_smooth_field, w_star_norm)
 from cvsheet.profiles import SigmaWeight
 
 
@@ -279,7 +279,7 @@ def test_trace_lift_roundtrip(grid):
     v0 = rng.normal(size=grid.n2)
     v1 = rng.normal(size=grid.n2)
     R = lift([v0, v1], grid)
-    assert np.allclose(trace(GridFunction(R, grid)), v0)
+    assert np.allclose(R[0, :], v0)
     d1R = grid.d1(R)
     assert np.allclose(d1R[0, :], v1, atol=1e-10)
     # lift of (v0, 0) has vanishing normal derivative at the wall

@@ -12,8 +12,8 @@ EOS = IdealGasEos()
 
 
 def _pair(u2p=0.0, u2m=0.0, H2p=1.0, H2m=1.0, p=1.0, S=0.0):
-    plus = PhysState(p=p, u1=0.0, u2=u2p, H1=0.0, H2=H2p, S=S, side=+1)
-    minus = PhysState(p=p, u1=0.0, u2=u2m, H1=0.0, H2=H2m, S=S, side=-1)
+    plus = PhysState(p=p, u1=0.0, u2=u2p, H1=0.0, H2=H2p, S=S)
+    minus = PhysState(p=p, u1=0.0, u2=u2m, H1=0.0, H2=H2m, S=S)
     return plus, minus
 
 
@@ -113,21 +113,20 @@ def test_build_lambda_vectorized_invariants():
     plus = PhysState(p=rng.uniform(0.5, 3.0, n), u1=0.0,
                      u2=rng.normal(0, 0.2, n), H1=0.0,
                      H2=rng.uniform(0.5, 2.0, n) * rng.choice([-1, 1], n),
-                     S=rng.uniform(-0.3, 0.3, n), side=+1)
+                     S=rng.uniform(-0.3, 0.3, n))
     minus = PhysState(p=rng.uniform(0.5, 3.0, n), u1=0.0,
                       u2=rng.normal(0, 0.2, n), H1=0.0,
                       H2=rng.uniform(0.5, 2.0, n) * rng.choice([-1, 1], n),
-                      S=rng.uniform(-0.3, 0.3, n), side=-1)
+                      S=rng.uniform(-0.3, 0.3, n))
     rep = check_stability(plus, minus, EOS, k=1e-3)
     keep = rep.margin >= 1e-3
 
-    def restrict(state, side):
+    def restrict(state):
         return PhysState(*(np.broadcast_to(np.asarray(getattr(state, f), float),
                                            (n,))[keep]
-                           for f in ("p", "u1", "u2", "H1", "H2", "S")),
-                         side=side)
+                           for f in ("p", "u1", "u2", "H1", "H2", "S")))
 
-    lam = build_lambda(restrict(plus, +1), restrict(minus, -1), EOS, k=1e-3)
+    lam = build_lambda(restrict(plus), restrict(minus), EOS, k=1e-3)
     H2p = np.asarray(plus.H2)[keep]
     H2m = np.asarray(minus.H2)[keep]
     jump = (np.asarray(np.broadcast_to(plus.u2, n))[keep]
@@ -225,8 +224,8 @@ def test_boundary_form_decomposition_identity():
     rng = np.random.default_rng(2)
     n = 64
     x2 = np.linspace(-np.pi, np.pi, n, endpoint=False)
-    plus = PhysState(p=1.0, u1=0.0, u2=0.4, H1=0.0, H2=1.4, S=0.0, side=+1)
-    minus = PhysState(p=1.0, u1=0.0, u2=-0.4, H1=0.0, H2=-1.1, S=0.0, side=-1)
+    plus = PhysState(p=1.0, u1=0.0, u2=0.4, H1=0.0, H2=1.4, S=0.0)
+    minus = PhysState(p=1.0, u1=0.0, u2=-0.4, H1=0.0, H2=-1.1, S=0.0)
     bt = {"u2p": 0.4, "u2m": -0.4, "H2p": 1.4, "H2m": -1.1,
           "d1uNp": 0.3, "d1uNm": -0.1, "d1HNp": 0.2, "d1HNm": 0.15,
           "d1q_jump": 0.5}
