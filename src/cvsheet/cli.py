@@ -212,6 +212,10 @@ def run_symmetrize(cfg, seed, out: Path, verbosity: int) -> dict:
                             extend_lambda)
     eos = IdealGasEos(**cfg["eos"])
     sc = cfg["symmetrize"]
+    if not (sc["collar_eps"] > 0.0 and sc["n_collar"] >= 1):
+        raise ConfigError(f"[symmetrize] needs collar_eps > 0 and n_collar "
+                          f">= 1, got {sc['collar_eps']} and "
+                          f"{sc['n_collar']}")
     plus, minus = _pair_states(cfg["state"], eos)
     lam = build_lambda(plus, minus, eos, k=sc["k_margin"])
     rep = check_stability(plus, minus, eos, k=sc["k_margin"])
@@ -294,8 +298,6 @@ def run_energy_report(cfg, seed, out: Path, verbosity: int) -> dict:
     meta = json.loads((run_dir / "checkpoints.json").read_text())
     eos = IdealGasEos(**meta["eos"])
     grid = _grid(meta["grid"])
-    from .profiles import SigmaWeight
-    sigma = SigmaWeight().value(grid.x1)[:, None]
     rows = []
     shape = (2, 6, grid.n1, grid.n2)
     for k, t in enumerate(meta["times"]):
@@ -307,7 +309,7 @@ def run_energy_report(cfg, seed, out: Path, verbosity: int) -> dict:
                               f"gives float64 {shape}")
         if not np.all(np.isfinite(V)):
             raise ConfigError(f"{path}: values must be finite")
-        rows.append((t, *energy_integrals(grid, sigma, V)))
+        rows.append((t, *energy_integrals(grid, V)))
     _csv(out / "energy_report.csv", "t,I,I1n,Isigma,I2", rows)
     return {"snapshots": len(rows)}
 

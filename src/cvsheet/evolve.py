@@ -763,14 +763,10 @@ def _weights(grid: Grid):
     return w, w * SigmaWeight().value(grid.x1) ** 2
 
 
-def energy_integrals(grid: Grid, sigma, V):
-    """(I, I1n, Isigma, I2) of a characteristic state V (2, 6, n1, n2).
-
-    ``sigma`` is the conormal weight on the x1 nodes, shaped (n1, 1).
-    """
+def energy_integrals(grid: Grid, V):
+    """(I, I1n, Isigma, I2) of a characteristic state V (2, 6, n1, n2)."""
     d1V, d2V = grid.d1(V), grid.d2(V)
-    w = grid.w1 * grid.h2
-    return _gram_energies(w, w * sigma[:, 0] ** 2, _gram(V, V),
+    return _gram_energies(*_weights(grid), _gram(V, V),
                           _gram(d1V, d1V), _gram(d2V, d2V))
 
 

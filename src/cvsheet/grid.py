@@ -1,4 +1,5 @@
-"""Truncated half-plane grid, finite-difference stencils, field container.
+"""Truncated half-plane grid, finite-difference stencils, space-time field
+container.
 
 The computational domain is [0, L1] x [-L2/2, L2/2): x1 >= 0 is the
 wall-normal direction (node 0 sits on the boundary x1 = 0, the last node on
@@ -214,31 +215,25 @@ def diff_time(f: np.ndarray, dt: float, axis: int = 0,
 
 @dataclass
 class GridFunction:
-    """Real field on the (optionally space-time) grid.
-
-    ``values`` is (n1, n2) for a spatial field or (nt, n1, n2) with uniform
-    time spacing ``dt``.
-    """
+    """Real field on the space-time grid: ``values`` is (nt, n1, n2), at
+    least two snapshots ``dt`` apart."""
 
     values: np.ndarray
     grid: Grid
-    dt: float | None = None
+    dt: float
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         if not np.all(np.isfinite(self.values)):
             raise ValueError("GridFunction values must be finite")
-        if self.values.ndim not in (2, 3):
+        if self.values.ndim != 3 or self.values.shape[0] < 2:
             raise ValueError(f"values shape {self.values.shape}: a "
-                             "GridFunction is (n1, n2) or (nt, n1, n2)")
+                             "GridFunction is (nt, n1, n2) with nt >= 2")
         if self.values.shape[-2:] != (self.grid.n1, self.grid.n2):
             raise ValueError(
                 f"values shape {self.values.shape} does not match grid "
                 f"({self.grid.n1}, {self.grid.n2})"
             )
-        if self.values.ndim == 3 and self.dt is None:
-            raise ValueError("space-time field requires dt")
-
-    @property
-    def is_spacetime(self) -> bool:
-        return self.values.ndim == 3
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"GridFunction dt must be finite and > 0, "
+                             f"got {self.dt}")

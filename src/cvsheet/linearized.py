@@ -210,11 +210,6 @@ class ValidationReport:
                 and self.hn_residual <= tol["hn"]
                 and self.phi_sup < 0.5)
 
-    def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "hyperbolicity_margin", "stability_margin", "jump_residual",
-            "transport_residual", "div_residual", "hn_residual", "phi_sup")}
-
 
 DEFAULT_TOLERANCES = {
     "hyperbolicity": 1e-6, "stability": 1e-3, "jump": 1e-8,

@@ -5,8 +5,8 @@ The conormal derivative family is
     D*^alpha = dt^a0 (sigma d1)^a1 d2^a2 d1^a3,
 
 weighted by <alpha> = a0 + a1 + a2 + 2 a3: the plain normal derivative
-counts twice, the sigma-weighted one once.  H^m_* sums the L^2 norms of all
-D*^alpha u with <alpha> <= m (a0 = 0 for the space-only norm).  The norm
+counts twice, the sigma-weighted one once.  H^m_*(Omega_T) sums the L^2
+norms over space and time of all D*^alpha u with <alpha> <= m.  The norm
 walks the derivative chains depth first, computing each chain prefix once;
 ``conormal_derivative`` computes one index alone and is the walk's test
 reference.  ``NormReport.truncate`` reads the lower orders out of one
@@ -18,7 +18,6 @@ asserting magic numbers.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,11 +39,10 @@ class MultiIndex:
         return self.a0 + self.a1 + self.a2 + 2 * self.a3
 
 
-def enumerate_indices(m: int, space_only: bool = False):
-    """All multi-indices with <alpha> <= m (a0 = 0 when space_only)."""
+def enumerate_indices(m: int):
+    """All multi-indices with <alpha> <= m."""
     out = []
-    a0_max = 0 if space_only else m
-    for a0 in range(a0_max + 1):
+    for a0 in range(m + 1):
         for a1 in range(m + 1):
             for a2 in range(m + 1):
                 for a3 in range(m // 2 + 1):
@@ -59,7 +57,7 @@ def conormal_derivative(u: GridFunction, alpha: MultiIndex) -> GridFunction:
     each weighted d1.
 
     Requires at least 5 grid points per differentiated axis (the stencil
-    footprint), and a time axis whenever a0 > 0.
+    footprint), and 3 snapshots whenever a0 > 0.
     """
     grid = u.grid
     _check_stencils(u, alpha)
@@ -78,8 +76,6 @@ def conormal_derivative(u: GridFunction, alpha: MultiIndex) -> GridFunction:
 
 def _check_stencils(u: GridFunction, alpha: MultiIndex) -> None:
     """Raise unless u has the stencil footprint every factor of alpha needs."""
-    if alpha.a0 > 0 and not u.is_spacetime:
-        raise ValueError("time derivative requested on a spatial field")
     if (alpha.a1 or alpha.a3) and u.grid.n1 < 5:
         raise ValueError("grid too coarse for the x1 stencil")
     if alpha.a2 and u.grid.n2 < 5:
@@ -93,7 +89,6 @@ class NormReport:
     """Total norm with the per-multi-index breakdown (squares sum to total^2)."""
 
     order: int
-    domain: str
     contributions: dict = field(default_factory=dict)
 
     @property
@@ -106,7 +101,7 @@ class NormReport:
         """
         if k > self.order:
             raise ValueError(f"cannot read order {k} out of order {self.order}")
-        return NormReport(order=k, domain=self.domain, contributions={
+        return NormReport(order=k, contributions={
             key: v for key, v in self.contributions.items()
             if MultiIndex(*key).weight <= k})
 
@@ -114,11 +109,8 @@ class NormReport:
 def _l2(u: GridFunction, vals: np.ndarray) -> float:
     """Discrete L^2 norm: trapezoid in x1 and t, uniform in periodic x2."""
     grid = u.grid
-    sq = vals ** 2
-    space = np.einsum("...ij,i->...", sq, grid.w1) * grid.h2
-    if vals.ndim == 3:
-        return float(np.sqrt(np.sum(space * trapezoid(vals.shape[0], u.dt))))
-    return float(np.sqrt(space))
+    space = np.einsum("...ij,i->...", vals ** 2, grid.w1) * grid.h2
+    return float(np.sqrt(np.sum(space * trapezoid(vals.shape[0], u.dt))))
 
 
 def _powers(vals: np.ndarray, n: int, op):
@@ -131,7 +123,7 @@ def _powers(vals: np.ndarray, n: int, op):
         yield vals
 
 
-def _derivative_walk(u: GridFunction, m: int, space_only: bool):
+def _derivative_walk(u: GridFunction, m: int):
     """Yield (alpha tuple, D*^alpha u values) for every <alpha> <= m.
 
     Depth first in application order (d1^a3, d2^a2, (sigma d1)^a1, dt^a0):
@@ -141,7 +133,7 @@ def _derivative_walk(u: GridFunction, m: int, space_only: bool):
     """
     grid = u.grid
     if m >= 1:  # every unit step is then an index of its own
-        _check_stencils(u, MultiIndex(int(not space_only), 1, 1, 0))
+        _check_stencils(u, MultiIndex(1, 1, 1, 0))
     sig = SigmaWeight().value(grid.x1)[:, None]
 
     def sigma_d1(vals):
@@ -154,29 +146,19 @@ def _derivative_walk(u: GridFunction, m: int, space_only: bool):
         for a2, v2 in enumerate(_powers(v3, m - 2 * a3, grid.d2)):
             r1 = m - 2 * a3 - a2
             for a1, v1 in enumerate(_powers(v2, r1, sigma_d1)):
-                r0 = 0 if space_only else r1 - a1
-                for a0, v0 in enumerate(_powers(v1, r0, dt)):
+                for a0, v0 in enumerate(_powers(v1, r1 - a1, dt)):
                     yield (a0, a1, a2, a3), v0
 
 
-def hm_star_norm(u: GridFunction, m: int, domain: str = "omega") -> NormReport:
-    """H^m_* norm on Omega (space-only, a0 = 0) or Omega_T (space-time).
+def hm_star_norm(u: GridFunction, m: int) -> NormReport:
+    """H^m_* norm on Omega_T.
 
-    ``domain`` is "omega", "omega_t", or "gamma_t"; the boundary norm is the
-    plain H^m norm in (t, x2) of the trace values.  Contributions are stored
-    in ``enumerate_indices`` order, so ``truncate(k)`` of this report equals
-    the order-k norm bit for bit.
+    Contributions are stored in ``enumerate_indices`` order, so
+    ``truncate(k)`` of this report equals the order-k norm bit for bit.
     """
-    if domain == "gamma_t":
-        return _boundary_norm(u, m)
-    space_only = domain == "omega"
-    if space_only and u.is_spacetime:
-        raise ValueError("space-only norm on a space-time field; take a slice")
-    if not space_only and not u.is_spacetime:
-        raise ValueError("space-time norm requires a time axis")
-    walk = _derivative_walk(u, m, space_only)
-    return NormReport(order=m, domain=domain, contributions=dict(
-        sorted((alpha, _l2(u, vals)) for alpha, vals in walk)))
+    return NormReport(order=m, contributions=dict(
+        sorted((alpha, _l2(u, vals))
+               for alpha, vals in _derivative_walk(u, m))))
 
 
 def w_star_norm(u: GridFunction, k: int = 1) -> float:
@@ -201,31 +183,9 @@ def _w1inf(u: GridFunction) -> float:
     grid = u.grid
     parts = [np.max(np.abs(u.values)),
              np.max(np.abs(grid.d1(u.values))),
-             np.max(np.abs(grid.d2(u.values)))]
-    if u.is_spacetime:
-        parts.append(np.max(np.abs(diff_time(u.values, u.dt, axis=0))))
+             np.max(np.abs(grid.d2(u.values))),
+             np.max(np.abs(diff_time(u.values, u.dt, axis=0)))]
     return float(sum(parts))
-
-
-def _boundary_norm(g: GridFunction, m: int) -> NormReport:
-    """H^m over (t, x2) of the boundary trace field (values (nt, 1?, n2))."""
-    vals = g.values
-    if vals.ndim == 3:
-        vals = vals[:, 0, :]
-    rep = NormReport(order=m, domain="gamma_t")
-    grid = g.grid
-    wt = trapezoid(vals.shape[0], g.dt)
-    for j, l in itertools.product(range(m + 1), range(m + 1)):
-        if j + l > m:
-            continue
-        d = vals
-        for _ in range(l):
-            d = grid.d2_boundary(d)
-        for _ in range(j):
-            d = diff_time(d, g.dt, axis=0)
-        rep.contributions[(j, l)] = float(
-            np.sqrt(np.sum(np.sum(d ** 2, axis=-1) * grid.h2 * wt)))
-    return rep
 
 
 # -- lifting ----------------------------------------------------------------
@@ -261,10 +221,6 @@ HARNESS_KINDS = ("moser3", "moser4", "moser6", "sobolev1", "sobolev2", "trace_in
 class HarnessReport:
     kind: str
     ratios: np.ndarray
-
-    @property
-    def max_ratio(self) -> float:
-        return float(np.max(self.ratios))
 
 
 #: a random harness field sums this many modes, of frequencies 0 .. _KMAX
@@ -340,12 +296,12 @@ def _harness_ratio(kind, u, v, m, rng):
         rhs = _l2(u, u.values) ** 2 + _l2(u, u.grid.d1(u.values)) ** 2
         return lhs / max(rhs, 1e-300)
     if kind in ("moser3", "moser4"):
-        num_u = hm_star_norm(u, m, "omega_t").total
-        num_v = hm_star_norm(v, m, "omega_t").total
+        num_u = hm_star_norm(u, m).total
+        num_v = hm_star_norm(v, m).total
         rhs = (num_u * w_star_norm(v, 1) + num_v * w_star_norm(u, 1))
         if kind == "moser4":
             prod = GridFunction(u.values * v.values, u.grid, dt=u.dt)
-            lhs = hm_star_norm(prod, m, "omega_t").total
+            lhs = hm_star_norm(prod, m).total
         else:
             indices = enumerate_indices(m)
             alpha = indices[rng.integers(0, len(indices))]
@@ -358,16 +314,16 @@ def _harness_ratio(kind, u, v, m, rng):
         return lhs / max(rhs, 1e-300)
     if kind == "moser6":
         fu = GridFunction(np.sin(u.values), u.grid, dt=u.dt)
-        lhs = hm_star_norm(fu, m, "omega_t").total
-        rhs = hm_star_norm(u, m, "omega_t").total
+        lhs = hm_star_norm(fu, m).total
+        rhs = hm_star_norm(u, m).total
         return lhs / max(rhs, 1e-300)
     if kind == "sobolev1":
-        h4 = hm_star_norm(u, 4, "omega_t")
+        h4 = hm_star_norm(u, 4)
         r1 = np.max(np.abs(u.values)) / max(h4.truncate(3).total, 1e-300)
         r2 = w_star_norm(u, 1) / max(h4.total, 1e-300)
         return max(r1, r2)
     if kind == "sobolev2":
-        h6 = hm_star_norm(u, 6, "omega_t")
+        h6 = hm_star_norm(u, 6)
         r1 = _w1inf(u) / max(h6.truncate(5).total, 1e-300)
         r2 = w_star_norm(u, 2) / max(h6.total, 1e-300)
         return max(r1, r2)

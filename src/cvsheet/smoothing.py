@@ -23,9 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import dct, idct, irfft, rfft
 
-from .grid import Grid
+from .grid import Grid, GridFunction
 from .norms import evaluate_field_params, hm_star_norm, sample_field_params
-from .grid import GridFunction
 from .profiles import SigmaWeight, lowpass_symbol
 
 _DTHETA = 1e-3    # theta step of the centered difference d/dtheta S_theta
@@ -160,8 +159,7 @@ def smoothing_harness(smoother: Smoother, samples: int = 4,
     as1, as2, as3 = {}, {}, {}
 
     def norms(u):
-        rep = hm_star_norm(GridFunction(u, g, dt=dt), max(orders),
-                           "omega_t")
+        rep = hm_star_norm(GridFunction(u, g, dt=dt), max(orders))
         return {k: rep.truncate(k).total for k in orders}
 
     fields = [evaluate_field_params(sample_field_params(rng), g,

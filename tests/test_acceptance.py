@@ -119,7 +119,7 @@ def test_acceptance_03_boundary_matrix_rank4():
     worst_entry = 0.0
     for b in states:
         rep = validate_basic_state(b)
-        assert rep.ok, rep.as_dict()
+        assert rep.ok, rep
         ops = assemble_effective(b.frame(0.0))
         worst_entry = max(worst_entry, ops.A1_boundary_residual)
         bm = ops.A1[..., 0, :]

@@ -147,14 +147,19 @@ def test_exit_codes(tmp_path, capsys):
     assert run_experiment(negative, tmp_path / "o", verbosity=0) == 1
     # a grid below the five-node stencil footprint (at n2 = 3 the periodic
     # stencil wraps j +- 2 onto j -+ 1) or of no extent, a compat slope
-    # fitted to one point and a jet of negative order
+    # fitted to one point, a jet of negative order, and a symmetrizer
+    # collar of no positive width (-0.25 once reported x1 in [0, -1]) or
+    # with no nodes
     for k, (exp, section, body) in enumerate((
             ("evolve", "grid", "n2 = 3"), ("evolve", "grid", "n1 = 3"),
             ("evolve", "grid", "n1 = 1"), ("evolve", "grid", "n2 = 0"),
             ("evolve", "grid", "L1 = 0"), ("compat", "grid", "L2 = -1.0"),
             ("nash-moser-demo", "grid", "n1 = 4"),
             ("compat", "compat", "fit_points = 1"),
-            ("compat", "compat", "order = -1"))):
+            ("compat", "compat", "order = -1"),
+            ("symmetrize", "symmetrize", "collar_eps = -0.25"),
+            ("symmetrize", "symmetrize", "collar_eps = 0"),
+            ("symmetrize", "symmetrize", "n_collar = 0"))):
         cfg = tmp_path / f"small_{k}.ini"
         cfg.write_text(f"[run]\nexperiment = {exp}\n\n[{section}]\n{body}\n")
         capsys.readouterr()

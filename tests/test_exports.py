@@ -1,6 +1,6 @@
 """Every name a package module exports through ``__all__`` resolves, and
-every public definition of the package is read somewhere in it or in its
-benchmark."""
+every public definition of the package, and every public method and
+property of its classes, is read somewhere in it or in its benchmark."""
 
 import ast
 import importlib
@@ -27,6 +27,16 @@ _UNREAD_ALLOWED = {
 }
 
 
+#: public class members nothing in the package or its benchmark reads, and
+#: why they stay
+_UNREAD_MEMBERS_ALLOWED = {
+    "ThetaSchedule.bounds_hold": "the paper's pinched-decrement property, "
+                                 "checked by acceptance 9",
+    "SheetOperators.linearized_L": "the one-base-point entry to walk that "
+                                   "the operator-property tests use",
+}
+
+
 def _read_names(paths):
     """Every name an AST Name, Attribute or import alias reads in ``paths``."""
     names = set()
@@ -41,12 +51,16 @@ def _read_names(paths):
     return names
 
 
-def test_every_public_definition_is_read():
-    # code that nothing in the package runs is deleted, not kept for tests
+def _package_and_read_names():
     root = Path(__file__).resolve().parents[1]
     package = root / "src" / "cvsheet"
-    read = _read_names([*package.rglob("*.py"),
-                        *(root / "perfbench").glob("*.py")])
+    return package, _read_names([*package.rglob("*.py"),
+                                 *(root / "perfbench").glob("*.py")])
+
+
+def test_every_public_definition_is_read():
+    # code that nothing in the package runs is deleted, not kept for tests
+    package, read = _package_and_read_names()
     unread = sorted(
         f"{path.stem}.{node.name}"
         for path in package.glob("*.py")
@@ -56,4 +70,24 @@ def test_every_public_definition_is_read():
         and node.name not in read and node.name not in _UNREAD_ALLOWED)
     assert not unread, f"public definitions nothing reads: {unread}"
     stale = sorted(name for name in _UNREAD_ALLOWED if name in read)
+    assert not stale, f"allowed as unread, but read: {stale}"
+
+
+def test_every_public_member_is_read():
+    # a method or property that only tests read is as dead as an unread
+    # function
+    package, read = _package_and_read_names()
+    unread = sorted(
+        f"{cls.name}.{node.name}"
+        for path in package.glob("*.py")
+        for cls in ast.parse(path.read_text()).body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and node.name not in read
+        and f"{cls.name}.{node.name}" not in _UNREAD_MEMBERS_ALLOWED)
+    assert not unread, f"public members nothing reads: {unread}"
+    stale = sorted(key for key in _UNREAD_MEMBERS_ALLOWED
+                   if key.split(".")[1] in read)
     assert not stale, f"allowed as unread, but read: {stale}"

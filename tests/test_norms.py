@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cvsheet.norms as norms_module
-from cvsheet.grid import Grid, GridFunction, diff_time
+from cvsheet.grid import Grid, GridFunction, diff_time, trapezoid
 from cvsheet.norms import (HARNESS_KINDS, MultiIndex, _l2,
                            conormal_derivative, enumerate_indices,
                            hm_star_norm, inequality_harness, lift,
@@ -17,9 +17,10 @@ def grid():
     return Grid(n1=40, n2=32, L1=2.0, L2=2 * np.pi)
 
 
-def _l2_norm(grid, f):
-    """The L2 norm over the spatial domain by the grid's quadrature."""
-    return np.sqrt(grid.integrate(np.asarray(f) ** 2))
+def _l2_norm(grid, f, dt):
+    """The L2 norm over Omega_T by the grid's quadrature, trapezoid in t."""
+    return np.sqrt(np.sum(grid.integrate(np.asarray(f) ** 2)
+                          * trapezoid(len(f), dt)))
 
 
 def test_weight_counts_normal_twice():
@@ -37,36 +38,40 @@ def test_sigma_profile():
 
 def test_identity_and_weighted_derivative(grid):
     x1, x2 = grid.mesh()
-    u = GridFunction(values=x1.copy(), grid=grid)
+    u = GridFunction(values=np.stack([x1] * 3), grid=grid, dt=0.1)
     ident = conormal_derivative(u, MultiIndex())
     assert np.array_equal(ident.values, u.values)
     d = conormal_derivative(u, MultiIndex(0, 1, 0, 0))
     inner = grid.x1 <= 0.5
-    assert np.allclose(d.values[inner, :], x1[inner, :], atol=1e-10)
+    assert np.allclose(d.values[:, inner, :], x1[inner, :], atol=1e-10)
 
 
 def test_time_derivative_requires_history(grid):
-    u = GridFunction(values=np.zeros((grid.n1, grid.n2)), grid=grid)
+    # two snapshots are a field, but too few for the time stencil
+    u = GridFunction(values=np.zeros((2, grid.n1, grid.n2)), grid=grid,
+                     dt=0.1)
     with pytest.raises(ValueError):
         conormal_derivative(u, MultiIndex(1, 0, 0, 0))
 
 
 def test_norm_m0_is_l2_and_constant(grid):
+    nt, T = 5, 1.0
     rng = np.random.default_rng(0)
-    vals = rng.normal(size=(grid.n1, grid.n2))
-    u = GridFunction(values=vals, grid=grid)
-    rep = hm_star_norm(u, 0, "omega")
-    assert rep.total == pytest.approx(_l2_norm(grid, vals))
-    c = GridFunction(values=np.full((grid.n1, grid.n2), 3.0), grid=grid)
-    rep1 = hm_star_norm(c, 1, "omega")
-    assert rep1.total == pytest.approx(3.0 * np.sqrt(grid.L1 * grid.L2))
+    vals = rng.normal(size=(nt, grid.n1, grid.n2))
+    u = GridFunction(values=vals, grid=grid, dt=T / (nt - 1))
+    rep = hm_star_norm(u, 0)
+    assert rep.total == pytest.approx(_l2_norm(grid, vals, u.dt))
+    c = GridFunction(values=np.full((nt, grid.n1, grid.n2), 3.0), grid=grid,
+                     dt=T / (nt - 1))
+    rep1 = hm_star_norm(c, 1)
+    assert rep1.total == pytest.approx(3.0 * np.sqrt(grid.L1 * grid.L2 * T))
 
 
 def test_norm_monotone_in_order(grid):
     u = random_smooth_field(grid, nt=7, T=1.0, rng=np.random.default_rng(4))
     prev = 0.0
     for m in range(4):
-        tot = hm_star_norm(u, m, "omega_t").total
+        tot = hm_star_norm(u, m).total
         assert tot >= prev - 1e-13
         prev = tot
 
@@ -75,7 +80,7 @@ def test_spacetime_norm_equals_time_integral_of_triple(grid):
     # || u ||_{m,*,T}^2 = integral of ||| u(s) |||_{m,*}^2 ds discretely
     nt, T, m = 9, 1.0, 2
     u = random_smooth_field(grid, nt=nt, T=T, rng=np.random.default_rng(8))
-    total = hm_star_norm(u, m, "omega_t").total
+    total = hm_star_norm(u, m).total
     # independent summation order: triple norm per slice, trapezoid in time
     acc = 0.0
     wt = np.full(nt, u.dt)
@@ -89,26 +94,21 @@ def test_spacetime_norm_equals_time_integral_of_triple(grid):
 
 
 @given(n1=st.integers(5, 16), n2=st.integers(5, 16), nt=st.integers(3, 6),
-       m=st.integers(0, 4), space_only=st.booleans(),
-       seed=st.integers(0, 2 ** 32 - 1))
+       m=st.integers(0, 4), seed=st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=30, deadline=None)
-def test_walk_matches_per_index_oracle(n1, n2, nt, m, space_only, seed):
+def test_walk_matches_per_index_oracle(n1, n2, nt, m, seed):
     grid = Grid(n1=n1, n2=n2, L1=2.0, L2=2 * np.pi)
     rng = np.random.default_rng(seed)
-    if space_only:
-        u, domain = GridFunction(rng.normal(size=(n1, n2)), grid), "omega"
-    else:
-        u = GridFunction(rng.normal(size=(nt, n1, n2)), grid, dt=0.1)
-        domain = "omega_t"
-    rep = hm_star_norm(u, m, domain)
-    indices = enumerate_indices(m, space_only=space_only)
+    u = GridFunction(rng.normal(size=(nt, n1, n2)), grid, dt=0.1)
+    rep = hm_star_norm(u, m)
+    indices = enumerate_indices(m)
     keys = [(a.a0, a.a1, a.a2, a.a3) for a in indices]
     assert list(rep.contributions) == keys
     for alpha, key in zip(indices, keys):
         oracle = _l2(u, conormal_derivative(u, alpha).values)
         assert rep.contributions[key] == oracle
     for k in range(m + 1):
-        low, fresh = rep.truncate(k), hm_star_norm(u, k, domain)
+        low, fresh = rep.truncate(k), hm_star_norm(u, k)
         assert list(low.contributions.items()) == list(
             fresh.contributions.items())
         assert low.total == fresh.total
@@ -135,27 +135,26 @@ def test_walk_applies_one_stencil_per_index(monkeypatch):
     u = random_smooth_field(grid, nt=5, T=1.0, rng=np.random.default_rng(0))
     for m, stencils in ((3, 23), (6, 129)):
         calls.clear()
-        hm_star_norm(u, m, "omega_t")
+        hm_star_norm(u, m)
         assert len(calls) == stencils
 
 
 def test_walk_keeps_the_per_index_checks():
-    def field(n1, n2, nt=None):
+    def field(n1, n2, nt=3):
         g = Grid(n1=n1, n2=n2, L1=2.0, L2=2 * np.pi)
-        shape = (n1, n2) if nt is None else (nt, n1, n2)
-        return GridFunction(np.ones(shape), g, dt=None if nt is None else 0.1)
+        return GridFunction(np.ones((nt, n1, n2)), g, dt=0.1)
 
     with pytest.raises(ValueError, match="x1 stencil"):
         hm_star_norm(field(4, 8), 1)
     with pytest.raises(ValueError, match="x2 stencil"):
         hm_star_norm(field(8, 4), 1)
     with pytest.raises(ValueError, match="time axis too short"):
-        hm_star_norm(field(8, 8, nt=2), 1, "omega_t")
-    assert hm_star_norm(field(4, 4, nt=2), 0, "omega_t").total > 0.0
+        hm_star_norm(field(8, 8, nt=2), 1)
+    assert hm_star_norm(field(4, 4, nt=2), 0).total > 0.0
     # a derivative that overflows is an error, as a non-finite GridFunction
     u = field(8, 8)
-    u.values[::2] = 1e308
-    u.values[1::2] = -1e308
+    u.values[:, ::2] = 1e308
+    u.values[:, 1::2] = -1e308
     with np.errstate(all="ignore"), pytest.raises(ValueError,
                                                    match="finite"):
         hm_star_norm(u, 2)
@@ -298,13 +297,21 @@ def test_lift_of_a_boundary_stack_is_the_stack_of_lifts(grid, lead):
     assert np.array_equal(R[..., 0, :], v)
 
 
-@pytest.mark.parametrize("shape", [(4, 3, 8, 8), (2, 2, 2, 8, 8)])
-def test_grid_function_rejects_more_than_three_axes(shape):
+@pytest.mark.parametrize("shape, dt, match", [
+    pytest.param((4, 3, 8, 8), 0.1, "GridFunction is", id="shape0"),
+    pytest.param((2, 2, 2, 8, 8), 0.1, "GridFunction is", id="shape1"),
+    # a space-only field, and one snapshot, which once took the trapezoid
+    # weight dt / 4 for the time integral
+    pytest.param((8, 8), 0.1, "GridFunction is", id="spatial"),
+    pytest.param((1, 8, 8), 0.1, "GridFunction is", id="one-snapshot"),
+    # a step that is not positive and finite: -0.1 once gave a NaN norm
+    pytest.param((3, 8, 8), 0.0, "dt must be", id="dt-zero"),
+    pytest.param((3, 8, 8), -0.1, "dt must be", id="dt-negative"),
+    pytest.param((3, 8, 8), float("nan"), "dt must be", id="dt-nan")])
+def test_grid_function_rejects_more_than_three_axes(shape, dt, match):
     grid = Grid(n1=8, n2=8, L1=1.0, L2=1.0)
-    with pytest.raises(ValueError, match="GridFunction is"):
-        GridFunction(np.zeros(shape), grid, dt=0.1)
-    with pytest.raises(ValueError, match="GridFunction is"):
-        GridFunction(np.zeros(shape), grid)
+    with pytest.raises(ValueError, match=match):
+        GridFunction(np.zeros(shape), grid, dt=dt)
 
 
 def test_trace_norm_constant_refinement_stable():
@@ -323,7 +330,7 @@ def test_trace_norm_constant_refinement_stable():
             wt[0] *= 0.5
             wt[-1] *= 0.5
             num = np.sqrt(np.sum(np.sum(tr ** 2, axis=-1) * grid.h2 * wt))
-            den = hm_star_norm(u, 1, "omega_t").total
+            den = hm_star_norm(u, 1).total
             ratios.append(num / den)
         consts.append(max(ratios))
     cmax, cmin = max(consts), min(consts)
@@ -335,7 +342,7 @@ def test_trace_inequality_unit_constant():
     rep = inequality_harness("trace_in", samples=12, grid=grid, nt=9,
                              rng=np.random.default_rng(0))
     # squared-trace over squared-RHS stays below 1 + O(h)
-    assert rep.max_ratio <= 1.1
+    assert rep.ratios.max() <= 1.1
 
 
 def test_harness_all_kinds_run_and_stay_bounded():
@@ -345,7 +352,7 @@ def test_harness_all_kinds_run_and_stay_bounded():
         rep = inequality_harness(kind, samples=4, grid=grid, nt=7, m=2,
                                  rng=rng)
         assert np.all(np.isfinite(rep.ratios))
-        assert rep.max_ratio < 1e3
+        assert rep.ratios.max() < 1e3
 
 
 def test_moser4_refinement_stability():
@@ -355,7 +362,7 @@ def test_moser4_refinement_stability():
         grid = Grid(n1=n, n2=n, L1=2.0, L2=2 * np.pi)
         rep = inequality_harness("moser4", samples=6, grid=grid, nt=7, m=2,
                                  rng=np.random.default_rng(6))
-        maxima.append(rep.max_ratio)
+        maxima.append(rep.ratios.max())
     assert max(maxima) / min(maxima) <= 2.0
 
 

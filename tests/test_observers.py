@@ -287,7 +287,7 @@ def test_energy_integrals_equal_the_summed_squares():
     d1V, d2V = grid.d1(V), grid.d2(V)
     want = [grid.integrate((a ** 2).sum(axis=(0, 1))) for a in
             (V, d1V[:, (IQ, IUN, IHN)], sigma * d1V, d2V)]
-    got = ev.energy_integrals(grid, sigma, V)
+    got = ev.energy_integrals(grid, V)
     for g, w in zip(got, want):
         assert g == pytest.approx(float(w), rel=1e-13, abs=0)
 

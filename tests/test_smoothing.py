@@ -105,8 +105,8 @@ def test_harness_as1_equals_fresh_norms():
               for _ in range(3)]
 
     def norm(vals, k):
-        return hm_star_norm(GridFunction(vals, grid, dt=fields[0].dt), k,
-                            "omega_t").total
+        return hm_star_norm(GridFunction(vals, grid, dt=fields[0].dt),
+                            k).total
 
     expected = {}
     for theta in thetas:
