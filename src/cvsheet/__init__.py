@@ -14,12 +14,12 @@ __version__ = "0.1.0"
 
 from .grid import Grid, GridFunction
 from .mhd import IdealGasEos, PhysState
-from .profiles import CutoffChi, EtaProfile, SigmaWeight
+from .profiles import SigmaWeight
 from .stability import build_lambda, check_stability, wang_yu_compare
 
 __all__ = [
     "Grid", "GridFunction", "IdealGasEos", "PhysState",
-    "CutoffChi", "EtaProfile", "SigmaWeight",
+    "SigmaWeight",
     "build_lambda", "check_stability", "wang_yu_compare",
     "__version__",
 ]

@@ -72,8 +72,7 @@ SCHEMAS = {
         "evolve": {"t_final": 0.4, "cfl": 0.4, "forcing_amplitude": 1.0,
                    "forcing_k2": 2, "forcing_ramp": 0.2,
                    "boundary_amplitude": 0.0, "boundary_k2": 2,
-                   "write_checkpoint": False, "checkpoint_count": 3,
-                   "ledger": True},
+                   "write_checkpoint": False, "checkpoint_count": 3},
     },
     "energy-report": {
         "energy-report": {"run_dir": "."},
@@ -267,12 +266,10 @@ def run_evolve(cfg, seed, out: Path, verbosity: int) -> dict:
         snap_times = list(np.linspace(0.0, ev["t_final"],
                                       ev["checkpoint_count"]))
     traj = evolve(basic, t_final=ev["t_final"], forcing=forcing, bdata=bdata,
-                  cfl=ev["cfl"], ledger=ev["ledger"],
-                  snapshot_times=snap_times)
-    if ev["ledger"]:
-        _csv(out / "energy_ledger.csv",
-             "t,I,I0,I1n,Isigma,I2,phiL2,identity_residual",
-             map(astuple, traj.ledger.rows))
+                  cfl=ev["cfl"], snapshot_times=snap_times)
+    _csv(out / "energy_ledger.csv",
+         "t,I,I0,I1n,Isigma,I2,phiL2,identity_residual",
+         map(astuple, traj.ledger.rows))
     _csv(out / "boundary_energy.csv", "t,boundary_energy,div_residual,"
          "hn_residual",
          zip(traj.times, traj.boundary_energy, traj.div_residual,
@@ -288,7 +285,7 @@ def run_evolve(cfg, seed, out: Path, verbosity: int) -> dict:
             "eos": cfg["eos"],
         }, sort_keys=True, indent=1) + "\n")
     return {"steps": len(traj.times) - 1,
-            "final_I": traj.ledger.rows[-1].I if ev["ledger"] else None,
+            "final_I": traj.ledger.rows[-1].I,
             "cstar": traj.cstar, "lambda_fallback": traj.lambda_fallback}
 
 

@@ -21,14 +21,14 @@ when the data are compatible to order J.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .front import apply_L, lift_front, straightened_coefficients
 from .grid import Grid
 from .mhd import IH1, IH2, IP, IS, IU1, IU2, NCOMP
-from .profiles import CutoffChi, quintic_step, time_bump, time_bump_d
+from .profiles import quintic_step, time_bump, time_bump_d
 
 _SLOPE_TOL = 1e-12    # least (H2+)^2 + (H2-)^2 the front slope is read from
 _FD_STEP = 0.02       # node spacing of the jets' time-difference stencils
@@ -49,7 +49,6 @@ class InitialData:
     eos: object
     U0: np.ndarray               # (2, 6, n1, n2)
     phi0: np.ndarray             # (n2,)
-    chi: CutoffChi = field(default_factory=CutoffChi)
 
     def __post_init__(self):
         self.U0 = np.asarray(self.U0, dtype=float)
@@ -108,7 +107,7 @@ def _taylor(coeffs, t: float, shift: int) -> np.ndarray:
 def _rhs_eval(data: InitialData, Upoly, phipoly, dphipoly):
     """-A0^{-1}(A1~ d1 U + A2 d2 U) on the grid for polynomial samples."""
     g = data.grid
-    lifted = lift_front(phipoly, g, data.chi, dphipoly)
+    lifted = lift_front(phipoly, g, dphipoly)
     coeffs = straightened_coefficients(Upoly, lifted, data.eos)
     rhs = apply_L(coeffs, None, g.d1(Upoly), g.d2(Upoly),
                   np.empty_like(Upoly))
@@ -287,7 +286,7 @@ def forcing_fa(approx: ApproxSolution):
         Ut = approx.u_t(t)
         phi = approx.phi(t)
         phit = approx.phi_t(t)
-        lifted = lift_front(phi, g, data.chi, phit)
+        lifted = lift_front(phi, g, phit)
         out = apply_L(straightened_coefficients(U, lifted, data.eos), Ut,
                       g.d1(U), g.d2(U), np.empty_like(U))
         return np.negative(out, out=out)

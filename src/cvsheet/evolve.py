@@ -40,13 +40,12 @@ must neither write to the end-of-step arrays nor keep the pair past
 
 The observers are the snapshot recorder, the constraint monitors (div
 hdot, the wall magnetic constraint, the boundary energy), the a priori
-monitor behind ``Trajectory.cstar`` and the ledger.
-``evolve(..., monitors=False)`` runs
-the recorder alone, as the Nash-Moser solve does: it differentiates no
-end-of-step V of its own and interpolates only the bundle entries the march
-applies.  ``Trajectory.timings`` gives the wall seconds of the march and of
-each observer; they are the one part of a trajectory that is not
-reproducible.
+monitor behind ``Trajectory.cstar`` and, on a steady basic state, the
+ledger.  ``evolve(..., monitors=False)`` runs the recorder alone, as the
+Nash-Moser solve does: it differentiates no end-of-step V of its own and
+interpolates only the bundle entries the march applies.
+``Trajectory.timings`` gives the wall seconds of the march and of each
+observer; they are the one part of a trajectory that is not reproducible.
 
 A time-dependent basic state's coefficients are interpolated between
 snapshot bundles.  The march reads the snapshot brackets in time order, so
@@ -119,10 +118,10 @@ class Trajectory:
     the fields at ``snapshot_times``.  The constraint monitors give
     ``boundary_energy``, ``div_residual`` and ``hn_residual`` per step, the
     a priori monitor ``apriori`` (and so ``cstar``), the ledger ``ledger``.
-    A field whose observer did not run (``monitors=False``, or
-    ``ledger=False`` for the ledger) is None.  ``timings`` holds the wall
-    seconds of the march and of each observer that ran; it is the one
-    field that differs between runs of the same inputs.
+    A field whose observer did not run (``monitors=False``, or a
+    time-dependent basic state for the ledger) is None.  ``timings`` holds
+    the wall seconds of the march and of each observer that ran; it is the
+    one field that differs between runs of the same inputs.
     """
 
     times: np.ndarray
@@ -210,7 +209,7 @@ class _CoeffCache:
             g = basic.grid
             self._source = BasicState(
                 grid=Grid(g.n1, 1, g.L1, g.L2), eos=basic.eos,
-                U=basic.U[..., :1], phi=basic.phi[..., :1], chi=basic.chi)
+                U=basic.U[..., :1], phi=basic.phi[..., :1])
             if lam_field is not None:
                 self.lam_field = lam_field[..., :1]
         self._steady = None
@@ -280,17 +279,16 @@ def _ledger_multiplier(basic: BasicState):
 
 def evolve(basic: BasicState, t_final: float, *, forcing=None, bdata=None,
            cfl: float = 0.4, sponge_strength: float = 2.0,
-           ledger: bool = True, snapshot_times=None,
-           dt_override: float | None = None,
+           snapshot_times=None, dt_override: float | None = None,
            monitors: bool = True) -> Trajectory:
     """March the linearized problem from rest with causal data.
 
     ``forcing(t) -> (2, 6, n1, n2)`` in the good-unknown components and
     ``bdata(t) -> (3, n2)`` for (g1+, g1-, g2) both default to zero.  Zero
     data reproduce the zero solution exactly.  ``monitors=False`` runs the
-    snapshot recorder alone (``times``, ``phi``, ``snapshots``); the ledger
-    is a monitor, so ``ledger=True`` needs ``monitors=True``.  A
-    time-dependent ``basic`` must have snapshots covering [0, t_final].
+    snapshot recorder alone (``times``, ``phi``, ``snapshots``).  The
+    ledger runs with the monitors on a steady ``basic``; a time-dependent
+    ``basic`` gets no ledger and must have snapshots covering [0, t_final].
     ``t_final``, ``cfl`` and a given ``dt_override`` must be positive; the
     march takes at least one step.  ``snapshot_times`` must be finite,
     non-decreasing and inside [0, t_final]; each takes V at the step
@@ -306,9 +304,6 @@ def evolve(basic: BasicState, t_final: float, *, forcing=None, bdata=None,
         if not prev <= t <= t_final + slack:
             raise ValueError(f"snapshot time {t!r} is not finite, in order "
                              f"and inside [0, {t_final!r}]")
-    if ledger and not monitors:
-        raise ValueError("ledger=True needs monitors=True: the ledger is "
-                         "a monitor")
     if not basic.steady:
         tg = basic.tgrid
         slack = _STEP_ROUNDOFF * (tg[-1] - tg[0])
@@ -317,6 +312,7 @@ def evolve(basic: BasicState, t_final: float, *, forcing=None, bdata=None,
                              f"{tg[-1]:.6g}], not the march's [0, "
                              f"{t_final:.6g}]")
     grid = basic.grid
+    ledger = monitors and basic.steady
     lam_field, lambda_fallback = (_ledger_multiplier(basic) if ledger
                                   else (None, None))
 
@@ -877,7 +873,8 @@ class _LedgerAccumulator:
     so the symmetrized identity carries three right-hand contributions:
     the wall/far boundary fluxes of B1c, the source 2 (J^T (S F + T div
     hdot / d1Phi)) . V, and the zero-order quadratic form including the
-    sponge damping through B0c.  Steady basic states only.
+    sponge damping through B0c.  ``evolve`` runs it on steady basic states,
+    with the symmetrized family of a multiplier field in the cache.
 
     Every term is a form ``_form(M, X, Y)``.  ``B0``, J^T S, J^T T and the
     zero-order matrix keep the shape of the cache's bundle: (..., n1, 1)
@@ -892,8 +889,6 @@ class _LedgerAccumulator:
     """
 
     def __init__(self, grid: Grid, cache: _CoeffCache, dt: float, sponge):
-        if not cache.basic.steady:
-            raise ValueError("the energy ledger supports steady basic states")
         self.grid = grid
         self.dt = dt
         self._w, self._wsig = _weights(grid)
@@ -901,10 +896,7 @@ class _LedgerAccumulator:
         self._flux_int = 0.0
         self._prev_integrand = None
         co = cache.at(0.0)
-        ops = co["ops"]
-        if ops.B0 is None:
-            raise ValueError("ledger requires the symmetrized family")
-        self.ops = ops
+        self.ops = ops = co["ops"]
         self._S, self._B0 = _compact(ops.S), _compact(ops.B0)
         self._Jt = np.swapaxes(co["J"], 1, 2)
         self._d1phi = co["d1phi"]

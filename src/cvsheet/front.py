@@ -2,8 +2,9 @@
 
 The discontinuity front x1 = phi(t, x2) is flattened by the change of
 variables Phi±(t, x) = ±x1 + Psi±(t, x), Psi±(t, x) = chi(±x1) phi(t, x2),
-which maps both sides onto the fixed half-plane x1 > 0.  Because the cutoff
-chi has slope at most 1/2, any front with sup|phi| < 1/2 keeps the Jacobian
+which maps both sides onto the fixed half-plane x1 > 0.  The cutoff chi is
+one fixed profile (``profiles.chi``).  Because it has slope at most 1/2,
+any front with sup|phi| < 1/2 keeps the Jacobian
 d1Phi+ >= 1/2 (and d1Phi- <= -1/2), so the transform never degenerates.
 
 This module is the one home of the straightened operator
@@ -22,10 +23,10 @@ import numpy as np
 
 from .grid import Grid
 from .mhd import PhysState, assemble_coefficients
-from .profiles import CutoffChi
+from .profiles import chi, chi_d
 
 __all__ = [
-    "CutoffChi", "LiftedFront", "lift_front", "straighten",
+    "LiftedFront", "lift_front", "straighten",
     "straightened_coefficients", "apply_L", "transformed_vectors",
     "induction_advection",
 ]
@@ -58,8 +59,9 @@ class LiftedFront:
         return sgn + self.d1_psi
 
 
-def lift_front(phi, grid: Grid, chi: CutoffChi, dphi_t=None) -> LiftedFront:
-    """Build Psi± = chi(±x1) phi and Phi± = ±x1 + Psi± on the grid.
+def lift_front(phi, grid: Grid, dphi_t=None) -> LiftedFront:
+    """Build Psi± = chi(±x1) phi and Phi± = ±x1 + Psi± on the grid, with
+    the one fixed cutoff ``profiles.chi``.
 
     ``phi`` is (..., n2) (a leading time axis is allowed).  ``dphi_t``
     supplies its time derivative when the lift of dPsi/dt is needed
@@ -69,9 +71,9 @@ def lift_front(phi, grid: Grid, chi: CutoffChi, dphi_t=None) -> LiftedFront:
     phi = np.asarray(phi, dtype=float)
     # chi is even, so chi(+x1) = chi(-x1) on the grid and the lifts agree;
     # the derivative d/dx1[chi(±x1)] = ±chi'(±x1) also coincides sidewise.
-    cv = chi.value(x1)
-    cdp = chi.derivative(x1)            # d/dx1 chi(x1)
-    cdm = -chi.derivative(-x1)          # d/dx1 chi(-x1)
+    cv = chi(x1)
+    cdp = chi_d(x1)                     # d/dx1 chi(x1)
+    cdm = -chi_d(-x1)                   # d/dx1 chi(-x1)
     d2p = grid.d2_boundary(phi)[..., None, :]
     phi = phi[..., None, :]             # (..., 1, n2)
     psi = np.stack([cv * phi, cv * phi])

@@ -31,7 +31,7 @@ marcher of the Nash-Moser magnetic transport solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +40,6 @@ from .front import (LiftedFront, apply_L, induction_advection, lift_front,
 from .grid import Grid, diff_time, time_row
 from .mhd import (IH1, IH2, IP, IS, IU1, IU2, NCOMP, PhysState,
                   _require_admissible)
-from .profiles import CutoffChi
 from .stability import (LambdaPair, assemble_symmetrizer, build_lambda,
                         check_stability)
 
@@ -66,7 +65,6 @@ class BasicState:
     U: np.ndarray
     phi: np.ndarray
     tgrid: np.ndarray | None = None
-    chi: CutoffChi = field(default_factory=CutoffChi)
 
     def __post_init__(self):
         self.U = np.asarray(self.U, dtype=float)
@@ -75,6 +73,12 @@ class BasicState:
             self.U = self.U[None]
         if self.phi.ndim == 1:
             self.phi = self.phi[None]
+        g, nt = self.grid, self.U.shape[0]
+        if (self.U.shape != (nt, 2, NCOMP, g.n1, g.n2)
+                or self.phi.shape != (nt, g.n2)):
+            raise ValueError(f"U {self.U.shape} and phi {self.phi.shape} are "
+                             f"not (nt, 2, {NCOMP}, {g.n1}, {g.n2}) and "
+                             f"(nt, {g.n2}) on the grid")
         if self.U.shape[0] > 1 and self.tgrid is None:
             raise ValueError("time-dependent basic state needs tgrid")
         if self.tgrid is not None:
@@ -164,8 +168,7 @@ class BasicFrame:
         self.Ut = Ut
         self.phi = phi               # (n2,)
         self.phit = phit
-        self.lifted: LiftedFront = lift_front(phi, basic.grid, basic.chi,
-                                              phit)
+        self.lifted: LiftedFront = lift_front(phi, basic.grid, phit)
         self.states = tuple(PhysState.from_vector(u) for u in U)
 
     # -- boundary traces used by the boundary conditions -------------------
@@ -291,15 +294,16 @@ def trivial_sheet_state(grid: Grid, eos, *, p_plus=1.0, u2_jump=0.0,
     return BasicState(grid=grid, eos=eos, U=U, phi=np.zeros(grid.n2))
 
 
-def sheared_sheet_state(grid: Grid, eos, rng=None, *, amplitude=0.15,
-                        p_plus=1.5, u2_jump=0.3, H2_plus=1.5,
-                        H2_minus=1.2) -> BasicState:
+def sheared_sheet_state(grid: Grid, eos, rng=None) -> BasicState:
     """Non-constant manufactured basic state satisfying all constraints.
 
     Wall-normal shear profiles u2±(x1), H2±(x1) (u1 = H1 = 0, flat front)
     satisfy the transport identity and div h = 0 identically; pressure and
     entropy may vary in both variables without breaking any constraint.
+    The profiles have amplitude 0.15 about p+ = 1.5, a u2 jump of 0.3 and
+    H2± = 1.5 / 1.2, with p- from the total-pressure balance.
     """
+    amplitude, p_plus, u2_jump, H2_plus, H2_minus = 0.15, 1.5, 0.3, 1.5, 1.2
     rng = rng or np.random.default_rng(0)
     x1 = grid.x1[:, None]
     x2 = grid.x2[None, :]
@@ -398,10 +402,9 @@ class SheetOperators:
     literal operator differences, exact up to floating point.
     """
 
-    def __init__(self, grid: Grid, eos, chi, tgrid: np.ndarray):
+    def __init__(self, grid: Grid, eos, tgrid: np.ndarray):
         self.grid = grid
         self.eos = eos
-        self.chi = chi
         self.dt = time_step(tgrid)
 
     def walk(self, bases, dU=None, dphi=None):
@@ -422,14 +425,14 @@ class SheetOperators:
         g, dt = self.grid, self.dt
         for n in range(len(bases[0][0])):
             if dU is not None:
-                dl = lift_front(dphi[n], g, self.chi, time_row(dphi, dt, n))
+                dl = lift_front(dphi[n], g, time_row(dphi, dt, n))
                 dU_derivs = ((time_row(dU, dt, n), dl.dt_psi),
                              (g.d1(dU[n]), dl.d1_psi),
                              (g.d2(dU[n]), dl.d2_psi))
             pairs = []
             for U, phi, value in bases:
                 dtU, d1U, d2U = time_row(U, dt, n), g.d1(U[n]), g.d2(U[n])
-                lifted = lift_front(phi[n], g, self.chi, time_row(phi, dt, n))
+                lifted = lift_front(phi[n], g, time_row(phi, dt, n))
                 coeffs = straightened_coefficients(U[n], lifted, self.eos)
                 val = lin = None
                 if value:
@@ -513,7 +516,7 @@ def _j_off(frame: BasicFrame, rates: bool = False):
     if not rates:
         return off, None
     H1t, H2t = frame.Ut[:, IH1], frame.Ut[:, IH2]
-    d2psit = lift_front(frame.phit, frame.grid, frame.basic.chi).d2_psi
+    d2psit = lift_front(frame.phit, frame.grid).d2_psi
     return off, np.stack([-H1t, -(H1t * d2psi + H1 * d2psit + H2t), d2psit,
                           d2psit], axis=1)
 

@@ -117,11 +117,10 @@ class NashMoserDriver:
         data = approx.jet.data
         self.grid: Grid = data.grid
         self.eos = data.eos
-        self.chi = data.chi
         self.tgrid = np.asarray(tgrid, dtype=float)
         self.nt = len(self.tgrid)
         self.dt = time_step(self.tgrid)
-        self.ops = SheetOperators(self.grid, self.eos, self.chi, self.tgrid)
+        self.ops = SheetOperators(self.grid, self.eos, self.tgrid)
         self.Ua = np.stack([approx.u(t) for t in self.tgrid])
         self.phia = np.stack([approx.phi(t) for t in self.tgrid])
         Ffun = forcing_fa(approx)
@@ -201,7 +200,7 @@ class NashMoserDriver:
         Vh[:, :, IH2] = Hfull[:, :, 1] - self.Ua[:, :, IH2]
 
         basic = BasicState(grid=g, eos=self.eos, U=self.Ua + Vh, phi=phi_half,
-                           tgrid=self.tgrid, chi=self.chi)
+                           tgrid=self.tgrid)
         self._check_modified(basic)
         return basic
 
@@ -217,7 +216,7 @@ class NashMoserDriver:
             phi = (1 - w) * phi_f[n] + w * phi_f[n + 1]
             dtphi = (1 - w) * dtphi_f[n] + w * dtphi_f[n + 1]
             u = (1 - w) * u_f[n] + w * u_f[n + 1]
-            lifted = lift_front(phi, g, self.chi, dtphi)
+            lifted = lift_front(phi, g, dtphi)
             return np.stack([-induction_advection(u[i], Hn[i], lifted, side)
                              for i, side in enumerate(SIDES)])
 
@@ -259,8 +258,7 @@ class NashMoserDriver:
         traj = evolve(basic, t_final=float(self.tgrid[-1]),
                       forcing=_SnapshotInterpolant(self.tgrid, f_i),
                       bdata=_SnapshotInterpolant(self.tgrid, g_i),
-                      ledger=False, monitors=False,
-                      snapshot_times=self.tgrid,
+                      monitors=False, snapshot_times=self.tgrid,
                       dt_override=self.dt / substeps, sponge_strength=0.0)
         dVdot_char = traj.snapshots
         if (dVdot_char.shape[0] != nt or np.max(np.abs(
@@ -271,7 +269,7 @@ class NashMoserDriver:
 
         # undo the characteristic change and the Alinhac substitution; of
         # dUdot only the wall row is kept, all that B'_e reads of it
-        dPsi = lift_front(dpsi, g, self.chi).psi     # (2, nt, n1, n2)
+        dPsi = lift_front(dpsi, g).psi      # (2, nt, n1, n2)
         dUdot_wall = np.empty((nt, 2, 6, 1, g.n2))
         dV = np.empty_like(dVdot_char)
         shift = np.empty((nt, 2, 1, g.n1, g.n2))    # dPsi / d1Phi

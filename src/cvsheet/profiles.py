@@ -4,7 +4,7 @@ Everything here is built from a single monotone quintic ramp with flat
 endpoints.  The ramp's peak slope is 1.25 (the minimum attainable by a
 quintic with zero endpoint derivatives), so a ramp stretched over a width
 ``w`` has max slope ``1.25 / w``.  That margin is what lets the front
-cutoff meet its slope budget of 1/2 on a width-3 ramp.
+cutoff ``chi`` meet its slope budget of 1/2 on a width-3 ramp.
 """
 
 from __future__ import annotations
@@ -33,36 +33,29 @@ def quintic_step_d(t):
     return np.where(inside, d, 0.0)
 
 
-@dataclass(frozen=True)
-class CutoffChi:
-    """Even cutoff profile: 1 on [-plateau, plateau], 0 outside the support.
-
-    The ramps live on [plateau, plateau + width] and its mirror.  With the
-    defaults (plateau 1, width 3, support [-4, 4]) the max slope is
-    1.25 / 3 < 1/2.
-    """
-
-    plateau: float = 1.0
-    width: float = 3.0
-
-    def value(self, x):
-        r = (np.abs(np.asarray(x, dtype=float)) - self.plateau) / self.width
-        return 1.0 - quintic_step(r)
-
-    def derivative(self, x):
-        x = np.asarray(x, dtype=float)
-        r = (np.abs(x) - self.plateau) / self.width
-        return -np.sign(x) * quintic_step_d(r) / self.width
+# The front cutoff chi: 1 on [-1, 1], quintic ramps over a width of 3 and
+# 0 outside [-4, 4].  Its max slope 1.25 / 3 stays under the budget 1/2
+# that keeps d1Phi >= 1/2 for any front with sup|phi| < 1/2.
+_CHI_PLATEAU = 1.0
+_CHI_WIDTH = 3.0
 
 
-@dataclass(frozen=True)
-class EtaProfile:
+def chi(x):
+    """The even front cutoff: 1 on the plateau, 0 outside the support."""
+    r = (np.abs(np.asarray(x, dtype=float)) - _CHI_PLATEAU) / _CHI_WIDTH
+    return 1.0 - quintic_step(r)
+
+
+def chi_d(x):
+    """Derivative of :func:`chi`."""
+    x = np.asarray(x, dtype=float)
+    r = (np.abs(x) - _CHI_PLATEAU) / _CHI_WIDTH
+    return -np.sign(x) * quintic_step_d(r) / _CHI_WIDTH
+
+
+def eta(x, eps):
     """Monotone decreasing collar profile: eta(0) = 1, eta = 0 for x >= eps."""
-
-    eps: float
-
-    def value(self, x):
-        return 1.0 - quintic_step(np.asarray(x, dtype=float) / self.eps)
+    return 1.0 - quintic_step(np.asarray(x, dtype=float) / eps)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .mhd import (IH1, IH2, IP, IU1, IU2, NCOMP, PhysState, alfven_speed,
                   assemble_coefficients, sound_speed, _require_admissible)
-from .profiles import EtaProfile
+from .profiles import eta
 
 #: magnetic fields below this magnitude are routed through the one-sided
 #: branch of the lambda construction to avoid sign noise
@@ -138,7 +138,7 @@ def extend_lambda(pair: LambdaPair, x1: np.ndarray, *, eps: float,
     positivity is verified on every grid point instead of assumed; losing
     it means the collar eps must shrink.
     """
-    prof = EtaProfile(eps=eps).value(np.asarray(x1, float))[:, None]
+    prof = eta(np.asarray(x1, float), eps)[:, None]
     lam_p = np.atleast_1d(np.asarray(pair.lam_plus, float))
     lam_m = np.atleast_1d(np.asarray(pair.lam_minus, float))
     lam = np.stack([lam_p[..., None, :] * prof, lam_m[..., None, :] * prof])

@@ -272,7 +272,7 @@ def test_acceptance_07_instability_contrast():
         k=1e-3).margin_min < 0
 
     def growth(basic):
-        traj = evolve(basic, t_final=1.0, bdata=g, ledger=False)
+        traj = evolve(basic, t_final=1.0, bdata=g)
         be = traj.boundary_energy
         half = len(be) // 2
         quarter = len(be) // 4

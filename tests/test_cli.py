@@ -149,7 +149,8 @@ def test_exit_codes(tmp_path, capsys):
     # stencil wraps j +- 2 onto j -+ 1) or of no extent, a compat slope
     # fitted to one point, a jet of negative order, and a symmetrizer
     # collar of no positive width (-0.25 once reported x1 in [0, -1]) or
-    # with no nodes
+    # with no nodes, and the ledger switch evolve no longer has (the ledger
+    # runs with the monitors)
     for k, (exp, section, body) in enumerate((
             ("evolve", "grid", "n2 = 3"), ("evolve", "grid", "n1 = 3"),
             ("evolve", "grid", "n1 = 1"), ("evolve", "grid", "n2 = 0"),
@@ -159,7 +160,8 @@ def test_exit_codes(tmp_path, capsys):
             ("compat", "compat", "order = -1"),
             ("symmetrize", "symmetrize", "collar_eps = -0.25"),
             ("symmetrize", "symmetrize", "collar_eps = 0"),
-            ("symmetrize", "symmetrize", "n_collar = 0"))):
+            ("symmetrize", "symmetrize", "n_collar = 0"),
+            ("evolve", "evolve", "ledger = false"))):
         cfg = tmp_path / f"small_{k}.ini"
         cfg.write_text(f"[run]\nexperiment = {exp}\n\n[{section}]\n{body}\n")
         capsys.readouterr()

@@ -145,7 +145,7 @@ def _rhs_by_solve(data, Upoly, phipoly, dphipoly):
     """The interior right-hand side by a 6x6 solve at every grid point."""
     from cvsheet.front import apply_L, lift_front, straightened_coefficients
     g = data.grid
-    lifted = lift_front(phipoly, g, data.chi, dphipoly)
+    lifted = lift_front(phipoly, g, dphipoly)
     coeffs = straightened_coefficients(Upoly, lifted, data.eos)
     rhs = apply_L(coeffs, None, g.d1(Upoly), g.d2(Upoly),
                   np.empty_like(Upoly))

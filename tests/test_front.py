@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from cvsheet.front import (CutoffChi, DegenerateJacobianError, lift_front,
+from cvsheet.front import (DegenerateJacobianError, lift_front,
                            straightened_coefficients, transformed_vectors)
 from cvsheet.grid import Grid
 from cvsheet.mhd import IdealGasEos, PhysState, assemble_coefficients
+from cvsheet.profiles import chi, chi_d
 
 EOS = IdealGasEos()
 
@@ -22,28 +23,25 @@ def _both_sides(state, grid):
 
 
 def test_cutoff_plateau_and_support():
-    chi = CutoffChi()
-    assert chi.value(0.0) == pytest.approx(1.0)
-    assert chi.value(0.9) == pytest.approx(1.0)
-    assert chi.value(-1.0) == pytest.approx(1.0)
-    assert chi.value(5.0) == 0.0
-    assert chi.value(-4.7) == 0.0
+    assert chi(0.0) == pytest.approx(1.0)
+    assert chi(0.9) == pytest.approx(1.0)
+    assert chi(-1.0) == pytest.approx(1.0)
+    assert chi(5.0) == 0.0
+    assert chi(-4.7) == 0.0
 
 
 def test_cutoff_slope_budget():
-    chi = CutoffChi()
     x = np.linspace(-6.0, 6.0, 100_000)
-    slopes = np.abs(chi.derivative(x))
+    slopes = np.abs(chi_d(x))
     assert np.max(slopes) <= 0.5
     # sampled derivative agrees with a centered difference of the values
     h = 1e-6
-    fd = (chi.value(x + h) - chi.value(x - h)) / (2 * h)
-    assert np.allclose(chi.derivative(x), fd, atol=1e-8)
+    fd = (chi(x + h) - chi(x - h)) / (2 * h)
+    assert np.allclose(chi_d(x), fd, atol=1e-8)
 
 
 def test_lift_flat_front(grid):
-    chi = CutoffChi()
-    lifted = lift_front(np.zeros(grid.n2), grid, chi)
+    lifted = lift_front(np.zeros(grid.n2), grid)
     assert np.allclose(lifted.psi, 0.0)
     jac = lifted.d1_phi_map
     assert np.allclose(jac[0], 1.0)
@@ -51,9 +49,8 @@ def test_lift_flat_front(grid):
 
 
 def test_lift_small_front_jacobian_bound(grid):
-    chi = CutoffChi()
     phi = 0.3 * np.cos(grid.x2)
-    lifted = lift_front(phi, grid, chi)
+    lifted = lift_front(phi, grid)
     jac = lifted.d1_phi_map
     assert np.min(jac[0]) >= 0.5
     assert np.max(jac[1]) <= -0.5
@@ -63,15 +60,13 @@ def test_lift_small_front_jacobian_bound(grid):
 
 
 def test_lift_pointwise_value(grid):
-    chi = CutoffChi()
     phi = 0.1 * np.sin(grid.x2)
-    lifted = lift_front(phi, grid, chi)
+    lifted = lift_front(phi, grid)
     assert np.allclose(lifted.psi[0][0, :], 0.1 * np.sin(grid.x2))
 
 
 def test_a1_tilde_flat_front_reduces_to_a1(grid):
-    chi = CutoffChi()
-    lifted = lift_front(np.zeros(grid.n2), grid, chi)
+    lifted = lift_front(np.zeros(grid.n2), grid)
     state = PhysState(p=1.2, u1=0.3, u2=-0.4, H1=0.2, H2=1.0, S=0.1)
     A1 = assemble_coefficients(state, EOS)[1]
     (_, At_plus, _), (_, At_minus, _) = straightened_coefficients(
@@ -81,9 +76,8 @@ def test_a1_tilde_flat_front_reduces_to_a1(grid):
 
 
 def test_a1_tilde_symmetric_and_scaling(grid):
-    chi = CutoffChi()
     phi = 0.25 * np.sin(grid.x2)
-    lifted = lift_front(phi, grid, chi)
+    lifted = lift_front(phi, grid)
     x1g, x2g = grid.mesh()
     state = PhysState(p=1.0 + 0.1 * np.cos(x2g), u1=0.0, u2=0.0,
                       H1=0.0, H2=0.0, S=0.0)
@@ -98,17 +92,15 @@ def test_a1_tilde_symmetric_and_scaling(grid):
 
 
 def test_a1_tilde_degenerate_jacobian_error(grid):
-    chi = CutoffChi()
     phi = 2.5 * np.ones(grid.n2)  # far beyond the smallness hypothesis
-    lifted = lift_front(phi, grid, chi)
+    lifted = lift_front(phi, grid)
     state = PhysState(p=1.0, u1=0, u2=0, H1=0, H2=0, S=0)
     with pytest.raises(DegenerateJacobianError):
         straightened_coefficients(_both_sides(state, grid), lifted, EOS)
 
 
 def test_transformed_vectors_flat(grid):
-    chi = CutoffChi()
-    lifted = lift_front(np.zeros(grid.n2), grid, chi)
+    lifted = lift_front(np.zeros(grid.n2), grid)
     state = PhysState(p=1.0, u1=0.2, u2=0.5, H1=0.3, H2=0.9, S=0.0)
     u_n, H_n, v, w, h = transformed_vectors(state, lifted, side=+1)
     assert np.allclose(u_n, 0.2)
@@ -119,9 +111,8 @@ def test_transformed_vectors_flat(grid):
 
 
 def test_boundary_trace_is_N_component(grid):
-    chi = CutoffChi()
     phi = 0.2 * np.sin(grid.x2)
-    lifted = lift_front(phi, grid, chi)
+    lifted = lift_front(phi, grid)
     x1g, x2g = grid.mesh()
     state = PhysState(p=1.0, u1=0.1 * x2g, u2=0.3, H1=np.cos(x2g), H2=0.7,
                       S=0.0)
@@ -135,8 +126,7 @@ def test_boundary_trace_is_N_component(grid):
 
 def test_divergence_free_sample_from_stream_function(grid):
     # h = (d2 psi_s, -d1 psi_s) gives exactly commuting discrete div
-    chi = CutoffChi()
-    lifted = lift_front(np.zeros(grid.n2), grid, chi)
+    lifted = lift_front(np.zeros(grid.n2), grid)
     x1g, x2g = grid.mesh()
     psi_s = np.exp(-((x1g - 3.0) ** 2)) * np.sin(x2g)
     H1 = grid.d2(psi_s)

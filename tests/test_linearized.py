@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 import cvsheet.evolve as ev
 from cvsheet.evolve import NumericsError, cfl_timestep, evolve
-from cvsheet.front import (CutoffChi, lift_front, straighten,
-                           straightened_coefficients)
+from cvsheet.front import lift_front, straighten, straightened_coefficients
 from cvsheet.grid import Grid, diff_time
 from cvsheet.linearized import (_J_OFF, IH2V, IHN, BasicFrame, BasicState,
                                 SheetOperators, assemble_effective, c_matrix,
@@ -120,7 +119,7 @@ def test_c_matrix_matches_directional_fd(grid):
 
 def _moving_curved_front(grid, amp=0.2, rate=0.3, shift=0.0):
     """Lift of phi = amp sin(x2 + shift) moving at dphi/dt = rate cos(x2)."""
-    return lift_front(amp * np.sin(grid.x2 + shift), grid, CutoffChi(),
+    return lift_front(amp * np.sin(grid.x2 + shift), grid,
                       rate * np.cos(grid.x2))
 
 
@@ -331,7 +330,7 @@ def test_march_interpolates_each_stage_time_once(monkeypatch):
     monkeypatch.setattr(ev, "bracket", counted("bracket", ev.bracket))
     monkeypatch.setattr(BasicState, "frame",
                         counted("frame", BasicState.frame))
-    traj = evolve(basic, t_final=1.0, dt_override=1.0 / 32, ledger=False)
+    traj = evolve(basic, t_final=1.0, dt_override=1.0 / 32)
     nsteps = len(traj.times) - 1
     assert nsteps == 32
     assert calls["bracket"] <= 2 * nsteps + 1
@@ -364,7 +363,7 @@ def test_forward_march_builds_each_snapshot_bundle_once(monkeypatch):
         return build(self, t)
 
     monkeypatch.setattr(ev._CoeffCache, "_build", recording)
-    evolve(basic, t_final=1.0, dt_override=1.0 / 32, ledger=False)
+    evolve(basic, t_final=1.0, dt_override=1.0 / 32)
     assert built == list(basic.tgrid)
 
 
@@ -395,21 +394,35 @@ def test_non_uniform_or_mismatched_tgrid_refused():
         BasicState(grid=b.grid, eos=EOS, U=b.U, phi=b.phi,
                    tgrid=b.tgrid[:4])
     with pytest.raises(ValueError, match="not uniform"):
-        SheetOperators(b.grid, EOS, b.chi, uneven)
+        SheetOperators(b.grid, EOS, uneven)
     # linspace's roundoff is uniform, and the step is tgrid[1] - tgrid[0]
     tg = np.linspace(0.0, 2.0, 33)
     assert time_step(tg) == tg[1] - tg[0]
-    assert SheetOperators(b.grid, EOS, b.chi, tg).dt == tg[1] - tg[0]
+    assert SheetOperators(b.grid, EOS, tg).dt == tg[1] - tg[0]
+
+
+def test_basic_state_refuses_misshaped_inputs():
+    # each once built: phi cut to U's 3 snapshots, a 12-point front on a
+    # 16^2 grid, a 16^2 U framed on a 20^2 grid, and one front for 3 U
+    # snapshots, which failed only at frame(0.9) with an IndexError
+    b = _ramped_trivial_stack(1.0, np.linspace(0.0, 1.0, 3))
+    g, n = b.grid, b.grid.n2
+    for kw in (dict(grid=g, U=b.U, phi=np.zeros((5, n)), tgrid=b.tgrid),
+               dict(grid=g, U=b.U[0], phi=np.zeros(12)),
+               dict(grid=Grid(20, 20, 1.0, 1.0), U=b.U[0], phi=np.zeros(n)),
+               dict(grid=g, U=b.U, phi=b.phi[:1], tgrid=b.tgrid)):
+        with pytest.raises(ValueError, match=r"are not \(nt, 2, 6"):
+            BasicState(eos=EOS, **kw)
 
 
 def test_evolve_refuses_to_run_past_the_snapshots():
     # bracket clamps t, so past tgrid[-1] the coefficients would freeze
     basic = _ramped_trivial_stack(0.1)
     with pytest.raises(ValueError, match="snapshots cover"):
-        evolve(basic, t_final=3.0, ledger=False)
+        evolve(basic, t_final=3.0)
     late = _ramped_trivial_stack(0.1, np.linspace(0.5, 1.0, 5))
     with pytest.raises(ValueError, match="snapshots cover"):
-        evolve(late, t_final=1.0, ledger=False)
+        evolve(late, t_final=1.0)
 
 
 def test_forcing_evaluated_once_per_stage_time():
@@ -446,7 +459,7 @@ def test_end_of_step_time_shared_with_the_monitors():
         times.append(t)
         return forcing(t)
 
-    traj = evolve(basic, t_final=0.5, forcing=counted, ledger=False)
+    traj = evolve(basic, t_final=0.5, forcing=counted)
     nsteps = len(traj.times) - 1
     assert nsteps == 41
     dt = 0.5 / nsteps
@@ -463,7 +476,7 @@ def test_whole_number_of_steps_takes_exactly_that_many():
     dt = (tgrid[1] - tgrid[0]) / 5
     assert tgrid[-1] / dt > 30
     traj = evolve(trivial_sheet_state(grid, EOS), t_final=tgrid[-1],
-                  dt_override=dt, ledger=False, snapshot_times=tgrid)
+                  dt_override=dt, snapshot_times=tgrid)
     assert len(traj.times) == 31
     assert np.max(np.abs(traj.snapshot_times - tgrid)) <= 1e-12
 
@@ -476,7 +489,7 @@ def test_hn_monitor_reads_the_basic_wall_traces():
     g = ManufacturedBoundaryData(grid, amplitude=0.05, k2=2, ramp=0.05)
     t_final = 0.1
     nsteps = int(np.ceil(t_final / cfl_timestep(b)))
-    traj = evolve(b, t_final=t_final, bdata=g, ledger=False,
+    traj = evolve(b, t_final=t_final, bdata=g,
                   snapshot_times=np.linspace(0.0, t_final, nsteps + 1))
     assert len(traj.snapshots) == len(traj.times) == nsteps + 1
     tr = b.frame(0.0).boundary_traces()
@@ -516,7 +529,7 @@ def test_march_refuses_step_count_past_max_steps(grid):
     b = trivial_sheet_state(grid, EOS, H2_plus=1.2, H2_minus=1.0)
     # the march refuses a step count past its guard before stepping
     with pytest.raises(NumericsError, match="step count"):
-        evolve(b, t_final=1.0, dt_override=1e-6, ledger=False)
+        evolve(b, t_final=1.0, dt_override=1e-6)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -529,13 +542,13 @@ def test_evolve_refuses_non_positive_time_inputs(grid, kwargs):
     b = trivial_sheet_state(grid, EOS, H2_plus=1.2, H2_minus=1.0)
     bad = next(k for k, v in kwargs.items() if v <= 0.0)
     with pytest.raises(ValueError, match=f"{bad} must be positive"):
-        evolve(b, ledger=False, monitors=False, **kwargs)
+        evolve(b, monitors=False, **kwargs)
 
 
 def test_evolve_takes_at_least_one_step(grid):
     # a horizon far below the CFL step rounds to one step of t_final
     b = trivial_sheet_state(grid, EOS, H2_plus=1.2, H2_minus=1.0)
-    traj = evolve(b, t_final=1e-13, ledger=False, monitors=False)
+    traj = evolve(b, t_final=1e-13, monitors=False)
     assert list(traj.times) == [0.0, 1e-13]
 
 
@@ -550,9 +563,9 @@ def test_evolve_takes_the_cfl_bound_only_without_dt_override(grid,
         return cfl_timestep(basic, cfl)
 
     monkeypatch.setattr(ev, "cfl_timestep", counted)
-    evolve(b, t_final=0.05, dt_override=0.01, ledger=False, monitors=False)
+    evolve(b, t_final=0.05, dt_override=0.01, monitors=False)
     assert calls == []
-    evolve(b, t_final=0.05, cfl=0.3, ledger=False, monitors=False)
+    evolve(b, t_final=0.05, cfl=0.3, monitors=False)
     assert calls == [0.3]
 
 
@@ -560,7 +573,7 @@ def test_reconstruction_consistent_on_trajectory(grid):
     b = trivial_sheet_state(grid, EOS, u2_jump=0.5, H2_plus=1.4,
                             H2_minus=1.2)
     F = ManufacturedForcing(grid, amplitude=1.0, k2=2)
-    traj = evolve(b, t_final=0.4, forcing=F, ledger=False)
+    traj = evolve(b, t_final=0.4, forcing=F)
     tr = b.frame(0.0).boundary_traces()
     phi_hist = traj.phi
     dt = traj.times[1] - traj.times[0]
@@ -570,7 +583,7 @@ def test_reconstruction_consistent_on_trajectory(grid):
     # state and forcing, by test_forced_run_is_finite_and_identity_small
     n = len(traj.times) // 2
     t = traj.times[n]
-    traj2 = evolve(b, t_final=t, forcing=F, ledger=False,
+    traj2 = evolve(b, t_final=t, forcing=F,
                    dt_override=dt, snapshot_times=[t])
     V = traj2.snapshots[-1]
     dtphi = ev.LinearizedStepper.phi_rate(
@@ -584,7 +597,7 @@ def test_linearized_L_constant_state_zero(grid):
                             H2_minus=1.1)
     nt = 5
     tg = np.linspace(0, 0.2, nt)
-    ops = SheetOperators(grid, EOS, b.chi, tg)
+    ops = SheetOperators(grid, EOS, tg)
     Uhat = np.repeat(b.U, nt, axis=0)
     phihat = np.zeros((nt, grid.n2))
     # the exact stencils annihilate constants, so L(Uhat) and C vanish, and

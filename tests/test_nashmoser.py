@@ -278,11 +278,11 @@ def _full_series_linearized_L(ops, Uhat, phihat, dU, dphi):
     dtphi = diff_time(phihat, dt, axis=0, order=4)
     dt_dU = diff_time(dU, dt, axis=0, order=4)
     d1_dU, d2_dU = g.d1(dU), g.d2(dU)
-    dl = lift_front(dphi, g, ops.chi, diff_time(dphi, dt, axis=0, order=4))
+    dl = lift_front(dphi, g, diff_time(dphi, dt, axis=0, order=4))
     value, lin = np.empty_like(Uhat), np.empty_like(Uhat)
     for n in range(len(Uhat)):
         d1U, d2U = g.d1(Uhat[n]), g.d2(Uhat[n])
-        lifted = lift_front(phihat[n], g, ops.chi, dtphi[n])
+        lifted = lift_front(phihat[n], g, dtphi[n])
         coeffs = straightened_coefficients(Uhat[n], lifted, ops.eos)
         C = c_matrix(Uhat[n], dtU[n], d1U, d2U, lifted, ops.eos)
         r1 = d1U / lifted.d1_phi_map[:, None]

@@ -83,24 +83,21 @@ def test_march_without_monitors_records_the_same_fields(case):
         kw = dict(t_final=float(tgrid[-1]), forcing=forcing,
                   snapshot_times=tgrid, dt_override=(tgrid[1] - tgrid[0]) / 2,
                   sponge_strength=0.0)
-    on = evolve(basic, ledger=False, **kw)
-    off = evolve(basic, ledger=False, monitors=False, **kw)
+    on = evolve(basic, **kw)
+    off = evolve(basic, monitors=False, **kw)
     for name in ("times", "phi", "snapshots", "snapshot_times"):
         assert np.array_equal(getattr(off, name), getattr(on, name)), name
     for name in ("ledger", "boundary_energy", "div_residual", "hn_residual",
                  "apriori", "cstar"):
         assert getattr(off, name) is None, name
     assert on.apriori is not None and on.div_residual is not None
+    # the ledger runs with the monitors on a steady state only
+    steady = case == "trivial"
+    assert (on.ledger is not None) == steady
     assert set(off.timings) == {"march", "snapshots"}
-    assert set(on.timings) == {"march", "snapshots", "constraints",
-                               "apriori"}
+    assert set(on.timings) == ({"march", "snapshots", "constraints",
+                                "apriori"} | ({"ledger"} if steady else set()))
     assert all(v >= 0.0 for v in on.timings.values())
-
-
-def test_ledger_without_monitors_is_refused():
-    _, basic, _ = _sheet(16)
-    with pytest.raises(ValueError, match="monitors"):
-        evolve(basic, t_final=0.05, monitors=False)
 
 
 def test_solve_interpolates_only_what_the_march_applies(monkeypatch):
@@ -150,7 +147,7 @@ def test_separable_forcing_sum_equals_stencil_path():
     # a plain callable hides the forcing's profile, so the monitor
     # differentiates the field every step
     _, basic, forcing = _sheet(32)
-    kw = dict(t_final=0.1, ledger=False)
+    kw = dict(t_final=0.1)
     fast = evolve(basic, forcing=forcing, **kw)
     slow = evolve(basic, forcing=lambda t: forcing(t), **kw)
     assert fast.apriori["f_sq"] > 0
@@ -298,7 +295,7 @@ def test_apriori_front_rate_is_the_marchs_with_boundary_data():
     grid = Grid(n1=16, n2=16, L1=2 * np.pi, L2=2 * np.pi)
     basic = sheared_sheet_state(grid, EOS)
     bdata = ManufacturedBoundaryData(grid, amplitude=0.05, k2=2, ramp=0.05)
-    traj = evolve(basic, t_final=0.1, bdata=bdata, ledger=False,
+    traj = evolve(basic, t_final=0.1, bdata=bdata,
                   dt_override=0.01, snapshot_times=0.01 * np.arange(11))
     assert np.array_equal(traj.snapshot_times, traj.times)
     dt = traj.times[1]
@@ -318,7 +315,7 @@ def test_evolve_refuses_bad_snapshot_times(times, bad):
     # each would give snapshots that are missing or at other times
     grid = Grid(n1=16, n2=16, L1=2 * np.pi, L2=2 * np.pi)
     with pytest.raises(ValueError, match=f"snapshot time {bad!r}"):
-        evolve(trivial_sheet_state(grid, EOS), t_final=0.1, ledger=False,
+        evolve(trivial_sheet_state(grid, EOS), t_final=0.1,
                monitors=False, snapshot_times=times)
 
 
@@ -326,7 +323,7 @@ def test_snapshot_times_take_the_nearest_step():
     # each time takes the nearest step, also a repeated time, one within half
     # a step of the start and t_final plus roundoff
     grid = Grid(n1=16, n2=16, L1=2 * np.pi, L2=2 * np.pi)
-    traj = evolve(trivial_sheet_state(grid, EOS), t_final=0.1, ledger=False,
+    traj = evolve(trivial_sheet_state(grid, EOS), t_final=0.1,
                   monitors=False, dt_override=0.01,
                   snapshot_times=[0.0, 0.0, 0.004, 0.026, 0.1 * (1 + 1e-10)])
     assert np.allclose(traj.snapshot_times, [0.0, 0.0, 0.0, 0.03, 0.1],

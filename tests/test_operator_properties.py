@@ -9,7 +9,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvsheet.front import CutoffChi
 from cvsheet.grid import Grid, diff_time, time_row
 from cvsheet.linearized import BasicState, SheetOperators
 from cvsheet.mhd import IH2, IP, IU2, IdealGasEos
@@ -18,7 +17,7 @@ EOS = IdealGasEos()
 GRID = Grid(n1=16, n2=16, L1=2 * np.pi, L2=2 * np.pi)
 NT = 7
 TGRID = np.linspace(0.0, 0.6, NT)
-OPS = SheetOperators(GRID, EOS, CutoffChi(), TGRID)
+OPS = SheetOperators(GRID, EOS, TGRID)
 
 seeds = st.integers(0, 2 ** 32 - 1)
 PROPS = settings(max_examples=25, deadline=None)
@@ -91,7 +90,7 @@ def test_linearized_L_zero_increment_exactly_zero(seed, steady):
 def test_windowed_time_row_equals_full_series_row(nt, trailing, dt, seed):
     # the five snapshots around n give row n of the order-4 stencil bit for
     # bit, the closure rows at both ends included
-    ops = SheetOperators(GRID, EOS, CutoffChi(), dt * np.arange(nt))
+    ops = SheetOperators(GRID, EOS, dt * np.arange(nt))
     X = np.random.default_rng(seed).normal(size=(nt, *trailing))
     full = diff_time(X, ops.dt, axis=0, order=4)
     for n in range(nt):

@@ -98,7 +98,7 @@ def test_harness_as1_equals_fresh_norms():
     grid = Grid(n1=32, n2=32, L1=2 * np.pi, L2=2 * np.pi)
     nt, thetas, orders = 13, (2.0, 4.0, 8.0, 16.0), (1, 2, 3)
     sm = Smoother(grid, nt=nt, T=1.0)
-    rep = smoothing_harness(sm, samples=3, thetas=thetas, orders=orders,
+    rep = smoothing_harness(sm, samples=3, thetas=thetas,
                             rng=np.random.default_rng(7))
     rng = np.random.default_rng(7)
     fields = [evaluate_field_params(sample_field_params(rng), grid, nt, 1.0)
