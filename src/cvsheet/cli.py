@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .evolve import NumericsError, energy_integrals, evolve
 from .grid import Grid
-from .mhd import IdealGasEos, PhysState
+from .mhd import IdealGasEos, PhysState, contact_p_minus
 from .stability import StabilityError, check_stability, wang_yu_compare
 
 
@@ -164,10 +164,8 @@ def _grid(g) -> Grid:
 
 def _pair_states(state_cfg, eos):
     p_plus = state_cfg["p_plus"]
-    p_minus = p_plus + 0.5 * (state_cfg["H2_plus"] ** 2
-                              - state_cfg["H2_minus"] ** 2)
-    if p_minus <= 0:
-        raise ConfigError("total-pressure balance forces p_minus <= 0")
+    p_minus = contact_p_minus(p_plus, state_cfg["H2_plus"],
+                              state_cfg["H2_minus"])
     plus = PhysState(p=p_plus, u1=0.0, u2=+0.5 * state_cfg["u2_jump"],
                      H1=0.0, H2=state_cfg["H2_plus"],
                      S=state_cfg["S_plus"])

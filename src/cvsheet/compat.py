@@ -27,7 +27,7 @@ import numpy as np
 
 from .front import apply_L, lift_front, straightened_coefficients
 from .grid import Grid
-from .mhd import IH1, IH2, IP, IS, IU1, IU2, NCOMP
+from .mhd import IH1, IH2, IP, IS, IU1, IU2, NCOMP, contact_p_minus
 from .profiles import quintic_step, time_bump, time_bump_d
 
 _SLOPE_TOL = 1e-12    # least (H2+)^2 + (H2-)^2 the front slope is read from
@@ -245,8 +245,11 @@ def build_approximate(jet: TimeJet, T: float, delta: float) -> ApproxSolution:
     The measured size is the space-time L^2 norm of the deviation from the
     reference constants over [0, T] (plus the front's), which shrinks like
     sqrt(T): the error message asks for a smaller horizon when the budget
-    delta is missed.
+    delta is missed (a NaN size misses it too).  T must be finite and
+    positive: no other horizon has a size to measure.
     """
+    if not 0.0 < T < np.inf:
+        raise ValueError(f"the horizon T must be finite and > 0, got {T!r}")
     g = jet.data.grid
     # reference constants: the far-field values of the data (wall row of
     # each side extended, matching the trivial-sheet background)
@@ -260,7 +263,7 @@ def build_approximate(jet: TimeJet, T: float, delta: float) -> ApproxSolution:
                 + float(np.sum(approx.phi(t) ** 2) * g.h2))
     smallness = float(np.sqrt(acc * (T / (_N_CHECK - 1))))
     approx.smallness = smallness
-    if smallness >= delta:
+    if not smallness < delta:
         raise SmallnessError(
             f"approximate solution size {smallness:.3e} exceeds the budget "
             f"delta={delta:.1e}; shrink the horizon T={T}")
@@ -307,7 +310,7 @@ def manufactured_initial_data(grid: Grid, eos, *, amplitude: float = 0.05,
     returns the stationary contact itself.
     """
     rng = np.random.default_rng(seed)
-    p_minus = p_plus + 0.5 * (H2_plus ** 2 - H2_minus ** 2)
+    p_minus = contact_p_minus(p_plus, H2_plus, H2_minus)
     U = np.zeros((2, NCOMP, grid.n1, grid.n2))
     for i, (p, u2, H2) in enumerate(((p_plus, 0.5 * u2_jump, H2_plus),
                                      (p_minus, -0.5 * u2_jump, H2_minus))):

@@ -20,7 +20,9 @@ modes per side.
 
 J is the identity plus four entries above the diagonal and the straightened
 A0 is diagonal, so ``assemble_effective``, the one place the march's solved
-coefficients are built, forms them in closed form.
+coefficients are built, forms them in closed form.  Given a multiplier
+field it also builds the symmetrized family of the energy ledger; at
+lambda = 0 that family is the unsymmetrized one, boundary matrix included.
 
 ``SheetOperators`` is the one discretization of L and L'_e on snapshot
 series, with 4th-order time stencils, walked one snapshot at a time: the
@@ -39,7 +41,7 @@ from .front import (LiftedFront, apply_L, induction_advection, lift_front,
                     straighten, straightened_coefficients, transformed_vectors)
 from .grid import Grid, diff_time, time_row
 from .mhd import (IH1, IH2, IP, IS, IU1, IU2, NCOMP, PhysState,
-                  _require_admissible)
+                  _require_admissible, contact_p_minus)
 from .stability import (LambdaPair, assemble_symmetrizer, build_lambda,
                         check_stability)
 
@@ -148,9 +150,14 @@ def time_step(tgrid: np.ndarray) -> float:
 def bracket(tgrid: np.ndarray, t: float):
     """Snapshot interval k and weight w of linear interpolation at t.
 
-    t is clamped to [tgrid[0], tgrid[-1]]; the value at t is
-    (1 - w) f[k] + w f[k + 1].
+    The value at t is (1 - w) f[k] + w f[k + 1].  A t off
+    [tgrid[0], tgrid[-1]] by at most ``_TGRID_TOL`` of its length is
+    roundoff and clamped; any other t (NaN included) is a ``ValueError``.
     """
+    slack = _TGRID_TOL * (tgrid[-1] - tgrid[0])
+    if not tgrid[0] - slack <= t <= tgrid[-1] + slack:
+        raise ValueError(f"t = {t!r} is outside the snapshots' "
+                         f"[{tgrid[0]:.6g}, {tgrid[-1]:.6g}]")
     t = float(np.clip(t, tgrid[0], tgrid[-1]))
     k = max(min(int(np.searchsorted(tgrid, t, side="right")) - 1,
                 len(tgrid) - 2), 0)
@@ -176,7 +183,7 @@ class BasicFrame:
     def boundary_traces(self) -> dict:
         g = self.grid
         d2phi = g.d2_boundary(self.phi)
-        out = {"d2phi": d2phi, "phit": self.phit}
+        out = {"d2phi": d2phi}
         q = self.U[:, IP] + 0.5 * (self.U[:, IH1] ** 2 + self.U[:, IH2] ** 2)
         d1q = g.d1(q)
         uN = self.U[:, IU1] - self.U[:, IU2] * d2phi[None, None, :]
@@ -280,9 +287,7 @@ def trivial_sheet_state(grid: Grid, eos, *, p_plus=1.0, u2_jump=0.0,
     exactly, stable or not depending on the field strength versus the
     tangential-velocity jump.
     """
-    p_minus = p_plus + 0.5 * (H2_plus ** 2 - H2_minus ** 2)
-    if p_minus <= 0:
-        raise ValueError("total-pressure balance forces p- <= 0")
+    p_minus = contact_p_minus(p_plus, H2_plus, H2_minus)
     U = np.zeros((2, NCOMP, grid.n1, grid.n2))
     for i, (p, u2, H2, S) in enumerate((
             (p_plus, +0.5 * u2_jump, H2_plus, S_plus),
@@ -314,10 +319,9 @@ def sheared_sheet_state(grid: Grid, eos, rng=None) -> BasicState:
                 + b * np.sin(2 * np.pi * x1 / grid.L1) + 0.3 * c)
 
     U = np.zeros((2, NCOMP, grid.n1, grid.n2))
+    p_minus = contact_p_minus(p_plus, H2_plus, H2_minus)
     for i, (p0, u20, H20) in enumerate(((p_plus, 0.5 * u2_jump, H2_plus),
-                                        (p_plus + 0.5 * (H2_plus ** 2
-                                                         - H2_minus ** 2),
-                                         -0.5 * u2_jump, H2_minus))):
+                                        (p_minus, -0.5 * u2_jump, H2_minus))):
         U[i, IP] = p0 * (1.0 + amplitude * prof()
                          * np.cos(2 * np.pi * x2 / grid.L2)) + 0.0 * x2
         U[i, IU2] = u20 + amplitude * prof() + 0.0 * x2
@@ -580,23 +584,19 @@ def _right_products(m0, m1, m2, zc, off, d1off, d2off, dtoff):
 class EffectiveOperators:
     """Calligraphic coefficient families of the characteristic system.
 
-    A_k = J^T R_k for the right products R_k of ``_right_products``; the
-    march applies M_k = A0c^{-1} A_kc = J^{-1} A0^{-1} R_k (k = 1, 2, 3)
-    and ``A0invJt`` = A0c^{-1} J^T.  The ``B`` family, ``S`` and ``T``
-    (given a multiplier field) enter the energy ledger.  Shapes are
-    (2, 6, 6, n1, n2), and (2, 6, n1, n2) for ``T``.
+    With A_kc = J^T R_k for the right products R_k of ``_right_products``,
+    the march applies M_k = A0c^{-1} A_kc = J^{-1} A0^{-1} R_k
+    (k = 1, 2, 3) and ``A0invJt`` = A0c^{-1} J^T.  The symmetrized family
+    ``B0``-``B3``, ``S`` and ``T`` (given a multiplier field) enter the
+    energy ledger; at lambda = 0, S = I and T = 0, so it is the A_kc family
+    itself.  Shapes are (2, 6, 6, n1, n2), and (2, 6, n1, n2) for ``T``.
     """
 
     J: np.ndarray
-    A0: np.ndarray
-    A1: np.ndarray
-    A2: np.ndarray
-    A3: np.ndarray
     M1: np.ndarray
     M2: np.ndarray
     M3: np.ndarray
     A0invJt: np.ndarray
-    A1_boundary_residual: float
     B0: np.ndarray | None = None
     B1: np.ndarray | None = None
     B2: np.ndarray | None = None
@@ -611,10 +611,10 @@ def assemble_effective(frame: BasicFrame, lam_field: np.ndarray | None = None
 
     A0^{-1} is the reciprocal of A0's diagonal, J^{-1} a back substitution
     and dJ/dt the frame's own rate (``_j_off``).  With ``lam_field``
-    (2, n1, n2) the symmetrized family is assembled as well.
-    ``A1_boundary_residual`` is the largest entry of the boundary matrix off
-    diag(E12, -E12); it is at roundoff only when the basic state honors the
-    kinematic and magnetic wall constraints.
+    (2, n1, n2) the symmetrized family is assembled as well; at
+    ``lam_field`` = 0 it is the unsymmetrized family A_kc, whose boundary
+    matrix B1 at the wall is diag(E12, -E12) up to roundoff exactly when
+    the basic state honors the kinematic and magnetic wall constraints.
     """
     g = frame.grid
     eos = frame.eos
@@ -623,7 +623,6 @@ def assemble_effective(frame: BasicFrame, lam_field: np.ndarray | None = None
     C = c_matrix(frame.U, frame.Ut, g.d1(frame.U), g.d2(frame.U),
                  frame.lifted, eos)
     shape = (2, NCOMP, NCOMP, g.n1, g.n2)
-    A = [np.empty(shape) for _ in range(4)]
     M = [np.empty(shape) for _ in range(4)]     # M1, M2, M3, A0invJt
     for i, (a0, a1t, a2) in enumerate(
             straightened_coefficients(frame.U, frame.lifted, eos)):
@@ -632,16 +631,8 @@ def assemble_effective(frame: BasicFrame, lam_field: np.ndarray | None = None
         a0inv = 1.0 / np.einsum("kk...->k...", a0)[:, None]  # A0 is diagonal
         for k, r in enumerate(R[1:] + [_EYE]):
             M[k][i] = _j_inv_times(off[i], a0inv * r)
-        for k in range(4):                      # R is spent here
-            A[k][i] = _jt_times(off[i], R[k])
 
-    target = np.zeros((2, NCOMP, NCOMP))
-    target[0, IQ, IUN] = target[0, IUN, IQ] = 1.0
-    target[1, IQ, IUN] = target[1, IUN, IQ] = -1.0
-    res = float(np.max(np.abs(A[1][..., 0, :] - target[..., None])))
-
-    ops = EffectiveOperators(j_matrix(frame), *A, *M,
-                             A1_boundary_residual=res)
+    ops = EffectiveOperators(j_matrix(frame), *M)
     if lam_field is not None:
         B = [np.empty(shape) for _ in range(4)]
         ops.S = np.empty(shape)

@@ -119,6 +119,17 @@ def alfven_speed(state: PhysState, eos, k: float = 1e-6):
     return np.hypot(np.asarray(state.H1, float), np.asarray(state.H2, float)) / np.sqrt(rho)
 
 
+def contact_p_minus(p_plus: float, H2_plus: float, H2_minus: float) -> float:
+    """p- = p+ + (H2+^2 - H2-^2)/2: the minus-side pressure that balances
+    the total pressure p + H2^2/2 across a contact with H1 = 0 on both
+    sides; ``ValueError`` when the balance forces p- <= 0."""
+    p_minus = p_plus + 0.5 * (H2_plus ** 2 - H2_minus ** 2)
+    if not p_minus > 0:
+        raise ValueError(f"total-pressure balance forces p- <= 0: "
+                         f"p- = {p_minus:.6g}")
+    return p_minus
+
+
 def _zeros_like_state(state: PhysState):
     shape = np.broadcast_shapes(*(np.shape(np.asarray(f)) for f in
                                   (state.p, state.u1, state.u2, state.H1,

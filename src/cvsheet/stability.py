@@ -34,20 +34,12 @@ class StabilityError(RuntimeError):
     """Raised when an operation requires the stability condition."""
 
 
-@dataclass(frozen=True)
-class AlfvenData:
-    """Alfven speed and the symmetrizer bound a = 1/sqrt(rho (1 + cA^2/c^2))."""
-
-    c_A: np.ndarray
-    a_hat: np.ndarray
-
-    @classmethod
-    def from_state(cls, state: PhysState, eos, margin: float = 1e-6) -> "AlfvenData":
-        rho = eos.density(state.p, state.S)
-        cA = alfven_speed(state, eos, margin)
-        c = sound_speed(state, eos, margin)
-        a = np.sqrt(1.0 / (rho * (1.0 + (cA / c) ** 2)))
-        return cls(c_A=np.asarray(cA, float), a_hat=np.asarray(a, float))
+def _a_hat(state: PhysState, eos, margin: float) -> np.ndarray:
+    """The symmetrizer bound a = 1/sqrt(rho (1 + cA^2/c^2))."""
+    rho = eos.density(state.p, state.S)
+    cA = alfven_speed(state, eos, margin)
+    c = sound_speed(state, eos, margin)
+    return np.asarray(np.sqrt(1.0 / (rho * (1.0 + (cA / c) ** 2))), float)
 
 
 @dataclass
@@ -71,8 +63,8 @@ class StabilityReport:
 def check_stability(plus: PhysState, minus: PhysState, eos,
                     k: float = 1e-3, admissibility_margin: float = 1e-6
                     ) -> StabilityReport:
-    ap = AlfvenData.from_state(plus, eos, admissibility_margin).a_hat
-    am = AlfvenData.from_state(minus, eos, admissibility_margin).a_hat
+    ap = _a_hat(plus, eos, admissibility_margin)
+    am = _a_hat(minus, eos, admissibility_margin)
     jump_u2 = np.asarray(plus.u2, float) - np.asarray(minus.u2, float)
     margin = ap * np.abs(plus.H2) + am * np.abs(minus.H2) - np.abs(jump_u2)
     margin = np.asarray(np.broadcast_arrays(margin, ap * np.ones_like(am))[0], float)
@@ -208,13 +200,13 @@ def assemble_symmetrizer(state: PhysState, lam, eos) -> SymmetrizerBundle:
 
 @dataclass(frozen=True)
 class PositivityCertificate:
-    positive: bool
+    positive: bool      # rho lambda^2 (1 + cA^2/c^2) < 1 at every point
     min_eig: float
-    criterion_lhs: float  # max over points of rho lambda^2 (1 + cA^2/c^2)
 
 
 def check_b0_positive(state: PhysState, lam, eos) -> PositivityCertificate:
-    """B0 > 0 iff rho lambda^2 < 1 / (1 + cA^2/c^2); certificate carries min eig."""
+    """B0 > 0 iff rho lambda^2 < 1 / (1 + cA^2/c^2): the criterion at every
+    point, and the smallest eigenvalue of B0 it is checked against."""
     bundle = assemble_symmetrizer(state, lam, eos)
     B0 = np.moveaxis(bundle.B0, (0, 1), (-2, -1))
     eigs = np.linalg.eigvalsh(B0)
@@ -222,10 +214,8 @@ def check_b0_positive(state: PhysState, lam, eos) -> PositivityCertificate:
     cA = alfven_speed(state, eos)
     c = sound_speed(state, eos)
     lhs = rho * np.asarray(lam, float) ** 2 * (1.0 + (cA / c) ** 2)
-    return PositivityCertificate(
-        positive=bool(np.all(lhs < 1.0)),
-        min_eig=float(np.min(eigs)),
-        criterion_lhs=float(np.max(lhs)))
+    return PositivityCertificate(positive=bool(np.all(lhs < 1.0)),
+                                 min_eig=float(np.min(eigs)))
 
 
 @dataclass

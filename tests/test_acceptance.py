@@ -84,7 +84,7 @@ def test_acceptance_02_b0_positivity_equivalence():
                                              / sound_speed(st, EOS)) ** 2)))
         lam = rng.uniform(-1.5, 1.5) * bound
         cert = check_b0_positive(st, lam, EOS)
-        analytic = cert.criterion_lhs < 1.0
+        analytic = cert.positive
         eig_sign = cert.min_eig > 0
         assert analytic == eig_sign
         agree += 1
@@ -106,8 +106,9 @@ def test_acceptance_02_b0_positivity_equivalence():
 # -- 3: boundary matrix structure ----------------------------------------------
 
 def test_acceptance_03_boundary_matrix_rank4():
-    from cvsheet.linearized import (assemble_effective, sheared_sheet_state,
-                                    trivial_sheet_state, validate_basic_state)
+    from cvsheet.linearized import (IQ, IUN, assemble_effective,
+                                    sheared_sheet_state, trivial_sheet_state,
+                                    validate_basic_state)
     grid = Grid(n1=40, n2=40, L1=2 * np.pi, L2=2 * np.pi)
     rng = np.random.default_rng(11)
     states = [trivial_sheet_state(grid, EOS, u2_jump=0.3, H2_plus=1.4,
@@ -116,13 +117,17 @@ def test_acceptance_03_boundary_matrix_rank4():
                                   H2_minus=1.3)]
     while len(states) < 22:
         states.append(sheared_sheet_state(grid, EOS, rng=rng))
+    # at lambda = 0 the symmetrized family is the unsymmetrized one
+    lam0 = np.zeros((2, grid.n1, grid.n2))
+    E12 = np.zeros((6, 6, 1))
+    E12[IQ, IUN] = E12[IUN, IQ] = 1.0
     worst_entry = 0.0
     for b in states:
         rep = validate_basic_state(b)
         assert rep.ok, rep
-        ops = assemble_effective(b.frame(0.0))
-        worst_entry = max(worst_entry, ops.A1_boundary_residual)
-        bm = ops.A1[..., 0, :]
+        bm = assemble_effective(b.frame(0.0), lam0).B1[..., 0, :]
+        worst_entry = max(worst_entry,
+                          float(np.max(np.abs(bm - np.stack([E12, -E12])))))
         M = np.zeros((grid.n2, 12, 12))
         M[:, :6, :6] = np.moveaxis(bm[0], (0, 1), (1, 2))
         M[:, 6:, 6:] = np.moveaxis(bm[1], (0, 1), (1, 2))

@@ -147,7 +147,8 @@ def test_exit_codes(tmp_path, capsys):
     assert run_experiment(negative, tmp_path / "o", verbosity=0) == 1
     # a grid below the five-node stencil footprint (at n2 = 3 the periodic
     # stencil wraps j +- 2 onto j -+ 1) or of no extent, a compat slope
-    # fitted to one point, a jet of negative order, and a symmetrizer
+    # fitted to one point, a jet of negative order, a compat horizon of no
+    # length (its smallness would be NaN), and a symmetrizer
     # collar of no positive width (-0.25 once reported x1 in [0, -1]) or
     # with no nodes, and the ledger switch evolve no longer has (the ledger
     # runs with the monitors)
@@ -158,6 +159,7 @@ def test_exit_codes(tmp_path, capsys):
             ("nash-moser-demo", "grid", "n1 = 4"),
             ("compat", "compat", "fit_points = 1"),
             ("compat", "compat", "order = -1"),
+            ("compat", "compat", "T = 0"),
             ("symmetrize", "symmetrize", "collar_eps = -0.25"),
             ("symmetrize", "symmetrize", "collar_eps = 0"),
             ("symmetrize", "symmetrize", "n_collar = 0"),

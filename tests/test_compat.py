@@ -134,6 +134,25 @@ def test_smallness_budget_enforced(grid):
     assert half < full
 
 
+def test_horizon_without_a_measurable_size_is_refused(grid):
+    # no such horizon has a size to measure (each gave a NaN), and a NaN
+    # size misses any budget
+    jet = time_jet(manufactured_initial_data(grid, EOS, seed=5), order=2)
+    for T in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            build_approximate(jet, T=T, delta=10.0)
+    jet.Uj[0][0, IP, -1, 0] = np.nan    # a NaN reference constant
+    with pytest.raises(SmallnessError):
+        build_approximate(jet, T=1.0, delta=10.0)
+
+
+def test_manufactured_data_refuses_nonpositive_minus_pressure(grid):
+    # the total-pressure balance gives p- = 0.1 + (0.01 - 1)/2 = -0.395
+    with pytest.raises(ValueError, match="p- <= 0"):
+        manufactured_initial_data(grid, EOS, p_plus=0.1, H2_plus=0.1,
+                                  H2_minus=1.0)
+
+
 def test_initial_data_satisfies_divergence(grid):
     data = manufactured_initial_data(grid, EOS, amplitude=0.05, seed=7)
     div = grid.d1(data.U0[:, IH1]) + grid.d2(data.U0[:, IH2])

@@ -1,6 +1,7 @@
 """Every name a package module exports through ``__all__`` resolves, and
-every public definition of the package, and every public method and
-property of its classes, is read somewhere in it or in its benchmark."""
+every public definition of the package, and every public method, property
+and dataclass field of its classes, is read somewhere in it or in its
+benchmark."""
 
 import ast
 import importlib
@@ -36,6 +37,18 @@ _UNREAD_MEMBERS_ALLOWED = {
                                    "the operator-property tests use",
     "ValidationReport.ok": "the verdict on the paper's basic-state "
                            "hypotheses, asserted by acceptance 3",
+}
+
+
+#: public class fields nothing in the package or its benchmark reads, and
+#: why they stay
+_UNREAD_FIELDS_ALLOWED = {
+    **dict.fromkeys(
+        ("BoundaryFormDecomposition.leading", "BoundaryFormDecomposition.lot",
+         "BoundaryFormDecomposition.leading_coeff",
+         "BoundaryFormDecomposition.constraint_warning"),
+        "the split of the paper's boundary form, checked by acceptance 4"),
+    "Trajectory.timings": "the run's wall-time split per observer",
 }
 
 
@@ -97,5 +110,26 @@ def test_every_public_member_is_read():
         and f"{cls.name}.{node.name}" not in _UNREAD_MEMBERS_ALLOWED)
     assert not unread, f"public members nothing reads: {unread}"
     stale = sorted(key for key in _UNREAD_MEMBERS_ALLOWED
+                   if key.split(".")[1] in read)
+    assert not stale, f"allowed as unread, but read: {stale}"
+
+
+def test_every_public_field_is_read():
+    # a field that only tests read is built on every call for nothing;
+    # setting it (a keyword, a positional argument) does not read it
+    package, _, read = _package_and_read_names()
+    unread = sorted(
+        f"{cls.name}.{node.target.id}"
+        for path in package.glob("*.py")
+        for cls in ast.parse(path.read_text()).body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign)
+        and isinstance(node.target, ast.Name)
+        and not node.target.id.startswith("_")
+        and node.target.id not in read
+        and f"{cls.name}.{node.target.id}" not in _UNREAD_FIELDS_ALLOWED)
+    assert not unread, f"public fields nothing reads: {unread}"
+    stale = sorted(key for key in _UNREAD_FIELDS_ALLOWED
                    if key.split(".")[1] in read)
     assert not stale, f"allowed as unread, but read: {stale}"

@@ -7,8 +7,9 @@ import cvsheet.evolve as ev
 from cvsheet.evolve import NumericsError, cfl_timestep, evolve
 from cvsheet.front import lift_front, straighten, straightened_coefficients
 from cvsheet.grid import Grid, diff_time
-from cvsheet.linearized import (_J_OFF, IH2V, IHN, BasicFrame, BasicState,
-                                SheetOperators, assemble_effective, c_matrix,
+from cvsheet.linearized import (_J_OFF, IH2V, IHN, IQ, IUN, BasicFrame,
+                                BasicState, SheetOperators,
+                                assemble_effective, c_matrix,
                                 good_unknown_inverse, _j_off, j_matrix,
                                 sheared_sheet_state, time_step,
                                 trivial_sheet_state, validate_basic_state)
@@ -230,13 +231,23 @@ def test_c_matrix_evaluates_the_density_once(grid, monkeypatch):
                  _moving_curved_front(grid), EOS)
 
 
+def _wall_boundary_matrix(b):
+    """The wall row of the boundary matrix A1c of ``b`` at t = 0: B1 at
+    lambda = 0, and its largest entry off diag(E12, -E12)."""
+    g = b.grid
+    ops = assemble_effective(b.frame(0.0), np.zeros((2, g.n1, g.n2)))
+    bm = ops.B1[..., 0, :]
+    E12 = np.zeros((6, 6, 1))
+    E12[IQ, IUN] = E12[IUN, IQ] = 1.0
+    return bm, float(np.max(np.abs(bm - np.stack([E12, -E12]))))
+
+
 def test_boundary_structure_rank4(grid):
     rng = np.random.default_rng(3)
     for trial in range(5):
         b = sheared_sheet_state(grid, EOS, rng=rng)
-        ops = assemble_effective(b.frame(0.0))
-        assert ops.A1_boundary_residual <= 1e-12
-        bm = ops.A1[..., 0, :]
+        bm, residual = _wall_boundary_matrix(b)
+        assert residual <= 1e-12
         M = np.zeros((grid.n2, 12, 12))
         M[:, :6, :6] = np.moveaxis(bm[0], (0, 1), (1, 2))
         M[:, 6:, 6:] = np.moveaxis(bm[1], (0, 1), (1, 2))
@@ -249,16 +260,7 @@ def test_boundary_structure_rank4(grid):
 def test_boundary_structure_error_on_bad_state(grid):
     b = trivial_sheet_state(grid, EOS, H2_plus=1.5, H2_minus=1.1)
     b.U[0, 0, IU1] += 0.3  # nonzero wall-normal velocity: breaks the jump
-    assert assemble_effective(b.frame(0.0)).A1_boundary_residual > 1e-8
-
-
-def test_lambda_zero_makes_b_family_equal_a_family(grid):
-    b = sheared_sheet_state(grid, EOS, rng=np.random.default_rng(11))
-    lam0 = np.zeros((2, grid.n1, grid.n2))
-    ops = assemble_effective(b.frame(0.0), lam_field=lam0)
-    for A, B in ((ops.A0, ops.B0), (ops.A1, ops.B1), (ops.A2, ops.B2),
-                 (ops.A3, ops.B3)):
-        assert np.allclose(A, B, atol=1e-12)
+    assert _wall_boundary_matrix(b)[1] > 1e-8
 
 
 def test_zero_data_zero_solution(grid):
@@ -416,13 +418,24 @@ def test_basic_state_refuses_misshaped_inputs():
 
 
 def test_evolve_refuses_to_run_past_the_snapshots():
-    # bracket clamps t, so past tgrid[-1] the coefficients would freeze
+    # the march needs the coefficients over all of [0, t_final]
     basic = _ramped_trivial_stack(0.1)
     with pytest.raises(ValueError, match="snapshots cover"):
         evolve(basic, t_final=3.0)
     late = _ramped_trivial_stack(0.1, np.linspace(0.5, 1.0, 5))
     with pytest.raises(ValueError, match="snapshots cover"):
         evolve(late, t_final=1.0)
+
+
+def test_frame_refuses_a_time_off_the_snapshots():
+    # a clamped t would hand back an end frame as the frame at t; roundoff
+    # past either end is clamped
+    basic = _ramped_trivial_stack(0.1, np.linspace(0.0, 2.0, 5))
+    for t in (2.5, -0.1, np.nan):
+        with pytest.raises(ValueError, match="outside the snapshots"):
+            basic.frame(t)
+    assert np.array_equal(basic.frame(2.0 * (1 + 1e-12)).U, basic.U[-1])
+    assert np.array_equal(basic.frame(-1e-12).U, basic.U[0])
 
 
 def test_forcing_evaluated_once_per_stage_time():
@@ -668,7 +681,9 @@ def _moving_frame(seed, amp, rate, steady):
 def test_sparse_conjugation_equals_dense_contraction(seed, amp, rate):
     # J = I + four entries: the row and column updates of
     # assemble_effective sum the same nonzero products in the same order
-    # as the dense einsums, so every coefficient agrees bit for bit
+    # as the dense einsums, so every coefficient agrees bit for bit; at
+    # lambda = 0 (S = I, T = 0) the symmetrized family is the
+    # unsymmetrized one
     grid = Grid(n1=12, n2=12, L1=2 * np.pi, L2=2 * np.pi)
     rng = np.random.default_rng(seed)
     b = sheared_sheet_state(grid, EOS, rng=rng)
@@ -679,11 +694,11 @@ def test_sparse_conjugation_equals_dense_contraction(seed, amp, rate):
     assert np.max(np.abs(fr.lifted.dt_psi)) > 0
     assert np.max(np.abs(dJdt)) > 0
     lam = rng.uniform(0.0, 0.1, size=(2, grid.n1, grid.n2))
-    ops = assemble_effective(fr, lam)
     A, B = _dense_families(fr, lam, dJdt)
-    got = (ops.A0, ops.A1, ops.A2, ops.A3, ops.B0, ops.B1, ops.B2, ops.B3)
-    for x, want in zip(got, A + B):
-        assert np.array_equal(x, want)
+    for lam_field, family in ((lam, B), (np.zeros_like(lam), A)):
+        ops = assemble_effective(fr, lam_field)
+        for x, want in zip((ops.B0, ops.B1, ops.B2, ops.B3), family):
+            assert np.array_equal(x, want)
 
 
 @settings(max_examples=10, deadline=None)
@@ -725,7 +740,7 @@ def test_uniform_coefficients_are_stored_compact(grid):
         assert co[key].shape == (2, 6, 6, 1, 1), key
     # exact stencils: the zero-order coefficient of the planar sheet is 0
     assert not np.any(co["M3"])
-    assert co["ops"].A0.shape == (2, 6, 6, grid.n1, 1)
+    assert co["ops"].J.shape == (2, 6, 6, grid.n1, 1)
     sheared = sheared_sheet_state(grid, EOS, rng=np.random.default_rng(4))
     co = ev._CoeffCache(sheared, None).at(0.0)
     for key in _APPLIED:
@@ -813,9 +828,10 @@ def test_column_bundle_equals_full_grid_assembly(n):
     column, full = _column_and_full(basic, lam_field)
     assert column._source.grid == Grid(n, 1, grid.L1, grid.L2)
     co, ref = column.at(0.0), full.at(0.0)
-    assert co["ops"].A0.shape == (2, 6, 6, n, 1)
-    assert ref["ops"].A0.shape == (2, 6, 6, n, n)
-    for name in ("J", "A0", "A1", "A2", "A3", "B0", "B1", "B2", "B3", "S"):
+    assert co["ops"].J.shape == (2, 6, 6, n, 1)
+    assert ref["ops"].J.shape == (2, 6, 6, n, n)
+    for name in ("J", "M1", "M2", "M3", "A0invJt", "B0", "B1", "B2", "B3",
+                 "S"):
         assert _bits_equal_broadcast(getattr(co["ops"], name),
                                      getattr(ref["ops"], name)), name
     for key in ev._CoeffCache._KEYS:
