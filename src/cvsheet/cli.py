@@ -11,7 +11,9 @@ Every artifact is written and read here: CSV tables (a header line, then
 checkpoints, one (2, 6, n1, n2) ``checkpoint_kkk.npy`` per snapshot time,
 listed with their grid, state and EOS in ``checkpoints.json``.
 
-Exit codes: 0 success, 1 config/validation failure, 2 numerical abort.
+Exit codes: 0 success, 1 config/validation failure (a missed smallness
+budget included), 2 numerical abort (a modified state that loses
+stability and a degenerate front Jacobian included).
 """
 
 from __future__ import annotations
@@ -27,9 +29,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .compat import (SmallnessError, build_approximate, check_compatibility,
+                     forcing_fa, manufactured_initial_data, time_jet)
 from .evolve import NumericsError, energy_integrals, evolve
+from .front import DegenerateJacobianError
 from .grid import Grid
 from .mhd import IdealGasEos, PhysState, contact_p_minus
+from .nashmoser import ModifiedStateError, NashMoserConfig, NashMoserDriver
 from .stability import StabilityError, check_stability, wang_yu_compare
 
 
@@ -181,6 +187,9 @@ def _pair_states(state_cfg, eos):
 def run_stability_map(cfg, seed, out: Path, verbosity: int) -> dict:
     eos = IdealGasEos(**cfg["eos"])
     m = cfg["map"]
+    if m["u2_jump_n"] < 1 or m["H2_n"] < 1:
+        raise ConfigError(f"[map] needs u2_jump_n, H2_n >= 1, got "
+                          f"{m['u2_jump_n']} and {m['H2_n']}")
     jumps = np.linspace(0.0, m["u2_jump_max"], m["u2_jump_n"])
     fields = np.linspace(0.0, m["H2_max"], m["H2_n"])
     rows = []
@@ -310,8 +319,6 @@ def run_energy_report(cfg, seed, out: Path, verbosity: int) -> dict:
 
 
 def run_compat(cfg, seed, out: Path, verbosity: int) -> dict:
-    from .compat import (build_approximate, check_compatibility, forcing_fa,
-                         manufactured_initial_data, time_jet)
     eos = IdealGasEos(**cfg["eos"])
     grid = _grid(cfg["grid"])
     cc = cfg["compat"]
@@ -344,9 +351,6 @@ def run_compat(cfg, seed, out: Path, verbosity: int) -> dict:
 
 
 def run_nash_moser_demo(cfg, seed, out: Path, verbosity: int) -> dict:
-    from .compat import (build_approximate, manufactured_initial_data,
-                         time_jet)
-    from .nashmoser import NashMoserConfig, NashMoserDriver
     eos = IdealGasEos(**cfg["eos"])
     grid = _grid(cfg["grid"])
     nm = cfg["nash-moser"]
@@ -396,12 +400,13 @@ def run_experiment(config_path, out_dir, seed=None, verbosity=1) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         summary = RUNNERS[experiment](cfg, seed, out, verbosity)
-    except (NumericsError, StabilityError) as exc:
+    except (NumericsError, StabilityError, ModifiedStateError,
+            DegenerateJacobianError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
-        # a ConfigError, a state that the config makes inadmissible, or an
-        # input file that cannot be read
+    except (ValueError, OSError, SmallnessError) as exc:
+        # a ConfigError, a state that the config makes inadmissible, a
+        # missed smallness budget, or an input file that cannot be read
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     _write_manifest(out, experiment, seed, text,

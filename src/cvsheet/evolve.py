@@ -47,21 +47,23 @@ interpolates only the bundle entries the march applies.
 ``Trajectory.timings`` gives the wall seconds of the march and of each
 observer; they are the one part of a trajectory that is not reproducible.
 
-A time-dependent basic state's coefficients are interpolated between
-snapshot bundles.  The march reads the snapshot brackets in time order, so
+Coefficients are built at snapshots, each family by its one reader: the
+cache builds the march's solved family and interpolates a time-dependent
+state's bundles between snapshots, the ledger the symmetrized family of
+its multiplier.  The march reads the snapshot brackets in time order, so
 the cache holds the two bundles of the current bracket and drops the ones
 behind it; a lookup behind the window rebuilds its bundles from their
 frames, bit for bit.  The snapshots must cover [0, t_final].
 
 A steady basic state that is constant along the front (the planar sheet)
-has its coefficients, and with them the ledger's symmetrized family,
-assembled on one x2 column and broadcast along x2.  Every matrix the
-ledger and the a priori monitor apply then varies in x1 at most, so each
-of their quadratic forms contracts the matrix against a per-x1 Gram
-G_ij(x1) = sum over x2 of X_i Y_j (``_form``): one batched matrix product
-per field pair, and the step end computes the Grams of V, d1 V, d2 V and
-the time difference once for both observers.  A state whose matrices vary
-along x2 (the sheared sheet) applies them to the full fields.
+has both families assembled on one x2 column, the one compact form of a
+coefficient, and broadcast along x2.  Every matrix the ledger and the a
+priori monitor apply then varies in x1 at most, so each of their quadratic
+forms contracts the matrix against a per-x1 Gram G_ij(x1) = sum over x2
+of X_i Y_j (``_form``): one batched matrix product per field pair, and the
+step end computes the Grams of V, d1 V, d2 V and the time difference once
+for both observers.  A state whose matrices vary along x2 (the sheared
+sheet) applies them to the full fields.
 """
 
 from __future__ import annotations
@@ -169,49 +171,40 @@ def cfl_timestep(basic: BasicState, cfl: float = 0.4) -> float:
 
 
 class _CoeffCache:
-    """Assembled solver coefficients: one bundle for steady states, linear
-    interpolation between snapshot-time bundles otherwise.
+    """The march's solved coefficients, built by snapshot: one bundle for
+    steady states, linear interpolation between snapshot bundles otherwise.
 
     The march reads its snapshot brackets [k, k + 1] in time order, so a
     time-dependent cache holds the two bundles of the current bracket
     only and builds each snapshot's bundle once.  A lookup behind the
     window rebuilds the bundles it needs from their frames, bit for bit.
 
-    A bundle holds one frame's ``assemble_effective`` operators ``ops``,
-    their ``M1``, ``M2``, ``M3``, ``A0invJt`` and ``J`` compacted, ``d1phi``
-    and the wall traces.
+    A bundle holds one snapshot's ``M1``, ``M2``, ``M3``, ``A0invJt`` and
+    ``J`` from ``assemble_effective``, ``d1phi`` and the wall traces; the
+    symmetrized family is the ledger's to build (``_LedgerAccumulator``).
 
-    A steady state whose ``U``, ``phi`` and multiplier ``lam_field`` are
-    exactly x2-invariant (the planar sheet's) is assembled on one x2
-    column, a ``BasicState`` on ``Grid(n1, 1, L1, L2)``: every field of
-    the bundle, ``ops``, ``d1phi`` and the wall traces included, is then
-    (..., n1, 1) or (1,) and broadcasts against (2, 6, n1, n2) fields.  A
-    one-column field has d2 exactly 0, as the full x2-invariant field has,
-    so the column holds the bits of the full assembly.
-
-    A coefficient that is exactly uniform in space is stored as
-    (2, 6, 6, 1, 1) and ``_mat_apply2`` applies it through its nonzero
-    entries; the trailing (1, 1) keeps it broadcasting against full
-    (2, 6, 6, n1, n2) fields, so a uniform bundle interpolates with a
-    non-uniform one.
+    A steady state whose ``U`` and ``phi`` are exactly x2-invariant (the
+    planar sheet's) is assembled on one x2 column, the ``source`` state on
+    ``Grid(n1, 1, L1, L2)``: every field of the bundle, ``d1phi`` and the
+    wall traces included, is then (..., n1, 1) or (1,) and broadcasts
+    against (2, 6, n1, n2) fields.  A one-column field has d2 exactly 0, as
+    the full x2-invariant field has, so the column holds the bits of the
+    full assembly.  It is the one compact form a coefficient takes.
     """
 
     _MARCH_KEYS = ("M1", "M2", "M3", "A0invJt")     # what the march applies
     _KEYS = _MARCH_KEYS + ("J", "d1phi")            # and what monitors read
 
-    def __init__(self, basic: BasicState, lam_field, keys=_KEYS):
+    def __init__(self, basic: BasicState, keys=_KEYS):
         self.basic = basic
-        self.lam_field = lam_field
         self.keys = keys                # interpolated between snapshots
-        self._source = basic            # the state the bundles are built from
-        if basic.steady and all(a is None or np.all(a == a[..., :1])
-                                for a in (basic.U, basic.phi, lam_field)):
+        self.source = basic             # the state the bundles are built from
+        if basic.steady and all(np.all(a == a[..., :1])
+                                for a in (basic.U, basic.phi)):
             g = basic.grid
-            self._source = BasicState(
+            self.source = BasicState(
                 grid=Grid(g.n1, 1, g.L1, g.L2), eos=basic.eos,
                 U=basic.U[..., :1], phi=basic.phi[..., :1])
-            if lam_field is not None:
-                self.lam_field = lam_field[..., :1]
         self._steady = None
         self._snap: dict = {}
         self._last = (None, None)   # (t, bundle) of the latest lookup
@@ -219,7 +212,7 @@ class _CoeffCache:
     def at(self, t: float):
         if self.basic.steady:
             if self._steady is None:
-                self._steady = self._build(0.0)
+                self._steady = self._build(0)
             return self._steady
         if self._last[0] != t:
             self._last = (t, self._interpolate(t))
@@ -240,23 +233,15 @@ class _CoeffCache:
 
     def _bundle(self, k: int):
         if k not in self._snap:
-            self._snap[k] = self._build(float(self.basic.tgrid[k]))
+            self._snap[k] = self._build(k)
         return self._snap[k]
 
-    def _build(self, t: float):
-        fr = self._source.frame(t)
-        ops = assemble_effective(fr, self.lam_field)
-        bundle = {key: _compact(getattr(ops, key))
-                  for key in ("J",) + self._MARCH_KEYS}
-        bundle.update(ops=ops, d1phi=fr.lifted.d1_phi_map,
-                      traces=fr.boundary_traces())
+    def _build(self, k: int):
+        fr = self.source.frame(k)
+        ops = assemble_effective(fr)
+        bundle = {key: getattr(ops, key) for key in ("J",) + self._MARCH_KEYS}
+        bundle.update(d1phi=fr.lifted.d1_phi_map, traces=fr.boundary_traces())
         return bundle
-
-
-def _compact(a):
-    """``a[..., :1, :1]`` if the field ``a`` is exactly uniform in space."""
-    head = a[..., :1, :1]
-    return head if np.all(a == head) else a
 
 
 def _ledger_multiplier(basic: BasicState):
@@ -271,10 +256,8 @@ def _ledger_multiplier(basic: BasicState):
         fallback = str(exc)
         lam_pair = LambdaPair(lam_plus=np.zeros(grid.n2),
                               lam_minus=np.zeros(grid.n2))
-    lam_field = extend_lambda(lam_pair, grid.x1,
-                              eps=max(4 * grid.h1, 0.05 * grid.L1))
-    return (np.broadcast_to(lam_field, (2, grid.n1, grid.n2)).copy(),
-            fallback)
+    return (extend_lambda(lam_pair, grid.x1,
+                          eps=max(4 * grid.h1, 0.05 * grid.L1)), fallback)
 
 
 def evolve(basic: BasicState, t_final: float, *, forcing=None, bdata=None,
@@ -313,12 +296,9 @@ def evolve(basic: BasicState, t_final: float, *, forcing=None, bdata=None,
                              f"{t_final:.6g}]")
     grid = basic.grid
     ledger = monitors and basic.steady
-    lam_field, lambda_fallback = (_ledger_multiplier(basic) if ledger
-                                  else (None, None))
 
     stepper = LinearizedStepper(
-        basic, forcing=forcing, bdata=bdata, lam_field=lam_field,
-        sponge_strength=sponge_strength,
+        basic, forcing=forcing, bdata=bdata, sponge_strength=sponge_strength,
         keys=_CoeffCache._KEYS if monitors else _CoeffCache._MARCH_KEYS)
     dt = cfl_timestep(basic, cfl) if dt_override is None else dt_override
     nsteps = max(1, int(np.ceil(t_final / dt - _STEP_ROUNDOFF)))
@@ -332,8 +312,8 @@ def evolve(basic: BasicState, t_final: float, *, forcing=None, bdata=None,
         observers["apriori"] = _AprioriMonitor(grid, stepper.cache, forcing,
                                                dt)
         if ledger:
-            observers["ledger"] = _LedgerAccumulator(grid, stepper.cache, dt,
-                                                     stepper.sponge)
+            observers["ledger"] = _LedgerAccumulator(
+                grid, stepper.cache.source, dt, stepper.sponge)
     timings = dict.fromkeys(("march", *observers), 0.0)
 
     def observe(method: str, end: _StepEnd) -> None:
@@ -381,9 +361,9 @@ def evolve(basic: BasicState, t_final: float, *, forcing=None, bdata=None,
                    hn_residual=np.asarray(con.hn),
                    apriori=observers["apriori"].sums)
     if ledger:
-        out["ledger"] = observers["ledger"].ledger
-    return Trajectory(**out, lambda_fallback=lambda_fallback,
-                      timings=timings)
+        out.update(ledger=observers["ledger"].ledger,
+                   lambda_fallback=observers["ledger"].lambda_fallback)
+    return Trajectory(**out, timings=timings)
 
 
 class _StepEnd:
@@ -475,10 +455,10 @@ def _mat_apply2(M, v, out=None):
     """Per-side 6x6 apply M v, written into ``out`` if given (a float
     array of v's shape that is not v) and returned.
 
-    An M that varies in x1 at most, stored (2, 6, 6, n1, 1), or uniform,
-    stored (2, 6, 6, 1, 1), is applied through its nonzero entries,
-    accumulated in column order onto zeros as the einsum accumulates them;
-    for a uniform M both paths give the same bits.
+    An M that varies in x1 at most, stored (2, 6, 6, n1, 1) as the cache
+    and the ledger assemble it on one column, is applied through its
+    nonzero entries, accumulated in column order onto zeros as the einsum
+    accumulates them.
     """
     if M.shape[-1] != 1:
         return np.einsum("sij...,sj...->si...", M, v, out=out)
@@ -491,11 +471,11 @@ def _mat_apply2(M, v, out=None):
 
 
 def _row_apply(M, v, s, i, out, prod):
-    """Row (s, i) of ``_mat_apply2(M, v)`` for a compact M, written into
-    ``out`` and returned, with the same bits: the products of the row's
-    nonzero entries, formed in ``prod`` and accumulated in column order
-    onto 0.0.  None, with ``out`` untouched, for a row without entries
-    (the row of zeros)."""
+    """Row (s, i) of ``_mat_apply2(M, v)`` for a one-column M, written
+    into ``out`` and returned, with the same bits: the products of the
+    row's nonzero entries, formed in ``prod`` and accumulated in column
+    order onto 0.0.  None, with ``out`` untouched, for a row without
+    entries (the row of zeros)."""
     m = M[s, i, ..., 0]
     js = np.flatnonzero(np.any(m != 0.0, axis=-1))
     if js.size == 0:
@@ -555,10 +535,9 @@ class LinearizedStepper:
     """
 
     def __init__(self, basic: BasicState, *, forcing=None, bdata=None,
-                 lam_field=None, sponge_strength: float = 2.0,
-                 keys=_CoeffCache._KEYS):
+                 sponge_strength: float = 2.0, keys=_CoeffCache._KEYS):
         self.grid = basic.grid
-        self.cache = _CoeffCache(basic, lam_field, keys)
+        self.cache = _CoeffCache(basic, keys)
         grid = basic.grid
         x1 = grid.x1[:, None]
         sp_start = grid.L1 * (1.0 - _SPONGE_WIDTH)
@@ -574,7 +553,7 @@ class LinearizedStepper:
         self._zero_g = np.zeros((3, grid.n2))
         # held by the step: the stage derivative and the pair d1 V, d2 V of
         # a stage or a step end, and rhs's product scratch, row-sized for a
-        # compact bundle and full-size otherwise (left untouched, its pages
+        # one-column bundle and full-size otherwise (left untouched, its pages
         # are never made resident)
         self._k, self._d1, self._d2, self._tmp = (np.empty(full)
                                                   for _ in range(4))
@@ -613,11 +592,11 @@ class LinearizedStepper:
         a pair the caller does not hold is taken into the stepper's pair
         buffers.
 
-        With a compact bundle (every matrix (..., n1, 1) or (..., 1, 1),
-        as on the planar sheet) dV is formed one (side, component) row at
-        a time, each product row (``_row_apply``) in row scratch, so a
-        row's operands stay in cache, and a product row without entries is
-        not formed (x - 0.0 is x).  Otherwise each product is one einsum
+        With a one-column bundle (every matrix (..., n1, 1), the planar
+        sheet's) dV is formed one (side, component) row at a time, each
+        product row (``_row_apply``) in row scratch, so a row's operands
+        stay in cache, and a product row without entries is not formed
+        (x - 0.0 is x).  Otherwise each product is one einsum
         into a full-size scratch: per-row einsums cost more call overhead
         than the cache saves on the small grids of the Nash-Moser solve.
         """
@@ -799,7 +778,8 @@ class _AprioriMonitor:
         self._JtJ = None                # J^T J where the Gram path applies
         if cache.basic.steady:
             J = cache.at(0.0)["J"]
-            if J.shape[-2:] == (1, 1):
+            if np.all(J == J[..., :1, :1]):
+                J = J[..., :1, :1]
                 self._JtJ = np.einsum("sji...,sjk...->sik...", J, J)
         self._forcing = forcing
         self._profile = None
@@ -873,14 +853,16 @@ class _LedgerAccumulator:
     so the symmetrized identity carries three right-hand contributions:
     the wall/far boundary fluxes of B1c, the source 2 (J^T (S F + T div
     hdot / d1Phi)) . V, and the zero-order quadratic form including the
-    sponge damping through B0c.  ``evolve`` runs it on steady basic states,
-    with the symmetrized family of a multiplier field in the cache.
+    sponge damping through B0c.  ``evolve`` runs it on steady basic states.
+    It builds the symmetrized family, which nothing else reads: the
+    multiplier of ``source`` (the state the coefficient cache assembles
+    from), with ``lambda_fallback`` the reason it fell back to 0 if it did,
+    and ``assemble_effective`` at the snapshot.
 
     Every term is a form ``_form(M, X, Y)``.  ``B0``, J^T S, J^T T and the
-    zero-order matrix keep the shape of the cache's bundle: (..., n1, 1)
-    for a state assembled on one x2 column, where they vary in x1 only
-    (through the multiplier and the sponge), or (..., 1, 1) where they are
-    uniform.  Those contract against per-x1 Grams: the step end's Gram of
+    zero-order matrix are (..., n1, 1) for a state assembled on one x2
+    column, where they vary in x1 only (through the multiplier and the
+    sponge).  Those contract against per-x1 Grams: the step end's Gram of
     V serves B0 and the zero-order form, the cross Grams of V with F and
     with div hdot / d1Phi the source, and the energies I, I0, I1n, Isigma
     and I2 are traces of the step end's Grams of V, Vt, d1 V and d2 V.  On
@@ -888,27 +870,26 @@ class _LedgerAccumulator:
     full fields.
     """
 
-    def __init__(self, grid: Grid, cache: _CoeffCache, dt: float, sponge):
+    def __init__(self, grid: Grid, source: BasicState, dt: float, sponge):
         self.grid = grid
         self.dt = dt
         self._w, self._wsig = _weights(grid)
         self.ledger = EnergyLedger()
         self._flux_int = 0.0
         self._prev_integrand = None
-        co = cache.at(0.0)
-        self.ops = ops = co["ops"]
-        self._S, self._B0 = _compact(ops.S), _compact(ops.B0)
-        self._Jt = np.swapaxes(co["J"], 1, 2)
-        self._d1phi = co["d1phi"]
+        lam_field, self.lambda_fallback = _ledger_multiplier(source)
+        fr = source.frame(0)
+        self.ops = ops = assemble_effective(fr, lam_field)
+        self._Jt = np.swapaxes(ops.J, 1, 2)
+        self._d1phi = fr.lifted.d1_phi_map
         g = grid
         self._zo_matrix = (g.d1(ops.B1) + g.d2(ops.B2)
                            - (ops.B3 + np.swapaxes(ops.B3, 1, 2))
                            - 2.0 * sponge * ops.B0)
-        self._T = ops.T     # the secondary symmetrizer's T, in U-space
         # the source's matrices: J^T S, and J^T T as a one-column matrix
-        self._JtS = _compact(np.einsum("sij...,sjk...->sik...", self._Jt,
-                                       self._S))
-        self._JtT = _mat_apply2(self._Jt, self._T)[:, :, None]
+        # (T the secondary symmetrizer's, in U-space)
+        self._JtS = np.einsum("sij...,sjk...->sik...", self._Jt, ops.S)
+        self._JtT = _mat_apply2(self._Jt, ops.T)[:, :, None]
 
     def start(self, end: _StepEnd) -> None:
         GV = end.gram("V")
@@ -921,7 +902,7 @@ class _LedgerAccumulator:
         self.ledger.rows.append(self.row(end))
 
     def _q(self, V, GV=None):
-        return _form(self._B0, V, V, self._w, GV)
+        return _form(self.ops.B0, V, V, self._w, GV)
 
     def _integrand(self, V, F, div, GV=None):
         ops = self.ops

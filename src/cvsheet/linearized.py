@@ -58,8 +58,9 @@ class BasicState:
     """Background state given as one or more time snapshots.
 
     ``U`` is (nt, 2, 6, n1, n2) and ``phi`` (nt, n2); nt = 1 means a steady
-    state (all time derivatives vanish).  Linear interpolation in time with
-    snapshot finite differences supplies values and rates at arbitrary t.
+    state (all time derivatives vanish).  ``frame(k)`` gives snapshot k with
+    its rates, finite differences over the uniform ``tgrid``; values between
+    snapshots are the caller's to interpolate.
     """
 
     grid: Grid
@@ -92,7 +93,6 @@ class BasicState:
                 time_step(self.tgrid)
         self._Ut = None
         self._phit = None
-        self._steady_frame = None
 
     @property
     def steady(self) -> bool:
@@ -115,21 +115,14 @@ class BasicState:
         plus, minus = (PhysState.from_vector(u) for u in self.U[0, :, :, 0])
         return build_lambda(plus, minus, self.eos)
 
-    def frame(self, t: float) -> "BasicFrame":
-        if self.steady:
-            if self._steady_frame is None:
-                self._steady_frame = BasicFrame(self, self.U[0],
-                                                np.zeros_like(self.U[0]),
-                                                self.phi[0],
-                                                np.zeros_like(self.phi[0]))
-            return self._steady_frame
+    def frame(self, k: int) -> "BasicFrame":
+        """The frame of snapshot ``k`` in [0, nt), with its rates (zero on a
+        steady state); ``ValueError`` for any other k."""
+        nt = self.U.shape[0]
+        if not 0 <= k < nt:
+            raise ValueError(f"snapshot {k!r} is outside [0, {nt})")
         Ut, phit = self._rates()
-        k, w = bracket(self.tgrid, t)
-        Uf = (1 - w) * self.U[k] + w * self.U[k + 1]
-        pf = (1 - w) * self.phi[k] + w * self.phi[k + 1]
-        Utf = (1 - w) * Ut[k] + w * Ut[k + 1]
-        ptf = (1 - w) * phit[k] + w * phit[k + 1]
-        return BasicFrame(self, Uf, Utf, pf, ptf)
+        return BasicFrame(self, self.U[k], Ut[k], self.phi[k], phit[k])
 
 
 def time_step(tgrid: np.ndarray) -> float:
@@ -227,22 +220,24 @@ DEFAULT_TOLERANCES = {
 }
 
 
-def validate_basic_state(basic: BasicState, times=None) -> ValidationReport:
+def validate_basic_state(basic: BasicState,
+                         snapshots=None) -> ValidationReport:
     """Residuals of every constraint the linearization assumes.
 
     Checks the hyperbolicity and stability margins, the kinematic wall
     condition, the magnetic transport identity, div h = 0, H_N = 0 at the
     wall, and the front smallness; the report carries worst-case values
-    over the sampled times, judged against ``DEFAULT_TOLERANCES``.
+    over the sampled snapshot indices (all of them by default), judged
+    against ``DEFAULT_TOLERANCES``.
     """
-    if times is None:
-        times = [0.0] if basic.steady else list(basic.tgrid)
+    if snapshots is None:
+        snapshots = range(basic.U.shape[0])
     worst = dict(hyper=np.inf, stab=np.inf, jump=0.0, trans=0.0, div=0.0,
                  hn=0.0, phi=0.0)
     eos = basic.eos
     g = basic.grid
-    for t in times:
-        fr = basic.frame(t)
+    for k in snapshots:
+        fr = basic.frame(k)
         rho = np.stack([eos.density(st.p, st.S) for st in fr.states])
         rho_p = np.stack([eos.density_dp(st.p, st.S) for st in fr.states])
         worst["hyper"] = min(worst["hyper"], float(np.min(rho)),
@@ -572,11 +567,12 @@ def _j_inv_times(off, m):
 
 
 def _right_products(m0, m1, m2, zc, off, d1off, d2off, dtoff):
-    """[m0 J, m1 J, m2 J, zc J + m1 d1J + m2 d2J + m0 dJ/dt] for one side,
-    from N's entries ``off`` and their derivatives."""
-    R = [_add_columns(m.copy(), m, off) for m in (m0, m1, m2, zc)]
+    """[m1 J, m2 J, zc J + m1 d1J + m2 d2J + m0 dJ/dt] for one side, from
+    N's entries ``off`` and their derivatives.  m0 J, which only the
+    symmetrized family reads, its caller forms."""
+    R = [_add_columns(m.copy(), m, off) for m in (m1, m2, zc)]
     for m, doff in ((m1, d1off), (m2, d2off), (m0, dtoff)):
-        _add_columns(R[3], m, doff)
+        _add_columns(R[2], m, doff)
     return R
 
 
@@ -584,12 +580,13 @@ def _right_products(m0, m1, m2, zc, off, d1off, d2off, dtoff):
 class EffectiveOperators:
     """Calligraphic coefficient families of the characteristic system.
 
-    With A_kc = J^T R_k for the right products R_k of ``_right_products``,
-    the march applies M_k = A0c^{-1} A_kc = J^{-1} A0^{-1} R_k
-    (k = 1, 2, 3) and ``A0invJt`` = A0c^{-1} J^T.  The symmetrized family
-    ``B0``-``B3``, ``S`` and ``T`` (given a multiplier field) enter the
-    energy ledger; at lambda = 0, S = I and T = 0, so it is the A_kc family
-    itself.  Shapes are (2, 6, 6, n1, n2), and (2, 6, n1, n2) for ``T``.
+    With A_kc = J^T R_k for R_0 = A0 J and the right products R_1-R_3 of
+    ``_right_products``, the march applies M_k = A0c^{-1} A_kc
+    = J^{-1} A0^{-1} R_k (k = 1, 2, 3) and ``A0invJt`` = A0c^{-1} J^T.
+    The symmetrized family ``B0``-``B3``, ``S`` and ``T`` (given a
+    multiplier field) enters the energy ledger; at lambda = 0, S = I and
+    T = 0, so it is the A_kc family itself.  Shapes are (2, 6, 6, n1, n2),
+    and (2, 6, n1, n2) for ``T``.
     """
 
     J: np.ndarray
@@ -629,7 +626,7 @@ def assemble_effective(frame: BasicFrame, lam_field: np.ndarray | None = None
         R = _right_products(a0, a1t, a2, C[i], off[i], d1off[i], d2off[i],
                             dtoff[i])
         a0inv = 1.0 / np.einsum("kk...->k...", a0)[:, None]  # A0 is diagonal
-        for k, r in enumerate(R[1:] + [_EYE]):
+        for k, r in enumerate(R + [_EYE]):
             M[k][i] = _j_inv_times(off[i], a0inv * r)
 
     ops = EffectiveOperators(j_matrix(frame), *M)
@@ -641,8 +638,9 @@ def assemble_effective(frame: BasicFrame, lam_field: np.ndarray | None = None
             bundle = assemble_symmetrizer(frame.states[i], lam_field[i], eos)
             b1t = straighten(bundle.B0, bundle.B1, bundle.B2, frame.lifted, i)
             SC = np.einsum("ik...,kj...->ij...", bundle.S, C[i])
-            R = _right_products(bundle.B0, b1t, bundle.B2, SC, off[i],
-                                d1off[i], d2off[i], dtoff[i])
+            R = [_add_columns(bundle.B0.copy(), bundle.B0, off[i]),
+                 *_right_products(bundle.B0, b1t, bundle.B2, SC, off[i],
+                                  d1off[i], d2off[i], dtoff[i])]
             for k in range(4):
                 B[k][i] = _jt_times(off[i], R[k])
             ops.S[i], ops.T[i] = bundle.S, bundle.T

@@ -61,8 +61,8 @@ class ThetaSchedule:
     theta0: float = 2.0
 
     def __post_init__(self):
-        if self.theta0 < 1.0:
-            raise ValueError("theta0 must be >= 1")
+        if not self.theta0 >= 1.0:
+            raise ValueError(f"theta0 must be >= 1, got {self.theta0!r}")
 
     def theta(self, i):
         return np.sqrt(self.theta0 ** 2 + np.asarray(i, dtype=float))
@@ -228,7 +228,7 @@ class NashMoserDriver:
     def _check_modified(self, basic: BasicState):
         tol = _MODIFIED_STATE_TOL
         stride = max(self.nt // 6, 1)
-        rep = validate_basic_state(basic, times=self.tgrid[1:-1:stride])
+        rep = validate_basic_state(basic, range(1, self.nt - 1, stride))
         if rep.hyperbolicity_margin <= 0:
             raise ModifiedStateError("hyperbolicity lost in modified state")
         if rep.stability_margin < _STABILITY_K:
@@ -273,8 +273,8 @@ class NashMoserDriver:
         dUdot_wall = np.empty((nt, 2, 6, 1, g.n2))
         dV = np.empty_like(dVdot_char)
         shift = np.empty((nt, 2, 1, g.n1, g.n2))    # dPsi / d1Phi
-        for n, t in enumerate(self.tgrid):
-            fr = basic.frame(t)
+        for n in range(nt):
+            fr = basic.frame(n)
             dUdot = np.einsum("sij...,sj...->si...", j_matrix(fr),
                               dVdot_char[n])
             dUdot_wall[n] = dUdot[:, :, :1]

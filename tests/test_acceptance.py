@@ -125,7 +125,7 @@ def test_acceptance_03_boundary_matrix_rank4():
     for b in states:
         rep = validate_basic_state(b)
         assert rep.ok, rep
-        bm = assemble_effective(b.frame(0.0), lam0).B1[..., 0, :]
+        bm = assemble_effective(b.frame(0), lam0).B1[..., 0, :]
         worst_entry = max(worst_entry,
                           float(np.max(np.abs(bm - np.stack([E12, -E12])))))
         M = np.zeros((grid.n2, 12, 12))

@@ -1,8 +1,15 @@
+import ast
+import importlib
+import inspect
 import json
+import pkgutil
+import textwrap
 
 import numpy as np
 import pytest
 
+import cvsheet
+import cvsheet.cli as cli
 from cvsheet.cli import (SCHEMAS, ConfigError, main, parse_config,
                          run_experiment)
 
@@ -148,10 +155,11 @@ def test_exit_codes(tmp_path, capsys):
     # a grid below the five-node stencil footprint (at n2 = 3 the periodic
     # stencil wraps j +- 2 onto j -+ 1) or of no extent, a compat slope
     # fitted to one point, a jet of negative order, a compat horizon of no
-    # length (its smallness would be NaN), and a symmetrizer
+    # length (its smallness would be NaN), a symmetrizer
     # collar of no positive width (-0.25 once reported x1 in [0, -1]) or
-    # with no nodes, and the ledger switch evolve no longer has (the ledger
-    # runs with the monitors)
+    # with no nodes, the ledger switch evolve no longer has (the ledger
+    # runs with the monitors), and a stability map with no rows on either
+    # axis (it once wrote a header-only table and exited 0)
     for k, (exp, section, body) in enumerate((
             ("evolve", "grid", "n2 = 3"), ("evolve", "grid", "n1 = 3"),
             ("evolve", "grid", "n1 = 1"), ("evolve", "grid", "n2 = 0"),
@@ -163,7 +171,9 @@ def test_exit_codes(tmp_path, capsys):
             ("symmetrize", "symmetrize", "collar_eps = -0.25"),
             ("symmetrize", "symmetrize", "collar_eps = 0"),
             ("symmetrize", "symmetrize", "n_collar = 0"),
-            ("evolve", "evolve", "ledger = false"))):
+            ("evolve", "evolve", "ledger = false"),
+            ("stability-map", "map", "u2_jump_n = 0"),
+            ("stability-map", "map", "H2_n = 0"))):
         cfg = tmp_path / f"small_{k}.ini"
         cfg.write_text(f"[run]\nexperiment = {exp}\n\n[{section}]\n{body}\n")
         capsys.readouterr()
@@ -174,6 +184,52 @@ def test_exit_codes(tmp_path, capsys):
     cfg.write_text("[run]\nexperiment = symmetrize\n\n[state]\n"
                    "u2_jump = 5.0\nH2_plus = 0.2\nH2_minus = 0.2\n")
     assert run_experiment(cfg, tmp_path / "o2", verbosity=0) == 2
+    # on a 16^2 grid: a missed smallness budget is a config error, and so
+    # is a NaN theta0 (it once ran into a diverged transport solve, exit
+    # 2); a modified state that loses stability is a numerical abort (the
+    # budget and the modified state once ended in a traceback)
+    for k, (exp, body, code, prefix) in enumerate((
+            ("compat", "[compat]\ndelta = 1e-9\n", 1, "config error:"),
+            ("nash-moser-demo", "[nash-moser]\ntheta0 = nan\n", 1,
+             "config error:"),
+            ("nash-moser-demo", "[state]\nu2_jump = 1.2\n\n[nash-moser]\n"
+             "amplitude = 0.01\ndelta = 1000.0\nnt = 9\niterations = 1\n", 2,
+             "numerical abort:"))):
+        cfg = tmp_path / f"run_{k}.ini"
+        cfg.write_text(f"[run]\nexperiment = {exp}\n\n[grid]\nn1 = 16\n"
+                       f"n2 = 16\n\n{body}")
+        capsys.readouterr()
+        assert run_experiment(cfg, tmp_path / f"r{k}", verbosity=0) == code
+        assert prefix in capsys.readouterr().err, body
+
+
+def _handled_by_run_experiment():
+    """The exception classes of the except clauses around
+    ``run_experiment``'s dispatch to a runner."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(cli.run_experiment)))
+    handled = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Try) and "RUNNERS" in ast.unparse(node.body):
+            for handler in node.handlers:
+                caught = eval(compile(ast.Expression(handler.type),
+                                      "<except>", "eval"), vars(cli))
+                handled += caught if isinstance(caught, tuple) else [caught]
+    return tuple(handled)
+
+
+def test_every_package_exception_maps_to_an_exit_code():
+    # a run ends in exit 1 or 2, never in a traceback: every exception
+    # class a cvsheet module defines is one that the dispatch handles
+    handled = _handled_by_run_experiment()
+    assert handled
+    unhandled = sorted(
+        f"{mod.__name__}.{name}"
+        for info in pkgutil.iter_modules(cvsheet.__path__)
+        for mod in [importlib.import_module(f"cvsheet.{info.name}")]
+        for name, obj in vars(mod).items()
+        if isinstance(obj, type) and issubclass(obj, BaseException)
+        and obj.__module__ == mod.__name__ and not issubclass(obj, handled))
+    assert not unhandled, f"exceptions a run would raise: {unhandled}"
 
 
 def test_seed_override(tmp_path):

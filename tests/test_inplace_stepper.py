@@ -15,7 +15,8 @@ import cvsheet.grid as grid_mod
 from cvsheet.compat import (build_approximate, manufactured_initial_data,
                             time_jet)
 from cvsheet.grid import Grid
-from cvsheet.linearized import sheared_sheet_state, trivial_sheet_state
+from cvsheet.linearized import (BasicState, sheared_sheet_state,
+                                trivial_sheet_state)
 from cvsheet.mhd import IH2, IP, IdealGasEos, PhysState
 from cvsheet.nashmoser import NashMoserDriver, _SnapshotInterpolant
 from cvsheet.scenarios import ManufacturedBoundaryData, ManufacturedForcing
@@ -140,25 +141,19 @@ _STATES = {"planar": _planar, "x1": _x1_only, "sheared": _sheared,
            "modified": _modified}
 
 
-def _compact(M):
-    return M.shape[-1] == 1
-
-
 @pytest.mark.parametrize("case", list(_STATES))
 def test_inplace_steps_and_rhs_equal_the_allocating_oracle(case,
                                                            monkeypatch):
     basic, kw = _STATES[case]()
     co = ev.LinearizedStepper(basic, **kw).cache.at(0.1)
     keys = ("A0invJt", "M1", "M2", "M3")
-    # each case takes the path it is here for
+    # each case takes the path it is here for: the planar and the x1-only
+    # sheet are assembled on one x2 column
+    compact = case in ("planar", "x1")
+    shape = (basic.grid.n1, 1 if compact else basic.grid.n2)
+    assert all(co[k].shape[-2:] == shape for k in keys)
     if case == "planar":
-        assert all(co[k].shape[-2:] == (1, 1) for k in keys)
         assert not np.any(co["M3"])
-    elif case == "x1":
-        assert all(_compact(co[k]) for k in keys)
-        assert co["M1"].shape[-2] == basic.grid.n1
-    else:
-        assert not any(_compact(co[k]) for k in keys)
 
     grid = basic.grid
     rng = np.random.default_rng(11)
@@ -200,9 +195,8 @@ def test_inplace_steps_and_rhs_equal_the_allocating_oracle(case,
             m.setattr(ev, name, counted(name))
         got = march(lambda V, phi, t, dt, pair: stepper.step(V, phi, t, dt),
                     stepper.rhs, stepper.derivatives)
-    # rhs forms a compact bundle row by row, and applies any other bundle
-    # one matrix at a time
-    compact = case in ("planar", "x1")
+    # rhs forms a one-column bundle row by row, and applies any other
+    # bundle one matrix at a time
     assert (calls["_row_apply"] > 0) == compact
     assert (calls["_mat_apply2"] > 0) != compact
     assert len(got) == len(want) == 2 * steps
@@ -309,10 +303,14 @@ def test_forcing_evaluated_once_per_stage_time():
     assert len(times) == len(set(times)) == 1 + 2 * nsteps
 
 
+def _no_frame(basic, k):
+    raise AssertionError("the ledger multiplier built a frame")
+
+
 def _frame_multiplier(basic):
     """The ledger multiplier from the steady frame's wall rows."""
     grid = basic.grid
-    fr = basic.frame(0.0)
+    fr = basic.frame(0)
     plus = PhysState.from_vector(fr.U[0, :, 0, :])
     minus = PhysState.from_vector(fr.U[1, :, 0, :])
     fallback = None
@@ -327,7 +325,7 @@ def _frame_multiplier(basic):
 
 
 @pytest.mark.parametrize("state", ["planar", "sheared", "unstable"])
-def test_multiplier_from_wall_rows_equals_the_frame_path(state):
+def test_multiplier_from_wall_rows_equals_the_frame_path(state, monkeypatch):
     grid = _grid(24)
     basic = {
         "planar": lambda: trivial_sheet_state(grid, EOS, u2_jump=0.5,
@@ -337,8 +335,9 @@ def test_multiplier_from_wall_rows_equals_the_frame_path(state):
         "unstable": lambda: trivial_sheet_state(grid, EOS, u2_jump=3.0,
                                                 H2_plus=0.2, H2_minus=0.2),
     }[state]()
-    lam, fallback = ev._ledger_multiplier(basic)
-    assert basic._steady_frame is None      # no frame was built
+    with monkeypatch.context() as m:
+        m.setattr(BasicState, "frame", _no_frame)
+        lam, fallback = ev._ledger_multiplier(basic)
     want_lam, want_fallback = _frame_multiplier(basic)
     assert _same_bits(lam, want_lam)
     assert fallback == want_fallback

@@ -9,7 +9,7 @@ from cvsheet.front import lift_front, straighten, straightened_coefficients
 from cvsheet.grid import Grid, diff_time
 from cvsheet.linearized import (_J_OFF, IH2V, IHN, IQ, IUN, BasicFrame,
                                 BasicState, SheetOperators,
-                                assemble_effective, c_matrix,
+                                assemble_effective, bracket, c_matrix,
                                 good_unknown_inverse, _j_off, j_matrix,
                                 sheared_sheet_state, time_step,
                                 trivial_sheet_state, validate_basic_state)
@@ -78,7 +78,7 @@ def _good_unknown(deltaU, psi, frame):
 def test_good_unknown_roundtrip(grid):
     rng = np.random.default_rng(0)
     b = sheared_sheet_state(grid, EOS, rng=rng)
-    fr = b.frame(0.0)
+    fr = b.frame(0)
     dU = rng.normal(size=(2, 6, grid.n1, grid.n2))
     psi = rng.normal(size=(2, grid.n1, grid.n2))
     Udot = _good_unknown(dU, psi, fr)
@@ -86,14 +86,14 @@ def test_good_unknown_roundtrip(grid):
     assert np.max(np.abs(back - dU)) <= 1e-14
     # Psi = 0 and constant states are fixed points
     b0 = trivial_sheet_state(grid, EOS)
-    fr0 = b0.frame(0.0)
+    fr0 = b0.frame(0)
     assert np.array_equal(_good_unknown(dU, np.zeros_like(psi), fr), dU)
     assert np.allclose(_good_unknown(dU, psi, fr0), dU, atol=1e-12)
 
 
 def test_c_matrix_matches_directional_fd(grid):
     b = sheared_sheet_state(grid, EOS, rng=np.random.default_rng(5))
-    fr = b.frame(0.0)
+    fr = b.frame(0)
     C = c_matrix(fr.U, fr.Ut, grid.d1(fr.U), grid.d2(fr.U), fr.lifted, EOS)
     rng = np.random.default_rng(7)
     Y = rng.normal(size=(2, 6, grid.n1, grid.n2))
@@ -232,10 +232,10 @@ def test_c_matrix_evaluates_the_density_once(grid, monkeypatch):
 
 
 def _wall_boundary_matrix(b):
-    """The wall row of the boundary matrix A1c of ``b`` at t = 0: B1 at
+    """The wall row of the boundary matrix A1c of ``b`` at snapshot 0: B1 at
     lambda = 0, and its largest entry off diag(E12, -E12)."""
     g = b.grid
-    ops = assemble_effective(b.frame(0.0), np.zeros((2, g.n1, g.n2)))
+    ops = assemble_effective(b.frame(0), np.zeros((2, g.n1, g.n2)))
     bm = ops.B1[..., 0, :]
     E12 = np.zeros((6, 6, 1))
     E12[IQ, IUN] = E12[IUN, IQ] = 1.0
@@ -310,8 +310,8 @@ def test_coefficient_rate_exact_at_end_snapshots():
     # J[P, H2V] = -H2 on a flat front, so H2 = 1 + t gives dJ/dt = -1 at
     # every snapshot, the first and the last included
     basic = _ramped_trivial_stack(1.0)
-    for t in basic.tgrid:
-        _, rates = _j_off(basic.frame(t), rates=True)
+    for k in range(len(basic.tgrid)):
+        _, rates = _j_off(basic.frame(k), rates=True)
         assert np.allclose(rates[:, _J_OFF.index((IP, IH2V))], -1.0,
                            rtol=0.0, atol=1e-12)
 
@@ -359,23 +359,23 @@ def test_forward_march_builds_each_snapshot_bundle_once(monkeypatch):
     build = ev._CoeffCache._build
     built = []
 
-    def recording(self, t):
-        built.append(t)
+    def recording(self, k):
+        built.append(k)
         assert len(self._snap) <= 1     # the new bundle makes two at most
-        return build(self, t)
+        return build(self, k)
 
     monkeypatch.setattr(ev._CoeffCache, "_build", recording)
     evolve(basic, t_final=1.0, dt_override=1.0 / 32)
-    assert built == list(basic.tgrid)
+    assert built == list(range(len(basic.tgrid)))
 
 
 def test_lookup_behind_the_window_equals_a_fresh_cache():
     basic = _ramped_trivial_stack(0.1)
-    cache = ev._CoeffCache(basic, None)
+    cache = ev._CoeffCache(basic)
     for t in (0.1, 0.55, 0.9):
         cache.at(t)
     assert set(cache._snap) == {3, 4}
-    late, fresh = cache.at(0.1), ev._CoeffCache(basic, None).at(0.1)
+    late, fresh = cache.at(0.1), ev._CoeffCache(basic).at(0.1)
     assert set(cache._snap) == {0, 1}
     for key in ev._CoeffCache._KEYS:
         assert np.array_equal(late[key], fresh[key]), key
@@ -427,15 +427,23 @@ def test_evolve_refuses_to_run_past_the_snapshots():
         evolve(late, t_final=1.0)
 
 
-def test_frame_refuses_a_time_off_the_snapshots():
-    # a clamped t would hand back an end frame as the frame at t; roundoff
-    # past either end is clamped
-    basic = _ramped_trivial_stack(0.1, np.linspace(0.0, 2.0, 5))
+def test_frame_refuses_an_index_off_the_snapshots():
+    # numpy would wrap -1 to the last snapshot; the interpolating bracket
+    # refuses a t off the snapshots and clamps roundoff past either end
+    tgrid = np.linspace(0.0, 2.0, 5)
+    basic = _ramped_trivial_stack(0.1, tgrid)
+    for k in (5, -1, 7):
+        with pytest.raises(ValueError, match="outside"):
+            basic.frame(k)
+    for k in (0, 4):
+        fr = basic.frame(k)
+        assert np.array_equal(fr.U, basic.U[k])
+        assert np.array_equal(fr.Ut, basic._rates()[0][k])
     for t in (2.5, -0.1, np.nan):
         with pytest.raises(ValueError, match="outside the snapshots"):
-            basic.frame(t)
-    assert np.array_equal(basic.frame(2.0 * (1 + 1e-12)).U, basic.U[-1])
-    assert np.array_equal(basic.frame(-1e-12).U, basic.U[0])
+            bracket(tgrid, t)
+    assert bracket(tgrid, 2.0 * (1 + 1e-12)) == (3, 1.0)
+    assert bracket(tgrid, -1e-12) == (0, 0.0)
 
 
 def test_forcing_evaluated_once_per_stage_time():
@@ -505,7 +513,7 @@ def test_hn_monitor_reads_the_basic_wall_traces():
     traj = evolve(b, t_final=t_final, bdata=g,
                   snapshot_times=np.linspace(0.0, t_final, nsteps + 1))
     assert len(traj.snapshots) == len(traj.times) == nsteps + 1
-    tr = b.frame(0.0).boundary_traces()
+    tr = b.frame(0).boundary_traces()
     for k, (V, phi) in enumerate(zip(traj.snapshots, traj.phi)):
         d2phi = grid.d2_boundary(phi)
         want = max(np.max(np.abs(tr[f"H2{tag}"] * d2phi - V[i, IHN, 0]
@@ -587,7 +595,7 @@ def test_reconstruction_consistent_on_trajectory(grid):
                             H2_minus=1.2)
     F = ManufacturedForcing(grid, amplitude=1.0, k2=2)
     traj = evolve(b, t_final=0.4, forcing=F)
-    tr = b.frame(0.0).boundary_traces()
+    tr = b.frame(0).boundary_traces()
     phi_hist = traj.phi
     dt = traj.times[1] - traj.times[0]
     dphi_fd = diff_time(phi_hist, dt, axis=0)
@@ -660,19 +668,19 @@ def _dense_rate(fr):
 
 def _moving_frame(seed, amp, rate, steady):
     """A frame of a sheared sheet with a curved front: of the steady state,
-    or at a time between snapshots of a state whose fields and front move."""
+    or at a random snapshot of a state whose fields and front move."""
     grid = Grid(n1=12, n2=12, L1=2 * np.pi, L2=2 * np.pi)
     rng = np.random.default_rng(seed)
     b = sheared_sheet_state(grid, EOS, rng=rng)
     if steady:
         b.phi = amp * np.sin(grid.x2)[None]
-        return b.frame(0.0), rng
+        return b.frame(0), rng
     tgrid = np.linspace(0.0, 1.0, 5)
     t = tgrid[:, None, None, None, None]
     U = b.U * (1.0 + 0.05 * np.sin(rate * t + grid.x1[:, None]))
     phi = amp * np.sin(grid.x2[None] + rate * tgrid[:, None])
     moving = BasicState(grid=grid, eos=EOS, U=U, phi=phi, tgrid=tgrid)
-    return moving.frame(rng.uniform(0.0, 1.0)), rng
+    return moving.frame(int(rng.integers(len(tgrid)))), rng
 
 
 @settings(max_examples=10, deadline=None)
@@ -734,19 +742,6 @@ def _trivial_stepper(grid):
         b, forcing=ManufacturedForcing(grid, amplitude=1.0, k2=2))
 
 
-def test_uniform_coefficients_are_stored_compact(grid):
-    co = _trivial_stepper(grid).cache.at(0.0)
-    for key in _APPLIED:
-        assert co[key].shape == (2, 6, 6, 1, 1), key
-    # exact stencils: the zero-order coefficient of the planar sheet is 0
-    assert not np.any(co["M3"])
-    assert co["ops"].J.shape == (2, 6, 6, grid.n1, 1)
-    sheared = sheared_sheet_state(grid, EOS, rng=np.random.default_rng(4))
-    co = ev._CoeffCache(sheared, None).at(0.0)
-    for key in _APPLIED:
-        assert co[key].shape == (2, 6, 6, grid.n1, grid.n2), key
-
-
 def test_compact_rhs_equals_full_rhs(grid):
     stepper = _trivial_stepper(grid)
     co = stepper.cache.at(0.0)
@@ -763,32 +758,6 @@ def test_compact_rhs_equals_full_rhs(grid):
         assert np.array_equal(got, want)
 
 
-def test_interpolation_mixes_compact_and_full_bundles(grid):
-    # the planar sheet at t = 0 grows an x1 bump linearly in time: the
-    # bundle at t = 0 keeps M1 and M2 compact, the one at t = 1/2 holds
-    # full fields, and their interpolation broadcasts
-    flat = trivial_sheet_state(grid, EOS, H2_plus=1.3, H2_minus=1.1)
-    tgrid = np.array([0.0, 0.5, 1.0])
-    U = np.repeat(flat.U, len(tgrid), axis=0)
-    ramp = 0.05 * tgrid[:, None, None, None]
-    U[:, :, IH2] += ramp * np.cos(grid.x1)[:, None]
-    U[:, :, IP] += ramp * np.sin(grid.x1)[:, None]
-    basic = BasicState(grid=grid, eos=EOS, U=U,
-                       phi=np.zeros((len(tgrid), grid.n2)), tgrid=tgrid)
-    cache = ev._CoeffCache(basic, None)
-    b0, b1 = cache._bundle(0), cache._bundle(1)
-    full = (2, 6, 6, grid.n1, grid.n2)
-    assert b0["M1"].shape == b0["M2"].shape == (2, 6, 6, 1, 1)
-    assert b1["M1"].shape == b1["M2"].shape == full
-    w = 0.375
-    mid = cache.at(w * tgrid[1])
-    for key in ev._CoeffCache._KEYS:
-        want = ((1 - w) * np.broadcast_to(b0[key], b1[key].shape)
-                + w * b1[key])
-        assert mid[key].shape == b1[key].shape, key
-        assert np.array_equal(mid[key], want), key
-
-
 def test_time_dependent_bundles_are_c_contiguous(grid):
     # the solve's coefficients are read by every stage apply: snapshot
     # bundles and their interpolations are all C-ordered
@@ -798,19 +767,19 @@ def test_time_dependent_bundles_are_c_contiguous(grid):
     U[:, :, IH2] += 0.05 * tgrid[:, None, None, None] * np.cos(grid.x1)[:, None]
     basic = BasicState(grid=grid, eos=EOS, U=U,
                        phi=np.zeros((len(tgrid), grid.n2)), tgrid=tgrid)
-    cache = ev._CoeffCache(basic, None)
+    cache = ev._CoeffCache(basic)
     for co in (cache._bundle(0), cache._bundle(1), cache.at(0.3)):
         for key in _APPLIED:
             assert co[key].shape == (2, 6, 6, grid.n1, grid.n2), key
             assert co[key].flags.c_contiguous, key
 
 
-def _column_and_full(basic, lam_field):
-    """The cache's bundle of ``basic`` (on one x2 column where it can be)
-    and the same bundle built on the full grid."""
-    column = ev._CoeffCache(basic, lam_field)
-    full = ev._CoeffCache(basic, lam_field)
-    full._source, full.lam_field = basic, lam_field
+def _column_and_full(basic):
+    """The cache of ``basic`` (on one x2 column where it can be) and one
+    that builds the same bundles on the full grid."""
+    column = ev._CoeffCache(basic)
+    full = ev._CoeffCache(basic)
+    full.source = basic
     return column, full
 
 
@@ -823,26 +792,27 @@ def test_column_bundle_equals_full_grid_assembly(n):
     grid = Grid(n1=n, n2=n, L1=2 * np.pi, L2=2 * np.pi)
     basic = trivial_sheet_state(grid, EOS, u2_jump=0.5, H2_plus=1.4,
                                 H2_minus=1.2)
-    lam_field, fallback = ev._ledger_multiplier(basic)
-    assert fallback is None and np.ptp(lam_field) > 0
-    column, full = _column_and_full(basic, lam_field)
-    assert column._source.grid == Grid(n, 1, grid.L1, grid.L2)
+    column, full = _column_and_full(basic)
+    assert column.source.grid == Grid(n, 1, grid.L1, grid.L2)
     co, ref = column.at(0.0), full.at(0.0)
-    assert co["ops"].J.shape == (2, 6, 6, n, 1)
-    assert ref["ops"].J.shape == (2, 6, 6, n, n)
-    for name in ("J", "M1", "M2", "M3", "A0invJt", "B0", "B1", "B2", "B3",
-                 "S"):
-        assert _bits_equal_broadcast(getattr(co["ops"], name),
-                                     getattr(ref["ops"], name)), name
+    assert co["J"].shape == (2, 6, 6, n, 1)
+    assert ref["J"].shape == (2, 6, 6, n, n)
     for key in ev._CoeffCache._KEYS:
         assert _bits_equal_broadcast(co[key], ref[key]), key
     for key, want in ref["traces"].items():
         assert _bits_equal_broadcast(co["traces"][key], want), key
+    # the ledger builds its multiplier and symmetrized family on the
+    # column with the bits of the full grid's
     sponge = ev.LinearizedStepper(basic).sponge
-    led = ev._LedgerAccumulator(grid, column, 0.01, sponge)
-    led_ref = ev._LedgerAccumulator(grid, full, 0.01, sponge)
+    led = ev._LedgerAccumulator(grid, column.source, 0.01, sponge)
+    led_ref = ev._LedgerAccumulator(grid, basic, 0.01, sponge)
+    assert led.lambda_fallback is led_ref.lambda_fallback is None
+    assert np.ptp(led.ops.S) > 0        # the multiplier varies in x1
     assert led._zo_matrix.shape == (2, 6, 6, n, 1)
-    for name in ("_zo_matrix", "_S", "_B0", "_T"):
+    for name in ("J", "B0", "B1", "B2", "B3", "S", "T"):
+        assert _bits_equal_broadcast(getattr(led.ops, name),
+                                     getattr(led_ref.ops, name)), name
+    for name in ("_zo_matrix", "_JtS", "_JtT"):
         assert _bits_equal_broadcast(getattr(led, name),
                                      getattr(led_ref, name)), name
 
@@ -852,7 +822,7 @@ def test_x1_only_steady_state_is_assembled_on_one_column(grid):
     bump = 0.05 * np.cos(grid.x1)[:, None]
     basic.U[:, :, IH2] += bump
     basic.U[:, :, IP] += bump
-    column, full = _column_and_full(basic, None)
+    column, full = _column_and_full(basic)
     co, ref = column.at(0.0), full.at(0.0)
     assert co["M1"].shape == co["M2"].shape == (2, 6, 6, grid.n1, 1)
     assert ref["M1"].shape == (2, 6, 6, grid.n1, grid.n2)
@@ -870,10 +840,6 @@ def test_x1_only_steady_state_is_assembled_on_one_column(grid):
 
 def test_x2_varying_or_time_dependent_states_keep_the_full_grid(grid):
     sheared = sheared_sheet_state(grid, EOS, rng=np.random.default_rng(4))
-    assert ev._CoeffCache(sheared, None)._source is sheared
-    flat = trivial_sheet_state(grid, EOS)
-    lam = np.zeros((2, grid.n1, grid.n2))
-    lam[:, :, 0] = 1e-3                 # a multiplier that varies in x2
-    assert ev._CoeffCache(flat, lam)._source is flat
+    assert ev._CoeffCache(sheared).source is sheared
     ramped = _ramped_trivial_stack(0.1)
-    assert ev._CoeffCache(ramped, None)._source is ramped
+    assert ev._CoeffCache(ramped).source is ramped

@@ -31,8 +31,9 @@ def test_theta_schedule_bounds():
     for theta0 in (1.0, 2.0, 5.0):
         sch = ThetaSchedule(theta0)
         assert sch.bounds_hold(10_000)
-    with pytest.raises(ValueError):
-        ThetaSchedule(0.5)
+    for theta0 in (0.5, np.nan):
+        with pytest.raises(ValueError, match="theta0 must be >= 1"):
+            ThetaSchedule(theta0)
 
 
 def test_theta_schedule_values():

@@ -172,8 +172,13 @@ def _rel(got, want):
 
 def test_uniform_j_commutes_with_the_stencils():
     grid, basic, _ = _sheet(32)
-    J = ev._CoeffCache(basic, None).at(0.0)["J"]
-    assert J.shape == (2, 6, 6, 1, 1)
+    cache = ev._CoeffCache(basic)
+    J = cache.at(0.0)["J"]
+    assert J.shape == (2, 6, 6, grid.n1, 1)
+    assert np.all(J == J[..., :1, :1])
+    # so the a priori monitor takes the Gram path with the uniform J^T J
+    JtJ = ev._AprioriMonitor(grid, cache, None, 0.01)._JtJ
+    assert JtJ.shape == (2, 6, 6, 1, 1)
     V = np.random.default_rng(5).normal(size=(2, 6, grid.n1, grid.n2))
     JV = ev._mat_apply2(J, V)
     for d in (grid.d1, grid.d2):
@@ -183,18 +188,18 @@ def test_uniform_j_commutes_with_the_stencils():
 def _einsum_ledger_terms(led, grid, V, F, div):
     """The ledger's quadratic form and right-hand side through the
     broadcast einsums it used before its explicit products."""
+    ops = led.ops
     q = float(grid.integrate(np.einsum(
         "si...,si...->s...", V,
-        np.einsum("sij...,sj...->si...", led._B0, V)).sum(axis=0)))
-    ops = led.ops
+        np.einsum("sij...,sj...->si...", ops.B0, V)).sum(axis=0)))
     b_wall = np.einsum("sij...,si...,sj...->s...",
                        ops.B1[..., 0, :], V[..., 0, :], V[..., 0, :])
     b_far = np.einsum("sij...,si...,sj...->s...",
                       ops.B1[..., -1, :], V[..., -1, :], V[..., -1, :])
     flux = float((b_wall.sum(axis=0) * grid.h2).sum()
                  - (b_far.sum(axis=0) * grid.h2).sum())
-    SF = np.einsum("sij...,sj...->si...", led._S, F)
-    SF += led._T * (div / led._d1phi)[:, None]
+    SF = np.einsum("sij...,sj...->si...", ops.S, F)
+    SF += ops.T * (div / led._d1phi)[:, None]
     Fc = np.einsum("sij...,sj...->si...", led._Jt, SF)
     src = 2.0 * float(grid.integrate(
         np.einsum("si...,si...->s...", Fc, V).sum(axis=0)))
@@ -205,15 +210,16 @@ def _einsum_ledger_terms(led, grid, V, F, div):
 
 def test_ledger_products_equal_broadcast_einsums():
     grid, basic, _ = _sheet(32)
-    lam_field, _ = ev._ledger_multiplier(basic)
-    stepper = ev.LinearizedStepper(basic, lam_field=lam_field)
-    led = ev._LedgerAccumulator(grid, stepper.cache, 0.01, stepper.sponge)
-    for name in ("_S", "_B0", "_zo_matrix"):
-        assert getattr(led, name).shape == (2, 6, 6, grid.n1, 1), name
+    stepper = ev.LinearizedStepper(basic)
+    led = ev._LedgerAccumulator(grid, stepper.cache.source, 0.01,
+                                stepper.sponge)
+    ledger_matrices = (led.ops.S, led.ops.B0, led._zo_matrix)
+    for M in ledger_matrices:
+        assert M.shape == (2, 6, 6, grid.n1, 1)
     rng = np.random.default_rng(7)
     V, F = (rng.normal(size=(2, 6, grid.n1, grid.n2)) for _ in range(2))
     div = rng.normal(size=(2, grid.n1, grid.n2))
-    for M in (led._S, led._B0, led._zo_matrix):
+    for M in ledger_matrices:
         want = np.einsum("sij...,sj...->si...", M, V)
         assert _rel(ev._mat_apply2(M, V), want) <= 1e-13
     q, integrand = _einsum_ledger_terms(led, grid, V, F, div)
@@ -255,11 +261,11 @@ def test_sheared_ledger_takes_the_full_field_path(monkeypatch):
     # monitor differentiates J V
     grid = Grid(n1=16, n2=16, L1=2 * np.pi, L2=2 * np.pi)
     basic = sheared_sheet_state(grid, EOS, rng=np.random.default_rng(4))
-    lam_field, _ = ev._ledger_multiplier(basic)
-    stepper = ev.LinearizedStepper(basic, lam_field=lam_field)
-    led = ev._LedgerAccumulator(grid, stepper.cache, 0.01, stepper.sponge)
-    for name in ("_B0", "_zo_matrix", "_JtS", "_JtT"):
-        assert getattr(led, name).shape[-2:] == (grid.n1, grid.n2), name
+    stepper = ev.LinearizedStepper(basic)
+    led = ev._LedgerAccumulator(grid, stepper.cache.source, 0.01,
+                                stepper.sponge)
+    for M in (led.ops.B0, led._zo_matrix, led._JtS, led._JtT):
+        assert M.shape[-2:] == (grid.n1, grid.n2)
     assert ev._AprioriMonitor(grid, stepper.cache, None, 0.01)._JtJ is None
     rng = np.random.default_rng(9)
     V, F = (rng.normal(size=(2, 6, grid.n1, grid.n2)) for _ in range(2))

@@ -76,7 +76,7 @@ def test_linearized_L_zero_increment_exactly_zero(seed, steady):
         basic = BasicState(grid=GRID, eos=EOS, U=U[0], phi=phi[0])
     else:
         basic = BasicState(grid=GRID, eos=EOS, U=U, phi=phi, tgrid=TGRID)
-    frames = [basic.frame(t) for t in TGRID]
+    frames = [basic.frame(0 if steady else n) for n in range(len(TGRID))]
     Uhat = np.stack([fr.U for fr in frames])
     phihat = np.stack([fr.phi for fr in frames])
     zero = OPS.linearized_L(Uhat, phihat, np.zeros_like(U),
