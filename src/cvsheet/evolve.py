@@ -47,23 +47,24 @@ interpolates only the bundle entries the march applies.
 ``Trajectory.timings`` gives the wall seconds of the march and of each
 observer; they are the one part of a trajectory that is not reproducible.
 
-Coefficients are built at snapshots, each family by its one reader: the
-cache builds the march's solved family and interpolates a time-dependent
-state's bundles between snapshots, the ledger the symmetrized family of
-its multiplier.  The march reads the snapshot brackets in time order, so
+Coefficients are built at snapshots: the cache builds the march's solved
+family and interpolates a time-dependent state's bundles between
+snapshots, and the ledger assembles the symmetrized family of its own
+multiplier.  The march reads the snapshot brackets in time order, so
 the cache holds the two bundles of the current bracket and drops the ones
 behind it; a lookup behind the window rebuilds its bundles from their
 frames, bit for bit.  The snapshots must cover [0, t_final].
 
 A steady basic state that is constant along the front (the planar sheet)
-has both families assembled on one x2 column, the one compact form of a
-coefficient, and broadcast along x2.  Every matrix the ledger and the a
-priori monitor apply then varies in x1 at most, so each of their quadratic
-forms contracts the matrix against a per-x1 Gram G_ij(x1) = sum over x2
-of X_i Y_j (``_form``): one batched matrix product per field pair, and the
-step end computes the Grams of V, d1 V, d2 V and the time difference once
-for both observers.  A state whose matrices vary along x2 (the sheared
-sheet) applies them to the full fields.
+has both families assembled on one x2 column and broadcast along x2, and
+a cache matrix that is uniform along the column too is stored (1, 1).
+Every matrix the ledger and the a priori monitor apply then varies in x1
+at most, so each of their quadratic forms contracts the matrix against a
+per-x1 Gram G_ij(x1) = sum over x2 of X_i Y_j (``_form``): one batched
+matrix product per field pair, and the step end computes the Grams of V,
+d1 V, d2 V and the time difference once for both observers.  A state
+whose matrices vary along x2 (the sheared sheet) applies them to the full
+fields.
 """
 
 from __future__ import annotations
@@ -189,7 +190,10 @@ class _CoeffCache:
     wall traces included, is then (..., n1, 1) or (1,) and broadcasts
     against (2, 6, n1, n2) fields.  A one-column field has d2 exactly 0, as
     the full x2-invariant field has, so the column holds the bits of the
-    full assembly.  It is the one compact form a coefficient takes.
+    full assembly.  Of its bundle, ``J`` and each march matrix that is
+    exactly uniform along the column as well (every one of the uniform
+    planar sheet's) is stored (2, 6, 6, 1, 1): ``_row_apply`` then forms
+    a scalar's product per entry, not a column's broadcast.
     """
 
     _MARCH_KEYS = ("M1", "M2", "M3", "A0invJt")     # what the march applies
@@ -212,7 +216,11 @@ class _CoeffCache:
     def at(self, t: float):
         if self.basic.steady:
             if self._steady is None:
-                self._steady = self._build(0)
+                self._steady = b = self._build(0)
+                if self.source is not self.basic:       # the one column
+                    for key in ("J",) + self._MARCH_KEYS:
+                        if np.all(b[key] == b[key][..., :1, :]):
+                            b[key] = b[key][..., :1, :]
             return self._steady
         if self._last[0] != t:
             self._last = (t, self._interpolate(t))
@@ -456,9 +464,11 @@ def _mat_apply2(M, v, out=None):
     array of v's shape that is not v) and returned.
 
     An M that varies in x1 at most, stored (2, 6, 6, n1, 1) as the cache
-    and the ledger assemble it on one column, is applied through its
-    nonzero entries, accumulated in column order onto zeros as the einsum
-    accumulates them.
+    and the ledger assemble it on one column, or uniform, stored
+    (2, 6, 6, 1, 1) as the cache keeps a uniform column, is applied
+    through its nonzero entries, accumulated in column order onto zeros as
+    the einsum accumulates them; for a uniform M both paths give the same
+    bits.
     """
     if M.shape[-1] != 1:
         return np.einsum("sij...,sj...->si...", M, v, out=out)
@@ -471,11 +481,11 @@ def _mat_apply2(M, v, out=None):
 
 
 def _row_apply(M, v, s, i, out, prod):
-    """Row (s, i) of ``_mat_apply2(M, v)`` for a one-column M, written
-    into ``out`` and returned, with the same bits: the products of the
-    row's nonzero entries, formed in ``prod`` and accumulated in column
-    order onto 0.0.  None, with ``out`` untouched, for a row without
-    entries (the row of zeros)."""
+    """Row (s, i) of ``_mat_apply2(M, v)`` for a one-column or uniform M,
+    written into ``out`` and returned, with the same bits: the products of
+    the row's nonzero entries, formed in ``prod`` and accumulated in
+    column order onto 0.0.  None, with ``out`` untouched, for a row
+    without entries (the row of zeros)."""
     m = M[s, i, ..., 0]
     js = np.flatnonzero(np.any(m != 0.0, axis=-1))
     if js.size == 0:
@@ -592,11 +602,11 @@ class LinearizedStepper:
         a pair the caller does not hold is taken into the stepper's pair
         buffers.
 
-        With a one-column bundle (every matrix (..., n1, 1), the planar
-        sheet's) dV is formed one (side, component) row at a time, each
-        product row (``_row_apply``) in row scratch, so a row's operands
-        stay in cache, and a product row without entries is not formed
-        (x - 0.0 is x).  Otherwise each product is one einsum
+        With a one-column bundle (every matrix (..., n1, 1) or (..., 1, 1),
+        the planar sheet's) dV is formed one (side, component) row at a
+        time, each product row (``_row_apply``) in row scratch, so a row's
+        operands stay in cache, and a product row without entries is not
+        formed (x - 0.0 is x).  Otherwise each product is one einsum
         into a full-size scratch: per-row einsums cost more call overhead
         than the cache saves on the small grids of the Nash-Moser solve.
         """
@@ -778,8 +788,7 @@ class _AprioriMonitor:
         self._JtJ = None                # J^T J where the Gram path applies
         if cache.basic.steady:
             J = cache.at(0.0)["J"]
-            if np.all(J == J[..., :1, :1]):
-                J = J[..., :1, :1]
+            if J.shape[-2:] == (1, 1):
                 self._JtJ = np.einsum("sji...,sjk...->sik...", J, J)
         self._forcing = forcing
         self._profile = None
@@ -854,10 +863,11 @@ class _LedgerAccumulator:
     the wall/far boundary fluxes of B1c, the source 2 (J^T (S F + T div
     hdot / d1Phi)) . V, and the zero-order quadratic form including the
     sponge damping through B0c.  ``evolve`` runs it on steady basic states.
-    It builds the symmetrized family, which nothing else reads: the
-    multiplier of ``source`` (the state the coefficient cache assembles
-    from), with ``lambda_fallback`` the reason it fell back to 0 if it did,
-    and ``assemble_effective`` at the snapshot.
+    It takes the multiplier of ``source`` (the state the coefficient cache
+    assembles from), with ``lambda_fallback`` the reason it fell back to 0
+    if it did, and assembles that multiplier's symmetrized family with
+    ``assemble_effective`` at the snapshot; that call forms the solved
+    family again too, of which the ledger reads only J.
 
     Every term is a form ``_form(M, X, Y)``.  ``B0``, J^T S, J^T T and the
     zero-order matrix are (..., n1, 1) for a state assembled on one x2

@@ -148,9 +148,10 @@ def test_inplace_steps_and_rhs_equal_the_allocating_oracle(case,
     co = ev.LinearizedStepper(basic, **kw).cache.at(0.1)
     keys = ("A0invJt", "M1", "M2", "M3")
     # each case takes the path it is here for: the planar and the x1-only
-    # sheet are assembled on one x2 column
+    # sheet are assembled on one x2 column, the planar one uniform on it
     compact = case in ("planar", "x1")
-    shape = (basic.grid.n1, 1 if compact else basic.grid.n2)
+    n1, n2 = basic.grid.n1, basic.grid.n2
+    shape = {"planar": (1, 1), "x1": (n1, 1)}.get(case, (n1, n2))
     assert all(co[k].shape[-2:] == shape for k in keys)
     if case == "planar":
         assert not np.any(co["M3"])

@@ -742,6 +742,19 @@ def _trivial_stepper(grid):
         b, forcing=ManufacturedForcing(grid, amplitude=1.0, k2=2))
 
 
+def test_uniform_coefficients_are_stored_compact(grid):
+    # the planar sheet's column is uniform along x1 as well
+    co = _trivial_stepper(grid).cache.at(0.0)
+    for key in _APPLIED:
+        assert co[key].shape == (2, 6, 6, 1, 1), key
+    # exact stencils: the zero-order coefficient of the planar sheet is 0
+    assert not np.any(co["M3"])
+    sheared = sheared_sheet_state(grid, EOS, rng=np.random.default_rng(4))
+    co = ev._CoeffCache(sheared).at(0.0)
+    for key in _APPLIED:
+        assert co[key].shape == (2, 6, 6, grid.n1, grid.n2), key
+
+
 def test_compact_rhs_equals_full_rhs(grid):
     stepper = _trivial_stepper(grid)
     co = stepper.cache.at(0.0)
@@ -768,10 +781,21 @@ def test_time_dependent_bundles_are_c_contiguous(grid):
     basic = BasicState(grid=grid, eos=EOS, U=U,
                        phi=np.zeros((len(tgrid), grid.n2)), tgrid=tgrid)
     cache = ev._CoeffCache(basic)
-    for co in (cache._bundle(0), cache._bundle(1), cache.at(0.3)):
+    b0, b1 = cache._bundle(0), cache._bundle(1)
+    mid = cache.at(0.3)
+    for co in (b0, b1, mid):
         for key in _APPLIED:
             assert co[key].shape == (2, 6, 6, grid.n1, grid.n2), key
             assert co[key].flags.c_contiguous, key
+    # and t = 0.3 blends the bracket's two bundles, bit for bit
+    k, w = bracket(tgrid, 0.3)
+    assert k == 0 and 0.0 < w < 1.0
+    for key in ev._CoeffCache._KEYS:
+        assert np.array_equal(mid[key], (1 - w) * b0[key] + w * b1[key]), key
+    assert mid["traces"].keys() == b0["traces"].keys()
+    for key, x0 in b0["traces"].items():
+        assert np.array_equal(mid["traces"][key],
+                              (1 - w) * x0 + w * b1["traces"][key]), key
 
 
 def _column_and_full(basic):
@@ -795,7 +819,8 @@ def test_column_bundle_equals_full_grid_assembly(n):
     column, full = _column_and_full(basic)
     assert column.source.grid == Grid(n, 1, grid.L1, grid.L2)
     co, ref = column.at(0.0), full.at(0.0)
-    assert co["J"].shape == (2, 6, 6, n, 1)
+    assert co["J"].shape == (2, 6, 6, 1, 1)     # uniform along x1 too
+    assert co["d1phi"].shape[-2:] == (n, 1)
     assert ref["J"].shape == (2, 6, 6, n, n)
     for key in ev._CoeffCache._KEYS:
         assert _bits_equal_broadcast(co[key], ref[key]), key
