@@ -215,7 +215,7 @@ def run_stability_map(cfg, seed, out: Path, verbosity: int) -> dict:
 
 def run_symmetrize(cfg, seed, out: Path, verbosity: int) -> dict:
     from .stability import (build_lambda, check_b0_positive,
-                            extend_lambda)
+                            extend_lambda, leading_coefficient)
     eos = IdealGasEos(**cfg["eos"])
     sc = cfg["symmetrize"]
     if not (sc["collar_eps"] > 0.0 and sc["n_collar"] >= 1):
@@ -230,8 +230,8 @@ def run_symmetrize(cfg, seed, out: Path, verbosity: int) -> dict:
     x1 = np.linspace(0.0, 4 * sc["collar_eps"], sc["n_collar"])
     field = extend_lambda(lam, x1, eps=sc["collar_eps"],
                           states=(plus, minus), eos=eos)
-    coeff = ((np.asarray(plus.u2) - lam.lam_plus * np.asarray(plus.H2))
-             - (np.asarray(minus.u2) - lam.lam_minus * np.asarray(minus.H2)))
+    coeff = leading_coefficient(lam, {"u2p": plus.u2, "H2p": plus.H2,
+                                      "u2m": minus.u2, "H2m": minus.H2})
     payload = {
         "lambda_plus": float(lam.lam_plus),
         "lambda_minus": float(lam.lam_minus),

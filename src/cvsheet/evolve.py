@@ -9,9 +9,10 @@ a 3-stage strong-stability-preserving Runge-Kutta scheme.  The wall at
 x1 = 0 is characteristic of constant rank 4: per side exactly one
 combination (q ± u_n) enters the domain.  Boundary data are imposed by
 injection: outgoing combinations are read off the updated interior, the
-incoming ones and the front time derivative are solved from the three
-linearized wall conditions, and the remaining components evolve freely
-(their normal coefficient vanishes on the wall).
+incoming ones and the front rate solve the kin+, kin- and [q] rows of
+``stability.linearized_wall_rows`` (rows kin+, kin-, H_N+, H_N-, [q]) with
+right-hand sides bdata(t) = (g1+, g1-, g2), and the remaining components
+evolve freely (their normal coefficient vanishes on the wall).
 
 The ledger accumulates the quadratic energies I, I0, I1n, Isigma, I2, the
 front norms, and the residual of the symmetrized-system energy identity
@@ -77,11 +78,12 @@ import numpy as np
 
 from .grid import Grid
 from .linearized import (IHN, IH2V, IQ, IUN, BasicState,
-                         assemble_effective, bracket)
+                         assemble_effective, boundary_traces, bracket)
 from .mhd import PhysState
 from .profiles import SigmaWeight, quintic_step
 from .scenarios import ManufacturedForcing
-from .stability import LambdaPair, StabilityError, extend_lambda
+from .stability import (LambdaPair, StabilityError, extend_lambda,
+                        linearized_wall_rows)
 
 
 class NumericsError(RuntimeError):
@@ -248,7 +250,8 @@ class _CoeffCache:
         fr = self.source.frame(k)
         ops = assemble_effective(fr)
         bundle = {key: getattr(ops, key) for key in ("J",) + self._MARCH_KEYS}
-        bundle.update(d1phi=fr.lifted.d1_phi_map, traces=fr.boundary_traces())
+        bundle.update(d1phi=fr.lifted.d1_phi_map,
+                      traces=boundary_traces(fr.grid, fr.U, fr.phi))
         return bundle
 
 
@@ -378,11 +381,12 @@ class _StepEnd:
     """The march's state after a step, as its observers read it: t, V, phi
     and the pair (d1 V, d2 V) (None when no observer reads it), and, on
     first read, the end-stage bundle ``co``, the forcing ``f``, div hdot,
-    the time difference ``Vt`` = (V - V_prev) / dt of the step and the
-    per-x1 Grams of these fields.  The state at rest that starts the march
-    has no ``V_prev``.  Observers must not write to these arrays, nor keep
-    the pair past ``observe``: it sits in the stepper's buffers, which the
-    next step overwrites."""
+    d2 phi, the front rate ``phit`` of ``phi_rate``, the time difference
+    ``Vt`` = (V - V_prev) / dt of the step and the per-x1 Grams of these
+    fields.  The state at rest that starts the march has no ``V_prev``.
+    Observers must not write to these arrays, nor keep the pair past
+    ``observe``: it sits in the stepper's buffers, which the next step
+    overwrites."""
 
     def __init__(self, stepper, t, V, phi, pair, V_prev=None, dt=None):
         self.stepper, self.t, self.V, self.phi = stepper, t, V, phi
@@ -402,6 +406,16 @@ class _StepEnd:
     def div(self):
         return _div_hdot(self.stepper.grid, self.co["d1phi"], self.V,
                          self.d1V)
+
+    @cached_property
+    def d2phi(self):
+        return self.stepper.grid.d2_boundary(self.phi)
+
+    @cached_property
+    def phit(self):
+        return self.stepper.phi_rate(self.V, self.phi, self.d2phi,
+                                     self.co["traces"],
+                                     self.stepper.g_at(self.t))
 
     @cached_property
     def Vt(self):
@@ -452,9 +466,8 @@ class _ConstraintMonitor:
             series.append(0.0)
 
     def observe(self, end: _StepEnd) -> None:
-        self.be.append(_boundary_energy(self.grid, end.V))
-        dres, hres = _constraint_residuals(self.grid, end.co, end.div, end.V,
-                                           end.phi, self.n1_phys)
+        self.be.append(float(np.sum(end.V[:, :, 0, :] ** 2) * self.grid.h2))
+        dres, hres = _constraint_residuals(end, self.n1_phys)
         self.div.append(dres)
         self.hn.append(hres)
 
@@ -536,13 +549,9 @@ def _trace(G, w, comps=slice(None)) -> float:
 
 
 class LinearizedStepper:
-    """One SSP-RK3 step of the characteristic system with wall injection.
-
-    Incoming characteristics (q + u_n on the plus side, q - u_n on the
-    minus side) and the front are driven by the three wall conditions; the
-    outgoing combinations come from the interior update; the remaining
-    components are free (their wall-normal coefficient vanishes).
-    """
+    """One SSP-RK3 step of the characteristic system with wall injection:
+    ``apply_bc`` and ``phi_rate`` are the solved form of the kin+, kin- and
+    [q] rows of ``linearized_wall_rows``."""
 
     def __init__(self, basic: BasicState, *, forcing=None, bdata=None,
                  sponge_strength: float = 2.0, keys=_CoeffCache._KEYS):
@@ -637,12 +646,13 @@ class LinearizedStepper:
 
     @staticmethod
     def phi_rate(V, phi, d2phi, tr, g):
-        """dphi/dt of the plus-side kinematic wall condition, from the
-        basic wall traces ``tr`` and the boundary data ``g`` of one time."""
+        """dphi/dt solving the kin+ row, from the basic wall traces ``tr``
+        and the boundary data ``g`` of one time."""
         return V[0, IUN, 0, :] + phi * tr["d1uNp"] - tr["u2p"] * d2phi + g[0]
 
     def apply_bc(self, V, phi, co, g):
-        """Inject the wall conditions at the stage of ``co`` and ``g``."""
+        """Inject q± and u_n± solving the kin+, kin- and [q] rows with the
+        front rate of ``phi_rate``, at the stage of ``co`` and ``g``."""
         grid = self.grid
         tr = co["traces"]
         d2phi = grid.d2_boundary(phi)
@@ -712,10 +722,6 @@ class LinearizedStepper:
         return Vn, pn
 
 
-def _boundary_energy(grid: Grid, V) -> float:
-    return float(np.sum(V[:, :, 0, :] ** 2) * grid.h2)
-
-
 def _div_hdot(grid: Grid, d1phi, V, d1V):
     """Discrete div hdot = d1 V_HN + d2(V_H2 d1Phi) per side, (2, n1, n2),
     with d1 V_HN read from d1 V (the stencil acts on each component alone,
@@ -723,22 +729,16 @@ def _div_hdot(grid: Grid, d1phi, V, d1V):
     return d1V[:, IHN] + grid.d2(V[:, IH2V] * d1phi)
 
 
-def _constraint_residuals(grid: Grid, co, div, V, phi, n1_phys: int):
-    """Max-norm residuals of div hdot and the wall magnetic constraint
-    V_HN = H2 d2 phi -+ phi d1 H_N, with the basic wall traces of ``co``.
-
-    Measured on the physical region only: the sponge damping is not
-    divergence-compatible, so the absorbing collar is excluded.
-    """
-    tr = co["traces"]
-    div_max = float(np.max(np.abs(div[:, :n1_phys])))
-    hn_max = 0.0
-    d2phi = grid.d2_boundary(phi)
-    for i, (sgn, tag) in enumerate(((1.0, "p"), (-1.0, "m"))):
-        res = (tr[f"H2{tag}"] * d2phi - V[i, IHN, 0, :]
-               - sgn * phi * tr[f"d1HN{tag}"])
-        hn_max = max(hn_max, float(np.max(np.abs(res))))
-    return div_max, hn_max
+def _constraint_residuals(end: _StepEnd, n1_phys: int):
+    """Max-norm residuals of div hdot on the physical region (the sponge
+    damping is not divergence-compatible) and of the H_N rows of
+    ``linearized_wall_rows`` at the step end."""
+    V = end.V
+    _, _, hn_p, hn_m, _ = linearized_wall_rows(
+        *({"q": V[i, IQ, 0], "uN": V[i, IUN, 0], "HN": V[i, IHN, 0]}
+          for i in (0, 1)), end.phi, end.phit, end.d2phi, end.co["traces"])
+    return (float(np.max(np.abs(end.div[:, :n1_phys]))),
+            max(float(np.max(np.abs(r))) for r in (hn_p, hn_m)))
 
 
 def _weights(grid: Grid):
@@ -831,12 +831,8 @@ class _AprioriMonitor:
             self._Ud_prev = Ud
         self.sums["u_sq"] += u * dt
 
-        phi = end.phi
-        d2p = g.d2_boundary(phi)
-        dtp = end.stepper.phi_rate(end.V, phi, d2p, end.co["traces"],
-                                   end.stepper.g_at(end.t))
-        self.sums["phi_sq"] += (float(np.sum(phi ** 2 + dtp ** 2 + d2p ** 2))
-                                * g.h2 * dt)
+        self.sums["phi_sq"] += (float(np.sum(end.phi ** 2 + end.phit ** 2
+                                             + end.d2phi ** 2)) * g.h2 * dt)
 
         if self._profile is not None:
             a = self._profile(end.t)

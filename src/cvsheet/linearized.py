@@ -5,6 +5,10 @@ The linearization lives on the straightened half-plane around a basic state
 margin, the kinematic jump condition dphi/dt = u_N± at the wall, the
 magnetic transport identity in the interior, div h = 0 with H_N = 0 at the
 wall, the boundary stability margin, and sup|phi| < 1/2.
+The linearized wall rows (kin+, kin-, H_N+, H_N-, [q]) have one home,
+``stability.linearized_wall_rows``; ``boundary_traces`` gives the basic
+wall traces they read.  Boundary data (g1+, g1-, g2) are the right-hand
+sides of kin+, kin- and [q].
 
 In the Alinhac good unknown the effective interior operator is
 
@@ -43,7 +47,7 @@ from .grid import Grid, diff_time, time_row
 from .mhd import (IH1, IH2, IP, IS, IU1, IU2, NCOMP, PhysState,
                   _require_admissible, contact_p_minus)
 from .stability import (LambdaPair, assemble_symmetrizer, build_lambda,
-                        check_stability)
+                        check_stability, linearized_wall_rows)
 
 #: characteristic components of V
 IQ, IUN, IU2V, IHN, IH2V, ISV = range(6)
@@ -171,25 +175,25 @@ class BasicFrame:
         self.lifted: LiftedFront = lift_front(phi, basic.grid, phit)
         self.states = tuple(PhysState.from_vector(u) for u in U)
 
-    # -- boundary traces used by the boundary conditions -------------------
 
-    def boundary_traces(self) -> dict:
-        g = self.grid
-        d2phi = g.d2_boundary(self.phi)
-        out = {"d2phi": d2phi}
-        q = self.U[:, IP] + 0.5 * (self.U[:, IH1] ** 2 + self.U[:, IH2] ** 2)
-        d1q = g.d1(q)
-        uN = self.U[:, IU1] - self.U[:, IU2] * d2phi[None, None, :]
-        HN = self.U[:, IH1] - self.U[:, IH2] * d2phi[None, None, :]
-        d1uN = g.d1(uN)
-        d1HN = g.d1(HN)
-        for i, tag in enumerate("pm"):
-            out[f"u2{tag}"] = self.U[i, IU2, 0, :]
-            out[f"H2{tag}"] = self.U[i, IH2, 0, :]
-            out[f"d1uN{tag}"] = d1uN[i, 0, :]
-            out[f"d1HN{tag}"] = d1HN[i, 0, :]
-        out["d1q_jump"] = d1q[0, 0, :] + d1q[1, 0, :]
-        return out
+def boundary_traces(grid: Grid, U: np.ndarray, phi: np.ndarray) -> dict:
+    """The basic wall traces of U (..., 2, 6, n1, n2), phi (..., n2), a frame
+    or a series, each (..., n2): ``d2phi``, ``d1q_jump`` and per side (p, m)
+    ``u2``, ``H2``, ``uN``, ``HN``, ``d1uN`` and ``d1HN``.  The stencils act
+    elementwise, so a series and its frames give the same bits."""
+    d2phi = grid.d2_boundary(phi)[..., None, None, :]
+    q = U[..., IP, :, :] + 0.5 * (U[..., IH1, :, :] ** 2
+                                  + U[..., IH2, :, :] ** 2)
+    d1q = grid.d1(q)
+    uN = U[..., IU1, :, :] - U[..., IU2, :, :] * d2phi
+    HN = U[..., IH1, :, :] - U[..., IH2, :, :] * d2phi
+    out = {"d2phi": d2phi[..., 0, 0, :]}
+    for name, f in (("u2", U[..., IU2, :, :]), ("H2", U[..., IH2, :, :]),
+                    ("uN", uN), ("HN", HN), ("d1uN", grid.d1(uN)),
+                    ("d1HN", grid.d1(HN))):
+        out[name + "p"], out[name + "m"] = f[..., 0, 0, :], f[..., 1, 0, :]
+    out["d1q_jump"] = d1q[..., 0, 0, :] + d1q[..., 1, 0, :]
+    return out
 
 
 @dataclass
@@ -247,13 +251,12 @@ def validate_basic_state(basic: BasicState,
         worst["stab"] = min(worst["stab"],
                             float(np.min(rep.margin[..., 0, :]))
                             if rep.margin.ndim > 1 else rep.margin_min)
-        tr = fr.boundary_traces()
-        for i, side in enumerate(SIDES):
-            uN0 = fr.U[i, IU1, 0, :] - fr.U[i, IU2, 0, :] * tr["d2phi"]
-            worst["jump"] = max(worst["jump"],
-                                float(np.max(np.abs(fr.phit - uN0))))
-            HN0 = fr.U[i, IH1, 0, :] - fr.U[i, IH2, 0, :] * tr["d2phi"]
-            worst["hn"] = max(worst["hn"], float(np.max(np.abs(HN0))))
+        tr = boundary_traces(g, fr.U, fr.phi)
+        for i, (side, tag) in enumerate(zip(SIDES, "pm")):
+            worst["jump"] = max(worst["jump"], float(np.max(np.abs(
+                fr.phit - tr["uN" + tag]))))
+            worst["hn"] = max(worst["hn"],
+                              float(np.max(np.abs(tr["HN" + tag]))))
             # residuals of the interior constraints
             h = transformed_vectors(fr.states[i], fr.lifted, side)[4]
             div = g.d1(h[0]) + g.d2(h[1])
@@ -467,7 +470,7 @@ class SheetOperators:
         """Nonlinear wall operator: (dphi/dt - uN+, dphi/dt - uN-, [q])."""
         g = self.grid
         dtphi = diff_time(phi, self.dt, axis=0, order=4)
-        d2phi = np.stack([g.d2_boundary(p) for p in phi])
+        d2phi = g.d2_boundary(phi)
         tr = U[:, :, :, 0, :]
         uN = tr[:, :, IU1] - tr[:, :, IU2] * d2phi[:, None, :]
         q = tr[:, :, IP] + 0.5 * (tr[:, :, IH1] ** 2 + tr[:, :, IH2] ** 2)
@@ -475,28 +478,24 @@ class SheetOperators:
                          q[:, 0] - q[:, 1]], axis=1)
 
     def boundary_B_e_prime(self, Uhat, phihat, dUdot, dphi) -> np.ndarray:
-        """Good-unknown wall operator at (Uhat, phihat): the linearized B
-        applied to (dUdot, dphi) plus the zero-order front terms
-        -dphi d1uN+, +dphi d1uN- and dphi (d1q+ + d1q-).  Of ``dUdot`` only
-        the wall row x1 = 0 is read, so its trace (nt, 2, 6, 1, n2) will do."""
+        """Good-unknown wall operator at (Uhat, phihat): the kin+, kin- and
+        [q] rows of ``linearized_wall_rows`` of (dUdot, dphi), zero-order
+        front terms included.  Of ``dUdot`` only the wall row x1 = 0 is
+        read, so its trace (nt, 2, 6, 1, n2) will do."""
         g = self.grid
-        dt_dphi = diff_time(dphi, self.dt, axis=0, order=4)
-        d2_dphi = g.d2_boundary(dphi)
-        d2phihat = g.d2_boundary(phihat)
-        uN = Uhat[:, :, IU1] - Uhat[:, :, IU2] * d2phihat[:, None, None, :]
-        q = Uhat[:, :, IP] + 0.5 * (Uhat[:, :, IH1] ** 2
-                                    + Uhat[:, :, IH2] ** 2)
-        d1uN = g.d1(uN)[..., 0, :]
-        d1q = g.d1(q)[..., 0, :]
+        tr = boundary_traces(g, Uhat, phihat)
+        d2phihat = tr["d2phi"][:, None, :]
         trh = Uhat[:, :, :, 0, :]
         trd = dUdot[:, :, :, 0, :]
-        duN = trd[:, :, IU1] - trd[:, :, IU2] * d2phihat[:, None, :]
-        dq = trd[:, :, IP] + (trh[:, :, IH1] * trd[:, :, IH1]
-                              + trh[:, :, IH2] * trd[:, :, IH2])
-        return np.stack([
-            dt_dphi + trh[:, 0, IU2] * d2_dphi - duN[:, 0] - dphi * d1uN[:, 0],
-            dt_dphi + trh[:, 1, IU2] * d2_dphi - duN[:, 1] + dphi * d1uN[:, 1],
-            dq[:, 0] - dq[:, 1] + dphi * (d1q[:, 0] + d1q[:, 1])], axis=1)
+        v = {"uN": trd[:, :, IU1] - trd[:, :, IU2] * d2phihat,
+             "HN": trd[:, :, IH1] - trd[:, :, IH2] * d2phihat,
+             "q": trd[:, :, IP] + (trh[:, :, IH1] * trd[:, :, IH1]
+                                   + trh[:, :, IH2] * trd[:, :, IH2])}
+        kin_p, kin_m, _, _, jump_q = linearized_wall_rows(
+            *({k: x[:, i] for k, x in v.items()} for i in (0, 1)), dphi,
+            diff_time(dphi, self.dt, axis=0, order=4), g.d2_boundary(dphi),
+            tr)
+        return np.stack([kin_p, kin_m, jump_q], axis=1)
 
 
 #: the entries (row, column) of N in J = I + N, all above the diagonal

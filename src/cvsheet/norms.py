@@ -274,7 +274,9 @@ def inequality_harness(kind: str, samples: int, grid: Grid, *, nt: int = 9,
     over the time span [0, 1].
 
     The max ratio is the fitted empirical constant; unboundedness under
-    refinement is the failure signal, not any fixed threshold.
+    refinement is the failure signal, not any fixed threshold.  ``m`` is
+    the H^m_* order of the Moser kinds: the constants are fitted per order,
+    and a lower order samples the same inequality at less cost.
     """
     if kind not in HARNESS_KINDS:
         raise ValueError(f"unknown harness kind {kind!r}")

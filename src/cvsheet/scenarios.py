@@ -74,7 +74,8 @@ class ManufacturedForcing:
 
 @dataclass
 class ManufacturedBoundaryData:
-    """Causal boundary data (g1+, g1-, g2) for the inhomogeneous problem."""
+    """Causal boundary data (g1+, g1-, g2): the right-hand sides of the
+    kin+, kin- and [q] rows of ``stability.linearized_wall_rows``."""
 
     grid: Grid
     amplitude: float = 1.0

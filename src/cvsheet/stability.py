@@ -63,6 +63,9 @@ class StabilityReport:
 def check_stability(plus: PhysState, minus: PhysState, eos,
                     k: float = 1e-3, admissibility_margin: float = 1e-6
                     ) -> StabilityReport:
+    """The margin a+|H2+| + a-|H2-| - |[u2]| against the threshold ``k``;
+    ``admissibility_margin``, the least density and drho/dp the wave speeds
+    accept, is lowered for a nearly incompressible EOS (drho/dp ~ 1e-12)."""
     ap = _a_hat(plus, eos, admissibility_margin)
     am = _a_hat(minus, eos, admissibility_margin)
     jump_u2 = np.asarray(plus.u2, float) - np.asarray(minus.u2, float)
@@ -218,6 +221,25 @@ def check_b0_positive(state: PhysState, lam, eos) -> PositivityCertificate:
                                  min_eig=float(np.min(eigs)))
 
 
+def linearized_wall_rows(vplus, vminus, phi, dphi_t, dphi_2, bt):
+    """The linearized wall conditions as the rows (kin+, kin-, H_N+, H_N-,
+    [q]) of the perturbation's wall traces ``q``, ``uN``, ``HN`` per side,
+    the front phi with its rate and d2 phi, and the basic wall traces ``bt``
+    (``linearized.boundary_traces``)."""
+    return (dphi_t + bt["u2p"] * dphi_2 - vplus["uN"] - phi * bt["d1uNp"],
+            dphi_t + bt["u2m"] * dphi_2 - vminus["uN"] + phi * bt["d1uNm"],
+            bt["H2p"] * dphi_2 - vplus["HN"] - phi * bt["d1HNp"],
+            bt["H2m"] * dphi_2 - vminus["HN"] + phi * bt["d1HNm"],
+            vplus["q"] - vminus["q"] + phi * bt["d1q_jump"])
+
+
+def leading_coefficient(lam_pair: LambdaPair, bt):
+    """[u2 - lambda H2] of the wall traces ``bt``: the boundary form's
+    leading coefficient, which ``build_lambda``'s multiplier kills."""
+    return ((bt["u2p"] - lam_pair.lam_plus * bt["H2p"])
+            - (bt["u2m"] - lam_pair.lam_minus * bt["H2m"]))
+
+
 @dataclass
 class BoundaryFormDecomposition:
     """total = leading + lot, with the leading coefficient reported separately."""
@@ -234,20 +256,18 @@ def boundary_quadratic_form(vplus, vminus, lam_pair: LambdaPair,
                             basic_traces) -> BoundaryFormDecomposition:
     """Boundary quadratic form 2 [qdot (udot_N - lambda Hdot_N)] and its split.
 
-    ``vplus``/``vminus`` are dicts with boundary traces ``q``, ``uN``, ``HN``;
-    ``basic_traces`` carries the background boundary data: ``u2±``, ``H2±``,
-    ``d1uN±``, ``d1HN±`` and the normal-derivative jump ``d1q_jump`` (the sum
-    of one-sided d1 q-hat traces, by the straightening convention).  The
-    split uses the linearized boundary conditions and the H_N constraint; if
-    the supplied traces violate them beyond tolerance a warning is attached
-    and the decomposition is still returned.
+    The traces are those ``linearized_wall_rows`` reads; ``d1q_jump`` is the
+    sum of one-sided d1 q-hat traces, by the straightening convention.  The
+    split uses the homogeneous wall rows; if the supplied traces violate
+    them beyond tolerance a warning is attached and the decomposition is
+    still returned.
     """
     lp, lm = lam_pair.lam_plus, lam_pair.lam_minus
     bt = basic_traces
     total = 2.0 * (vplus["q"] * (vplus["uN"] - lp * vplus["HN"])
                    - vminus["q"] * (vminus["uN"] - lm * vminus["HN"]))
 
-    coeff = (bt["u2p"] - lp * bt["H2p"]) - (bt["u2m"] - lm * bt["H2m"])
+    coeff = leading_coefficient(lam_pair, bt)
     leading = 2.0 * coeff * vplus["q"] * dphi_2
     d1uN_jump = (bt["d1uNp"] - lp * bt["d1HNp"]) + (bt["d1uNm"] - lm * bt["d1HNm"])
     lot = (-2.0 * d1uN_jump * vplus["q"] * phi
@@ -256,13 +276,8 @@ def boundary_quadratic_form(vplus, vminus, lam_pair: LambdaPair,
            - 2.0 * bt["d1q_jump"] * (bt["d1uNm"] - lm * bt["d1HNm"]) * phi ** 2)
 
     warning = None
-    res_bc_p = dphi_t + bt["u2p"] * dphi_2 - vplus["uN"] - phi * bt["d1uNp"]
-    res_bc_m = dphi_t + bt["u2m"] * dphi_2 - vminus["uN"] + phi * bt["d1uNm"]
-    res_hn_p = bt["H2p"] * dphi_2 - vplus["HN"] - phi * bt["d1HNp"]
-    res_hn_m = bt["H2m"] * dphi_2 - vminus["HN"] + phi * bt["d1HNm"]
-    res_q = vplus["q"] - vminus["q"] + phi * bt["d1q_jump"]
-    worst = max(float(np.max(np.abs(r)))
-                for r in (res_bc_p, res_bc_m, res_hn_p, res_hn_m, res_q))
+    worst = max(float(np.max(np.abs(r))) for r in linearized_wall_rows(
+        vplus, vminus, phi, dphi_t, dphi_2, bt))
     if worst > _CONSTRAINT_TOL:
         warning = (f"boundary traces violate the linearized constraints by "
                    f"{worst:.3e}; decomposition is formal")
@@ -272,7 +287,8 @@ def boundary_quadratic_form(vplus, vminus, lam_pair: LambdaPair,
 
 
 def wang_yu_compare(c_hat, cA_hat):
-    """Squared-velocity stability thresholds for the symmetric background.
+    """Stability thresholds on (u2_jump/2)^2 for the symmetric background
+    u2± = ±u2_jump/2 with equal p and H2 on both sides.
 
     Returns (ours, wy_subsonic, wy_supersonic): our bound
     cA^2 c^2 / (c^2 + cA^2) against the spectral subsonic and supersonic

@@ -9,7 +9,8 @@ from cvsheet.front import lift_front, straighten, straightened_coefficients
 from cvsheet.grid import Grid, diff_time
 from cvsheet.linearized import (_J_OFF, IH2V, IHN, IQ, IUN, BasicFrame,
                                 BasicState, SheetOperators,
-                                assemble_effective, bracket, c_matrix,
+                                assemble_effective, boundary_traces,
+                                bracket, c_matrix,
                                 good_unknown_inverse, _j_off, j_matrix,
                                 sheared_sheet_state, time_step,
                                 trivial_sheet_state, validate_basic_state)
@@ -17,7 +18,7 @@ from cvsheet.mhd import (IH1, IH2, IP, IS, IU1, AdmissibilityError,
                          IdealGasEos, PhysState, assemble_coefficients,
                          coefficient_jacobians)
 from cvsheet.scenarios import ManufacturedBoundaryData, ManufacturedForcing
-from cvsheet.stability import assemble_symmetrizer
+from cvsheet.stability import assemble_symmetrizer, linearized_wall_rows
 
 EOS = IdealGasEos()
 
@@ -502,9 +503,15 @@ def test_whole_number_of_steps_takes_exactly_that_many():
     assert np.max(np.abs(traj.snapshot_times - tgrid)) <= 1e-12
 
 
+def _v_traces(V):
+    """The perturbation's wall traces (q, u_N, H_N) of V, per side."""
+    return ({"q": V[i, IQ, 0], "uN": V[i, IUN, 0], "HN": V[i, IHN, 0]}
+            for i in (0, 1))
+
+
 def test_hn_monitor_reads_the_basic_wall_traces():
-    # linearized wall constraint: V_HN = H2 d2 phi -+ phi d1 H_N, with H2
-    # and d1 H_N = d1(H1 - H2 d2 phi) traces of the basic state
+    # the monitor's residual is the larger H_N row of linearized_wall_rows,
+    # H2 d2 phi - V_HN -+ phi d1 H_N, with the basic wall traces of the state
     grid = Grid(n1=32, n2=32, L1=2 * np.pi, L2=2 * np.pi)
     b = sheared_sheet_state(grid, EOS)
     g = ManufacturedBoundaryData(grid, amplitude=0.05, k2=2, ramp=0.05)
@@ -513,14 +520,62 @@ def test_hn_monitor_reads_the_basic_wall_traces():
     traj = evolve(b, t_final=t_final, bdata=g,
                   snapshot_times=np.linspace(0.0, t_final, nsteps + 1))
     assert len(traj.snapshots) == len(traj.times) == nsteps + 1
-    tr = b.frame(0).boundary_traces()
+    tr = boundary_traces(grid, b.U[0], b.phi[0])
     for k, (V, phi) in enumerate(zip(traj.snapshots, traj.phi)):
-        d2phi = grid.d2_boundary(phi)
-        want = max(np.max(np.abs(tr[f"H2{tag}"] * d2phi - V[i, IHN, 0]
-                                  - sgn * phi * tr[f"d1HN{tag}"]))
-                   for i, sgn, tag in ((0, 1.0, "p"), (1, -1.0, "m")))
-        assert traj.hn_residual[k] == pytest.approx(want, rel=1e-12, abs=0)
+        rows = linearized_wall_rows(*_v_traces(V), phi, np.zeros_like(phi),
+                                    grid.d2_boundary(phi), tr)
+        want = max(float(np.max(np.abs(r))) for r in rows[2:4])
+        assert traj.hn_residual[k] == want
     assert traj.hn_residual.max() > 0
+
+
+def test_boundary_traces_of_a_series_are_its_frames_traces():
+    # the stencils act elementwise: one call on a snapshot series gives
+    # each snapshot's traces bit for bit, as boundary_B_e_prime relies on
+    grid = Grid(n1=12, n2=12, L1=2 * np.pi, L2=2 * np.pi)
+    rng = np.random.default_rng(0)
+    U = rng.normal(size=(3, 2, 6, grid.n1, grid.n2))
+    phi = rng.normal(size=(3, grid.n2))
+    series = boundary_traces(grid, U, phi)
+    for n in range(3):
+        frame = boundary_traces(grid, U[n], phi[n])
+        assert series.keys() == frame.keys()
+        for key, want in frame.items():
+            assert np.array_equal(series[key][n], want), key
+
+
+@pytest.mark.parametrize("state", ["planar", "sheared", "curved"])
+def test_apply_bc_and_phi_rate_solve_the_wall_rows(state):
+    # the solved form: after apply_bc, with phi_rate's front rate, the kin+,
+    # kin- and [q] rows of linearized_wall_rows are the data (g1+, g1-, g2);
+    # the sheets' traces are the march's, and a curved front under the
+    # sheared sheet gives them nonzero d1uN and d1HN as well
+    grid = Grid(n1=16, n2=16, L1=2 * np.pi, L2=2 * np.pi)
+    b = (trivial_sheet_state(grid, EOS, u2_jump=0.5, H2_plus=1.4,
+                             H2_minus=1.2) if state == "planar"
+         else sheared_sheet_state(grid, EOS))
+    stp = ev.LinearizedStepper(b)
+    tr = (boundary_traces(grid, b.U[0], 0.1 * np.sin(grid.x2))
+          if state == "curved" else stp.cache.at(0.0)["traces"])
+    if state == "curved":
+        assert min(np.max(np.abs(tr[k])) for k in ("d1uNp", "d1HNm")) > 0
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def check(seed):
+        rng = np.random.default_rng(seed)
+        V = rng.normal(size=(2, 6, grid.n1, grid.n2))
+        phi = 0.1 * rng.normal(size=grid.n2)
+        g = rng.normal(size=(3, grid.n2))
+        stp.apply_bc(V, phi, {"traces": tr}, g)
+        d2phi = grid.d2_boundary(phi)
+        rate = stp.phi_rate(V, phi, d2phi, tr, g)
+        kin_p, kin_m, _, _, jump_q = linearized_wall_rows(
+            *_v_traces(V), phi, rate, d2phi, tr)
+        for row, want in zip((kin_p, kin_m, jump_q), g):
+            assert np.max(np.abs(row - want)) <= 1e-13
+
+    check()
 
 
 def test_forced_run_is_finite_and_identity_small(grid):
@@ -595,7 +650,7 @@ def test_reconstruction_consistent_on_trajectory(grid):
                             H2_minus=1.2)
     F = ManufacturedForcing(grid, amplitude=1.0, k2=2)
     traj = evolve(b, t_final=0.4, forcing=F)
-    tr = b.frame(0).boundary_traces()
+    tr = boundary_traces(grid, b.U[0], b.phi[0])
     phi_hist = traj.phi
     dt = traj.times[1] - traj.times[0]
     dphi_fd = diff_time(phi_hist, dt, axis=0)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
-from cvsheet.mhd import IdealGasEos, PhysState
+from cvsheet.mhd import IdealGasEos, PhysState, alfven_speed, sound_speed
 from cvsheet.stability import (LambdaPair, StabilityError,
                                assemble_symmetrizer, boundary_quadratic_form,
                                build_lambda, check_b0_positive,
@@ -270,6 +271,21 @@ def test_boundary_form_zero_input():
                            "d1HNp", "d1HNm", "d1q_jump")}
     dec = boundary_quadratic_form(v, v, pair, zero, zero, zero, bt)
     assert np.all(dec.total == 0.0)
+
+
+@pytest.mark.parametrize("p, H2", [(1.0, 1.0), (2.0, 0.5), (0.5, 0.6)])
+def test_wang_yu_thresholds_are_on_the_squared_half_jump(p, H2):
+    # on a symmetric sheet u2± = ±v the margin 2 a |H2| - 2 v vanishes at
+    # v = u2_jump / 2 = sqrt(ours): the thresholds bound (u2_jump / 2)^2
+    def margin(v):
+        return check_stability(*_pair(u2p=v, u2m=-v, H2p=H2, H2m=H2, p=p),
+                               EOS).margin_min
+
+    root = brentq(margin, 0.0, 10.0, xtol=1e-15)
+    plus, _ = _pair(H2p=H2, p=p)
+    ours, _, _ = wang_yu_compare(sound_speed(plus, EOS),
+                                 alfven_speed(plus, EOS))
+    assert root == pytest.approx(np.sqrt(ours), rel=1e-12)
 
 
 def test_wang_yu_limits_and_strictness():
