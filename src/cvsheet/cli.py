@@ -7,9 +7,10 @@ versions and the keys of the run's summary.  Identical config and seed
 produce byte-identical artifacts.
 
 Every artifact is written and read here: CSV tables (a header line, then
-``repr`` floats), JSON reports with sorted keys, and ``evolve``'s
-checkpoints, one (2, 6, n1, n2) ``checkpoint_kkk.npy`` per snapshot time,
-listed with their grid, state and EOS in ``checkpoints.json``.
+``repr`` floats), strict JSON reports with sorted keys (an undefined,
+non-finite value as null), and ``evolve``'s checkpoints, one
+(2, 6, n1, n2) ``checkpoint_kkk.npy`` per snapshot time, listed with
+their grid, state and EOS in ``checkpoints.json``.
 
 Exit codes: 0 success, 1 config/validation failure (a missed smallness
 budget included), 2 numerical abort (a modified state that loses
@@ -149,8 +150,7 @@ def _write_manifest(out: Path, experiment: str, seed: int, text: str,
         "numpy_version": np.__version__,
     }
     manifest.update(extra or {})
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+    _write_json(out / "manifest.json", manifest)
 
 
 def _csv(path: Path, header: str, rows) -> None:
@@ -243,8 +243,7 @@ def run_symmetrize(cfg, seed, out: Path, verbosity: int) -> dict:
         "collar_eps": sc["collar_eps"],
         "collar_max_abs_lambda": float(np.max(np.abs(field))),
     }
-    (out / "symmetrizer.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    _write_json(out / "symmetrizer.json", payload)
     return payload
 
 
@@ -284,13 +283,13 @@ def run_evolve(cfg, seed, out: Path, verbosity: int) -> dict:
     if ev["write_checkpoint"]:
         for k, snap in enumerate(traj.snapshots):
             np.save(out / f"checkpoint_{k:03d}.npy", snap)
-        (out / "checkpoints.json").write_text(json.dumps({
+        _write_json(out / "checkpoints.json", {
             "times": [float(t) for t in traj.snapshot_times],
             "count": len(traj.snapshot_times),
             "state": cfg["state"],
             "grid": cfg["grid"],
             "eos": cfg["eos"],
-        }, sort_keys=True, indent=1) + "\n")
+        })
     return {"steps": len(traj.times) - 1,
             "final_I": traj.ledger.rows[-1].I,
             "cstar": traj.cstar, "lambda_fallback": traj.lambda_fallback}
@@ -345,8 +344,7 @@ def run_compat(cfg, seed, out: Path, verbosity: int) -> dict:
         "smallness": approx.smallness,
         "eos_gamma": eos.gamma,
     }
-    (out / "compat_report.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    _write_json(out / "compat_report.json", payload)
     return payload
 
 
@@ -365,15 +363,14 @@ def run_nash_moser_demo(cfg, seed, out: Path, verbosity: int) -> dict:
     report = driver.run()
     with open(out / "iterates.jsonl", "w", newline="\n") as fh:
         for h in report["history"]:
-            fh.write(json.dumps(h, sort_keys=True) + "\n")
+            fh.write(_json(h) + "\n")
     payload = {
         "initial_residual": report["initial_residual"],
         "final_residual": report["final_residual"],
         "residuals": report["residuals"],
         "stopped_early": report["stopped_early"],
     }
-    (out / "nash_moser_report.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    _write_json(out / "nash_moser_report.json", payload)
     return payload
 
 
@@ -412,9 +409,21 @@ def run_experiment(config_path, out_dir, seed=None, verbosity=1) -> int:
     _write_manifest(out, experiment, seed, text,
                     {"summary_keys": sorted(k for k in summary)})
     if verbosity >= 1:
-        print(json.dumps({"experiment": experiment, "out": str(out),
-                          "summary": _jsonable(summary)}, sort_keys=True))
+        print(_json({"experiment": experiment, "out": str(out),
+                     "summary": summary}))
     return 0
+
+
+def _json(obj, indent=None) -> str:
+    """``obj`` as strict JSON with sorted keys, the one encoding of every
+    JSON artifact, JSONL line and summary: numpy scalars as numbers, and a
+    float that is not finite (an undefined value) as null."""
+    return json.dumps(_jsonable(obj), sort_keys=True, indent=indent,
+                      allow_nan=False)
+
+
+def _write_json(path: Path, obj) -> None:
+    path.write_text(_json(obj, indent=1) + "\n")
 
 
 def _jsonable(obj):
@@ -423,7 +432,9 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        obj = obj.item()
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return None
     return obj
 
 

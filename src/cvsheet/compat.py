@@ -307,8 +307,11 @@ def manufactured_initial_data(grid: Grid, eos, *, amplitude: float = 0.05,
     The perturbation vanishes identically near the wall (so every wall jet
     sees the exact contact constants) and derives its magnetic part from a
     stream function (so div h = 0 exactly on the grid).  amplitude = 0
-    returns the stationary contact itself.
+    returns the stationary contact itself; amplitude < 0 (or NaN) is a
+    ``ValueError``.
     """
+    if not amplitude >= 0.0:
+        raise ValueError(f"amplitude must be >= 0, got {amplitude!r}")
     rng = np.random.default_rng(seed)
     p_minus = contact_p_minus(p_plus, H2_plus, H2_minus)
     U = np.zeros((2, NCOMP, grid.n1, grid.n2))

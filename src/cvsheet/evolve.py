@@ -48,13 +48,14 @@ interpolates only the bundle entries the march applies.
 ``Trajectory.timings`` gives the wall seconds of the march and of each
 observer; they are the one part of a trajectory that is not reproducible.
 
-Coefficients are built at snapshots: the cache builds the march's solved
-family and interpolates a time-dependent state's bundles between
-snapshots, and the ledger assembles the symmetrized family of its own
-multiplier.  The march reads the snapshot brackets in time order, so
-the cache holds the two bundles of the current bracket and drops the ones
-behind it; a lookup behind the window rebuilds its bundles from their
-frames, bit for bit.  The snapshots must cover [0, t_final].
+Coefficients are built at snapshots, each family by its own pass: the
+cache builds the solved family and interpolates a time-dependent state's
+bundles between snapshots, and the ledger builds the symmetrized family
+of its own multiplier and J alone.  The march reads the snapshot brackets
+in time order, so the cache holds the two bundles of the current bracket
+and drops the ones behind it; a lookup behind the window rebuilds its
+bundles from their frames, bit for bit.  The snapshots must cover
+[0, t_final].
 
 A steady basic state that is constant along the front (the planar sheet)
 has both families assembled on one x2 column and broadcast along x2, and
@@ -78,7 +79,8 @@ import numpy as np
 
 from .grid import Grid
 from .linearized import (IHN, IH2V, IQ, IUN, BasicState,
-                         assemble_effective, boundary_traces, bracket)
+                         assemble_effective, assemble_symmetrized,
+                         boundary_traces, bracket, j_matrix)
 from .mhd import PhysState
 from .profiles import SigmaWeight, quintic_step
 from .scenarios import ManufacturedForcing
@@ -862,8 +864,8 @@ class _LedgerAccumulator:
     It takes the multiplier of ``source`` (the state the coefficient cache
     assembles from), with ``lambda_fallback`` the reason it fell back to 0
     if it did, and assembles that multiplier's symmetrized family with
-    ``assemble_effective`` at the snapshot; that call forms the solved
-    family again too, of which the ledger reads only J.
+    ``assemble_symmetrized`` at the snapshot, and J with ``j_matrix``; it
+    forms no solved family.
 
     Every term is a form ``_form(M, X, Y)``.  ``B0``, J^T S, J^T T and the
     zero-order matrix are (..., n1, 1) for a state assembled on one x2
@@ -885,8 +887,8 @@ class _LedgerAccumulator:
         self._prev_integrand = None
         lam_field, self.lambda_fallback = _ledger_multiplier(source)
         fr = source.frame(0)
-        self.ops = ops = assemble_effective(fr, lam_field)
-        self._Jt = np.swapaxes(ops.J, 1, 2)
+        self.ops = ops = assemble_symmetrized(fr, lam_field)
+        self._Jt = np.swapaxes(j_matrix(fr), 1, 2)
         self._d1phi = fr.lifted.d1_phi_map
         g = grid
         self._zo_matrix = (g.d1(ops.B1) + g.d2(ops.B2)

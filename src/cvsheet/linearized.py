@@ -23,10 +23,10 @@ wall: a constant-rank-4 characteristic boundary with exactly two incoming
 modes per side.
 
 J is the identity plus four entries above the diagonal and the straightened
-A0 is diagonal, so ``assemble_effective``, the one place the march's solved
-coefficients are built, forms them in closed form.  Given a multiplier
-field it also builds the symmetrized family of the energy ledger; at
-lambda = 0 that family is the unsymmetrized one, boundary matrix included.
+A0 is diagonal, so each coefficient family has a closed-form pass over one
+shared prelude: ``assemble_effective`` builds the march's solved family and
+``assemble_symmetrized`` the energy ledger's family of a multiplier field,
+which at lambda = 0 is the unsymmetrized one, boundary matrix included.
 
 ``SheetOperators`` is the one discretization of L and L'_e on snapshot
 series, with 4th-order time stencils, walked one snapshot at a time: the
@@ -273,7 +273,7 @@ def validate_basic_state(basic: BasicState,
         phi_sup=worst["phi"])
 
 
-# -- manufactured families -------------------------------------------------
+# -- manufactured family ---------------------------------------------------
 
 def trivial_sheet_state(grid: Grid, eos, *, p_plus=1.0, u2_jump=0.0,
                         H2_plus=1.0, H2_minus=1.0, S_plus=0.0,
@@ -294,37 +294,6 @@ def trivial_sheet_state(grid: Grid, eos, *, p_plus=1.0, u2_jump=0.0,
         U[i, IU2] = u2
         U[i, IH2] = H2
         U[i, IS] = S
-    return BasicState(grid=grid, eos=eos, U=U, phi=np.zeros(grid.n2))
-
-
-def sheared_sheet_state(grid: Grid, eos, rng=None) -> BasicState:
-    """Non-constant manufactured basic state satisfying all constraints.
-
-    Wall-normal shear profiles u2±(x1), H2±(x1) (u1 = H1 = 0, flat front)
-    satisfy the transport identity and div h = 0 identically; pressure and
-    entropy may vary in both variables without breaking any constraint.
-    The profiles have amplitude 0.15 about p+ = 1.5, a u2 jump of 0.3 and
-    H2± = 1.5 / 1.2, with p- from the total-pressure balance.
-    """
-    amplitude, p_plus, u2_jump, H2_plus, H2_minus = 0.15, 1.5, 0.3, 1.5, 1.2
-    rng = rng or np.random.default_rng(0)
-    x1 = grid.x1[:, None]
-    x2 = grid.x2[None, :]
-
-    def prof():
-        a, b, c = rng.uniform(-1, 1, 3)
-        return (a * np.cos(np.pi * x1 / grid.L1)
-                + b * np.sin(2 * np.pi * x1 / grid.L1) + 0.3 * c)
-
-    U = np.zeros((2, NCOMP, grid.n1, grid.n2))
-    p_minus = contact_p_minus(p_plus, H2_plus, H2_minus)
-    for i, (p0, u20, H20) in enumerate(((p_plus, 0.5 * u2_jump, H2_plus),
-                                        (p_minus, -0.5 * u2_jump, H2_minus))):
-        U[i, IP] = p0 * (1.0 + amplitude * prof()
-                         * np.cos(2 * np.pi * x2 / grid.L2)) + 0.0 * x2
-        U[i, IU2] = u20 + amplitude * prof() + 0.0 * x2
-        U[i, IH2] = H20 * (1.0 + amplitude * prof()) + 0.0 * x2
-        U[i, IS] = amplitude * prof() * np.sin(2 * np.pi * x2 / grid.L2)
     return BasicState(grid=grid, eos=eos, U=U, phi=np.zeros(grid.n2))
 
 
@@ -456,16 +425,6 @@ class SheetOperators:
             out[n] = value
         return out
 
-    def linearized_L(self, Uhat: np.ndarray, phihat: np.ndarray,
-                     dU: np.ndarray, dphi: np.ndarray):
-        """(L(Uhat), L'(Uhat)[dU, dphi]) at (Uhat, phihat), from one walk."""
-        value = np.empty_like(Uhat)
-        lin = np.empty_like(Uhat)
-        for n, [(value_n, lin_n)] in enumerate(
-                self.walk([(Uhat, phihat, True)], dU, dphi)):
-            value[n], lin[n] = value_n, lin_n
-        return value, lin
-
     def boundary_B(self, U: np.ndarray, phi: np.ndarray) -> np.ndarray:
         """Nonlinear wall operator: (dphi/dt - uN+, dphi/dt - uN-, [q])."""
         g = self.grid
@@ -577,74 +536,85 @@ def _right_products(m0, m1, m2, zc, off, d1off, d2off, dtoff):
 
 @dataclass
 class EffectiveOperators:
-    """Calligraphic coefficient families of the characteristic system.
-
-    With A_kc = J^T R_k for R_0 = A0 J and the right products R_1-R_3 of
-    ``_right_products``, the march applies M_k = A0c^{-1} A_kc
-    = J^{-1} A0^{-1} R_k (k = 1, 2, 3) and ``A0invJt`` = A0c^{-1} J^T.
-    The symmetrized family ``B0``-``B3``, ``S`` and ``T`` (given a
-    multiplier field) enters the energy ledger; at lambda = 0, S = I and
-    T = 0, so it is the A_kc family itself.  Shapes are (2, 6, 6, n1, n2),
-    and (2, 6, n1, n2) for ``T``.
-    """
+    """The solved family the march applies: with A_kc = J^T R_k for
+    R_0 = A0 J and the right products R_1-R_3 of ``_right_products``,
+    M_k = A0c^{-1} A_kc = J^{-1} A0^{-1} R_k and ``A0invJt`` = A0c^{-1} J^T,
+    each (2, 6, 6, n1, n2)."""
 
     J: np.ndarray
     M1: np.ndarray
     M2: np.ndarray
     M3: np.ndarray
     A0invJt: np.ndarray
-    B0: np.ndarray | None = None
-    B1: np.ndarray | None = None
-    B2: np.ndarray | None = None
-    B3: np.ndarray | None = None
-    S: np.ndarray | None = None
-    T: np.ndarray | None = None
 
 
-def assemble_effective(frame: BasicFrame, lam_field: np.ndarray | None = None
-                       ) -> EffectiveOperators:
-    """Assemble the characteristic-system coefficients at one time frame.
+@dataclass
+class SymmetrizedOperators:
+    """The symmetrized family the energy ledger checks: B_k = J^T R_k with
+    the secondary symmetrizer's B0-B2 and S C in the right products, each
+    (2, 6, 6, n1, n2), and its ``S`` and ``T`` (2, 6, n1, n2).  At
+    lambda = 0 (S = I, T = 0) it is the A_kc family."""
 
-    A0^{-1} is the reciprocal of A0's diagonal, J^{-1} a back substitution
-    and dJ/dt the frame's own rate (``_j_off``).  With ``lam_field``
-    (2, n1, n2) the symmetrized family is assembled as well; at
-    ``lam_field`` = 0 it is the unsymmetrized family A_kc, whose boundary
-    matrix B1 at the wall is diag(E12, -E12) up to roundoff exactly when
-    the basic state honors the kinematic and magnetic wall constraints.
-    """
+    B0: np.ndarray
+    B1: np.ndarray
+    B2: np.ndarray
+    B3: np.ndarray
+    S: np.ndarray
+    T: np.ndarray
+
+
+def _prelude(frame: BasicFrame):
+    """What both coefficient families read at ``frame``: N's entries
+    (``_j_off``), their d1, d2 and time rates, and C (``c_matrix``)."""
     g = frame.grid
-    eos = frame.eos
     off, dtoff = _j_off(frame, rates=True)
     d1off, d2off = g.d1(off), g.d2(off)
     C = c_matrix(frame.U, frame.Ut, g.d1(frame.U), g.d2(frame.U),
-                 frame.lifted, eos)
+                 frame.lifted, frame.eos)
+    return off, d1off, d2off, dtoff, C
+
+
+def assemble_effective(frame: BasicFrame) -> EffectiveOperators:
+    """Assemble the march's solved coefficients at one time frame.
+
+    A0^{-1} is the reciprocal of A0's diagonal, J^{-1} a back substitution
+    and dJ/dt the frame's own rate (``_j_off``).
+    """
+    g = frame.grid
+    off, d1off, d2off, dtoff, C = _prelude(frame)
     shape = (2, NCOMP, NCOMP, g.n1, g.n2)
     M = [np.empty(shape) for _ in range(4)]     # M1, M2, M3, A0invJt
     for i, (a0, a1t, a2) in enumerate(
-            straightened_coefficients(frame.U, frame.lifted, eos)):
+            straightened_coefficients(frame.U, frame.lifted, frame.eos)):
         R = _right_products(a0, a1t, a2, C[i], off[i], d1off[i], d2off[i],
                             dtoff[i])
         a0inv = 1.0 / np.einsum("kk...->k...", a0)[:, None]  # A0 is diagonal
         for k, r in enumerate(R + [_EYE]):
             M[k][i] = _j_inv_times(off[i], a0inv * r)
+    return EffectiveOperators(j_matrix(frame), *M)
 
-    ops = EffectiveOperators(j_matrix(frame), *M)
-    if lam_field is not None:
-        B = [np.empty(shape) for _ in range(4)]
-        ops.S = np.empty(shape)
-        ops.T = np.empty((2, NCOMP, g.n1, g.n2))
-        for i in range(2):
-            bundle = assemble_symmetrizer(frame.states[i], lam_field[i], eos)
-            b1t = straighten(bundle.B0, bundle.B1, bundle.B2, frame.lifted, i)
-            SC = np.einsum("ik...,kj...->ij...", bundle.S, C[i])
-            R = [_add_columns(bundle.B0.copy(), bundle.B0, off[i]),
-                 *_right_products(bundle.B0, b1t, bundle.B2, SC, off[i],
-                                  d1off[i], d2off[i], dtoff[i])]
-            for k in range(4):
-                B[k][i] = _jt_times(off[i], R[k])
-            ops.S[i], ops.T[i] = bundle.S, bundle.T
-        ops.B0, ops.B1, ops.B2, ops.B3 = B
-    return ops
+
+def assemble_symmetrized(frame: BasicFrame,
+                         lam_field: np.ndarray) -> SymmetrizedOperators:
+    """Assemble the symmetrized family of the multiplier ``lam_field``
+    (2, n1, n2) at one time frame.  At ``lam_field`` = 0 it is the
+    unsymmetrized family A_kc, whose boundary matrix B1 at the wall is
+    diag(E12, -E12) up to roundoff exactly when the basic state honors the
+    kinematic and magnetic wall constraints.
+    """
+    off, d1off, d2off, dtoff, C = _prelude(frame)
+    sides = []
+    for i in range(2):
+        bundle = assemble_symmetrizer(frame.states[i], lam_field[i],
+                                      frame.eos)
+        b1t = straighten(bundle.B0, bundle.B1, bundle.B2, frame.lifted, i)
+        SC = np.einsum("ik...,kj...->ij...", bundle.S, C[i])
+        R = [_add_columns(bundle.B0.copy(), bundle.B0, off[i]),
+             *_right_products(bundle.B0, b1t, bundle.B2, SC, off[i],
+                              d1off[i], d2off[i], dtoff[i])]
+        sides.append([_jt_times(off[i], r) for r in R]
+                     + [bundle.S, bundle.T])
+    return SymmetrizedOperators(*map(np.stack, zip(*sides)))
 
 
 # -- transport march ---------------------------------------------------------

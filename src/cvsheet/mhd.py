@@ -48,19 +48,10 @@ class IdealGasEos:
     def density_dp(self, p, S):
         return self.density(p, S) / (self.gamma * np.asarray(p, dtype=float))
 
-    def density_dS(self, p, S):
-        return -self.density(p, S) / self.gamma
-
-    def density_dpp(self, p, S):
-        p = np.asarray(p, dtype=float)
-        return self.density(p, S) * (1.0 - self.gamma) / (self.gamma * p) ** 2
-
-    def density_dpS(self, p, S):
-        return -self.density_dp(p, S) / self.gamma
-
     def density_jet(self, p, S):
-        """(rho, rho_p, rho_S, rho_pp, rho_pS) from one density evaluation,
-        each by the formula of its method above."""
+        """(rho, rho_p, rho_S, rho_pp, rho_pS) from one density evaluation:
+        rho_p = rho / (gamma p), rho_S = -rho / gamma,
+        rho_pp = rho (1 - gamma) / (gamma p)^2 and rho_pS = -rho_p / gamma."""
         p = np.asarray(p, dtype=float)
         rho = self.density(p, S)
         rho_p = rho / (self.gamma * p)
@@ -130,13 +121,6 @@ def contact_p_minus(p_plus: float, H2_plus: float, H2_minus: float) -> float:
     return p_minus
 
 
-def _zeros_like_state(state: PhysState):
-    shape = np.broadcast_shapes(*(np.shape(np.asarray(f)) for f in
-                                  (state.p, state.u1, state.u2, state.H1,
-                                   state.H2, state.S)))
-    return shape
-
-
 def assemble_coefficients(state: PhysState, eos):
     """(A0, A1, A2), each (6, 6, *field); A1 and A2 are symmetric.
 
@@ -145,7 +129,7 @@ def assemble_coefficients(state: PhysState, eos):
     all three matrices.
     """
     rho, rho_p = _require_admissible(state, eos)
-    shape = _zeros_like_state(state)
+    shape = np.broadcast_shapes(*(np.shape(f) for f in vars(state).values()))
     rho = np.broadcast_to(rho, shape)
     g = np.broadcast_to(rho_p, shape) / rho  # 1/(rho c^2)
     u1, u2, H1, H2 = (np.broadcast_to(np.asarray(f, float), shape)
@@ -180,62 +164,3 @@ def assemble_coefficients(state: PhysState, eos):
     A2[IH2, IH2] = u2
     A2[IS, IS] = u2
     return A0, A1, A2
-
-
-def coefficient_jacobians(state: PhysState, eos):
-    """State derivatives (dA0/dy_l, dA1/dy_l, dA2/dy_l), each (6, 6, 6, *field).
-
-    Leading axis l runs over the six components of U.  This is the test
-    oracle of the closed-form zero-order matrix ``linearized.c_matrix``
-    and has no runtime caller; a finite-difference oracle in the tests
-    checks every entry.
-    """
-    _require_admissible(state, eos)
-    shape = _zeros_like_state(state)
-    p, S = state.p, state.S
-    rho = np.broadcast_to(eos.density(p, S), shape)
-    rho_p = np.broadcast_to(eos.density_dp(p, S), shape)
-    rho_S = np.broadcast_to(eos.density_dS(p, S), shape)
-    rho_pp = np.broadcast_to(eos.density_dpp(p, S), shape)
-    rho_pS = np.broadcast_to(eos.density_dpS(p, S), shape)
-    g = rho_p / rho
-    g_p = (rho_pp * rho - rho_p**2) / rho**2
-    g_S = (rho_pS * rho - rho_p * rho_S) / rho**2
-    u1 = np.broadcast_to(np.asarray(state.u1, float), shape)
-    u2 = np.broadcast_to(np.asarray(state.u2, float), shape)
-
-    dA0 = np.zeros((NCOMP, NCOMP, NCOMP) + shape)
-    dA1 = np.zeros_like(dA0)
-    dA2 = np.zeros_like(dA0)
-
-    for l, (gl, rl) in ((IP, (g_p, rho_p)), (IS, (g_S, rho_S))):
-        dA0[l, IP, IP] = gl
-        dA0[l, IU1, IU1] = rl
-        dA0[l, IU2, IU2] = rl
-        dA1[l, IP, IP] = u1 * gl
-        dA1[l, IU1, IU1] = rl * u1
-        dA1[l, IU2, IU2] = rl * u1
-        dA2[l, IP, IP] = u2 * gl
-        dA2[l, IU1, IU1] = rl * u2
-        dA2[l, IU2, IU2] = rl * u2
-
-    # d/du1 of A1: the advective diagonal
-    dA1[IU1, IP, IP] = g
-    dA1[IU1, IU1, IU1] = rho
-    dA1[IU1, IU2, IU2] = rho
-    dA1[IU1, IH1, IH1] = 1.0
-    dA1[IU1, IH2, IH2] = 1.0
-    dA1[IU1, IS, IS] = 1.0
-    # d/du2 of A2
-    dA2[IU2, IP, IP] = g
-    dA2[IU2, IU1, IU1] = rho
-    dA2[IU2, IU2, IU2] = rho
-    dA2[IU2, IH1, IH1] = 1.0
-    dA2[IU2, IH2, IH2] = 1.0
-    dA2[IU2, IS, IS] = 1.0
-    # magnetic couplings
-    dA1[IH2, IU1, IH2] = dA1[IH2, IH2, IU1] = 1.0
-    dA1[IH1, IU2, IH2] = dA1[IH1, IH2, IU2] = -1.0
-    dA2[IH2, IU1, IH1] = dA2[IH2, IH1, IU1] = -1.0
-    dA2[IH1, IU2, IH1] = dA2[IH1, IH1, IU2] = 1.0
-    return dA0, dA1, dA2

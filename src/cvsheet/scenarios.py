@@ -19,14 +19,22 @@ from .profiles import quintic_step
 _OMEGA = 1.3    # angular frequency of the forcing's time profile
 
 
+def _check_ramp(ramp: float) -> None:
+    """``ValueError`` unless the rise time is finite and positive: a ramp
+    of 0 divides by zero, and one below 0 or infinite never switches on."""
+    if not 0.0 < ramp < np.inf:
+        raise ValueError(f"ramp must be finite and > 0, got {ramp!r}")
+
+
 @dataclass
 class ManufacturedForcing:
     """Causal interior forcing with divergence-free magnetic rows.
 
     ``k2`` selects the x2 wavenumber (index of the periodic mode), ``ramp``
-    the rise time.  The wall-normal envelope is a Gaussian centred at
-    L1/4 of width 0.15 L1.  Calling with t returns (2, 6, n1, n2) in the
-    good-unknown components: ``profile(t)`` times the fixed field ``F0``.
+    the rise time (finite and > 0, else ``ValueError``).  The wall-normal
+    envelope is a Gaussian centred at L1/4 of width 0.15 L1.  Calling with
+    t returns (2, 6, n1, n2) in the good-unknown components: ``profile(t)``
+    times the fixed field ``F0``.
     """
 
     grid: Grid
@@ -35,6 +43,7 @@ class ManufacturedForcing:
     ramp: float = 0.2
 
     def __post_init__(self):
+        _check_ramp(self.ramp)
         g = self.grid
         x1, x2 = g.mesh()
         c, w = 0.25 * g.L1, 0.15 * g.L1
@@ -75,12 +84,16 @@ class ManufacturedForcing:
 @dataclass
 class ManufacturedBoundaryData:
     """Causal boundary data (g1+, g1-, g2): the right-hand sides of the
-    kin+, kin- and [q] rows of ``stability.linearized_wall_rows``."""
+    kin+, kin- and [q] rows of ``stability.linearized_wall_rows``, rising
+    over ``ramp`` (finite and > 0, else ``ValueError``)."""
 
     grid: Grid
     amplitude: float = 1.0
     k2: int = 1
     ramp: float = 0.2
+
+    def __post_init__(self):
+        _check_ramp(self.ramp)
 
     def __call__(self, t: float) -> np.ndarray:
         g = self.grid

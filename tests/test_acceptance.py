@@ -106,9 +106,9 @@ def test_acceptance_02_b0_positivity_equivalence():
 # -- 3: boundary matrix structure ----------------------------------------------
 
 def test_acceptance_03_boundary_matrix_rank4():
-    from cvsheet.linearized import (IQ, IUN, assemble_effective,
-                                    sheared_sheet_state, trivial_sheet_state,
-                                    validate_basic_state)
+    from cvsheet.linearized import (IQ, IUN, assemble_symmetrized,
+                                    trivial_sheet_state, validate_basic_state)
+    from support import sheared_sheet_state
     grid = Grid(n1=40, n2=40, L1=2 * np.pi, L2=2 * np.pi)
     rng = np.random.default_rng(11)
     states = [trivial_sheet_state(grid, EOS, u2_jump=0.3, H2_plus=1.4,
@@ -125,7 +125,7 @@ def test_acceptance_03_boundary_matrix_rank4():
     for b in states:
         rep = validate_basic_state(b)
         assert rep.ok, rep
-        bm = assemble_effective(b.frame(0), lam0).B1[..., 0, :]
+        bm = assemble_symmetrized(b.frame(0), lam0).B1[..., 0, :]
         worst_entry = max(worst_entry,
                           float(np.max(np.abs(bm - np.stack([E12, -E12])))))
         M = np.zeros((grid.n2, 12, 12))

@@ -82,6 +82,24 @@ checkpoint_count = {count}
 """
 
 
+#: small runs of the other experiments: compat data with no perturbation
+#: (its fa slope is fitted to zero norms) and a two-iterate Nash-Moser run,
+#: both on a 16^2 grid, and symmetrize at its defaults
+SMALL_RUNS = {
+    "compat": "[grid]\nn1 = 16\nn2 = 16\n\n[compat]\namplitude = 0.0\n",
+    "nash-moser-demo": "[grid]\nn1 = 16\nn2 = 16\n\n[nash-moser]\nnt = 9\n"
+                       "iterations = 2\n",
+    "symmetrize": "",
+}
+
+
+def _strict_json(text):
+    """``json.loads`` that refuses NaN and +-Infinity, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 def _report_config(tmp_path, run_dir):
     report = tmp_path / "report.ini"
     report.write_text("[run]\nexperiment = energy-report\n\n"
@@ -95,7 +113,12 @@ def test_determinism_byte_identical(tmp_path):
     run = tmp_path / "run.ini"
     run.write_text(EVOLVE_CHECKPOINTS.format(count=3))
     report = _report_config(tmp_path, tmp_path / "run_a")
-    for cfg, name in ((stability, "map"), (run, "run"), (report, "report")):
+    configs = [(stability, "map"), (run, "run"), (report, "report")]
+    for exp, body in SMALL_RUNS.items():
+        path = tmp_path / f"{exp}.ini"
+        path.write_text(f"[run]\nexperiment = {exp}\n\n{body}")
+        configs.append((path, exp))
+    for cfg, name in configs:
         a, b = tmp_path / f"{name}_a", tmp_path / f"{name}_b"
         assert run_experiment(cfg, a, verbosity=0) == 0
         assert run_experiment(cfg, b, verbosity=0) == 0
@@ -103,6 +126,15 @@ def test_determinism_byte_identical(tmp_path):
         assert files == sorted(p.name for p in b.iterdir())
         for f in files:
             assert (a / f).read_bytes() == (b / f).read_bytes(), (name, f)
+            # every JSON artifact parses strictly, line by line for JSONL
+            if f.endswith(".json"):
+                _strict_json((a / f).read_text())
+            elif f.endswith(".jsonl"):
+                for line in (a / f).read_text().splitlines():
+                    _strict_json(line)
+    assert _strict_json((tmp_path / "compat_a" / "compat_report.json")
+                        .read_text())["fa_slope"] is None
+    assert (tmp_path / "nash-moser-demo_a" / "iterates.jsonl").exists()
     assert {p.suffix for p in (tmp_path / "run_a").iterdir()} == {
         ".csv", ".json", ".npy"}
     assert len(list((tmp_path / "run_a").glob("checkpoint_*.npy"))) == 3
@@ -158,8 +190,11 @@ def test_exit_codes(tmp_path, capsys):
     # length (its smallness would be NaN), a symmetrizer
     # collar of no positive width (-0.25 once reported x1 in [0, -1]) or
     # with no nodes, the ledger switch evolve no longer has (the ledger
-    # runs with the monitors), and a stability map with no rows on either
-    # axis (it once wrote a header-only table and exited 0)
+    # runs with the monitors), a stability map with no rows on either
+    # axis (it once wrote a header-only table and exited 0), a forcing ramp
+    # that is not finite and > 0 (0 once ended in a ZeroDivisionError, and
+    # -0.2 in a forcing that never switched on) and a negative data
+    # amplitude (once taken as 0)
     for k, (exp, section, body) in enumerate((
             ("evolve", "grid", "n2 = 3"), ("evolve", "grid", "n1 = 3"),
             ("evolve", "grid", "n1 = 1"), ("evolve", "grid", "n2 = 0"),
@@ -173,7 +208,12 @@ def test_exit_codes(tmp_path, capsys):
             ("symmetrize", "symmetrize", "n_collar = 0"),
             ("evolve", "evolve", "ledger = false"),
             ("stability-map", "map", "u2_jump_n = 0"),
-            ("stability-map", "map", "H2_n = 0"))):
+            ("stability-map", "map", "H2_n = 0"),
+            ("evolve", "evolve", "forcing_ramp = 0"),
+            ("evolve", "evolve", "forcing_ramp = -0.2"),
+            ("evolve", "evolve", "forcing_ramp = inf"),
+            ("compat", "compat", "amplitude = -0.05"),
+            ("nash-moser-demo", "nash-moser", "amplitude = -8e-6"))):
         cfg = tmp_path / f"small_{k}.ini"
         cfg.write_text(f"[run]\nexperiment = {exp}\n\n[{section}]\n{body}\n")
         capsys.readouterr()
@@ -266,7 +306,7 @@ def test_main_entry(tmp_path, capsys):
     assert json.loads(out)["experiment"] == "stability-map"
 
 
-def test_evolve_zero_forcing_zero_ledger(tmp_path):
+def test_evolve_zero_forcing_zero_ledger(tmp_path, capsys):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text("""[run]
 experiment = evolve
@@ -285,10 +325,13 @@ H2_minus = 1.1
 t_final = 0.1
 forcing_amplitude = 0.0
 """)
-    assert run_experiment(cfg, tmp_path / "out", verbosity=0) == 0
+    assert run_experiment(cfg, tmp_path / "out", verbosity=1) == 0
     rows = np.loadtxt(tmp_path / "out" / "energy_ledger.csv", delimiter=",",
                       skiprows=1)
     assert np.all(rows[:, 1:] == 0.0)
+    # no interior forcing to measure cstar against: undefined, so null
+    summary = _strict_json(capsys.readouterr().out)["summary"]
+    assert summary["cstar"] is None
 
 
 def test_shipped_configs_parse_and_name_a_runner():

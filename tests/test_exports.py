@@ -20,11 +20,8 @@ def test_every_exported_name_resolves(module):
 #: public definitions nothing in the package or its benchmark reads, and why
 #: they stay
 _UNREAD_ALLOWED = {
-    "sheared_sheet_state": "the non-constant basic-state family of the tests",
     "boundary_quadratic_form": "the paper's boundary form, checked by "
                                "acceptance 4",
-    "coefficient_jacobians": "the oracle that c_matrix's closed form is "
-                             "checked against",
 }
 
 
@@ -33,8 +30,6 @@ _UNREAD_ALLOWED = {
 _UNREAD_MEMBERS_ALLOWED = {
     "ThetaSchedule.bounds_hold": "the paper's pinched-decrement property, "
                                  "checked by acceptance 9",
-    "SheetOperators.linearized_L": "the one-base-point entry to walk that "
-                                   "the operator-property tests use",
     "ValidationReport.ok": "the verdict on the paper's basic-state "
                            "hypotheses, asserted by acceptance 3",
 }

@@ -15,13 +15,13 @@ import cvsheet.grid as grid_mod
 from cvsheet.compat import (build_approximate, manufactured_initial_data,
                             time_jet)
 from cvsheet.grid import Grid
-from cvsheet.linearized import (BasicState, sheared_sheet_state,
-                                trivial_sheet_state)
+from cvsheet.linearized import BasicState, trivial_sheet_state
 from cvsheet.mhd import IH2, IP, IdealGasEos, PhysState
 from cvsheet.nashmoser import NashMoserDriver, _SnapshotInterpolant
 from cvsheet.scenarios import ManufacturedBoundaryData, ManufacturedForcing
 from cvsheet.stability import (LambdaPair, StabilityError, build_lambda,
                                extend_lambda)
+from support import sheared_sheet_state
 
 EOS = IdealGasEos()
 

@@ -12,6 +12,7 @@ from cvsheet.linearized import c_matrix
 from cvsheet.mhd import IH1, IH2, IP, IU1, IU2, IdealGasEos
 from cvsheet.nashmoser import (NashMoserConfig, NashMoserDriver,
                                ThetaSchedule)
+from support import linearized_L
 
 EOS = IdealGasEos()
 
@@ -148,8 +149,7 @@ def test_iterates_causal():
 
 def test_each_operator_value_computed_once_per_iterate(monkeypatch):
     from cvsheet.linearized import SheetOperators
-    calls = {"nonlinear_L": 0, "linearized_L": 0, "boundary_B": 0,
-             "smooth_field": 0}
+    calls = {"nonlinear_L": 0, "boundary_B": 0, "smooth_field": 0}
 
     def counted(cls, name):
         orig = getattr(cls, name)
@@ -160,7 +160,6 @@ def test_each_operator_value_computed_once_per_iterate(monkeypatch):
         monkeypatch.setattr(cls, name, wrapper)
 
     counted(SheetOperators, "nonlinear_L")
-    counted(SheetOperators, "linearized_L")
     counted(SheetOperators, "boundary_B")
     counted(NashMoserDriver, "smooth_field")
     walked = []     # the number of base points of each snapshot walk
@@ -179,7 +178,6 @@ def test_each_operator_value_computed_once_per_iterate(monkeypatch):
     # f_i each smooth one full series, and the bookkeeping check smooths
     # one (side, component) series at a time through the smoother itself
     assert calls == {"nonlinear_L": 1 + iterates,
-                     "linearized_L": 0,
                      "boundary_B": 1 + iterates,
                      "smooth_field": 2 * iterates}
     assert walked == [1] + [1, 2] * iterates
@@ -252,9 +250,9 @@ def test_two_base_point_errors_equal_three_leg_oracle():
             (e, e1, etilde) = seen[-1]
         U0, phi0 = drv.Ua + prev.V, drv.phia + prev.psi
         Us = drv.Ua + drv.smooth_field(prev.V, theta)
-        lin0 = ops.linearized_L(U0, phi0, dV, dpsi)[1]
-        lin_s = ops.linearized_L(Us, basic.phi, dV, dpsi)[1]
-        L_half, lin_h = ops.linearized_L(basic.U, basic.phi, dV, dpsi)
+        lin0 = linearized_L(ops, U0, phi0, dV, dpsi)[1]
+        lin_s = linearized_L(ops, Us, basic.phi, dV, dpsi)[1]
+        L_half, lin_h = linearized_L(ops, basic.U, basic.phi, dV, dpsi)
         L_direct = ops.nonlinear_L(basic.U, basic.phi)
         assert np.array_equal(L_half, L_direct)
         e1_old = (calL_next - prev.calL) - lin0

@@ -14,10 +14,11 @@ from cvsheet.compat import (build_approximate, manufactured_initial_data,
                             time_jet)
 from cvsheet.evolve import evolve
 from cvsheet.grid import Grid
-from cvsheet.linearized import sheared_sheet_state, trivial_sheet_state
+from cvsheet.linearized import trivial_sheet_state
 from cvsheet.mhd import IdealGasEos
 from cvsheet.nashmoser import NashMoserDriver, _SnapshotInterpolant
 from cvsheet.scenarios import ManufacturedBoundaryData, ManufacturedForcing
+from support import sheared_sheet_state
 
 EOS = IdealGasEos()
 
@@ -133,6 +134,29 @@ def test_solve_holds_two_snapshot_bundles_at_most(monkeypatch):
     drv.step(drv.fresh_state())
     assert len(held) >= len(drv.tgrid)
     assert max(held) == 2
+
+
+def test_monitored_march_builds_the_solved_family_per_bundle(monkeypatch):
+    # the solved family is built once per bundle the cache builds (one on a
+    # steady state); the ledger builds its symmetrized family and J alone
+    counts = {"assemble_effective": 0, "_build": 0}
+
+    def counted(owner, name):
+        orig = getattr(owner, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return orig(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(ev, "assemble_effective")
+    counted(ev._CoeffCache, "_build")
+    grid = Grid(n1=16, n2=16, L1=2 * np.pi, L2=2 * np.pi)
+    basic = sheared_sheet_state(grid, EOS, rng=np.random.default_rng(4))
+    traj = evolve(basic, t_final=0.02,
+                  forcing=ManufacturedForcing(grid, amplitude=1.0, k2=2))
+    assert traj.ledger is not None
+    assert counts == {"assemble_effective": 1, "_build": 1}
 
 
 def test_ledger_timings_cover_every_observer():
