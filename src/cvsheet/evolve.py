@@ -33,11 +33,15 @@ and the stepper's forcing memo hand back without computing them again, and
 one pair d1 V, d2 V, which step n + 1's first stage reuses.
 
 The stepper forms its stages in place, in buffers it holds (the stage
-derivative and the pair d1 V, d2 V) and in the one new field a step hands
-out, which holds V1, then V2, then V_{n+1}.  The end-of-step pair is taken
-into the held pair buffers, which the next step overwrites, so observers
-must neither write to the end-of-step arrays nor keep the pair past
-``observe``.
+derivative and the pair d1 V, d2 V) and in the field it is handed for
+V_{n+1}, which holds V1, then V2, then V_{n+1}.  ``evolve`` rotates two V
+buffers: step n + 1 writes V_{n+2} over V_n once step n's observers are
+done with it, and the time difference Vt of every step end goes into one
+buffer the stepper holds, so a warm step takes no fresh field.  So what a
+step end hands out is valid during its ``observe`` alone: the next step
+writes over its V_prev, its pair and its Vt, and the step after over its
+V.  Observers must not write to the end-of-step arrays, and they copy what
+they keep (the recorder copies V).
 
 The observers are the snapshot recorder, the constraint monitors (div
 hdot, the wall magnetic constraint, the boundary energy), the a priori
@@ -197,7 +201,9 @@ class _CoeffCache:
     full assembly.  Of its bundle, ``J`` and each march matrix that is
     exactly uniform along the column as well (every one of the uniform
     planar sheet's) is stored (2, 6, 6, 1, 1): ``_row_apply`` then forms
-    a scalar's product per entry, not a column's broadcast.
+    a scalar's product per entry, not a column's broadcast.  The bundle
+    also holds, under ``cols``, each march matrix's ``_row_columns``, found
+    once with it.
     """
 
     _MARCH_KEYS = ("M1", "M2", "M3", "A0invJt")     # what the march applies
@@ -225,6 +231,8 @@ class _CoeffCache:
                     for key in ("J",) + self._MARCH_KEYS:
                         if np.all(b[key] == b[key][..., :1, :]):
                             b[key] = b[key][..., :1, :]
+                    b["cols"] = {key: _row_columns(b[key])
+                                 for key in self._MARCH_KEYS}
             return self._steady
         if self._last[0] != t:
             self._last = (t, self._interpolate(t))
@@ -343,13 +351,14 @@ def evolve(basic: BasicState, t_final: float, *, forcing=None, bdata=None,
                    stepper.derivatives(V) if monitors else None)
     timings["march"] += time.perf_counter() - t0
     observe("start", end)
+    spare = None        # the buffer step n + 1 writes V_{n+2} into
     for n in range(nsteps):
         # drop the step end's own fields; the step overwrites its pair
         end = None
         t0 = time.perf_counter()
         t_next = (n + 1) * dt
         V_prev = V
-        V, phi = stepper.step(V, phi, t, dt, t_next)
+        V, phi = stepper.step(V, phi, t, dt, t_next, out=spare)
         t = t_next
         if not (np.all(np.isfinite(V)) and np.all(np.isfinite(phi))):
             raise NumericsError(f"non-finite values at t={t:.6g}")
@@ -358,9 +367,11 @@ def evolve(basic: BasicState, t_final: float, *, forcing=None, bdata=None,
                        V_prev, dt)
         timings["march"] += time.perf_counter() - t0
         observe("observe", end)
+        # the observers are done with V_n: the next step writes over it
+        spare = V_prev
     # the march's fields and the stepper's buffers go before the snapshots
     # are stacked
-    end = stepper = V = V_prev = None
+    end = stepper = V = V_prev = spare = None
 
     rec = observers["snapshots"]
     out = dict(times=np.asarray(rec.times), phi=np.asarray(rec.phis),
@@ -386,9 +397,9 @@ class _StepEnd:
     d2 phi, the front rate ``phit`` of ``phi_rate``, the time difference
     ``Vt`` = (V - V_prev) / dt of the step and the per-x1 Grams of these
     fields.  The state at rest that starts the march has no ``V_prev``.
-    Observers must not write to these arrays, nor keep the pair past
-    ``observe``: it sits in the stepper's buffers, which the next step
-    overwrites."""
+    Observers must not write to these arrays, nor keep V, ``V_prev``,
+    ``Vt`` or the pair past ``observe``: each sits in a buffer that a later
+    step overwrites (see the module docstring)."""
 
     def __init__(self, stepper, t, V, phi, pair, V_prev=None, dt=None):
         self.stepper, self.t, self.V, self.phi = stepper, t, V, phi
@@ -421,7 +432,7 @@ class _StepEnd:
 
     @cached_property
     def Vt(self):
-        d = self.V - self.V_prev
+        d = np.subtract(self.V, self.V_prev, out=self.stepper._vt)
         d /= self.dt
         return d
 
@@ -489,25 +500,36 @@ def _mat_apply2(M, v, out=None):
         return np.einsum("sij...,sj...->si...", M, v, out=out)
     out = np.empty(v.shape) if out is None else out
     prod = np.empty(v.shape[2:])
+    cols = _row_columns(M)
     for s, i in np.ndindex(*M.shape[:2]):
-        if _row_apply(M, v, s, i, out[s, i], prod) is None:
+        if _row_apply(M, v, s, i, out[s, i], prod, cols[s][i]) is None:
             out[s, i].fill(0.0)
     return out
 
 
-def _row_apply(M, v, s, i, out, prod):
+def _row_columns(M):
+    """The columns of each row's nonzero entries in a one-column or
+    uniform M, as ``cols[s][i]``, a tuple of column indices."""
+    nonzero = np.any(M[..., 0] != 0.0, axis=-1)
+    return [[tuple(np.flatnonzero(row).tolist()) for row in side]
+            for side in nonzero]
+
+
+def _row_apply(M, v, s, i, out, prod, cols=None):
     """Row (s, i) of ``_mat_apply2(M, v)`` for a one-column or uniform M,
     written into ``out`` and returned, with the same bits: the products of
     the row's nonzero entries, formed in ``prod`` and accumulated in
     column order onto 0.0.  None, with ``out`` untouched, for a row
-    without entries (the row of zeros)."""
+    without entries (the row of zeros).  ``cols`` is the row's entry of
+    ``_row_columns(M)``, found from M if not given."""
     m = M[s, i, ..., 0]
-    js = np.flatnonzero(np.any(m != 0.0, axis=-1))
-    if js.size == 0:
+    if cols is None:
+        cols = np.flatnonzero(np.any(m != 0.0, axis=-1))
+    if len(cols) == 0:
         return None
-    np.add(0.0, np.multiply(m[js[0], :, None], v[s, js[0]], out=prod),
+    np.add(0.0, np.multiply(m[cols[0], :, None], v[s, cols[0]], out=prod),
            out=out)
-    for j in js[1:]:
+    for j in cols[1:]:
         out += np.multiply(m[j, :, None], v[s, j], out=prod)
     return out
 
@@ -573,11 +595,12 @@ class LinearizedStepper:
         self._zero_f = np.zeros(full)
         self._zero_g = np.zeros((3, grid.n2))
         # held by the step: the stage derivative and the pair d1 V, d2 V of
-        # a stage or a step end, and rhs's product scratch, row-sized for a
-        # one-column bundle and full-size otherwise (left untouched, its pages
-        # are never made resident)
-        self._k, self._d1, self._d2, self._tmp = (np.empty(full)
-                                                  for _ in range(4))
+        # a stage or a step end, rhs's product scratch, row-sized for a
+        # one-column bundle and full-size otherwise, and the step end's time
+        # difference Vt (a buffer left untouched never makes its pages
+        # resident)
+        self._k, self._d1, self._d2, self._tmp, self._vt = (
+            np.empty(full) for _ in range(5))
         self._part, self._prod = np.empty((2, grid.n1, grid.n2))
         self._pair_of = None        # the V whose pair _d1, _d2 hold
 
@@ -614,12 +637,13 @@ class LinearizedStepper:
         buffers.
 
         With a one-column bundle (every matrix (..., n1, 1) or (..., 1, 1),
-        the planar sheet's) dV is formed one (side, component) row at a
-        time, each product row (``_row_apply``) in row scratch, so a row's
-        operands stay in cache, and a product row without entries is not
-        formed (x - 0.0 is x).  Otherwise each product is one einsum
-        into a full-size scratch: per-row einsums cost more call overhead
-        than the cache saves on the small grids of the Nash-Moser solve.
+        the planar sheet's, which holds its ``cols``) dV is formed one
+        (side, component) row at a time, each product row (``_row_apply``)
+        in row scratch, so a row's operands stay in cache, and a product
+        row without entries is not formed (x - 0.0 is x).  Otherwise each
+        product is one einsum into a full-size scratch: per-row einsums
+        cost more call overhead than the cache saves on the small grids of
+        the Nash-Moser solve.
         """
         grid = self.grid
         if pair is None:
@@ -627,21 +651,23 @@ class LinearizedStepper:
             pair = (grid.d1(V, out=self._d1), grid.d2(V, out=self._d2))
         dV = np.empty(V.shape) if out is None else out
         A, F = co["A0invJt"], self.F_at(t)
-        terms = ((co["M1"], pair[0]), (co["M2"], pair[1]), (co["M3"], V))
-        if A.shape[-1] == 1 and all(M.shape[-1] == 1 for M, _ in terms):
-            part, prod = self._part, self._prod
+        terms = (("M1", pair[0]), ("M2", pair[1]), ("M3", V))
+        if "cols" in co:
+            cols, part, prod = co["cols"], self._part, self._prod
             for s, i in np.ndindex(*V.shape[:2]):
                 row = dV[s, i]
-                if _row_apply(A, F, s, i, row, prod) is None:
+                if _row_apply(A, F, s, i, row, prod,
+                              cols["A0invJt"][s][i]) is None:
                     row.fill(0.0)
-                for M, X in terms:
-                    if _row_apply(M, X, s, i, part, prod) is not None:
+                for key, X in terms:
+                    if _row_apply(co[key], X, s, i, part, prod,
+                                  cols[key][s][i]) is not None:
                         row -= part
                 row -= np.multiply(self.sponge, V[s, i], out=part)
         else:
             _mat_apply2(A, F, dV)
-            for M, X in terms:
-                dV -= _mat_apply2(M, X, self._tmp)
+            for key, X in terms:
+                dV -= _mat_apply2(co[key], X, self._tmp)
             dV -= np.multiply(self.sponge, V, out=self._tmp)
         return dV, self.phi_rate(V, phi, grid.d2_boundary(phi),
                                  co["traces"], g)
@@ -670,7 +696,7 @@ class LinearizedStepper:
         V[0, IQ, 0, :] = bp + un_p
         V[1, IQ, 0, :] = bm - un_m
 
-    def step(self, V, phi, t, dt, t_end=None):
+    def step(self, V, phi, t, dt, t_end=None, out=None):
         """Advance (V, phi) from t to t_end (three Shu-Osher stages).
 
         ``t_end`` defaults to t + dt.  A caller that names its step times
@@ -681,9 +707,12 @@ class LinearizedStepper:
         call if it was made for this V.
 
         The stages are formed in place: each stage derivative k in the
-        stepper's stage buffer, and V1, V2 and V_{n+1} in turn in the one
-        new array of the step, each written once its predecessor is folded
-        into k.  The in-place ufunc chains keep the operands and the order
+        stepper's stage buffer, and V1, V2 and V_{n+1} in turn in ``out``
+        (a float array of V's shape that is not V; a new array if None),
+        each written once its predecessor is folded into k.  V_{n+1} is
+        returned in ``out``, which the stepper does not keep; the pair of
+        ``derivatives`` and Vt stay in its buffers until it writes them
+        again.  The in-place ufunc chains keep the operands and the order
         of V1 = V + dt k, V2 = 0.75 V + 0.25 (V1 + dt k) and
         V_{n+1} = V / 3 + 2/3 (V2 + dt k), so every value has its bits.
         """
@@ -700,7 +729,7 @@ class LinearizedStepper:
         k = self._k
         _, k1p = self.rhs(V, phi, s0, co0, g0, pair, out=k)
         k *= dt
-        V1 = np.add(V, k)
+        V1 = np.add(V, k, out=out)
         p1 = phi + dt * k1p
         self.apply_bc(V1, p1, co1, g1)
 

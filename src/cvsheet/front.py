@@ -28,7 +28,7 @@ from .profiles import chi, chi_d
 __all__ = [
     "LiftedFront", "lift_front", "straighten",
     "straightened_coefficients", "apply_L", "transformed_vectors",
-    "induction_advection",
+    "InductionFlow", "induction_flow", "induction_rate", "induction_advection",
 ]
 
 _JAC_TOL = 1e-3
@@ -136,6 +136,12 @@ def apply_L(coeffs, dtU, d1U, d2U, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _normal_pair(a1, a2, lifted: LiftedFront, i):
+    """(a_n, a2 d1Phi) with a_n = a1 - a2 d2Psi: the straightened pair of
+    the vector (a1, a2) on side ``i`` of ``lifted`` (an index or a slice)."""
+    return a1 - a2 * lifted.d2_psi[i], a2 * lifted.d1_phi_map[i]
+
+
 def transformed_vectors(state: PhysState, lifted: LiftedFront, side: int):
     """Straightened velocity/field vectors (u_n, H_n, v, w, h) for one side.
 
@@ -144,15 +150,59 @@ def transformed_vectors(state: PhysState, lifted: LiftedFront, side: int):
     N-components built from the raw front slope.
     """
     i = 0 if side > 0 else 1
-    d2psi = lifted.d2_psi[i]
-    d1phi = lifted.d1_phi_map[i]
-    u_n = state.u1 - state.u2 * d2psi
-    H_n = state.H1 - state.H2 * d2psi
-    v = np.stack(np.broadcast_arrays(u_n, state.u2 * d1phi))
+    u_n, u_t = _normal_pair(state.u1, state.u2, lifted, i)
+    H_n, H_t = _normal_pair(state.H1, state.H2, lifted, i)
+    v = np.stack(np.broadcast_arrays(u_n, u_t))
     w = v.copy()
     w[0] = w[0] - lifted.dt_psi[i]
-    h = np.stack(np.broadcast_arrays(H_n, state.H2 * d1phi))
+    h = np.stack(np.broadcast_arrays(H_n, H_t))
     return u_n, H_n, v, w, h
+
+
+@dataclass
+class InductionFlow:
+    """What ``induction_rate`` reads of the velocity u and the front, on
+    one side or on both (a leading side axis): w, the stencils of u, div v
+    and d2Psi, d1Phi.  None of it depends on H."""
+
+    grid: Grid
+    w: tuple              # (w_n, w_2), each (..., 1, n1, n2)
+    d1u: np.ndarray       # (..., 2, n1, n2)
+    d2u: np.ndarray
+    divv: np.ndarray      # (..., 1, n1, n2)
+    d2psi: np.ndarray     # (..., n1, n2)
+    d1phi: np.ndarray
+
+
+def induction_flow(u, lifted: LiftedFront, i) -> InductionFlow:
+    """The H-independent part of ``induction_advection``.
+
+    ``u`` is the velocity (..., 2, n1, n2) of side ``i`` of ``lifted`` (0
+    for '+', 1 for '-'), or of both sides with ``i = slice(None)`` and u
+    (2, 2, n1, n2): the stencils act elementwise on leading axes, so both
+    sides in one call have each side's bits.
+    """
+    g = lifted.grid
+    d2psi, d1phi = lifted.d2_psi[i], lifted.d1_phi_map[i]
+    u_n, u_t = _normal_pair(u[..., 0, :, :], u[..., 1, :, :], lifted, i)
+    w = (u_n - lifted.dt_psi[i], u_t)
+    divv = g.d1(u_n) + g.d2(u_t)
+    return InductionFlow(grid=g, w=tuple(c[..., None, :, :] for c in w),
+                         d1u=g.d1(u), d2u=g.d2(u),
+                         divv=divv[..., None, :, :], d2psi=d2psi,
+                         d1phi=d1phi)
+
+
+def induction_rate(H, flow: InductionFlow):
+    """(1/d1Phi) [(w . grad) H - (h . grad) u + H div v] for the magnetic
+    field H (..., 2, n1, n2) of the sides of ``flow``."""
+    g = flow.grid
+    h_n = H[..., 0, :, :] - H[..., 1, :, :] * flow.d2psi
+    h = (h_n[..., None, :, :], (H[..., 1, :, :] * flow.d1phi)[..., None, :, :])
+    adv = (flow.w[0] * g.d1(H) + flow.w[1] * g.d2(H)
+           - (h[0] * flow.d1u + h[1] * flow.d2u)
+           + H * flow.divv)
+    return adv / flow.d1phi[..., None, :, :]
 
 
 def induction_advection(u, H, lifted: LiftedFront, side: int):
@@ -161,10 +211,5 @@ def induction_advection(u, H, lifted: LiftedFront, side: int):
     ``u`` and ``H`` are the (2, n1, n2) velocity and magnetic field; the
     straightened induction equation reads dH/dt + this = 0.
     """
-    g = lifted.grid
-    st = PhysState(p=None, u1=u[0], u2=u[1], H1=H[0], H2=H[1], S=None)
-    _, _, v, w, h = transformed_vectors(st, lifted, side)
-    adv = (w[0] * g.d1(H) + w[1] * g.d2(H)
-           - (h[0] * g.d1(u) + h[1] * g.d2(u))
-           + H * (g.d1(v[0]) + g.d2(v[1])))
-    return adv / lifted.d1_phi_map[0 if side > 0 else 1]
+    return induction_rate(H, induction_flow(u, lifted,
+                                            0 if side > 0 else 1))

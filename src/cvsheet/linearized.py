@@ -180,7 +180,9 @@ def boundary_traces(grid: Grid, U: np.ndarray, phi: np.ndarray) -> dict:
     """The basic wall traces of U (..., 2, 6, n1, n2), phi (..., n2), a frame
     or a series, each (..., n2): ``d2phi``, ``d1q_jump`` and per side (p, m)
     ``u2``, ``H2``, ``uN``, ``HN``, ``d1uN`` and ``d1HN``.  The stencils act
-    elementwise, so a series and its frames give the same bits."""
+    elementwise, so a series and its frames give the same bits, and the d1
+    row at the wall reads rows 0-3 alone, so only those rows are taken."""
+    U = U[..., :4, :]
     d2phi = grid.d2_boundary(phi)[..., None, None, :]
     q = U[..., IP, :, :] + 0.5 * (U[..., IH1, :, :] ** 2
                                   + U[..., IH2, :, :] ** 2)

@@ -37,11 +37,11 @@ import numpy as np
 
 from .compat import ApproxSolution, forcing_fa
 from .evolve import NumericsError, cfl_timestep, evolve
-from .front import induction_advection, lift_front
+from .front import induction_flow, induction_rate, lift_front
 from .grid import Grid, diff_time
 # c_matrix is bound here for perfbench, whose tracer test checks that the
 # re-imported binding shares one wrapper
-from .linearized import (SIDES, BasicState, SheetOperators, bracket,
+from .linearized import (BasicState, SheetOperators, bracket,
                          c_matrix, good_unknown_inverse, heun_march,
                          j_matrix, time_step, validate_basic_state)
 from .mhd import IH1, IH2, IP, IS, IU1, IU2
@@ -211,14 +211,21 @@ class NashMoserDriver:
         u_f = self.Ua[:, :, (IU1, IU2)] + Vh[:, :, (IU1, IU2)]
         H0 = np.stack([self.Ua[0, :, IH1], self.Ua[0, :, IH2]], axis=1)
 
+        # Heun's k2 of a substep and k1 of the next are taken at one node
+        # (n, w): its H-independent part is formed once, the last two kept
+        flows: dict = {}
+
         def rhs(Hn, n, w):
-            # the summed state, linear in time between snapshots n and n+1
-            phi = (1 - w) * phi_f[n] + w * phi_f[n + 1]
-            dtphi = (1 - w) * dtphi_f[n] + w * dtphi_f[n + 1]
-            u = (1 - w) * u_f[n] + w * u_f[n + 1]
-            lifted = lift_front(phi, g, dtphi)
-            return np.stack([-induction_advection(u[i], Hn[i], lifted, side)
-                             for i, side in enumerate(SIDES)])
+            if (n, w) not in flows:
+                if len(flows) == 2:
+                    del flows[next(iter(flows))]
+                # the summed state, linear in time between snapshots n, n+1
+                phi = (1 - w) * phi_f[n] + w * phi_f[n + 1]
+                dtphi = (1 - w) * dtphi_f[n] + w * dtphi_f[n + 1]
+                u = (1 - w) * u_f[n] + w * u_f[n + 1]
+                flows[n, w] = induction_flow(u, lift_front(phi, g, dtphi),
+                                             slice(None))
+            return -induction_rate(Hn, flows[n, w])
 
         H = heun_march(rhs, H0, [self.dt] * (self.nt - 1), _TRANSPORT_SUBSTEPS)
         if not np.all(np.isfinite(H)):

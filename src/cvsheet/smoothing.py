@@ -18,10 +18,10 @@ the trace alone there).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct, idct, irfft, rfft
 
 from .grid import Grid, GridFunction
 from .norms import evaluate_field_params, hm_star_norm, sample_field_params
@@ -36,7 +36,10 @@ class Smoother:
     """Family S_theta on causal space-time fields (..., nt, n1, n2).
 
     ``axes`` selects the smoothing directions; dropping "x1" yields the
-    variant whose wall behavior is governed purely by the trace.
+    variant whose wall behavior is governed purely by the trace.  The
+    horizon ``T`` must be finite and > 0.  scipy loads here, with the first
+    smoother built, so a process that builds none (``cvsheet evolve``)
+    never imports it.
     """
 
     grid: Grid
@@ -45,8 +48,13 @@ class Smoother:
     axes: tuple = ("t", "x1", "x2")
 
     def __post_init__(self):
+        if not (math.isfinite(self.T) and self.T > 0.0):
+            raise ValueError(f"smoothing horizon T must be finite and > 0, "
+                             f"got {self.T!r}")
+        from scipy import fft
+        self._fft = fft
         g = self.grid
-        self.freq_t = np.pi * np.arange(self.nt) / max(self.T, 1e-300)
+        self.freq_t = np.pi * np.arange(self.nt) / self.T
         self.freq_x2 = 2 * np.pi * np.arange(g.n2 // 2 + 1) / g.L2
         if "x1" in self.axes:
             self._build_conormal_basis()
@@ -76,14 +84,15 @@ class Smoother:
         """
         u = np.asarray(u, dtype=float)
         out = u
+        fft = self._fft
         if "t" in self.axes:
-            coef = dct(out, type=2, axis=-3, norm="ortho")
+            coef = fft.dct(out, type=2, axis=-3, norm="ortho")
             coef *= lowpass_symbol(self.freq_t / theta)[:, None, None]
-            out = idct(coef, type=2, axis=-3, norm="ortho")
+            out = fft.idct(coef, type=2, axis=-3, norm="ortho")
         if "x2" in self.axes:
-            coef = rfft(out, axis=-1)
+            coef = fft.rfft(out, axis=-1)
             coef *= lowpass_symbol(self.freq_x2 / theta)
-            out = irfft(coef, n=self.grid.n2, axis=-1)
+            out = fft.irfft(coef, n=self.grid.n2, axis=-1)
         if "x1" in self.axes:
             coef = self._to_modes @ out[..., 1:, :]
             coef *= lowpass_symbol(self.conormal_freq / theta)[:, None]

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cvsheet.front import (DegenerateJacobianError, lift_front,
+from cvsheet.front import (DegenerateJacobianError, induction_advection,
+                           induction_flow, induction_rate, lift_front,
                            straightened_coefficients, transformed_vectors)
 from cvsheet.grid import Grid
 from cvsheet.mhd import IdealGasEos, PhysState, assemble_coefficients
@@ -136,3 +137,32 @@ def test_divergence_free_sample_from_stream_function(grid):
     div = grid.d1(h[0]) + grid.d2(h[1])
     assert np.max(np.abs(div)) < 1e-12
 
+
+
+def _one_side_induction(u, H, lifted, side):
+    """induction_advection as one expression over transformed_vectors."""
+    g = lifted.grid
+    st = PhysState(p=None, u1=u[0], u2=u[1], H1=H[0], H2=H[1], S=None)
+    _, _, v, w, h = transformed_vectors(st, lifted, side)
+    adv = (w[0] * g.d1(H) + w[1] * g.d2(H)
+           - (h[0] * g.d1(u) + h[1] * g.d2(u))
+           + H * (g.d1(v[0]) + g.d2(v[1])))
+    return adv / lifted.d1_phi_map[0 if side > 0 else 1]
+
+
+def test_induction_split_keeps_each_sides_bits():
+    # one side at a time, or both sides in one stencil call each, the split
+    # gives the one-expression formula bit for bit
+    g = Grid(n1=20, n2=16, L1=6.0, L2=2 * np.pi)
+    rng = np.random.default_rng(4)
+    phi = 0.1 * np.sin(g.x2) + 0.01 * rng.normal(size=g.n2)
+    lifted = lift_front(phi, g, rng.normal(size=g.n2))
+    u = rng.normal(size=(2, 2, g.n1, g.n2))
+    H = rng.normal(size=(2, 2, g.n1, g.n2))
+    want = np.stack([_one_side_induction(u[i], H[i], lifted, side)
+                     for i, side in enumerate((+1, -1))])
+    both = induction_rate(H, induction_flow(u, lifted, slice(None)))
+    assert np.array_equal(both, want)
+    for i, side in enumerate((+1, -1)):
+        assert np.array_equal(induction_advection(u[i], H[i], lifted, side),
+                              want[i])

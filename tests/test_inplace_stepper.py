@@ -288,6 +288,40 @@ def test_warm_step_allocates_few_full_fields():
     assert fields <= 5.5, fields
 
 
+def test_warm_steps_of_evolve_form_no_field(monkeypatch):
+    # V rotates between two buffers and Vt sits in one the stepper holds:
+    # with every end-of-step V and Vt held, steps 4-10 of a monitored march
+    # trace less than one (2, 6, n1, n2) field above step 3's level
+    grid = _grid(64)
+    basic = trivial_sheet_state(grid, EOS, u2_jump=0.5, H2_plus=1.4,
+                                H2_minus=1.2)
+    field_bytes = 2 * 6 * grid.n1 * grid.n2 * 8
+    held, traced = [], []
+    observe = ev._LedgerAccumulator.observe
+
+    def watched(self, end):
+        observe(self, end)
+        held.append((end.V, end.Vt))
+        if len(held) == 3:
+            tracemalloc.start()
+        elif len(held) == 10:
+            traced.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+    monkeypatch.setattr(ev._LedgerAccumulator, "observe", watched)
+    dt = 1e-3
+    try:
+        traj = ev.evolve(basic, 12 * dt, dt_override=dt,
+                         bdata=ManufacturedBoundaryData(grid, amplitude=0.1,
+                                                        k2=2, ramp=0.01))
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 12 and traj.ledger is not None
+    assert np.max(np.abs(traj.phi[-1])) > 0
+    assert len({id(V) for V, _ in held}) == 2
+    assert len({id(Vt) for _, Vt in held}) == 1
+    assert traced[0] < field_bytes, traced[0] / field_bytes
+
+
 def test_forcing_evaluated_once_per_stage_time():
     grid = _grid(16)
     basic = trivial_sheet_state(grid, EOS, u2_jump=0.5, H2_plus=1.4,

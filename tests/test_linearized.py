@@ -14,7 +14,7 @@ from cvsheet.linearized import (_J_OFF, IH2V, IHN, IQ, IUN, BasicFrame,
                                 good_unknown_inverse, _j_off, j_matrix,
                                 time_step, trivial_sheet_state,
                                 validate_basic_state)
-from cvsheet.mhd import (IH1, IH2, IP, IS, IU1, AdmissibilityError,
+from cvsheet.mhd import (IH1, IH2, IP, IS, IU1, IU2, AdmissibilityError,
                          IdealGasEos, PhysState, assemble_coefficients)
 from cvsheet.scenarios import ManufacturedBoundaryData, ManufacturedForcing
 from cvsheet.stability import assemble_symmetrizer, linearized_wall_rows
@@ -544,6 +544,42 @@ def test_boundary_traces_of_a_series_are_its_frames_traces():
         assert series.keys() == frame.keys()
         for key, want in frame.items():
             assert np.array_equal(series[key][n], want), key
+
+
+def _full_field_traces(grid, U, phi):
+    """``boundary_traces`` differentiating the full q, uN and HN fields."""
+    d2phi = grid.d2_boundary(phi)[..., None, None, :]
+    q = U[..., IP, :, :] + 0.5 * (U[..., IH1, :, :] ** 2
+                                  + U[..., IH2, :, :] ** 2)
+    d1q = grid.d1(q)
+    uN = U[..., IU1, :, :] - U[..., IU2, :, :] * d2phi
+    HN = U[..., IH1, :, :] - U[..., IH2, :, :] * d2phi
+    out = {"d2phi": d2phi[..., 0, 0, :]}
+    for name, f in (("u2", U[..., IU2, :, :]), ("H2", U[..., IH2, :, :]),
+                    ("uN", uN), ("HN", HN), ("d1uN", grid.d1(uN)),
+                    ("d1HN", grid.d1(HN))):
+        out[name + "p"], out[name + "m"] = f[..., 0, 0, :], f[..., 1, 0, :]
+    out["d1q_jump"] = d1q[..., 0, 0, :] + d1q[..., 1, 0, :]
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(lead=st.sampled_from([(), (1,), (3,), (2, 2)]),
+       n1=st.integers(4, 24), n2=st.integers(1, 24),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_boundary_traces_equal_the_full_field_traces(lead, n1, n2, seed):
+    # the wall row of d1 reads rows 0-3 alone: the traces taken from those
+    # rows are the full-field traces, bit for bit
+    grid = Grid(n1=n1, n2=n2, L1=2 * np.pi, L2=2 * np.pi)
+    rng = np.random.default_rng(seed)
+    U = rng.normal(size=lead + (2, 6, n1, n2))
+    phi = rng.normal(size=lead + (n2,))
+    got = boundary_traces(grid, U, phi)
+    want = _full_field_traces(grid, U, phi)
+    assert got.keys() == want.keys()
+    for key, w in want.items():
+        assert got[key].shape == w.shape, key
+        assert np.array_equal(got[key], w), key
 
 
 @pytest.mark.parametrize("state", ["planar", "sheared", "curved"])

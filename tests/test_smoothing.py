@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -138,3 +143,33 @@ def test_conormal_transform_matches_einsum_oracle(shape):
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
         assert np.array_equal(got[..., 0, :], u[..., 0, :])
         assert np.array_equal(got, sm(u, theta))
+
+
+@pytest.mark.parametrize("T", [0.0, -1.0, np.nan, np.inf])
+def test_smoother_refuses_a_horizon_that_is_not_finite_and_positive(T):
+    # T = 0 and T = -1 kept only the mean time mode, T = NaN smoothed to a
+    # NaN field and T = inf built: each is refused now
+    with pytest.raises(ValueError, match="horizon"):
+        Smoother(Grid(n1=16, n2=16, L1=2 * np.pi, L2=2 * np.pi), nt=5, T=T)
+
+
+def test_scipy_loads_with_the_first_smoother_alone():
+    # the CLI and the Nash-Moser module import no scipy module; building a
+    # Smoother loads scipy.fft
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import sys\n"
+        "import cvsheet.cli, cvsheet.nashmoser\n"
+        "def scipy_mods():\n"
+        "    return sorted(m for m in sys.modules\n"
+        "                  if m == 'scipy' or m.startswith('scipy.'))\n"
+        "assert scipy_mods() == [], scipy_mods()\n"
+        "from cvsheet.grid import Grid\n"
+        "from cvsheet.smoothing import Smoother\n"
+        "Smoother(Grid(n1=8, n2=8, L1=1.0, L2=1.0), nt=5, T=1.0)\n"
+        "assert 'scipy.fft' in sys.modules, scipy_mods()\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
