@@ -35,7 +35,7 @@ from .compat import (SmallnessError, build_approximate, check_compatibility,
 from .evolve import NumericsError, energy_integrals, evolve
 from .front import DegenerateJacobianError
 from .grid import Grid
-from .mhd import IdealGasEos, PhysState, contact_p_minus
+from .mhd import IdealGasEos, contact_states
 from .nashmoser import ModifiedStateError, NashMoserConfig, NashMoserDriver
 from .stability import StabilityError, check_stability, wang_yu_compare
 
@@ -79,7 +79,7 @@ SCHEMAS = {
         "evolve": {"t_final": 0.4, "cfl": 0.4, "forcing_amplitude": 1.0,
                    "forcing_k2": 2, "forcing_ramp": 0.2,
                    "boundary_amplitude": 0.0, "boundary_k2": 2,
-                   "write_checkpoint": False, "checkpoint_count": 3},
+                   "checkpoint_count": 0},
     },
     "energy-report": {
         "energy-report": {"run_dir": "."},
@@ -168,19 +168,6 @@ def _grid(g) -> Grid:
     return Grid(**g)
 
 
-def _pair_states(state_cfg, eos):
-    p_plus = state_cfg["p_plus"]
-    p_minus = contact_p_minus(p_plus, state_cfg["H2_plus"],
-                              state_cfg["H2_minus"])
-    plus = PhysState(p=p_plus, u1=0.0, u2=+0.5 * state_cfg["u2_jump"],
-                     H1=0.0, H2=state_cfg["H2_plus"],
-                     S=state_cfg["S_plus"])
-    minus = PhysState(p=p_minus, u1=0.0, u2=-0.5 * state_cfg["u2_jump"],
-                      H1=0.0, H2=state_cfg["H2_minus"],
-                      S=state_cfg["S_minus"])
-    return plus, minus
-
-
 # -- experiments --------------------------------------------------------------
 
 
@@ -196,10 +183,8 @@ def run_stability_map(cfg, seed, out: Path, verbosity: int) -> dict:
     from .mhd import alfven_speed, sound_speed
     for ju in jumps:
         for H2 in fields:
-            plus = PhysState(p=m["p_plus"], u1=0, u2=+ju / 2, H1=0.0, H2=H2,
-                             S=m["S"])
-            minus = PhysState(p=m["p_plus"], u1=0, u2=-ju / 2, H1=0.0,
-                              H2=H2, S=m["S"])
+            plus, minus = contact_states(m["p_plus"], ju, H2, H2, m["S"],
+                                         m["S"])
             rep = check_stability(plus, minus, eos, k=m["k_margin"])
             c = float(sound_speed(plus, eos))
             cA = float(alfven_speed(plus, eos))
@@ -222,7 +207,7 @@ def run_symmetrize(cfg, seed, out: Path, verbosity: int) -> dict:
         raise ConfigError(f"[symmetrize] needs collar_eps > 0 and n_collar "
                           f">= 1, got {sc['collar_eps']} and "
                           f"{sc['n_collar']}")
-    plus, minus = _pair_states(cfg["state"], eos)
+    plus, minus = contact_states(**cfg["state"])
     lam = build_lambda(plus, minus, eos, k=sc["k_margin"])
     rep = check_stability(plus, minus, eos, k=sc["k_margin"])
     certs = [check_b0_positive(st, lv, eos)
@@ -254,9 +239,9 @@ def run_evolve(cfg, seed, out: Path, verbosity: int) -> dict:
     grid = _grid(cfg["grid"])
     basic = trivial_sheet_state(grid, eos, **cfg["state"])
     ev = cfg["evolve"]
-    if ev["write_checkpoint"] and ev["checkpoint_count"] < 1:
-        raise ConfigError("write_checkpoint needs checkpoint_count >= 1, got "
-                          f"{ev['checkpoint_count']}")
+    count = ev["checkpoint_count"]
+    if count < 0:
+        raise ConfigError(f"checkpoint_count must be >= 0, got {count}")
     forcing = None
     if ev["forcing_amplitude"] != 0.0:
         forcing = ManufacturedForcing(grid, amplitude=ev["forcing_amplitude"],
@@ -267,12 +252,9 @@ def run_evolve(cfg, seed, out: Path, verbosity: int) -> dict:
         bdata = ManufacturedBoundaryData(grid,
                                          amplitude=ev["boundary_amplitude"],
                                          k2=ev["boundary_k2"])
-    snap_times = None
-    if ev["write_checkpoint"]:
-        snap_times = list(np.linspace(0.0, ev["t_final"],
-                                      ev["checkpoint_count"]))
     traj = evolve(basic, t_final=ev["t_final"], forcing=forcing, bdata=bdata,
-                  cfl=ev["cfl"], snapshot_times=snap_times)
+                  cfl=ev["cfl"],
+                  snapshot_times=np.linspace(0.0, ev["t_final"], count))
     _csv(out / "energy_ledger.csv",
          "t,I,I0,I1n,Isigma,I2,phiL2,identity_residual",
          map(astuple, traj.ledger.rows))
@@ -280,7 +262,7 @@ def run_evolve(cfg, seed, out: Path, verbosity: int) -> dict:
          "hn_residual",
          zip(traj.times, traj.boundary_energy, traj.div_residual,
              traj.hn_residual))
-    if ev["write_checkpoint"]:
+    if count:
         for k, snap in enumerate(traj.snapshots):
             np.save(out / f"checkpoint_{k:03d}.npy", snap)
         _write_json(out / "checkpoints.json", {

@@ -27,7 +27,7 @@ import numpy as np
 
 from .front import apply_L, lift_front, straightened_coefficients
 from .grid import Grid
-from .mhd import IH1, IH2, IP, IS, IU1, IU2, NCOMP, contact_p_minus
+from .mhd import IH1, IH2, IP, IS, IU1, IU2, NCOMP, contact_states
 from .profiles import quintic_step, time_bump, time_bump_d
 
 _SLOPE_TOL = 1e-12    # least (H2+)^2 + (H2-)^2 the front slope is read from
@@ -313,13 +313,10 @@ def manufactured_initial_data(grid: Grid, eos, *, amplitude: float = 0.05,
     if not amplitude >= 0.0:
         raise ValueError(f"amplitude must be >= 0, got {amplitude!r}")
     rng = np.random.default_rng(seed)
-    p_minus = contact_p_minus(p_plus, H2_plus, H2_minus)
     U = np.zeros((2, NCOMP, grid.n1, grid.n2))
-    for i, (p, u2, H2) in enumerate(((p_plus, 0.5 * u2_jump, H2_plus),
-                                     (p_minus, -0.5 * u2_jump, H2_minus))):
-        U[i, IP] = p
-        U[i, IU2] = u2
-        U[i, IH2] = H2
+    for i, st in enumerate(contact_states(p_plus, u2_jump, H2_plus,
+                                          H2_minus)):
+        U[i, IP], U[i, IU2], U[i, IH2] = st.p, st.u2, st.H2
     if amplitude > 0.0:
         x1, x2 = grid.mesh()
         # plateau mask identically zero below x1 = L1/4: each jet level and

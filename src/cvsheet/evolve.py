@@ -43,12 +43,12 @@ writes over its V_prev, its pair and its Vt, and the step after over its
 V.  Observers must not write to the end-of-step arrays, and they copy what
 they keep (the recorder copies V).
 
-The observers are the snapshot recorder, the constraint monitors (div
-hdot, the wall magnetic constraint, the boundary energy), the a priori
-monitor behind ``Trajectory.cstar`` and, on a steady basic state, the
-ledger.  ``evolve(..., monitors=False)`` runs the recorder alone, as the
-Nash-Moser solve does: it differentiates no end-of-step V of its own and
-interpolates only the bundle entries the march applies.
+The snapshot recorder observes every march; on a steady basic state (the
+energy estimate's) the constraint monitors (div hdot, the wall magnetic
+constraint, the boundary energy), the a priori monitor behind
+``Trajectory.cstar`` and the ledger observe it too.  A time-dependent
+march (the Nash-Moser solve's) differentiates no end-of-step V of its own
+and interpolates only the bundle entries it applies.
 ``Trajectory.timings`` gives the wall seconds of the march and of each
 observer; they are the one part of a trajectory that is not reproducible.
 
@@ -129,10 +129,10 @@ class Trajectory:
     the fields at ``snapshot_times``.  The constraint monitors give
     ``boundary_energy``, ``div_residual`` and ``hn_residual`` per step, the
     a priori monitor ``apriori`` (and so ``cstar``), the ledger ``ledger``.
-    A field whose observer did not run (``monitors=False``, or a
-    time-dependent basic state for the ledger) is None.  ``timings`` holds
-    the wall seconds of the march and of each observer that ran; it is the
-    one field that differs between runs of the same inputs.
+    These run on a steady basic state only; on a time-dependent one their
+    fields are None.  ``timings`` holds the wall seconds of the march and
+    of each observer that ran; it is the one field that differs between
+    runs of the same inputs.
     """
 
     times: np.ndarray
@@ -191,6 +191,7 @@ class _CoeffCache:
     A bundle holds one snapshot's ``M1``, ``M2``, ``M3``, ``A0invJt`` and
     ``J`` from ``assemble_effective``, ``d1phi`` and the wall traces; the
     symmetrized family is the ledger's to build (``_LedgerAccumulator``).
+    A blend between two snapshots holds only the march matrices and traces.
 
     A steady state whose ``U`` and ``phi`` are exactly x2-invariant (the
     planar sheet's) is assembled on one x2 column, the ``source`` state on
@@ -207,11 +208,9 @@ class _CoeffCache:
     """
 
     _MARCH_KEYS = ("M1", "M2", "M3", "A0invJt")     # what the march applies
-    _KEYS = _MARCH_KEYS + ("J", "d1phi")            # and what monitors read
 
-    def __init__(self, basic: BasicState, keys=_KEYS):
+    def __init__(self, basic: BasicState):
         self.basic = basic
-        self.keys = keys                # interpolated between snapshots
         self.source = basic             # the state the bundles are built from
         if basic.steady and all(np.all(a == a[..., :1])
                                 for a in (basic.U, basic.phi)):
@@ -246,7 +245,8 @@ class _CoeffCache:
         if w == 0.0:
             return b0
         b1 = self._bundle(k + 1)
-        out = {key: (1 - w) * b0[key] + w * b1[key] for key in self.keys}
+        out = {key: (1 - w) * b0[key] + w * b1[key]
+               for key in self._MARCH_KEYS}
         out["traces"] = {key: (1 - w) * b0["traces"][key]
                          + w * b1["traces"][key] for key in b0["traces"]}
         return out
@@ -283,16 +283,16 @@ def _ledger_multiplier(basic: BasicState):
 
 def evolve(basic: BasicState, t_final: float, *, forcing=None, bdata=None,
            cfl: float = 0.4, sponge_strength: float = 2.0,
-           snapshot_times=None, dt_override: float | None = None,
-           monitors: bool = True) -> Trajectory:
+           snapshot_times=None,
+           dt_override: float | None = None) -> Trajectory:
     """March the linearized problem from rest with causal data.
 
     ``forcing(t) -> (2, 6, n1, n2)`` in the good-unknown components and
     ``bdata(t) -> (3, n2)`` for (g1+, g1-, g2) both default to zero.  Zero
-    data reproduce the zero solution exactly.  ``monitors=False`` runs the
-    snapshot recorder alone (``times``, ``phi``, ``snapshots``).  The
-    ledger runs with the monitors on a steady ``basic``; a time-dependent
-    ``basic`` gets no ledger and must have snapshots covering [0, t_final].
+    data reproduce the zero solution exactly.  A steady ``basic`` is
+    observed by every monitor and the ledger; a time-dependent one by the
+    snapshot recorder alone (``times``, ``phi``, ``snapshots``), and its
+    snapshots must cover [0, t_final].
     ``t_final``, ``cfl`` and a given ``dt_override`` must be positive; the
     march takes at least one step.  ``snapshot_times`` must be finite,
     non-decreasing and inside [0, t_final]; each takes V at the step
@@ -316,11 +316,8 @@ def evolve(basic: BasicState, t_final: float, *, forcing=None, bdata=None,
                              f"{tg[-1]:.6g}], not the march's [0, "
                              f"{t_final:.6g}]")
     grid = basic.grid
-    ledger = monitors and basic.steady
-
-    stepper = LinearizedStepper(
-        basic, forcing=forcing, bdata=bdata, sponge_strength=sponge_strength,
-        keys=_CoeffCache._KEYS if monitors else _CoeffCache._MARCH_KEYS)
+    stepper = LinearizedStepper(basic, forcing=forcing, bdata=bdata,
+                                sponge_strength=sponge_strength)
     dt = cfl_timestep(basic, cfl) if dt_override is None else dt_override
     nsteps = max(1, int(np.ceil(t_final / dt - _STEP_ROUNDOFF)))
     if nsteps > _MAX_STEPS:
@@ -328,13 +325,12 @@ def evolve(basic: BasicState, t_final: float, *, forcing=None, bdata=None,
     dt = t_final / nsteps
 
     observers = {"snapshots": _SnapshotRecorder(req, dt)}
-    if monitors:
-        observers["constraints"] = _ConstraintMonitor(grid, stepper.n1_phys)
-        observers["apriori"] = _AprioriMonitor(grid, stepper.cache, forcing,
-                                               dt)
-        if ledger:
-            observers["ledger"] = _LedgerAccumulator(
-                grid, stepper.cache.source, dt, stepper.sponge)
+    if basic.steady:
+        observers.update(
+            constraints=_ConstraintMonitor(grid, stepper.n1_phys),
+            apriori=_AprioriMonitor(grid, stepper.cache, forcing, dt),
+            ledger=_LedgerAccumulator(grid, stepper.cache.source, dt,
+                                      stepper.sponge))
     timings = dict.fromkeys(("march", *observers), 0.0)
 
     def observe(method: str, end: _StepEnd) -> None:
@@ -348,7 +344,7 @@ def evolve(basic: BasicState, t_final: float, *, forcing=None, bdata=None,
     V = np.zeros((2, 6, grid.n1, grid.n2))
     phi = np.zeros(grid.n2)
     end = _StepEnd(stepper, t, V, phi,
-                   stepper.derivatives(V) if monitors else None)
+                   stepper.derivatives(V) if basic.steady else None)
     timings["march"] += time.perf_counter() - t0
     observe("start", end)
     spare = None        # the buffer step n + 1 writes V_{n+2} into
@@ -363,7 +359,7 @@ def evolve(basic: BasicState, t_final: float, *, forcing=None, bdata=None,
         if not (np.all(np.isfinite(V)) and np.all(np.isfinite(phi))):
             raise NumericsError(f"non-finite values at t={t:.6g}")
         end = _StepEnd(stepper, t, V, phi,
-                       stepper.derivatives(V) if monitors else None,
+                       stepper.derivatives(V) if basic.steady else None,
                        V_prev, dt)
         timings["march"] += time.perf_counter() - t0
         observe("observe", end)
@@ -378,14 +374,13 @@ def evolve(basic: BasicState, t_final: float, *, forcing=None, bdata=None,
                snapshots=np.asarray(rec.snaps) if rec.snaps else None,
                snapshot_times=(np.asarray(rec.snap_ts) if rec.snap_ts
                                else None))
-    if monitors:
+    if basic.steady:
         con = observers["constraints"]
         out.update(boundary_energy=np.asarray(con.be),
                    div_residual=np.asarray(con.div),
                    hn_residual=np.asarray(con.hn),
-                   apriori=observers["apriori"].sums)
-    if ledger:
-        out.update(ledger=observers["ledger"].ledger,
+                   apriori=observers["apriori"].sums,
+                   ledger=observers["ledger"].ledger,
                    lambda_fallback=observers["ledger"].lambda_fallback)
     return Trajectory(**out, timings=timings)
 
@@ -467,22 +462,20 @@ class _SnapshotRecorder:
 
 class _ConstraintMonitor:
     """Boundary energy and the div hdot and wall magnetic constraint
-    residuals per step; 0 at rest."""
+    residuals per step: exactly 0 at rest, where V and phi vanish."""
 
     def __init__(self, grid: Grid, n1_phys: int):
         self.grid = grid
         self.n1_phys = n1_phys
         self.be, self.div, self.hn = [], [], []
 
-    def start(self, end: _StepEnd) -> None:
-        for series in (self.be, self.div, self.hn):
-            series.append(0.0)
-
     def observe(self, end: _StepEnd) -> None:
         self.be.append(float(np.sum(end.V[:, :, 0, :] ** 2) * self.grid.h2))
         dres, hres = _constraint_residuals(end, self.n1_phys)
         self.div.append(dres)
         self.hn.append(hres)
+
+    start = observe
 
 
 def _mat_apply2(M, v, out=None):
@@ -515,16 +508,14 @@ def _row_columns(M):
             for side in nonzero]
 
 
-def _row_apply(M, v, s, i, out, prod, cols=None):
+def _row_apply(M, v, s, i, out, prod, cols):
     """Row (s, i) of ``_mat_apply2(M, v)`` for a one-column or uniform M,
     written into ``out`` and returned, with the same bits: the products of
     the row's nonzero entries, formed in ``prod`` and accumulated in
     column order onto 0.0.  None, with ``out`` untouched, for a row
     without entries (the row of zeros).  ``cols`` is the row's entry of
-    ``_row_columns(M)``, found from M if not given."""
+    ``_row_columns(M)``."""
     m = M[s, i, ..., 0]
-    if cols is None:
-        cols = np.flatnonzero(np.any(m != 0.0, axis=-1))
     if len(cols) == 0:
         return None
     np.add(0.0, np.multiply(m[cols[0], :, None], v[s, cols[0]], out=prod),
@@ -578,9 +569,9 @@ class LinearizedStepper:
     [q] rows of ``linearized_wall_rows``."""
 
     def __init__(self, basic: BasicState, *, forcing=None, bdata=None,
-                 sponge_strength: float = 2.0, keys=_CoeffCache._KEYS):
+                 sponge_strength: float = 2.0):
         self.grid = basic.grid
-        self.cache = _CoeffCache(basic, keys)
+        self.cache = _CoeffCache(basic)
         grid = basic.grid
         x1 = grid.x1[:, None]
         sp_start = grid.L1 * (1.0 - _SPONGE_WIDTH)
@@ -803,9 +794,9 @@ class _AprioriMonitor:
     Where J is uniform and steady (the planar sheet), d1(J V), d2(J V) and
     the time difference of J V are J d1 V, J d2 V and J Vt, so each |.|^2
     term is the form of J^T J against the step end's Gram of V, d1 V, d2 V
-    or Vt (``_form``).  Any other J (the sheared sheet, a time-dependent
-    state) takes the full-field path: J V is applied, differenced in time
-    against the previous step's and differentiated.  A
+    or Vt (``_form``).  Any other J (the sheared sheet) takes the
+    full-field path: J V is applied, differenced in time against the
+    previous step's and differentiated.  A
     ``ManufacturedForcing`` is a(t) F0, so its |F|^2 terms are a(t)^2 and
     ((a(t) - a(t - dt)) / dt)^2 times integrals of F0 taken once; any other
     forcing is differentiated every step.
@@ -817,10 +808,9 @@ class _AprioriMonitor:
         self.sums = {"u_sq": 0.0, "phi_sq": 0.0, "f_sq": 0.0}
         self._w, self._wsig = _weights(grid)
         self._JtJ = None                # J^T J where the Gram path applies
-        if cache.basic.steady:
-            J = cache.at(0.0)["J"]
-            if J.shape[-2:] == (1, 1):
-                self._JtJ = np.einsum("sji...,sjk...->sik...", J, J)
+        J = cache.at(0.0)["J"]
+        if J.shape[-2:] == (1, 1):
+            self._JtJ = np.einsum("sji...,sjk...->sik...", J, J)
         self._forcing = forcing
         self._profile = None
         if isinstance(forcing, ManufacturedForcing):

@@ -190,27 +190,25 @@ def time_row(f: np.ndarray, dt: float, n: int) -> np.ndarray:
     return (_edge_row if r in (0, 4) else _next_row)(*rows, s, dt)
 
 
-def diff_time(f: np.ndarray, dt: float, axis: int = 0,
-              order: int = 2) -> np.ndarray:
-    """d/dt on a snapshot axis.
+def diff_time(f: np.ndarray, dt: float, order: int = 2) -> np.ndarray:
+    """d/dt on the leading, snapshot axis.
 
     order 2: central with one-sided 2nd-order ends; order 4: the same
     4th/3rd-order closure as the spatial stencils (needs >= 5 snapshots).
     """
     f = np.asarray(f, dtype=float)
     if order == 4:
-        if f.shape[axis] < 5:
+        if len(f) < 5:
             raise ValueError("order-4 time differencing needs >= 5 snapshots")
-        return _diff_nonperiodic(f, dt, axis=axis)
-    # sliced on the leading axis, the interior written in place: the same
-    # ufuncs as (f[2:] - f[:-2]) / (2 dt), with no series-sized temporary
-    res = np.empty(f.shape)
-    f, out = np.moveaxis(f, axis, 0), np.moveaxis(res, axis, 0)
+        return _diff_nonperiodic(f, dt, axis=0)
+    # the interior written in place: the same ufuncs as
+    # (f[2:] - f[:-2]) / (2 dt), with no series-sized temporary
+    out = np.empty(f.shape)
     np.subtract(f[2:], f[:-2], out=out[1:-1])
     out[1:-1] /= 2.0 * dt
     out[0] = (4.0 * (f[1] - f[0]) - (f[2] - f[0])) / (2.0 * dt)
     out[-1] = (4.0 * (f[-1] - f[-2]) - (f[-1] - f[-3])) / (2.0 * dt)
-    return res
+    return out
 
 
 @dataclass

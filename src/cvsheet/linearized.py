@@ -45,7 +45,7 @@ from .front import (LiftedFront, apply_L, induction_advection, lift_front,
                     straighten, straightened_coefficients, transformed_vectors)
 from .grid import Grid, diff_time, time_row
 from .mhd import (IH1, IH2, IP, IS, IU1, IU2, NCOMP, PhysState,
-                  _require_admissible, contact_p_minus)
+                  _require_admissible, contact_states)
 from .stability import (LambdaPair, assemble_symmetrizer, build_lambda,
                         check_stability, linearized_wall_rows)
 
@@ -109,8 +109,8 @@ class BasicState:
                 self._phit = np.zeros_like(self.phi)
             else:
                 dt = time_step(self.tgrid)
-                self._Ut = diff_time(self.U, dt, axis=0)
-                self._phit = diff_time(self.phi, dt, axis=0)
+                self._Ut = diff_time(self.U, dt)
+                self._phit = diff_time(self.phi, dt)
         return self._Ut, self._phit
 
     def lambda_boundary(self) -> LambdaPair:
@@ -287,15 +287,10 @@ def trivial_sheet_state(grid: Grid, eos, *, p_plus=1.0, u2_jump=0.0,
     exactly, stable or not depending on the field strength versus the
     tangential-velocity jump.
     """
-    p_minus = contact_p_minus(p_plus, H2_plus, H2_minus)
     U = np.zeros((2, NCOMP, grid.n1, grid.n2))
-    for i, (p, u2, H2, S) in enumerate((
-            (p_plus, +0.5 * u2_jump, H2_plus, S_plus),
-            (p_minus, -0.5 * u2_jump, H2_minus, S_minus))):
-        U[i, IP] = p
-        U[i, IU2] = u2
-        U[i, IH2] = H2
-        U[i, IS] = S
+    for i, st in enumerate(contact_states(p_plus, u2_jump, H2_plus,
+                                          H2_minus, S_plus, S_minus)):
+        U[i, IP], U[i, IU2], U[i, IH2], U[i, IS] = st.p, st.u2, st.H2, st.S
     return BasicState(grid=grid, eos=eos, U=U, phi=np.zeros(grid.n2))
 
 
@@ -430,7 +425,7 @@ class SheetOperators:
     def boundary_B(self, U: np.ndarray, phi: np.ndarray) -> np.ndarray:
         """Nonlinear wall operator: (dphi/dt - uN+, dphi/dt - uN-, [q])."""
         g = self.grid
-        dtphi = diff_time(phi, self.dt, axis=0, order=4)
+        dtphi = diff_time(phi, self.dt, order=4)
         d2phi = g.d2_boundary(phi)
         tr = U[:, :, :, 0, :]
         uN = tr[:, :, IU1] - tr[:, :, IU2] * d2phi[:, None, :]
@@ -454,8 +449,7 @@ class SheetOperators:
                                    + trh[:, :, IH2] * trd[:, :, IH2])}
         kin_p, kin_m, _, _, jump_q = linearized_wall_rows(
             *({k: x[:, i] for k, x in v.items()} for i in (0, 1)), dphi,
-            diff_time(dphi, self.dt, axis=0, order=4), g.d2_boundary(dphi),
-            tr)
+            diff_time(dphi, self.dt, order=4), g.d2_boundary(dphi), tr)
         return np.stack([kin_p, kin_m, jump_q], axis=1)
 
 
@@ -621,8 +615,12 @@ def assemble_symmetrized(frame: BasicFrame,
 
 # -- transport march ---------------------------------------------------------
 
-def heun_march(rhs, y0, dts, nsub: int = 1) -> np.ndarray:
-    """Heun's method over the intervals ``dts``, each cut into ``nsub`` steps.
+_HEUN_SUBSTEPS = 2      # Heun steps per interval of the transport march
+
+
+def heun_march(rhs, y0, dts) -> np.ndarray:
+    """Heun's method over the intervals ``dts``, each cut into
+    ``_HEUN_SUBSTEPS`` steps.
 
     ``rhs(y, n, w)`` is the right-hand side at the fraction ``w`` in [0, 1]
     of interval ``n``.  Returns the solution at the len(dts) + 1 nodes.
@@ -631,10 +629,10 @@ def heun_march(rhs, y0, dts, nsub: int = 1) -> np.ndarray:
     out[0] = y0
     for n, dt in enumerate(dts):
         y = out[n]
-        h = dt / nsub
-        for s in range(nsub):
-            k1 = rhs(y, n, s / nsub)
-            k2 = rhs(y + h * k1, n, (s + 1) / nsub)
+        h = dt / _HEUN_SUBSTEPS
+        for s in range(_HEUN_SUBSTEPS):
+            k1 = rhs(y, n, s / _HEUN_SUBSTEPS)
+            k2 = rhs(y + h * k1, n, (s + 1) / _HEUN_SUBSTEPS)
             y = y + 0.5 * h * (k1 + k2)
         out[n + 1] = y
     return out

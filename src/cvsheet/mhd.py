@@ -110,15 +110,20 @@ def alfven_speed(state: PhysState, eos, k: float = 1e-6):
     return np.hypot(np.asarray(state.H1, float), np.asarray(state.H2, float)) / np.sqrt(rho)
 
 
-def contact_p_minus(p_plus: float, H2_plus: float, H2_minus: float) -> float:
-    """p- = p+ + (H2+^2 - H2-^2)/2: the minus-side pressure that balances
-    the total pressure p + H2^2/2 across a contact with H1 = 0 on both
-    sides; ``ValueError`` when the balance forces p- <= 0."""
+def contact_states(p_plus: float, u2_jump: float, H2_plus: float,
+                   H2_minus: float, S_plus: float = 0.0,
+                   S_minus: float = 0.0) -> tuple[PhysState, PhysState]:
+    """(plus, minus) of the planar contact: u1 = H1 = 0, u2 = +-u2_jump/2,
+    and p- = p+ + (H2+^2 - H2-^2)/2, which balances the total pressure
+    p + H2^2/2 across it; ``ValueError`` when the balance forces p- <= 0."""
     p_minus = p_plus + 0.5 * (H2_plus ** 2 - H2_minus ** 2)
     if not p_minus > 0:
         raise ValueError(f"total-pressure balance forces p- <= 0: "
                          f"p- = {p_minus:.6g}")
-    return p_minus
+    return (PhysState(p=p_plus, u1=0.0, u2=0.5 * u2_jump, H1=0.0,
+                      H2=H2_plus, S=S_plus),
+            PhysState(p=p_minus, u1=0.0, u2=-0.5 * u2_jump, H1=0.0,
+                      H2=H2_minus, S=S_minus))
 
 
 def assemble_coefficients(state: PhysState, eos):

@@ -50,7 +50,6 @@ from .smoothing import Smoother
 
 _STABILITY_K = 1e-4          # least stability margin of a modified state
 _MODIFIED_STATE_TOL = 1e-6   # largest kinematic wall residual it may have
-_TRANSPORT_SUBSTEPS = 2      # Heun substeps per snapshot of the H transport
 _SNAPSHOT_TOL = 1e-9         # largest snapshot time error, in units of dt
 
 
@@ -188,7 +187,7 @@ class NashMoserDriver:
             Vh[:, :, comp] = SV[:, :, comp]
 
         # the wall residual G of each side, (nt, 2, n2), lifted in one call
-        dtfull = diff_time(phi_half, self.dt, axis=0)[:, None]
+        dtfull = diff_time(phi_half, self.dt)[:, None]
         d2full = g.d2_boundary(phi_half)[:, None]
         u2tot = self.Ua[:, :, IU2, 0, :] + Vh[:, :, IU2, 0, :]
         G = (dtfull - (self.Ua[:, :, IU1, 0, :] + SV[:, :, IU1, 0, :])
@@ -207,7 +206,7 @@ class NashMoserDriver:
     def _transport_H(self, Vh, phi_f):
         """March the induction transport for H' = H^a + H_{i+1/2}."""
         g = self.grid
-        dtphi_f = diff_time(phi_f, self.dt, axis=0)
+        dtphi_f = diff_time(phi_f, self.dt)
         u_f = self.Ua[:, :, (IU1, IU2)] + Vh[:, :, (IU1, IU2)]
         H0 = np.stack([self.Ua[0, :, IH1], self.Ua[0, :, IH2]], axis=1)
 
@@ -227,7 +226,7 @@ class NashMoserDriver:
                                              slice(None))
             return -induction_rate(Hn, flows[n, w])
 
-        H = heun_march(rhs, H0, [self.dt] * (self.nt - 1), _TRANSPORT_SUBSTEPS)
+        H = heun_march(rhs, H0, [self.dt] * (self.nt - 1))
         if not np.all(np.isfinite(H)):
             raise NumericsError("magnetic transport solve diverged")
         return H
@@ -265,7 +264,7 @@ class NashMoserDriver:
         traj = evolve(basic, t_final=float(self.tgrid[-1]),
                       forcing=_SnapshotInterpolant(self.tgrid, f_i),
                       bdata=_SnapshotInterpolant(self.tgrid, g_i),
-                      monitors=False, snapshot_times=self.tgrid,
+                      snapshot_times=self.tgrid,
                       dt_override=self.dt / substeps, sponge_strength=0.0)
         dVdot_char = traj.snapshots
         if (dVdot_char.shape[0] != nt or np.max(np.abs(

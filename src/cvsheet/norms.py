@@ -70,7 +70,7 @@ def conormal_derivative(u: GridFunction, alpha: MultiIndex) -> GridFunction:
     for _ in range(alpha.a1):
         vals = sig * grid.d1(vals)
     for _ in range(alpha.a0):
-        vals = diff_time(vals, u.dt, axis=0)
+        vals = diff_time(vals, u.dt)
     return GridFunction(values=vals, grid=grid, dt=u.dt)
 
 
@@ -140,7 +140,7 @@ def _derivative_walk(u: GridFunction, m: int):
         return sig * grid.d1(vals)
 
     def dt(vals):
-        return diff_time(vals, u.dt, axis=0)
+        return diff_time(vals, u.dt)
 
     for a3, v3 in enumerate(_powers(u.values, m // 2, grid.d1)):
         for a2, v2 in enumerate(_powers(v3, m - 2 * a3, grid.d2)):
@@ -184,7 +184,7 @@ def _w1inf(u: GridFunction) -> float:
     parts = [np.max(np.abs(u.values)),
              np.max(np.abs(grid.d1(u.values))),
              np.max(np.abs(grid.d2(u.values))),
-             np.max(np.abs(diff_time(u.values, u.dt, axis=0)))]
+             np.max(np.abs(diff_time(u.values, u.dt)))]
     return float(sum(parts))
 
 

@@ -7,7 +7,7 @@ import numpy as np
 from cvsheet.grid import Grid
 from cvsheet.linearized import BasicState
 from cvsheet.mhd import (IH1, IH2, IP, IS, IU1, IU2, NCOMP, PhysState,
-                         _require_admissible, contact_p_minus)
+                         _require_admissible, contact_states)
 
 
 def coefficient_jacobians(state: PhysState, eos):
@@ -84,13 +84,12 @@ def sheared_sheet_state(grid: Grid, eos, rng=None) -> BasicState:
                 + b * np.sin(2 * np.pi * x1 / grid.L1) + 0.3 * c)
 
     U = np.zeros((2, NCOMP, grid.n1, grid.n2))
-    p_minus = contact_p_minus(p_plus, H2_plus, H2_minus)
-    for i, (p0, u20, H20) in enumerate(((p_plus, 0.5 * u2_jump, H2_plus),
-                                        (p_minus, -0.5 * u2_jump, H2_minus))):
-        U[i, IP] = p0 * (1.0 + amplitude * prof()
-                         * np.cos(2 * np.pi * x2 / grid.L2)) + 0.0 * x2
-        U[i, IU2] = u20 + amplitude * prof() + 0.0 * x2
-        U[i, IH2] = H20 * (1.0 + amplitude * prof()) + 0.0 * x2
+    for i, st in enumerate(contact_states(p_plus, u2_jump, H2_plus,
+                                          H2_minus)):
+        U[i, IP] = st.p * (1.0 + amplitude * prof()
+                           * np.cos(2 * np.pi * x2 / grid.L2)) + 0.0 * x2
+        U[i, IU2] = st.u2 + amplitude * prof() + 0.0 * x2
+        U[i, IH2] = st.H2 * (1.0 + amplitude * prof()) + 0.0 * x2
         U[i, IS] = amplitude * prof() * np.sin(2 * np.pi * x2 / grid.L2)
     return BasicState(grid=grid, eos=eos, U=U, phi=np.zeros(grid.n2))
 

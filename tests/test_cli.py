@@ -77,7 +77,6 @@ n2 = 16
 [evolve]
 t_final = 0.05
 boundary_amplitude = 0.01
-write_checkpoint = true
 checkpoint_count = {count}
 """
 
@@ -189,8 +188,9 @@ def test_exit_codes(tmp_path, capsys):
     # fitted to one point, a jet of negative order, a compat horizon of no
     # length (its smallness would be NaN), a symmetrizer
     # collar of no positive width (-0.25 once reported x1 in [0, -1]) or
-    # with no nodes, the ledger switch evolve no longer has (the ledger
-    # runs with the monitors), a stability map with no rows on either
+    # with no nodes, the ledger and checkpoint switches evolve no longer
+    # has (the ledger runs on every steady march, and checkpoint_count
+    # alone sets the checkpoints), a stability map with no rows on either
     # axis (it once wrote a header-only table and exited 0), a forcing ramp
     # that is not finite and > 0 (0 once ended in a ZeroDivisionError, and
     # -0.2 in a forcing that never switched on) and a negative data
@@ -207,6 +207,7 @@ def test_exit_codes(tmp_path, capsys):
             ("symmetrize", "symmetrize", "collar_eps = 0"),
             ("symmetrize", "symmetrize", "n_collar = 0"),
             ("evolve", "evolve", "ledger = false"),
+            ("evolve", "evolve", "write_checkpoint = true"),
             ("stability-map", "map", "u2_jump_n = 0"),
             ("stability-map", "map", "H2_n = 0"),
             ("evolve", "evolve", "forcing_ramp = 0"),
@@ -394,7 +395,6 @@ n2 = 16
 
 [evolve]
 t_final = 0.05
-write_checkpoint = true
 checkpoint_count = 3
 """)
     assert run_experiment(run, tmp_path / "run", verbosity=0) == 0
@@ -417,12 +417,27 @@ checkpoint_count = 3
     assert rows[-1]["I"] > 0.0
 
 
-def test_write_checkpoint_without_a_count_exits_1(tmp_path, capsys):
+def test_negative_checkpoint_count_exits_1(tmp_path, capsys):
     run = tmp_path / "run.ini"
-    run.write_text(EVOLVE_CHECKPOINTS.format(count=0))
+    run.write_text(EVOLVE_CHECKPOINTS.format(count=-1))
     assert run_experiment(run, tmp_path / "run", verbosity=0) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "checkpoint_count" in err
+
+
+@pytest.mark.parametrize("count", [0, 2])
+def test_checkpoint_count_alone_sets_the_checkpoints(tmp_path, count):
+    # count checkpoints at linspace(0, t_final, count); none at 0
+    run = tmp_path / "run.ini"
+    run.write_text(EVOLVE_CHECKPOINTS.format(count=count))
+    assert run_experiment(run, tmp_path / "run", verbosity=0) == 0
+    npys = sorted(p.name for p in (tmp_path / "run").glob("*.npy"))
+    assert npys == [f"checkpoint_{k:03d}.npy" for k in range(count)]
+    meta = tmp_path / "run" / "checkpoints.json"
+    assert meta.exists() == (count > 0)
+    if count:
+        assert json.loads(meta.read_text())["times"] == pytest.approx(
+            [0.0, 0.05], rel=1e-12, abs=0)
 
 
 def test_energy_report_without_checkpoints_exits_1(tmp_path, capsys):

@@ -224,9 +224,10 @@ def test_mat_apply2_and_row_apply_equal_the_allocating_apply(stored):
     if stored[-1] != 1:
         return
     prod = np.empty((7, 5))
+    cols = ev._row_columns(M)
     for s, i in np.ndindex(2, 6):
         row = np.full((7, 5), -0.0)
-        got = ev._row_apply(M, v, s, i, row, prod)
+        got = ev._row_apply(M, v, s, i, row, prod, cols[s][i])
         if np.any(M[s, i]):
             assert got is row and _same_bits(row, want[s, i]), (s, i)
         else:

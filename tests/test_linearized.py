@@ -372,6 +372,25 @@ def test_forward_march_builds_each_snapshot_bundle_once(monkeypatch):
     assert built == list(range(len(basic.tgrid)))
 
 
+def test_time_dependent_march_runs_the_recorder_alone():
+    # the monitors and the ledger observe steady states only: a
+    # time-dependent march (the Nash-Moser solve's) records its fields
+    traj = evolve(_ramped_trivial_stack(0.1), t_final=1.0,
+                  dt_override=1.0 / 8, snapshot_times=[0.5, 1.0])
+    for name in ("ledger", "boundary_energy", "div_residual", "hn_residual",
+                 "apriori", "cstar"):
+        assert getattr(traj, name) is None, name
+    assert set(traj.timings) == {"march", "snapshots"}
+    assert len(traj.times) == 9 and traj.snapshots.shape == (2, 2, 6, 16, 16)
+
+
+def test_evolve_takes_no_monitors_switch():
+    # the basic state alone decides which observers run
+    b = _ramped_trivial_stack(0.1)
+    with pytest.raises(TypeError, match="monitors"):
+        evolve(b, t_final=1.0, dt_override=1.0 / 8, monitors=False)
+
+
 def test_lookup_behind_the_window_equals_a_fresh_cache():
     basic = _ramped_trivial_stack(0.1)
     cache = ev._CoeffCache(basic)
@@ -380,7 +399,8 @@ def test_lookup_behind_the_window_equals_a_fresh_cache():
     assert set(cache._snap) == {3, 4}
     late, fresh = cache.at(0.1), ev._CoeffCache(basic).at(0.1)
     assert set(cache._snap) == {0, 1}
-    for key in ev._CoeffCache._KEYS:
+    assert set(late) == set(fresh) == {*ev._CoeffCache._MARCH_KEYS, "traces"}
+    for key in ev._CoeffCache._MARCH_KEYS:
         assert np.array_equal(late[key], fresh[key]), key
     for key, trace in fresh["traces"].items():
         assert np.array_equal(late["traces"][key], trace), key
@@ -656,13 +676,13 @@ def test_evolve_refuses_non_positive_time_inputs(grid, kwargs):
     b = trivial_sheet_state(grid, EOS, H2_plus=1.2, H2_minus=1.0)
     bad = next(k for k, v in kwargs.items() if v <= 0.0)
     with pytest.raises(ValueError, match=f"{bad} must be positive"):
-        evolve(b, monitors=False, **kwargs)
+        evolve(b, **kwargs)
 
 
 def test_evolve_takes_at_least_one_step(grid):
     # a horizon far below the CFL step rounds to one step of t_final
     b = trivial_sheet_state(grid, EOS, H2_plus=1.2, H2_minus=1.0)
-    traj = evolve(b, t_final=1e-13, monitors=False)
+    traj = evolve(b, t_final=1e-13)
     assert list(traj.times) == [0.0, 1e-13]
 
 
@@ -677,9 +697,9 @@ def test_evolve_takes_the_cfl_bound_only_without_dt_override(grid,
         return cfl_timestep(basic, cfl)
 
     monkeypatch.setattr(ev, "cfl_timestep", counted)
-    evolve(b, t_final=0.05, dt_override=0.01, monitors=False)
+    evolve(b, t_final=0.05, dt_override=0.01)
     assert calls == []
-    evolve(b, t_final=0.05, cfl=0.3, monitors=False)
+    evolve(b, t_final=0.05, cfl=0.3)
     assert calls == [0.3]
 
 
@@ -691,7 +711,7 @@ def test_reconstruction_consistent_on_trajectory(grid):
     tr = boundary_traces(grid, b.U[0], b.phi[0])
     phi_hist = traj.phi
     dt = traj.times[1] - traj.times[0]
-    dphi_fd = diff_time(phi_hist, dt, axis=0)
+    dphi_fd = diff_time(phi_hist, dt)
     # the kinematic front rate at a midpoint time from the trajectory's wall
     # traces; the H_N wall constraint behind d2 phi is checked, on the same
     # state and forcing, by test_forced_run_is_finite_and_identity_small
@@ -877,13 +897,14 @@ def test_time_dependent_bundles_are_c_contiguous(grid):
     b0, b1 = cache._bundle(0), cache._bundle(1)
     mid = cache.at(0.3)
     for co in (b0, b1, mid):
-        for key in _APPLIED:
+        for key in ev._CoeffCache._MARCH_KEYS:
             assert co[key].shape == (2, 6, 6, grid.n1, grid.n2), key
             assert co[key].flags.c_contiguous, key
     # and t = 0.3 blends the bracket's two bundles, bit for bit
     k, w = bracket(tgrid, 0.3)
     assert k == 0 and 0.0 < w < 1.0
-    for key in ev._CoeffCache._KEYS:
+    assert set(mid) == {*ev._CoeffCache._MARCH_KEYS, "traces"}
+    for key in ev._CoeffCache._MARCH_KEYS:
         assert np.array_equal(mid[key], (1 - w) * b0[key] + w * b1[key]), key
     assert mid["traces"].keys() == b0["traces"].keys()
     for key, x0 in b0["traces"].items():
@@ -915,7 +936,7 @@ def test_column_bundle_equals_full_grid_assembly(n):
     assert co["J"].shape == (2, 6, 6, 1, 1)     # uniform along x1 too
     assert co["d1phi"].shape[-2:] == (n, 1)
     assert ref["J"].shape == (2, 6, 6, n, n)
-    for key in ev._CoeffCache._KEYS:
+    for key in ref.keys() - {"traces"}:
         assert _bits_equal_broadcast(co[key], ref[key]), key
     for key, want in ref["traces"].items():
         assert _bits_equal_broadcast(co["traces"][key], want), key

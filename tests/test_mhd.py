@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from cvsheet.mhd import (AdmissibilityError, IdealGasEos, PhysState,
                          _require_admissible, assemble_coefficients,
-                         sound_speed)
+                         contact_states, sound_speed)
 from support import coefficient_jacobians
 
 EOS = IdealGasEos()
@@ -40,6 +40,18 @@ def test_sound_speed_rejects_nonpositive_pressure():
         sound_speed(_state(p=-1.0), EOS)
     with pytest.raises(AdmissibilityError):
         sound_speed(_state(p=0.0), EOS)
+
+
+def test_contact_states_balance_the_total_pressure():
+    # u1 = H1 = 0, u2 = +-u2_jump/2, and p + H2^2/2 equal on both sides
+    plus, minus = contact_states(1.2, 0.5, 1.4, 1.2, S_plus=0.3)
+    assert (plus.u1, plus.H1, minus.u1, minus.H1) == (0.0,) * 4
+    assert (plus.u2, minus.u2, plus.S, minus.S) == (0.25, -0.25, 0.3, 0.0)
+    assert plus.p + 0.5 * plus.H2 ** 2 == pytest.approx(
+        minus.p + 0.5 * minus.H2 ** 2, rel=1e-15)
+    # p- = 0.1 + (0.01 - 1)/2 < 0 has no admissible minus side
+    with pytest.raises(ValueError, match="p- <= 0"):
+        contact_states(0.1, 0.0, 0.1, 1.0)
 
 
 def test_a0_identity_at_unit_state():

@@ -197,7 +197,7 @@ def test_carried_residual_values_equal_fresh_evaluation():
 def _old_boundary_B_prime(ops, Uhat, phihat, dU, dphi):
     """The linearized wall operator, without the good-unknown front terms."""
     g = ops.grid
-    dt_dphi = diff_time(dphi, ops.dt, axis=0, order=4)
+    dt_dphi = diff_time(dphi, ops.dt, order=4)
     d2_dphi = np.stack([g.d2_boundary(p) for p in dphi])
     d2phihat = np.stack([g.d2_boundary(p) for p in phihat])
     trh = Uhat[:, :, :, 0, :]
@@ -273,11 +273,11 @@ def _full_series_linearized_L(ops, Uhat, phihat, dU, dphi):
     increment's derivatives taken over the whole series first, as the
     operators did before they walked one snapshot at a time."""
     g, dt = ops.grid, ops.dt
-    dtU = diff_time(Uhat, dt, axis=0, order=4)
-    dtphi = diff_time(phihat, dt, axis=0, order=4)
-    dt_dU = diff_time(dU, dt, axis=0, order=4)
+    dtU = diff_time(Uhat, dt, order=4)
+    dtphi = diff_time(phihat, dt, order=4)
+    dt_dU = diff_time(dU, dt, order=4)
     d1_dU, d2_dU = g.d1(dU), g.d2(dU)
-    dl = lift_front(dphi, g, diff_time(dphi, dt, axis=0, order=4))
+    dl = lift_front(dphi, g, diff_time(dphi, dt, order=4))
     value, lin = np.empty_like(Uhat), np.empty_like(Uhat)
     for n in range(len(Uhat)):
         d1U, d2U = g.d1(Uhat[n]), g.d2(Uhat[n])

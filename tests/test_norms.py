@@ -237,13 +237,11 @@ def test_nonperiodic_stencils_contiguous_and_exact(n, layout):
         got = grid.d1(f)
         assert got.flags.c_contiguous, shape
         assert np.array_equal(got, _moveaxis_stencil(f, grid.h1, -2))
-        for axis in range(f.ndim):
-            if f.shape[axis] < 5:
-                continue
-            got = diff_time(f, 0.1, axis=axis, order=4)
-            assert got.flags.c_contiguous, (shape, axis)
-            assert np.array_equal(got, _moveaxis_stencil(f, 0.1, axis))
-            assert diff_time(f, 0.1, axis=axis).flags.c_contiguous
+        if len(f) >= 5:
+            got = diff_time(f, 0.1, order=4)
+            assert got.flags.c_contiguous, shape
+            assert np.array_equal(got, _moveaxis_stencil(f, 0.1, 0))
+            assert diff_time(f, 0.1).flags.c_contiguous
 
 
 @settings(max_examples=40, deadline=None)
@@ -258,10 +256,9 @@ def test_flat_stencils_equal_the_oracles(lead, n1, n2, seed, layout):
         size=(*lead, n1, n2)))[layout]
     assert np.array_equal(grid.d1(f), _moveaxis_stencil(f, grid.h1, -2))
     assert np.array_equal(grid.d2(f), _roll_d2(f, grid.h2))
-    for axis in range(f.ndim):
-        if f.shape[axis] >= 5:
-            assert np.array_equal(diff_time(f, 0.1, axis=axis, order=4),
-                                  _moveaxis_stencil(f, 0.1, axis)), axis
+    if len(f) >= 5:
+        assert np.array_equal(diff_time(f, 0.1, order=4),
+                              _moveaxis_stencil(f, 0.1, 0))
 
 
 def test_w_star_norm_orders(grid):
@@ -386,16 +383,14 @@ def _moveaxis_diff_time2(f, dt, axis):
 
 @settings(max_examples=60, deadline=None)
 @given(shape=st.lists(st.integers(1, 7), min_size=1, max_size=4),
-       axis=st.integers(0, 3), dt=st.floats(1e-3, 1.0),
-       seed=st.integers(0, 2 ** 32 - 1),
+       dt=st.floats(1e-3, 1.0), seed=st.integers(0, 2 ** 32 - 1),
        layout=st.sampled_from(["C", "transposed", "strided"]))
-def test_order2_time_stencil_equals_the_moved_axis_oracle(shape, axis, dt,
-                                                          seed, layout):
+def test_order2_time_stencil_equals_the_moved_axis_oracle(shape, dt, seed,
+                                                          layout):
     # slicing the leading axis in place runs the same ufuncs on the same
-    # values as slicing the axis moved last
-    axis %= len(shape)
-    shape[axis] = max(shape[axis], 3)
+    # values as slicing that axis moved last
+    shape[0] = max(shape[0], 3)
     f = _layouts(np.random.default_rng(seed).normal(size=shape))[layout]
-    got = diff_time(f, dt, axis=axis)
+    got = diff_time(f, dt)
     assert got.flags.c_contiguous
-    assert np.array_equal(got, _moveaxis_diff_time2(f, dt, axis))
+    assert np.array_equal(got, _moveaxis_diff_time2(f, dt, 0))

@@ -1,6 +1,6 @@
 """``evolve`` as one march plus observers: the shared derivative pair, the
-march without monitors, and the monitors' shortcuts against the stencil
-and einsum forms they replace."""
+observers against a bare march, and the monitors' shortcuts against the
+stencil and einsum forms they replace."""
 
 import hashlib
 
@@ -74,31 +74,44 @@ def _modified_state():
     return basic, _SnapshotInterpolant(drv.tgrid, drv.Fa), drv.tgrid
 
 
-@pytest.mark.parametrize("case", ["trivial", "modified"])
-def test_march_without_monitors_records_the_same_fields(case):
-    if case == "trivial":
-        _, basic, forcing = _sheet(24)
-        kw = dict(t_final=0.1, forcing=forcing, snapshot_times=[0.0, 0.1])
+@pytest.mark.parametrize("case", ["trivial", "sheared", "modified"])
+def test_march_records_the_bare_steppers_fields(case):
+    # the observers read the march and never perturb it: the times, phi and
+    # snapshots of evolve are those of a bare LinearizedStepper loop, bit
+    # for bit, with every observer on a steady state and the recorder alone
+    # on a time-dependent one
+    kw = {}
+    if case == "modified":
+        basic, forcing, _ = _modified_state()
+        grid, t_final, kw["sponge_strength"] = basic.grid, 1.0, 0.0
     else:
-        basic, forcing, tgrid = _modified_state()
-        kw = dict(t_final=float(tgrid[-1]), forcing=forcing,
-                  snapshot_times=tgrid, dt_override=(tgrid[1] - tgrid[0]) / 2,
-                  sponge_strength=0.0)
-    on = evolve(basic, **kw)
-    off = evolve(basic, monitors=False, **kw)
-    for name in ("times", "phi", "snapshots", "snapshot_times"):
-        assert np.array_equal(getattr(off, name), getattr(on, name)), name
-    for name in ("ledger", "boundary_energy", "div_residual", "hn_residual",
-                 "apriori", "cstar"):
-        assert getattr(off, name) is None, name
-    assert on.apriori is not None and on.div_residual is not None
-    # the ledger runs with the monitors on a steady state only
-    steady = case == "trivial"
-    assert (on.ledger is not None) == steady
-    assert set(off.timings) == {"march", "snapshots"}
-    assert set(on.timings) == ({"march", "snapshots", "constraints",
-                                "apriori"} | ({"ledger"} if steady else set()))
-    assert all(v >= 0.0 for v in on.timings.values())
+        grid, basic, forcing = _sheet(24)
+        if case == "sheared":
+            basic = sheared_sheet_state(grid, EOS)
+        kw["bdata"] = ManufacturedBoundaryData(grid, amplitude=0.05, k2=2,
+                                               ramp=0.05)
+        t_final = 0.1
+    dt = t_final / 16
+    traj = evolve(basic, t_final=t_final, forcing=forcing, dt_override=dt,
+                  snapshot_times=dt * np.arange(0, 17, 4), **kw)
+    observers = {"constraints", "apriori", "ledger"}
+    assert set(traj.timings) == ({"march", "snapshots"}
+                                 | (observers if basic.steady else set()))
+
+    stepper = ev.LinearizedStepper(basic, forcing=forcing, **kw)
+    t, V, phi = 0.0, np.zeros((2, 6, grid.n1, grid.n2)), np.zeros(grid.n2)
+    times, phis, snaps = [t], [phi], [V]
+    for n in range(16):
+        V, phi = stepper.step(V, phi, t, dt, (n + 1) * dt)
+        t = (n + 1) * dt
+        times.append(t)
+        phis.append(phi)
+        if n % 4 == 3:
+            snaps.append(V)
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.phi, phis)
+    assert np.array_equal(traj.snapshot_times, times[::4])
+    assert np.array_equal(traj.snapshots, snaps)
 
 
 def test_solve_interpolates_only_what_the_march_applies(monkeypatch):
@@ -345,7 +358,7 @@ def test_evolve_refuses_bad_snapshot_times(times, bad):
     grid = Grid(n1=16, n2=16, L1=2 * np.pi, L2=2 * np.pi)
     with pytest.raises(ValueError, match=f"snapshot time {bad!r}"):
         evolve(trivial_sheet_state(grid, EOS), t_final=0.1,
-               monitors=False, snapshot_times=times)
+               snapshot_times=times)
 
 
 def test_snapshot_times_take_the_nearest_step():
@@ -353,7 +366,7 @@ def test_snapshot_times_take_the_nearest_step():
     # a step of the start and t_final plus roundoff
     grid = Grid(n1=16, n2=16, L1=2 * np.pi, L2=2 * np.pi)
     traj = evolve(trivial_sheet_state(grid, EOS), t_final=0.1,
-                  monitors=False, dt_override=0.01,
+                  dt_override=0.01,
                   snapshot_times=[0.0, 0.0, 0.004, 0.026, 0.1 * (1 + 1e-10)])
     assert np.allclose(traj.snapshot_times, [0.0, 0.0, 0.0, 0.03, 0.1],
                        rtol=0, atol=1e-15)

@@ -94,6 +94,6 @@ def test_windowed_time_row_equals_full_series_row(nt, trailing, dt, seed):
     # bit, the closure rows at both ends included
     ops = SheetOperators(GRID, EOS, dt * np.arange(nt))
     X = np.random.default_rng(seed).normal(size=(nt, *trailing))
-    full = diff_time(X, ops.dt, axis=0, order=4)
+    full = diff_time(X, ops.dt, order=4)
     for n in range(nt):
         assert np.array_equal(time_row(X, ops.dt, n), full[n]), n
