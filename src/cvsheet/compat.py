@@ -130,19 +130,15 @@ def time_jet(data: InitialData, order: int) -> TimeJet:
         nodes = _FD_STEP * np.arange(-M, M + 1)
         w = _fd_weights(nodes, j)
 
+        samples = [(tm, wm, jet.u_poly(tm)) for tm, wm in zip(nodes, w)
+                   if wm != 0.0]
         eta_acc = np.zeros_like(data.phi0)
-        for tm, wm in zip(nodes, w):
-            if wm == 0.0:
-                continue
-            U = jet.u_poly(tm)
+        for _, wm, U in samples:
             eta_acc += wm * front_speed(U[:, :, 0, :])
         jet.phij.append(eta_acc)
 
         rhs_acc = np.zeros_like(data.U0)
-        for tm, wm in zip(nodes, w):
-            if wm == 0.0:
-                continue
-            U = jet.u_poly(tm)
+        for tm, wm, U in samples:
             rhs_acc += wm * _rhs_eval(data, U, jet.phi_poly(tm),
                                       jet.phi_poly(tm, shift=1))
         if not np.all(np.isfinite(rhs_acc)):
@@ -211,7 +207,6 @@ class ApproxSolution:
 
     jet: TimeJet
     T: float
-    delta: float
     smallness: float
 
     def u(self, t: float) -> np.ndarray:
@@ -253,7 +248,7 @@ def build_approximate(jet: TimeJet, T: float, delta: float) -> ApproxSolution:
     g = jet.data.grid
     # reference constants: the far-field values of the data (wall row of
     # each side extended, matching the trivial-sheet background)
-    approx = ApproxSolution(jet=jet, T=T, delta=delta, smallness=np.nan)
+    approx = ApproxSolution(jet=jet, T=T, smallness=np.nan)
     ts = np.linspace(0.0, T, _N_CHECK)
     acc = 0.0
     Ubar = _reference_constants(jet)

@@ -188,10 +188,10 @@ class _CoeffCache:
     only and builds each snapshot's bundle once.  A lookup behind the
     window rebuilds the bundles it needs from their frames, bit for bit.
 
-    A bundle holds one snapshot's ``M1``, ``M2``, ``M3``, ``A0invJt`` and
-    ``J`` from ``assemble_effective``, ``d1phi`` and the wall traces; the
-    symmetrized family is the ledger's to build (``_LedgerAccumulator``).
-    A blend between two snapshots holds only the march matrices and traces.
+    A bundle, or a blend of two, holds ``M1``, ``M2``, ``M3`` and
+    ``A0invJt`` from ``assemble_effective`` and the wall traces.  The
+    steady bundle adds ``J`` and ``d1phi``, which only the monitors read;
+    the symmetrized family is the ledger's to build (``_LedgerAccumulator``).
 
     A steady state whose ``U`` and ``phi`` are exactly x2-invariant (the
     planar sheet's) is assembled on one x2 column, the ``source`` state on
@@ -226,6 +226,8 @@ class _CoeffCache:
         if self.basic.steady:
             if self._steady is None:
                 self._steady = b = self._build(0)
+                fr = self.source.frame(0)
+                b.update(J=j_matrix(fr), d1phi=fr.lifted.d1_phi_map)
                 if self.source is not self.basic:       # the one column
                     for key in ("J",) + self._MARCH_KEYS:
                         if np.all(b[key] == b[key][..., :1, :]):
@@ -259,9 +261,8 @@ class _CoeffCache:
     def _build(self, k: int):
         fr = self.source.frame(k)
         ops = assemble_effective(fr)
-        bundle = {key: getattr(ops, key) for key in ("J",) + self._MARCH_KEYS}
-        bundle.update(d1phi=fr.lifted.d1_phi_map,
-                      traces=boundary_traces(fr.grid, fr.U, fr.phi))
+        bundle = {key: getattr(ops, key) for key in self._MARCH_KEYS}
+        bundle["traces"] = boundary_traces(fr.grid, fr.U, fr.phi)
         return bundle
 
 

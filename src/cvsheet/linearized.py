@@ -165,7 +165,6 @@ class BasicFrame:
     """All derived geometry of the basic state frozen at one time."""
 
     def __init__(self, basic: BasicState, U, Ut, phi, phit):
-        self.basic = basic
         self.grid = basic.grid
         self.eos = basic.eos
         self.U = U                   # (2, 6, n1, n2)
@@ -251,8 +250,7 @@ def validate_basic_state(basic: BasicState,
         rep = check_stability(fr.states[0], fr.states[1], eos,
                               k=DEFAULT_TOLERANCES["stability"])
         worst["stab"] = min(worst["stab"],
-                            float(np.min(rep.margin[..., 0, :]))
-                            if rep.margin.ndim > 1 else rep.margin_min)
+                            float(np.min(rep.margin[..., 0, :])))
         tr = boundary_traces(g, fr.U, fr.phi)
         for i, (side, tag) in enumerate(zip(SIDES, "pm")):
             worst["jump"] = max(worst["jump"], float(np.max(np.abs(
@@ -535,9 +533,8 @@ class EffectiveOperators:
     """The solved family the march applies: with A_kc = J^T R_k for
     R_0 = A0 J and the right products R_1-R_3 of ``_right_products``,
     M_k = A0c^{-1} A_kc = J^{-1} A0^{-1} R_k and ``A0invJt`` = A0c^{-1} J^T,
-    each (2, 6, 6, n1, n2)."""
+    each (2, 6, 6, n1, n2).  J itself is ``j_matrix``'s."""
 
-    J: np.ndarray
     M1: np.ndarray
     M2: np.ndarray
     M3: np.ndarray
@@ -587,7 +584,7 @@ def assemble_effective(frame: BasicFrame) -> EffectiveOperators:
         a0inv = 1.0 / np.einsum("kk...->k...", a0)[:, None]  # A0 is diagonal
         for k, r in enumerate(R + [_EYE]):
             M[k][i] = _j_inv_times(off[i], a0inv * r)
-    return EffectiveOperators(j_matrix(frame), *M)
+    return EffectiveOperators(*M)
 
 
 def assemble_symmetrized(frame: BasicFrame,

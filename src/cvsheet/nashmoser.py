@@ -111,7 +111,6 @@ class NashMoserDriver:
 
     def __init__(self, approx: ApproxSolution, tgrid,
                  config: NashMoserConfig | None = None):
-        self.approx = approx
         self.config = config or NashMoserConfig()
         data = approx.jet.data
         self.grid: Grid = data.grid
@@ -125,9 +124,7 @@ class NashMoserDriver:
         Ffun = forcing_fa(approx)
         self.Fa = np.stack([Ffun(t) for t in self.tgrid])
         self.schedule = ThetaSchedule(theta0=self.config.theta0)
-        T = float(self.tgrid[-1])
-        self.smoother = Smoother(self.grid, self.nt, T)
-        self.smoother_tan = Smoother(self.grid, self.nt, T, axes=("t", "x2"))
+        self.smoother = Smoother(self.grid, self.nt, float(self.tgrid[-1]))
         self._La_cache = None
 
     # -- small utilities ------------------------------------------------------
@@ -141,13 +138,14 @@ class NashMoserDriver:
                               B=self.ops.boundary_B(self.Ua, self.phia))
 
     def smooth_field(self, u: np.ndarray, theta: float) -> np.ndarray:
-        """Full S_theta of every component of a (nt, ..., n1, n2) series."""
-        return np.moveaxis(self.smoother(np.moveaxis(u, 0, -3), theta), -3, 0)
+        """S_theta of every component of a (nt, ..., n1, n2) series."""
+        return self.smoother(u, theta)
 
     def smooth_boundary(self, gb: np.ndarray, theta: float) -> np.ndarray:
-        """Tangential S_theta on boundary fields (nt, n2) or (nt, c, n2)."""
-        u = np.moveaxis(gb, 0, -2)[..., None, :]      # (..., nt, 1, n2)
-        return np.moveaxis(self.smoother_tan(u, theta)[..., 0, :], -2, 0)
+        """S_theta of boundary fields (nt, n2) or (nt, c, n2), each smoothed
+        as a one-row field: the wall trace of S_theta of any field with
+        that trace."""
+        return self.smoother(gb[..., None, :], theta)[..., 0, :]
 
     def _l2_spacetime(self, u) -> float:
         g = self.grid

@@ -219,7 +219,6 @@ HARNESS_KINDS = ("moser3", "moser4", "moser6", "sobolev1", "sobolev2", "trace_in
 
 @dataclass
 class HarnessReport:
-    kind: str
     ratios: np.ndarray
 
 
@@ -287,7 +286,7 @@ def inequality_harness(kind: str, samples: int, grid: Grid, *, nt: int = 9,
         v = random_smooth_field(grid, nt, 1.0, rng)
         r = _harness_ratio(kind, u, v, m, rng)
         ratios.append(r)
-    return HarnessReport(kind=kind, ratios=np.asarray(ratios))
+    return HarnessReport(ratios=np.asarray(ratios))
 
 
 def _harness_ratio(kind, u, v, m, rng):

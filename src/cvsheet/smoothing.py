@@ -13,7 +13,8 @@ The symbol is 1 below theta and 0 above 2 theta, so fields supported on
 low modes are exact fixed points, applying S_theta twice differs from once
 only in the transition band, and two fields with equal wall traces keep
 equal wall traces (the x1 part preserves row 0, the (t, x2) parts act on
-the trace alone there).
+the trace alone there).  So a wall trace is smoothed as a one-row field:
+S_theta(u)[..., :1, :] is S_theta(u[..., :1, :]) bit for bit.
 """
 
 from __future__ import annotations
@@ -33,19 +34,18 @@ _ORDERS = (1, 2, 3)   # the norm orders k and j the smoothing harness pairs
 
 @dataclass
 class Smoother:
-    """Family S_theta on causal space-time fields (..., nt, n1, n2).
+    """Family S_theta on causal space-time fields (nt, ..., n1, n2).
 
-    ``axes`` selects the smoothing directions; dropping "x1" yields the
-    variant whose wall behavior is governed purely by the trace.  The
-    horizon ``T`` must be finite and > 0.  scipy loads here, with the first
-    smoother built, so a process that builds none (``cvsheet evolve``)
-    never imports it.
+    Time sits on axis 0, as in ``diff_time``.  A field with one x1 row is
+    a wall trace: the x1 part keeps that row, so only the (t, x2) parts act
+    on it.  The horizon ``T`` must be finite and > 0.  scipy loads here,
+    with the first smoother built, so a process that builds none (``cvsheet
+    evolve``) never imports it.
     """
 
     grid: Grid
     nt: int
     T: float
-    axes: tuple = ("t", "x1", "x2")
 
     def __post_init__(self):
         if not (math.isfinite(self.T) and self.T > 0.0):
@@ -56,11 +56,6 @@ class Smoother:
         g = self.grid
         self.freq_t = np.pi * np.arange(self.nt) / self.T
         self.freq_x2 = 2 * np.pi * np.arange(g.n2 // 2 + 1) / g.L2
-        if "x1" in self.axes:
-            self._build_conormal_basis()
-
-    def _build_conormal_basis(self):
-        g = self.grid
         Ds = SigmaWeight().value(g.x1)[:, None] * g.d1(np.eye(g.n1))
         W = np.diag(g.w1)
         K = Ds.T @ W @ Ds
@@ -76,29 +71,28 @@ class Smoother:
         self._to_modes = (V * self.conormal_weights[:, None]).T   # V^T W
 
     def __call__(self, u: np.ndarray, theta: float) -> np.ndarray:
-        """Apply S_theta; u is (..., nt, n1, n2).
+        """Apply S_theta; u is (nt, ..., n1, n2), or (nt, ..., 1, n2) for a
+        wall trace.
 
         The x1 part is the conormal transform of the interior rows: two
         BLAS matrix products per (n1 - 1, n2) slice, coefficients
         V^T W u, the symbol, then V back.
         """
-        u = np.asarray(u, dtype=float)
-        out = u
         fft = self._fft
-        if "t" in self.axes:
-            coef = fft.dct(out, type=2, axis=-3, norm="ortho")
-            coef *= lowpass_symbol(self.freq_t / theta)[:, None, None]
-            out = fft.idct(coef, type=2, axis=-3, norm="ortho")
-        if "x2" in self.axes:
-            coef = fft.rfft(out, axis=-1)
-            coef *= lowpass_symbol(self.freq_x2 / theta)
-            out = fft.irfft(coef, n=self.grid.n2, axis=-1)
-        if "x1" in self.axes:
-            coef = self._to_modes @ out[..., 1:, :]
-            coef *= lowpass_symbol(self.conormal_freq / theta)[:, None]
-            out = np.concatenate(
-                [out[..., :1, :], self.conormal_modes @ coef], axis=-2)
-        return out
+        coef = fft.dct(np.asarray(u, dtype=float), type=2, axis=0,
+                       norm="ortho")
+        coef *= lowpass_symbol(self.freq_t / theta).reshape(
+            (-1,) + (1,) * (coef.ndim - 1))
+        out = fft.idct(coef, type=2, axis=0, norm="ortho")
+        coef = fft.rfft(out, axis=-1)
+        coef *= lowpass_symbol(self.freq_x2 / theta)
+        out = fft.irfft(coef, n=self.grid.n2, axis=-1)
+        if out.shape[-2] == 1:
+            return out
+        coef = self._to_modes @ out[..., 1:, :]
+        coef *= lowpass_symbol(self.conormal_freq / theta)[:, None]
+        return np.concatenate(
+            [out[..., :1, :], self.conormal_modes @ coef], axis=-2)
 
     def d_theta(self, u: np.ndarray, theta: float) -> np.ndarray:
         """Centered difference of theta -> S_theta u, with step _DTHETA."""
@@ -127,11 +121,8 @@ class Smoother:
             tmode = np.cos(np.pi * (tgrid + 0.5) * it / nt)
             x2mode = np.cos(2 * np.pi * i2 * np.arange(g.n2) / g.n2
                             + (0.0 if i2 in (0, g.n2 // 2) else rng.uniform(0, 2*np.pi)))
-            if "x1" in self.axes:
-                x1mode = np.zeros(g.n1)
-                x1mode[1:] = self.conormal_modes[:, k1[rng.integers(0, len(k1))]]
-            else:
-                x1mode = rng.normal(size=g.n1)
+            x1mode = np.zeros(g.n1)
+            x1mode[1:] = self.conormal_modes[:, k1[rng.integers(0, len(k1))]]
             out += amp * tmode[:, None, None] * x1mode[None, :, None] \
                 * x2mode[None, None, :]
         return out

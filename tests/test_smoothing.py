@@ -65,15 +65,16 @@ def test_smoothing_contracts_l2(smoother):
         assert np.sum(smoother(u, theta) ** 2) <= np.sum(u ** 2) + 1e-12
 
 
-def test_tangential_variant_keeps_wall_rows(smoother):
+@pytest.mark.parametrize("lead", [(), (3,), (2, 6)])
+def test_wall_trace_of_smoothed_field_is_smoothed_trace(smoother, lead):
+    # a wall trace is smoothed as a one-row field: the x1 part keeps row 0
+    # and the (t, x2) parts act on each row alone
     grid = smoother.grid
-    sm_tan = Smoother(grid, nt=17, T=1.0, axes=("t", "x2"))
-    rng = np.random.default_rng(5)
-    u = rng.normal(size=(17, grid.n1, grid.n2))
-    su = sm_tan(u, 4.0)
-    # no coupling across x1: each row is smoothed independently
-    row3 = sm_tan(u[:, 3:4, :], 4.0)
-    assert np.allclose(su[:, 3, :], row3[:, 0, :])
+    u = np.random.default_rng(6).normal(size=(17,) + lead
+                                        + (grid.n1, grid.n2))
+    for theta in (2.0, 4.0, 8.0):
+        assert np.array_equal(smoother(u, theta)[..., :1, :],
+                              smoother(u[..., :1, :], theta))
 
 
 def test_harness_constants_bounded_across_sweep_and_refinement():
@@ -126,22 +127,26 @@ def test_harness_as1_equals_fresh_norms():
     assert rep.as1 == expected
 
 
-@pytest.mark.parametrize("shape", [(17,), (2, 6, 17)])
+@pytest.mark.parametrize("shape", [(17,), (17, 2, 6)])
 def test_conormal_transform_matches_einsum_oracle(shape):
-    # the x1 part through two BLAS products equals the einsum form to
-    # roundoff, keeps the wall row bit for bit, and repeats bit for bit
+    # the x1 part through two BLAS products equals the einsum form, applied
+    # to the rows each smoothed as a one-row field, to roundoff; it keeps
+    # the wall row bit for bit and repeats bit for bit
     grid = Grid(n1=40, n2=24, L1=2 * np.pi, L2=2 * np.pi)
-    sm = Smoother(grid, nt=17, T=1.0, axes=("x1",))
+    sm = Smoother(grid, nt=17, T=1.0)
     u = np.random.default_rng(5).normal(size=shape + (40, 24))
     V, w = sm.conormal_modes, sm.conormal_weights
     for theta in (2.0, 8.0):
-        coef = np.einsum("km,k,...kj->...mj", V, w, u[..., 1:, :])
+        rows = np.concatenate([sm(u[..., r:r + 1, :], theta)
+                               for r in range(grid.n1)], axis=-2)
+        coef = np.einsum("km,k,...kj->...mj", V, w, rows[..., 1:, :])
         coef *= lowpass_symbol(sm.conormal_freq / theta)[:, None]
         want = np.concatenate(
-            [u[..., :1, :], np.einsum("km,...mj->...kj", V, coef)], axis=-2)
+            [rows[..., :1, :], np.einsum("km,...mj->...kj", V, coef)],
+            axis=-2)
         got = sm(u, theta)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-        assert np.array_equal(got[..., 0, :], u[..., 0, :])
+        assert np.array_equal(got[..., 0, :], rows[..., 0, :])
         assert np.array_equal(got, sm(u, theta))
 
 
