@@ -1,10 +1,11 @@
 """Batch front-end: config-driven experiments with machine-readable output.
 
-Configs are flat INI-style key-value text with sections; unknown sections
-or keys are rejected.  Every run writes ``manifest.json``: the experiment,
-the effective seed, the config text and its SHA-256, the package and numpy
-versions and the keys of the run's summary.  Identical config and seed
-produce byte-identical artifacts.
+Configs are flat INI-style key-value text with sections.  An unknown
+section or key, or a value outside its key's domain (``_DOMAINS``: every
+number finite, some bounded below), is a config error.  Every run writes
+``manifest.json``: the experiment, the effective seed, the config text and
+its SHA-256, the package and numpy versions and the keys of the run's
+summary.  Identical config and seed produce byte-identical artifacts.
 
 Every artifact is written and read here: CSV tables (a header line, then
 ``repr`` floats), strict JSON reports with sorted keys (an undefined,
@@ -44,14 +45,6 @@ class ConfigError(ValueError):
     pass
 
 
-def _b(x):
-    if x.lower() in ("true", "yes", "1"):
-        return True
-    if x.lower() in ("false", "no", "0"):
-        return False
-    raise ConfigError(f"not a boolean: {x!r}")
-
-
 _GRID = {"n1": 48, "n2": 48, "L1": 2 * np.pi, "L2": 2 * np.pi}
 _EOS = {"gamma": 5.0 / 3.0}
 # the manufactured data of compat and nash-moser-demo carry no entropy
@@ -60,7 +53,7 @@ _PAIR_ISENTROPIC = {"p_plus": 0.8, "u2_jump": 0.1, "H2_plus": 0.7,
 _PAIR = {**_PAIR_ISENTROPIC, "S_plus": 0.0, "S_minus": 0.0}
 
 #: experiment -> section -> key -> default: the one list of config keys.  A
-#: given value is parsed to the type of its default (bool takes yes/no).
+#: given value is parsed to the type of its default; ``_DOMAINS`` bounds it.
 SCHEMAS = {
     "stability-map": {
         "map": {"p_plus": 1.0, "S": 0.0, "u2_jump_max": 3.0, "u2_jump_n": 61,
@@ -103,10 +96,33 @@ SCHEMAS = {
 
 EXPERIMENTS = tuple(SCHEMAS)
 
+#: key -> (least value, whether it is allowed) for the keys bounded below,
+#: one meaning per key name in every schema; every number must be finite
+_DOMAINS = {
+    **dict.fromkeys(("n1", "n2", "nt"), (5, True)),   # five-node stencils
+    "fit_points": (2, True),
+    **dict.fromkeys(("gamma", "theta0", "u2_jump_n", "H2_n", "n_collar",
+                     "iterations"), (1, True)),
+    **dict.fromkeys(("amplitude", "order", "checkpoint_count", "u2_jump_max",
+                     "H2_max"), (0, True)),
+    **dict.fromkeys(("L1", "L2", "p_plus", "k_margin", "collar_eps",
+                     "t_final", "cfl", "forcing_ramp", "T", "delta",
+                     "fit_t_min", "fit_t_max"), (0, False)),
+}
 
-def _parse(default, raw: str):
-    """``raw`` as the type of ``default``."""
-    return _b(raw) if isinstance(default, bool) else type(default)(raw)
+
+def _check(section: str, values: dict) -> None:
+    """``ConfigError`` unless each value but a string is in its domain."""
+    for key, value in values.items():
+        least, allowed = _DOMAINS.get(key, (-np.inf, False))
+        if isinstance(value, str) or (
+                isinstance(value, (int, float)) and np.isfinite(value)
+                and (value > least or allowed and value == least)):
+            continue
+        bound = (f" and {'>=' if allowed else '>'} {least}"
+                 if key in _DOMAINS else "")
+        raise ConfigError(f"[{section}] {key} must be finite{bound}, "
+                          f"got {value!r}")
 
 
 def parse_config(text: str):
@@ -135,7 +151,9 @@ def parse_config(text: str):
         for key, raw in cp[section].items():
             if key not in schema[section]:
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
-            cfg[section][key] = _parse(schema[section][key], raw)
+            cfg[section][key] = type(schema[section][key])(raw)
+    for section, values in cfg.items():
+        _check(section, values)
     return exp, seed, cfg
 
 
@@ -160,23 +178,12 @@ def _csv(path: Path, header: str, rows) -> None:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def _grid(g) -> Grid:
-    """The grid of a [grid] section, at least the stencils' five nodes
-    across and of positive extent, else ``ConfigError``."""
-    if not (min(g["n1"], g["n2"]) >= 5 and g["L1"] > 0.0 and g["L2"] > 0.0):
-        raise ConfigError(f"[grid] needs n1, n2 >= 5 and L1, L2 > 0, got {g}")
-    return Grid(**g)
-
-
 # -- experiments --------------------------------------------------------------
 
 
 def run_stability_map(cfg, seed, out: Path, verbosity: int) -> dict:
     eos = IdealGasEos(**cfg["eos"])
     m = cfg["map"]
-    if m["u2_jump_n"] < 1 or m["H2_n"] < 1:
-        raise ConfigError(f"[map] needs u2_jump_n, H2_n >= 1, got "
-                          f"{m['u2_jump_n']} and {m['H2_n']}")
     jumps = np.linspace(0.0, m["u2_jump_max"], m["u2_jump_n"])
     fields = np.linspace(0.0, m["H2_max"], m["H2_n"])
     rows = []
@@ -203,10 +210,6 @@ def run_symmetrize(cfg, seed, out: Path, verbosity: int) -> dict:
                             extend_lambda, leading_coefficient)
     eos = IdealGasEos(**cfg["eos"])
     sc = cfg["symmetrize"]
-    if not (sc["collar_eps"] > 0.0 and sc["n_collar"] >= 1):
-        raise ConfigError(f"[symmetrize] needs collar_eps > 0 and n_collar "
-                          f">= 1, got {sc['collar_eps']} and "
-                          f"{sc['n_collar']}")
     plus, minus = contact_states(**cfg["state"])
     lam = build_lambda(plus, minus, eos, k=sc["k_margin"])
     rep = check_stability(plus, minus, eos, k=sc["k_margin"])
@@ -236,12 +239,10 @@ def run_evolve(cfg, seed, out: Path, verbosity: int) -> dict:
     from .linearized import trivial_sheet_state
     from .scenarios import ManufacturedBoundaryData, ManufacturedForcing
     eos = IdealGasEos(**cfg["eos"])
-    grid = _grid(cfg["grid"])
+    grid = Grid(**cfg["grid"])
     basic = trivial_sheet_state(grid, eos, **cfg["state"])
     ev = cfg["evolve"]
     count = ev["checkpoint_count"]
-    if count < 0:
-        raise ConfigError(f"checkpoint_count must be >= 0, got {count}")
     forcing = None
     if ev["forcing_amplitude"] != 0.0:
         forcing = ManufacturedForcing(grid, amplitude=ev["forcing_amplitude"],
@@ -281,8 +282,8 @@ def run_energy_report(cfg, seed, out: Path, verbosity: int) -> dict:
     """Recompute the norm ledger of checkpointed trajectory snapshots."""
     run_dir = Path(cfg["energy-report"]["run_dir"])
     meta = json.loads((run_dir / "checkpoints.json").read_text())
-    eos = IdealGasEos(**meta["eos"])
-    grid = _grid(meta["grid"])
+    _check("grid", meta["grid"])
+    grid = Grid(**meta["grid"])
     rows = []
     shape = (2, 6, grid.n1, grid.n2)
     for k, t in enumerate(meta["times"]):
@@ -301,11 +302,8 @@ def run_energy_report(cfg, seed, out: Path, verbosity: int) -> dict:
 
 def run_compat(cfg, seed, out: Path, verbosity: int) -> dict:
     eos = IdealGasEos(**cfg["eos"])
-    grid = _grid(cfg["grid"])
+    grid = Grid(**cfg["grid"])
     cc = cfg["compat"]
-    if cc["order"] < 0 or cc["fit_points"] < 2:
-        raise ConfigError(f"[compat] needs order >= 0 and fit_points >= 2, "
-                          f"got {cc['order']} and {cc['fit_points']}")
     data = manufactured_initial_data(grid, eos, amplitude=cc["amplitude"],
                                      k2=cc["k2"], seed=seed, **cfg["state"])
     jet = time_jet(data, order=cc["order"])
@@ -332,7 +330,7 @@ def run_compat(cfg, seed, out: Path, verbosity: int) -> dict:
 
 def run_nash_moser_demo(cfg, seed, out: Path, verbosity: int) -> dict:
     eos = IdealGasEos(**cfg["eos"])
-    grid = _grid(cfg["grid"])
+    grid = Grid(**cfg["grid"])
     nm = cfg["nash-moser"]
     data = manufactured_initial_data(grid, eos, amplitude=nm["amplitude"],
                                      k2=nm["k2"], seed=seed, **cfg["state"])
@@ -368,24 +366,20 @@ RUNNERS = {
 
 def run_experiment(config_path, out_dir, seed=None, verbosity=1) -> int:
     """Parse, validate, dispatch, and write artifacts; returns exit status."""
+    out = Path(out_dir)
     try:
         text = Path(config_path).read_text()
         experiment, cfg_seed, cfg = parse_config(text)
         seed = cfg_seed if seed is None else int(seed)
-    except (OSError, configparser.Error, ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    try:
+        out.mkdir(parents=True, exist_ok=True)
         summary = RUNNERS[experiment](cfg, seed, out, verbosity)
     except (NumericsError, StabilityError, ModifiedStateError,
             DegenerateJacobianError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, SmallnessError) as exc:
+    except (ValueError, OSError, configparser.Error, SmallnessError) as exc:
         # a ConfigError, a state that the config makes inadmissible, a
-        # missed smallness budget, or an input file that cannot be read
+        # missed smallness budget, or a file that cannot be read
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     _write_manifest(out, experiment, seed, text,

@@ -2,11 +2,15 @@ import ast
 import importlib
 import inspect
 import json
+import math
 import pkgutil
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cvsheet
 import cvsheet.cli as cli
@@ -50,6 +54,12 @@ def test_bare_run_config_gives_every_key_at_its_default(exp):
     assert cfg == SCHEMAS[exp]
     for section, keys in cfg.items():
         assert keys is not SCHEMAS[exp][section]   # runners get copies
+
+
+def test_every_domain_names_a_schema_key():
+    keys = {key for schema in SCHEMAS.values() for section in schema.values()
+            for key in section}
+    assert set(cli._DOMAINS) <= keys, set(cli._DOMAINS) - keys
 
 
 def test_parse_rejects_unknowns():
@@ -466,3 +476,51 @@ def test_energy_report_refuses_a_bad_checkpoint(tmp_path, capsys, bad):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "checkpoint_000.npy" in err
     assert ("shape" if bad == "shape" else "finite") in err
+
+
+#: the keys that size a loop or an array draw 2 in place of 1e6: a large
+#: count would start a long loop or allocation, not end in a traceback
+_SIZE_KEYS = {"n1", "n2", "nt", "u2_jump_n", "H2_n", "checkpoint_count",
+              "iterations", "n_collar", "order", "fit_points"}
+
+#: what a drawn value is laid over: a 16^2 grid, a short march, a one-
+#: iterate Nash-Moser run on nine times and a three-by-three stability map
+_SMALL = {"grid": {"n1": 16, "n2": 16}, "evolve": {"t_final": 0.05},
+          "nash-moser": {"nt": 9, "iterations": 1},
+          "map": {"u2_jump_n": 3, "H2_n": 3}}
+
+
+def _small_config(exp, section, key, value):
+    """The small config of ``exp`` with ``section``'s ``key`` at ``value``,
+    written as an int where the key's default is one and ``value`` is
+    finite."""
+    sections = {s: dict(_SMALL.get(s, {})) for s in SCHEMAS[exp]}
+    if isinstance(SCHEMAS[exp][section][key], int) and math.isfinite(value):
+        value = int(value)
+    sections[section][key] = value
+    return f"[run]\nexperiment = {exp}\n" + "".join(
+        f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        for s, keys in sections.items())
+
+
+_CASES = st.sampled_from(sorted(SCHEMAS)).flatmap(
+    lambda exp: st.sampled_from([(exp, s, k) for s, keys in
+                                 SCHEMAS[exp].items() for k in keys]))
+
+
+# the draws are finite (each key of each experiment, six values) and fewer
+# than max_examples, so hypothesis runs every case once and stops
+@settings(max_examples=1000, deadline=None)
+@given(case=_CASES, pick=st.integers(0, 5))
+def test_no_key_value_ends_in_a_traceback(tmp_path_factory, case, pick):
+    # a run ends in exit 0, 1 or 2 whatever value one key takes; numpy
+    # warnings act as in a CLI process, not as pytest's errors
+    exp, section, key = case
+    value = (math.nan, math.inf, -math.inf, 0, -1,
+             2 if key in _SIZE_KEYS else 1e6)[pick]
+    tmp = tmp_path_factory.mktemp("case")
+    cfg = tmp / "cfg.ini"
+    cfg.write_text(_small_config(exp, section, key, value))
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        assert run_experiment(cfg, tmp / "out", verbosity=0) in (0, 1, 2)

@@ -669,14 +669,29 @@ def test_march_refuses_step_count_past_max_steps(grid):
 @pytest.mark.parametrize("kwargs", [
     {"t_final": 0.0}, {"t_final": -0.1}, {"t_final": 0.05, "cfl": -0.4},
     {"t_final": 0.05, "dt_override": -0.01},
-    {"t_final": 0.05, "dt_override": 0.0}],
+    {"t_final": 0.05, "dt_override": 0.0}, {"t_final": np.inf},
+    {"t_final": 0.05, "dt_override": np.inf}],
     ids=["t_final=0", "t_final<0", "cfl<0", "dt_override<0",
-         "dt_override=0"])
+         "dt_override=0", "t_final=inf", "dt_override=inf"])
 def test_evolve_refuses_non_positive_time_inputs(grid, kwargs):
     b = trivial_sheet_state(grid, EOS, H2_plus=1.2, H2_minus=1.0)
-    bad = next(k for k, v in kwargs.items() if v <= 0.0)
+    bad = next(k for k, v in kwargs.items() if not 0.0 < v < np.inf)
     with pytest.raises(ValueError, match=f"{bad} must be positive"):
         evolve(b, **kwargs)
+
+
+def test_evolve_refuses_a_cfl_past_its_measured_bound():
+    # the forced sheared sheet keeps its ledger at _CFL_MAX; past it the
+    # march is refused (at cfl = 2.5 its I grew from 22 to 1.2e3 at 32^2)
+    grid = Grid(n1=32, n2=32, L1=2 * np.pi, L2=2 * np.pi)
+    b = sheared_sheet_state(grid, EOS)
+    f = ManufacturedForcing(grid, amplitude=1.0, k2=2)
+    I0, I1 = (evolve(b, t_final=2.0, forcing=f, cfl=cfl).ledger.rows[-1].I
+              for cfl in (0.4, ev._CFL_MAX))
+    assert I1 == pytest.approx(I0, rel=0.01)
+    with pytest.raises(ValueError, match="cfl must be <="):
+        evolve(b, t_final=2.0, forcing=f,
+               cfl=np.nextafter(ev._CFL_MAX, np.inf))
 
 
 def test_evolve_takes_at_least_one_step(grid):
