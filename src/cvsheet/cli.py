@@ -278,15 +278,42 @@ def run_evolve(cfg, seed, out: Path, verbosity: int) -> dict:
             "cstar": traj.cstar, "lambda_fallback": traj.lambda_fallback}
 
 
+def _read_checkpoints(path: Path):
+    """(grid, times) of an ``evolve`` run's ``checkpoints.json``, which is
+    outside input: ``ConfigError`` unless its grid gives every key of
+    ``_GRID``, the sizes as integers, each in its domain, and ``times``
+    lists ``count`` finite times."""
+    meta = json.loads(path.read_text())
+    if not isinstance(meta, dict) or not {"grid", "times",
+                                          "count"} <= meta.keys():
+        raise ConfigError(f"{path}: an object with grid, times and count "
+                          f"is expected")
+    grid, times, count = meta["grid"], meta["times"], meta["count"]
+    if not isinstance(grid, dict) or grid.keys() != _GRID.keys():
+        raise ConfigError(f"{path}: grid must give {sorted(_GRID)}")
+    for key, value in grid.items():
+        kind = int if isinstance(_GRID[key], int) else (int, float)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ConfigError(f"{path}: grid {key} must be "
+                              f"{'an integer' if kind is int else 'a number'}"
+                              f", got {value!r}")
+    _check("grid", grid)
+    if (type(count) is not int or not isinstance(times, list)
+            or len(times) != count
+            or not all(type(t) in (int, float) and np.isfinite(t)
+                       for t in times)):
+        raise ConfigError(f"{path}: times must list count = {count!r} "
+                          f"finite times")
+    return Grid(**grid), times
+
+
 def run_energy_report(cfg, seed, out: Path, verbosity: int) -> dict:
     """Recompute the norm ledger of checkpointed trajectory snapshots."""
     run_dir = Path(cfg["energy-report"]["run_dir"])
-    meta = json.loads((run_dir / "checkpoints.json").read_text())
-    _check("grid", meta["grid"])
-    grid = Grid(**meta["grid"])
+    grid, times = _read_checkpoints(run_dir / "checkpoints.json")
     rows = []
     shape = (2, 6, grid.n1, grid.n2)
-    for k, t in enumerate(meta["times"]):
+    for k, t in enumerate(times):
         path = run_dir / f"checkpoint_{k:03d}.npy"
         V = np.load(path)
         if V.shape != shape or V.dtype != np.float64:

@@ -71,13 +71,31 @@ matrix product per field pair, and the step end computes the Grams of V,
 d1 V, d2 V and the time difference once for both observers.  A state
 whose matrices vary along x2 (the sheared sheet) applies them to the full
 fields.
+
+The two sides of the sheet meet only in the wall rows, so on a one-column
+bundle the march runs each side's full-field work as one task on a pool
+of two workers (``_on_sides``), which the first such task starts and
+every later march reuses: per stage, the side's pair d1 V, d2 V (unless
+held), its rows of the stage derivative and its Shu-Osher update, and at
+each step end its pair for the observers.  The calling thread does the
+rest between the tasks: the bundle lookups (``_CoeffCache.at``), the
+forcing memo (``F_at``, a dict that is not thread-safe), ``g_at``, the
+front rate, the phi updates and the wall injection ``apply_bc``, and all
+of the observers' work.  Every value is formed by the same ufuncs on the
+same operands as on one thread, so it keeps its bits, and each buffer the
+step hands out is written by the same stage as on one thread, so it stays
+valid for exactly as long.  Any other bundle (the sheared sheet's, a
+time-dependent state's) marches on the calling thread alone: on the small
+grids of the Nash-Moser solve, per-side tasks cost more than they save.
 """
 
 from __future__ import annotations
 
+import threading
 import time
-from dataclasses import dataclass, field
-from functools import cached_property
+from concurrent.futures import ThreadPoolExecutor, wait
+from dataclasses import astuple, dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -102,6 +120,24 @@ _MAX_STEPS = 200_000    # evolve refuses a march longer than this
 _CFL_MAX = 2.0
 _STEP_ROUNDOFF = 1e-9   # t_final / dt up to this above n takes n steps
 _SPONGE_WIDTH = 0.2     # absorbing collar: the outer fifth of [0, L1]
+_SIDES = 2              # the plus and the minus side, one pool worker each
+_side_pool = None       # the per-side pool, started by its first task
+_side_pool_lock = threading.Lock()
+
+
+def _on_sides(task) -> None:
+    """task(0) and task(1), one task per side on the side pool; returns
+    once both have ended, raising the first side's error if any."""
+    global _side_pool
+    with _side_pool_lock:
+        if _side_pool is None:
+            _side_pool = ThreadPoolExecutor(_SIDES,
+                                            thread_name_prefix="cvsheet-side")
+        pool = _side_pool
+    futures = [pool.submit(task, s) for s in range(_SIDES)]
+    wait(futures)               # both sides end before either error is raised
+    for f in futures:
+        f.result()
 
 
 @dataclass
@@ -223,13 +259,18 @@ class _CoeffCache:
         self._snap: dict = {}
         self._last = (None, None)   # (t, bundle) of the latest lookup
 
+    @property
+    def one_column(self) -> bool:
+        """Whether the bundle is assembled on one x2 column."""
+        return self.source is not self.basic
+
     def at(self, t: float):
         if self.basic.steady:
             if self._steady is None:
                 self._steady = b = self._build(0)
                 fr = self.source.frame(0)
                 b.update(J=j_matrix(fr), d1phi=fr.lifted.d1_phi_map)
-                if self.source is not self.basic:       # the one column
+                if self.one_column:
                     for key in ("J",) + self._MARCH_KEYS:
                         if np.all(b[key] == b[key][..., :1, :]):
                             b[key] = b[key][..., :1, :]
@@ -299,7 +340,8 @@ def evolve(basic: BasicState, t_final: float, *, forcing=None, bdata=None,
     finite, and ``cfl`` at most ``_CFL_MAX``; the march takes at least one
     step.  ``snapshot_times`` must be finite, non-decreasing and inside
     [0, t_final]; each takes V at the step nearest to it (the earlier of two
-    equally near).
+    equally near).  A march whose V, phi or ledger row is not finite ends
+    in ``NumericsError``.
     """
     for name, value in (("t_final", t_final), ("cfl", cfl),
                         ("dt_override", dt_override)):
@@ -572,7 +614,16 @@ def _trace(G, w, comps=slice(None)) -> float:
 class LinearizedStepper:
     """One SSP-RK3 step of the characteristic system with wall injection:
     ``apply_bc`` and ``phi_rate`` are the solved form of the kin+, kin- and
-    [q] rows of ``linearized_wall_rows``."""
+    [q] rows of ``linearized_wall_rows``.
+
+    With a one-column bundle, ``rhs``, ``step`` and ``derivatives`` run
+    each side's stencils, rows and updates as one task on the side pool,
+    and the lookups, the front rate, the phi updates and ``apply_bc`` on
+    the calling thread (see the module docstring).  The two tasks write
+    disjoint halves of each buffer and each has its own row scratch.  What
+    the stepper hands out (the pair of ``derivatives``, ``step``'s
+    ``out``, Vt) stays valid for exactly as long as on one thread: until
+    the stepper next writes that buffer."""
 
     def __init__(self, basic: BasicState, *, forcing=None, bdata=None,
                  sponge_strength: float = 2.0):
@@ -591,14 +642,14 @@ class LinearizedStepper:
         full = (2, 6, grid.n1, grid.n2)
         self._zero_f = np.zeros(full)
         self._zero_g = np.zeros((3, grid.n2))
-        # held by the step: the stage derivative and the pair d1 V, d2 V of
-        # a stage or a step end, rhs's product scratch, row-sized for a
-        # one-column bundle and full-size otherwise, and the step end's time
-        # difference Vt (a buffer left untouched never makes its pages
-        # resident)
+        # held by the step: the stage derivative, the pair d1 V, d2 V of a
+        # stage or a step end, rhs's full-size product scratch, the step
+        # end's time difference Vt and, for a one-column bundle, each
+        # side's two product rows (a buffer left untouched never makes its
+        # pages resident)
         self._k, self._d1, self._d2, self._tmp, self._vt = (
             np.empty(full) for _ in range(5))
-        self._part, self._prod = np.empty((2, grid.n1, grid.n2))
+        self._rows = np.empty((_SIDES, 2, grid.n1, grid.n2))
         self._pair_of = None        # the V whose pair _d1, _d2 hold
 
     def F_at(self, t):
@@ -620,54 +671,86 @@ class LinearizedStepper:
     def derivatives(self, V):
         """(d1 V, d2 V), in the stepper's pair buffers: the first stage of
         a step from this very V reuses the pair, and the next stage
-        overwrites it."""
+        overwrites it.  With a one-column bundle each side's pair is one
+        task on the side pool."""
         self._pair_of = V
-        return (self.grid.d1(V, out=self._d1), self.grid.d2(V, out=self._d2))
+        if self.cache.one_column:
+            _on_sides(partial(self._pair, V))
+        else:
+            self._pair(V)
+        return self._d1, self._d2
 
-    def rhs(self, V, phi, t, co, g, pair=None, out=None):
+    def _pair(self, V, s=...):
+        """d1 and d2 of V[s] (side s, or the whole field) into the pair
+        buffers: the stencils act along the last two axes alone, so a
+        side's pair holds the bits of the whole field's."""
+        self.grid.d1(V[s], out=self._d1[s])
+        self.grid.d2(V[s], out=self._d2[s])
+
+    def rhs(self, V, phi, t, co, g, pair=None, out=None, then=None):
         """Stage derivative at t, given the bundle and boundary data at t
         and, if the caller holds it, the pair (d1 V, d2 V).
 
         dV/dt is written into ``out`` (a new array if None), accumulated
         left to right as A0invJt F - M1 d1 V - M2 d2 V - M3 V - sponge V;
         a pair the caller does not hold is taken into the stepper's pair
-        buffers.
+        buffers.  dphi/dt (``phi_rate``) is formed first, so ``then(s)``,
+        which runs on side s of dV once it is formed, may write over V.
 
         With a one-column bundle (every matrix (..., n1, 1) or (..., 1, 1),
-        the planar sheet's, which holds its ``cols``) dV is formed one
-        (side, component) row at a time, each product row (``_row_apply``)
-        in row scratch, so a row's operands stay in cache, and a product
-        row without entries is not formed (x - 0.0 is x).  Otherwise each
-        product is one einsum into a full-size scratch: per-row einsums
-        cost more call overhead than the cache saves on the small grids of
-        the Nash-Moser solve.
+        the planar sheet's, which holds its ``cols``) each side, pair,
+        rows and ``then(s)``, is one task on the side pool
+        (``_side_rows``); the forcing lookup stays on the calling thread.
+        Otherwise each product is one einsum into a full-size scratch and
+        ``then(...)`` takes the whole field, on the calling thread:
+        per-row einsums and per-side tasks cost more call overhead than
+        they save on the small grids of the Nash-Moser solve.
         """
-        grid = self.grid
+        dphi = self.phi_rate(V, phi, self.grid.d2_boundary(phi),
+                             co["traces"], g)
         if pair is None:
             self._pair_of = None
-            pair = (grid.d1(V, out=self._d1), grid.d2(V, out=self._d2))
         dV = np.empty(V.shape) if out is None else out
-        A, F = co["A0invJt"], self.F_at(t)
-        terms = (("M1", pair[0]), ("M2", pair[1]), ("M3", V))
+        F = self.F_at(t)
         if "cols" in co:
-            cols, part, prod = co["cols"], self._part, self._prod
-            for s, i in np.ndindex(*V.shape[:2]):
-                row = dV[s, i]
-                if _row_apply(A, F, s, i, row, prod,
-                              cols["A0invJt"][s][i]) is None:
-                    row.fill(0.0)
-                for key, X in terms:
-                    if _row_apply(co[key], X, s, i, part, prod,
-                                  cols[key][s][i]) is not None:
-                        row -= part
-                row -= np.multiply(self.sponge, V[s, i], out=part)
-        else:
-            _mat_apply2(A, F, dV)
+            def side(s):
+                self._side_rows(V, F, co, pair, dV, s)
+                if then is not None:
+                    then(s)
+            _on_sides(side)
+            return dV, dphi
+        if pair is None:
+            self._pair(V)
+            pair = (self._d1, self._d2)
+        _mat_apply2(co["A0invJt"], F, dV)
+        for key, X in (("M1", pair[0]), ("M2", pair[1]), ("M3", V)):
+            dV -= _mat_apply2(co[key], X, self._tmp)
+        dV -= np.multiply(self.sponge, V, out=self._tmp)
+        if then is not None:
+            then(...)
+        return dV, dphi
+
+    def _side_rows(self, V, F, co, pair, dV, s):
+        """Side s of the one-column dV: the side's pair first if the
+        caller does not hold it, then one (side, component) row at a
+        time, each product row (``_row_apply``) in the side's own row
+        scratch, so a row's operands stay in cache, and a product row
+        without entries not formed (x - 0.0 is x)."""
+        if pair is None:
+            self._pair(V, s)
+            pair = (self._d1, self._d2)
+        cols, (part, prod) = co["cols"], self._rows[s]
+        terms = (("M1", pair[0]), ("M2", pair[1]), ("M3", V))
+        for i in range(V.shape[1]):
+            row = dV[s, i]
+            if _row_apply(co["A0invJt"], F, s, i, row, prod,
+                          cols["A0invJt"][s][i]) is None:
+                row.fill(0.0)
             for key, X in terms:
-                dV -= _mat_apply2(co[key], X, self._tmp)
-            dV -= np.multiply(self.sponge, V, out=self._tmp)
-        return dV, self.phi_rate(V, phi, grid.d2_boundary(phi),
-                                 co["traces"], g)
+                if _row_apply(co[key], X, s, i, part, prod,
+                              cols[key][s][i]) is not None:
+                    row -= part
+            row -= np.multiply(self.sponge, V[s, i], out=part)
 
     @staticmethod
     def phi_rate(V, phi, d2phi, tr, g):
@@ -706,12 +789,16 @@ class LinearizedStepper:
         The stages are formed in place: each stage derivative k in the
         stepper's stage buffer, and V1, V2 and V_{n+1} in turn in ``out``
         (a float array of V's shape that is not V; a new array if None),
-        each written once its predecessor is folded into k.  V_{n+1} is
-        returned in ``out``, which the stepper does not keep; the pair of
-        ``derivatives`` and Vt stay in its buffers until it writes them
-        again.  The in-place ufunc chains keep the operands and the order
-        of V1 = V + dt k, V2 = 0.75 V + 0.25 (V1 + dt k) and
-        V_{n+1} = V / 3 + 2/3 (V2 + dt k), so every value has its bits.
+        each written once its predecessor is folded into k
+        (``_shu_osher``).  V_{n+1} is returned in ``out``, which the
+        stepper does not keep; the pair of ``derivatives`` and Vt stay in
+        its buffers until it writes them again.
+
+        With a one-column bundle a stage's derivative and update of each
+        side are one task on the side pool.  The calling thread does the
+        rest, between the tasks: the bundle and forcing lookups, the front
+        rate, the phi updates and the wall injection ``apply_bc``, the
+        only steps that couple the sides.
         """
         # one lookup per stage time; the end last, so the cache still holds
         # it when the caller's end-of-step monitors ask for the same time
@@ -720,34 +807,44 @@ class LinearizedStepper:
         co0, g0 = self.cache.at(s0), self.g_at(s0)
         coh, gh = self.cache.at(sh), self.g_at(sh)
         co1, g1 = self.cache.at(s1), self.g_at(s1)
+        stages = ((s0, co0, g0), (s1, co1, g1), (sh, coh, gh))
+        walls = ((co1, g1), (coh, gh), (co1, g1))   # each stage's injection
 
         pair = (self._d1, self._d2) if self._pair_of is V else None
         self._pair_of = None
         k = self._k
-        _, k1p = self.rhs(V, phi, s0, co0, g0, pair, out=k)
-        k *= dt
-        V1 = np.add(V, k, out=out)
-        p1 = phi + dt * k1p
-        self.apply_bc(V1, p1, co1, g1)
-
-        _, k2p = self.rhs(V1, p1, s1, co1, g1, out=k)
-        k *= dt
-        k += V1
-        k *= 0.25
-        V2 = np.multiply(V, 0.75, out=V1)
-        V2 += k
-        p2 = 0.75 * phi + 0.25 * (p1 + dt * k2p)
-        self.apply_bc(V2, p2, coh, gh)
-
-        _, k3p = self.rhs(V2, p2, sh, coh, gh, out=k)
-        k *= dt
-        k += V2
-        k *= 2.0 / 3.0
-        Vn = np.divide(V, 3.0, out=V2)
-        Vn += k
-        pn = phi / 3.0 + 2.0 / 3.0 * (p2 + dt * k3p)
-        self.apply_bc(Vn, pn, co1, g1)
+        Vn = np.empty(V.shape) if out is None else out
+        pn = np.empty(phi.shape)
+        for n, ((ts, co, g), wall) in enumerate(zip(stages, walls)):
+            X, p = (V, phi) if n == 0 else (Vn, pn)
+            _, kp = self.rhs(X, p, ts, co, g, pair if n == 0 else None, k,
+                             partial(_shu_osher, n, dt, V, k, Vn))
+            _shu_osher(n, dt, phi, kp, pn)
+            self.apply_bc(Vn, pn, *wall)
         return Vn, pn
+
+
+def _shu_osher(n, dt, V, k, out, s=...):
+    """Update n (0, 1, 2) of the SSP-RK3 step on side s of the fields, or
+    on the whole of V or phi: k, the rate at the stage's input (V, then
+    the stage output held in ``out``), becomes dt k and is folded into the
+    next stage output, written into ``out``.  The in-place ufunc chains
+    keep the operands and the order of V1 = V + dt k,
+    V2 = 0.75 V + 0.25 (V1 + dt k) and V_{n+1} = V / 3 + 2/3 (V2 + dt k),
+    so every value has its bits."""
+    V, k, out = V[s], k[s], out[s]
+    k *= dt
+    if n == 0:
+        np.add(V, k, out=out)
+        return
+    k += out
+    if n == 1:
+        k *= 0.25
+        np.multiply(V, 0.75, out=out)
+    else:
+        k *= 2.0 / 3.0
+        np.divide(V, 3.0, out=out)
+    out += k
 
 
 def _div_hdot(grid: Grid, d1phi, V, d1V):
@@ -885,7 +982,8 @@ class _LedgerAccumulator:
     so the symmetrized identity carries three right-hand contributions:
     the wall/far boundary fluxes of B1c, the source 2 (J^T (S F + T div
     hdot / d1Phi)) . V, and the zero-order quadratic form including the
-    sponge damping through B0c.  ``evolve`` runs it on steady basic states.
+    sponge damping through B0c.  ``evolve`` runs it on steady basic states
+    and aborts the march with ``NumericsError`` on a row that is not finite.
     It takes the multiplier of ``source`` (the state the coefficient cache
     assembles from), with ``lambda_fallback`` the reason it fell back to 0
     if it did, and assembles that multiplier's symmetrized family with
@@ -928,11 +1026,19 @@ class _LedgerAccumulator:
         GV = end.gram("V")
         self._Q0 = self._q(end.V, GV)
         self._prev_integrand = self._integrand(end.V, end.f, end.div, GV)
-        self.ledger.rows.append(self.row(end))
+        self._append(end)
 
     def observe(self, end: _StepEnd) -> None:
         self.advance_flux(end.V, end.f, end.div, end.gram("V"))
-        self.ledger.rows.append(self.row(end))
+        self._append(end)
+
+    def _append(self, end: _StepEnd) -> None:
+        """Append the row of ``end``; ``NumericsError`` if it is not
+        finite (a march whose energies overflow)."""
+        row = self.row(end)
+        if not np.all(np.isfinite(astuple(row))):
+            raise NumericsError(f"non-finite energy ledger at t={end.t:.6g}")
+        self.ledger.rows.append(row)
 
     def _q(self, V, GV=None):
         return _form(self.ops.B0, V, V, self._w, GV)

@@ -30,7 +30,10 @@ block is formed by the ufuncs of the whole-array expression, in the same
 order, with one block-sized temporary reused for the +-2 stride
 difference.  A block's operands (the output block, the temporary and the
 four shifted input blocks, 1.5 MB) stay in a 2 MB L2 cache, and no
-temporary of the array's size is made.  Every value keeps its bits.
+temporary of the array's size is made.  Every value keeps its bits.  Each
+thread holds its own block temporary, taken on its first stencil and kept
+(``_scratch``), so a warm stencil allocates nothing but its output and two
+threads can differentiate at once.
 ``time_row`` is one row of the order-4 time derivative, from the five
 snapshots around it, with the interior row taken by the same kernel.
 """
@@ -38,11 +41,13 @@ snapshots around it, with the interior row taken by the same kernel.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 _BLOCK = 1 << 15        # elements per block of the interior stencil pass
+_scratch = threading.local()    # .block: this thread's _BLOCK temporary
 
 
 @dataclass(frozen=True)
@@ -135,7 +140,9 @@ def _central(flat: np.ndarray, s: int, h: float, o: np.ndarray) -> None:
     m = flat.size - 4 * s           # interior points
     if m <= 0:
         return
-    tmp = np.empty(min(m, _BLOCK))
+    tmp = getattr(_scratch, "block", None)
+    if tmp is None:
+        tmp = _scratch.block = np.empty(_BLOCK)
     for a in range(0, m, _BLOCK):
         b = min(a + _BLOCK, m)
         ob, t = o[a:b], tmp[:b - a]

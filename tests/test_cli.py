@@ -478,6 +478,46 @@ def test_energy_report_refuses_a_bad_checkpoint(tmp_path, capsys, bad):
     assert ("shape" if bad == "shape" else "finite") in err
 
 
+@pytest.mark.parametrize("bad", ["float_size", "no_times", "short_times"])
+def test_energy_report_refuses_a_bad_checkpoints_json(tmp_path, capsys, bad):
+    # checkpoints.json is outside input: a grid size written as a float
+    # once ended in a TypeError traceback from Grid, a missing times key in
+    # a KeyError one
+    run = tmp_path / "run.ini"
+    run.write_text(EVOLVE_CHECKPOINTS.format(count=2))
+    assert run_experiment(run, tmp_path / "run", verbosity=0) == 0
+    path = tmp_path / "run" / "checkpoints.json"
+    meta = json.loads(path.read_text())
+    if bad == "float_size":
+        meta["grid"]["n1"] = 16.0
+    elif bad == "no_times":
+        del meta["times"]
+    else:
+        meta["times"] = meta["times"][:1]
+    path.write_text(json.dumps(meta))
+    report = _report_config(tmp_path, tmp_path / "run")
+    assert run_experiment(report, tmp_path / "report", verbosity=0) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "checkpoints.json" in err
+    assert {"float_size": "n1", "no_times": "times",
+            "short_times": "count = 2"}[bad] in err
+
+
+def test_evolve_whose_ledger_overflows_exits_2(tmp_path, capsys):
+    # an unstable sheet at p+ = 1e6: the march stays finite while the
+    # ledger's squares overflow, which once wrote inf and nan rows and
+    # exited 0
+    run = tmp_path / "run.ini"
+    run.write_text("[run]\nexperiment = evolve\n\n[grid]\nn1 = 16\nn2 = 16\n"
+                   "\n[state]\np_plus = 1e6\n\n[evolve]\nt_final = 0.05\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)    # the overflows
+        assert run_experiment(run, tmp_path / "run", verbosity=0) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical abort:") and "ledger" in err
+    assert not (tmp_path / "run" / "energy_ledger.csv").exists()
+
+
 #: the keys that size a loop or an array draw 2 in place of 1e6: a large
 #: count would start a long loop or allocation, not end in a traceback
 _SIZE_KEYS = {"n1", "n2", "nt", "u2_jump_n", "H2_n", "checkpoint_count",

@@ -3,6 +3,8 @@ allocating forms they replace, kept here as oracles, bit for bit; the
 step's allocations, the forcing memo, and the ledger multiplier read off
 the wall rows."""
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -206,6 +208,44 @@ def test_inplace_steps_and_rhs_equal_the_allocating_oracle(case,
         assert _same_bits(gp, wp), k
 
 
+def test_concurrent_planar_marches_equal_the_allocating_oracle():
+    # two planar marches at once share the side pool: four threads on two
+    # cores, switching every microsecond, each march writing its halves of
+    # its own stepper's buffers with its own stencil blocks
+    basic, kw = _planar()
+    grid = basic.grid
+    rng = np.random.default_rng(12)
+    V0 = 1e-3 * rng.normal(size=(2, 6, grid.n1, grid.n2))
+    phi0 = 1e-3 * rng.normal(size=grid.n2)
+    t0, dt = 0.1, 0.01
+    oracle = ev.LinearizedStepper(basic, **kw)
+    want = (V0, phi0)
+    for n in range(3):
+        want = _alloc_step(oracle, *want, t0 + n * dt, dt)
+    got = {}
+
+    def march(name):
+        stepper = ev.LinearizedStepper(basic, **kw)
+        V, phi = V0.copy(), phi0.copy()
+        for n in range(3):
+            V, phi = stepper.step(V, phi, t0 + n * dt, dt)
+        got[name] = (V, phi)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=march, args=(k,)) for k in (0, 1)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert sorted(got) == [0, 1]
+    for V, phi in got.values():
+        assert _same_bits(V, want[0]) and _same_bits(phi, want[1])
+
+
 @pytest.mark.parametrize("stored", [(1, 1), (7, 1), (7, 5)])
 def test_mat_apply2_and_row_apply_equal_the_allocating_apply(stored):
     # signed zeros in v and in out: a compact row accumulates onto 0.0,
@@ -264,6 +304,24 @@ def test_derivatives_into_out_equal_fresh_ones():
         assert _same_bits(buf, d(f))
     with pytest.raises(ValueError, match="out"):
         grid.d1(f, out=np.empty((2, 6, grid.n1, grid.n2 + 1)))
+
+
+def test_warm_stencils_allocate_only_their_output():
+    # each thread holds its block temporary: a warm d1 or d2 of a field
+    # larger than one block traces its output and the edge rows' small
+    # temporaries (27 kB here), not a fresh 256 kB block
+    grid = _grid(64)
+    f = np.random.default_rng(3).normal(size=(2, 6, grid.n1, grid.n2))
+    assert f.size > grid_mod._BLOCK
+    for d in (grid.d1, grid.d2):
+        d(f)
+        tracemalloc.start()
+        try:
+            d(f)
+            extra = tracemalloc.get_traced_memory()[1] - f.nbytes
+        finally:
+            tracemalloc.stop()
+        assert extra < 8 * grid_mod._BLOCK / 4, extra
 
 
 def test_warm_step_allocates_few_full_fields():

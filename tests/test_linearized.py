@@ -883,6 +883,37 @@ def test_uniform_coefficients_are_stored_compact(grid):
         assert co[key].shape == (2, 6, 6, grid.n1, grid.n2), key
 
 
+def _steps_on_column_equal_steps_on_full_grid(basic, grid, seed):
+    """Five steps of the march on ``basic``'s one-column bundle (per side,
+    on the side pool) and on the full grid's bundle (one einsum per
+    product, serial), from one random state, give the same V and phi;
+    the second and fourth start from the pair of ``derivatives``, as in
+    ``evolve``."""
+    forcing = ManufacturedForcing(grid, amplitude=1.0, k2=2)
+    bdata = ManufacturedBoundaryData(grid, amplitude=0.05, k2=2, ramp=0.05)
+    column = ev.LinearizedStepper(basic, forcing=forcing, bdata=bdata)
+    full = ev.LinearizedStepper(basic, forcing=forcing, bdata=bdata)
+    full.cache.source = basic
+    assert "cols" in column.cache.at(0.3) and "cols" not in full.cache.at(0.3)
+    rng = np.random.default_rng(seed)
+    V0 = 1e-3 * rng.normal(size=(2, 6, grid.n1, grid.n2))
+    phi0 = 1e-3 * rng.normal(size=grid.n2)
+    dt = 0.01
+    ends = []
+    for stepper in (column, full):
+        V, phi = V0.copy(), phi0.copy()
+        for n in range(5):
+            if n % 2:
+                stepper.derivatives(V)
+            V, phi = stepper.step(V, phi, 0.3 + n * dt, dt,
+                                  0.3 + (n + 1) * dt)
+        ends.append((V, phi))
+    (V, phi), (V_full, phi_full) = ends
+    assert np.max(np.abs(V - V0)) > 0
+    assert np.array_equal(V, V_full)
+    assert np.array_equal(phi, phi_full)
+
+
 def test_compact_rhs_equals_full_rhs(grid):
     stepper = _trivial_stepper(grid)
     co = stepper.cache.at(0.0)
@@ -897,6 +928,7 @@ def test_compact_rhs_equals_full_rhs(grid):
     for got, want in zip(stepper.rhs(V, phi, 0.3, co, g),
                          stepper.rhs(V, phi, 0.3, full, g)):
         assert np.array_equal(got, want)
+    _steps_on_column_equal_steps_on_full_grid(stepper.cache.basic, grid, 8)
 
 
 def test_time_dependent_bundles_are_c_contiguous(grid):
@@ -990,6 +1022,7 @@ def test_x1_only_steady_state_is_assembled_on_one_column(grid):
                          stepper.rhs(V, phi, 0.3, ref, g)):
         assert got.shape == want.shape
         assert np.array_equal(got, want)
+    _steps_on_column_equal_steps_on_full_grid(basic, grid, 9)
 
 
 def test_x2_varying_or_time_dependent_states_keep_the_full_grid(grid):

@@ -3,6 +3,7 @@ observers against a bare march, and the monitors' shortcuts against the
 stencil and einsum forms they replace."""
 
 import hashlib
+import threading
 
 import numpy as np
 import pytest
@@ -32,18 +33,24 @@ def _sheet(n):
 
 def test_each_end_of_step_field_differentiated_once(monkeypatch):
     # the ledger, the a priori monitor and the next step's first stage all
-    # read one pair d1 V, d2 V of each end-of-step V
+    # read one pair d1 V, d2 V of each end-of-step V; the planar march
+    # differentiates each side's (6, n1, n2) field apart, on the side pool,
+    # so a stacked field is hashed side by side and a repeat collides
+    # whichever shape it comes in
     grid, basic, forcing = _sheet(32)
-    full = (2, 6, grid.n1, grid.n2)
+    side = (6, grid.n1, grid.n2)
     seen = {"d1": [], "d2": []}
 
     def hashed(name, fn):
         def wrapper(self, f, **kwargs):
             f = np.asarray(f)
-            # the state at rest is also the first stage's output, since the
-            # forcing vanishes at t = 0: equal content, not repeated work
-            if f.shape == full and np.any(f != 0.0):
-                seen[name].append(hashlib.sha256(f.tobytes()).hexdigest())
+            sides = list(f) if f.shape == (2,) + side else [f]
+            for g in sides:
+                # the state at rest is also the first stage's output, since
+                # the forcing vanishes at t = 0: equal content, not repeated
+                # work
+                if g.shape == side and np.any(g != 0.0):
+                    seen[name].append(hashlib.sha256(g.tobytes()).hexdigest())
             return fn(self, f, **kwargs)
         return wrapper
 
@@ -52,8 +59,40 @@ def test_each_end_of_step_field_differentiated_once(monkeypatch):
     traj = evolve(basic, t_final=0.05, forcing=forcing, dt_override=0.005)
     assert len(traj.times) == 11
     for name, hashes in seen.items():
-        assert len(hashes) > 20, name
+        assert len(hashes) > 40, name
         assert len(set(hashes)) == len(hashes), name
+
+
+def test_two_marches_start_at_most_two_threads(monkeypatch):
+    # the side pool starts on its first task and serves every march after
+    started = []
+    start = threading.Thread.start
+
+    def counted(self):
+        started.append(self.name)
+        start(self)
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    monkeypatch.setattr(ev, "_side_pool", None)
+    grid, basic, forcing = _sheet(32)
+    try:
+        for _ in range(2):
+            evolve(basic, t_final=0.02, forcing=forcing, dt_override=0.005)
+    finally:
+        if ev._side_pool is not None:
+            ev._side_pool.shutdown()
+    assert 1 <= len(started) <= 2, started
+
+
+def test_side_task_error_reaches_the_caller_after_both_sides_end():
+    ended = []
+
+    def task(s):
+        if s == 0:
+            raise ZeroDivisionError("side 0")
+        ended.append(s)
+    with pytest.raises(ZeroDivisionError, match="side 0"):
+        ev._on_sides(task)
+    assert ended == [1]
 
 
 def _driver():
