@@ -29,8 +29,10 @@ the forcing once per stage time (t, t + dt/2, t + dt); step n ends at the
 float (n + 1) dt, which the end stage, the observers and step n + 1 all use.
 After each step every observer reads what the march already holds: the
 end-of-step V, phi and t, the end-stage bundle and forcing, which the cache
-and the stepper's forcing memo hand back without computing them again, and
-one pair d1 V, d2 V, which step n + 1's first stage reuses.
+and the stepper's forcing memo hand back without computing them again, and,
+on a steady state, what the stepper's step end work (``derivatives``) left
+in its buffers: one pair d1 V, d2 V, which step n + 1's first stage reuses,
+the time difference Vt and the Grams below.
 
 The stepper forms its stages in place, in buffers it holds (the stage
 derivative and the pair d1 V, d2 V) and in the field it is handed for
@@ -49,8 +51,9 @@ constraint, the boundary energy), the a priori monitor behind
 ``Trajectory.cstar`` and the ledger observe it too.  A time-dependent
 march (the Nash-Moser solve's) differentiates no end-of-step V of its own
 and interpolates only the bundle entries it applies.
-``Trajectory.timings`` gives the wall seconds of the march and of each
-observer; they are the one part of a trajectory that is not reproducible.
+``Trajectory.timings`` gives the wall seconds of the march, of the step end
+work on a steady state (``step_end``) and of each observer; they are the
+one part of a trajectory that is not reproducible.
 
 Coefficients are built at snapshots, each family by its own pass: the
 cache builds the solved family and interpolates a time-dependent state's
@@ -67,8 +70,8 @@ a cache matrix that is uniform along the column too is stored (1, 1).
 Every matrix the ledger and the a priori monitor apply then varies in x1
 at most, so each of their quadratic forms contracts the matrix against a
 per-x1 Gram G_ij(x1) = sum over x2 of X_i Y_j (``_form``): one batched
-matrix product per field pair, and the step end computes the Grams of V,
-d1 V, d2 V and the time difference once for both observers.  A state
+matrix product per field pair, and the step end work takes the Grams of
+V, d1 V, d2 V and the time difference once for both observers.  A state
 whose matrices vary along x2 (the sheared sheet) applies them to the full
 fields.
 
@@ -76,21 +79,26 @@ The two sides of the sheet meet only in the wall rows, so on a one-column
 bundle the march runs each side's full-field work as one task on a pool
 of two workers (``_on_sides``), which the first such task starts and
 every later march reuses: per stage, the side's pair d1 V, d2 V (unless
-held), its rows of the stage derivative and its Shu-Osher update, and at
-each step end its pair for the observers.  The calling thread does the
-rest between the tasks: the bundle lookups (``_CoeffCache.at``), the
-forcing memo (``F_at``, a dict that is not thread-safe), ``g_at``, the
-front rate, the phi updates and the wall injection ``apply_bc``, and all
-of the observers' work.  Every value is formed by the same ufuncs on the
-same operands as on one thread, so it keeps its bits, and each buffer the
-step hands out is written by the same stage as on one thread, so it stays
-valid for exactly as long.  Any other bundle (the sheared sheet's, a
+held; of d1 V only the components ``M1`` reads), its rows of the stage
+derivative and its Shu-Osher update, and at each step end the side's
+step end work: its pair, its Vt and its Grams of V, d1 V, d2 V and Vt.
+The calling thread does the rest between the tasks: the bundle lookups
+(``_CoeffCache.at``), the forcing memo (``F_at``, a dict that is not
+thread-safe), ``g_at``, the front rate, the phi updates and the wall
+injection ``apply_bc``, and the observers, which contract the held Grams
+and form what else they read (div hdot, the cross Grams with F).  Each
+task runs in a copy of the caller's context, so the caller's
+``np.errstate`` holds in it.  Every value is formed by the same ufuncs on
+the same operands as on one thread, so it keeps its bits, and each buffer
+the step hands out is written by the same stage as on one thread, so it
+stays valid for exactly as long.  Any other bundle (the sheared sheet's, a
 time-dependent state's) marches on the calling thread alone: on the small
 grids of the Nash-Moser solve, per-side tasks cost more than they save.
 """
 
 from __future__ import annotations
 
+import contextvars
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -126,7 +134,9 @@ _side_pool_lock = threading.Lock()
 
 
 def _on_sides(task) -> None:
-    """task(0) and task(1), one task per side on the side pool; returns
+    """task(0) and task(1), one task per side on the side pool, each in its
+    own copy of the caller's context, so that the caller's numpy error
+    state (``np.errstate``, a context variable) holds in both; returns
     once both have ended, raising the first side's error if any."""
     global _side_pool
     with _side_pool_lock:
@@ -134,7 +144,8 @@ def _on_sides(task) -> None:
             _side_pool = ThreadPoolExecutor(_SIDES,
                                             thread_name_prefix="cvsheet-side")
         pool = _side_pool
-    futures = [pool.submit(task, s) for s in range(_SIDES)]
+    futures = [pool.submit(contextvars.copy_context().run, task, s)
+               for s in range(_SIDES)]
     wait(futures)               # both sides end before either error is raised
     for f in futures:
         f.result()
@@ -169,9 +180,10 @@ class Trajectory:
     ``boundary_energy``, ``div_residual`` and ``hn_residual`` per step, the
     a priori monitor ``apriori`` (and so ``cstar``), the ledger ``ledger``.
     These run on a steady basic state only; on a time-dependent one their
-    fields are None.  ``timings`` holds the wall seconds of the march and
-    of each observer that ran; it is the one field that differs between
-    runs of the same inputs.
+    fields are None.  ``timings`` holds the wall seconds of the march, of
+    the step end work (``step_end``, on a steady state) and of each
+    observer that ran; it is the one field that differs between runs of
+    the same inputs.
     """
 
     times: np.ndarray
@@ -241,7 +253,9 @@ class _CoeffCache:
     planar sheet's) is stored (2, 6, 6, 1, 1): ``_row_apply`` then forms
     a scalar's product per entry, not a column's broadcast.  The bundle
     also holds, under ``cols``, each march matrix's ``_row_columns``, found
-    once with it.
+    once with it, and under ``d1_cols`` the slice of components from the
+    first to the last column that ``M1`` reads on either side (q and u_n
+    on the planar sheet): the only part of d1 V a stage applies.
     """
 
     _MARCH_KEYS = ("M1", "M2", "M3", "A0invJt")     # what the march applies
@@ -274,8 +288,11 @@ class _CoeffCache:
                     for key in ("J",) + self._MARCH_KEYS:
                         if np.all(b[key] == b[key][..., :1, :]):
                             b[key] = b[key][..., :1, :]
-                    b["cols"] = {key: _row_columns(b[key])
-                                 for key in self._MARCH_KEYS}
+                    b["cols"] = cols = {key: _row_columns(b[key])
+                                        for key in self._MARCH_KEYS}
+                    m1 = [j for side in cols["M1"] for row in side
+                          for j in row]
+                    b["d1_cols"] = slice(min(m1), max(m1) + 1)
             return self._steady
         if self._last[0] != t:
             self._last = (t, self._interpolate(t))
@@ -379,7 +396,17 @@ def evolve(basic: BasicState, t_final: float, *, forcing=None, bdata=None,
             apriori=_AprioriMonitor(grid, stepper.cache, forcing, dt),
             ledger=_LedgerAccumulator(grid, stepper.cache.source, dt,
                                       stepper.sponge))
-    timings = dict.fromkeys(("march", *observers), 0.0)
+    timings = dict.fromkeys(("march", *(("step_end",) if basic.steady
+                                        else ()), *observers), 0.0)
+
+    def step_end(V, phi, V_prev=None) -> _StepEnd:
+        """The step end the observers read, after the stepper's step end
+        work on V (``derivatives``) on a steady state."""
+        if basic.steady:
+            t0 = time.perf_counter()
+            stepper.derivatives(V, V_prev, dt)
+            timings["step_end"] += time.perf_counter() - t0
+        return _StepEnd(stepper, t, V, phi, basic.steady, V_prev)
 
     def observe(method: str, end: _StepEnd) -> None:
         for name, obs in observers.items():
@@ -387,18 +414,12 @@ def evolve(basic: BasicState, t_final: float, *, forcing=None, bdata=None,
             getattr(obs, method)(end)
             timings[name] += time.perf_counter() - t0
 
-    t0 = time.perf_counter()
     t = 0.0
     V = np.zeros((2, 6, grid.n1, grid.n2))
     phi = np.zeros(grid.n2)
-    end = _StepEnd(stepper, t, V, phi,
-                   stepper.derivatives(V) if basic.steady else None)
-    timings["march"] += time.perf_counter() - t0
-    observe("start", end)
+    observe("start", step_end(V, phi))
     spare = None        # the buffer step n + 1 writes V_{n+2} into
     for n in range(nsteps):
-        # drop the step end's own fields; the step overwrites its pair
-        end = None
         t0 = time.perf_counter()
         t_next = (n + 1) * dt
         V_prev = V
@@ -406,16 +427,13 @@ def evolve(basic: BasicState, t_final: float, *, forcing=None, bdata=None,
         t = t_next
         if not (np.all(np.isfinite(V)) and np.all(np.isfinite(phi))):
             raise NumericsError(f"non-finite values at t={t:.6g}")
-        end = _StepEnd(stepper, t, V, phi,
-                       stepper.derivatives(V) if basic.steady else None,
-                       V_prev, dt)
         timings["march"] += time.perf_counter() - t0
-        observe("observe", end)
+        observe("observe", step_end(V, phi, V_prev))
         # the observers are done with V_n: the next step writes over it
         spare = V_prev
     # the march's fields and the stepper's buffers go before the snapshots
     # are stacked
-    end = stepper = V = V_prev = spare = None
+    stepper = V = V_prev = spare = None
 
     rec = observers["snapshots"]
     out = dict(times=np.asarray(rec.times), phi=np.asarray(rec.phis),
@@ -435,20 +453,23 @@ def evolve(basic: BasicState, t_final: float, *, forcing=None, bdata=None,
 
 class _StepEnd:
     """The march's state after a step, as its observers read it: t, V, phi
-    and the pair (d1 V, d2 V) (None when no observer reads it), and, on
-    first read, the end-stage bundle ``co``, the forcing ``f``, div hdot,
-    d2 phi, the front rate ``phit`` of ``phi_rate``, the time difference
-    ``Vt`` = (V - V_prev) / dt of the step and the per-x1 Grams of these
-    fields.  The state at rest that starts the march has no ``V_prev``.
-    Observers must not write to these arrays, nor keep V, ``V_prev``,
-    ``Vt`` or the pair past ``observe``: each sits in a buffer that a later
-    step overwrites (see the module docstring)."""
+    and, on a steady state, what the stepper's step end work
+    (``derivatives``) left in its buffers: the pair (d1 V, d2 V), the time
+    difference ``Vt`` = (V - V_prev) / dt of the step and the per-x1 Grams
+    of these fields (``gram``).  On first read it also gives the end-stage
+    bundle ``co``, the forcing ``f``, div hdot, d2 phi and the front rate
+    ``phit`` of ``phi_rate``.  The state at rest that starts the march has
+    no ``V_prev`` and no ``Vt``.  Observers must not write to these
+    arrays, nor keep V, ``V_prev``, ``Vt``, the pair or a Gram past
+    ``observe``: each sits in a buffer that a later step overwrites (see
+    the module docstring)."""
 
-    def __init__(self, stepper, t, V, phi, pair, V_prev=None, dt=None):
+    def __init__(self, stepper, t, V, phi, steady, V_prev=None):
         self.stepper, self.t, self.V, self.phi = stepper, t, V, phi
-        self.d1V, self.d2V = pair if pair is not None else (None, None)
-        self.V_prev, self.dt = V_prev, dt
-        self._grams: dict = {}
+        self.V_prev = V_prev
+        self.d1V, self.d2V = ((stepper._d1, stepper._d2) if steady
+                              else (None, None))
+        self.Vt = stepper._vt if steady and V_prev is not None else None
 
     @cached_property
     def co(self):
@@ -473,19 +494,10 @@ class _StepEnd:
                                      self.co["traces"],
                                      self.stepper.g_at(self.t))
 
-    @cached_property
-    def Vt(self):
-        d = np.subtract(self.V, self.V_prev, out=self.stepper._vt)
-        d /= self.dt
-        return d
-
     def gram(self, name: str):
         """``_gram`` of the field ``name`` ("V", "d1V", "d2V" or "Vt") with
-        itself, taken once for every observer."""
-        if name not in self._grams:
-            X = getattr(self, name)
-            self._grams[name] = _gram(X, X)
-        return self._grams[name]
+        itself, as the step end work took it for every observer."""
+        return self.stepper.grams[name]
 
 
 class _SnapshotRecorder:
@@ -583,11 +595,13 @@ def _inner(X, Y, w) -> float:
     return float(rows @ w)
 
 
-def _gram(X, Y):
+def _gram(X, Y, out=None):
     """Per-side, per-x1 Gram G[s, x1, i, j] = sum over x2 of X_si Y_sj, of
     (2, m, n1, n2) fields: one batched matrix product on transposed
-    views, (2, n1, m, m')."""
-    return X.transpose(0, 2, 1, 3) @ Y.transpose(0, 2, 3, 1)
+    views, (2, n1, m, m'), written into ``out`` if given.  One side's
+    (m, n1, n2) fields give its (n1, m, m') Gram, with the same bits."""
+    return np.matmul(np.swapaxes(X, -3, -2), np.moveaxis(Y, -3, -1),
+                     out=out)
 
 
 def _form(M, X, Y, w, G=None) -> float:
@@ -617,13 +631,13 @@ class LinearizedStepper:
     [q] rows of ``linearized_wall_rows``.
 
     With a one-column bundle, ``rhs``, ``step`` and ``derivatives`` run
-    each side's stencils, rows and updates as one task on the side pool,
-    and the lookups, the front rate, the phi updates and ``apply_bc`` on
-    the calling thread (see the module docstring).  The two tasks write
-    disjoint halves of each buffer and each has its own row scratch.  What
-    the stepper hands out (the pair of ``derivatives``, ``step``'s
-    ``out``, Vt) stays valid for exactly as long as on one thread: until
-    the stepper next writes that buffer."""
+    each side's stencils, rows, updates and Grams as one task on the side
+    pool, and the lookups, the front rate, the phi updates and
+    ``apply_bc`` on the calling thread (see the module docstring).  The
+    two tasks write disjoint halves of each buffer and each has its own
+    row scratch.  What the stepper hands out (the pair of ``derivatives``,
+    ``step``'s ``out``, Vt, ``grams``) stays valid for exactly as long as
+    on one thread: until the stepper next writes that buffer."""
 
     def __init__(self, basic: BasicState, *, forcing=None, bdata=None,
                  sponge_strength: float = 2.0):
@@ -634,6 +648,13 @@ class LinearizedStepper:
         sp_start = grid.L1 * (1.0 - _SPONGE_WIDTH)
         self.sponge = sponge_strength * quintic_step(
             (x1 - sp_start) / (grid.L1 - sp_start))
+        # rhs forms the sponge product on the rows from the first nonzero
+        # one (the outer fifth of x1) alone: dV is accumulated onto +0.0 by
+        # additions and subtractions, so it is never -0.0 there, and
+        # x - 0.0 V is x, bit for bit
+        nonzero = np.flatnonzero(self.sponge[:, 0])
+        self._sponge_rows = slice(nonzero[0] if nonzero.size else grid.n1,
+                                  None)
         # constraint monitors stop short of the sponge by the stencil width
         self.n1_phys = max(int(np.searchsorted(grid.x1, sp_start)) - 3, 4)
         self._forcing = forcing
@@ -644,11 +665,13 @@ class LinearizedStepper:
         self._zero_g = np.zeros((3, grid.n2))
         # held by the step: the stage derivative, the pair d1 V, d2 V of a
         # stage or a step end, rhs's full-size product scratch, the step
-        # end's time difference Vt and, for a one-column bundle, each
-        # side's two product rows (a buffer left untouched never makes its
-        # pages resident)
+        # end's time difference Vt and Grams and, for a one-column bundle,
+        # each side's two product rows (a buffer left untouched never
+        # makes its pages resident)
         self._k, self._d1, self._d2, self._tmp, self._vt = (
             np.empty(full) for _ in range(5))
+        self.grams = {name: np.empty((2, grid.n1, 6, 6))
+                      for name in ("V", "d1V", "d2V", "Vt")}
         self._rows = np.empty((_SIDES, 2, grid.n1, grid.n2))
         self._pair_of = None        # the V whose pair _d1, _d2 hold
 
@@ -668,23 +691,44 @@ class LinearizedStepper:
     def g_at(self, t):
         return self._bdata(t) if self._bdata is not None else self._zero_g
 
-    def derivatives(self, V):
-        """(d1 V, d2 V), in the stepper's pair buffers: the first stage of
-        a step from this very V reuses the pair, and the next stage
-        overwrites it.  With a one-column bundle each side's pair is one
-        task on the side pool."""
+    def derivatives(self, V, V_prev=None, dt=None):
+        """The step end work on V, returning (d1 V, d2 V).
+
+        The pair goes into the stepper's pair buffers: the first stage of
+        a step from this very V reuses it, and the next stage overwrites
+        it.  Given the step's ``V_prev`` and ``dt``, Vt = (V - V_prev) / dt
+        goes into the stepper's Vt buffer.  The per-x1 Grams (``_gram``) of
+        V, d1 V, d2 V and, with Vt, of Vt go into ``grams``, where they stay
+        until the next call.  With a one-column bundle each side's share
+        is one task on the side pool."""
         self._pair_of = V
+        task = partial(self._end_side, V, V_prev, dt)
         if self.cache.one_column:
-            _on_sides(partial(self._pair, V))
+            _on_sides(task)
         else:
-            self._pair(V)
+            task()
         return self._d1, self._d2
 
-    def _pair(self, V, s=...):
-        """d1 and d2 of V[s] (side s, or the whole field) into the pair
-        buffers: the stencils act along the last two axes alone, so a
-        side's pair holds the bits of the whole field's."""
-        self.grid.d1(V[s], out=self._d1[s])
+    def _end_side(self, V, V_prev, dt, s=...):
+        """``derivatives``' work on side s, or on the whole field: per-side
+        stencils, differences and Grams hold the bits of the whole
+        field's."""
+        self._pair(V, s)
+        fields = [("V", V[s]), ("d1V", self._d1[s]), ("d2V", self._d2[s])]
+        if V_prev is not None:
+            Vt = np.subtract(V[s], V_prev[s], out=self._vt[s])
+            Vt /= dt
+            fields.append(("Vt", Vt))
+        for name, X in fields:
+            _gram(X, X, out=self.grams[name][s])
+
+    def _pair(self, V, s=..., d1_cols=slice(None)):
+        """d1 of components ``d1_cols`` and d2 of V[s] (side s, or the
+        whole field) into the pair buffers: the stencils act along the
+        last two axes alone, so a side's pair holds the bits of the whole
+        field's, and a component's those of all six."""
+        c = (..., d1_cols, slice(None), slice(None))
+        self.grid.d1(V[s][c], out=self._d1[s][c])
         self.grid.d2(V[s], out=self._d2[s])
 
     def rhs(self, V, phi, t, co, g, pair=None, out=None, then=None):
@@ -692,9 +736,11 @@ class LinearizedStepper:
         and, if the caller holds it, the pair (d1 V, d2 V).
 
         dV/dt is written into ``out`` (a new array if None), accumulated
-        left to right as A0invJt F - M1 d1 V - M2 d2 V - M3 V - sponge V;
-        a pair the caller does not hold is taken into the stepper's pair
-        buffers.  dphi/dt (``phi_rate``) is formed first, so ``then(s)``,
+        left to right as A0invJt F - M1 d1 V - M2 d2 V - M3 V - sponge V,
+        the sponge product on the sponge's nonzero rows alone; a pair the
+        caller does not hold is taken into the stepper's pair buffers (on
+        a one-column bundle, d1 only of the components ``M1`` reads).
+        dphi/dt (``phi_rate``) is formed first, so ``then(s)``,
         which runs on side s of dV once it is formed, may write over V.
 
         With a one-column bundle (every matrix (..., n1, 1) or (..., 1, 1),
@@ -725,22 +771,25 @@ class LinearizedStepper:
         _mat_apply2(co["A0invJt"], F, dV)
         for key, X in (("M1", pair[0]), ("M2", pair[1]), ("M3", V)):
             dV -= _mat_apply2(co[key], X, self._tmp)
-        dV -= np.multiply(self.sponge, V, out=self._tmp)
+        r = (..., self._sponge_rows, slice(None))
+        dV[r] -= np.multiply(self.sponge[r], V[r], out=self._tmp[r])
         if then is not None:
             then(...)
         return dV, dphi
 
     def _side_rows(self, V, F, co, pair, dV, s):
         """Side s of the one-column dV: the side's pair first if the
-        caller does not hold it, then one (side, component) row at a
-        time, each product row (``_row_apply``) in the side's own row
-        scratch, so a row's operands stay in cache, and a product row
-        without entries not formed (x - 0.0 is x)."""
+        caller does not hold it, with d1 of the components ``M1`` reads
+        alone (``d1_cols``), then one (side, component) row at a time,
+        each product row (``_row_apply``) in the side's own row scratch,
+        so a row's operands stay in cache, and a product row without
+        entries not formed (x - 0.0 is x)."""
         if pair is None:
-            self._pair(V, s)
+            self._pair(V, s, co["d1_cols"])
             pair = (self._d1, self._d2)
         cols, (part, prod) = co["cols"], self._rows[s]
         terms = (("M1", pair[0]), ("M2", pair[1]), ("M3", V))
+        r, sponge = self._sponge_rows, self.sponge[self._sponge_rows]
         for i in range(V.shape[1]):
             row = dV[s, i]
             if _row_apply(co["A0invJt"], F, s, i, row, prod,
@@ -750,7 +799,7 @@ class LinearizedStepper:
                 if _row_apply(co[key], X, s, i, part, prod,
                               cols[key][s][i]) is not None:
                     row -= part
-            row -= np.multiply(self.sponge, V[s, i], out=part)
+            row[r] -= np.multiply(sponge, V[s, i, r], out=part[r])
 
     @staticmethod
     def phi_rate(V, phi, d2phi, tr, g):

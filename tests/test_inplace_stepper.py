@@ -6,6 +6,7 @@ the wall rows."""
 import sys
 import threading
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -244,6 +245,66 @@ def test_concurrent_planar_marches_equal_the_allocating_oracle():
     assert sorted(got) == [0, 1]
     for V, phi in got.values():
         assert _same_bits(V, want[0]) and _same_bits(phi, want[1])
+
+
+def test_planar_march_on_the_pool_has_the_serial_bytes(monkeypatch):
+    # the side pool changes no byte of what a planar march records (V at
+    # every step, phi, the ledger rows, the a priori sums) against a march
+    # whose side tasks run one after the other on the calling thread
+    grid = _grid(32)
+    basic = trivial_sheet_state(grid, EOS, u2_jump=0.5, H2_plus=1.4,
+                                H2_minus=1.2)
+    dt, nsteps = 0.005, 12
+    kw = dict(t_final=nsteps * dt, dt_override=dt,
+              forcing=ManufacturedForcing(grid, amplitude=1.0, k2=2),
+              bdata=ManufacturedBoundaryData(grid, amplitude=0.05, k2=2,
+                                             ramp=0.05),
+              snapshot_times=dt * np.arange(nsteps + 1))
+
+    def record(traj):
+        return (traj.snapshots, traj.phi,
+                np.array([astuple(row) for row in traj.ledger.rows]),
+                np.array([traj.apriori[k] for k in sorted(traj.apriori)]))
+    pooled = record(ev.evolve(basic, **kw))
+    with monkeypatch.context() as m:
+        m.setattr(ev, "_on_sides",
+                  lambda task: [task(s) for s in range(ev._SIDES)])
+        serial = record(ev.evolve(basic, **kw))
+    assert np.max(np.abs(pooled[0][-1])) > 0
+    for got, want in zip(pooled, serial):
+        assert _same_bits(got, want)
+
+
+@pytest.mark.parametrize("signed_zeros", [False, True])
+def test_column_rhs_has_the_full_grid_bytes(signed_zeros):
+    # rhs on the one-column bundle (per side, d1 of M1's columns alone when
+    # it takes its own pair, the sponge on its nonzero rows alone) against
+    # the full grid's bundle (one einsum per product) and the allocating
+    # oracle (the sponge on every row), byte for byte.  With -0.0 and
+    # negative values in V, and F = 0 F0 at t = 0, the skipped products
+    # 0.0 V are -0.0 in places: a dV row of -0.0 would then differ
+    basic, kw = _planar()
+    grid = basic.grid
+    column = ev.LinearizedStepper(basic, **kw)
+    full = ev.LinearizedStepper(basic, **kw)
+    full.cache.source = basic
+    assert column.cache.at(0.0)["d1_cols"] == slice(0, 2)
+    assert "cols" not in full.cache.at(0.0)
+    rng = np.random.default_rng(13)
+    V = 1e-3 * rng.normal(size=(2, 6, grid.n1, grid.n2))
+    if signed_zeros:
+        V[1] = -0.0
+        V[0, :, ::2] = -np.abs(V[0, :, ::2])
+    phi = 1e-3 * rng.normal(size=grid.n2)
+    for t in (0.0, 0.1):
+        g = column.g_at(t)
+        want = _alloc_rhs(column, V, phi, t, column.cache.at(t), g)
+        for stepper in (column, full):
+            co = stepper.cache.at(t)
+            held = stepper.rhs(V, phi, t, co, g, stepper.derivatives(V))
+            own = stepper.rhs(V, phi, t, co, g)
+            for got in (held, own):
+                assert all(_same_bits(x, y) for x, y in zip(got, want)), t
 
 
 @pytest.mark.parametrize("stored", [(1, 1), (7, 1), (7, 5)])

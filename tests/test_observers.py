@@ -11,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cvsheet.evolve as ev
+from cvsheet import norms
 from cvsheet.compat import (build_approximate, manufactured_initial_data,
                             time_jet)
 from cvsheet.evolve import evolve
-from cvsheet.grid import Grid
+from cvsheet.grid import Grid, GridFunction
 from cvsheet.linearized import trivial_sheet_state
 from cvsheet.mhd import IdealGasEos
 from cvsheet.nashmoser import NashMoserDriver, _SnapshotInterpolant
@@ -35,8 +36,9 @@ def test_each_end_of_step_field_differentiated_once(monkeypatch):
     # the ledger, the a priori monitor and the next step's first stage all
     # read one pair d1 V, d2 V of each end-of-step V; the planar march
     # differentiates each side's (6, n1, n2) field apart, on the side pool,
-    # so a stacked field is hashed side by side and a repeat collides
-    # whichever shape it comes in
+    # and a stage's d1 of M1's columns alone, a (k, n1, n2) slice of a
+    # side, so a stacked field is hashed side by side, a column slice as
+    # it comes, and a repeat collides whichever shape it comes in
     grid, basic, forcing = _sheet(32)
     side = (6, grid.n1, grid.n2)
     seen = {"d1": [], "d2": []}
@@ -49,7 +51,8 @@ def test_each_end_of_step_field_differentiated_once(monkeypatch):
                 # the state at rest is also the first stage's output, since
                 # the forcing vanishes at t = 0: equal content, not repeated
                 # work
-                if g.shape == side and np.any(g != 0.0):
+                if (g.ndim == 3 and g.shape[1:] == side[1:]
+                        and np.any(g != 0.0)):
                     seen[name].append(hashlib.sha256(g.tobytes()).hexdigest())
             return fn(self, f, **kwargs)
         return wrapper
@@ -95,6 +98,21 @@ def test_side_task_error_reaches_the_caller_after_both_sides_end():
     assert ended == [1]
 
 
+def test_side_tasks_keep_the_callers_error_state():
+    # np.errstate is a context variable and the pool's workers run in
+    # contexts of their own: each task runs in a copy of the caller's, so
+    # an overflow raises in a task as it does on the calling thread
+    big = np.full(4, 1e300)
+
+    def task(s):
+        np.multiply(big, big)
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            task(0)
+        with pytest.raises(FloatingPointError):
+            ev._on_sides(task)
+
+
 def _driver():
     """The 16^2, 9-snapshot Nash-Moser driver of ``test_nashmoser``."""
     grid = Grid(n1=16, n2=16, L1=2 * np.pi, L2=2 * np.pi)
@@ -133,7 +151,7 @@ def test_march_records_the_bare_steppers_fields(case):
     dt = t_final / 16
     traj = evolve(basic, t_final=t_final, forcing=forcing, dt_override=dt,
                   snapshot_times=dt * np.arange(0, 17, 4), **kw)
-    observers = {"constraints", "apriori", "ledger"}
+    observers = {"step_end", "constraints", "apriori", "ledger"}
     assert set(traj.timings) == ({"march", "snapshots"}
                                  | (observers if basic.steady else set()))
 
@@ -214,9 +232,9 @@ def test_monitored_march_builds_the_solved_family_per_bundle(monkeypatch):
 def test_ledger_timings_cover_every_observer():
     _, basic, forcing = _sheet(16)
     traj = evolve(basic, t_final=0.05, forcing=forcing)
-    assert set(traj.timings) == {"march", "snapshots", "constraints",
-                                 "apriori", "ledger"}
-    assert traj.timings["march"] > 0.0
+    assert set(traj.timings) == {"march", "step_end", "snapshots",
+                                 "constraints", "apriori", "ledger"}
+    assert traj.timings["march"] > 0.0 and traj.timings["step_end"] > 0.0
 
 
 def test_separable_forcing_sum_equals_stencil_path():
@@ -409,3 +427,30 @@ def test_snapshot_times_take_the_nearest_step():
                   snapshot_times=[0.0, 0.0, 0.004, 0.026, 0.1 * (1 + 1e-10)])
     assert np.allclose(traj.snapshot_times, [0.0, 0.0, 0.0, 0.03, 0.1],
                        rtol=0, atol=1e-15)
+
+
+def test_apriori_u_sum_is_the_hm_star_norm_of_j_v():
+    # an independent oracle of the step end's Grams: the a priori monitor's
+    # u_sq is a left Riemann sum over the steps of |Udot|^2 + |Udot_t|^2 +
+    # |sigma d1 Udot|^2 + |d2 Udot|^2 with Udot = J V and a backward time
+    # difference; norms.hm_star_norm(m=1) of the recorded Udot takes the
+    # same spatial terms with the trapezoid rule and a central difference
+    # in time.  Both time sums are of first order in dt, so the relative
+    # gap halves when dt halves
+    grid, basic, forcing = _sheet(32)
+    J = ev._CoeffCache(basic).at(0.0)["J"]
+    t_final, gaps = 0.2, []
+    for nsteps in (20, 40):
+        dt = t_final / nsteps
+        traj = evolve(basic, t_final=t_final, forcing=forcing,
+                      dt_override=dt,
+                      snapshot_times=dt * np.arange(nsteps + 1))
+        assert len(traj.snapshots) == nsteps + 1
+        Udot = np.einsum("sij...,tsj...->tsi...", J, traj.snapshots)
+        norm_sq = sum(
+            norms.hm_star_norm(GridFunction(Udot[:, s, i], grid, dt), 1).total
+            ** 2 for s in range(2) for i in range(6))
+        assert traj.apriori["u_sq"] > 0
+        gaps.append(abs(norm_sq - traj.apriori["u_sq"]) / norm_sq)
+    assert gaps[0] < 0.02, gaps
+    assert 0.35 < gaps[1] / gaps[0] < 0.65, gaps
